@@ -9,7 +9,8 @@ use sse_primitives::aes::Aes128;
 use sse_primitives::chacha20::prg_expand;
 use sse_primitives::drbg::HmacDrbg;
 use sse_primitives::elgamal::ElGamal;
-use sse_primitives::hashchain::{chain_step, walk_forward};
+use sse_primitives::etm::EtmKey;
+use sse_primitives::hashchain::{chain_commitment, chain_step, walk_forward, ChainWalker};
 use sse_primitives::hmac::hmac_sha256;
 use sse_primitives::modp::ModpGroup;
 use sse_primitives::sha256::sha256;
@@ -36,6 +37,18 @@ fn bench_hashing(c: &mut Criterion) {
         let k = [4u8; 32];
         b.iter(|| std::hint::black_box(walk_forward(&k, 1024)));
     });
+    // The server's search walk: 1024 fused (h, f') steps to the element
+    // whose commitment matches — against `chain_walk_1024`, the price of
+    // the second lane.
+    group.bench_function("walker_1024_steps", |b| {
+        let k = [4u8; 32];
+        let target = chain_commitment(&walk_forward(&k, 1024));
+        b.iter(|| {
+            let mut walker = ChainWalker::new(&k);
+            assert!(walker.seek_commitment(&target, 1024));
+            std::hint::black_box(*walker.element())
+        });
+    });
     group.finish();
 }
 
@@ -46,6 +59,17 @@ fn bench_ciphers(c: &mut Criterion) {
         let block = [6u8; 16];
         b.iter(|| std::hint::black_box(aes.encrypt(&block)));
     });
+    // Opening a sealed message, subkey derivation included: a Scheme 1
+    // reply-sized blob (CTR + HMAC bulk) and a Scheme 2 generation-sized
+    // one (fixed cost: HKDF, key schedule, HMAC set-up).
+    for (name, size) in [("etm_open_50k", 50_000usize), ("etm_open_40B", 40)] {
+        let master = [8u8; 32];
+        let sealed = EtmKey::new(&master).seal_with_iv(&[9u8; 12], &vec![0x5Au8; size]);
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(EtmKey::new(&master).open(&sealed).unwrap()));
+        });
+    }
     for size in [128usize, 4096] {
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("prg_expand", size), &size, |b, &size| {

@@ -42,8 +42,6 @@ mod server;
 pub use client::{InMemoryScheme2Client, Scheme2Client, Scheme2ClientState};
 pub use server::{Scheme2Server, Scheme2ServerStats};
 
-use sse_primitives::sha256::sha256_concat;
-
 /// When the client advances the global update counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CtrPolicy {
@@ -112,10 +110,12 @@ impl Scheme2Config {
 
 /// The commitment PRF `f'`: publicly computable (the *server* evaluates it
 /// while walking the chain), so it is an unkeyed domain-separated hash of
-/// the chain element.
+/// the chain element — `SHA-256("sse/scheme2-commit" ‖ k)`. The definition
+/// lives beside the chain function so that the server's walk can evaluate
+/// both on one element at once ([`sse_primitives::hashchain::ChainWalker`]).
 #[must_use]
 pub fn key_commitment(chain_key: &[u8; 32]) -> [u8; 32] {
-    sha256_concat(&[b"sse/scheme2-commit", chain_key])
+    sse_primitives::hashchain::chain_commitment(chain_key)
 }
 
 #[cfg(test)]
@@ -129,6 +129,15 @@ mod tests {
         let c = key_commitment(&[2u8; 32]);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn commitment_is_the_documented_hash() {
+        let k = [7u8; 32];
+        assert_eq!(
+            key_commitment(&k),
+            sse_primitives::sha256::sha256_concat(&[b"sse/scheme2-commit", &k])
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! ascending → document store.
 
 use super::protocol::{self, GenerationEntry, Request};
-use super::{key_commitment, Scheme2Config};
+use super::Scheme2Config;
 use crate::commit::{CommitCounters, CommitStats, GroupCommitter};
 use crate::error::{Result, SseError};
 use crate::health::{ScrubFindings, TenantHealth};
@@ -50,7 +50,7 @@ use sse_index::postings::{Generation, GenerationList};
 use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_primitives::etm::EtmKey;
-use sse_primitives::hashchain::chain_step;
+use sse_primitives::hashchain::ChainWalker;
 use sse_storage::crc32::crc32;
 use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
 use sse_storage::store::DocStore;
@@ -58,7 +58,7 @@ use sse_storage::{
     resolve_backend, BackendCounters, BackendKind, DocBlobStore, KeywordMap, RealVfs, StorageError,
     Vfs,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
@@ -1196,27 +1196,21 @@ impl Scheme2Server {
         // dynamic-SSE extension (an empty delete list is the paper's case).
         let locked: &[Generation] = list.undecrypted();
         let mut decoded: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); locked.len()];
-        let mut element = t_prime;
-        let mut steps_used = 0usize;
+        let mut walker = ChainWalker::new(&t_prime);
         for (pos, generation) in locked.iter().enumerate().rev() {
             // Advance until the commitment matches this generation's key.
-            let mut matched = key_commitment(&element) == generation.key_commitment;
-            while !matched {
-                if steps_used >= max_walk {
-                    self.stats.searches.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .chain_steps
-                        .fetch_add(steps_used as u64, Ordering::Relaxed);
-                    return Err(format!(
-                        "chain walk exceeded {max_walk} steps; client/server desync"
-                    ));
-                }
-                element = chain_step(&element);
-                steps_used += 1;
-                matched = key_commitment(&element) == generation.key_commitment;
+            if !walker.seek_commitment(&generation.key_commitment, max_walk) {
+                self.stats.searches.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .chain_steps
+                    .fetch_add(walker.steps() as u64, Ordering::Relaxed);
+                return Err(format!(
+                    "chain walk exceeded {max_walk} steps; client/server desync"
+                ));
             }
-            // `element` is the generation key: decrypt the posting entry.
-            let etm = EtmKey::new(&element);
+            // The walker stands on the generation key: decrypt the posting
+            // entry.
+            let etm = EtmKey::new(walker.element());
             let plain = match etm.open(&generation.masked_ids) {
                 Ok(p) => p,
                 Err(e) => {
@@ -1239,9 +1233,10 @@ impl Scheme2Server {
                 }
             }
         }
+        let steps_used = walker.steps() as u64;
         self.stats
             .chain_steps
-            .fetch_add(steps_used as u64, Ordering::Relaxed);
+            .fetch_add(steps_used, Ordering::Relaxed);
         self.stats
             .generations_decrypted
             .fetch_add(locked.len() as u64, Ordering::Relaxed);
@@ -1249,22 +1244,19 @@ impl Scheme2Server {
 
         // Apply generations in chronological order on top of the
         // Optimization-1 cache: adds union in, deletes remove.
-        let mut all_ids: Vec<u64> = list.cached_ids().to_vec();
+        let mut id_set: BTreeSet<u64> = list.cached_ids().iter().copied().collect();
         for (adds, dels) in &decoded {
-            for id in adds {
-                if !all_ids.contains(id) {
-                    all_ids.push(*id);
-                }
-            }
+            id_set.extend(adds);
             for id in dels {
-                all_ids.retain(|x| x != id);
+                id_set.remove(id);
             }
         }
+        // Sorted, as the reply and the memo want them.
+        let all_ids: Vec<u64> = id_set.into_iter().collect();
         if use_cache && !locked.is_empty() {
             self.write_back_cache(si, &tag, list, all_ids.clone());
         }
 
-        all_ids.sort_unstable();
         if use_cache {
             self.store_memo(
                 si,
@@ -1272,7 +1264,7 @@ impl Scheme2Server {
                     applied_seq: snap.applied_seq,
                     t_prime,
                     ids: all_ids.clone(),
-                    walk_cost: steps_used as u64,
+                    walk_cost: steps_used,
                     gens: list.len() as u64,
                 },
                 tag,
@@ -1298,25 +1290,13 @@ impl Scheme2Server {
         if memo.applied_seq != snap_seq {
             return None;
         }
-        let delta = if t_prime == &memo.t_prime {
-            0u64
-        } else {
-            // Walk forward from the newer trapdoor until it meets the
-            // memoized one; the shard is unchanged, so the id set is too.
-            let mut element = *t_prime;
-            let mut steps = 0u64;
-            loop {
-                if steps as usize >= max_walk {
-                    return None;
-                }
-                element = chain_step(&element);
-                steps += 1;
-                if element == memo.t_prime {
-                    break;
-                }
-            }
-            steps
-        };
+        // Walk forward from the (same or newer) trapdoor until it meets
+        // the memoized one; the shard is unchanged, so the id set is too.
+        let mut walker = ChainWalker::new(t_prime);
+        if !walker.seek_element(&memo.t_prime, max_walk) {
+            return None;
+        }
+        let delta = walker.steps() as u64;
         self.stats.searches.fetch_add(1, Ordering::Relaxed);
         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.stats.chain_steps.fetch_add(delta, Ordering::Relaxed);
@@ -1615,6 +1595,7 @@ impl Service for Scheme2Server {
 mod tests {
     use super::*;
     use crate::proto_common::{decode_ack, decode_result};
+    use crate::scheme2::key_commitment;
     use sse_net::wire::WireWriter;
     use sse_primitives::hashchain::{walk_forward, HashChain};
 
@@ -1905,6 +1886,79 @@ mod tests {
         let t1 = chain.key_for_counter(1).unwrap();
         let resp = s.handle(&protocol::encode_search(&tag, &t1));
         assert!(decode_result(&resp).is_err(), "must not decrypt the future");
+    }
+
+    #[test]
+    fn walk_bound_is_exact_and_the_desync_error_is_unchanged() {
+        // chain_length 8 -> the walk may take at most 9 steps.
+        let chain = HashChain::new(&[b"kw", b"key"], 64);
+        let tag = [8u8; 32];
+        let k1 = chain.key_for_counter(1).unwrap();
+        let fresh = || {
+            let mut s =
+                Scheme2Server::new_in_memory(Scheme2Config::standard().with_chain_length(8));
+            s.handle(&protocol::encode_put_docs(&[(1, b"one".to_vec())]));
+            s.handle(&protocol::encode_append_generations(&[GenerationEntry {
+                tag,
+                sealed_ids: sealed_ids(&k1, &[1]),
+                commitment: key_commitment(&k1),
+            }]));
+            s
+        };
+        // Nine steps away: found on the last step the bound allows.
+        let mut s = fresh();
+        let t10 = chain.key_for_counter(10).unwrap();
+        let resp = s.handle(&protocol::encode_search(&tag, &t10));
+        assert_eq!(decode_result(&resp).unwrap(), vec![(1, b"one".to_vec())]);
+        assert_eq!(s.stats().chain_steps, 9);
+        // Ten steps away: the walk stops after nine and reports desync.
+        let mut s = fresh();
+        let t11 = chain.key_for_counter(11).unwrap();
+        let resp = s.handle(&protocol::encode_search(&tag, &t11));
+        let err = decode_result(&resp).unwrap_err().to_string();
+        assert!(
+            err.contains("chain walk exceeded 9 steps; client/server desync"),
+            "{err}"
+        );
+        assert_eq!(s.stats().chain_steps, 9);
+    }
+
+    #[test]
+    fn generations_merge_as_a_set_and_reply_in_id_order() {
+        // Adds repeat ids across generations, arrive unsorted, and deletes
+        // remove ids added earlier (or never added).
+        let seal = |key: &[u8; 32], adds: &[u64], dels: &[u64]| {
+            let mut w = WireWriter::new();
+            w.put_u64_vec(adds);
+            w.put_u64_vec(dels);
+            EtmKey::new(key).seal(&w.finish())
+        };
+        let mut s = server();
+        let docs: Vec<(u64, Vec<u8>)> = (1..=9u64).map(|id| (id, vec![id as u8])).collect();
+        s.handle(&protocol::encode_put_docs(&docs));
+        let chain = HashChain::new(&[b"kw", b"key"], 64);
+        let tag = [6u8; 32];
+        let generations: [(u64, &[u64], &[u64]); 3] = [
+            (1, &[9, 3, 5, 3], &[]),
+            (2, &[7, 5, 1], &[3, 8]),
+            (3, &[3, 2], &[9]),
+        ];
+        for (ctr, adds, dels) in generations {
+            let k = chain.key_for_counter(ctr).unwrap();
+            s.handle(&protocol::encode_append_generations(&[GenerationEntry {
+                tag,
+                sealed_ids: seal(&k, adds, dels),
+                commitment: key_commitment(&k),
+            }]));
+        }
+        let t = chain.key_for_counter(3).unwrap();
+        let ids = |resp: &[u8]| -> Vec<u64> {
+            decode_result(resp).unwrap().iter().map(|d| d.0).collect()
+        };
+        let want = vec![1, 2, 3, 5, 7];
+        assert_eq!(ids(&s.handle(&protocol::encode_search(&tag, &t))), want);
+        // Again, now from the written-back Optimization-1 cache / memo.
+        assert_eq!(ids(&s.handle(&protocol::encode_search(&tag, &t))), want);
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //!
 //! This is a straightforward table-free implementation (the S-box is a table
 //! but round transforms are computed); it favours clarity and auditability
-//! over raw speed, which is fine because AES is never the bottleneck in the
-//! reproduced experiments (the paper's costs are dominated by modexp and
-//! hash-chain walks).
+//! over raw speed — about 14 ns per byte in CTR mode, which the perf ledger
+//! showed to be most of the client's time opening Scheme 1's 50 KB replies
+//! (EXPERIMENTS.md E10). So on x86-64 with AES-NI the bulk user, CTR mode
+//! ([`crate::ctr`]), takes only the *key schedule* from here and runs the
+//! rounds in hardware; this code is the block cipher everywhere else, the
+//! CTR path on other targets, and the oracle the hardware path is tested
+//! against.
 
 use crate::error::{CryptoError, Result};
 
@@ -136,6 +140,11 @@ impl Aes128 {
             got: key.len(),
         })?;
         Ok(Self::new(&arr))
+    }
+
+    /// The expanded key: `ROUNDS + 1` round keys, in FIPS 197 byte order.
+    pub(crate) fn round_keys(&self) -> &[[u8; 16]; ROUNDS + 1] {
+        &self.round_keys
     }
 
     /// Encrypt one 16-byte block in place.

@@ -104,10 +104,15 @@ impl ChaCha20 {
 #[must_use]
 pub fn prg_expand(seed: &[u8; 32], len: usize) -> Vec<u8> {
     let mut out = vec![0u8; len];
-    // Fixed nonce: each seed is used for exactly one logical stream.
-    let mut c = ChaCha20::new(seed, &[0u8; 12], 0);
-    c.keystream(&mut out);
+    prg_stream(seed).keystream(&mut out);
     out
+}
+
+/// The keystream `G(seed)` at its start, for callers that XOR it into data
+/// in place ([`ChaCha20::apply`]) instead of materialising it.
+pub(crate) fn prg_stream(seed: &[u8; 32]) -> ChaCha20 {
+    // Fixed nonce: each seed is used for exactly one logical stream.
+    ChaCha20::new(seed, &[0u8; 12], 0)
 }
 
 #[cfg(test)]

@@ -7,17 +7,78 @@
 //! provides both walks plus the exhaustion bookkeeping of §5.6.
 
 use crate::error::{CryptoError, Result};
-use crate::sha256::{sha256_concat, Sha256};
+use crate::sha256::{Kernel, Sha256, BLOCK_LEN};
 
 /// A single chain element (32 bytes).
 pub type ChainKey = [u8; 32];
 
+/// The complete, padded SHA-256 input block of a `domain ‖ element`
+/// message: `domain.len() + 32` bytes, which for both domains below fits one
+/// block together with its padding. Built once (at compile time); per hash
+/// only the 32 element bytes are rewritten.
+#[derive(Clone, Copy)]
+struct ElementBlock {
+    block: [u8; BLOCK_LEN],
+    /// Offset of the element, i.e. the domain's length.
+    at: usize,
+}
+
+impl ElementBlock {
+    const fn new(domain: &[u8]) -> Self {
+        let msg_len = domain.len() + 32;
+        // 0x80 and the 8-byte bit length must fit after the message.
+        assert!(msg_len + 9 <= BLOCK_LEN);
+        let mut block = [0u8; BLOCK_LEN];
+        let mut i = 0;
+        while i < domain.len() {
+            block[i] = domain[i];
+            i += 1;
+        }
+        block[msg_len] = 0x80;
+        let bits = (msg_len as u64 * 8).to_be_bytes();
+        let mut i = 0;
+        while i < 8 {
+            block[BLOCK_LEN - 8 + i] = bits[i];
+            i += 1;
+        }
+        ElementBlock {
+            block,
+            at: domain.len(),
+        }
+    }
+
+    /// The block for `element`.
+    fn with(&mut self, element: &ChainKey) -> &[u8; BLOCK_LEN] {
+        self.block[self.at..self.at + 32].copy_from_slice(element);
+        &self.block
+    }
+
+    /// `SHA-256(domain ‖ element)`, one-shot: a single compression.
+    fn digest(mut self, element: &ChainKey) -> [u8; 32] {
+        Kernel::detect().digest_padded_block(self.with(element))
+    }
+}
+
+/// `h`'s input: domain-separated from every other SHA-256 use in the
+/// workspace.
+const STEP_BLOCK: ElementBlock = ElementBlock::new(b"sse/chain-step");
+/// `f'`'s input (Scheme 2's `key_commitment`). The domain lives here, next
+/// to `h`'s, because the server's walk evaluates both on the same element
+/// in one fused operation.
+const COMMIT_BLOCK: ElementBlock = ElementBlock::new(b"sse/scheme2-commit");
+
 /// One application of the chain function `h`.
-///
-/// Domain-separated from every other SHA-256 use in the workspace.
 #[must_use]
 pub fn chain_step(element: &ChainKey) -> ChainKey {
-    sha256_concat(&[b"sse/chain-step", element])
+    STEP_BLOCK.digest(element)
+}
+
+/// The commitment `f'(element)`: publicly computable (the *server*
+/// evaluates it while walking the chain), so it is an unkeyed hash of the
+/// element under its own domain — never equal to [`chain_step`] of it.
+#[must_use]
+pub fn chain_commitment(element: &ChainKey) -> [u8; 32] {
+    COMMIT_BLOCK.digest(element)
 }
 
 /// Derive the chain's base element `h^0` from arbitrary seed material
@@ -38,11 +99,125 @@ pub fn chain_seed(material: &[&[u8]]) -> ChainKey {
 /// Walk `steps` applications of `h` forward from `start`.
 #[must_use]
 pub fn walk_forward(start: &ChainKey, steps: usize) -> ChainKey {
-    let mut cur = *start;
-    for _ in 0..steps {
-        cur = chain_step(&cur);
+    let mut walker = ChainWalker::new(start);
+    walker.advance(steps);
+    *walker.element()
+}
+
+/// A forward walk along the chain: the one place a run of `h` (and `f'`)
+/// evaluations is carried out.
+///
+/// The walker keeps the two padded input blocks `"sse/chain-step" ‖ e` and
+/// `"sse/scheme2-commit" ‖ e`, rewrites only the 32 element bytes per step,
+/// and picks the SHA-256 kernel once for the whole walk. When the caller
+/// needs commitments ([`ChainWalker::seek_commitment`]) each step is one
+/// fused two-lane compression yielding `(h(e), f'(e))` together — on SHA-NI
+/// hardware the second lane costs about half a hash. Element for element and
+/// commitment for commitment it produces what [`chain_step`] and
+/// [`chain_commitment`] produce.
+pub struct ChainWalker {
+    kernel: Kernel,
+    step_block: ElementBlock,
+    commit_block: ElementBlock,
+    element: ChainKey,
+    /// `(h(element), f'(element))` once a fused evaluation has produced
+    /// them for the current element — so asking for a second commitment
+    /// match on the same element (consecutive generations under one key)
+    /// hashes nothing.
+    ahead: Option<(ChainKey, [u8; 32])>,
+    steps: usize,
+}
+
+impl ChainWalker {
+    /// Start a walk at `start` (zero steps taken).
+    #[must_use]
+    pub fn new(start: &ChainKey) -> Self {
+        Self::with_kernel(start, Kernel::detect())
     }
-    cur
+
+    pub(crate) fn with_kernel(start: &ChainKey, kernel: Kernel) -> Self {
+        ChainWalker {
+            kernel,
+            step_block: STEP_BLOCK,
+            commit_block: COMMIT_BLOCK,
+            element: *start,
+            ahead: None,
+            steps: 0,
+        }
+    }
+
+    /// The element the walk currently stands on.
+    #[must_use]
+    pub fn element(&self) -> &ChainKey {
+        &self.element
+    }
+
+    /// Applications of `h` since [`ChainWalker::new`].
+    #[must_use]
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Take `n` steps forward.
+    pub fn advance(&mut self, n: usize) {
+        for _ in 0..n {
+            self.step();
+        }
+    }
+
+    /// One step forward, reusing `h(element)` if a fused evaluation already
+    /// produced it.
+    fn step(&mut self) {
+        self.element = match self.ahead.take() {
+            Some((next, _)) => next,
+            None => self
+                .kernel
+                .digest_padded_block(self.step_block.with(&self.element)),
+        };
+        self.steps += 1;
+    }
+
+    /// `(h(element), f'(element))` for the current element.
+    fn fused(&mut self) -> (ChainKey, [u8; 32]) {
+        if let Some(pair) = self.ahead {
+            return pair;
+        }
+        let [next, commitment] = self.kernel.digest_padded_block2([
+            self.step_block.with(&self.element),
+            self.commit_block.with(&self.element),
+        ]);
+        self.ahead = Some((next, commitment));
+        (next, commitment)
+    }
+
+    /// Step forward until `f'(element) == commitment` — zero steps if the
+    /// current element already matches. Returns `false`, standing on the
+    /// last element tried, once the walk's total reaches `max_steps`
+    /// without a match: the walk never takes step `max_steps + 1`.
+    pub fn seek_commitment(&mut self, commitment: &[u8; 32], max_steps: usize) -> bool {
+        loop {
+            if self.fused().1 == *commitment {
+                return true;
+            }
+            if self.steps >= max_steps {
+                return false;
+            }
+            self.step();
+        }
+    }
+
+    /// Step forward until `element == target` — zero steps if it already
+    /// is. Same bound as [`ChainWalker::seek_commitment`]; no commitments
+    /// are computed.
+    pub fn seek_element(&mut self, target: &ChainKey, max_steps: usize) -> bool {
+        while self.element != *target {
+            if self.steps >= max_steps {
+                return false;
+            }
+            self.step();
+        }
+        true
+    }
 }
 
 /// A hash chain of fixed length `l`, owned by the party that knows the seed
@@ -86,14 +261,11 @@ impl HashChain {
         let seed = chain_seed(material);
         let interval = ((length as f64).sqrt().ceil() as usize).max(1);
         let mut checkpoints = Vec::with_capacity(length / interval + 1);
-        let mut cur = seed;
-        for i in 0..=length {
-            if i % interval == 0 {
-                checkpoints.push(cur);
-            }
-            if i < length {
-                cur = chain_step(&cur);
-            }
+        let mut walker = ChainWalker::new(&seed);
+        checkpoints.push(seed);
+        while walker.steps() + interval <= length {
+            walker.advance(interval);
+            checkpoints.push(*walker.element());
         }
         HashChain {
             seed,
@@ -141,32 +313,6 @@ impl HashChain {
     }
 }
 
-/// Server-side forward walk: starting from a *claimed* newer element
-/// `candidate`, find how many forward steps reach a commitment equality.
-///
-/// Scheme 2's server holds `f'(k_j(w))` (a commitment to the latest
-/// generation key) and receives `t'_w = k_{latest}(w)` in the trapdoor; it
-/// steps `candidate` forward until `commit(candidate) == stored`, learning
-/// the per-generation keys along the way. Returns the number of steps taken,
-/// or `None` within `max_steps`.
-pub fn forward_search<F>(
-    candidate: &ChainKey,
-    matches: F,
-    max_steps: usize,
-) -> Option<(usize, ChainKey)>
-where
-    F: Fn(&ChainKey) -> bool,
-{
-    let mut cur = *candidate;
-    for step in 0..=max_steps {
-        if matches(&cur) {
-            return Some((step, cur));
-        }
-        cur = chain_step(&cur);
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,24 +356,93 @@ mod tests {
         assert_eq!(c.remaining(9), 0);
     }
 
-    #[test]
-    fn forward_search_finds_older_element() {
-        let c = HashChain::new(&[b"w", b"k"], 64);
-        let newest = c.key_for_counter(40).unwrap();
-        let older = c.key_for_counter(25).unwrap();
-        // Searching forward from the newest key must reach the older one in
-        // exactly 15 steps.
-        let (steps, found) = forward_search(&newest, |k| k == &older, 64).expect("must be found");
-        assert_eq!(steps, 15);
-        assert_eq!(found, older);
+    /// The definitions the walker must reproduce, through the generic
+    /// streaming hasher on the portable kernel.
+    fn reference_step(e: &ChainKey) -> ChainKey {
+        let mut h = Sha256::with_kernel(Kernel::Portable);
+        h.update(b"sse/chain-step");
+        h.update(e);
+        h.finalize()
+    }
+
+    fn reference_commitment(e: &ChainKey) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(Kernel::Portable);
+        h.update(b"sse/scheme2-commit");
+        h.update(e);
+        h.finalize()
     }
 
     #[test]
-    fn forward_search_respects_bound() {
+    fn one_block_step_and_commitment_match_the_streaming_definition() {
+        let mut e = [0x5au8; 32];
+        for _ in 0..50 {
+            assert_eq!(chain_step(&e), reference_step(&e));
+            assert_eq!(chain_commitment(&e), reference_commitment(&e));
+            assert_ne!(chain_step(&e), chain_commitment(&e));
+            e = reference_step(&e);
+        }
+    }
+
+    #[test]
+    fn walker_matches_step_and_commitment_at_every_step() {
+        let start = chain_seed(&[b"w", b"k"]);
+        for kernel in Kernel::all() {
+            // Commitment seeks (fused steps): target each element in turn.
+            let mut walker = ChainWalker::with_kernel(&start, kernel);
+            let mut e = start;
+            for i in 0..200usize {
+                assert!(walker.seek_commitment(&reference_commitment(&e), 1_000));
+                assert_eq!(walker.steps(), i, "{kernel:?}");
+                assert_eq!(walker.element(), &e, "{kernel:?}, step {i}");
+                e = reference_step(&e);
+            }
+            // Plain advance and element seeks (one-lane steps).
+            let mut plain = ChainWalker::with_kernel(&start, kernel);
+            plain.advance(199);
+            assert_eq!(plain.element(), walker.element());
+            let mut seeker = ChainWalker::with_kernel(&start, kernel);
+            assert!(seeker.seek_element(walker.element(), 199));
+            assert_eq!(seeker.steps(), 199);
+        }
+    }
+
+    #[test]
+    fn a_second_seek_on_the_matched_element_takes_no_step() {
+        // Consecutive generations sealed under one key (Optimization 2).
+        let c = HashChain::new(&[b"w", b"k"], 64);
+        let mut walker = ChainWalker::new(&c.key_for_counter(40).unwrap());
+        let target = chain_commitment(&c.key_for_counter(25).unwrap());
+        assert!(walker.seek_commitment(&target, 64));
+        assert!(walker.seek_commitment(&target, 64));
+        assert_eq!(walker.steps(), 15);
+        // ...and the walk continues from there.
+        assert!(walker.seek_commitment(&chain_commitment(&c.key_for_counter(20).unwrap()), 64));
+        assert_eq!(walker.steps(), 20);
+    }
+
+    #[test]
+    fn seeks_stop_exactly_at_the_bound() {
         let c = HashChain::new(&[b"w", b"k"], 64);
         let newest = c.key_for_counter(40).unwrap();
-        let older = c.key_for_counter(20).unwrap();
-        assert!(forward_search(&newest, |k| k == &older, 10).is_none());
+        let older = c.key_for_counter(30).unwrap();
+        for kernel in Kernel::all() {
+            // Ten steps away: a bound of ten reaches it, nine does not.
+            let mut w = ChainWalker::with_kernel(&newest, kernel);
+            assert!(w.seek_commitment(&chain_commitment(&older), 10));
+            assert_eq!((w.steps(), w.element()), (10, &older));
+            let mut w = ChainWalker::with_kernel(&newest, kernel);
+            assert!(!w.seek_commitment(&chain_commitment(&older), 9));
+            assert_eq!(w.steps(), 9, "never takes step max_steps + 1");
+            let mut w = ChainWalker::with_kernel(&newest, kernel);
+            assert!(w.seek_element(&older, 10));
+            let mut w = ChainWalker::with_kernel(&newest, kernel);
+            assert!(!w.seek_element(&older, 9));
+            assert_eq!(w.steps(), 9);
+            // The bound is on the walk's total, across seeks.
+            let mut w = ChainWalker::with_kernel(&newest, kernel);
+            assert!(w.seek_element(&c.key_for_counter(35).unwrap(), 9));
+            assert!(!w.seek_element(&older, 9));
+        }
     }
 
     #[test]
@@ -237,7 +452,7 @@ mod tests {
         let c = HashChain::new(&[b"w", b"k"], 16);
         let newer = c.key_for_counter(10).unwrap();
         let older = c.key_for_counter(9).unwrap();
-        assert!(forward_search(&older, |k| k == &newer, 64).is_none());
+        assert!(!ChainWalker::new(&older).seek_element(&newer, 64));
     }
 
     #[test]

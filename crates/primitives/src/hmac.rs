@@ -5,7 +5,7 @@
 //! Scheme 2). Keys longer than the 64-byte block are hashed first, exactly
 //! per the RFC.
 
-use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{Kernel, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
@@ -22,10 +22,17 @@ impl HmacSha256 {
     /// Start an HMAC computation under `key` (any length).
     #[must_use]
     pub fn new(key: &[u8]) -> Self {
+        Self::with_kernel(key, Kernel::detect())
+    }
+
+    /// Like [`HmacSha256::new`], on a given SHA-256 compression kernel
+    /// (inner hash, outer hash and long-key hash alike).
+    pub(crate) fn with_kernel(key: &[u8], kernel: Kernel) -> Self {
         let mut block_key = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let digest = crate::sha256::sha256(key);
-            block_key[..DIGEST_LEN].copy_from_slice(&digest);
+            let mut h = Sha256::with_kernel(kernel);
+            h.update(key);
+            block_key[..DIGEST_LEN].copy_from_slice(&h.finalize());
         } else {
             block_key[..key.len()].copy_from_slice(key);
         }
@@ -37,7 +44,7 @@ impl HmacSha256 {
             opad_key[i] = block_key[i] ^ OPAD;
         }
 
-        let mut inner = Sha256::new();
+        let mut inner = Sha256::with_kernel(kernel);
         inner.update(&ipad_key);
         HmacSha256 { inner, opad_key }
     }
@@ -50,8 +57,8 @@ impl HmacSha256 {
     /// Finish and return the 32-byte MAC.
     #[must_use]
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        let mut outer = Sha256::with_kernel(self.inner.kernel());
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
         outer.update(&self.opad_key);
         outer.update(&inner_digest);
         outer.finalize()
@@ -90,21 +97,33 @@ mod tests {
         b.iter().map(|x| format!("{x:02x}")).collect()
     }
 
+    /// Known-answer check on every SHA-256 kernel this machine can run.
+    fn assert_mac(key: &[u8], msg: &[u8], want: &str) {
+        for kernel in Kernel::all() {
+            let mut h = HmacSha256::with_kernel(key, kernel);
+            h.update(msg);
+            assert_eq!(hex(&h.finalize()), want, "{kernel:?}");
+        }
+        assert_eq!(hex(&hmac_sha256(key, msg)), want);
+    }
+
     // RFC 4231 test vectors for HMAC-SHA-256.
     #[test]
     fn rfc4231_case_1() {
         let key = [0x0bu8; 20];
-        assert_eq!(
-            hex(&hmac_sha256(&key, b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        assert_mac(
+            &key,
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case_2() {
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        assert_mac(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
@@ -112,9 +131,10 @@ mod tests {
     fn rfc4231_case_3() {
         let key = [0xaau8; 20];
         let msg = [0xddu8; 50];
-        assert_eq!(
-            hex(&hmac_sha256(&key, &msg)),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        assert_mac(
+            &key,
+            &msg,
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
@@ -122,21 +142,20 @@ mod tests {
     fn rfc4231_case_4() {
         let key: Vec<u8> = (1u8..=25).collect();
         let msg = [0xcdu8; 50];
-        assert_eq!(
-            hex(&hmac_sha256(&key, &msg)),
-            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        assert_mac(
+            &key,
+            &msg,
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
         );
     }
 
     #[test]
     fn rfc4231_case_6_long_key() {
         let key = [0xaau8; 131];
-        assert_eq!(
-            hex(&hmac_sha256(
-                &key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        assert_mac(
+            &key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
@@ -144,9 +163,10 @@ mod tests {
     fn rfc4231_case_7_long_key_long_msg() {
         let key = [0xaau8; 131];
         let msg = b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
-        assert_eq!(
-            hex(&hmac_sha256(&key, msg)),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        assert_mac(
+            &key,
+            msg,
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
         );
     }
 

@@ -23,20 +23,17 @@ pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
         "HKDF-Expand output too long: {}",
         out.len()
     );
-    let mut prev: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    let mut filled = 0usize;
-    while filled < out.len() {
+    // T(0) is empty; T(i) = HMAC(prk, T(i-1) ‖ info ‖ i).
+    let mut prev = [0u8; 32];
+    for (i, chunk) in out.chunks_mut(32).enumerate() {
         let mut h = HmacSha256::new(prk);
-        h.update(&prev);
+        if i > 0 {
+            h.update(&prev);
+        }
         h.update(info);
-        h.update(&[counter]);
-        let block = h.finalize();
-        let take = (out.len() - filled).min(32);
-        out[filled..filled + take].copy_from_slice(&block[..take]);
-        filled += take;
-        prev = block.to_vec();
-        counter = counter.wrapping_add(1);
+        h.update(&[u8::try_from(i + 1).expect("at most 255 blocks, checked above")]);
+        prev = h.finalize();
+        chunk.copy_from_slice(&prev[..chunk.len()]);
     }
 }
 

@@ -18,6 +18,11 @@
 //! Supporting machinery: a deterministic HMAC-DRBG ([`drbg`]), an HKDF-style
 //! key-derivation function ([`kdf`]) and constant-time helpers ([`ct`]).
 //!
+//! On x86-64 the SHA-256 compression function and the AES-CTR keystream run
+//! on SHA-NI / AES-NI when the CPU reports them (runtime detection, no
+//! switch; same bytes either way). The portable implementations remain the
+//! path everywhere else and the oracle the hardware path is tested against.
+//!
 //! ## Security caveat
 //!
 //! These implementations follow the published algorithms (FIPS 180-4,
@@ -25,7 +30,9 @@
 //! exist to reproduce a research paper's *cost model and functionality*, not
 //! to protect production data. Use a vetted crypto library for real systems.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one exception is the hardware-kernel module
+// below, which lifts the lint for itself and nothing else.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
@@ -44,6 +51,9 @@ pub mod modp;
 pub mod prf;
 pub mod prg;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 pub use error::{CryptoError, Result};
 

@@ -6,7 +6,7 @@
 //! needs: deterministic expansion of a 32-byte seed to an arbitrary-length
 //! mask, plus an XOR-mask convenience.
 
-use crate::chacha20::prg_expand;
+use crate::chacha20::{prg_expand, prg_stream};
 
 /// A 32-byte PRG seed — the nonce `r` of Scheme 1.
 pub type Seed = [u8; 32];
@@ -35,8 +35,7 @@ impl Prg {
 
     /// In-place variant of [`Prg::mask`].
     pub fn mask_in_place(seed: &Seed, data: &mut [u8]) {
-        let ks = prg_expand(seed, data.len());
-        crate::ct::xor_in_place(data, &ks);
+        prg_stream(seed).apply(data);
     }
 }
 

@@ -10,7 +10,7 @@ use sse_primitives::ct;
 use sse_primitives::ctr::{ctr_decrypt, ctr_encrypt};
 use sse_primitives::drbg::HmacDrbg;
 use sse_primitives::etm::EtmKey;
-use sse_primitives::hashchain::HashChain;
+use sse_primitives::hashchain::{chain_commitment, chain_step, ChainWalker, HashChain};
 use sse_primitives::hmac::hmac_sha256;
 use sse_primitives::sha256::{sha256, Sha256};
 
@@ -202,6 +202,31 @@ proptest! {
             plain.key_for_counter(ctr).unwrap(),
             pebbled.key_for_counter(ctr).unwrap()
         );
+    }
+
+    #[test]
+    fn walker_seeks_agree_with_step_by_step_hashing(
+        start in any::<[u8; 32]>(),
+        distance in 0usize..60,
+        slack in 0usize..3,
+    ) {
+        let mut target = start;
+        for _ in 0..distance {
+            target = chain_step(&target);
+        }
+        // Found in exactly `distance` steps whenever the bound allows it...
+        let mut w = ChainWalker::new(&start);
+        prop_assert!(w.seek_commitment(&chain_commitment(&target), distance + slack));
+        prop_assert_eq!((w.steps(), *w.element()), (distance, target));
+        let mut w = ChainWalker::new(&start);
+        prop_assert!(w.seek_element(&target, distance + slack));
+        prop_assert_eq!(w.steps(), distance);
+        // ...and refused, after exactly the bound, when it does not.
+        if distance > 0 {
+            let mut w = ChainWalker::new(&start);
+            prop_assert!(!w.seek_commitment(&chain_commitment(&target), distance - 1));
+            prop_assert_eq!(w.steps(), distance - 1);
+        }
     }
 
     // ---- DRBG --------------------------------------------------------------
