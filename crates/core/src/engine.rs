@@ -1,0 +1,1151 @@
+//! The index engine: everything under a scheme server that does not
+//! depend on which scheme it serves.
+//!
+//! The paper's §5.1 is one design — one searchable representation `S(w)`
+//! per unique keyword, in a tree keyed by the tag `f_kw(w)` — and the two
+//! schemes differ only in what `S(w)` holds and how search and update
+//! read it. `IndexEngine` owns the shared part once: the sharded tag
+//! trees, their journals and group committers, the epoch-snapshot read
+//! path, the document store, checkpointing, recovery, scrub and health.
+//! A scheme plugs in through `SchemeOps` (its value type, its codecs,
+//! its journal replay) and keeps only its request semantics.
+//!
+//! ## Sharding, group commit and snapshot reads
+//!
+//! The keyword index is partitioned into N shards by
+//! [`crate::shard::shard_of`] over the tag — a public function of data the
+//! server already sees, so the leakage profile is unchanged (DESIGN.md
+//! §4d/§4e). Each shard is a pipeline, not a single mutex:
+//!
+//! * **Mutations** stage their journal record into the shard's
+//!   [`GroupCommitter`], which batches concurrent records into one
+//!   vectored write + one fsync (the PR 3 benchmark showed per-op fsyncs
+//!   dominate serving cost). Only after its group's fsync does a mutation
+//!   apply to the shard tree — in sequence-number order, enforced by a
+//!   per-shard condvar — and only after applying is it acknowledged. The
+//!   journal-then-ack durability contract is exactly that of per-op
+//!   journaling; the fsync is merely shared.
+//! * **Searches** never touch the shard mutex: every apply publishes an
+//!   immutable copy-on-write snapshot ([`sse_index::bptree::BpTree`]
+//!   clones are O(1) structural shares), and reads resolve tags against
+//!   the snapshot. A search therefore never queues behind an in-flight
+//!   fsync. A global epoch seqlock makes multi-shard batch swaps atomic
+//!   to readers: the coordinator publishes all touched shards inside an
+//!   odd-epoch window and readers retry around it.
+//!
+//! Mutations touching several shards stage [`crate::shard`] batch slices
+//! under every affected committer's stage lock (ascending), so crash
+//! recovery keeps them all-or-nothing; they apply under all affected data
+//! locks. Lock order everywhere: quiescence lock → stage locks ascending →
+//! data locks ascending → document store. Mutations hold the quiescence
+//! read lock (`IndexEngine::pipeline`) across their whole stage→apply
+//! pipeline, so its writers — checkpoint, repair and any scheme request
+//! that rewrites the guarded `SchemeOps::Meta` — run fully quiesced.
+//!
+//! The data path is generic over the scheme, not `dyn`: a search costs
+//! the same seqlock read and allocations as before the engine existed.
+//! Only the admin surface ([`IndexAdmin`]: scrub, counters, checkpoint)
+//! is reached through a trait object.
+
+use crate::commit::{CommitCounters, CommitStats, GroupCommitter, StageGuard};
+use crate::error::{Result, SseError};
+use crate::health::{ScrubFindings, TenantHealth};
+use crate::journal::{IndexJournal, ServerRecovery};
+use crate::proto_common;
+use crate::shard::{self, shard_of, BatchId};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use sse_index::bptree::BpTree;
+use sse_net::wire::{WireReader, WireWriter};
+use sse_storage::crc32::crc32;
+use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
+use sse_storage::store::{DocStore, StoreOptions};
+use sse_storage::wal::{self, WalVerdict};
+use sse_storage::{
+    resolve_backend, BackendCounters, BackendKind, DocBlobStore, KeywordMap, RealVfs, StorageError,
+    Vfs,
+};
+use std::collections::{BTreeMap, HashSet};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
+
+/// What a scheme supplies to the engine. Crate-private and statically
+/// dispatched: the engine is monomorphized per scheme.
+pub(crate) trait SchemeOps: Sized + 'static {
+    /// The searchable representation stored per tag.
+    type Value: Clone + Send + Sync + 'static;
+    /// State guarded by the quiescence lock, copied into every snapshot
+    /// and persisted with every checkpoint (Scheme 1's index geometry).
+    type Meta: Clone + Send + Sync + 'static;
+    /// Per-shard in-memory state the engine carries but never reads
+    /// (Scheme 2's chain-key memo).
+    type Sidecar: Default + Send + Sync + 'static;
+
+    /// File stem: `<stem>.index`, `<stem>.{i}.wal`, `<stem>.kw{i}`,
+    /// `<stem>.meta`.
+    const STEM: &'static str;
+    /// Snapshot magic. The trailing version digit is 2: the body leads
+    /// with the `last_op_seq` the snapshot covers, so journal replay can
+    /// skip already-applied mutations.
+    const MAGIC: &'static [u8; 8];
+    /// Lower bound on one encoded value; with the 32-byte tag it bounds
+    /// the entry count a snapshot may declare.
+    const MIN_VALUE_BYTES: usize;
+
+    /// The persisted form of `meta`, of a width that does not depend on
+    /// its value: it follows `last_op_seq` in a btree snapshot and is the
+    /// keyword map's `meta` blob under lsm.
+    fn encode_meta(meta: &Self::Meta) -> Vec<u8>;
+
+    /// Check persisted meta bytes against the server's own.
+    ///
+    /// # Errors
+    /// [`StorageError::Corrupt`] on any disagreement.
+    fn check_meta(meta: &Self::Meta, stored: &[u8]) -> Result<()>;
+
+    /// Serialize one value: the per-tag body of a btree snapshot entry,
+    /// and the whole keyword-map value under lsm.
+    fn encode_value(value: &Self::Value, w: &mut WireWriter);
+
+    /// Inverse of [`SchemeOps::encode_value`], validated against `meta`.
+    ///
+    /// # Errors
+    /// Wire errors, or [`StorageError::Corrupt`] for a value `meta` rules
+    /// out.
+    fn decode_value(r: &mut WireReader<'_>, meta: &Self::Meta) -> Result<Self::Value>;
+
+    /// Re-apply one journaled shard-local mutation during recovery (no
+    /// re-journaling, no re-validation: the record was validated before
+    /// it was ever journaled).
+    ///
+    /// # Errors
+    /// Wire errors, or [`StorageError::Corrupt`] if the record is not a
+    /// mutation.
+    fn replay(data: &mut ShardData<Self>, meta: &mut Self::Meta, record: &[u8]) -> Result<()>;
+}
+
+/// How to open a durable server. The defaults are what
+/// `open_durable(cfg, dir)` uses.
+#[derive(Clone)]
+pub struct DurableOptions {
+    /// The VFS every file goes through (fault injection runs the whole
+    /// server through a [`sse_storage::FaultVfs`]).
+    pub vfs: Arc<dyn Vfs>,
+    /// Index shards. Fixed at directory creation (recorded in the shard
+    /// manifest); reopening adopts whatever the directory holds.
+    pub shards: usize,
+    /// When false every journal record is flushed on its own (one fsync
+    /// per op) — the benchmark's baseline arm. Durability and recovery
+    /// semantics are identical either way.
+    pub group_commit: bool,
+    /// Storage backend. Fixed at directory creation (recorded in
+    /// `backend.meta`); reopening under the other backend is a clean
+    /// [`StorageError::BackendMismatch`], never silent corruption.
+    /// Directories created before backend manifests existed are `btree`.
+    pub backend: BackendKind,
+}
+
+impl Default for DurableOptions {
+    fn default() -> Self {
+        DurableOptions {
+            vfs: RealVfs::arc(),
+            shards: 1,
+            group_commit: true,
+            backend: BackendKind::Btree,
+        }
+    }
+}
+
+/// A shard's mutable state: the live tree plus the highest op-seq applied
+/// to it. Mutations apply in seq order (`applied_seq + 1 == my_seq`).
+pub(crate) struct ShardData<S: SchemeOps> {
+    pub(crate) tree: BpTree<[u8; 32], S::Value>,
+    applied_seq: u64,
+    /// Tags mutated since the last checkpoint. Only tracked under the lsm
+    /// backend, which flushes exactly these into its keyword map; the
+    /// btree backend rewrites the whole snapshot file and never records.
+    dirty: HashSet<[u8; 32]>,
+    /// The whole index was replaced since the last checkpoint (lsm).
+    cleared: bool,
+    /// Durable per-shard keyword-map persistence (lsm backend only; the
+    /// btree backend keeps the monolithic `<stem>.index` snapshot).
+    kw_map: Option<LsmKeywordMap>,
+}
+
+impl<S: SchemeOps> ShardData<S> {
+    fn new(
+        tree: BpTree<[u8; 32], S::Value>,
+        applied_seq: u64,
+        kw_map: Option<LsmKeywordMap>,
+    ) -> Self {
+        ShardData {
+            tree,
+            applied_seq,
+            dirty: HashSet::new(),
+            cleared: false,
+            kw_map,
+        }
+    }
+
+    /// Record a durable mutation of `tag` for the next checkpoint flush.
+    pub(crate) fn note_mutated(&mut self, tag: [u8; 32]) {
+        if self.kw_map.is_some() {
+            self.dirty.insert(tag);
+        }
+    }
+
+    /// Record a full index replacement for the next checkpoint flush.
+    pub(crate) fn note_cleared(&mut self) {
+        if self.kw_map.is_some() {
+            self.dirty.clear();
+            self.cleared = true;
+        }
+    }
+
+    /// Flush an lsm-backed shard: clear if the index was replaced, write
+    /// every dirty tag's current value (or a tombstone if it vanished),
+    /// then commit one run carrying `applied_seq` and the encoded `meta`.
+    /// No-op for btree shards.
+    fn flush_kw_map(&mut self, meta: &S::Meta) -> Result<()> {
+        let Some(map) = &mut self.kw_map else {
+            return Ok(());
+        };
+        if self.cleared {
+            map.clear()?;
+        }
+        for tag in &self.dirty {
+            match self.tree.get(tag) {
+                Some(value) => {
+                    let mut w = WireWriter::new();
+                    S::encode_value(value, &mut w);
+                    map.put(*tag, w.finish())?;
+                }
+                None => map.delete(tag)?,
+            }
+        }
+        map.flush(self.applied_seq, &S::encode_meta(meta))?;
+        self.dirty.clear();
+        self.cleared = false;
+        Ok(())
+    }
+}
+
+/// The immutable view searches resolve against.
+pub(crate) struct SnapShard<S: SchemeOps> {
+    pub(crate) tree: BpTree<[u8; 32], S::Value>,
+    /// The highest op-seq applied to the tree in this snapshot.
+    pub(crate) applied_seq: u64,
+    /// The meta the tree was published under, so the read path needs no
+    /// quiescence lock; a meta rewrite swaps tree and meta together.
+    pub(crate) meta: S::Meta,
+}
+
+/// One index shard: group-commit pipeline + live tree + search snapshot.
+struct ShardSlot<S: SchemeOps> {
+    data: Mutex<ShardData<S>>,
+    /// Signaled whenever `applied_seq` advances.
+    applied: Condvar,
+    committer: GroupCommitter,
+    snap: RwLock<Arc<SnapShard<S>>>,
+    sidecar: S::Sidecar,
+    /// Contended acquisitions of `data` (served via STATS).
+    contention: AtomicU64,
+}
+
+impl<S: SchemeOps> ShardSlot<S> {
+    fn new(data: ShardData<S>, meta: &S::Meta, committer: GroupCommitter) -> Self {
+        ShardSlot {
+            snap: RwLock::new(Arc::new(SnapShard {
+                tree: data.tree.clone(),
+                applied_seq: data.applied_seq,
+                meta: meta.clone(),
+            })),
+            data: Mutex::new(data),
+            applied: Condvar::new(),
+            committer,
+            sidecar: S::Sidecar::default(),
+            contention: AtomicU64::new(0),
+        }
+    }
+}
+
+/// Where a durable engine lives.
+struct Home {
+    dir: PathBuf,
+    /// The VFS every index file goes through (real or fault-injecting).
+    vfs: Arc<dyn Vfs>,
+}
+
+/// Shard 0 keeps the pre-sharding name so single-shard directories stay
+/// readable by (and from) older layouts.
+fn shard_file<S: SchemeOps>(i: usize, ext: &str) -> String {
+    if i == 0 {
+        format!("{}.{ext}", S::STEM)
+    } else {
+        format!("{}.{i}.{ext}", S::STEM)
+    }
+}
+
+/// Index snapshot file for shard `i` (btree backend).
+fn index_file<S: SchemeOps>(i: usize) -> String {
+    shard_file::<S>(i, "index")
+}
+
+/// Journal file for shard `i`.
+fn journal_file<S: SchemeOps>(i: usize) -> String {
+    shard_file::<S>(i, "wal")
+}
+
+/// LSM keyword-map file prefix for shard `i` (lsm backend).
+fn kw_prefix<S: SchemeOps>(i: usize) -> String {
+    format!("{}.kw{i}", S::STEM)
+}
+
+/// The scheme-independent admin surface of a scheme server: what the
+/// serving daemon, the scrub and the tests reach without caring which
+/// scheme is underneath. `Scheme1Server` and `Scheme2Server` deref to it.
+pub trait IndexAdmin {
+    /// Checkpoint everything durable, in crash-safe order: document store
+    /// snapshot, then every shard's index snapshot (each recording its
+    /// `applied_seq` as `last_op_seq`), then every journal truncation.
+    /// The quiescence write lock stops the mutation pipeline first, so
+    /// every staged record is both durable and applied — no journal may
+    /// be reset while a group is in flight, and the snapshots-before-any-
+    /// reset order keeps cross-shard batch slices resolvable.
+    ///
+    /// # Errors
+    /// Filesystem errors. In-memory servers have nothing to checkpoint
+    /// and always succeed.
+    fn checkpoint(&self) -> Result<()>;
+
+    /// Attempt to repair a degraded server — the scrub's probe-write path.
+    ///
+    /// Under full quiescence (quiescence write lock + all data locks, so
+    /// no mutation is staging, flushing or applying), re-persist every
+    /// shard's *applied* state — document-store checkpoint, then index
+    /// snapshots (btree) or keyword-map flushes (lsm) — and then replace
+    /// each shard's journal with a freshly opened empty one, clearing any
+    /// group-commit poison. Seqs of failed groups are reclaimed: those
+    /// records were never acknowledged and the fresh journal restarts
+    /// densely at `applied_seq + 1`. The end-to-end write pass is itself
+    /// the probe write: on success the health cell returns to Healthy.
+    ///
+    /// # Errors
+    /// Filesystem errors (the disk is still bad); the server stays
+    /// Degraded and the scrub retries later. In-memory servers have
+    /// nothing to repair and always succeed.
+    fn repair(&self) -> Result<()>;
+
+    /// Background integrity pass over this server's on-disk artifacts.
+    ///
+    /// Checks every checksum the storage formats carry: the per-shard
+    /// index journals and the document store's WAL (CRC-framed records —
+    /// append-only and prefix-stable, so scanning a live log is safe),
+    /// the btree index snapshots (magic + body CRC; replaced atomically
+    /// via temp-file + rename, so a concurrent checkpoint can never be
+    /// seen half-written), and under the lsm backend every live run's
+    /// index and value CRCs (under the shard/store lock, since flushes
+    /// swap run files). Heap pages carry no checksums and are skipped.
+    ///
+    /// A torn WAL tail is a *repairable* finding, not corruption — it is
+    /// exactly what a crash (or a read racing an append) leaves behind.
+    /// A checksum mismatch anywhere else is confirmed corruption.
+    ///
+    /// # Errors
+    /// [`StorageError::Corrupt`] (wrapped) on confirmed corruption — the
+    /// caller quarantines; plain I/O errors are transient and do not.
+    fn verify_files(&self) -> Result<ScrubFindings>;
+
+    /// This server's health cell, shared with the serving daemon's request
+    /// router and the background scrub. Storage write failures degrade the
+    /// server to read-only until [`IndexAdmin::repair`] succeeds.
+    fn health(&self) -> &Arc<TenantHealth>;
+
+    /// What the last durable open had to repair.
+    fn recovery(&self) -> ServerRecovery;
+
+    /// Number of index shards.
+    fn num_shards(&self) -> usize;
+
+    /// Contended shard-lock acquisitions since startup, per shard.
+    fn shard_contention(&self) -> Vec<u64>;
+
+    /// Group-commit pipeline counters (groups, ops, fsyncs saved,
+    /// snapshot swaps) since startup.
+    fn commit_counters(&self) -> CommitCounters;
+
+    /// The storage backend persisting this server's state.
+    fn backend(&self) -> BackendKind;
+
+    /// Per-backend storage counters (runs, compactions, bloom hit rates):
+    /// the document store's plus every shard keyword map's. All zero
+    /// under the btree backend.
+    fn backend_counters(&self) -> BackendCounters;
+
+    /// Number of unique keywords indexed (`u`).
+    fn unique_keywords(&self) -> usize;
+
+    /// Number of stored documents.
+    fn stored_docs(&self) -> usize;
+
+    /// Height of the tallest shard's tag tree (the `O(log u)` factor,
+    /// observable).
+    fn tree_height(&self) -> usize;
+}
+
+/// See the module docs.
+pub(crate) struct IndexEngine<S: SchemeOps> {
+    /// The quiescence lock: read-held by every mutation pipeline,
+    /// write-held by checkpoint, repair and meta rewrites — a checkpoint
+    /// must see every staged record already applied before it may
+    /// snapshot and reset journals.
+    meta: RwLock<S::Meta>,
+    shards: Vec<ShardSlot<S>>,
+    /// Seqlock epoch: odd while a multi-shard batch swaps its snapshots.
+    epoch: AtomicU64,
+    /// Group-commit pipeline counters, shared by every shard's committer.
+    commit_stats: Arc<CommitStats>,
+    store: RwLock<Box<dyn DocBlobStore>>,
+    backend: BackendKind,
+    /// `None` for in-memory servers.
+    home: Option<Home>,
+    recovery: ServerRecovery,
+    health: Arc<TenantHealth>,
+}
+
+impl<S: SchemeOps> IndexEngine<S> {
+    /// In-memory engine with `shards` independently locked index shards.
+    pub(crate) fn in_memory(meta: S::Meta, shards: usize) -> Self {
+        let commit_stats = Arc::new(CommitStats::default());
+        let shards = (0..shards.max(1))
+            .map(|_| {
+                ShardSlot::new(
+                    ShardData::new(BpTree::new(), 0, None),
+                    &meta,
+                    GroupCommitter::new_in_memory(Arc::clone(&commit_stats)),
+                )
+            })
+            .collect();
+        IndexEngine {
+            meta: RwLock::new(meta),
+            shards,
+            epoch: AtomicU64::new(0),
+            commit_stats,
+            store: RwLock::new(Box::new(DocStore::in_memory())),
+            backend: BackendKind::Btree,
+            home: None,
+            recovery: ServerRecovery::default(),
+            health: Arc::new(TenantHealth::new()),
+        }
+    }
+
+    /// Durable engine under `dir`. Recovery brings back everything
+    /// acknowledged before a crash: the document store replays its WAL,
+    /// each shard's index snapshot (btree) or keyword map (lsm) is loaded
+    /// and validated against `meta`, and index mutations journaled after
+    /// them are re-applied in order (incomplete cross-shard batches
+    /// excluded).
+    ///
+    /// Under [`BackendKind::Lsm`] the document store is an
+    /// [`LsmDocStore`] and each shard's values persist in an
+    /// [`LsmKeywordMap`]: checkpoints flush only the tags mutated since
+    /// the previous checkpoint as one new sorted run, instead of
+    /// rewriting the whole index snapshot.
+    ///
+    /// # Errors
+    /// Storage errors while opening or recovering the document store, a
+    /// corrupt or mismatching index snapshot, a corrupt journal record, or
+    /// a backend mismatch.
+    pub(crate) fn open(mut meta: S::Meta, dir: &Path, opts: DurableOptions) -> Result<Self> {
+        let DurableOptions {
+            vfs,
+            shards,
+            group_commit,
+            backend,
+        } = opts;
+        let manifest_file = format!("{}.meta", S::STEM);
+        let backend = resolve_backend(
+            vfs.as_ref(),
+            dir,
+            backend,
+            &[
+                &manifest_file,
+                "store.wal",
+                "store.snapshot",
+                &index_file::<S>(0),
+                &journal_file::<S>(0),
+            ],
+        )?;
+        let store_opts = StoreOptions::default();
+        let store: Box<dyn DocBlobStore> = match backend {
+            BackendKind::Btree => Box::new(DocStore::open_with_vfs(vfs.clone(), dir, store_opts)?),
+            BackendKind::Lsm => Box::new(LsmDocStore::open_with_vfs(vfs.clone(), dir, store_opts)?),
+        };
+        let store_recovery = store.recovery_report();
+        let n = shard::resolve_shard_count(
+            vfs.as_ref(),
+            dir,
+            &manifest_file,
+            &index_file::<S>(0),
+            shards,
+        )?;
+        let mut datas: Vec<ShardData<S>> = Vec::with_capacity(n);
+        let mut journals = Vec::with_capacity(n);
+        let mut recoveries = Vec::with_capacity(n);
+        for i in 0..n {
+            let data = match backend {
+                BackendKind::Btree => {
+                    let path = dir.join(index_file::<S>(i));
+                    if vfs.exists(&path) {
+                        let bytes = vfs.read(&path).map_err(StorageError::Io)?;
+                        load_snapshot(&bytes, &meta, &path)?
+                    } else {
+                        ShardData::new(BpTree::new(), 0, None)
+                    }
+                }
+                BackendKind::Lsm => load_kw_map(
+                    LsmKeywordMap::open(vfs.clone(), dir, &kw_prefix::<S>(i))?,
+                    &meta,
+                )?,
+            };
+            let (journal, recovery) = IndexJournal::open_with_vfs(
+                vfs.clone(),
+                &dir.join(journal_file::<S>(i)),
+                true,
+                data.applied_seq,
+            )?;
+            datas.push(data);
+            journals.push(journal);
+            recoveries.push(recovery);
+        }
+        // Replayed journal records are not yet in the keyword map; their
+        // tags go dirty so the next checkpoint flushes them. Irrelevant
+        // for btree (whole-snapshot rewrites).
+        let plan = shard::resolve_shard_recoveries(&recoveries)?;
+        let mut replayed = 0u64;
+        for (data, apply) in datas.iter_mut().zip(&plan.apply) {
+            for record in apply {
+                S::replay(data, &mut meta, record)?;
+                replayed += 1;
+            }
+        }
+        let commit_stats = Arc::new(CommitStats::default());
+        let shards = datas
+            .into_iter()
+            .zip(journals)
+            .map(|(mut data, journal)| {
+                data.applied_seq = journal.last_seq();
+                let committer =
+                    GroupCommitter::new_durable(journal, group_commit, Arc::clone(&commit_stats));
+                ShardSlot::new(data, &meta, committer)
+            })
+            .collect();
+        Ok(IndexEngine {
+            meta: RwLock::new(meta),
+            shards,
+            epoch: AtomicU64::new(0),
+            commit_stats,
+            store: RwLock::new(store),
+            backend,
+            home: Some(Home {
+                dir: dir.to_path_buf(),
+                vfs,
+            }),
+            recovery: ServerRecovery {
+                index_ops_replayed: replayed,
+                index_torn_bytes: recoveries.iter().map(|r| r.torn_bytes_truncated).sum(),
+                store_snapshot_loaded: store_recovery.snapshot_loaded,
+                store_wal_records_replayed: store_recovery.wal_records_replayed,
+                store_torn_bytes: store_recovery.torn_bytes_truncated,
+            },
+            health: Arc::new(TenantHealth::new()),
+        })
+    }
+
+    // ---- locks and snapshots ------------------------------------------------
+
+    /// Enter the mutation pipeline: the quiescence read lock, to be held
+    /// across the whole stage→apply of one mutation.
+    pub(crate) fn pipeline(&self) -> RwLockReadGuard<'_, S::Meta> {
+        self.meta.read()
+    }
+
+    /// Quiesce the mutation pipeline, with write access to the meta.
+    pub(crate) fn quiesce(&self) -> RwLockWriteGuard<'_, S::Meta> {
+        self.meta.write()
+    }
+
+    /// The shard `tag` routes to.
+    pub(crate) fn shard_of(&self, tag: &[u8; 32]) -> usize {
+        shard_of(tag, self.shards.len())
+    }
+
+    /// Shard `i`'s sidecar.
+    pub(crate) fn sidecar(&self, i: usize) -> &S::Sidecar {
+        &self.shards[i].sidecar
+    }
+
+    /// Acquire shard `i`'s data lock, counting a contended acquisition
+    /// when the lock was not immediately free.
+    pub(crate) fn lock_data(&self, i: usize) -> MutexGuard<'_, ShardData<S>> {
+        match self.shards[i].data.try_lock() {
+            Some(guard) => guard,
+            None => {
+                self.shards[i].contention.fetch_add(1, Ordering::Relaxed);
+                self.shards[i].data.lock()
+            }
+        }
+    }
+
+    /// Shard `i`'s data lock if it is free right now — for best-effort
+    /// work that must never queue behind a mutation.
+    pub(crate) fn try_lock_data(&self, i: usize) -> Option<MutexGuard<'_, ShardData<S>>> {
+        self.shards[i].data.try_lock()
+    }
+
+    /// Lock every shard's data in ascending order (checkpoint / export).
+    pub(crate) fn lock_all_data(&self) -> Vec<MutexGuard<'_, ShardData<S>>> {
+        (0..self.shards.len()).map(|i| self.lock_data(i)).collect()
+    }
+
+    /// Fetch shard `i`'s search snapshot, retrying around multi-shard
+    /// swap windows (odd epoch) so a reader never observes a half-swapped
+    /// batch across shards.
+    pub(crate) fn snap(&self, i: usize) -> Arc<SnapShard<S>> {
+        loop {
+            let before = self.epoch.load(Ordering::Acquire);
+            if before & 1 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            let snap = Arc::clone(&self.shards[i].snap.read());
+            if self.epoch.load(Ordering::Acquire) == before {
+                return snap;
+            }
+        }
+    }
+
+    /// Publish shard `i`'s current tree as the immutable search snapshot.
+    /// O(1): the tree clone shares all nodes copy-on-write.
+    pub(crate) fn publish(&self, i: usize, data: &ShardData<S>, meta: &S::Meta) {
+        *self.shards[i].snap.write() = Arc::new(SnapShard {
+            tree: data.tree.clone(),
+            applied_seq: data.applied_seq,
+            meta: meta.clone(),
+        });
+        self.commit_stats.note_swap();
+    }
+
+    // ---- the commit pipeline ------------------------------------------------
+
+    /// Wait until shard `i` has applied every predecessor of `seq`.
+    fn wait_turn(&self, i: usize, seq: u64) -> MutexGuard<'_, ShardData<S>> {
+        let mut data = self.lock_data(i);
+        while data.applied_seq + 1 != seq {
+            data = self.shards[i]
+                .applied
+                .wait(data)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        data
+    }
+
+    /// Wait until shard `i` has applied every predecessor of `seq`, then
+    /// run `apply`, advance `applied_seq`, publish the snapshot and wake
+    /// successors. The caller must have made `seq` durable first.
+    fn apply_at(&self, i: usize, seq: u64, meta: &S::Meta, apply: impl FnOnce(&mut ShardData<S>)) {
+        let mut data = self.wait_turn(i, seq);
+        apply(&mut data);
+        data.applied_seq = seq;
+        self.publish(i, &data, meta);
+        drop(data);
+        self.shards[i].applied.notify_all();
+    }
+
+    /// Run one mutation through the full pipeline: stage its journal
+    /// record(s) (one per affected shard, batch slices when several),
+    /// wait for the group fsync(s), then apply in seq order and publish
+    /// new snapshots carrying `meta`. `idxs` must be ascending and
+    /// non-empty. The caller must hold the quiescence lock.
+    ///
+    /// On partial durability (some shard's journal failed) nothing is
+    /// applied anywhere: durable shards advance `applied_seq` without
+    /// mutating (recovery's sibling-completeness check discards their
+    /// on-disk slices too), failed shards are poisoned, and the client
+    /// gets an error — the mutation is never acknowledged.
+    pub(crate) fn commit_mutation(
+        &self,
+        idxs: &[usize],
+        meta: &S::Meta,
+        encode_for: impl Fn(usize) -> Vec<u8>,
+        mut apply_for: impl FnMut(usize, &mut ShardData<S>),
+    ) -> Result<()> {
+        debug_assert!(idxs.windows(2).all(|w| w[0] < w[1]));
+        if let [i] = *idxs {
+            let seq = self.shards[i].committer.stage(&encode_for(i))?;
+            self.shards[i].committer.wait_durable(seq)?;
+            self.apply_at(i, seq, meta, |data| apply_for(i, data));
+            return Ok(());
+        }
+
+        // Phase S — stage every slice atomically under all stage locks
+        // (ascending), so the batch id (coordinator shard, coordinator
+        // seq) is consistent and no foreign record interleaves.
+        let shard_set: Vec<u32> = idxs.iter().map(|&i| i as u32).collect();
+        let mut guards: Vec<_> = idxs
+            .iter()
+            .map(|&i| self.shards[i].committer.lock())
+            .collect();
+        if guards.iter().any(StageGuard::poisoned) {
+            return Err(journal_unavailable());
+        }
+        let batch = BatchId {
+            coordinator: shard_set[0],
+            seq: guards[0].next_seq(),
+        };
+        let mut seqs = Vec::with_capacity(idxs.len());
+        for (guard, &i) in guards.iter_mut().zip(idxs) {
+            // Cannot fail: staging only errors on poison, checked above
+            // while continuously holding every stage lock.
+            seqs.push(guard.stage(&shard::encode_slice(batch, &shard_set, &encode_for(i)))?);
+        }
+        drop(guards);
+
+        // Phase D — wait for every shard's group fsync.
+        let mut durable = vec![false; idxs.len()];
+        let mut first_err = None;
+        for (k, &i) in idxs.iter().enumerate() {
+            match self.shards[i].committer.wait_durable(seqs[k]) {
+                Ok(()) => durable[k] = true,
+                Err(e) => {
+                    if first_err.is_none() {
+                        first_err = Some(e);
+                    }
+                }
+            }
+        }
+        let apply = first_err.is_none();
+
+        // Phase R — wait (one shard at a time, holding nothing else)
+        // until each durable shard has applied all our predecessors.
+        // Stable once reached: our seq is the only possible successor.
+        for (k, &i) in idxs.iter().enumerate() {
+            if durable[k] {
+                drop(self.wait_turn(i, seqs[k]));
+            }
+        }
+
+        // Phase A — lock all durable shards (ascending) and swap them
+        // atomically inside an odd-epoch window so snapshot readers see
+        // the batch all-or-nothing.
+        if apply {
+            self.epoch.fetch_add(1, Ordering::AcqRel);
+        }
+        let mut held: Vec<(usize, MutexGuard<'_, ShardData<S>>)> = Vec::with_capacity(idxs.len());
+        for (k, &i) in idxs.iter().enumerate() {
+            if durable[k] {
+                held.push((k, self.lock_data(i)));
+            }
+        }
+        for (k, data) in &mut held {
+            debug_assert_eq!(data.applied_seq + 1, seqs[*k], "readiness must be stable");
+            if apply {
+                apply_for(idxs[*k], data);
+            }
+            data.applied_seq = seqs[*k];
+        }
+        if apply {
+            for (k, data) in &held {
+                self.publish(idxs[*k], data, meta);
+            }
+        }
+        drop(held);
+        if apply {
+            self.epoch.fetch_add(1, Ordering::AcqRel);
+        }
+        for (k, &i) in idxs.iter().enumerate() {
+            if durable[k] {
+                self.shards[i].applied.notify_all();
+            }
+        }
+        match first_err {
+            None => Ok(()),
+            Some(e) => Err(e),
+        }
+    }
+
+    /// Partition `items` by the shard their tag routes to, preserving
+    /// input order within each shard.
+    pub(crate) fn group_by_shard<T>(
+        &self,
+        items: Vec<T>,
+        tag_of: impl Fn(&T) -> &[u8; 32],
+    ) -> BTreeMap<usize, Vec<T>> {
+        let mut groups: BTreeMap<usize, Vec<T>> = BTreeMap::new();
+        for item in items {
+            groups
+                .entry(self.shard_of(tag_of(&item)))
+                .or_default()
+                .push(item);
+        }
+        groups
+    }
+
+    // ---- replies and health -------------------------------------------------
+
+    /// Report a failed mutation: storage-typed failures degrade the tenant
+    /// to read-only (validation and protocol errors do not — they say
+    /// nothing about the disk), then encode the protocol error response.
+    pub(crate) fn mutation_failed(&self, e: &SseError) -> Vec<u8> {
+        if matches!(e, SseError::Storage(_)) {
+            self.health.note_storage_error(&e.to_string());
+        }
+        proto_common::encode_error(&e.to_string())
+    }
+
+    /// The reply to a mutation: `Ack`, or [`Self::mutation_failed`].
+    pub(crate) fn ack(&self, outcome: Result<()>) -> Vec<u8> {
+        match outcome {
+            Ok(()) => proto_common::encode_ack(),
+            Err(e) => self.mutation_failed(&e),
+        }
+    }
+
+    /// Serve the wire `Checkpoint` request.
+    pub(crate) fn handle_checkpoint(&self) -> Vec<u8> {
+        if self.home.is_none() {
+            return proto_common::encode_error("checkpoint requested on an in-memory server");
+        }
+        self.ack(self.checkpoint())
+    }
+
+    // ---- the document store -------------------------------------------------
+
+    /// Store document blobs.
+    ///
+    /// # Errors
+    /// The first storage error; earlier blobs of the batch stay stored.
+    pub(crate) fn put_docs(&self, docs: &[(u64, Vec<u8>)]) -> Result<()> {
+        if docs.is_empty() {
+            return Ok(());
+        }
+        let mut store = self.store.write();
+        for (id, blob) in docs {
+            store.put(*id, blob)?;
+        }
+        Ok(())
+    }
+
+    /// Delete document blobs. Deleting an unknown id is a no-op, not an
+    /// error: the posting-side delete entries may arrive first.
+    ///
+    /// # Errors
+    /// Any other storage error — the delete never reached the log, so it
+    /// must not be acknowledged.
+    pub(crate) fn remove_docs(&self, ids: &[u64]) -> Result<()> {
+        let mut store = self.store.write();
+        for &id in ids {
+            match store.delete(id) {
+                Ok(()) | Err(StorageError::RecordNotFound) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Fetch the stored blobs among `ids` (missing ids are skipped).
+    pub(crate) fn get_many(&self, ids: &[u64]) -> Vec<(u64, Vec<u8>)> {
+        self.store.read().get_many(ids)
+    }
+
+    /// Every stored `(id, blob)`, in id order.
+    pub(crate) fn all_docs(&self) -> Vec<(u64, Vec<u8>)> {
+        let store = self.store.read();
+        store.get_many(&store.doc_ids())
+    }
+
+    // ---- persistence --------------------------------------------------------
+
+    /// Re-persist every shard's applied state: document-store checkpoint,
+    /// then index snapshots (btree) or keyword-map flushes (lsm). The
+    /// caller holds the quiescence write lock and every data lock.
+    fn persist_applied(
+        &self,
+        home: &Home,
+        meta: &S::Meta,
+        datas: &mut [MutexGuard<'_, ShardData<S>>],
+    ) -> Result<()> {
+        self.store.write().checkpoint()?;
+        match self.backend {
+            BackendKind::Btree => {
+                for (i, data) in datas.iter().enumerate() {
+                    save_snapshot(home, data, meta, &home.dir.join(index_file::<S>(i)))?;
+                }
+                // The snapshots committed via rename; one dir fsync makes
+                // all the renames durable before any journal is reset.
+                home.vfs.sync_dir(&home.dir).map_err(StorageError::Io)?;
+            }
+            BackendKind::Lsm => {
+                for data in datas.iter_mut() {
+                    data.flush_kw_map(meta)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
+    fn checkpoint(&self) -> Result<()> {
+        let Some(home) = &self.home else {
+            return Ok(());
+        };
+        let meta = self.quiesce();
+        let mut datas = self.lock_all_data();
+        self.persist_applied(home, &meta, &mut datas)?;
+        for slot in &self.shards {
+            slot.committer.reset_journal()?;
+        }
+        Ok(())
+    }
+
+    fn repair(&self) -> Result<()> {
+        let Some(home) = &self.home else {
+            self.health.note_probe_ok();
+            return Ok(());
+        };
+        let meta = self.quiesce();
+        let mut datas = self.lock_all_data();
+        self.persist_applied(home, &meta, &mut datas)?;
+        for (i, data) in datas.iter().enumerate() {
+            let path = home.dir.join(journal_file::<S>(i));
+            let _ = home.vfs.remove_file(&path);
+            let (journal, _) =
+                IndexJournal::open_with_vfs(home.vfs.clone(), &path, true, data.applied_seq)?;
+            self.shards[i].committer.replace_journal(journal);
+        }
+        self.health.note_probe_ok();
+        Ok(())
+    }
+
+    fn verify_files(&self) -> Result<ScrubFindings> {
+        let mut findings = ScrubFindings::default();
+        let Some(home) = &self.home else {
+            return Ok(findings);
+        };
+        let mut wal_paths: Vec<PathBuf> = (0..self.shards.len())
+            .map(|i| home.dir.join(journal_file::<S>(i)))
+            .collect();
+        wal_paths.push(home.dir.join(if self.backend == BackendKind::Lsm {
+            "doc.wal"
+        } else {
+            "store.wal"
+        }));
+        for path in &wal_paths {
+            match wal::verify_file(home.vfs.as_ref(), path)? {
+                WalVerdict::Clean { .. } => findings.artifacts_verified += 1,
+                WalVerdict::TornTail { .. } => {
+                    findings.artifacts_verified += 1;
+                    findings.torn_tails_seen += 1;
+                }
+                WalVerdict::Corrupt { at } => {
+                    return Err(SseError::Storage(StorageError::Corrupt {
+                        what: "wal segment",
+                        detail: format!(
+                            "scrub: mid-log checksum mismatch at byte {at} in {}",
+                            path.display()
+                        ),
+                    }));
+                }
+            }
+        }
+        match self.backend {
+            BackendKind::Btree => {
+                for i in 0..self.shards.len() {
+                    let path = home.dir.join(index_file::<S>(i));
+                    if verify_index_snapshot::<S>(home.vfs.as_ref(), &path)? {
+                        findings.artifacts_verified += 1;
+                    }
+                }
+            }
+            BackendKind::Lsm => {
+                for i in 0..self.shards.len() {
+                    let data = self.lock_data(i);
+                    if let Some(map) = &data.kw_map {
+                        findings.artifacts_verified += map.verify_runs()?;
+                    }
+                }
+            }
+        }
+        findings.artifacts_verified += self.store.read().verify()?;
+        Ok(findings)
+    }
+
+    fn health(&self) -> &Arc<TenantHealth> {
+        &self.health
+    }
+
+    fn recovery(&self) -> ServerRecovery {
+        self.recovery
+    }
+
+    fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn shard_contention(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|slot| slot.contention.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    fn commit_counters(&self) -> CommitCounters {
+        self.commit_stats.counters()
+    }
+
+    fn backend(&self) -> BackendKind {
+        self.backend
+    }
+
+    fn backend_counters(&self) -> BackendCounters {
+        let mut c = self.store.read().counters();
+        for i in 0..self.shards.len() {
+            let data = self.lock_data(i);
+            if let Some(map) = &data.kw_map {
+                c.merge(&map.counters());
+            }
+        }
+        c
+    }
+
+    fn unique_keywords(&self) -> usize {
+        (0..self.shards.len())
+            .map(|i| self.lock_data(i).tree.len())
+            .sum()
+    }
+
+    fn stored_docs(&self) -> usize {
+        self.store.read().len()
+    }
+
+    fn tree_height(&self) -> usize {
+        (0..self.shards.len())
+            .map(|i| self.lock_data(i).tree.height())
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// The error surfaced when a mutation reaches a shard whose journal was
+/// disabled by an earlier failed group commit.
+fn journal_unavailable() -> SseError {
+    SseError::Storage(StorageError::Io(std::io::Error::other(
+        "shard journal disabled by failed group commit",
+    )))
+}
+
+fn corrupt_snapshot(detail: String) -> SseError {
+    SseError::Storage(StorageError::Corrupt {
+        what: "index snapshot",
+        detail,
+    })
+}
+
+/// Check a snapshot file's framing — `[magic: 8][crc32(body): u32 LE]
+/// [body]` — and return the body.
+fn snapshot_body<'a, S: SchemeOps>(bytes: &'a [u8], path: &Path) -> Result<&'a [u8]> {
+    if bytes.len() < 12 || &bytes[..8] != S::MAGIC {
+        return Err(corrupt_snapshot(format!(
+            "bad magic or truncated in {}",
+            path.display()
+        )));
+    }
+    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let body = &bytes[12..];
+    if crc32(body) != stored_crc {
+        return Err(corrupt_snapshot(format!(
+            "checksum mismatch in {}",
+            path.display()
+        )));
+    }
+    Ok(body)
+}
+
+/// Scrub check of one shard snapshot file: magic + body CRC, without
+/// decoding the body. `Ok(false)` when the file does not exist (no
+/// checkpoint has happened yet — nothing to verify).
+fn verify_index_snapshot<S: SchemeOps>(vfs: &dyn Vfs, path: &Path) -> Result<bool> {
+    let bytes = match vfs.read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(SseError::Storage(StorageError::Io(e))),
+    };
+    snapshot_body::<S>(&bytes, path)?;
+    Ok(true)
+}
+
+/// Persist one shard's index snapshot (CRC-protected; carries the shard's
+/// `applied_seq` as `last_op_seq`), committed by temp-file + rename. The
+/// index contains only what the server already sees, so persisting it
+/// leaks nothing new.
+fn save_snapshot<S: SchemeOps>(
+    home: &Home,
+    data: &ShardData<S>,
+    meta: &S::Meta,
+    path: &Path,
+) -> Result<()> {
+    let mut body = WireWriter::new();
+    body.put_u64(data.applied_seq);
+    body.put_array(&S::encode_meta(meta));
+    body.put_u64(data.tree.len() as u64);
+    for (tag, value) in data.tree.iter() {
+        body.put_array(tag);
+        S::encode_value(value, &mut body);
+    }
+    let body = body.finish();
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = home.vfs.create(&tmp).map_err(StorageError::Io)?;
+        let mut header = Vec::with_capacity(12);
+        header.extend_from_slice(S::MAGIC);
+        header.extend_from_slice(&crc32(&body).to_le_bytes());
+        f.write_all(&header).map_err(StorageError::Io)?;
+        f.write_all(&body).map_err(StorageError::Io)?;
+        f.sync_data().map_err(StorageError::Io)?;
+    }
+    home.vfs.rename(&tmp, path).map_err(StorageError::Io)?;
+    Ok(())
+}
+
+/// Decode one shard snapshot, validating it against `meta`.
+fn load_snapshot<S: SchemeOps>(bytes: &[u8], meta: &S::Meta, path: &Path) -> Result<ShardData<S>> {
+    let mut r = WireReader::new(snapshot_body::<S>(bytes, path)?);
+    let last_op_seq = r.get_u64()?;
+    S::check_meta(meta, r.get_array(S::encode_meta(meta).len())?)?;
+    let n = r.get_count(32 + S::MIN_VALUE_BYTES)?;
+    let mut tree = BpTree::new();
+    for _ in 0..n {
+        let tag = r.get_array32()?;
+        tree.insert(tag, S::decode_value(&mut r, meta)?);
+    }
+    r.finish()?;
+    Ok(ShardData::new(tree, last_op_seq, None))
+}
+
+/// Load one lsm-backed shard from its keyword map, validating the map's
+/// `meta` blob against `meta` — same contract as the btree snapshot's
+/// embedded meta. An empty blob means the map was never flushed.
+fn load_kw_map<S: SchemeOps>(map: LsmKeywordMap, meta: &S::Meta) -> Result<ShardData<S>> {
+    let stored = map.meta();
+    if !stored.is_empty() {
+        S::check_meta(meta, &stored)?;
+    }
+    let mut tree = BpTree::new();
+    for (tag, value) in map.iter_all()? {
+        let mut r = WireReader::new(&value);
+        tree.insert(tag, S::decode_value(&mut r, meta)?);
+        r.finish()?;
+    }
+    Ok(ShardData::new(tree, map.last_seq(), Some(map)))
+}

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod commit;
+pub mod engine;
 pub mod error;
 pub mod health;
 pub mod journal;

@@ -9,7 +9,7 @@
 //! With a data directory the registry becomes **durable**: each
 //! `(tenant, scheme)` database lives under
 //! `data_dir/<encoded-tenant>/s1|s2/`, is opened via
-//! `open_durable_with_vfs` (replaying any WAL left by a crash), is
+//! `open_durable_with` (replaying any WAL left by a crash), is
 //! re-opened eagerly on daemon restart ([`TenantRegistry::preopen_existing`])
 //! and is checkpointed by [`TenantRegistry::checkpoint_all`] on graceful
 //! shutdown. Tenant names are arbitrary UTF-8; directory names use a
@@ -18,8 +18,9 @@
 use crate::proto::SchemeId;
 use parking_lot::Mutex;
 use sse_core::commit::CommitCounters;
+use sse_core::engine::{DurableOptions, IndexAdmin};
 use sse_core::error::SseError;
-use sse_core::health::{HealthState, ScrubFindings, TenantHealth};
+use sse_core::health::HealthState;
 use sse_core::journal::ServerRecovery;
 use sse_core::scheme1::Scheme1Server;
 use sse_core::scheme2::{Scheme2Config, Scheme2Server};
@@ -93,8 +94,9 @@ pub struct HealthCounters {
 }
 
 /// One tenant's scheme server — the concrete state behind a handle, kept
-/// as an enum (not `Box<dyn Service>`) so the registry can reach
-/// scheme-specific operations like checkpointing.
+/// as an enum (not `Box<dyn Service>`) so requests dispatch statically
+/// and callers can reach scheme-specific state (the request-tag
+/// classifier, Scheme 2's search-memo counters).
 pub enum TenantDb {
     /// A Scheme 1 (XOR-masked bit-array index) server.
     S1(Scheme1Server),
@@ -102,63 +104,29 @@ pub enum TenantDb {
     S2(Scheme2Server),
 }
 
+impl std::ops::Deref for TenantDb {
+    /// The scheme-independent admin surface — health, recovery evidence,
+    /// repair, scrub verification, commit / contention / backend counters
+    /// — is the index engine's, the same under both schemes.
+    type Target = dyn IndexAdmin;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            TenantDb::S1(s) => &**s,
+            TenantDb::S2(s) => &**s,
+        }
+    }
+}
+
 impl TenantDb {
     /// Checkpoint to the database's home directory (no-op for in-memory
-    /// tenants, which have no home).
+    /// tenants, which have no home): [`IndexAdmin::checkpoint`] under the
+    /// name `bench/` calls it by.
     ///
     /// # Errors
     /// Storage errors from the snapshot write.
     pub fn checkpoint_home(&self) -> Result<(), SseError> {
-        match self {
-            TenantDb::S1(s) => s.checkpoint_home(),
-            TenantDb::S2(s) => s.checkpoint_home(),
-        }
-    }
-
-    /// What recovery work the open performed.
-    #[must_use]
-    pub fn recovery(&self) -> ServerRecovery {
-        match self {
-            TenantDb::S1(s) => s.recovery(),
-            TenantDb::S2(s) => s.recovery(),
-        }
-    }
-
-    /// This database's health cell (shared with the scheme server's
-    /// mutation error sites and the scrub thread).
-    #[must_use]
-    pub fn health(&self) -> &Arc<TenantHealth> {
-        match self {
-            TenantDb::S1(s) => s.health(),
-            TenantDb::S2(s) => s.health(),
-        }
-    }
-
-    /// Repair a degraded database under quiescence: checkpoint the
-    /// current applied state and start fresh journals, then probe-promote
-    /// back to `Healthy`. See the scheme servers' `repair` docs.
-    ///
-    /// # Errors
-    /// Storage errors if the underlying fault persists (the database
-    /// stays `Degraded`; the next scrub pass retries).
-    pub fn repair(&self) -> Result<(), SseError> {
-        match self {
-            TenantDb::S1(s) => s.repair(),
-            TenantDb::S2(s) => s.repair(),
-        }
-    }
-
-    /// Checksum-verify every on-disk artifact of this database (scrub
-    /// integrity pass). See the scheme servers' `verify_files` docs.
-    ///
-    /// # Errors
-    /// `StorageError::Corrupt` on confirmed corruption (the scrub
-    /// quarantines); other storage errors are transient.
-    pub fn verify_files(&self) -> Result<ScrubFindings, SseError> {
-        match self {
-            TenantDb::S1(s) => s.verify_files(),
-            TenantDb::S2(s) => s.verify_files(),
-        }
+        self.checkpoint()
     }
 
     /// Whether an envelope request would mutate this database — the
@@ -298,7 +266,7 @@ impl TenantDb {
         // empty slot can only mean its worker died before reporting.
         for slot in &mut responses {
             if slot.is_empty() {
-                *slot = self.scheme_error("internal error: search fan-out worker panicked");
+                *slot = fanout_panicked();
             }
         }
         crate::proto::encode_batch(&responses)
@@ -311,15 +279,7 @@ impl TenantDb {
     /// owner-waits rely on every claimed part reporting a result.
     pub(crate) fn handle_part_caught(&self, part: &[u8]) -> Vec<u8> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle_shared(part)))
-            .unwrap_or_else(|_| self.scheme_error("internal error: search fan-out worker panicked"))
-    }
-
-    /// Encode `msg` as this scheme's wire error response.
-    fn scheme_error(&self, msg: &str) -> Vec<u8> {
-        match self {
-            TenantDb::S1(_) => sse_core::scheme1::protocol::encode_error(msg),
-            TenantDb::S2(_) => sse_core::proto_common::encode_error(msg),
-        }
+            .unwrap_or_else(|_| fanout_panicked())
     }
 
     /// Search-memo counters (hits, misses, chain steps saved). Scheme 1
@@ -338,43 +298,11 @@ impl TenantDb {
             }
         }
     }
+}
 
-    /// Per-shard contended lock acquisitions.
-    #[must_use]
-    pub fn shard_contention(&self) -> Vec<u64> {
-        match self {
-            TenantDb::S1(s) => s.shard_contention(),
-            TenantDb::S2(s) => s.shard_contention(),
-        }
-    }
-
-    /// Group-commit pipeline counters for this database.
-    #[must_use]
-    pub fn commit_counters(&self) -> CommitCounters {
-        match self {
-            TenantDb::S1(s) => s.commit_counters(),
-            TenantDb::S2(s) => s.commit_counters(),
-        }
-    }
-
-    /// The storage backend persisting this database.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        match self {
-            TenantDb::S1(s) => s.backend(),
-            TenantDb::S2(s) => s.backend(),
-        }
-    }
-
-    /// Per-backend storage counters (runs, compactions, bloom hit rates;
-    /// all zero under the btree backend).
-    #[must_use]
-    pub fn backend_counters(&self) -> BackendCounters {
-        match self {
-            TenantDb::S1(s) => s.backend_counters(),
-            TenantDb::S2(s) => s.backend_counters(),
-        }
-    }
+/// The error response for a fan-out part whose worker died.
+fn fanout_panicked() -> Vec<u8> {
+    sse_core::proto_common::encode_error("internal error: search fan-out worker panicked")
 }
 
 impl Service for TenantDb {
@@ -511,23 +439,23 @@ impl TenantRegistry {
             Some(root) => {
                 let dir = tenant_dir(root, tenant, scheme);
                 self.vfs.create_dir_all(&dir)?;
+                let opts = DurableOptions {
+                    vfs: Arc::clone(&self.vfs),
+                    shards,
+                    group_commit: self.params.group_commit,
+                    backend: self.params.backend,
+                };
                 Ok(match scheme {
-                    SchemeId::Scheme1 => TenantDb::S1(Scheme1Server::open_durable_with_backend(
-                        Arc::clone(&self.vfs),
+                    SchemeId::Scheme1 => TenantDb::S1(Scheme1Server::open_durable_with(
                         self.params.scheme1_capacity,
                         &dir,
-                        shards,
-                        self.params.group_commit,
-                        self.params.backend,
+                        opts,
                     )?),
-                    SchemeId::Scheme2 => TenantDb::S2(Scheme2Server::open_durable_with_backend(
-                        Arc::clone(&self.vfs),
+                    SchemeId::Scheme2 => TenantDb::S2(Scheme2Server::open_durable_with(
                         Scheme2Config::standard()
                             .with_chain_length(self.params.scheme2_chain_length),
                         &dir,
-                        shards,
-                        self.params.group_commit,
-                        self.params.backend,
+                        opts,
                     )?),
                 })
             }

@@ -10,6 +10,7 @@
 //! * an `lsm`-backed daemon tenant surfaces its run/bloom internals
 //!   through `STATS` after a wire-driven checkpoint.
 
+use sse_repro::core::engine::DurableOptions;
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2Config, Scheme2Server};
 use sse_repro::core::types::{Document, Keyword, MasterKey};
@@ -74,13 +75,15 @@ fn durable_directory_refuses_the_other_backend() {
         // Scheme 1: write real data under `written`, reopen as `requested`.
         let dir = temp_dir(&format!("s1-mismatch-{written}-{requested}"));
         {
-            let server = Scheme1Server::open_durable_with_backend(
-                RealVfs::arc(),
+            let server = Scheme1Server::open_durable_with(
                 CAPACITY,
                 &dir,
-                1,
-                true,
-                written,
+                DurableOptions {
+                    vfs: RealVfs::arc(),
+                    shards: 1,
+                    group_commit: true,
+                    backend: written,
+                },
             )
             .unwrap();
             let mut client = Scheme1Client::new_seeded(
@@ -91,13 +94,15 @@ fn durable_directory_refuses_the_other_backend() {
             );
             client.store(&docs()).unwrap();
         }
-        let err = match Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let err = match Scheme1Server::open_durable_with(
             CAPACITY,
             &dir,
-            1,
-            true,
-            requested,
+            DurableOptions {
+                vfs: RealVfs::arc(),
+                shards: 1,
+                group_commit: true,
+                backend: requested,
+            },
         ) {
             Ok(_) => panic!("scheme 1 reopen under the wrong backend must fail"),
             Err(e) => e.to_string(),
@@ -108,13 +113,15 @@ fn durable_directory_refuses_the_other_backend() {
         // Scheme 2: same contract.
         let dir = temp_dir(&format!("s2-mismatch-{written}-{requested}"));
         {
-            let server = Scheme2Server::open_durable_with_backend(
-                RealVfs::arc(),
+            let server = Scheme2Server::open_durable_with(
                 Scheme2Config::standard(),
                 &dir,
-                1,
-                true,
-                written,
+                DurableOptions {
+                    vfs: RealVfs::arc(),
+                    shards: 1,
+                    group_commit: true,
+                    backend: written,
+                },
             )
             .unwrap();
             let mut client = Scheme2Client::new_seeded(
@@ -125,13 +132,15 @@ fn durable_directory_refuses_the_other_backend() {
             );
             client.store(&docs()).unwrap();
         }
-        let err = match Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let err = match Scheme2Server::open_durable_with(
             Scheme2Config::standard(),
             &dir,
-            1,
-            true,
-            requested,
+            DurableOptions {
+                vfs: RealVfs::arc(),
+                shards: 1,
+                group_commit: true,
+                backend: requested,
+            },
         ) {
             Ok(_) => panic!("scheme 2 reopen under the wrong backend must fail"),
             Err(e) => e.to_string(),
@@ -149,13 +158,15 @@ fn reopening_under_the_recorded_backend_recovers_the_data() {
         let dir = temp_dir(&format!("s2-recorded-{backend}"));
         let key = MasterKey::from_seed(11);
         let state = {
-            let server = Scheme2Server::open_durable_with_backend(
-                RealVfs::arc(),
+            let server = Scheme2Server::open_durable_with(
                 Scheme2Config::standard(),
                 &dir,
-                1,
-                true,
-                backend,
+                DurableOptions {
+                    vfs: RealVfs::arc(),
+                    shards: 1,
+                    group_commit: true,
+                    backend,
+                },
             )
             .unwrap();
             let mut client = Scheme2Client::new_seeded(
@@ -167,13 +178,15 @@ fn reopening_under_the_recorded_backend_recovers_the_data() {
             client.store(&docs()).unwrap();
             client.state()
         };
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme2Server::open_durable_with(
             Scheme2Config::standard(),
             &dir,
-            1,
-            true,
-            backend,
+            DurableOptions {
+                vfs: RealVfs::arc(),
+                shards: 1,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         let mut client = Scheme2Client::new_seeded(

@@ -28,6 +28,7 @@
 //! narrows a run so CI can matrix the suite, and `FAULT_SEED` reseeds
 //! the schedules.
 
+use sse_repro::core::engine::DurableOptions;
 use sse_repro::core::health::HealthState;
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
@@ -264,13 +265,15 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme1Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme1Server::open_durable_with(
             CAPACITY,
             &count_dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(counting),
+                shards: SWEEP_SHARDS,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         let mut client = Scheme1Client::new_seeded(
@@ -291,13 +294,15 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
         let ctx = format!("{point:?} ({backend} backend)");
         let dir = temp_dir("s1-sweep");
         let vfs = FaultVfs::new(RealVfs::arc(), point.config(seed));
-        let Ok(server) = Scheme1Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let Ok(server) = Scheme1Server::open_durable_with(
             CAPACITY,
             &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(vfs),
+                shards: SWEEP_SHARDS,
+                group_commit: true,
+                backend,
+            },
         ) else {
             // The fault landed inside the initial open; the "process"
             // never came up. Degradation starts from a live server only.
@@ -368,13 +373,15 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
 
         // Restart differential: reopen through the real filesystem — the
         // degradation episode must not have cost a single acked write.
-        let server = Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme1Server::open_durable_with(
             CAPACITY,
             &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            DurableOptions {
+                vfs: RealVfs::arc(),
+                shards: SWEEP_SHARDS,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         let mut probe = Scheme1Client::new_seeded(
@@ -409,13 +416,15 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme2Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme2Server::open_durable_with(
             config.clone(),
             &count_dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(counting),
+                shards: SWEEP_SHARDS,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         let mut client = Scheme2Client::new_seeded(
@@ -436,13 +445,15 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
         let ctx = format!("{point:?} ({backend} backend)");
         let dir = temp_dir("s2-sweep");
         let vfs = FaultVfs::new(RealVfs::arc(), point.config(seed));
-        let Ok(server) = Scheme2Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let Ok(server) = Scheme2Server::open_durable_with(
             config.clone(),
             &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(vfs),
+                shards: SWEEP_SHARDS,
+                group_commit: true,
+                backend,
+            },
         ) else {
             let _ = std::fs::remove_dir_all(&dir);
             continue;
@@ -512,13 +523,15 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
         );
         drop(client);
 
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme2Server::open_durable_with(
             config.clone(),
             &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            DurableOptions {
+                vfs: RealVfs::arc(),
+                shards: SWEEP_SHARDS,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         let mut probe = Scheme2Client::new_seeded(
@@ -832,5 +845,90 @@ fn scheme2_enospc_and_failed_fsync_at_every_commit_point_degrade_and_recover() {
     let seed = fault_seed();
     for backend in fault_backends() {
         scheme2_degradation_sweep(&build_trace(seed), seed, backend);
+    }
+}
+
+/// A `RemoveDocs` whose document-WAL append fails never reached the log,
+/// so it must be an ERR that degrades the server — not an ACK. The blob
+/// is still served after the repair and after a reopen. Deleting an
+/// unknown id stays an ACK: it logs nothing, and the posting-side delete
+/// entries may legitimately arrive first.
+#[test]
+fn scheme2_remove_docs_on_a_failing_disk_is_an_error_not_an_ack() {
+    use sse_repro::core::proto_common::{decode_ack, decode_result};
+    use sse_repro::core::scheme2::protocol::{self as s2p, GenerationEntry};
+    use sse_repro::net::wire::WireWriter;
+    use sse_repro::primitives::etm::EtmKey;
+
+    // One generation listing both documents, sealed under a key that is
+    // also the search trapdoor (a zero-step chain walk).
+    let (tag, chain_key) = ([3u8; 32], [7u8; 32]);
+    let mut ids = WireWriter::new();
+    ids.put_u64_vec(&[1, 2]).put_u64_vec(&[]);
+    let docs = vec![(1, b"one".to_vec()), (2, b"two".to_vec())];
+    let load = [
+        s2p::encode_put_docs(&docs),
+        s2p::encode_append_generations(&[GenerationEntry {
+            tag,
+            sealed_ids: EtmKey::new(&chain_key).seal(&ids.finish()),
+            commitment: sse_repro::core::scheme2::key_commitment(&chain_key),
+        }]),
+    ];
+    let search = s2p::encode_search(&tag, &chain_key);
+
+    for backend in fault_backends() {
+        let open = |vfs: Arc<dyn sse_repro::storage::Vfs>, dir: &PathBuf| {
+            let opts = DurableOptions {
+                vfs,
+                backend,
+                ..DurableOptions::default()
+            };
+            Scheme2Server::open_durable_with(Scheme2Config::standard(), dir, opts).unwrap()
+        };
+
+        // Counting run: the delete's WAL append is the next write after
+        // the load is acknowledged.
+        let count_dir = temp_dir("s2-rm-count");
+        let counting = FaultVfs::counting();
+        let stats = counting.stats();
+        let server = open(Arc::new(counting), &count_dir);
+        for request in &load {
+            decode_ack(&server.handle_shared(request)).unwrap();
+        }
+        let delete_write = stats.writes() + 1;
+        drop(server);
+        let _ = std::fs::remove_dir_all(&count_dir);
+
+        let dir = temp_dir("s2-rm");
+        let full_disk = FaultVfs::enospc_window(fault_seed(), delete_write, 1);
+        let server = open(Arc::new(full_disk), &dir);
+        for request in &load {
+            decode_ack(&server.handle_shared(request)).unwrap();
+        }
+        decode_ack(&server.handle_shared(&s2p::encode_remove_docs(&[99]))).unwrap();
+        assert_eq!(server.health().state(), HealthState::Healthy, "{backend}");
+
+        let reply = server.handle_shared(&s2p::encode_remove_docs(&[1]));
+        assert!(
+            decode_ack(&reply).is_err(),
+            "{backend}: a delete that never reached the log was acknowledged"
+        );
+        assert_eq!(server.health().state(), HealthState::Degraded, "{backend}");
+        server.repair().unwrap();
+        assert_eq!(server.health().state(), HealthState::Healthy, "{backend}");
+        assert_eq!(
+            decode_result(&server.handle_shared(&search)).unwrap(),
+            docs,
+            "{backend}"
+        );
+        drop(server);
+
+        let server = open(RealVfs::arc(), &dir);
+        assert_eq!(
+            decode_result(&server.handle_shared(&search)).unwrap(),
+            docs,
+            "{backend}: reopened"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,6 +14,7 @@
 //! result mismatch here.
 
 use sse_baselines::naive::NaiveClient;
+use sse_core::engine::DurableOptions;
 use sse_core::scheme::SseClientApi;
 use sse_core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
@@ -564,6 +565,24 @@ fn segments(ops: &[Op]) -> [&[Op]; 3] {
     [&ops[..third], &ops[third..2 * third], &ops[2 * third..]]
 }
 
+/// How segment `i`'s server opens the directory. The last reopen leaves
+/// everything but the backend at its default: the directory's manifest,
+/// not the caller, fixes the shard count.
+fn durable_options(i: usize, backend: BackendKind) -> DurableOptions {
+    if i == 2 {
+        return DurableOptions {
+            backend,
+            ..DurableOptions::default()
+        };
+    }
+    DurableOptions {
+        vfs: RealVfs::arc(),
+        shards: DURABLE_SHARDS,
+        group_commit: true,
+        backend,
+    }
+}
+
 /// Replay `ops` against a durable scheme-1 server on `backend`, restarting
 /// the server between segments (see [`segments`]).
 fn scheme1_durable_replay(seed: u64, backend: BackendKind, ops: &[Op]) -> Vec<SearchHits> {
@@ -572,17 +591,11 @@ fn scheme1_durable_replay(seed: u64, backend: BackendKind, ops: &[Op]) -> Vec<Se
     let key = MasterKey::from_seed(seed);
     let mut results = Vec::new();
     for (i, segment) in segments(ops).into_iter().enumerate() {
-        let server = Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
-            CAPACITY,
-            &dir,
-            DURABLE_SHARDS,
-            true,
-            backend,
-        )
-        .unwrap();
+        let server =
+            Scheme1Server::open_durable_with(CAPACITY, &dir, durable_options(i, backend)).unwrap();
+        assert_eq!(server.num_shards(), DURABLE_SHARDS);
         if i == 1 {
-            server.checkpoint_home().unwrap();
+            server.checkpoint().unwrap();
         }
         let mut client = Scheme1Client::new_seeded(
             MeteredLink::new(server, Meter::new()),
@@ -621,17 +634,12 @@ fn scheme2_durable_replay(seed: u64, backend: BackendKind, ops: &[Op]) -> Vec<Se
     let mut results = Vec::new();
     let mut state: Option<Scheme2ClientState> = None;
     for (i, segment) in segments(ops).into_iter().enumerate() {
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
-            config.clone(),
-            &dir,
-            DURABLE_SHARDS,
-            true,
-            backend,
-        )
-        .unwrap();
+        let server =
+            Scheme2Server::open_durable_with(config.clone(), &dir, durable_options(i, backend))
+                .unwrap();
+        assert_eq!(server.num_shards(), DURABLE_SHARDS);
         if i == 1 {
-            server.checkpoint_home().unwrap();
+            server.checkpoint().unwrap();
         }
         let mut client = Scheme2Client::new_seeded(
             MeteredLink::new(server, Meter::new()),

@@ -29,6 +29,7 @@
 //! is backend-independent. `FAULT_BACKEND=btree|lsm` narrows a run to one
 //! backend so CI can matrix the suite.
 
+use sse_repro::core::engine::DurableOptions;
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
 use sse_repro::core::types::{Document, Keyword, MasterKey, SearchHits};
@@ -296,13 +297,15 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme1Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme1Server::open_durable_with(
             CAPACITY,
             &count_dir,
-            shards,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(counting),
+                shards,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         let mut client = Scheme1Client::new_seeded(
@@ -332,13 +335,15 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
         let vfs = FaultVfs::crashing_at(seed, k);
         // Drive until the crash kills the "process": the first error ends
         // the run, exactly like a real crash ends a real process.
-        let completed = match Scheme1Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let completed = match Scheme1Server::open_durable_with(
             CAPACITY,
             &dir,
-            shards,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(vfs),
+                shards,
+                group_commit: true,
+                backend,
+            },
         ) {
             Err(_) => 0,
             Ok(server) => {
@@ -363,13 +368,15 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
         // filesystem, as a restart would. The shard manifest (not the
         // caller) dictates the shard count on reopen; the backend manifest
         // likewise pins the backend the restart must request.
-        let server = Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme1Server::open_durable_with(
             CAPACITY,
             &dir,
-            shards,
-            true,
-            backend,
+            DurableOptions {
+                vfs: RealVfs::arc(),
+                shards,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         if server.recovery().recovered_anything() {
@@ -461,13 +468,15 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme2Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme2Server::open_durable_with(
             config.clone(),
             &count_dir,
-            shards,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(counting),
+                shards,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         let mut client = Scheme2Client::new_seeded(
@@ -494,13 +503,15 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
     for k in 1..=write_points {
         let dir = temp_dir("s2-crash");
         let vfs = FaultVfs::crashing_at(seed, k);
-        let (completed, attempted_updates) = match Scheme2Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let (completed, attempted_updates) = match Scheme2Server::open_durable_with(
             config.clone(),
             &dir,
-            shards,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(vfs),
+                shards,
+                group_commit: true,
+                backend,
+            },
         ) {
             Err(_) => (0, 0),
             Ok(server) => {
@@ -528,13 +539,15 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             }
         };
 
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme2Server::open_durable_with(
             config.clone(),
             &dir,
-            shards,
-            true,
-            backend,
+            DurableOptions {
+                vfs: RealVfs::arc(),
+                shards,
+                group_commit: true,
+                backend,
+            },
         )
         .unwrap();
         if server.recovery().recovered_anything() {
@@ -876,13 +889,15 @@ fn scheme2_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
         let vfs = group_crash_vfs(at_sync, seed ^ n, n);
         // acked[w] = stores writer w saw succeed (always a prefix: the
         // first error ends the writer, like a crash ends a process).
-        let acked: Vec<usize> = match Scheme2Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let acked: Vec<usize> = match Scheme2Server::open_durable_with(
             config.clone(),
             &dir,
-            1,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(vfs),
+                shards: 1,
+                group_commit: true,
+                backend,
+            },
         ) {
             Err(_) => vec![0; GROUP_WRITERS],
             Ok(server) => {
@@ -920,13 +935,15 @@ fn scheme2_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
 
         // The crashed process is gone; recover through the real filesystem.
         let server = Arc::new(
-            Scheme2Server::open_durable_with_backend(
-                RealVfs::arc(),
+            Scheme2Server::open_durable_with(
                 config.clone(),
                 &dir,
-                1,
-                true,
-                backend,
+                DurableOptions {
+                    vfs: RealVfs::arc(),
+                    shards: 1,
+                    group_commit: true,
+                    backend,
+                },
             )
             .unwrap(),
         );
@@ -993,13 +1010,15 @@ fn scheme1_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
     for n in 1..=GROUP_SYNC_POINTS {
         let dir = temp_dir("s1-group-crash");
         let vfs = group_crash_vfs(at_sync, seed ^ n, n);
-        let acked: Vec<usize> = match Scheme1Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let acked: Vec<usize> = match Scheme1Server::open_durable_with(
             CAPACITY,
             &dir,
-            1,
-            true,
-            backend,
+            DurableOptions {
+                vfs: Arc::new(vfs),
+                shards: 1,
+                group_commit: true,
+                backend,
+            },
         ) {
             Err(_) => vec![0; GROUP_WRITERS],
             Ok(server) => {
@@ -1037,13 +1056,15 @@ fn scheme1_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
         }
 
         let server = Arc::new(
-            Scheme1Server::open_durable_with_backend(
-                RealVfs::arc(),
+            Scheme1Server::open_durable_with(
                 CAPACITY,
                 &dir,
-                1,
-                true,
-                backend,
+                DurableOptions {
+                    vfs: RealVfs::arc(),
+                    shards: 1,
+                    group_commit: true,
+                    backend,
+                },
             )
             .unwrap(),
         );
@@ -1124,11 +1145,14 @@ fn scheme2_search_memo_is_purely_in_memory_across_crashes() {
         let stats = counting.stats();
         {
             let server = Arc::new(
-                Scheme2Server::open_durable_with_vfs_sharded(
-                    Arc::new(counting),
+                Scheme2Server::open_durable_with(
                     config.clone(),
                     &dir,
-                    1,
+                    DurableOptions {
+                        vfs: Arc::new(counting),
+                        shards: 1,
+                        ..DurableOptions::default()
+                    },
                 )
                 .unwrap(),
             );
@@ -1173,11 +1197,14 @@ fn scheme2_search_memo_is_purely_in_memory_across_crashes() {
     for k in points {
         let dir = temp_dir("s2-memo-crash");
         let vfs = FaultVfs::crashing_at(seed, k);
-        let (completed, attempted_updates) = match Scheme2Server::open_durable_with_vfs_sharded(
-            Arc::new(vfs),
+        let (completed, attempted_updates) = match Scheme2Server::open_durable_with(
             cached.clone(),
             &dir,
-            1,
+            DurableOptions {
+                vfs: Arc::new(vfs),
+                shards: 1,
+                ..DurableOptions::default()
+            },
         ) {
             Err(_) => (0, 0),
             Ok(server) => {

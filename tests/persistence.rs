@@ -105,20 +105,12 @@ fn scheme1_index_snapshot_restores_search_without_reindex() {
         );
         client.store(&docs()).unwrap();
         // Checkpoint both halves: blobs + keyword index.
-        client
-            .transport_mut()
-            .service_mut()
-            .checkpoint(&dir)
-            .unwrap();
+        client.transport_mut().service_mut().checkpoint().unwrap();
         // Post-checkpoint update lands only in the WAL/live index.
         client
             .store(&[Document::new(3, b"late".to_vec(), ["alpha"])])
             .unwrap();
-        client
-            .transport_mut()
-            .service_mut()
-            .checkpoint(&dir)
-            .unwrap();
+        client.transport_mut().service_mut().checkpoint().unwrap();
     }
     // Restart: searches work immediately, no client re-indexing.
     {
@@ -151,11 +143,7 @@ fn scheme2_index_snapshot_restores_search_without_reindex() {
         client
             .store(&[Document::new(3, b"late".to_vec(), ["beta"])])
             .unwrap();
-        client
-            .transport_mut()
-            .service_mut()
-            .checkpoint(&dir)
-            .unwrap();
+        client.transport_mut().service_mut().checkpoint().unwrap();
         client.state()
     };
     {
@@ -254,11 +242,7 @@ fn corrupt_index_snapshot_is_rejected() {
             1,
         );
         client.store(&docs()).unwrap();
-        client
-            .transport_mut()
-            .service_mut()
-            .checkpoint(&dir)
-            .unwrap();
+        client.transport_mut().service_mut().checkpoint().unwrap();
     }
     let snap = dir.join("scheme1.index");
     let mut bytes = std::fs::read(&snap).unwrap();
@@ -274,7 +258,7 @@ fn scheme1_index_capacity_mismatch_is_rejected() {
     let dir = temp_dir("s1-idx-cap");
     {
         let server = Scheme1Server::open_durable(64, &dir).unwrap();
-        server.checkpoint(&dir).unwrap();
+        server.checkpoint().unwrap();
     }
     // Reopen with a different capacity: the snapshot must not silently load.
     assert!(Scheme1Server::open_durable(128, &dir).is_err());
@@ -342,4 +326,144 @@ fn checkpoint_then_more_updates_then_restart() {
     assert_eq!(store.get(39).unwrap(), b"post-39");
     assert!(!store.contains(5));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---- on-disk format pin -----------------------------------------------------
+//
+// Fixed requests straight through `handle_shared` (no client randomness),
+// over two shards so cross-shard slice records are covered. Each digest is
+// the SHA-256 of the named files, concatenated in order. The constants
+// were recorded at the commit before the index-engine refactor; change
+// them only with a deliberate on-disk format change.
+
+use sse_repro::core::engine::{DurableOptions, IndexAdmin};
+use sse_repro::core::proto_common::decode_ack;
+use sse_repro::core::scheme1::protocol as s1p;
+use sse_repro::core::scheme2::protocol as s2p;
+use sse_repro::primitives::sha256::sha256;
+use sse_repro::storage::BackendKind;
+
+fn digest(dir: &std::path::Path, names: &[String]) -> String {
+    let mut bytes = Vec::new();
+    for name in names {
+        bytes.extend(std::fs::read(dir.join(name)).unwrap());
+    }
+    sha256(&bytes).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The pinned digests of one scheme's files.
+struct Pins {
+    journals: &'static str,
+    btree_index: &'static str,
+    lsm_index: &'static str,
+}
+
+/// Serve `requests` on a fresh two-shard `stem` server per backend and
+/// compare the journals before the checkpoint, and the index artifacts
+/// after it, with `pins`.
+fn assert_format_pinned<S: std::ops::Deref<Target = dyn IndexAdmin>>(
+    stem: &str,
+    open: impl Fn(&std::path::Path, DurableOptions) -> S,
+    serve: impl Fn(&S, &[u8]) -> Vec<u8>,
+    requests: &[Vec<u8>],
+    pins: &Pins,
+) {
+    for backend in BackendKind::all() {
+        let dir = temp_dir(&format!("{stem}-pin-{backend}"));
+        let opts = DurableOptions {
+            shards: 2,
+            backend,
+            ..DurableOptions::default()
+        };
+        let server = open(&dir, opts);
+        for request in requests {
+            decode_ack(&serve(&server, request)).unwrap();
+        }
+        let journals = [format!("{stem}.wal"), format!("{stem}.1.wal")];
+        assert_eq!(digest(&dir, &journals), pins.journals, "{backend} journals");
+        server.checkpoint().unwrap();
+        let (names, want) = match backend {
+            BackendKind::Btree => (
+                vec![
+                    format!("{stem}.meta"),
+                    format!("{stem}.index"),
+                    format!("{stem}.1.index"),
+                ],
+                pins.btree_index,
+            ),
+            BackendKind::Lsm => (
+                vec![
+                    format!("{stem}.meta"),
+                    format!("{stem}.kw0.manifest"),
+                    format!("{stem}.kw0-00000001.run"),
+                    format!("{stem}.kw1.manifest"),
+                    format!("{stem}.kw1-00000001.run"),
+                ],
+                pins.lsm_index,
+            ),
+        };
+        assert_eq!(digest(&dir, &names), want, "{backend} index artifacts");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A tag that routes to `shard` of two.
+fn pin_tag(shard: u8, n: u8) -> [u8; 32] {
+    let mut tag = [n; 32];
+    tag[0] = 0;
+    tag[1] = shard;
+    tag
+}
+
+#[test]
+fn scheme1_on_disk_format_is_pinned() {
+    let entry = |shard, n: u8, width| s1p::UpdateEntry {
+        tag: pin_tag(shard, n),
+        delta: vec![n; width],
+        f_r: vec![n ^ 0xFF; 12],
+    };
+    assert_format_pinned(
+        "scheme1",
+        |dir, opts| Scheme1Server::open_durable_with(64, dir, opts).unwrap(),
+        |server, request| server.handle_shared(request),
+        &[
+            s1p::encode_put_docs(&[(1, b"one".to_vec()), (2, b"two".to_vec())]),
+            s1p::encode_apply_updates(&[entry(0, 1, 8), entry(1, 2, 8)]),
+            s1p::encode_apply_updates(&[entry(0, 1, 8)]),
+            s1p::encode_replace_index(128, &[entry(0, 1, 16), entry(1, 2, 16)]),
+            s1p::encode_apply_updates(&[entry(1, 6, 16)]),
+        ],
+        &Pins {
+            journals: "956b2a50242957960c8e3d611b81db9511dea669a2e45674c72ca80aaefe3150",
+            btree_index: "d416795533f6715f92762e0ee9fbf17dc74c4b8ae1b259f140689e5b7c2a3abf",
+            lsm_index: "28da14ac666d0027364e7dc78fde74aebf3ba61288093cf3462877dd520cd9bd",
+        },
+    );
+}
+
+#[test]
+fn scheme2_on_disk_format_is_pinned() {
+    let entry = |shard, n: u8| s2p::GenerationEntry {
+        tag: pin_tag(shard, n),
+        sealed_ids: vec![n; 40],
+        commitment: [n ^ 0xFF; 32],
+    };
+    assert_format_pinned(
+        "scheme2",
+        |dir, opts| Scheme2Server::open_durable_with(Scheme2Config::standard(), dir, opts).unwrap(),
+        |server, request| server.handle_shared(request),
+        &[
+            s2p::encode_put_docs(&[(1, b"one".to_vec()), (2, b"two".to_vec())]),
+            s2p::encode_append_generations(&[entry(0, 1), entry(1, 2)]),
+            s2p::encode_reset_index(),
+            s2p::encode_append_generations(&[entry(0, 3)]),
+            s2p::encode_append_generations(&[entry(1, 4), entry(0, 3), entry(1, 5)]),
+            s2p::encode_remove_docs(&[2]),
+        ],
+        &Pins {
+            journals: "3166c3a37f722f281789620df986aaf9e9cdb76daa36a2fc505433c57f426f5f",
+            btree_index: "af68c828b12afaf92579f53226817de70252532376a09b98ff28b602d0444ede",
+            lsm_index: "12f82b5cefc390619ad09e4776e47d6a322a132534320a72c572eacafa0a0bc2",
+        },
+    );
 }
