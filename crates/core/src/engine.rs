@@ -625,6 +625,18 @@ impl<S: SchemeOps> IndexEngine<S> {
         }
     }
 
+    /// One attempt at [`Self::snap`] that never waits: `None` inside a
+    /// multi-shard swap window (the epoch is odd, or moved during the
+    /// read) and while a publisher holds the snapshot cell.
+    pub(crate) fn try_snap(&self, i: usize) -> Option<Arc<SnapShard<S>>> {
+        let before = self.epoch.load(Ordering::Acquire);
+        if before & 1 == 1 {
+            return None;
+        }
+        let snap = Arc::clone(&*self.shards[i].snap.try_read()?);
+        (self.epoch.load(Ordering::Acquire) == before).then_some(snap)
+    }
+
     /// Publish shard `i`'s current tree as the immutable search snapshot.
     /// O(1): the tree clone shares all nodes copy-on-write.
     pub(crate) fn publish(&self, i: usize, data: &ShardData<S>, meta: &S::Meta) {
@@ -858,6 +870,21 @@ impl<S: SchemeOps> IndexEngine<S> {
         self.store.read().get_many(ids)
     }
 
+    /// [`Self::get_many`] that never waits, never touches a file and
+    /// copies at most `max_bytes`: `None` while a writer holds the store
+    /// (`put_docs` appends to the store's WAL under that lock), when the
+    /// blobs total more than `max_bytes` (known from their headers, before
+    /// the copy), and always under the lsm backend, whose blob reads go
+    /// to run files. The btree backend's blobs — and an in-memory
+    /// server's — are served from the resident heap.
+    pub(crate) fn try_get_many(
+        &self,
+        ids: &[u64],
+        max_bytes: usize,
+    ) -> Option<Vec<(u64, Vec<u8>)>> {
+        self.store.try_read()?.get_many_resident(ids, max_bytes)
+    }
+
     /// Every stored `(id, blob)`, in id order.
     pub(crate) fn all_docs(&self) -> Vec<(u64, Vec<u8>)> {
         let store = self.store.read();
@@ -892,6 +919,21 @@ impl<S: SchemeOps> IndexEngine<S> {
             }
         }
         Ok(())
+    }
+}
+
+/// What the never-wait read path's tests need to hold against it.
+#[cfg(test)]
+impl<S: SchemeOps> IndexEngine<S> {
+    /// The document store's write lock, as `put_docs` holds it.
+    pub(crate) fn hold_store(&self) -> RwLockWriteGuard<'_, Box<dyn DocBlobStore>> {
+        self.store.write()
+    }
+
+    /// Open (first call) or close (second) a multi-shard swap window, as
+    /// `commit_mutation`'s phase A does around its publishes.
+    pub(crate) fn toggle_swap_window(&self) {
+        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 }
 

@@ -35,9 +35,10 @@ use sse_storage::StorageError;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Out-of-band observability counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Scheme2ServerStats {
     /// Searches served.
     pub searches: u64,
@@ -92,8 +93,9 @@ struct SearchMemo {
     applied_seq: u64,
     /// Newest trapdoor seen for this tag (the walk start point).
     t_prime: [u8; 32],
-    /// The unlocked document-id set, sorted.
-    ids: Vec<u64>,
+    /// The unlocked document-id set, sorted. Shared, so a hit takes a
+    /// reference under the memo mutex instead of copying the list there.
+    ids: Arc<[u64]>,
     /// Chain steps a from-scratch walk from `t_prime` would cost — what a
     /// memo hit saves.
     walk_cost: u64,
@@ -105,6 +107,37 @@ struct SearchMemo {
 /// Per-shard memo capacity; crossing it clears the map (crude but bounded
 /// — the memo is an optimization, not state).
 const MEMO_CAP: usize = 4096;
+
+/// Most document ids a memo entry may hold and still be answered on the
+/// caller's thread by [`Scheme2Server::try_handle_inline`]. A head-of-line
+/// guard, not a break-even: a worker would copy the same blobs, but there
+/// the copy holds up one worker, here every connection of the reactor.
+/// 32 keeps the lookups near one hop's worth of time (hop ≈ 4.3 µs ÷
+/// `storage.blob_get_ns` ≈ 0.16 µs ≈ 27) — an extrapolation: every
+/// measured inline reply carries one document, over one connection
+/// (DESIGN.md §4n, ROADMAP item 1).
+const INLINE_MAX_DOCS: usize = 32;
+
+/// Most blob bytes such an answer may copy, checked against the stored
+/// lengths before the copy. Ids bound the lookups, this bounds the memcpy
+/// and what the reply adds to the connection's write queue: blobs run to
+/// megabytes (frames to 64 MiB), and one tenant's large documents must not
+/// stall the others' connections. 4 KiB is the daemon's pooled
+/// reply-buffer class; unmeasured beyond that, as above.
+const INLINE_MAX_BYTES: usize = 4096;
+
+/// How far a memo lookup may go to produce a hit.
+#[derive(Clone, Copy)]
+enum MemoMode {
+    /// A worker's: wait for the memo and store locks, walk the delta from
+    /// a newer trapdoor (at most `max_walk` steps), fetch any number of
+    /// blobs from either backend.
+    Worker { max_walk: usize },
+    /// The reactor's (DESIGN.md §4n): `try_` locks only, the memoized
+    /// trapdoor only, at most [`INLINE_MAX_DOCS`] blobs of at most
+    /// [`INLINE_MAX_BYTES`] together, from memory.
+    Inline,
+}
 
 /// Scheme 2's plug into the [`IndexEngine`]. Nothing but the quiescence
 /// lock itself needs guarding, so the meta is `()`.
@@ -337,6 +370,44 @@ impl Scheme2Server {
         }
     }
 
+    /// Answer `request` on the calling thread **only if that can neither
+    /// wait nor run long** — what lets the daemon's reactor skip the
+    /// worker hop for a repeat search (DESIGN.md §4n). All of these hold
+    /// for a `Some`:
+    ///
+    /// * `request` is a `Search` whose memo entry is current for the
+    ///   shard's published snapshot and was filed under this exact
+    ///   trapdoor, so the answer needs no tree lookup, no chain step and
+    ///   no decryption;
+    /// * the entry holds at most [`INLINE_MAX_DOCS`] ids, whose blobs
+    ///   total at most [`INLINE_MAX_BYTES`];
+    /// * the epoch seqlock, the snapshot cell, the memo mutex and the
+    ///   document-store lock were each free on the first `try_`, and no
+    ///   multi-shard swap window was open;
+    /// * the document store reads from memory (in-memory and `btree`;
+    ///   `lsm` reads run files and never qualifies).
+    ///
+    /// The reply is byte-identical to [`Self::handle_shared_with`]'s and
+    /// moves the same counters by the same amounts. `None` declines having
+    /// changed nothing — no counter moved, `scratch` not called — and the
+    /// caller hands the untouched request to a worker.
+    pub fn try_handle_inline(
+        &self,
+        request: &[u8],
+        scratch: impl FnOnce() -> Vec<u8>,
+    ) -> Option<Vec<u8>> {
+        if !self.config.server_cache || request.first() != Some(&protocol::req::SEARCH) {
+            return None;
+        }
+        let Ok(Request::Search { tag, t_prime }) = protocol::decode_request(request) else {
+            return None; // malformed: the worker path words the error
+        };
+        let si = self.engine.shard_of(&tag);
+        let snap = self.engine.try_snap(si)?;
+        let docs = self.try_memo(si, snap.applied_seq, &tag, &t_prime, MemoMode::Inline)?;
+        Some(proto_common::encode_result_with(&docs, scratch()))
+    }
+
     /// Apply an `UPDATE_MANY` batch: every part must be a mutation
     /// (`PutDocs` or `AppendGenerations`). All parts are decoded first,
     /// then journaled as one cross-shard batch and applied all-or-nothing
@@ -445,7 +516,8 @@ impl Scheme2Server {
         // or the chain (same trapdoor), or after walking only the delta
         // between the new trapdoor and the memoized one (newer trapdoor).
         if use_cache {
-            if let Some(docs) = self.try_memo(si, snap.applied_seq, &tag, &t_prime, max_walk) {
+            let mode = MemoMode::Worker { max_walk };
+            if let Some(docs) = self.try_memo(si, snap.applied_seq, &tag, &t_prime, mode) {
                 return Ok(docs);
             }
         }
@@ -527,10 +599,12 @@ impl Scheme2Server {
                 id_set.remove(id);
             }
         }
-        // Sorted, as the reply and the memo want them.
-        let all_ids: Vec<u64> = id_set.into_iter().collect();
+        // Sorted, as the reply and the memo want them; shared, so the memo
+        // takes a reference and only the write-back (when it goes through)
+        // copies the list.
+        let all_ids: Arc<[u64]> = id_set.into_iter().collect();
         if use_cache && !locked.is_empty() {
-            self.write_back_cache(si, &tag, list, all_ids.clone());
+            self.write_back_cache(si, &tag, list, &all_ids);
         }
 
         if use_cache {
@@ -539,7 +613,7 @@ impl Scheme2Server {
                 SearchMemo {
                     applied_seq: snap.applied_seq,
                     t_prime,
-                    ids: all_ids.clone(),
+                    ids: Arc::clone(&all_ids),
                     walk_cost: steps_used,
                     gens: list.len() as u64,
                 },
@@ -553,26 +627,47 @@ impl Scheme2Server {
     /// documents on a hit, `None` on any miss (no entry, shard changed,
     /// or the delta walk from the new trapdoor never reaches the
     /// memoized one within the walk bound — the cold path then produces
-    /// the correct answer or the correct desync error).
+    /// the correct answer or the correct desync error). Under
+    /// [`MemoMode::Inline`] also `None` for anything that would wait or
+    /// run long; no counter moves before the last thing that can decline.
     fn try_memo(
         &self,
         si: usize,
         snap_seq: u64,
         tag: &[u8; 32],
         t_prime: &[u8; 32],
-        max_walk: usize,
+        mode: MemoMode,
     ) -> Option<Vec<(u64, Vec<u8>)>> {
-        let memo = self.engine.sidecar(si).lock().get(tag).cloned()?;
+        // The clone is a reference to the id list plus 56 bytes; the
+        // mutex is released before any blob is copied.
+        let memo = match mode {
+            MemoMode::Worker { .. } => self.engine.sidecar(si).lock(),
+            MemoMode::Inline => self.engine.sidecar(si).try_lock()?,
+        }
+        .get(tag)
+        .cloned()?;
         if memo.applied_seq != snap_seq {
             return None;
         }
-        // Walk forward from the (same or newer) trapdoor until it meets
-        // the memoized one; the shard is unchanged, so the id set is too.
-        let mut walker = ChainWalker::new(t_prime);
-        if !walker.seek_element(&memo.t_prime, max_walk) {
-            return None;
-        }
-        let delta = walker.steps() as u64;
+        let (delta, docs) = match mode {
+            MemoMode::Worker { max_walk } => {
+                // Walk forward from the (same or newer) trapdoor until it
+                // meets the memoized one; the shard is unchanged, so the
+                // id set is too.
+                let mut walker = ChainWalker::new(t_prime);
+                if !walker.seek_element(&memo.t_prime, max_walk) {
+                    return None;
+                }
+                (walker.steps() as u64, self.engine.get_many(&memo.ids))
+            }
+            MemoMode::Inline => {
+                if memo.t_prime != *t_prime || memo.ids.len() > INLINE_MAX_DOCS {
+                    return None;
+                }
+                let docs = self.engine.try_get_many(&memo.ids, INLINE_MAX_BYTES)?;
+                (0, docs)
+            }
+        };
         self.stats.searches.fetch_add(1, Ordering::Relaxed);
         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.stats.chain_steps.fetch_add(delta, Ordering::Relaxed);
@@ -593,7 +688,7 @@ impl Scheme2Server {
                 }
             }
         }
-        Some(self.engine.get_many(&memo.ids))
+        Some(docs)
     }
 
     /// Record a cold search's answer in the shard's memo map.
@@ -615,13 +710,7 @@ impl Scheme2Server {
     /// * skipped unless the live list is exactly the one the search saw
     ///   (same length, same cache point, same newest commitment) — a
     ///   racing append or reset invalidates the computed id set.
-    fn write_back_cache(
-        &self,
-        si: usize,
-        tag: &[u8; 32],
-        seen: &GenerationList,
-        all_ids: Vec<u64>,
-    ) {
+    fn write_back_cache(&self, si: usize, tag: &[u8; 32], seen: &GenerationList, all_ids: &[u64]) {
         let Some(mut data) = self.engine.try_lock_data(si) else {
             return;
         };
@@ -635,7 +724,7 @@ impl Scheme2Server {
         if !unchanged {
             return;
         }
-        live.set_cached(all_ids);
+        live.set_cached(all_ids.to_vec());
         self.engine.publish(si, &data, &());
     }
 }
@@ -923,6 +1012,210 @@ mod tests {
         let t7 = chain.key_for_counter(7).unwrap();
         let resp = s.handle(&protocol::encode_search(&tag, &t7));
         assert!(decode_result(&resp).is_err(), "must not unlock the future");
+    }
+
+    /// Store `n` documents under `tag` in one generation and search it
+    /// once, so the memo holds the answer; returns that search request.
+    fn warm(s: &Scheme2Server, tag: [u8; 32], n: u64) -> Vec<u8> {
+        warm_sized(s, tag, n, 5)
+    }
+
+    /// [`warm`] with blobs of `blob_len` bytes each.
+    fn warm_sized(s: &Scheme2Server, tag: [u8; 32], n: u64, blob_len: usize) -> Vec<u8> {
+        let chain = HashChain::new(&[b"kw", b"key"], 64);
+        let ids: Vec<u64> = (1..=n).collect();
+        let docs: Vec<(u64, Vec<u8>)> = ids
+            .iter()
+            .map(|&id| (id, vec![id as u8; blob_len]))
+            .collect();
+        decode_ack(&s.handle_shared(&protocol::encode_put_docs(&docs))).unwrap();
+        let k1 = chain.key_for_counter(1).unwrap();
+        let append = protocol::encode_append_generations(&[GenerationEntry {
+            tag,
+            sealed_ids: sealed_ids(&k1, &ids),
+            commitment: key_commitment(&k1),
+        }]);
+        decode_ack(&s.handle_shared(&append)).unwrap();
+        let search = protocol::encode_search(&tag, &chain.key_for_counter(2).unwrap());
+        assert_eq!(decode_result(&s.handle_shared(&search)).unwrap(), docs);
+        search
+    }
+
+    /// The inline path must decline `request` without moving a counter or
+    /// asking for a reply buffer.
+    fn assert_declines(s: &Scheme2Server, request: &[u8], why: &str) {
+        let before = s.stats();
+        let reply = s.try_handle_inline(request, || unreachable!("declines take no buffer"));
+        assert!(reply.is_none(), "must decline: {why}");
+        assert_eq!(s.stats(), before, "a decline moves no counter: {why}");
+    }
+
+    #[test]
+    fn inline_answer_is_the_worker_answer_in_bytes_and_counters() {
+        let tag = [0x21u8; 32];
+        let (worker, inline) = (server(), server());
+        let request = warm(&worker, tag, 3);
+        assert_eq!(warm(&inline, tag, 3), request);
+        let before = inline.stats();
+        assert_eq!(worker.stats(), before);
+
+        let want = worker.handle_shared(&request);
+        let got = inline
+            .try_handle_inline(&request, Vec::new)
+            .expect("a repeat of the memoized search is served inline");
+        assert_eq!(got, want, "byte-identical reply");
+        assert_eq!(decode_result(&got).unwrap().len(), 3);
+
+        let after = inline.stats();
+        assert_eq!(after, worker.stats(), "every counter moved alike");
+        assert_eq!(after.searches, before.searches + 1);
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        assert_eq!(after.walk_steps_saved, 1, "the cold walk was one step");
+        assert_eq!(
+            after.generations_from_cache,
+            before.generations_from_cache + 1
+        );
+        assert_eq!(after.chain_steps, before.chain_steps, "zero chain steps");
+    }
+
+    #[test]
+    fn inline_declines_a_stale_memo_entry() {
+        let s = server();
+        let request = warm(&s, [0x22u8; 32], 1);
+        // Another keyword of the same shard is appended to: `applied_seq`
+        // moves and the entry no longer matches the published snapshot.
+        let k = HashChain::new(&[b"kw", b"key"], 64)
+            .key_for_counter(1)
+            .unwrap();
+        let append = protocol::encode_append_generations(&[GenerationEntry {
+            tag: [0x23u8; 32],
+            sealed_ids: sealed_ids(&k, &[1]),
+            commitment: key_commitment(&k),
+        }]);
+        decode_ack(&s.handle_shared(&append)).unwrap();
+        assert_declines(&s, &request, "stale applied_seq");
+        // The worker path re-files the entry and the next repeat is inline.
+        decode_result(&s.handle_shared(&request)).unwrap();
+        assert!(s.try_handle_inline(&request, Vec::new).is_some());
+    }
+
+    #[test]
+    fn inline_declines_a_newer_trapdoor_of_the_same_keyword() {
+        let s = server();
+        let tag = [0x24u8; 32];
+        let request = warm(&s, tag, 1);
+        let t5 = HashChain::new(&[b"kw", b"key"], 64)
+            .key_for_counter(5)
+            .unwrap();
+        let newer = protocol::encode_search(&tag, &t5);
+        assert_declines(&s, &newer, "a delta walk is a worker's job");
+        // The worker walks the delta and advances the entry: the newer
+        // trapdoor is now the exact one, the older no longer is.
+        decode_result(&s.handle_shared(&newer)).unwrap();
+        assert!(s.try_handle_inline(&newer, Vec::new).is_some());
+        assert_declines(&s, &request, "older than the memoized trapdoor");
+    }
+
+    #[test]
+    fn inline_declines_more_than_inline_max_docs_ids() {
+        let s = server();
+        let at_bound = warm(&s, [0x25u8; 32], INLINE_MAX_DOCS as u64);
+        let reply = s.try_handle_inline(&at_bound, Vec::new).expect("at bound");
+        assert_eq!(decode_result(&reply).unwrap().len(), INLINE_MAX_DOCS);
+        let over = warm(&s, [0x26u8; 32], INLINE_MAX_DOCS as u64 + 1);
+        assert_declines(&s, &over, "one id over INLINE_MAX_DOCS");
+    }
+
+    #[test]
+    fn inline_declines_more_than_inline_max_bytes_of_blobs() {
+        let s = server();
+        let at_budget = warm_sized(&s, [0x2Cu8; 32], 2, INLINE_MAX_BYTES / 2);
+        let reply = s
+            .try_handle_inline(&at_budget, Vec::new)
+            .expect("at budget");
+        assert_eq!(decode_result(&reply).unwrap().len(), 2);
+        // One id, well inside INLINE_MAX_DOCS, whose blob alone is a byte
+        // over: copying it would hold the caller's thread, so a worker does.
+        let over = warm_sized(&s, [0x2Du8; 32], 1, INLINE_MAX_BYTES + 1);
+        assert_declines(&s, &over, "one blob a byte over INLINE_MAX_BYTES");
+        let docs = decode_result(&s.handle_shared(&over)).unwrap();
+        assert_eq!(docs[0].1.len(), INLINE_MAX_BYTES + 1);
+    }
+
+    #[test]
+    fn inline_declines_on_the_lsm_backend() {
+        let dir = std::env::temp_dir().join(format!("sse-s2-inline-lsm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (backend, serves) in [
+            (sse_storage::BackendKind::Btree, true),
+            (sse_storage::BackendKind::Lsm, false),
+        ] {
+            let home = dir.join(format!("{backend:?}"));
+            std::fs::create_dir_all(&home).unwrap();
+            let opts = DurableOptions {
+                backend,
+                ..DurableOptions::default()
+            };
+            let cfg = Scheme2Config::standard().with_chain_length(64);
+            let s = Scheme2Server::open_durable_with(cfg, &home, opts).unwrap();
+            let request = warm(&s, [0x27u8; 32], 2);
+            if serves {
+                assert!(s.try_handle_inline(&request, Vec::new).is_some());
+            } else {
+                assert_declines(&s, &request, "lsm blob reads go to files");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn inline_declines_while_a_lock_it_needs_is_held() {
+        let s = server();
+        let request = warm(&s, [0x28u8; 32], 1);
+        {
+            let _memo = s.engine.sidecar(0).lock();
+            assert_declines(&s, &request, "memo mutex held");
+        }
+        {
+            let _store = s.engine.hold_store();
+            assert_declines(&s, &request, "doc-store write lock held");
+        }
+        s.engine.toggle_swap_window();
+        assert_declines(&s, &request, "odd epoch: a multi-shard swap is open");
+        s.engine.toggle_swap_window();
+        assert!(s.try_handle_inline(&request, Vec::new).is_some());
+    }
+
+    #[test]
+    fn inline_declines_without_the_server_cache() {
+        let s = Scheme2Server::new_in_memory(
+            Scheme2Config::standard()
+                .with_chain_length(64)
+                .with_server_cache(false),
+        );
+        let request = warm(&s, [0x29u8; 32], 1);
+        assert_declines(&s, &request, "server_cache = false keeps no memo");
+    }
+
+    #[test]
+    fn inline_declines_everything_that_is_not_a_well_formed_search() {
+        let s = server();
+        let request = warm(&s, [0x2Au8; 32], 1);
+        assert_declines(&s, &[], "empty payload");
+        assert_declines(&s, &request[..request.len() - 1], "truncated search");
+        assert_declines(
+            &s,
+            &protocol::encode_put_docs(&[(9, vec![1])]),
+            "a mutation",
+        );
+        let many = protocol::encode_search_many(&[([0x2Au8; 32], [0u8; 32])]);
+        assert_declines(&s, &many, "SEARCH_MANY stays on the pool");
+        assert_declines(
+            &s,
+            &protocol::encode_search(&[0x2Bu8; 32], &[0u8; 32]),
+            "never searched: no entry",
+        );
     }
 
     #[test]

@@ -231,14 +231,17 @@ fn main() -> ExitCode {
     println!(
         "sse-serverd: reactor: {} conn(s) accepted ({} rejected at the door), \
          {} idle reap(s), {} slow-reader disconnect(s), {} deferred write(s), \
-         {} wakeup(s), {} spurious poll(s)",
+         {} wakeup(s), {} spurious poll(s), \
+         {} request(s) served inline / {} sent to the workers",
         report.final_stats.conns_accepted,
         report.final_stats.conns_rejected,
         report.final_stats.conns_idle_reaped,
         report.final_stats.slow_reader_disconnects,
         report.final_stats.writes_deferred,
         report.final_stats.reactor_wakeups,
-        report.final_stats.reactor_spurious_polls
+        report.final_stats.reactor_spurious_polls,
+        report.final_stats.inline_served,
+        report.final_stats.inline_declined
     );
     println!(
         "sse-serverd: hot path: pool {} hit(s) / {} miss(es) / {} recycle(s), \

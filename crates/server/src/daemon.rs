@@ -71,7 +71,7 @@ pub const DEFAULT_WRITE_QUEUE_LIMIT: usize = 64 * 1024 * 1024;
 /// class (4 KiB) covers typical search results; a bigger response grows
 /// the buffer once and the pool re-files it under its new class when the
 /// reactor retires it, so the high-water capacity is kept, not re-paid.
-const RESPONSE_SCRATCH_CAPACITY: usize = 4096;
+pub(crate) const RESPONSE_SCRATCH_CAPACITY: usize = 4096;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -220,6 +220,10 @@ impl Shared {
     }
 }
 
+/// The ERR text for a request whose scheme handler panicked — the same
+/// on a worker and on the reactor's run-to-completion path.
+pub(crate) const HANDLER_PANICKED: &[u8] = b"internal error: request handler panicked";
+
 /// Where a worker sends its response: directly down the socket (legacy
 /// thread-per-connection mode, under the connection's writer lock) or
 /// back to the reactor as a pre-framed completion.
@@ -267,10 +271,7 @@ impl Responder {
                 completions,
                 pool,
             } => {
-                let segment = match pool {
-                    Some(pool) => Segment::Pooled(pool.seal(payload)),
-                    None => Segment::Owned(payload),
-                };
+                let segment = Segment::sealed(pool.as_ref(), payload);
                 completions.post(*token, OutMsg::response(status, seq, segment));
                 true
             }
@@ -768,11 +769,7 @@ fn process_job(job: Job, fanout: &Arc<SearchFanout>, stats: &Arc<ServingStats>) 
         }
         Err(_) => {
             stats.record_err();
-            responder.send(
-                STATUS_ERR,
-                seq,
-                b"internal error: request handler panicked".to_vec(),
-            );
+            responder.send(STATUS_ERR, seq, HANDLER_PANICKED.to_vec());
         }
     }
 }

@@ -446,6 +446,14 @@ pub struct StatsSnapshot {
     /// the batch's owning worker — nonzero proves the spawn-free executor
     /// draws on the pool.
     pub fanout_parts_helped: u64,
+    /// DATA requests the reactor answered itself, run to completion with
+    /// no worker hop (memo-hit Scheme 2 searches; DESIGN.md §4n). Each is
+    /// also in `requests_ok`, with zero queue wait.
+    pub inline_served: u64,
+    /// DATA requests the reactor sent to the run queue instead (reactor
+    /// mode only): `inline_served + inline_declined` is every DATA frame
+    /// it saw.
+    pub inline_declined: u64,
 }
 
 impl StatsSnapshot {
@@ -538,6 +546,8 @@ impl StatsSnapshot {
                 self.sched_queue_depth_hw,
                 self.fanout_batches,
                 self.fanout_parts_helped,
+                self.inline_served,
+                self.inline_declined,
             ]);
         w.finish()
     }
@@ -626,6 +636,10 @@ impl StatsSnapshot {
             snap.sched_queue_depth_hw = r.get_u64().ok()?;
             snap.fanout_batches = r.get_u64().ok()?;
             snap.fanout_parts_helped = r.get_u64().ok()?;
+        }
+        if r.remaining() > 0 {
+            snap.inline_served = r.get_u64().ok()?;
+            snap.inline_declined = r.get_u64().ok()?;
         }
         r.finish().ok()?;
         Some(snap)
@@ -756,6 +770,8 @@ mod tests {
             sched_queue_depth_hw: 12,
             fanout_batches: 33,
             fanout_parts_helped: 88,
+            inline_served: 700,
+            inline_declined: 21,
         };
         assert_eq!(StatsSnapshot::decode(&snap.encode()), Some(snap.clone()));
         assert_eq!(StatsSnapshot::decode(b"short"), None);
@@ -774,10 +790,10 @@ mod tests {
             ..StatsSnapshot::default()
         };
         // An older peer's payload ends before the backend_* counters
-        // (and therefore before the health, reactor, hot-path, and sched
-        // blocks appended after them).
+        // (and therefore before the health, reactor, hot-path, sched and
+        // inline blocks appended after them).
         let mut body = snap.encode();
-        body.truncate(body.len() - (7 + 8 + 8 + 7 + 13) * 8);
+        body.truncate(body.len() - (7 + 8 + 8 + 7 + 13 + 2) * 8);
         let decoded = StatsSnapshot::decode(&body).unwrap();
         assert_eq!(decoded.requests_ok, 5);
         assert_eq!(decoded.walk_steps_saved, 7);
@@ -800,7 +816,7 @@ mod tests {
         // A peer from before the health block: payload ends after the
         // backend_* counters.
         let mut body = snap.encode();
-        body.truncate(body.len() - (8 + 8 + 7 + 13) * 8);
+        body.truncate(body.len() - (8 + 8 + 7 + 13 + 2) * 8);
         let decoded = StatsSnapshot::decode(&body).unwrap();
         assert_eq!(decoded.requests_ok, 5);
         assert_eq!(decoded.backend_runs_flushed, 9);
@@ -820,7 +836,7 @@ mod tests {
         // A peer from before the reactor block: payload ends after the
         // health/scrub counters.
         let mut body = snap.encode();
-        body.truncate(body.len() - (8 + 7 + 13) * 8);
+        body.truncate(body.len() - (8 + 7 + 13 + 2) * 8);
         let decoded = StatsSnapshot::decode(&body).unwrap();
         assert_eq!(decoded.requests_ok, 5);
         assert_eq!(decoded.scrub_passes, 4);
@@ -841,7 +857,7 @@ mod tests {
         // A peer from before the hot-path block: payload ends after the
         // reactor counters.
         let mut body = snap.encode();
-        body.truncate(body.len() - (7 + 13) * 8);
+        body.truncate(body.len() - (7 + 13 + 2) * 8);
         let decoded = StatsSnapshot::decode(&body).unwrap();
         assert_eq!(decoded.requests_ok, 5);
         assert_eq!(decoded.reactor_wakeups, 7);
@@ -863,13 +879,33 @@ mod tests {
         // A peer from before the scheduler block: payload ends after the
         // hot-path counters.
         let mut body = snap.encode();
-        body.truncate(body.len() - 13 * 8);
+        body.truncate(body.len() - (13 + 2) * 8);
         let decoded = StatsSnapshot::decode(&body).unwrap();
         assert_eq!(decoded.requests_ok, 5);
         assert_eq!(decoded.bytes_copied, 17);
         assert_eq!(decoded.queue_p99_ns, 0);
         assert_eq!(decoded.sched_routed, 0);
         assert_eq!(decoded.fanout_batches, 0);
+    }
+
+    #[test]
+    fn stats_decode_tolerates_pre_inline_payload() {
+        let snap = StatsSnapshot {
+            requests_ok: 5,
+            fanout_parts_helped: 3,
+            inline_served: 4,
+            inline_declined: 1,
+            ..StatsSnapshot::default()
+        };
+        // A peer from before the inline block: payload ends after the
+        // scheduler counters.
+        let mut body = snap.encode();
+        body.truncate(body.len() - 2 * 8);
+        let decoded = StatsSnapshot::decode(&body).unwrap();
+        assert_eq!(decoded.requests_ok, 5);
+        assert_eq!(decoded.fanout_parts_helped, 3);
+        assert_eq!(decoded.inline_served, 0);
+        assert_eq!(decoded.inline_declined, 0);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!              epoll_wait ──▶ reactor thread
 //!   listener ready ─▶ accept loop (cap: max_conns)
 //!   socket readable ─▶ StreamingDecoder ─▶ frames ─▶ try_send job ─▶ workers
+//!                        └ nothing in flight, tenant can answer without
+//!                          waiting or running long ─▶ reply queued here
 //!   socket writable ─▶ drain bounded write queue, disarm EPOLLOUT
 //!   wake pipe ready ─▶ drain CompletionQueue (worker responses)
 //! ```
@@ -30,19 +32,28 @@
 //! handle; workers post pre-framed responses to the [`CompletionQueue`]
 //! and nudge the reactor through the wakeup pipe.
 //!
+//! **Run to completion.** The hand-off out and back costs more than a
+//! memo-hit Scheme 2 search does, so a `KIND_DATA` frame on a connection
+//! with nothing in flight is first offered to the tenant
+//! ([`TenantDb::try_handle_inline`]), which answers only what can neither
+//! wait nor run long. A yes is queued here, a read chunk's replies leaving
+//! in one gather write; a no becomes a job with the frame untouched. At
+//! most [`INLINE_BURST`] frames per readiness event are answered this
+//! way (DESIGN.md §4n).
+//!
 //! **Determinism.** Everything is generic over [`Poller`], so the unit
 //! tests drive the exact production state machine with a scripted
 //! [`MockPoller`] — spurious wakeups, out-of-order readiness and stale
 //! tokens included — without opening a socket.
 
-use crate::daemon::{Job, Responder, Shared};
+use crate::daemon::{Job, Responder, Shared, HANDLER_PANICKED, RESPONSE_SCRATCH_CAPACITY};
 use crate::proto::{
     self, Hello, ADMIN_SHUTDOWN, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN, KIND_DATA, KIND_SEARCH_MANY,
     KIND_UPDATE_MANY, STATUS_BUSY, STATUS_ERR, STATUS_OK,
 };
 use crate::sched::{route_hash, JobSender};
 use crate::stats::ServingStats;
-use crate::tenant::TenantHandle;
+use crate::tenant::{TenantDb, TenantHandle};
 use epoll::{wake_pipe, Event, Interest, Poller, RealPoller, WakeReader, Waker};
 use sse_net::frame::StreamingDecoder;
 use sse_net::pool::{BufPool, PooledBuf};
@@ -73,6 +84,51 @@ const SCRATCH_LEN: usize = 64 * 1024;
 /// Iovec slots per `writev` (the syscall-coalescing batch bound).
 const WRITEV_BATCH: usize = epoll::IOV_MAX;
 
+/// Most frames one readiness event may have answered on this thread
+/// (DESIGN.md §4n). The rest of the frames it has read go to the run
+/// queue and the event ends, so a connection pipelining memo hits cannot
+/// hold the reactor. 64 is the default run-queue depth and four times the
+/// deepest pipeline `sse-perf` and `sse-load` drive (16); the value is
+/// not tuned, no workload having a second connection whose wait it would
+/// shorten.
+const INLINE_BURST: usize = 64;
+
+/// One readiness event's run-to-completion state.
+struct InlineBurst {
+    /// Frames this event may still answer inline.
+    left: usize,
+    /// Inline replies sit in the write queue unwritten: they are flushed
+    /// once per read chunk, with one gather write, not once each.
+    unflushed: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: the next inline handler call on this thread panics.
+    static PANIC_NEXT_INLINE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Ask `tenant` to answer a `KIND_DATA` payload on this thread, which it
+/// does only if that can neither wait nor run long
+/// ([`TenantDb::try_handle_inline`]). `Ok(None)` declined and changed
+/// nothing. `Err` is a panicking handler, contained as `process_job`
+/// contains a worker's: it costs the request, not the thread.
+fn try_inline(
+    tenant: &TenantDb,
+    payload: &[u8],
+    pool: Option<&BufPool>,
+) -> std::thread::Result<Option<Vec<u8>>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if PANIC_NEXT_INLINE.with(|hook| hook.replace(false)) {
+            panic!("test hook: inline handler panic");
+        }
+        tenant.try_handle_inline(payload, || {
+            pool.map_or_else(Vec::new, |pool| pool.acquire(RESPONSE_SCRATCH_CAPACITY))
+        })
+    }))
+}
+
 /// Pack a slab index and generation into an epoll token.
 fn make_token(idx: usize, gen: u32) -> u64 {
     (u64::from(gen) << 32) | idx as u64
@@ -91,6 +147,16 @@ pub(crate) enum Segment {
 }
 
 impl Segment {
+    /// A response payload produced by a scheme handler: sealed into the
+    /// pool in pooled mode, so its buffer recycles once the gather write
+    /// that carries it finishes.
+    pub(crate) fn sealed(pool: Option<&BufPool>, payload: Vec<u8>) -> Segment {
+        match pool {
+            Some(pool) => Segment::Pooled(pool.seal(payload)),
+            None => Segment::Owned(payload),
+        }
+    }
+
     fn as_slice(&self) -> &[u8] {
         match self {
             Segment::Owned(v) => v,
@@ -689,6 +755,10 @@ impl<P: Poller> Reactor<P> {
         let mut frames = std::mem::take(&mut self.frames);
         let mut close: Option<CloseReason> = None;
         let mut progressed = false;
+        let mut inline = InlineBurst {
+            left: INLINE_BURST,
+            unflushed: false,
+        };
         'read: while let Some(conn) = self.conns.get_mut(idx, gen) {
             if shutdown || conn.state == ConnState::Draining {
                 break;
@@ -749,6 +819,7 @@ impl<P: Poller> Reactor<P> {
                     self.job_tx.as_ref(),
                     &self.completions,
                     &self.opts,
+                    &mut inline,
                 ) {
                     Ok(()) => {}
                     Err(reason) => {
@@ -759,6 +830,33 @@ impl<P: Poller> Reactor<P> {
                 if conn.state == ConnState::Draining {
                     break;
                 }
+            }
+            if std::mem::take(&mut inline.unflushed) {
+                let Some(conn) = self.conns.get_mut(idx, gen) else {
+                    break;
+                };
+                let reads = conn.state != ConnState::Draining;
+                if let Err(reason) = Self::flush_queued(
+                    &mut self.poller,
+                    &self.shared.stats,
+                    conn,
+                    token,
+                    self.opts.write_queue_limit,
+                    reads,
+                ) {
+                    close = Some(reason);
+                    break;
+                }
+            }
+            if inline.left == 0 {
+                // The burst is spent: end the event here instead of
+                // reading on. Replies written above may already have
+                // drawn the peer's next requests, and a peer that keeps
+                // its socket non-empty that way would otherwise never
+                // let this loop reach `WouldBlock`. What it sent stays in
+                // the socket; the level-triggered poller reports it on
+                // the next turn, after every other ready connection.
+                break;
             }
         }
         self.scratch = scratch;
@@ -825,6 +923,7 @@ impl<P: Poller> Reactor<P> {
         job_tx: Option<&JobSender<Job>>,
         completions: &Arc<CompletionQueue>,
         opts: &ReactorOptions,
+        inline: &mut InlineBurst,
     ) -> Result<(), CloseReason> {
         let stats = &shared.stats;
         match conn.state {
@@ -904,6 +1003,14 @@ impl<P: Poller> Reactor<P> {
                 };
                 match kind {
                     KIND_DATA | KIND_UPDATE_MANY | KIND_SEARCH_MANY => {
+                        if kind == KIND_DATA {
+                            if let Some(done) = Self::answer_inline(
+                                poller, stats, conn, token, &frame, seq, opts, inline,
+                            ) {
+                                return done;
+                            }
+                            stats.record_inline_declined();
+                        }
                         let tenant = conn
                             .tenant
                             .clone()
@@ -1037,6 +1144,64 @@ impl<P: Poller> Reactor<P> {
         }
     }
 
+    /// Run to completion (DESIGN.md §4n): answer a `KIND_DATA` frame here
+    /// if the tenant can do that without waiting or running long. With
+    /// nothing of the connection in flight an answer given here cannot
+    /// overtake an earlier request. `None`: the frame, untouched, still
+    /// needs a worker.
+    #[allow(clippy::too_many_arguments)]
+    fn answer_inline(
+        poller: &mut P,
+        stats: &ServingStats,
+        conn: &mut Conn,
+        token: u64,
+        frame: &[u8],
+        seq: u32,
+        opts: &ReactorOptions,
+        inline: &mut InlineBurst,
+    ) -> Option<Result<(), CloseReason>> {
+        if conn.in_flight != 0 || inline.left == 0 {
+            return None;
+        }
+        let tenant = conn
+            .tenant
+            .as_deref()
+            .expect("established connection has a tenant");
+        let payload = &frame[proto::REQUEST_HEADER_LEN..];
+        let started = Instant::now();
+        match try_inline(tenant, payload, opts.pool.as_ref()) {
+            Ok(None) => None,
+            Ok(Some(response)) => {
+                stats.record_ok(
+                    payload.len(),
+                    response.len(),
+                    Duration::ZERO,
+                    started.elapsed(),
+                );
+                stats.record_inline_served();
+                inline.left -= 1;
+                inline.unflushed = true;
+                let response = Segment::sealed(opts.pool.as_ref(), response);
+                Self::queue_msg(conn, OutMsg::response(STATUS_OK, seq, response));
+                Some(Ok(()))
+            }
+            Err(_) => {
+                stats.record_err();
+                Some(Self::enqueue_response(
+                    poller,
+                    stats,
+                    conn,
+                    token,
+                    STATUS_ERR,
+                    seq,
+                    HANDLER_PANICKED.to_vec(),
+                    opts.write_queue_limit,
+                    true,
+                ))
+            }
+        }
+    }
+
     /// Enqueue one response envelope around an owned payload.
     #[allow(clippy::too_many_arguments)]
     fn enqueue_response(
@@ -1054,10 +1219,7 @@ impl<P: Poller> Reactor<P> {
         Self::enqueue_msg(poller, stats, conn, token, msg, limit, reads)
     }
 
-    /// Queue an outbound message, flush what the kernel will take now,
-    /// and enforce the write-queue bound. `reads` is whether the
-    /// connection should remain read-subscribed (false while
-    /// draining/shutdown).
+    /// Queue an outbound message and [`Self::flush_queued`].
     fn enqueue_msg(
         poller: &mut P,
         stats: &ServingStats,
@@ -1067,8 +1229,27 @@ impl<P: Poller> Reactor<P> {
         limit: usize,
         reads: bool,
     ) -> Result<(), CloseReason> {
+        Self::queue_msg(conn, msg);
+        Self::flush_queued(poller, stats, conn, token, limit, reads)
+    }
+
+    /// Append an outbound message to the write queue without writing.
+    fn queue_msg(conn: &mut Conn, msg: OutMsg) {
         conn.queued_bytes += msg.len();
         conn.write_queue.push_back(msg);
+    }
+
+    /// Flush what the kernel will take now and enforce the write-queue
+    /// bound. `reads` is whether the connection should remain
+    /// read-subscribed (false while draining/shutdown).
+    fn flush_queued(
+        poller: &mut P,
+        stats: &ServingStats,
+        conn: &mut Conn,
+        token: u64,
+        limit: usize,
+        reads: bool,
+    ) -> Result<(), CloseReason> {
         Self::flush_conn(conn, stats)?;
         if conn.pending_write_bytes() > limit {
             // The peer is not draining its responses: cut it loose
@@ -1187,8 +1368,7 @@ impl<P: Poller> Reactor<P> {
             // flight; the response is dropped on the floor.
             if let Some(conn) = self.conns.get_mut(idx, gen) {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
-                conn.queued_bytes += completion.msg.len();
-                conn.write_queue.push_back(completion.msg);
+                Self::queue_msg(conn, completion.msg);
                 if !touched.contains(&(idx, gen)) {
                     touched.push((idx, gen));
                 }
@@ -1297,6 +1477,7 @@ mod tests {
     use crate::scrub::ScrubCounters;
     use crate::tenant::{TenantParams, TenantRegistry};
     use epoll::MockPoller;
+    use sse_core::health::HealthState;
     use sse_net::frame::encode_frame;
     use std::io;
 
@@ -1485,14 +1666,13 @@ mod tests {
         }
     }
 
+    fn hello(tenant: &str, scheme: SchemeId) -> Vec<u8> {
+        let tenant = tenant.into();
+        encode_frame(&Hello { tenant, scheme }.encode())
+    }
+
     fn hello_frame() -> Vec<u8> {
-        encode_frame(
-            &Hello {
-                tenant: "t1".into(),
-                scheme: SchemeId::Scheme1,
-            }
-            .encode(),
-        )
+        hello("t1", SchemeId::Scheme1)
     }
 
     fn ok_response(seq: u32, payload: &[u8]) -> Vec<u8> {
@@ -1997,5 +2177,287 @@ mod tests {
             6,
             "the fallback copies the payload out of the frame and counts it"
         );
+    }
+
+    // ---- run to completion on the reactor (DESIGN.md §4n) ------------------
+
+    fn hello2_frame() -> Vec<u8> {
+        hello("t2", SchemeId::Scheme2)
+    }
+
+    fn data_frame(seq: u32, payload: &[u8]) -> Vec<u8> {
+        encode_frame(&proto::encode_request(KIND_DATA, seq, payload))
+    }
+
+    /// Open the Scheme 2 tenant `hello2_frame` names, store one document
+    /// under one keyword and search it once, so the tenant's memo holds
+    /// the answer. Returns the tenant, that search request, and its reply.
+    fn warm_tenant(shared: &Shared) -> (TenantHandle, Vec<u8>, Vec<u8>) {
+        use sse_core::scheme2::protocol::{self as s2, GenerationEntry};
+        use sse_primitives::etm::EtmKey;
+        use sse_primitives::hashchain::HashChain;
+
+        let tenant = shared
+            .registry
+            .get_or_create("t2", SchemeId::Scheme2)
+            .unwrap();
+        let chain = HashChain::new(&[b"kw", b"key"], 64);
+        let k1 = chain.key_for_counter(1).unwrap();
+        let mut ids = sse_net::wire::WireWriter::new();
+        ids.put_u64_vec(&[1]).put_u64_vec(&[]);
+        let tag = [0x5Au8; 32];
+        for request in [
+            s2::encode_put_docs(&[(1, b"blob".to_vec())]),
+            s2::encode_append_generations(&[GenerationEntry {
+                tag,
+                sealed_ids: EtmKey::new(&k1).seal(&ids.finish()),
+                commitment: sse_core::scheme2::key_commitment(&k1),
+            }]),
+        ] {
+            sse_core::proto_common::decode_ack(&tenant.handle_shared(&request)).unwrap();
+        }
+        let search = s2::encode_search(&tag, &chain.key_for_counter(2).unwrap());
+        let reply = tenant.handle_shared(&search);
+        let docs = sse_core::proto_common::decode_result(&reply).unwrap();
+        assert_eq!(docs, vec![(1, b"blob".to_vec())]);
+        (tenant, search, reply)
+    }
+
+    /// A well-formed search nothing was ever filed under: a memo miss.
+    fn miss_request() -> Vec<u8> {
+        sse_core::scheme2::protocol::encode_search(&[0xA5u8; 32], &[0u8; 32])
+    }
+
+    #[test]
+    fn memo_hit_search_is_answered_in_the_same_turn_without_a_job() {
+        let mut rig = rig();
+        let (_tenant, search, reply) = warm_tenant(&rig.shared);
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        io.push_read(&data_frame(9, &search));
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+
+        assert_eq!(
+            *written.lock().unwrap(),
+            [ok_response(HELLO_SEQ, &[]), ok_response(9, &reply)].concat(),
+            "the reply left in the turn the request arrived in"
+        );
+        assert_eq!(rig.sched.queued(), 0, "no job was queued");
+        assert_eq!(rig.conn(idx, gen).in_flight, 0);
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!((snap.inline_served, snap.inline_declined), (1, 0));
+        assert_eq!(snap.requests_ok, 1, "counted like any served request");
+        assert_eq!(snap.bytes_in, search.len() as u64);
+        assert_eq!(snap.bytes_out, reply.len() as u64);
+        assert!(snap.service_p50_ns > 0, "and timed");
+        assert_eq!(snap.bytes_copied, 0);
+    }
+
+    #[test]
+    fn memo_miss_is_queued_with_its_payload_intact() {
+        let mut rig = rig();
+        warm_tenant(&rig.shared);
+        let miss = miss_request();
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        io.push_read(&data_frame(4, &miss));
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+
+        let job = rig.sched.try_next(0).expect("the miss became a job");
+        assert_eq!((job.kind, job.seq), (KIND_DATA, 4));
+        assert_eq!(&job.payload[..], &miss[..]);
+        assert_eq!(rig.conn(idx, gen).in_flight, 1);
+        assert_eq!(*written.lock().unwrap(), ok_response(HELLO_SEQ, &[]));
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!((snap.inline_served, snap.inline_declined), (0, 1));
+        assert_eq!(snap.requests_ok, 0);
+    }
+
+    #[test]
+    fn hit_behind_an_in_flight_request_of_its_connection_is_queued() {
+        let mut rig = rig();
+        let (_tenant, search, reply) = warm_tenant(&rig.shared);
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        // One chunk: a miss, then a would-be hit. Served inline the hit's
+        // reply would overtake the miss's.
+        io.push_read(&[data_frame(1, &miss_request()), data_frame(2, &search)].concat());
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+
+        assert_eq!(rig.conn(idx, gen).in_flight, 2);
+        let seqs: Vec<u32> = std::iter::from_fn(|| rig.sched.try_next(0))
+            .map(|job| job.seq)
+            .collect();
+        assert_eq!(seqs, [1, 2], "both queued, in arrival order");
+        assert_eq!(*written.lock().unwrap(), ok_response(HELLO_SEQ, &[]));
+        assert_eq!(rig.shared.stats.snapshot().inline_served, 0);
+
+        // Another connection of the same tenant has nothing in flight: it
+        // is served while the first one's jobs still sit in the queue.
+        let (mut io2, written2, _cap2) = ScriptIo::new(8);
+        io2.push_read(&hello2_frame());
+        io2.push_read(&data_frame(1, &search));
+        let (_, _, token2) = rig.add_conn(io2);
+        rig.turn_with(vec![Event::readable(token2)]);
+        assert_eq!(
+            *written2.lock().unwrap(),
+            [ok_response(HELLO_SEQ, &[]), ok_response(1, &reply)].concat()
+        );
+    }
+
+    #[test]
+    fn burst_beyond_inline_burst_spills_to_the_run_queue() {
+        let mut rig = rig();
+        let (_tenant, search, reply) = warm_tenant(&rig.shared);
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        let total = INLINE_BURST as u32 + 3;
+        let burst: Vec<u8> = (1..=total).flat_map(|s| data_frame(s, &search)).collect();
+        io.push_read(&burst);
+        io.push_read(&data_frame(total + 1, &search));
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!(snap.inline_served, INLINE_BURST as u64);
+        assert_eq!(snap.inline_declined, 3);
+        assert_eq!(rig.conn(idx, gen).in_flight, 3);
+        let spilled: Vec<u32> = std::iter::from_fn(|| rig.sched.try_next(0))
+            .map(|job| job.seq)
+            .collect();
+        assert_eq!(spilled, [total - 2, total - 1, total]);
+        let mut expected = ok_response(HELLO_SEQ, &[]);
+        for seq in 1..=INLINE_BURST as u32 {
+            expected.extend(ok_response(seq, &reply));
+        }
+        assert_eq!(*written.lock().unwrap(), expected);
+
+        // The spent burst ended the event: what the peer sent next is
+        // still in the socket, and is the next event's to read.
+        rig.turn_with(vec![Event::readable(token)]);
+        let job = rig.sched.try_next(0).expect("read on the next event");
+        assert_eq!(job.seq, total + 1);
+        assert_eq!(
+            rig.conn(idx, gen).in_flight,
+            4,
+            "queued: three are in flight"
+        );
+    }
+
+    #[test]
+    fn inline_replies_of_one_chunk_leave_in_one_writev() {
+        let mut rig = rig();
+        let (_tenant, search, reply) = warm_tenant(&rig.shared);
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        io.reads.push_back(None); // WouldBlock: the hello gets its own turn
+        io.push_read(
+            &(1..=3)
+                .flat_map(|s| data_frame(s, &search))
+                .collect::<Vec<u8>>(),
+        );
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+        written.lock().unwrap().clear();
+        let before = rig.shared.stats.snapshot();
+
+        rig.turn_with(vec![Event::readable(token)]);
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!(snap.inline_served, 3);
+        assert_eq!(snap.writev_calls, before.writev_calls + 1);
+        assert_eq!(snap.writev_frames, before.writev_frames + 3);
+        let expected: Vec<u8> = (1..=3).flat_map(|s| ok_response(s, &reply)).collect();
+        assert_eq!(*written.lock().unwrap(), expected);
+        assert_eq!(rig.conn(idx, gen).pending_write_bytes(), 0);
+        assert_eq!(rig.reactor.poller.interest_of(7), Some(Interest::READABLE));
+    }
+
+    #[test]
+    fn inline_replies_the_kernel_refuses_wait_for_epollout() {
+        let mut rig = rig();
+        let (_tenant, search, reply) = warm_tenant(&rig.shared);
+        let (mut io, written, cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        io.reads.push_back(None);
+        io.push_read(&[data_frame(1, &search), data_frame(2, &search)].concat());
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+        written.lock().unwrap().clear();
+
+        // The kernel takes five bytes of the chunk's one gather write.
+        *cap.lock().unwrap() = 5;
+        rig.turn_with(vec![Event::readable(token)]);
+        let expected = [ok_response(1, &reply), ok_response(2, &reply)].concat();
+        assert_eq!(*written.lock().unwrap(), expected[..5]);
+        assert_eq!(
+            rig.reactor.poller.interest_of(7),
+            Some(Interest::READ_WRITE)
+        );
+        *cap.lock().unwrap() = usize::MAX;
+        rig.turn_with(vec![Event::writable(token)]);
+        assert_eq!(*written.lock().unwrap(), expected);
+        assert_eq!(rig.reactor.poller.interest_of(7), Some(Interest::READABLE));
+        assert!(rig.is_open(idx, gen));
+    }
+
+    #[test]
+    fn panicking_inline_handler_costs_the_request_not_the_connection() {
+        let mut rig = rig();
+        let (_tenant, search, reply) = warm_tenant(&rig.shared);
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        io.push_read(&[data_frame(1, &search), data_frame(2, &search)].concat());
+        let (idx, gen, token) = rig.add_conn(io);
+        PANIC_NEXT_INLINE.with(|hook| hook.set(true));
+        rig.turn_with(vec![Event::readable(token)]);
+
+        let err = encode_frame(&proto::encode_response(STATUS_ERR, 1, HANDLER_PANICKED));
+        assert_eq!(
+            *written.lock().unwrap(),
+            [ok_response(HELLO_SEQ, &[]), err, ok_response(2, &reply)].concat(),
+            "the panicked request gets the worker path's ERR, the next is served"
+        );
+        assert!(rig.is_open(idx, gen));
+        assert_eq!(rig.conn(idx, gen).state, ConnState::Established);
+        assert_eq!(rig.sched.queued(), 0);
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!(snap.requests_err, 1);
+        assert_eq!((snap.requests_ok, snap.inline_served), (1, 1));
+    }
+
+    #[test]
+    fn quarantined_tenants_are_never_served_inline_degraded_ones_are() {
+        let mut rig = rig();
+        let (tenant, search, reply) = warm_tenant(&rig.shared);
+        let serve = |rig: &mut Rig, fd: RawFd| {
+            let (mut io, written, _cap) = ScriptIo::new(fd);
+            io.push_read(&hello2_frame());
+            io.push_read(&data_frame(1, &search));
+            let (_, _, token) = rig.add_conn(io);
+            rig.turn_with(vec![Event::readable(token)]);
+            written
+        };
+
+        tenant.health().note_storage_error("disk full");
+        assert_eq!(tenant.health().state(), HealthState::Degraded);
+        assert_eq!(
+            *serve(&mut rig, 7).lock().unwrap(),
+            [ok_response(HELLO_SEQ, &[]), ok_response(1, &reply)].concat(),
+            "degraded tenants still serve reads, inline included"
+        );
+
+        tenant.health().note_corruption("checksum mismatch");
+        assert_eq!(tenant.health().state(), HealthState::Quarantined);
+        assert_eq!(
+            *serve(&mut rig, 8).lock().unwrap(),
+            ok_response(HELLO_SEQ, &[])
+        );
+        let job = rig.sched.try_next(0).expect("left to the worker's gate");
+        assert_eq!(&job.payload[..], &search[..]);
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!((snap.inline_served, snap.inline_declined), (1, 1));
     }
 }

@@ -36,6 +36,8 @@ pub struct ServingStats {
     writev_frames: AtomicU64,
     wakeups_coalesced: AtomicU64,
     bytes_copied: AtomicU64,
+    inline_served: AtomicU64,
+    inline_declined: AtomicU64,
     latency: LatencySplit,
 }
 
@@ -150,6 +152,20 @@ impl ServingStats {
         self.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// Record a DATA request the reactor answered itself, run to
+    /// completion with no worker hop (DESIGN.md §4n). The request is also
+    /// recorded through [`Self::record_ok`] with zero queue wait.
+    pub fn record_inline_served(&self) {
+        self.inline_served.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a DATA request the reactor sent to the run queue instead:
+    /// something of its connection was in flight, the burst bound was
+    /// spent, or the tenant's never-wait rule said no.
+    pub fn record_inline_declined(&self) {
+        self.inline_declined.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Point-in-time snapshot for the ADMIN protocol. The storage-side
     /// robustness counters (`faults_injected`, `wal_recoveries`,
     /// `torn_tails_truncated`) live with the tenant registry / fault VFS;
@@ -228,6 +244,8 @@ impl ServingStats {
             sched_queue_depth_hw: 0,
             fanout_batches: 0,
             fanout_parts_helped: 0,
+            inline_served: self.inline_served.load(Ordering::Relaxed),
+            inline_declined: self.inline_declined.load(Ordering::Relaxed),
         }
     }
 }

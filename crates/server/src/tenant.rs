@@ -190,6 +190,28 @@ impl TenantDb {
         }
     }
 
+    /// Answer a `KIND_DATA` request on the calling thread **only if that
+    /// can neither wait nor run long** — the reactor's run-to-completion
+    /// path (DESIGN.md §4n). `None` declines having changed nothing; the
+    /// request then goes to the worker pool untouched. The rule itself is
+    /// [`Scheme2Server::try_handle_inline`]'s; no Scheme 1 request
+    /// qualifies. A quarantined tenant declines everything, so the
+    /// worker's health gate words the refusal; a degraded one still
+    /// serves reads, and only a read can be answered here.
+    pub fn try_handle_inline(
+        &self,
+        request: &[u8],
+        scratch: impl FnOnce() -> Vec<u8>,
+    ) -> Option<Vec<u8>> {
+        let TenantDb::S2(server) = self else {
+            return None;
+        };
+        if self.health().state() == HealthState::Quarantined {
+            return None;
+        }
+        server.try_handle_inline(request, scratch)
+    }
+
     /// Apply an `UPDATE_MANY` batch of mutation parts all-or-nothing (one
     /// journal append per affected shard; racing searches see either none
     /// or all of the batch). Returns a single scheme response valid for

@@ -278,6 +278,14 @@ pub trait DocBlobStore: Send + Sync {
     /// deletions — the paper's honest-but-curious model).
     fn get_many(&self, ids: &[u64]) -> Vec<(u64, Vec<u8>)>;
 
+    /// [`Self::get_many`] for a caller that can neither wait on a file nor
+    /// run long: `None`, having copied less than `max_bytes`, unless every
+    /// blob is resident in memory and together they fit `max_bytes`. An
+    /// engine whose blob reads may go to a file (lsm) keeps this default.
+    fn get_many_resident(&self, _ids: &[u64], _max_bytes: usize) -> Option<Vec<(u64, Vec<u8>)>> {
+        None
+    }
+
     /// All stored ids in increasing order.
     fn doc_ids(&self) -> Vec<u64>;
 
@@ -337,6 +345,11 @@ impl DocBlobStore for DocStore {
 
     fn get_many(&self, ids: &[u64]) -> Vec<(u64, Vec<u8>)> {
         DocStore::get_many(self, ids)
+    }
+
+    fn get_many_resident(&self, ids: &[u64], max_bytes: usize) -> Option<Vec<(u64, Vec<u8>)>> {
+        // The heap is in memory whether or not the store is durable.
+        self.get_many_within(ids, max_bytes)
     }
 
     fn doc_ids(&self) -> Vec<u64> {

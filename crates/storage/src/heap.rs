@@ -137,6 +137,24 @@ impl HeapFile {
         }
     }
 
+    /// Length of a whole record, read from its first fragment's header:
+    /// no chain is walked and nothing is copied.
+    ///
+    /// # Errors
+    /// As [`Self::get`] for the first fragment.
+    pub fn record_len(&self, id: RecordId) -> Result<usize> {
+        let page = self
+            .pages
+            .get(id.page as usize)
+            .ok_or(StorageError::RecordNotFound)?;
+        let frag = page.get(id.slot)?;
+        let total = frag.get(..4).ok_or_else(|| StorageError::Corrupt {
+            what: "fragment",
+            detail: format!("fragment shorter than header: {}", frag.len()),
+        })?;
+        Ok(u32::from_le_bytes(total.try_into().expect("4 bytes")) as usize)
+    }
+
     /// Delete a record and all its fragments.
     ///
     /// # Errors
@@ -251,6 +269,21 @@ mod tests {
             let id = h.insert(&data).unwrap();
             assert_eq!(h.get(id).unwrap(), data, "len {len}");
         }
+    }
+
+    #[test]
+    fn record_len_is_the_whole_record_not_the_first_fragment() {
+        let mut h = HeapFile::new();
+        for len in [0, 14, FRAG_DATA, FRAG_DATA + 1, 50_000] {
+            let id = h.insert(&vec![0x3Cu8; len]).unwrap();
+            assert_eq!(h.record_len(id).unwrap(), len);
+        }
+        let gone = h.insert(b"gone").unwrap();
+        h.delete(gone).unwrap();
+        assert!(matches!(
+            h.record_len(gone),
+            Err(StorageError::RecordNotFound)
+        ));
     }
 
     #[test]

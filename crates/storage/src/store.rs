@@ -206,6 +206,30 @@ impl DocStore {
             .collect()
     }
 
+    /// [`Self::get_many`] for a caller that must not run long: `None` as
+    /// soon as the blobs total more than `max_bytes`. Each length is read
+    /// from the heap's record header before the blob is, so a `None` has
+    /// copied less than `max_bytes`, however large the blob that tipped
+    /// it.
+    #[must_use]
+    pub fn get_many_within(&self, ids: &[u64], max_bytes: usize) -> Option<Vec<(u64, Vec<u8>)>> {
+        let mut total = 0usize;
+        let mut out = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let Some(&rid) = self.index.get(&id) else {
+                continue;
+            };
+            total += self.heap.record_len(rid).ok()?;
+            if total > max_bytes {
+                return None;
+            }
+            if let Ok(blob) = self.heap.get(rid) {
+                out.push((id, blob));
+            }
+        }
+        Some(out)
+    }
+
     fn apply_record(&mut self, record: &[u8]) -> Result<()> {
         match record.first() {
             Some(&OP_PUT) => {
@@ -406,6 +430,21 @@ mod tests {
         s.put(3, b"c").unwrap();
         let got = s.get_many(&[1, 2, 3]);
         assert_eq!(got, vec![(1, b"a".to_vec()), (3, b"c".to_vec())]);
+    }
+
+    #[test]
+    fn get_many_within_is_get_many_up_to_the_byte_budget() {
+        let mut s = DocStore::in_memory();
+        s.put(1, b"four").unwrap();
+        s.put(3, &[7u8; 6]).unwrap();
+        s.put(4, &vec![9u8; 100_000]).unwrap();
+        assert_eq!(
+            s.get_many_within(&[1, 2, 3], 10),
+            Some(s.get_many(&[1, 2, 3]))
+        );
+        assert_eq!(s.get_many_within(&[1, 2, 3], 9), None, "4 + 6 > 9");
+        assert_eq!(s.get_many_within(&[4], 99_999), None, "one blob over");
+        assert_eq!(s.get_many_within(&[2], 0), Some(vec![]), "missing: skipped");
     }
 
     #[test]

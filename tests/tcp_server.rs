@@ -120,6 +120,85 @@ fn concurrent_tenants_match_sequential_oracle() {
     assert!(refused.is_err(), "listener still accepting after shutdown");
 }
 
+/// Each keyword searched twice back to back, then once more after an
+/// update. With no update in between the second search repeats the
+/// first's trapdoor and finds its memo entry current, which is what the
+/// reactor answers itself (DESIGN.md §4n); the update makes the entry
+/// stale and the third search is a worker's again.
+fn repeat_ops<T: sse_repro::net::link::Transport>(
+    sse: &mut Scheme2Client<T>,
+    client: u64,
+) -> Vec<SearchHits> {
+    let keywords = [
+        "hot".to_string(),
+        "warm".to_string(),
+        format!("own-{client}"),
+    ];
+    let mut transcript = Vec::new();
+    sse.store(&round_docs(client, 0)).unwrap();
+    for kw in &keywords {
+        for _ in 0..2 {
+            transcript.push(sorted(sse.search(&Keyword::new(kw.as_str())).unwrap()));
+        }
+    }
+    sse.store(&round_docs(client, 1)).unwrap();
+    for kw in &keywords {
+        transcript.push(sorted(sse.search(&Keyword::new(kw.as_str())).unwrap()));
+    }
+    transcript
+}
+
+#[test]
+fn repeat_searches_are_served_inline_and_match_the_sequential_oracle() {
+    let daemon = Daemon::spawn(ServerConfig::default()).unwrap();
+    let addr = daemon.local_addr();
+    let joins: Vec<_> = (0..CLIENTS as u64)
+        .map(|client| {
+            std::thread::spawn(move || {
+                let transport =
+                    TcpTransport::connect(addr, &format!("repeat-{client}"), SchemeId::Scheme2)
+                        .unwrap();
+                let mut sse = Scheme2Client::new_seeded(
+                    transport,
+                    MasterKey::from_seed(200 + client),
+                    Scheme2Config::standard(),
+                    client,
+                );
+                repeat_ops(&mut sse, client)
+            })
+        })
+        .collect();
+    let observed: Vec<Vec<SearchHits>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
+
+    for (client, observed) in observed.iter().enumerate() {
+        let client = client as u64;
+        let mut oracle = Scheme2Client::new_in_memory(
+            MasterKey::from_seed(200 + client),
+            Scheme2Config::standard(),
+        );
+        assert_eq!(
+            observed,
+            &repeat_ops(&mut oracle, client),
+            "repeat-{client} diverged from the oracle"
+        );
+        // hot, hot, warm, warm, own, own, then hot, warm, own after round 1.
+        let sizes: Vec<usize> = observed.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [2, 2, 1, 1, 1, 1, 4, 2, 2]);
+    }
+
+    // The path is provably exercised: each tenant's three back-to-back
+    // repeats were answered by the reactor, and nothing else was — every
+    // first search and every search after the update needed a worker.
+    let mut admin = TcpTransport::connect(addr, "repeat-0", SchemeId::Scheme2).unwrap();
+    let stats = admin.admin_stats().unwrap();
+    assert_eq!(stats.inline_served, CLIENTS as u64 * 3, "{stats:?}");
+    assert!(stats.inline_declined >= CLIENTS as u64 * 6, "{stats:?}");
+    assert_eq!(stats.search_cache_hits, stats.inline_served, "{stats:?}");
+    assert_eq!(stats.requests_err, 0, "{stats:?}");
+    drop(admin);
+    daemon.shutdown();
+}
+
 #[test]
 fn scheme1_and_scheme2_share_a_tenant_name_without_mixing() {
     use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config};
