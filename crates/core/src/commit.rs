@@ -149,10 +149,6 @@ struct CommitState {
 pub struct GroupCommitter {
     state: Mutex<CommitState>,
     cv: Condvar,
-    /// When false, the leader flushes exactly one record per group —
-    /// byte-identical journal, one fsync per op. This is the benchmark's
-    /// A/B switch, not a fast path.
-    group_commit: bool,
     /// In-memory servers journal nothing: staging is immediately durable.
     in_memory: bool,
     stats: Arc<CommitStats>,
@@ -163,7 +159,7 @@ impl GroupCommitter {
     /// journal's `next_seq - 1` (i.e. everything already on disk is
     /// trivially durable).
     #[must_use]
-    pub fn new_durable(journal: IndexJournal, group_commit: bool, stats: Arc<CommitStats>) -> Self {
+    pub fn new_durable(journal: IndexJournal, stats: Arc<CommitStats>) -> Self {
         let next_seq = journal.next_seq();
         GroupCommitter {
             state: Mutex::new(CommitState {
@@ -175,7 +171,6 @@ impl GroupCommitter {
                 poisoned: None,
             }),
             cv: Condvar::new(),
-            group_commit,
             in_memory: false,
             stats,
         }
@@ -195,7 +190,6 @@ impl GroupCommitter {
                 poisoned: None,
             }),
             cv: Condvar::new(),
-            group_commit: true,
             in_memory: true,
             stats,
         }
@@ -240,16 +234,10 @@ impl GroupCommitter {
                 return Err(journal_dead(msg));
             }
             if !state.writing && !state.pending.is_empty() {
-                // Become the leader: take the whole pending group (or just
-                // the front record with grouping disabled), flush it
+                // Become the leader: take the whole pending group, flush it
                 // outside the lock, then report back.
                 state.writing = true;
-                let group: Vec<(u64, Vec<u8>)> = if self.group_commit {
-                    state.pending.drain(..).collect()
-                } else {
-                    let front = state.pending.pop_front().expect("pending non-empty");
-                    vec![front]
-                };
+                let group: Vec<(u64, Vec<u8>)> = state.pending.drain(..).collect();
                 let mut journal = state
                     .journal
                     .take()
@@ -427,9 +415,9 @@ mod tests {
         dir.join("shard.wal")
     }
 
-    fn durable_committer(path: &Path, group_commit: bool) -> GroupCommitter {
+    fn durable_committer(path: &Path) -> GroupCommitter {
         let (journal, _) = IndexJournal::open_with_vfs(RealVfs::arc(), path, true, 0).unwrap();
-        GroupCommitter::new_durable(journal, group_commit, Arc::new(CommitStats::default()))
+        GroupCommitter::new_durable(journal, Arc::new(CommitStats::default()))
     }
 
     #[test]
@@ -445,7 +433,7 @@ mod tests {
     #[test]
     fn single_writer_round_trips_through_the_journal() {
         let path = temp_journal("single");
-        let c = durable_committer(&path, true);
+        let c = durable_committer(&path);
         for i in 0..5u64 {
             let seq = c.stage(format!("op-{i}").as_bytes()).unwrap();
             assert_eq!(seq, i + 1);
@@ -465,7 +453,7 @@ mod tests {
     #[test]
     fn concurrent_writers_form_groups_and_all_become_durable() {
         let path = temp_journal("group");
-        let c = Arc::new(durable_committer(&path, true));
+        let c = Arc::new(durable_committer(&path));
         let writers = 8;
         let ops_per_writer = 20;
         let barrier = Arc::new(Barrier::new(writers));
@@ -506,40 +494,9 @@ mod tests {
     }
 
     #[test]
-    fn grouping_disabled_flushes_one_record_per_fsync() {
-        let path = temp_journal("ungrouped");
-        let c = Arc::new(durable_committer(&path, false));
-        let writers = 4;
-        let ops_per_writer = 10;
-        let barrier = Arc::new(Barrier::new(writers));
-        let handles: Vec<_> = (0..writers)
-            .map(|w| {
-                let c = Arc::clone(&c);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for i in 0..ops_per_writer {
-                        let seq = c.stage(format!("u{w}-{i}").as_bytes()).unwrap();
-                        c.wait_durable(seq).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = (writers * ops_per_writer) as u64;
-        let counters = c.stats().counters();
-        assert_eq!(counters.ops_committed, total);
-        assert_eq!(counters.groups_committed, total, "no grouping allowed");
-        assert_eq!(counters.max_group, 1);
-        assert_eq!(counters.fsyncs_saved, 0);
-    }
-
-    #[test]
     fn forced_group_via_stage_guard_costs_one_fsync() {
         let path = temp_journal("forced");
-        let c = durable_committer(&path, true);
+        let c = durable_committer(&path);
         let mut guard = c.lock();
         let first = guard.next_seq();
         let s1 = guard.stage(b"batch-a").unwrap();
@@ -561,7 +518,7 @@ mod tests {
         // First sync call dies (and all I/O after it).
         let vfs: Arc<dyn sse_storage::Vfs> = Arc::new(FaultVfs::crashing_at_sync(7, 1));
         let (journal, _) = IndexJournal::open_with_vfs(vfs, &path, true, 0).unwrap();
-        let c = GroupCommitter::new_durable(journal, true, Arc::new(CommitStats::default()));
+        let c = GroupCommitter::new_durable(journal, Arc::new(CommitStats::default()));
         let seq = c.stage(b"doomed").unwrap();
         let err = c.wait_durable(seq).unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
@@ -579,7 +536,7 @@ mod tests {
         let path = temp_journal("replace");
         let vfs: Arc<dyn sse_storage::Vfs> = Arc::new(FaultVfs::crashing_at_sync(7, 1));
         let (journal, _) = IndexJournal::open_with_vfs(vfs, &path, true, 0).unwrap();
-        let c = GroupCommitter::new_durable(journal, true, Arc::new(CommitStats::default()));
+        let c = GroupCommitter::new_durable(journal, Arc::new(CommitStats::default()));
         let seq = c.stage(b"doomed").unwrap();
         assert!(c.wait_durable(seq).is_err());
         assert!(c.is_poisoned());
@@ -602,7 +559,7 @@ mod tests {
     #[test]
     fn reset_journal_rejects_inflight_records() {
         let path = temp_journal("reset-inflight");
-        let c = durable_committer(&path, true);
+        let c = durable_committer(&path);
         let _seq = c.stage(b"staged-not-flushed").unwrap();
         let err = c.reset_journal().unwrap_err();
         assert!(err.to_string().contains("in flight"), "{err}");

@@ -134,10 +134,6 @@ pub struct DurableOptions {
     /// Index shards. Fixed at directory creation (recorded in the shard
     /// manifest); reopening adopts whatever the directory holds.
     pub shards: usize,
-    /// When false every journal record is flushed on its own (one fsync
-    /// per op) — the benchmark's baseline arm. Durability and recovery
-    /// semantics are identical either way.
-    pub group_commit: bool,
     /// Storage backend. Fixed at directory creation (recorded in
     /// `backend.meta`); reopening under the other backend is a clean
     /// [`StorageError::BackendMismatch`], never silent corruption.
@@ -150,7 +146,6 @@ impl Default for DurableOptions {
         DurableOptions {
             vfs: RealVfs::arc(),
             shards: 1,
-            group_commit: true,
             backend: BackendKind::Btree,
         }
     }
@@ -460,7 +455,6 @@ impl<S: SchemeOps> IndexEngine<S> {
         let DurableOptions {
             vfs,
             shards,
-            group_commit,
             backend,
         } = opts;
         let manifest_file = format!("{}.meta", S::STEM);
@@ -535,8 +529,7 @@ impl<S: SchemeOps> IndexEngine<S> {
             .zip(journals)
             .map(|(mut data, journal)| {
                 data.applied_seq = journal.last_seq();
-                let committer =
-                    GroupCommitter::new_durable(journal, group_commit, Arc::clone(&commit_stats));
+                let committer = GroupCommitter::new_durable(journal, Arc::clone(&commit_stats));
                 ShardSlot::new(data, &meta, committer)
             })
             .collect();

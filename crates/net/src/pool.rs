@@ -296,8 +296,8 @@ pub struct PooledBuf {
 
 impl PooledBuf {
     /// Wrap a plain `Vec` with no pool attached: same API, ordinary
-    /// drop-frees-it semantics. The owned-buffer fallback for the
-    /// `--threaded` path and for pool-disabled servers.
+    /// drop-frees-it semantics. What a decoder built without a pool
+    /// yields.
     #[must_use]
     pub fn from_vec(buf: Vec<u8>) -> PooledBuf {
         let end = buf.len();

@@ -4,10 +4,8 @@
 //! sse-load [--addr HOST:PORT | --spawn] [--clients N] [--tenants N]
 //!          [--scheme 1|2|both] [--profile gp|traveler] [--events N]
 //!          [--seed N] [--shutdown]
-//! sse-load --bench-json PATH
-//!          [--bench-mode serving|groupcommit|search|update|idle|hotpath|sched]
-//!          [--shards N] [--clients N] [--seed N] [--bench-ms N]
-//!          [--idle-conns N] [--depth N] [--tenants N] [--batch-parts N]
+//! sse-load --chaos [--seed N] [--clients N] [--tenants N]
+//!          [--backend btree|lsm] [--chaos-ms N] [--chaos-report PATH]
 //! ```
 //!
 //! Drives N concurrent clients, each replaying a §6 PHR workload (Zipf
@@ -16,35 +14,12 @@
 //! in-process daemon on an ephemeral port (a one-command demo);
 //! `--shutdown` sends `ADMIN_SHUTDOWN` to the target daemon after the run.
 //!
-//! `--bench-json PATH` switches to benchmark mode: spawn two durable
-//! daemons, run the same search+update workload against both, and write
-//! the comparison to PATH (see [`sse_server::bench`]). The default
-//! `serving` mode compares 1 shard vs `--shards` shards; `groupcommit`
-//! compares group commit off vs on at a fixed shard count (`--shards`,
-//! default 1 — concurrent updaters must share a shard journal for flush
-//! groups to form); `search` measures the search hot path on one
-//! in-memory daemon (cold walks vs memo-served repeats, and `SEARCH_MANY`
-//! batches vs the same searches one round trip at a time); `update`
-//! compares the `btree` vs `lsm` storage backends under an update-heavy
-//! workload with periodic mid-run checkpoints (`BENCH_backend.json`);
-//! `idle` holds `--idle-conns` silent tenant connections on the epoll
-//! reactor and measures per-idle-connection memory plus hot-path latency
-//! before and under that load (`BENCH_reactor.json`); `hotpath` replays
-//! a captured warm search against the owned-buffer fallback, the pooled
-//! pipeline, and the pooled pipeline under a `--depth`-request pipelined
-//! burst, reporting server-thread allocations per op, bytes memcpy'd per
-//! op, and the mean `writev` syscall batch (`BENCH_hotpath.json`);
-//! `sched` drives `--tenants` tenants with pipelined bursts mixing plain
-//! searches and `SEARCH_MANY` fan-out batches, under uniform and skewed
-//! weights, against affinity routing and its round-robin baseline —
-//! reporting the scheduler counters, the queue-wait/service-time latency
-//! split, and the steady-state thread-spawn count (`BENCH_sched.json`).
+//! `--chaos` runs the seeded chaos soak instead (see
+//! [`sse_server::chaos`]): disk and network faults against a durable
+//! in-process daemon, three invariants checked, a JSON report written to
+//! `--chaos-report`. Measuring the daemon is `bench/`'s job (`bash
+//! bench/run.sh`), not this binary's.
 
-use sse_server::bench::{
-    run_bench, run_group_commit_bench, run_hotpath_bench, run_idle_bench, run_sched_bench,
-    run_search_bench, run_update_bench, BenchOptions, HotpathOptions, IdleBenchOptions,
-    SchedOptions,
-};
 use sse_server::chaos::{run_chaos, ChaosOptions};
 use sse_server::daemon::{Daemon, ServerConfig};
 use sse_server::load::{run_load, LoadOptions, Profile};
@@ -52,22 +27,10 @@ use sse_server::proto::SchemeId;
 use sse_server::transport::TcpTransport;
 use std::process::ExitCode;
 
-/// The counting allocator that makes the hotpath benchmark's allocs/op
-/// numbers real: tracked server threads (the daemon's reactor and
-/// workers opt in) bump global counters; everything else — including the
-/// bench's own client threads — falls straight through to the system
-/// allocator.
-#[global_allocator]
-static ALLOC: allocmeter::CountingAlloc = allocmeter::CountingAlloc;
-
 fn usage() -> ! {
     eprintln!(
         "usage: sse-load [--addr HOST:PORT | --spawn] [--clients N] [--tenants N] \
          [--scheme 1|2|both] [--profile gp|traveler] [--events N] [--seed N] [--shutdown]\n\
-         \x20      sse-load --bench-json PATH \
-         [--bench-mode serving|groupcommit|search|update|idle|hotpath|sched] \
-         [--shards N] [--clients N] [--seed N] [--bench-ms N] [--idle-conns N] [--depth N] \
-         [--tenants N] [--batch-parts N]\n\
          \x20      sse-load --chaos [--seed N] [--clients N] [--tenants N] \
          [--backend btree|lsm] [--chaos-ms N] [--chaos-report PATH]"
     );
@@ -81,27 +44,10 @@ fn parse<T: std::str::FromStr>(s: &str) -> T {
     })
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BenchMode {
-    Serving,
-    GroupCommit,
-    Search,
-    Update,
-    Idle,
-    Hotpath,
-    Sched,
-}
-
 struct Cli {
     opts: LoadOptions,
     spawn: bool,
     shutdown: bool,
-    bench_json: Option<std::path::PathBuf>,
-    bench: BenchOptions,
-    bench_mode: BenchMode,
-    idle: IdleBenchOptions,
-    hotpath: HotpathOptions,
-    sched: SchedOptions,
     chaos: bool,
     chaos_opts: ChaosOptions,
     chaos_report: std::path::PathBuf,
@@ -112,17 +58,10 @@ fn parse_args() -> Cli {
         opts: LoadOptions::default(),
         spawn: false,
         shutdown: false,
-        bench_json: None,
-        bench: BenchOptions::default(),
-        bench_mode: BenchMode::Serving,
-        idle: IdleBenchOptions::default(),
-        hotpath: HotpathOptions::default(),
-        sched: SchedOptions::default(),
         chaos: false,
         chaos_opts: ChaosOptions::default(),
         chaos_report: std::path::PathBuf::from("CHAOS_report.json"),
     };
-    let mut shards_set = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || {
@@ -137,22 +76,16 @@ fn parse_args() -> Cli {
             "--shutdown" => cli.shutdown = true,
             "--clients" => {
                 cli.opts.clients = parse(&value());
-                cli.bench.clients = cli.opts.clients;
                 cli.chaos_opts.clients = cli.opts.clients;
             }
             "--tenants" => {
                 cli.opts.tenants = parse(&value());
                 cli.chaos_opts.tenants = cli.opts.tenants;
-                cli.sched.tenants = cli.opts.tenants;
             }
             "--events" => cli.opts.events = parse(&value()),
             "--seed" => {
                 cli.opts.seed = parse(&value());
-                cli.bench.seed = cli.opts.seed;
                 cli.chaos_opts.seed = cli.opts.seed;
-                cli.idle.seed = cli.opts.seed;
-                cli.hotpath.seed = cli.opts.seed;
-                cli.sched.seed = cli.opts.seed;
             }
             "--chaos" => cli.chaos = true,
             "--chaos-ms" => {
@@ -165,38 +98,6 @@ fn parse_args() -> Cli {
                     usage()
                 })
             }
-            "--bench-json" => cli.bench_json = Some(std::path::PathBuf::from(value())),
-            "--bench-mode" => {
-                cli.bench_mode = match value().as_str() {
-                    "serving" => BenchMode::Serving,
-                    "groupcommit" => BenchMode::GroupCommit,
-                    "search" => BenchMode::Search,
-                    "update" => BenchMode::Update,
-                    "idle" => BenchMode::Idle,
-                    "hotpath" => BenchMode::Hotpath,
-                    "sched" => BenchMode::Sched,
-                    other => {
-                        eprintln!("unknown bench mode: {other}");
-                        usage();
-                    }
-                }
-            }
-            "--shards" => {
-                cli.bench.shards = parse(&value());
-                shards_set = true;
-            }
-            "--bench-ms" => {
-                cli.bench.duration = std::time::Duration::from_millis(parse(&value()));
-                cli.idle.duration = cli.bench.duration;
-                cli.hotpath.duration = cli.bench.duration;
-                cli.sched.duration = cli.bench.duration;
-            }
-            "--idle-conns" => cli.idle.idle_conns = parse(&value()),
-            "--depth" => {
-                cli.hotpath.depth = parse(&value());
-                cli.sched.depth = cli.hotpath.depth;
-            }
-            "--batch-parts" => cli.sched.batch_parts = parse(&value()),
             "--scheme" => {
                 cli.opts.schemes = match value().as_str() {
                     "1" => vec![SchemeId::Scheme1],
@@ -225,303 +126,7 @@ fn parse_args() -> Cli {
             }
         }
     }
-    // The group-commit comparison defaults to one shard: flush groups only
-    // form when concurrent updaters land on the same shard journal.
-    if cli.bench_mode == BenchMode::GroupCommit && !shards_set {
-        cli.bench.shards = 1;
-    }
     cli
-}
-
-/// Run the search-path benchmark and write `BENCH_search.json`.
-fn run_search_mode(path: &std::path::Path, bench: &BenchOptions) -> ExitCode {
-    println!(
-        "sse-load: search-path benchmark: {} shard(s), {} keyword(s)",
-        bench.shards, bench.keywords
-    );
-    let report = match run_search_bench(bench) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sse-load: benchmark failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (name, arm) in [
-        ("cold", &report.cold),
-        ("repeat", &report.repeat),
-        ("single_group", &report.single_group),
-        ("batch", &report.batch),
-    ] {
-        println!(
-            "sse-load: {name}: {} op(s), mean {} ns, median {} ns, p95 {} ns, p99 {} ns",
-            arm.ops, arm.mean_ns, arm.median_ns, arm.p95_ns, arm.p99_ns
-        );
-    }
-    println!(
-        "sse-load: repeat-search speedup {:.2}x (memo), batch-of-8 speedup {:.2}x (SEARCH_MANY)",
-        report.repeat_speedup, report.batch_speedup
-    );
-    println!(
-        "sse-load: search cache: {} hit(s) / {} miss(es), {} chain step(s) saved",
-        report.cache_hits, report.cache_misses, report.walk_steps_saved
-    );
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("sse-load: writing {} failed: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("sse-load: wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-/// Run the group-commit A/B benchmark and write `BENCH_groupcommit.json`.
-fn run_group_commit_mode(path: &std::path::Path, bench: &BenchOptions) -> ExitCode {
-    println!(
-        "sse-load: group-commit benchmark: {} clients, {} shard(s), {:?} window per arm",
-        bench.clients, bench.shards, bench.duration
-    );
-    let report = match run_group_commit_bench(bench) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sse-load: benchmark failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for arm in [&report.ungrouped, &report.grouped] {
-        println!(
-            "sse-load: group_commit={}: {:.1} update ops/sec, {:.1} search ops/sec \
-             (search p50 {} ns, p99 {} ns), mean group {:.2} (max {}), \
-             {:.3} fsyncs/op, {} fsync(s) saved, {} snapshot swap(s)",
-            arm.group_commit,
-            arm.update_ops_per_sec,
-            arm.search_ops_per_sec,
-            arm.p50_ns,
-            arm.p99_ns,
-            arm.mean_group_size,
-            arm.max_group_size,
-            arm.fsyncs_per_op,
-            arm.fsyncs_saved,
-            arm.snapshot_swaps
-        );
-    }
-    println!(
-        "sse-load: update throughput speedup {:.2}x, search p99 ratio {:.2}",
-        report.speedup_update_ops_per_sec, report.search_p99_ratio
-    );
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("sse-load: writing {} failed: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("sse-load: wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-/// Run the backend A/B benchmark and write `BENCH_backend.json`.
-fn run_update_mode(path: &std::path::Path, bench: &BenchOptions) -> ExitCode {
-    println!(
-        "sse-load: backend benchmark: {} clients, {} shard(s), {:?} window per arm",
-        bench.clients, bench.shards, bench.duration
-    );
-    let report = match run_update_bench(bench) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sse-load: benchmark failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for arm in [&report.btree, &report.lsm] {
-        println!(
-            "sse-load: backend={}: {:.1} update ops/sec, {:.1} search ops/sec \
-             (search p50 {} ns, p99 {} ns), {} checkpoint(s), {} run(s) flushed \
-             ({} live), {} compaction(s), bloom {} check(s) / {} skip(s)",
-            arm.backend,
-            arm.update_ops_per_sec,
-            arm.search_ops_per_sec,
-            arm.p50_ns,
-            arm.p99_ns,
-            arm.checkpoints,
-            arm.runs_flushed,
-            arm.runs_live,
-            arm.compactions,
-            arm.bloom_checks,
-            arm.bloom_skips
-        );
-    }
-    println!(
-        "sse-load: lsm vs btree update throughput: {:.2}x",
-        report.lsm_vs_btree_update_ratio
-    );
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("sse-load: writing {} failed: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("sse-load: wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-/// Run the idle-connection reactor benchmark and write
-/// `BENCH_reactor.json`. Exits nonzero if the run itself fails (thresholds
-/// are gated downstream, in CI, so a laptop run always produces a report).
-fn run_idle_mode(path: &std::path::Path, idle: &IdleBenchOptions) -> ExitCode {
-    println!(
-        "sse-load: idle-connection benchmark: {} idle conn(s), {:?} hot window per arm",
-        idle.idle_conns, idle.duration
-    );
-    let report = match run_idle_bench(idle) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sse-load: benchmark failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "sse-load: held {} of {} idle conn(s); RSS {} kB -> {} kB -> {} kB \
-         ({:.0} B/conn first half, {:.0} B/conn second half)",
-        report.idle_conns_held,
-        report.options.idle_conns,
-        report.rss_start_kb,
-        report.rss_half_kb,
-        report.rss_full_kb,
-        report.per_idle_conn_bytes_first_half,
-        report.per_idle_conn_bytes_second_half
-    );
-    for (name, arm) in [
-        ("hot baseline", &report.baseline),
-        ("hot under idle load", &report.loaded),
-    ] {
-        println!(
-            "sse-load: {name}: {} op(s), median {} ns, p95 {} ns, p99 {} ns",
-            arm.ops, arm.median_ns, arm.p95_ns, arm.p99_ns
-        );
-    }
-    println!(
-        "sse-load: hot p99 ratio {:.2}, median ratio {:.2}; {} reaped, \
-         {} slow-reader cut(s), {} rejected; drained in {} ms (clean: {})",
-        report.hot_p99_ratio,
-        report.hot_median_ratio,
-        report.idle_reaped,
-        report.slow_reader_disconnects,
-        report.conns_rejected,
-        report.drain_ms,
-        report.drain_clean
-    );
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("sse-load: writing {} failed: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("sse-load: wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-/// Run the zero-copy hot-path benchmark and write `BENCH_hotpath.json`.
-/// The per-op allocation numbers are real here because this binary
-/// installs the counting allocator (see `ALLOC` above).
-fn run_hotpath_mode(path: &std::path::Path, opts: &HotpathOptions) -> ExitCode {
-    println!(
-        "sse-load: hot-path benchmark: {:?} window per arm, pipeline depth {}",
-        opts.duration, opts.depth
-    );
-    let report = match run_hotpath_bench(opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sse-load: benchmark failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for arm in [&report.legacy, &report.pooled, &report.pipelined] {
-        println!(
-            "sse-load: {}: {:.1} ops/sec, {:.2} alloc(s)/op ({:.0} B/op), \
-             {:.0} byte(s) copied/op, pool hit rate {:.2}, \
-             writev batch {:.2} ({} call(s) / {} frame(s)), \
-             {} wakeup(s) coalesced, p50 {} ns, p99 {} ns",
-            arm.name,
-            arm.ops_per_sec,
-            arm.allocs_per_op,
-            arm.alloc_bytes_per_op,
-            arm.bytes_copied_per_op,
-            arm.pool_hit_rate,
-            arm.mean_writev_batch,
-            arm.writev_calls,
-            arm.writev_frames,
-            arm.wakeups_coalesced,
-            arm.p50_ns,
-            arm.p99_ns
-        );
-    }
-    println!(
-        "sse-load: alloc reduction {:.1}%, copy reduction {:.1}%, p99 ratio {:.2}, \
-         pipelined writev batch {:.2}",
-        report.alloc_reduction * 100.0,
-        report.copy_reduction * 100.0,
-        report.p99_ratio,
-        report.pipelined_mean_writev_batch
-    );
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("sse-load: writing {} failed: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("sse-load: wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-/// Run the scheduler/affinity benchmark and write `BENCH_sched.json`.
-/// The thread-spawn count needs no special allocator — `allocmeter`
-/// counts spawns process-wide — but the in-process daemon is required
-/// (the counter lives in this process).
-fn run_sched_mode(path: &std::path::Path, opts: &SchedOptions) -> ExitCode {
-    println!(
-        "sse-load: scheduler benchmark: {} tenant(s), depth {}, {} part(s) per batch, \
-         {:?} window per arm",
-        opts.tenants, opts.depth, opts.batch_parts, opts.duration
-    );
-    let report = match run_sched_bench(opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sse-load: benchmark failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for arm in [
-        &report.affinity_uniform,
-        &report.global_uniform,
-        &report.affinity_skewed,
-        &report.global_skewed,
-    ] {
-        println!(
-            "sse-load: {}: {:.1} ops/sec (round p50 {} ns, p99 {} ns), \
-             queue p99 {} ns, service p99 {} ns, {} local / {} stolen / {} spilled \
-             (hw depth {}), {} fan-out batch(es), {} part(s) helped, {} spawn(s)",
-            arm.name,
-            arm.ops_per_sec,
-            arm.p50_ns,
-            arm.p99_ns,
-            arm.queue_p99_ns,
-            arm.service_p99_ns,
-            arm.sched_local_hits,
-            arm.sched_stolen,
-            arm.sched_spilled,
-            arm.sched_queue_depth_hw,
-            arm.fanout_batches,
-            arm.fanout_parts_helped,
-            arm.thread_spawns
-        );
-    }
-    println!(
-        "sse-load: affinity vs global throughput: {:.2}x uniform, {:.2}x skewed; \
-         skew p99 ratio {:.2} (queue-wait {:.2}); {} steal(s) under skew, \
-         {} steady-state thread spawn(s)",
-        report.uniform_throughput_ratio,
-        report.skew_throughput_ratio,
-        report.skew_p99_ratio,
-        report.skew_queue_p99_ratio,
-        report.steals_under_skew,
-        report.steady_state_thread_spawns
-    );
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("sse-load: writing {} failed: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("sse-load: wrote {}", path.display());
-    ExitCode::SUCCESS
 }
 
 /// Run the chaos-soak harness and write `CHAOS_report.json`. Exits
@@ -579,64 +184,6 @@ fn main() -> ExitCode {
     let mut cli = parse_args();
     if cli.chaos {
         return run_chaos_mode(&cli.chaos_report, &cli.chaos_opts);
-    }
-    if let Some(path) = &cli.bench_json {
-        if cli.bench_mode == BenchMode::GroupCommit {
-            return run_group_commit_mode(path, &cli.bench);
-        }
-        if cli.bench_mode == BenchMode::Search {
-            return run_search_mode(path, &cli.bench);
-        }
-        if cli.bench_mode == BenchMode::Update {
-            return run_update_mode(path, &cli.bench);
-        }
-        if cli.bench_mode == BenchMode::Idle {
-            return run_idle_mode(path, &cli.idle);
-        }
-        if cli.bench_mode == BenchMode::Hotpath {
-            return run_hotpath_mode(path, &cli.hotpath);
-        }
-        if cli.bench_mode == BenchMode::Sched {
-            return run_sched_mode(path, &cli.sched);
-        }
-        println!(
-            "sse-load: benchmark mode: {} clients, 1 vs {} shard(s), {:?} window per arm",
-            cli.bench.clients, cli.bench.shards, cli.bench.duration
-        );
-        let report = match run_bench(&cli.bench) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("sse-load: benchmark failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!(
-            "sse-load: shards=1: {:.1} search ops/sec (p50 {} ns, p99 {} ns), {} update ops",
-            report.baseline.search_ops_per_sec,
-            report.baseline.p50_ns,
-            report.baseline.p99_ns,
-            report.baseline.update_ops
-        );
-        println!(
-            "sse-load: shards={}: {:.1} search ops/sec (p50 {} ns, p99 {} ns), {} update ops, \
-             contention {:?}",
-            report.sharded.shards,
-            report.sharded.search_ops_per_sec,
-            report.sharded.p50_ns,
-            report.sharded.p99_ns,
-            report.sharded.update_ops,
-            report.sharded.shard_contention
-        );
-        println!(
-            "sse-load: search throughput speedup: {:.2}x",
-            report.speedup_search_ops_per_sec
-        );
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("sse-load: writing {} failed: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("sse-load: wrote {}", path.display());
-        return ExitCode::SUCCESS;
     }
     let daemon = if cli.spawn {
         match Daemon::spawn(ServerConfig::default()) {

@@ -4,25 +4,18 @@
 //! sse-serverd [--addr HOST:PORT] [--workers N] [--queue N]
 //!             [--scheme1-capacity N] [--scheme2-chain N] [--shards N]
 //!             [--data-dir DIR] [--backend btree|lsm] [--idle-timeout-ms N]
-//!             [--scrub-interval-ms N] [--reactor | --threaded]
-//!             [--max-conns N] [--write-queue-limit BYTES] [--no-pool]
-//!             [--no-affinity]
+//!             [--scrub-interval-ms N] [--max-conns N]
+//!             [--write-queue-limit BYTES]
 //! ```
 //!
-//! By default every socket is owned by the non-blocking epoll reactor
-//! (one event-loop thread, bounded per-connection write queues, idle
-//! reaping at `--idle-timeout-ms`; see DESIGN.md §4i). `--max-conns`
-//! caps concurrent connections (accepts beyond it are dropped at the
-//! door) and `--write-queue-limit` bounds the bytes buffered for a
-//! client that stops reading before it is disconnected as a slow
-//! reader. `--threaded` restores the legacy thread-per-connection
-//! accept loop (`--reactor` selects the default explicitly). `--no-pool`
-//! disables the zero-copy buffer pool (DESIGN.md §4j) and serves every
-//! frame from fresh owned buffers — a diagnostic fallback, also the
-//! baseline arm of `sse-load --bench-mode hotpath`. `--no-affinity`
-//! disables tenant-hash routing across the per-worker run queues
-//! (DESIGN.md §4k) and round-robins jobs instead — the global-queue
-//! baseline arm of `sse-load --bench-mode sched`.
+//! Every socket is owned by the non-blocking epoll reactor (one
+//! event-loop thread, bounded per-connection write queues, idle reaping
+//! at `--idle-timeout-ms`; see DESIGN.md §4i). `--max-conns` caps
+//! concurrent connections (accepts beyond it are dropped at the door)
+//! and `--write-queue-limit` bounds the bytes buffered for a client that
+//! stops reading before it is disconnected as a slow reader. Frames are
+//! assembled in pooled buffers (DESIGN.md §4j) and jobs are routed to
+//! per-worker run queues by tenant hash (DESIGN.md §4k).
 //!
 //! Serves until an `ADMIN_SHUTDOWN` frame arrives (e.g. `sse-load
 //! --shutdown`, or any `TcpTransport::admin_shutdown` call), then drains
@@ -53,8 +46,7 @@ fn usage() -> ! {
         "usage: sse-serverd [--addr HOST:PORT] [--workers N] [--queue N] \
          [--scheme1-capacity N] [--scheme2-chain N] [--shards N] \
          [--data-dir DIR] [--backend btree|lsm] [--idle-timeout-ms N] \
-         [--scrub-interval-ms N] [--reactor | --threaded] [--max-conns N] \
-         [--write-queue-limit BYTES] [--no-pool] [--no-affinity]"
+         [--scrub-interval-ms N] [--max-conns N] [--write-queue-limit BYTES]"
     );
     std::process::exit(2);
 }
@@ -100,10 +92,6 @@ fn parse_args() -> ServerConfig {
             "--idle-timeout-ms" => {
                 config.idle_timeout = std::time::Duration::from_millis(parse(&value()));
             }
-            "--reactor" => config.reactor = true,
-            "--threaded" => config.reactor = false,
-            "--no-pool" => config.pool = false,
-            "--no-affinity" => config.affinity = false,
             "--max-conns" => config.max_conns = parse(&value()),
             "--write-queue-limit" => config.write_queue_limit = parse(&value()),
             "--scrub-interval-ms" => {
@@ -127,20 +115,18 @@ fn parse_args() -> ServerConfig {
 
 fn main() -> ExitCode {
     let config = parse_args();
-    if config.reactor {
-        // One fd per connection plus listener/pipe/worker headroom. Best
-        // effort: unprivileged processes stop at their hard limit, and
-        // connections beyond whatever was granted are refused at accept.
-        let want = config.max_conns as u64 + 64;
-        match epoll::raise_nofile_limit(want) {
-            Ok(got) if got < want => {
-                eprintln!(
-                    "sse-serverd: fd limit {got} below {want}; connections past it will be refused"
-                );
-            }
-            Ok(_) => {}
-            Err(e) => eprintln!("sse-serverd: could not raise fd limit: {e}"),
+    // One fd per connection plus listener/pipe/worker headroom. Best
+    // effort: unprivileged processes stop at their hard limit, and
+    // connections beyond whatever was granted are refused at accept.
+    let want = config.max_conns as u64 + 64;
+    match epoll::raise_nofile_limit(want) {
+        Ok(got) if got < want => {
+            eprintln!(
+                "sse-serverd: fd limit {got} below {want}; connections past it will be refused"
+            );
         }
+        Ok(_) => {}
+        Err(e) => eprintln!("sse-serverd: could not raise fd limit: {e}"),
     }
     let daemon = match Daemon::spawn(config.clone()) {
         Ok(d) => d,
@@ -150,29 +136,19 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "sse-serverd listening on {} ({} mode, {} workers, queue depth {}, \
+        "sse-serverd listening on {} (epoll-reactor mode, {} workers, queue depth {}, \
          {} index shard(s)/tenant, {} backend)",
         daemon.local_addr(),
-        if config.reactor {
-            "epoll-reactor"
-        } else {
-            "thread-per-connection"
-        },
         config.workers,
         config.queue_depth,
         config.tenant_params.shards.max(1),
         config.tenant_params.backend
     );
-    if config.reactor {
-        println!(
-            "sse-serverd: reactor limits: {} max conn(s), {} byte write queue/conn, \
-             idle timeout {:?}, buffer pool {}",
-            config.max_conns,
-            config.write_queue_limit,
-            config.idle_timeout,
-            if config.pool { "on" } else { "off (--no-pool)" }
-        );
-    }
+    println!(
+        "sse-serverd: reactor limits: {} max conn(s), {} byte write queue/conn, \
+         idle timeout {:?}",
+        config.max_conns, config.write_queue_limit, config.idle_timeout
+    );
     match &config.data_dir {
         Some(dir) => {
             let startup = daemon.stats();
@@ -246,15 +222,14 @@ fn main() -> ExitCode {
     println!(
         "sse-serverd: hot path: pool {} hit(s) / {} miss(es) / {} recycle(s), \
          {} frame(s) in {} writev call(s) (mean batch {:.2}), \
-         {} wakeup(s) coalesced, {} payload byte(s) copied",
+         {} wakeup(s) coalesced",
         report.final_stats.pool_hits,
         report.final_stats.pool_misses,
         report.final_stats.pool_recycles,
         report.final_stats.writev_frames,
         report.final_stats.writev_calls,
         report.final_stats.writev_frames as f64 / (report.final_stats.writev_calls as f64).max(1.0),
-        report.final_stats.wakeups_coalesced,
-        report.final_stats.bytes_copied
+        report.final_stats.wakeups_coalesced
     );
     println!(
         "sse-serverd: health: {} degradation(s) / {} recover(ies) / {} quarantine(s), \
@@ -269,16 +244,11 @@ fn main() -> ExitCode {
         report.threads_panicked
     );
     println!(
-        "sse-serverd: scheduler: {} job(s) routed (affinity {}), {} local hit(s), \
+        "sse-serverd: scheduler: {} job(s) routed, {} local hit(s), \
          {} stolen, {} spilled, high-water queue depth {}; \
          {} fan-out batch(es), {} part(s) helped; \
          queue-wait p50 {} ns p99 {} ns, service p50 {} ns p99 {} ns",
         report.final_stats.sched_routed,
-        if config.affinity {
-            "on"
-        } else {
-            "off, --no-affinity round-robin"
-        },
         report.final_stats.sched_local_hits,
         report.final_stats.sched_stolen,
         report.final_stats.sched_spilled,

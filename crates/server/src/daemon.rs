@@ -3,16 +3,17 @@
 //! Thread architecture:
 //!
 //! ```text
-//!  listener thread ──accept──▶ connection threads (one per socket)
-//!                                   │  parse frames, route ADMIN inline
-//!                                   │  try_send DATA jobs, routed by
-//!                                   ▼  tenant hash │ all queues full ⇒ BUSY
+//!  reactor thread ── owns the listener and every socket ([`crate::reactor`])
+//!        │  parse frames, answer ADMIN and memo-hit searches itself
+//!        │  try_send DATA jobs, routed by
+//!        ▼  tenant hash │ all queues full ⇒ BUSY
 //!                    sharded scheduler (one run queue per worker)
 //!                      q0      q1      q2      q3
 //!                      │       │       │       │   idle workers steal
 //!                      ▼       ▼       ▼       ▼   from the busiest queue
 //!                      w0      w1      w2      w3
-//!                        lock tenant ▸ Service::handle ▸ reply
+//!                        lock tenant ▸ Service::handle ▸ post completion
+//!                                          └▶ reactor writes the reply
 //! ```
 //!
 //! Jobs are routed to `hash(tenant) % workers` ([`crate::sched`]), so a
@@ -20,37 +21,35 @@
 //! locks — stays on one core instead of bouncing between whichever
 //! workers happen to pop a shared queue; stealing keeps a skewed tenant
 //! mix from idling the rest of the pool. `SEARCH_MANY` batches execute
-//! on the same pool through the spawn-free fan-out executor instead of
-//! spawning scoped threads per request.
+//! on the same pool through the spawn-free fan-out executor, so no
+//! request ever starts a thread.
 //!
-//! Backpressure is explicit: when every run queue is full the connection
-//! thread answers `BUSY` immediately instead of buffering unboundedly —
-//! the client retries with backoff ([`crate::transport::TcpTransport`]).
+//! Backpressure is explicit: when every run queue is full the reactor
+//! answers `BUSY` immediately instead of buffering unboundedly — the
+//! client retries with backoff ([`crate::transport::TcpTransport`]).
 //!
 //! Graceful shutdown reuses [`sse_net::shutdown::ShutdownSignal`] (the
-//! same primitive that stops [`sse_net::link::Duplex`]): the listener
-//! stops accepting, connection threads stop reading and hang up, the job
-//! sender side drops, and workers drain every queued job before exiting.
-//! [`Daemon::shutdown`] joins all of them — no thread outlives the call.
+//! same primitive that stops [`sse_net::link::Duplex`]): the reactor
+//! stops accepting and reading and drops its job sender, workers drain
+//! every queued job before exiting, and the reactor flushes their last
+//! responses. [`Daemon::shutdown`] joins all of them — no thread outlives
+//! the call.
 
 use crate::proto::{
-    self, Hello, StatsSnapshot, ADMIN_SHUTDOWN, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN, KIND_DATA,
-    KIND_SEARCH_MANY, KIND_UPDATE_MANY, STATUS_BUSY, STATUS_DEGRADED, STATUS_ERR, STATUS_OK,
+    self, StatsSnapshot, KIND_SEARCH_MANY, KIND_UPDATE_MANY, STATUS_DEGRADED, STATUS_ERR, STATUS_OK,
 };
 use crate::reactor::{CompletionQueue, OutMsg, Reactor, ReactorOptions, Segment, POISON_TOKEN};
-use crate::sched::{route_hash, JobSender, SchedCounters, Scheduler, SearchFanout};
+use crate::sched::{JobSender, SchedCounters, Scheduler, SearchFanout};
 use crate::scrub::{scrub_loop, scrub_pass, ScrubCounters};
 use crate::stats::ServingStats;
 use crate::tenant::{TenantHandle, TenantParams, TenantRegistry};
 use sse_core::health::{HealthState, DEGRADED_RETRY_AFTER_MS};
-use sse_net::frame::FrameDecoder;
 use sse_net::pool::{BufPool, PooledBuf};
 use sse_net::shutdown::ShutdownSignal;
 use sse_storage::{FaultConfig, FaultStats, FaultVfs, RealVfs, Vfs};
-use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,7 +59,7 @@ const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Default per-connection idle timeout (see [`ServerConfig::idle_timeout`]).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Default cap on concurrently open connections in reactor mode.
+/// Default cap on concurrently open connections.
 pub const DEFAULT_MAX_CONNS: usize = 100_000;
 
 /// Default bound on a connection's queued-but-unwritten response bytes;
@@ -91,9 +90,9 @@ pub struct ServerConfig {
     /// directory, are recovered (WAL replay) at startup, and are
     /// checkpointed on graceful shutdown.
     pub data_dir: Option<PathBuf>,
-    /// Close a connection that has sent no bytes for this long. Without it
-    /// an idle (or vanished, on a network that never RSTs) client pins a
-    /// reader thread forever.
+    /// Close a connection that has completed no frame for this long.
+    /// Without it an idle (or vanished, on a network that never RSTs)
+    /// client holds its slot of `max_conns` forever.
     pub idle_timeout: Duration,
     /// `Some` ⇒ route all tenant file I/O through a seeded
     /// [`FaultVfs`] (torture testing only); injected-fault counts show up
@@ -104,28 +103,12 @@ pub struct ServerConfig {
     /// [`crate::scrub`]) per interval. `None` disables the thread; tests
     /// can still drive passes synchronously via [`Daemon::scrub_now`].
     pub scrub_interval: Option<Duration>,
-    /// `true` (the default) runs the epoll reactor: one event-loop thread
-    /// owns every socket ([`crate::reactor`]). `false` falls back to the
-    /// legacy thread-per-connection architecture.
-    pub reactor: bool,
-    /// Reactor mode: connections accepted beyond this cap are dropped at
-    /// accept (counted as `conns_rejected`).
+    /// Connections accepted beyond this cap are dropped at accept (counted
+    /// as `conns_rejected`).
     pub max_conns: usize,
-    /// Reactor mode: a connection whose queued-but-unwritten response
-    /// bytes exceed this bound is disconnected as a slow reader.
+    /// A connection whose queued-but-unwritten response bytes exceed this
+    /// bound is disconnected as a slow reader.
     pub write_queue_limit: usize,
-    /// `true` (the default) serves the zero-copy hot path: frame bodies
-    /// are assembled into pooled buffers and request payloads reach the
-    /// workers as sliced views of them. `false` (`--no-pool`) falls back
-    /// to a fresh `Vec` per frame and a copied payload per job — the
-    /// pre-pool behavior, kept as the benchmark baseline.
-    pub pool: bool,
-    /// `true` (the default) routes jobs to `hash(tenant) % workers`, so a
-    /// tenant's hot state stays core-local and idle workers steal from
-    /// the busiest queue. `false` (`--no-affinity`) routes round-robin
-    /// through the same sharded scheduler — the global-queue-equivalent
-    /// baseline the sched bench compares against.
-    pub affinity: bool,
 }
 
 impl Default for ServerConfig {
@@ -140,27 +123,21 @@ impl Default for ServerConfig {
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
             fault: None,
             scrub_interval: None,
-            reactor: true,
             max_conns: DEFAULT_MAX_CONNS,
             write_queue_limit: DEFAULT_WRITE_QUEUE_LIMIT,
-            pool: true,
-            affinity: true,
         }
     }
 }
 
-/// State shared by the listener/reactor, connection and admin paths.
+/// State shared by the reactor, the scrub thread and the admin paths.
 pub(crate) struct Shared {
     pub(crate) shutdown: ShutdownSignal,
     pub(crate) stats: Arc<ServingStats>,
     pub(crate) registry: Arc<TenantRegistry>,
     pub(crate) fault_stats: Option<Arc<FaultStats>>,
     pub(crate) scrub: Arc<ScrubCounters>,
-    pub(crate) max_frame_len: u32,
-    pub(crate) idle_timeout: Duration,
-    /// The serving-path buffer pool. Cloned into the reactor when pooled
-    /// mode is on; kept here regardless so `ADMIN_STATS` can report the
-    /// hit/miss/recycle counters.
+    /// The serving-path buffer pool. The reactor holds a clone; this one
+    /// lets `ADMIN_STATS` report the hit/miss/recycle counters.
     pub(crate) pool: BufPool,
     /// Scheduler observability counters (routed / local hits / steals /
     /// spills / queue high-water, fan-out batches), overlaid into
@@ -224,91 +201,31 @@ impl Shared {
 /// on a worker and on the reactor's run-to-completion path.
 pub(crate) const HANDLER_PANICKED: &[u8] = b"internal error: request handler panicked";
 
-/// Where a worker sends its response: directly down the socket (legacy
-/// thread-per-connection mode, under the connection's writer lock) or
-/// back to the reactor as a pre-framed completion.
+/// Where a worker sends its response: back to the reactor, which owns
+/// the socket and serializes all writes through the connection's bounded
+/// write queue.
 #[derive(Clone)]
-pub(crate) enum Responder {
-    /// Write under the connection's writer mutex (frames from the reader
-    /// thread and from workers must not interleave).
-    Direct(Arc<Mutex<TcpStream>>),
-    /// Post to the reactor's completion queue; the reactor owns the
-    /// socket and serializes all writes through the connection's bounded
-    /// write queue.
-    Reactor {
-        token: u64,
-        completions: Arc<CompletionQueue>,
-        /// `Some` in pooled mode: the response payload is sealed into the
-        /// pool so its buffer recycles once the reactor's gather write
-        /// finishes — steady-state, request-body acquires are served by
-        /// retired response buffers instead of fresh allocations.
-        pool: Option<BufPool>,
-    },
+pub(crate) struct Responder {
+    pub(crate) token: u64,
+    pub(crate) completions: Arc<CompletionQueue>,
+    /// The response payload is sealed into the pool so its buffer
+    /// recycles once the reactor's gather write finishes — steady-state,
+    /// request-body acquires are served by retired response buffers
+    /// instead of fresh allocations.
+    pub(crate) pool: BufPool,
 }
 
 impl Responder {
-    /// Send one response envelope, taking the payload **by value** so it
-    /// is written exactly once: the old `&[u8]` signature forced both
-    /// arms through `encode_frame(encode_response(..))` — one copy to
-    /// build the envelope, a second into the framed buffer. Now the
-    /// reactor arm moves the payload into a scatter-gather [`OutMsg`]
-    /// and the direct arm hands it to the kernel from where it sits via
-    /// a vectored write.
-    ///
-    /// Returns `false` only when a direct write fails (the reactor path
-    /// always accepts; a dead connection drops the completion by token
-    /// mismatch).
-    pub(crate) fn send(&self, status: u8, seq: u32, payload: Vec<u8>) -> bool {
-        match self {
-            Responder::Direct(writer) => {
-                let mut stream = writer
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                write_response_direct(&mut stream, status, seq, &payload).is_ok()
-            }
-            Responder::Reactor {
-                token,
-                completions,
-                pool,
-            } => {
-                let segment = Segment::sealed(pool.as_ref(), payload);
-                completions.post(*token, OutMsg::response(status, seq, segment));
-                true
-            }
-        }
+    /// Post one response envelope to the reactor's completion queue,
+    /// taking the payload **by value** so it is never copied: it moves
+    /// into a scatter-gather [`OutMsg`] and goes to the kernel from where
+    /// it sits. A connection that died meanwhile drops the completion by
+    /// token mismatch.
+    pub(crate) fn send(&self, status: u8, seq: u32, payload: Vec<u8>) {
+        let segment = Segment::Pooled(self.pool.seal(payload));
+        self.completions
+            .post(self.token, OutMsg::response(status, seq, segment));
     }
-}
-
-/// Blocking vectored write of `prefix ‖ payload` under the connection's
-/// writer lock — the threaded-mode half of the zero-copy encode (the
-/// payload goes out as its own iovec, never copied into a contiguous
-/// frame buffer).
-fn write_response_direct(
-    stream: &mut TcpStream,
-    status: u8,
-    seq: u32,
-    payload: &[u8],
-) -> std::io::Result<()> {
-    let head = proto::response_prefix(status, seq, payload.len());
-    let total = head.len() + payload.len();
-    let mut written = 0usize;
-    while written < total {
-        let bufs = if written < head.len() {
-            [IoSlice::new(&head[written..]), IoSlice::new(payload)]
-        } else {
-            [
-                IoSlice::new(&payload[written - head.len()..]),
-                IoSlice::new(&[]),
-            ]
-        };
-        match stream.write_vectored(&bufs) {
-            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero)),
-            Ok(n) => written += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 /// One queued DATA, UPDATE_MANY or SEARCH_MANY request.
@@ -320,10 +237,8 @@ pub(crate) struct Job {
     /// Client sequence number, echoed in the response so a pipelining
     /// client can match responses that workers complete out of order.
     pub(crate) seq: u32,
-    /// The request payload. In pooled reactor mode this is a sliced view
-    /// of the frame's pool buffer (zero-copy from the socket read);
-    /// elsewhere it wraps an owned `Vec`. Dropping it recycles a pooled
-    /// buffer automatically.
+    /// The request payload: a sliced view of the frame's pool buffer
+    /// (zero-copy from the socket read). Dropping it recycles the buffer.
     pub(crate) payload: PooledBuf,
     pub(crate) responder: Responder,
     pub(crate) accepted: Instant,
@@ -335,7 +250,8 @@ pub(crate) struct Job {
 pub struct ShutdownReport {
     /// Worker threads joined.
     pub workers_joined: usize,
-    /// Connection threads joined.
+    /// Connections the reactor accepted over the daemon's life, all of
+    /// them closed by the time it was joined.
     pub connections_joined: usize,
     /// Tenant databases checkpointed to disk during the drain (always 0
     /// for an in-memory daemon).
@@ -356,18 +272,12 @@ pub struct ShutdownReport {
 pub struct Daemon {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Threaded mode only.
-    listener_join: Option<JoinHandle<()>>,
-    /// Threaded mode only.
-    conn_joins: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// Reactor mode only.
-    reactor_join: Option<JoinHandle<()>>,
-    /// Reactor mode only: handle for waking the reactor from shutdown
-    /// (and for the panic-injection test hook).
-    completions: Option<Arc<CompletionQueue>>,
-    /// Reactor mode only: second-phase drain signal, requested after the
-    /// workers are joined so the reactor flushes the final responses and
-    /// exits.
+    reactor_join: JoinHandle<()>,
+    /// Handle for waking the reactor from shutdown (and for the
+    /// panic-injection test hook).
+    completions: Arc<CompletionQueue>,
+    /// Second-phase drain signal, requested after the workers are joined
+    /// so the reactor flushes the final responses and exits.
     drain_done: ShutdownSignal,
     worker_joins: Vec<JoinHandle<()>>,
     scrub_join: Option<JoinHandle<()>>,
@@ -384,12 +294,14 @@ impl Daemon {
     /// I/O errors from binding the listener, or storage errors from
     /// recovering an existing tenant database.
     pub fn spawn(config: ServerConfig) -> std::io::Result<Daemon> {
+        // Every step that can fail comes before the first thread starts:
+        // an `Err` from here must leave nothing running. (The scrub thread
+        // exits only on `shutdown`, which nobody requests for a daemon
+        // that was never returned.)
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shutdown = ShutdownSignal::new();
-        let stats = Arc::new(ServingStats::new());
         let (vfs, fault_stats): (Arc<dyn Vfs>, Option<Arc<FaultStats>>) = match config.fault {
             None => (RealVfs::arc(), None),
             Some(cfg) => {
@@ -404,29 +316,43 @@ impl Daemon {
         });
         registry.preopen_existing().map_err(std::io::Error::other)?;
         let (sched, job_tx) =
-            Scheduler::<Job>::new(config.workers.max(1), config.queue_depth, config.affinity);
+            Scheduler::<Job>::new(config.workers.max(1), config.queue_depth, true);
         let fanout = Arc::new(SearchFanout::new(sched.clone()));
+
+        let shared = Arc::new(Shared {
+            shutdown: ShutdownSignal::new(),
+            stats: Arc::new(ServingStats::new()),
+            registry,
+            fault_stats,
+            scrub: Arc::new(ScrubCounters::new()),
+            pool: BufPool::new(),
+            sched: sched.counters(),
+        });
+
+        let drain_done = ShutdownSignal::new();
+        let opts = ReactorOptions {
+            max_frame_len: config.max_frame_len,
+            idle_timeout: config.idle_timeout,
+            max_conns: config.max_conns,
+            write_queue_limit: config.write_queue_limit,
+            pool: shared.pool.clone(),
+        };
+        let (mut reactor, completions) = Reactor::new_real(
+            listener,
+            shared.clone(),
+            job_tx.clone(),
+            drain_done.clone(),
+            opts,
+        )?;
 
         let worker_joins: Vec<JoinHandle<()>> = (0..sched.workers())
             .map(|me| {
                 let sched = sched.clone();
                 let fanout = fanout.clone();
-                let stats = stats.clone();
+                let stats = shared.stats.clone();
                 std::thread::spawn(move || worker_loop(me, &sched, &fanout, &stats))
             })
             .collect();
-
-        let shared = Arc::new(Shared {
-            shutdown,
-            stats,
-            registry,
-            fault_stats,
-            scrub: Arc::new(ScrubCounters::new()),
-            max_frame_len: config.max_frame_len,
-            idle_timeout: config.idle_timeout,
-            pool: BufPool::new(),
-            sched: sched.counters(),
-        });
 
         let scrub_join = config.scrub_interval.map(|interval| {
             let shared = shared.clone();
@@ -435,58 +361,26 @@ impl Daemon {
             })
         });
 
-        let conn_joins: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let drain_done = ShutdownSignal::new();
-        let mut listener_join = None;
-        let mut reactor_join = None;
-        let mut completions = None;
-        if config.reactor {
-            let opts = ReactorOptions {
-                max_frame_len: config.max_frame_len,
-                idle_timeout: config.idle_timeout,
-                max_conns: config.max_conns,
-                write_queue_limit: config.write_queue_limit,
-                pool: config.pool.then(|| shared.pool.clone()),
-            };
-            let (mut reactor, queue) = Reactor::new_real(
-                listener,
-                shared.clone(),
-                job_tx.clone(),
-                drain_done.clone(),
-                opts,
-            )?;
-            completions = Some(queue);
-            let shutdown = shared.shutdown.clone();
-            reactor_join = Some(std::thread::spawn(move || {
-                // Server-side thread: opt into the allocation meter so
-                // `--bench-mode hotpath` counts reactor allocations but
-                // not the bench client's own.
-                allocmeter::track_current_thread();
-                // A reactor panic (fatal accept error, poll failure,
-                // poison) must start a graceful drain — a daemon without
-                // its event loop can never serve again — and still count
-                // as a panicked thread in the shutdown report.
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reactor.run()));
-                if let Err(payload) = outcome {
-                    shutdown.request();
-                    std::panic::resume_unwind(payload);
-                }
-            }));
-        } else {
-            let shared = shared.clone();
-            let conn_joins = conn_joins.clone();
-            let job_tx = job_tx.clone();
-            listener_join = Some(std::thread::spawn(move || {
-                listener_loop(&listener, &shared, &conn_joins, &job_tx);
-            }));
-        }
+        let shutdown = shared.shutdown.clone();
+        let reactor_join = std::thread::spawn(move || {
+            // Server-side thread: opt into the allocation meter, so a
+            // process that installs `allocmeter::CountingAlloc` counts
+            // what serving allocates and not what its clients do.
+            allocmeter::track_current_thread();
+            // A reactor panic (fatal accept error, poll failure,
+            // poison) must start a graceful drain — a daemon without
+            // its event loop can never serve again — and still count
+            // as a panicked thread in the shutdown report.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reactor.run()));
+            if let Err(payload) = outcome {
+                shutdown.request();
+                std::panic::resume_unwind(payload);
+            }
+        });
 
         Ok(Daemon {
             local_addr,
             shared,
-            listener_join,
-            conn_joins,
             reactor_join,
             completions,
             drain_done,
@@ -507,12 +401,10 @@ impl Daemon {
     /// The panic trips the reactor's shutdown path and is counted in
     /// [`ShutdownReport::threads_panicked`] — this is how the
     /// "reactor dies mid-load" regression test exercises that accounting
-    /// without reaching into thread internals. No-op in threaded mode.
+    /// without reaching into thread internals.
     #[doc(hidden)]
     pub fn inject_reactor_panic(&self) {
-        if let Some(queue) = &self.completions {
-            queue.post(POISON_TOKEN, OutMsg::raw(Vec::new()));
-        }
+        self.completions.post(POISON_TOKEN, OutMsg::raw(Vec::new()));
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -567,30 +459,12 @@ impl Daemon {
             }
         };
         self.shared.shutdown.request();
-        if let Some(queue) = &self.completions {
-            // Unpark the reactor from epoll_wait so it notices the flag
-            // now rather than at its next timeout tick.
-            queue.wake();
-        }
-        if let Some(join) = self.listener_join {
-            join_counted(join, "listener");
-        }
-        // The listener has stopped spawning; connection threads notice the
-        // flag within one poll interval and hang up.
-        let conns = std::mem::take(
-            &mut *self
-                .conn_joins
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        let mut connections_joined = conns.len();
-        for join in conns {
-            join_counted(join, "connection");
-        }
-        // All request producers are gone: dropping the daemon's own sender
-        // closes the scheduler (the reactor drops its own clone on its
-        // first post-shutdown turn), and workers exit after draining every
-        // run queue.
+        // Unpark the reactor from epoll_wait so it notices the flag now
+        // rather than at its next timeout tick.
+        self.completions.wake();
+        // Dropping the daemon's own sender closes the scheduler (the
+        // reactor drops its clone on its first post-shutdown turn), and
+        // workers exit after draining every run queue.
         drop(self.job_tx);
         let workers_joined = self.worker_joins.len();
         for join in self.worker_joins {
@@ -599,16 +473,9 @@ impl Daemon {
         // Workers joined ⇒ every completion is posted. Tell the reactor
         // to flush the last responses and exit, then join it.
         self.drain_done.request();
-        if let Some(queue) = &self.completions {
-            queue.wake();
-        }
-        if let Some(join) = self.reactor_join {
-            join_counted(join, "reactor");
-            // The reactor handled every connection on one thread; report
-            // the connections it retired where the threaded daemon would
-            // report joined reader threads.
-            connections_joined = self.shared.stats.snapshot().conns_accepted as usize;
-        }
+        self.completions.wake();
+        join_counted(self.reactor_join, "reactor");
+        let connections_joined = self.shared.stats.snapshot().conns_accepted as usize;
         if let Some(join) = self.scrub_join {
             join_counted(join, "scrub");
         }
@@ -628,45 +495,6 @@ impl Daemon {
     }
 }
 
-fn listener_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conn_joins: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    job_tx: &JobSender<Job>,
-) {
-    while !shared.shutdown.is_requested() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Same reasoning as the reactor's accept path: responses
-                // to a pipelined burst must not wait on delayed ACKs.
-                stream.set_nodelay(true).ok();
-                let shared = shared.clone();
-                let job_tx = job_tx.clone();
-                let join = std::thread::spawn(move || {
-                    connection_loop(stream, &shared, &job_tx);
-                });
-                conn_joins
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(join);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(e) => {
-                // The listener socket died: without it the daemon can never
-                // accept again, so start a graceful drain instead of
-                // lingering as a server that silently refuses connections.
-                // Panicking (after requesting shutdown) makes the failure
-                // visible in ShutdownReport::threads_panicked rather than
-                // reading as a clean exit.
-                shared.shutdown.request();
-                panic!("sse-serverd: fatal accept error: {e}");
-            }
-        }
-    }
-}
-
 fn worker_loop(
     me: usize,
     sched: &Arc<Scheduler<Job>>,
@@ -674,7 +502,7 @@ fn worker_loop(
     stats: &Arc<ServingStats>,
 ) {
     // Server-side thread: opt into the allocation meter (see the reactor
-    // thread) so hotpath bench numbers cover scheme work, not clients.
+    // thread).
     allocmeter::track_current_thread();
     // Worker w serves its own run queue first (its tenants' home), then
     // steals, then helps an active search fan-out, and only then parks.
@@ -740,28 +568,21 @@ fn process_job(job: Job, fanout: &Arc<SearchFanout>, stats: &Arc<ServingStats>) 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match kind {
         KIND_UPDATE_MANY => proto::decode_batch(&payload).map(|parts| tenant.apply_batch(&parts)),
         // SEARCH_MANY takes the payload by value: the executor shares the
-        // (pooled, zero-copy) buffer with helper workers via Arc instead
-        // of spawning scoped threads that could borrow it.
+        // (pooled, zero-copy) buffer with helper workers via Arc.
         KIND_SEARCH_MANY => fanout.search_many(&tenant, payload),
         _ => {
-            // Pooled mode closes the loop on the response side too:
-            // encode into a recycled pool buffer, which `send` seals
-            // so the reactor's gather write recycles it again.
-            let scratch = match &responder {
-                Responder::Reactor {
-                    pool: Some(pool), ..
-                } => pool.acquire(RESPONSE_SCRATCH_CAPACITY),
-                _ => Vec::new(),
-            };
+            // The pool closes the loop on the response side too: encode
+            // into a recycled buffer, which `send` seals so the reactor's
+            // gather write recycles it again.
+            let scratch = responder.pool.acquire(RESPONSE_SCRATCH_CAPACITY);
             Some(tenant.handle_shared_with(&payload, scratch))
         }
     }));
     match outcome {
         Ok(Some(response)) => {
             let bytes_out = response.len();
-            if responder.send(STATUS_OK, seq, response) {
-                stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
-            }
+            responder.send(STATUS_OK, seq, response);
+            stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
         }
         Ok(None) => {
             stats.record_err();
@@ -770,167 +591,6 @@ fn process_job(job: Job, fanout: &Arc<SearchFanout>, stats: &Arc<ServingStats>) 
         Err(_) => {
             stats.record_err();
             responder.send(STATUS_ERR, seq, HANDLER_PANICKED.to_vec());
-        }
-    }
-}
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, job_tx: &JobSender<Job>) {
-    // Server-side thread (legacy mode): opt into the allocation meter so
-    // the hotpath bench's legacy arm measures this path's allocations.
-    allocmeter::track_current_thread();
-    let Shared {
-        shutdown,
-        stats,
-        registry,
-        ..
-    } = &**shared;
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    stats.record_conn_accepted();
-    // Counted on every exit path so `conns_open` balances in threaded
-    // mode just as it does under the reactor.
-    struct CloseGuard<'a>(&'a ServingStats);
-    impl Drop for CloseGuard<'_> {
-        fn drop(&mut self) {
-            self.0.record_conn_closed();
-        }
-    }
-    let _close_guard = CloseGuard(stats);
-    let responder = Responder::Direct(writer);
-    let mut reader = stream;
-    let mut decoder = FrameDecoder::with_max_len(shared.max_frame_len);
-    let mut tenant: Option<TenantHandle> = None;
-    // Routing key for the scheduler, fixed at hello: every job from this
-    // connection homes to the same worker queue (tenant affinity).
-    let mut route: u64 = 0;
-    let mut buf = [0u8; 16 * 1024];
-    let mut last_activity = Instant::now();
-
-    'conn: while !shutdown.is_requested() {
-        match reader.read(&mut buf) {
-            Ok(0) => break, // peer hung up
-            Ok(n) => {
-                last_activity = Instant::now();
-                decoder.push(&buf[..n]);
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Poll tick: re-check the shutdown flag, and hang up on
-                // clients that have gone silent — a vanished peer (or an
-                // idle one) must not pin this reader thread forever.
-                if last_activity.elapsed() >= shared.idle_timeout {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
-        }
-        loop {
-            let frame = match decoder.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(too_large) => {
-                    stats.record_err();
-                    responder.send(STATUS_ERR, HELLO_SEQ, too_large.to_string().into_bytes());
-                    break 'conn;
-                }
-            };
-            // First frame must be the hello.
-            let Some(current_tenant) = tenant.as_ref() else {
-                match Hello::decode(&frame) {
-                    Some(hello) => {
-                        let existed = registry.contains(&hello.tenant, hello.scheme);
-                        match registry.get_or_create(&hello.tenant, hello.scheme) {
-                            Ok(handle) => {
-                                if existed {
-                                    stats.record_reconnect();
-                                }
-                                route = route_hash(&hello.tenant, hello.scheme);
-                                tenant = Some(handle);
-                                if !responder.send(STATUS_OK, HELLO_SEQ, Vec::new()) {
-                                    break 'conn;
-                                }
-                            }
-                            Err(e) => {
-                                stats.record_err();
-                                responder.send(
-                                    STATUS_ERR,
-                                    HELLO_SEQ,
-                                    format!("tenant open failed: {e}").into_bytes(),
-                                );
-                                break 'conn;
-                            }
-                        }
-                    }
-                    None => {
-                        stats.record_err();
-                        responder.send(STATUS_ERR, HELLO_SEQ, b"malformed hello".to_vec());
-                        break 'conn;
-                    }
-                }
-                continue;
-            };
-            let Some((kind, seq, payload)) = proto::decode_request(&frame) else {
-                stats.record_err();
-                responder.send(STATUS_ERR, HELLO_SEQ, b"malformed request".to_vec());
-                break 'conn;
-            };
-            match kind {
-                KIND_DATA | KIND_UPDATE_MANY | KIND_SEARCH_MANY => {
-                    // Threaded mode still copies the payload out of the
-                    // decoder's frame; the copy is counted so the hotpath
-                    // bench can show what pooled mode saves.
-                    stats.record_bytes_copied(payload.len() as u64);
-                    let job = Job {
-                        tenant: current_tenant.clone(),
-                        kind,
-                        seq,
-                        payload: PooledBuf::from_vec(payload.to_vec()),
-                        responder: responder.clone(),
-                        accepted: Instant::now(),
-                    };
-                    match job_tx.try_send(route, job) {
-                        Ok(()) => {}
-                        Err(_job) => {
-                            // Every run queue is full (home and spill
-                            // alike). Explicit backpressure: reject now,
-                            // let the client retry, never queue
-                            // unboundedly.
-                            stats.record_busy();
-                            if !responder.send(STATUS_BUSY, seq, Vec::new()) {
-                                break 'conn;
-                            }
-                        }
-                    }
-                }
-                KIND_ADMIN => match payload.first().copied() {
-                    Some(ADMIN_STATS) => {
-                        let snap = shared.full_snapshot().encode();
-                        if !responder.send(STATUS_OK, seq, snap) {
-                            break 'conn;
-                        }
-                    }
-                    Some(ADMIN_SHUTDOWN) => {
-                        responder.send(STATUS_OK, seq, Vec::new());
-                        shutdown.request();
-                        break 'conn;
-                    }
-                    _ => {
-                        stats.record_err();
-                        responder.send(STATUS_ERR, seq, b"unknown admin command".to_vec());
-                        break 'conn;
-                    }
-                },
-                _ => {
-                    stats.record_err();
-                    responder.send(STATUS_ERR, seq, b"unknown request kind".to_vec());
-                    break 'conn;
-                }
-            }
         }
     }
 }

@@ -5,11 +5,10 @@
 //! [`sse_net::link::Service`] state machines that tests drive in-process
 //! are served here over real sockets to many concurrent clients.
 //!
-//! * [`daemon`] — the TCP daemon: by default a readiness-driven epoll
-//!   [`reactor`] owns every socket on one thread, feeding a bounded
-//!   worker pool with explicit `BUSY` backpressure; a legacy
-//!   thread-per-connection mode remains behind `ServerConfig::reactor =
-//!   false`. Graceful draining shutdown, per-request serving stats.
+//! * [`daemon`] — the TCP daemon: a readiness-driven epoll [`reactor`]
+//!   owns every socket on one thread, feeding a bounded worker pool with
+//!   explicit `BUSY` backpressure. Graceful draining shutdown,
+//!   per-request serving stats.
 //! * [`reactor`] — the non-blocking event loop: per-connection state
 //!   machines over incremental frame decoding, bounded write queues with
 //!   `EPOLLOUT`-driven draining, idle reaping, and a deterministic mock
@@ -37,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod chaos;
 pub mod daemon;
 pub mod histogram;

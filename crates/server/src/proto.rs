@@ -410,9 +410,10 @@ pub struct StatsSnapshot {
     /// Worker-completion notifications absorbed by an already-pending
     /// reactor wakeup (the wake pipe is drained once per poll batch).
     pub wakeups_coalesced: u64,
-    /// Payload bytes memcpy'd on the serving path (request materialization
-    /// and response envelope assembly) — the number the zero-copy pipeline
-    /// exists to shrink.
+    /// Payload bytes memcpy'd on the serving path. Always 0: request
+    /// payloads reach the scheme handler as views of the buffer the socket
+    /// read filled, and no other path exists. The slot stays on the wire
+    /// because peers decode the snapshot by position.
     pub bytes_copied: u64,
     /// Median run-queue wait in nanoseconds (job accepted until a worker
     /// dequeued it) — the backpressure half of `p50_ns`.

@@ -7,8 +7,8 @@
 //! assembled incrementally by [`StreamingDecoder`] — a connection that is
 //! idle at a frame boundary holds **zero** buffered bytes, which is what
 //! lets one thread hold tens of thousands of idle tenants at a flat
-//! per-connection cost (the thread-per-connection architecture paid a
-//! stack per idle socket).
+//! per-connection cost (a thread per connection would pay a stack per
+//! idle socket).
 //!
 //! ```text
 //!              epoll_wait ──▶ reactor thread
@@ -28,9 +28,9 @@
 //! the job-queue backpressure signal; there is no BUSY-on-accept.
 //!
 //! **Workers.** CPU-bound scheme work still runs on the worker pool. The
-//! reactor hands jobs over with a [`Responder::Reactor`][crate::daemon]
-//! handle; workers post pre-framed responses to the [`CompletionQueue`]
-//! and nudge the reactor through the wakeup pipe.
+//! reactor hands jobs over with a [`Responder`] handle; workers post
+//! pre-framed responses to the [`CompletionQueue`] and nudge the reactor
+//! through the wakeup pipe.
 //!
 //! **Run to completion.** The hand-off out and back costs more than a
 //! memo-hit Scheme 2 search does, so a `KIND_DATA` frame on a connection
@@ -116,16 +116,14 @@ thread_local! {
 fn try_inline(
     tenant: &TenantDb,
     payload: &[u8],
-    pool: Option<&BufPool>,
+    pool: &BufPool,
 ) -> std::thread::Result<Option<Vec<u8>>> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         if PANIC_NEXT_INLINE.with(|hook| hook.replace(false)) {
             panic!("test hook: inline handler panic");
         }
-        tenant.try_handle_inline(payload, || {
-            pool.map_or_else(Vec::new, |pool| pool.acquire(RESPONSE_SCRATCH_CAPACITY))
-        })
+        tenant.try_handle_inline(payload, || pool.acquire(RESPONSE_SCRATCH_CAPACITY))
     }))
 }
 
@@ -140,23 +138,15 @@ fn split_token(token: u64) -> (usize, u32) {
 }
 
 /// A response payload segment: plain owned bytes, or a pool-backed view
-/// whose drop recycles the buffer into the [`BufPool`] it came from.
+/// whose drop recycles the buffer into the [`BufPool`] it came from. What
+/// a scheme handler produced is sealed into the pool, so its buffer
+/// recycles once the gather write that carries it finishes.
 pub(crate) enum Segment {
     Owned(Vec<u8>),
     Pooled(PooledBuf),
 }
 
 impl Segment {
-    /// A response payload produced by a scheme handler: sealed into the
-    /// pool in pooled mode, so its buffer recycles once the gather write
-    /// that carries it finishes.
-    pub(crate) fn sealed(pool: Option<&BufPool>, payload: Vec<u8>) -> Segment {
-        match pool {
-            Some(pool) => Segment::Pooled(pool.seal(payload)),
-            None => Segment::Owned(payload),
-        }
-    }
-
     fn as_slice(&self) -> &[u8] {
         match self {
             Segment::Owned(v) => v,
@@ -340,14 +330,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(io: Box<dyn ConnIo>, max_frame_len: u32, pool: Option<BufPool>) -> Conn {
+    fn new(io: Box<dyn ConnIo>, max_frame_len: u32, pool: BufPool) -> Conn {
         Conn {
             io,
             state: ConnState::AwaitingHello,
-            decoder: match pool {
-                Some(pool) => StreamingDecoder::with_pool(max_frame_len, pool),
-                None => StreamingDecoder::with_max_len(max_frame_len),
-            },
+            decoder: StreamingDecoder::with_pool(max_frame_len, pool),
             tenant: None,
             write_queue: VecDeque::new(),
             write_offset: 0,
@@ -449,12 +436,9 @@ pub(crate) struct ReactorOptions {
     pub(crate) idle_timeout: Duration,
     pub(crate) max_conns: usize,
     pub(crate) write_queue_limit: usize,
-    /// `Some` ⇒ zero-copy mode: frame bodies are assembled into pooled
-    /// buffers and job payloads are sliced views of them. `None` falls
-    /// back to the owned-buffer path (fresh `Vec` per frame, payload
-    /// copied per job) — the pre-pool behavior, kept as the benchmark
-    /// baseline and for `--no-pool` operation.
-    pub(crate) pool: Option<BufPool>,
+    /// Frame bodies are assembled into buffers from this pool and job
+    /// payloads are sliced views of them.
+    pub(crate) pool: BufPool,
 }
 
 /// The event loop. Generic over the poller so tests substitute a
@@ -909,10 +893,10 @@ impl<P: Poller> Reactor<P> {
 
     /// Interpret one complete frame according to the connection's state.
     ///
-    /// Takes the frame **by value**: in pooled mode the job payload is a
-    /// sliced view of the frame's pool buffer (no copy), and frames the
-    /// protocol judged malformed are poisoned so their buffer is never
-    /// recycled into the pool.
+    /// Takes the frame **by value**: the job payload is a sliced view of
+    /// the frame's pool buffer (no copy), and frames the protocol judged
+    /// malformed are poisoned so their buffer is never recycled into the
+    /// pool.
     #[allow(clippy::too_many_arguments)]
     fn handle_frame(
         poller: &mut P,
@@ -1015,27 +999,18 @@ impl<P: Poller> Reactor<P> {
                             .tenant
                             .clone()
                             .expect("established connection has a tenant");
-                        // Pooled mode hands the worker a view into the
-                        // frame's pool buffer past the 5-byte envelope —
-                        // the request payload is never copied between the
-                        // socket read and the scheme handler. The
-                        // owned-buffer fallback keeps the old copy and
-                        // counts it.
-                        let payload = if opts.pool.is_some() {
-                            let mut view = frame;
-                            view.advance(proto::REQUEST_HEADER_LEN);
-                            view
-                        } else {
-                            let body = frame[proto::REQUEST_HEADER_LEN..].to_vec();
-                            stats.record_bytes_copied(body.len() as u64);
-                            PooledBuf::from_vec(body)
-                        };
+                        // The worker gets a view into the frame's pool
+                        // buffer past the 5-byte envelope — the request
+                        // payload is never copied between the socket read
+                        // and the scheme handler.
+                        let mut payload = frame;
+                        payload.advance(proto::REQUEST_HEADER_LEN);
                         let job = Job {
                             tenant,
                             kind,
                             seq,
                             payload,
-                            responder: Responder::Reactor {
+                            responder: Responder {
                                 token,
                                 completions: completions.clone(),
                                 pool: opts.pool.clone(),
@@ -1169,7 +1144,7 @@ impl<P: Poller> Reactor<P> {
             .expect("established connection has a tenant");
         let payload = &frame[proto::REQUEST_HEADER_LEN..];
         let started = Instant::now();
-        match try_inline(tenant, payload, opts.pool.as_ref()) {
+        match try_inline(tenant, payload, &opts.pool) {
             Ok(None) => None,
             Ok(Some(response)) => {
                 stats.record_ok(
@@ -1181,7 +1156,7 @@ impl<P: Poller> Reactor<P> {
                 stats.record_inline_served();
                 inline.left -= 1;
                 inline.unflushed = true;
-                let response = Segment::sealed(opts.pool.as_ref(), response);
+                let response = Segment::Pooled(opts.pool.seal(response));
                 Self::queue_msg(conn, OutMsg::response(STATUS_OK, seq, response));
                 Some(Ok(()))
             }
@@ -1253,8 +1228,7 @@ impl<P: Poller> Reactor<P> {
         Self::flush_conn(conn, stats)?;
         if conn.pending_write_bytes() > limit {
             // The peer is not draining its responses: cut it loose
-            // rather than buffer without bound. (This replaces the old
-            // per-connection thread blocking in write_all.)
+            // rather than buffer without bound.
             return Err(CloseReason::SlowReader);
         }
         Self::sync_interest(poller, stats, conn, token, reads);
@@ -1573,15 +1547,13 @@ mod tests {
         }
     }
 
-    fn test_shared(idle_timeout: Duration) -> Arc<Shared> {
+    fn test_shared() -> Arc<Shared> {
         Arc::new(Shared {
             shutdown: ShutdownSignal::new(),
             stats: Arc::new(ServingStats::new()),
             registry: Arc::new(TenantRegistry::new(TenantParams::default())),
             fault_stats: None,
             scrub: Arc::new(ScrubCounters::new()),
-            max_frame_len: sse_net::frame::MAX_FRAME_LEN,
-            idle_timeout,
             pool: BufPool::new(),
             sched: Arc::new(SchedCounters::default()),
         })
@@ -1599,7 +1571,7 @@ mod tests {
     }
 
     fn rig_with(idle_timeout: Duration, queue_depth: usize, write_queue_limit: usize) -> Rig {
-        let shared = test_shared(idle_timeout);
+        let shared = test_shared();
         let (sched, job_tx) = Scheduler::<Job>::new(1, queue_depth, true);
         let (waker, wake_rx) = wake_pipe().expect("wake pipe");
         let completions = Arc::new(CompletionQueue::new(waker));
@@ -1608,7 +1580,7 @@ mod tests {
             idle_timeout,
             max_conns: 1024,
             write_queue_limit,
-            pool: Some(BufPool::new()),
+            pool: BufPool::new(),
         };
         let reactor = Reactor::with_parts(
             MockPoller::new(),
@@ -2013,11 +1985,11 @@ mod tests {
     fn conn_table_reuses_slots_with_fresh_generations() {
         let mut table = ConnTable::new();
         let (io_a, _, _) = ScriptIo::new(1);
-        let (idx_a, gen_a) = table.insert(Conn::new(Box::new(io_a), 1024, None));
+        let (idx_a, gen_a) = table.insert(Conn::new(Box::new(io_a), 1024, BufPool::new()));
         assert!(table.remove(idx_a, gen_a).is_some());
         assert!(table.remove(idx_a, gen_a).is_none(), "double remove");
         let (io_b, _, _) = ScriptIo::new(2);
-        let (idx_b, gen_b) = table.insert(Conn::new(Box::new(io_b), 1024, None));
+        let (idx_b, gen_b) = table.insert(Conn::new(Box::new(io_b), 1024, BufPool::new()));
         assert_eq!(idx_a, idx_b);
         assert_ne!(gen_a, gen_b);
         assert!(table.get_mut(idx_b, gen_a).is_none(), "stale gen rejected");
@@ -2137,7 +2109,12 @@ mod tests {
     #[test]
     fn pooled_request_payloads_are_zero_copy_and_recycled() {
         let mut rig = rig();
-        let pool = rig.reactor.opts.pool.clone().expect("rig is pooled");
+        let pool = rig.reactor.opts.pool.clone();
+        // Park one buffer in the pool: the only one there, so the one the
+        // decoder assembles each frame of this connection in.
+        let parked = pool.acquire(64);
+        let frame_buffer = parked.as_ptr()..parked.as_ptr().wrapping_add(parked.capacity());
+        pool.release(parked);
         let (mut io, _written, _cap) = ScriptIo::new(7);
         io.push_read(&hello_frame());
         io.push_read(&encode_frame(&proto::encode_request(
@@ -2147,35 +2124,17 @@ mod tests {
         rig.turn_with(vec![Event::readable(token)]);
         let job = rig.sched.try_next(0).expect("job queued");
         assert_eq!(&job.payload[..], b"needle");
-        // The payload is a sliced view of the decoder's pool buffer —
-        // nothing was memcpy'd on the request path.
-        assert_eq!(rig.shared.stats.snapshot().bytes_copied, 0);
+        assert!(
+            frame_buffer.contains(&job.payload.as_ptr()),
+            "the payload is a view into the buffer the decoder filled — \
+             nothing was memcpy'd on the request path"
+        );
         let before = pool.counters().recycles;
         drop(job);
         assert_eq!(
             pool.counters().recycles,
             before + 1,
             "dropping the job returns the frame buffer to the pool"
-        );
-    }
-
-    #[test]
-    fn owned_buffer_fallback_copies_and_counts_request_payloads() {
-        let mut rig = rig();
-        rig.reactor.opts.pool = None;
-        let (mut io, _written, _cap) = ScriptIo::new(7);
-        io.push_read(&hello_frame());
-        io.push_read(&encode_frame(&proto::encode_request(
-            KIND_DATA, 1, b"needle",
-        )));
-        let (_idx, _gen, token) = rig.add_conn(io);
-        rig.turn_with(vec![Event::readable(token)]);
-        let job = rig.sched.try_next(0).expect("job queued");
-        assert_eq!(&job.payload[..], b"needle");
-        assert_eq!(
-            rig.shared.stats.snapshot().bytes_copied,
-            6,
-            "the fallback copies the payload out of the frame and counts it"
         );
     }
 

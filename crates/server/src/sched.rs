@@ -31,12 +31,11 @@
 //! FIFO push, FIFO pop/steal. A spill can interleave *across* queues,
 //! which the proptest below pins down precisely: no-spill ⇒ no reorder.
 //!
-//! The second half of the module is [`SearchFanout`]: `SEARCH_MANY`
-//! batches used to spawn fresh scoped OS threads per request
-//! ([`crate::tenant::TenantDb::search_batch`]); here the owning worker
-//! publishes a claimable batch and *idle pool workers* help execute its
-//! parts — zero thread spawns in steady state, verified by the
-//! `allocmeter` spawn counter and gated in CI.
+//! The second half of the module is [`SearchFanout`]: the worker that
+//! dequeued a `SEARCH_MANY` batch publishes it as claimable and *idle
+//! pool workers* help execute its parts — no request starts a thread
+//! (`crates/server/tests/invariants.rs` holds the process's thread count
+//! equal across fan-out bursts).
 
 use crate::proto::SchemeId;
 use parking_lot::Mutex;
@@ -46,8 +45,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
-/// Scheduler observability counters, surfaced through `ADMIN_STATS` and
-/// the `sched` bench. One instance per [`Scheduler`], shared by handle.
+/// Scheduler observability counters, surfaced through `ADMIN_STATS`.
+/// One instance per [`Scheduler`], shared by handle.
 #[derive(Default)]
 pub struct SchedCounters {
     routed: AtomicU64,
@@ -152,9 +151,10 @@ pub struct Scheduler<T> {
     /// Per-queue bound: `ceil(total_depth / workers)`, so the summed
     /// capacity matches the old single-queue daemon's `queue_depth`.
     per_queue: usize,
-    /// `false` routes round-robin instead of by tenant hash — the
-    /// global-queue-equivalent baseline arm of the sched bench
-    /// (`--no-affinity`), running through this same code path.
+    /// `false` routes round-robin instead of by tenant hash, through
+    /// this same code path. The daemon always passes `true`; the
+    /// argument stays because `bench/src/layers.rs` calls the
+    /// three-argument constructor (ROADMAP item 5).
     affinity: bool,
     rr: AtomicUsize,
     senders: AtomicUsize,
@@ -418,14 +418,13 @@ struct FanoutState {
 /// and the owner condvar-waits for the last part.
 struct FanoutBatch {
     tenant: TenantHandle,
-    /// The whole request payload (a pooled zero-copy view in reactor
-    /// mode); parts are sub-ranges of it, so helpers never copy bytes.
+    /// The whole request payload (a pooled zero-copy view); parts are
+    /// sub-ranges of it, so helpers never copy bytes.
     payload: Arc<PooledBuf>,
     ranges: Vec<Range<usize>>,
     next: AtomicUsize,
     /// Concurrent helpers are capped at `fanout - 1`: the owner *is*
-    /// participant number one, counted exactly once (the legacy scoped
-    /// pool sized this same way — see `fanout_limit`).
+    /// participant number one, counted exactly once (see `fanout_limit`).
     max_helpers: usize,
     helpers: AtomicUsize,
     state: Mutex<FanoutState>,
@@ -469,8 +468,7 @@ impl FanoutBatch {
 
 /// The persistent fan-out executor: `SEARCH_MANY` batches are published
 /// here by the worker that dequeued them, and *idle* pool workers (no
-/// runnable job anywhere) pick up parts — replacing the per-request
-/// `std::thread::scope` spawns with a spawn-free steady state.
+/// runnable job anywhere) pick up parts, so a batch spawns nothing.
 pub(crate) struct SearchFanout {
     sched: Arc<Scheduler<Job>>,
     active: Mutex<Vec<Arc<FanoutBatch>>>,
@@ -495,8 +493,7 @@ impl SearchFanout {
         // Participants are pool workers (the owner plus idle helpers),
         // not fresh threads, so the pool size — not the machine's core
         // count — is the honest cap: a 4-worker daemon on one core still
-        // interleaves helpers, and the legacy spawn path's core cap
-        // would wrongly serialize it.
+        // interleaves helpers.
         let fanout = fanout_limit(ranges.len(), self.sched.workers());
         if fanout <= 1 {
             // Single part (or single core): no parallelism to win, skip

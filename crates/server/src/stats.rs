@@ -35,7 +35,6 @@ pub struct ServingStats {
     writev_calls: AtomicU64,
     writev_frames: AtomicU64,
     wakeups_coalesced: AtomicU64,
-    bytes_copied: AtomicU64,
     inline_served: AtomicU64,
     inline_declined: AtomicU64,
     latency: LatencySplit,
@@ -146,12 +145,6 @@ impl ServingStats {
         self.wakeups_coalesced.fetch_add(extra, Ordering::Relaxed);
     }
 
-    /// Record payload bytes memcpy'd on the serving path (request
-    /// materialization, response envelope assembly).
-    pub fn record_bytes_copied(&self, bytes: u64) {
-        self.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Record a DATA request the reactor answered itself, run to
     /// completion with no worker hop (DESIGN.md §4n). The request is also
     /// recorded through [`Self::record_ok`] with zero queue wait.
@@ -228,7 +221,9 @@ impl ServingStats {
             writev_calls: self.writev_calls.load(Ordering::Relaxed),
             writev_frames: self.writev_frames.load(Ordering::Relaxed),
             wakeups_coalesced: self.wakeups_coalesced.load(Ordering::Relaxed),
-            bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
+            // Nothing on the serving path copies a payload; the slot
+            // stays because the snapshot is decoded by position.
+            bytes_copied: 0,
             queue_p50_ns: self.latency.queue.quantile_ns(0.50),
             queue_p95_ns: self.latency.queue.quantile_ns(0.95),
             queue_p99_ns: self.latency.queue.quantile_ns(0.99),

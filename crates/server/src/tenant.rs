@@ -28,7 +28,7 @@ use sse_net::link::Service;
 use sse_storage::{BackendCounters, BackendKind, RealVfs, Vfs};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Upper bound on workers serving one `SEARCH_MANY` batch, the calling
@@ -39,21 +39,10 @@ const SEARCH_FANOUT: usize = 8;
 /// Size the fan-out for a `SEARCH_MANY` batch of `parts` parts on
 /// `cores` cores: the number of *participants*, with the calling worker
 /// counted exactly once as participant number one. Helpers beyond the
-/// caller are therefore `fanout_limit(..) - 1` — both the legacy scoped
-/// pool below and the persistent executor in [`crate::sched`] size from
-/// this single definition, so the caller's slot can no longer be
-/// double-counted by capping helpers and participants independently.
+/// caller are therefore `fanout_limit(..) - 1`; the executor in
+/// [`crate::sched`] sizes from this.
 pub(crate) fn fanout_limit(parts: usize, cores: usize) -> usize {
     parts.min(SEARCH_FANOUT).min(cores.max(1))
-}
-
-/// Cached core count. `std::thread::available_parallelism` re-reads the
-/// cgroup filesystem on every call (tens of microseconds — more than a
-/// memo-hit search), so resolve it once per process.
-pub(crate) fn machine_parallelism() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Search-memo counters summed over one tenant database (or, via
@@ -224,81 +213,11 @@ impl TenantDb {
         }
     }
 
-    /// Serve a `SEARCH_MANY` batch: fan the parts out across a small
-    /// scoped worker pool (at most [`SEARCH_FANOUT`] participants, the
-    /// caller included), each part an independent scheme request resolved
-    /// against the shard snapshots. Work is claimed by atomic counter so
-    /// uneven per-keyword costs balance, and the response batch is
-    /// position-aligned with the request parts.
-    ///
-    /// This is the legacy spawn-per-batch path, kept for callers outside
-    /// the daemon worker pool (thread-per-connection mode has no pool to
-    /// draw helpers from). The daemon routes `SEARCH_MANY` through the
-    /// spawn-free [`crate::sched::SearchFanout`] executor instead.
-    #[must_use]
-    pub fn search_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
-        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); parts.len()];
-        // Snapshot searches are pure CPU (no blocking I/O), so threads
-        // beyond the machine's cores only add spawn and switch overhead —
-        // on a single-core host the whole batch stays on this thread and
-        // the win is purely the amortized round trip.
-        let fanout = fanout_limit(parts.len(), machine_parallelism());
-        if fanout <= 1 {
-            for (slot, part) in responses.iter_mut().zip(parts) {
-                *slot = self.handle_part_caught(part);
-            }
-            return crate::proto::encode_batch(&responses);
-        }
-        let next = AtomicUsize::new(0);
-        let claim = |next: &AtomicUsize| {
-            let mut mine: Vec<(usize, Vec<u8>)> = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(part) = parts.get(i) else { break };
-                mine.push((i, self.handle_part_caught(part)));
-            }
-            mine
-        };
-        std::thread::scope(|s| {
-            // The calling thread is participant one of `fanout`, so a
-            // batch costs exactly `fanout - 1` spawns — counted so the
-            // sched bench can prove the daemon path spawns none.
-            let handles: Vec<_> = (1..fanout)
-                .map(|_| {
-                    allocmeter::note_thread_spawn();
-                    let next = &next;
-                    s.spawn(move || claim(next))
-                })
-                .collect();
-            for (i, resp) in claim(&next) {
-                responses[i] = resp;
-            }
-            for handle in handles {
-                // A panic that escaped the per-part catch (e.g. in the
-                // claim loop's own bookkeeping) must not take down the
-                // connection: its claimed slots are healed below.
-                if let Ok(list) = handle.join() {
-                    for (i, resp) in list {
-                        responses[i] = resp;
-                    }
-                }
-            }
-        });
-        // Every legitimate scheme response starts with a tag byte, so an
-        // empty slot can only mean its worker died before reporting.
-        for slot in &mut responses {
-            if slot.is_empty() {
-                *slot = fanout_panicked();
-            }
-        }
-        crate::proto::encode_batch(&responses)
-    }
-
     /// Serve one fan-out part, converting a scheme-server panic into that
     /// part's protocol error instead of unwinding through the pool — one
-    /// poisoned part must not kill the other parts or the connection.
-    /// Shared with the persistent executor in [`crate::sched`], whose
-    /// owner-waits rely on every claimed part reporting a result.
+    /// poisoned part must not kill the other parts or the connection. The
+    /// executor in [`crate::sched`] waits on every claimed part reporting
+    /// a result.
     pub(crate) fn handle_part_caught(&self, part: &[u8]) -> Vec<u8> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle_shared(part)))
             .unwrap_or_else(|_| fanout_panicked())
@@ -356,10 +275,6 @@ pub struct TenantParams {
     /// Index shards per tenant database (fixed at directory creation for
     /// durable tenants; see the shard manifest).
     pub shards: usize,
-    /// Whether durable tenants batch concurrent journal records into
-    /// shared-fsync commit groups (`false` ⇒ one fsync per mutation, the
-    /// benchmark's baseline arm). Durability semantics are identical.
-    pub group_commit: bool,
     /// Storage backend for durable tenants (fixed per tenant directory at
     /// creation, recorded in `backend.meta`; reopening an existing
     /// directory under a different backend is a clean error). Ignored in
@@ -373,7 +288,6 @@ impl Default for TenantParams {
             scheme1_capacity: 4096,
             scheme2_chain_length: 4096,
             shards: 1,
-            group_commit: true,
             backend: BackendKind::Btree,
         }
     }
@@ -464,7 +378,6 @@ impl TenantRegistry {
                 let opts = DurableOptions {
                     vfs: Arc::clone(&self.vfs),
                     shards,
-                    group_commit: self.params.group_commit,
                     backend: self.params.backend,
                 };
                 Ok(match scheme {

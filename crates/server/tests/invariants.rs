@@ -1,0 +1,314 @@
+//! Count invariants of the daemon's serving path: allocations per warm
+//! search, pool reuse, gather-write batching, spawn-free `SEARCH_MANY`
+//! fan-out, and fsync sharing between concurrent updaters. Every bound is
+//! a count read from one process, so none depends on how fast the box is
+//! (EXPERIMENTS.md E12 lists the readings they were pinned from).
+//!
+//! One `#[test]`: the allocation counters and `Threads:` are process-wide,
+//! and a second test running beside this one would move both.
+
+use sse_core::scheme2::{Scheme2Client, Scheme2Config};
+use sse_core::types::{Document, Keyword, MasterKey};
+use sse_net::frame::encode_frame;
+use sse_net::link::Transport;
+use sse_server::daemon::{Daemon, ServerConfig};
+use sse_server::proto::{self, Hello, SchemeId, HELLO_SEQ, KIND_DATA, KIND_SEARCH_MANY, STATUS_OK};
+use sse_server::tenant::TenantParams;
+use sse_server::transport::TcpTransport;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
+
+/// Counts heap acquisitions of the daemon's reactor and worker threads,
+/// which opt in at start; this test's own threads never do.
+#[global_allocator]
+static ALLOC: allocmeter::CountingAlloc = allocmeter::CountingAlloc;
+
+const TENANT: &str = "invariants";
+/// Requests per pipelined burst.
+const DEPTH: usize = 16;
+/// Warm searches per measured phase.
+const OPS: u64 = 2048;
+/// Scheme searches inside each `SEARCH_MANY` request.
+const BATCH_PARTS: usize = 4;
+/// Server-thread allocations one warm search may cost: the reading taken
+/// before this bound was written, closed-loop and pipelined alike.
+const ALLOCS_PER_WARM_SEARCH: u64 = 2;
+
+/// Remembers the bytes of the last single round trip, so the test can
+/// replay one warm (read-only) search verbatim over a bare socket.
+struct Capture {
+    inner: TcpTransport,
+    last: Vec<u8>,
+}
+
+impl Transport for Capture {
+    fn round_trip(&mut self, request: &[u8]) -> std::io::Result<Vec<u8>> {
+        self.last = request.to_vec();
+        self.inner.round_trip(request)
+    }
+}
+
+fn scheme2_client<T: Transport>(transport: T, seed: u64) -> Scheme2Client<T> {
+    Scheme2Client::new_seeded(
+        transport,
+        MasterKey::from_seed(seed),
+        Scheme2Config::standard().with_chain_length(64),
+        seed,
+    )
+}
+
+/// Store one document, search its keyword twice, and return the second
+/// search's request: the tenant's memo now answers it.
+fn warm_search_request(addr: SocketAddr) -> Vec<u8> {
+    let transport = Capture {
+        inner: TcpTransport::connect(addr, TENANT, SchemeId::Scheme2).unwrap(),
+        last: Vec::new(),
+    };
+    let mut client = scheme2_client(transport, 7);
+    let keyword = Keyword::new("needle");
+    client
+        .store(&[Document::new(1, b"record".to_vec(), [keyword.as_str()])])
+        .unwrap();
+    for _ in 0..2 {
+        assert_eq!(client.search(&keyword).unwrap().len(), 1);
+    }
+    client.transport_mut().last.clone()
+}
+
+fn read_status(stream: &mut TcpStream) -> (u8, u32) {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut body).unwrap();
+    let (status, seq, _) = proto::decode_response(&body).unwrap();
+    (status, seq)
+}
+
+/// A bare socket past its hello.
+fn raw_connection(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let hello = Hello {
+        tenant: TENANT.into(),
+        scheme: SchemeId::Scheme2,
+    };
+    stream.write_all(&encode_frame(&hello.encode())).unwrap();
+    assert_eq!(read_status(&mut stream), (STATUS_OK, HELLO_SEQ));
+    stream
+}
+
+/// `DEPTH` request frames in one buffer: `request(slot)` gives each
+/// slot's kind and payload.
+fn burst<'a>(request: impl Fn(usize) -> (u8, &'a [u8])) -> Vec<u8> {
+    (0..DEPTH)
+        .flat_map(|slot| {
+            let (kind, payload) = request(slot);
+            encode_frame(&proto::encode_request(kind, slot as u32 + 1, payload))
+        })
+        .collect()
+}
+
+/// Send `bytes` (holding `replies` requests) `rounds` times, reading every
+/// reply of a round before the next is sent.
+fn replay(stream: &mut TcpStream, bytes: &[u8], replies: usize, rounds: u64) {
+    for _ in 0..rounds {
+        stream.write_all(bytes).unwrap();
+        for _ in 0..replies {
+            assert_eq!(read_status(stream).0, STATUS_OK);
+        }
+    }
+}
+
+/// What one measured phase moved.
+#[derive(Debug)]
+struct Moved {
+    /// Heap acquisitions by the daemon's reactor and worker threads.
+    allocs: u64,
+    pool_hits: u64,
+    writev_calls: u64,
+    writev_frames: u64,
+    fanout_batches: u64,
+}
+
+fn measured(daemon: &Daemon, phase: impl FnOnce()) -> Moved {
+    let before = daemon.stats();
+    let allocs_before = allocmeter::counters();
+    phase();
+    let allocs = allocmeter::counters().since(&allocs_before).allocs;
+    let after = daemon.stats();
+    Moved {
+        allocs,
+        pool_hits: after.pool_hits - before.pool_hits,
+        writev_calls: after.writev_calls - before.writev_calls,
+        writev_frames: after.writev_frames - before.writev_frames,
+        fanout_batches: after.fanout_batches - before.fanout_batches,
+    }
+}
+
+fn process_threads() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("Threads:"))
+        .expect("/proc/self/status has a Threads: line");
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// The most threads the process had at any moment a sampler thread (one
+/// of them) looked, while `phase` ran.
+fn peak_threads_during(phase: impl FnOnce()) -> u64 {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut peak = process_threads();
+            while !done.load(Ordering::Relaxed) {
+                peak = peak.max(process_threads());
+            }
+            peak
+        });
+        phase();
+        done.store(true, Ordering::Relaxed);
+        sampler.join().unwrap()
+    })
+}
+
+fn warm_searches_allocate_little_share_writes_and_spawn_nothing() {
+    let daemon = Daemon::spawn(ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = daemon.local_addr();
+    let search = warm_search_request(addr);
+    // One connection per shape of traffic. The reactor answers at most 64
+    // frames per readiness event itself (`INLINE_BURST`, a multiple of
+    // `DEPTH`) and queues the rest of what it has read: a burst that
+    // arrived in an event single requests had used part of would straddle
+    // that bound, and its tail would cost a worker's allocations.
+    let mut closed = raw_connection(addr);
+    let mut stream = raw_connection(addr);
+    let single = encode_frame(&proto::encode_request(KIND_DATA, 1, &search));
+    let searches = burst(|_| (KIND_DATA, &search));
+    let batch = proto::encode_batch(&vec![search.clone(); BATCH_PARTS]);
+    let mixed = burst(|slot| match slot % 2 {
+        0 => (KIND_DATA, &search[..]),
+        _ => (KIND_SEARCH_MANY, &batch[..]),
+    });
+    // Fill the pool's free lists and grow every reused vector once.
+    replay(&mut closed, &single, 1, 64);
+    replay(&mut stream, &searches, DEPTH, 8);
+
+    let closed_loop = measured(&daemon, || replay(&mut closed, &single, 1, OPS));
+    assert!(
+        closed_loop.allocs <= ALLOCS_PER_WARM_SEARCH * OPS,
+        "{OPS} closed-loop warm searches: {closed_loop:?}"
+    );
+    assert!(
+        closed_loop.pool_hits > 0,
+        "no buffer came from the pool: {closed_loop:?}"
+    );
+
+    let rounds = OPS / DEPTH as u64;
+    let pipelined = measured(&daemon, || replay(&mut stream, &searches, DEPTH, rounds));
+    assert!(
+        pipelined.allocs <= ALLOCS_PER_WARM_SEARCH * OPS,
+        "{OPS} warm searches in {DEPTH}-deep bursts: {pipelined:?}"
+    );
+    assert!(
+        pipelined.pool_hits > 0,
+        "no buffer came from the pool: {pipelined:?}"
+    );
+    assert!(
+        pipelined.writev_frames > pipelined.writev_calls,
+        "a burst's replies never shared a writev: {pipelined:?}"
+    );
+
+    // Any thread a request starts shows here, annotated or not: one that
+    // outlives its request in the count afterwards, one that is joined
+    // before the reply (a scoped helper per batch) in the peak.
+    let threads = process_threads();
+    let mut peak = 0;
+    let fanned_out = measured(&daemon, || {
+        peak = peak_threads_during(|| replay(&mut stream, &mixed, DEPTH, rounds));
+    });
+    assert_eq!(
+        (peak, process_threads()),
+        (threads + 1, threads),
+        "serving SEARCH_MANY batches changed the process's thread count \
+         (peak while they ran, sampler included; count afterwards)"
+    );
+    assert!(
+        fanned_out.fanout_batches > 0,
+        "no batch reached the fan-out executor: {fanned_out:?}"
+    );
+
+    let stats = daemon.stats();
+    assert_eq!((stats.requests_err, stats.requests_busy), (0, 0));
+    drop((closed, stream));
+    daemon.shutdown();
+}
+
+fn concurrent_updaters_share_fsyncs() {
+    const UPDATERS: u64 = 8;
+    const STORES: u64 = 64;
+    let dir = std::env::temp_dir().join(format!("sse-invariants-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let daemon = Daemon::spawn(ServerConfig {
+        // A flush group is the set of workers waiting on one journal, so
+        // every updater needs a worker of its own to be able to join one.
+        workers: UPDATERS as usize,
+        // One shard, one journal: the updaters can only share that one.
+        tenant_params: TenantParams {
+            shards: 1,
+            ..TenantParams::default()
+        },
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = daemon.local_addr();
+    let start = std::sync::Barrier::new(UPDATERS as usize);
+    std::thread::scope(|s| {
+        for updater in 0..UPDATERS {
+            let start = &start;
+            s.spawn(move || {
+                let transport = TcpTransport::connect(addr, TENANT, SchemeId::Scheme2).unwrap();
+                // Distinct master keys give disjoint tags, so the clients
+                // share the tenant without coordinating.
+                let mut client = scheme2_client(transport, 100 + updater);
+                start.wait();
+                for n in 0..STORES {
+                    let doc = Document::new(n * UPDATERS + updater, b"record".to_vec(), ["kw"]);
+                    client.store_batch(&[doc]).unwrap();
+                }
+            });
+        }
+    });
+    let stats = TcpTransport::connect(addr, TENANT, SchemeId::Scheme2)
+        .unwrap()
+        .admin_stats()
+        .unwrap();
+    assert!(
+        stats.ops_committed >= UPDATERS * STORES,
+        "every store is a journal record: {stats:?}"
+    );
+    assert!(
+        stats.groups_committed < stats.ops_committed,
+        "{UPDATERS} concurrent updaters never shared an fsync: {} op(s) in {} group(s)",
+        stats.ops_committed,
+        stats.groups_committed
+    );
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serving_path_count_invariants() {
+    warm_searches_allocate_little_share_writes_and_spawn_nothing();
+    concurrent_updaters_share_fsyncs();
+}

@@ -81,7 +81,6 @@ fn durable_directory_refuses_the_other_backend() {
                 DurableOptions {
                     vfs: RealVfs::arc(),
                     shards: 1,
-                    group_commit: true,
                     backend: written,
                 },
             )
@@ -100,7 +99,6 @@ fn durable_directory_refuses_the_other_backend() {
             DurableOptions {
                 vfs: RealVfs::arc(),
                 shards: 1,
-                group_commit: true,
                 backend: requested,
             },
         ) {
@@ -119,7 +117,6 @@ fn durable_directory_refuses_the_other_backend() {
                 DurableOptions {
                     vfs: RealVfs::arc(),
                     shards: 1,
-                    group_commit: true,
                     backend: written,
                 },
             )
@@ -138,7 +135,6 @@ fn durable_directory_refuses_the_other_backend() {
             DurableOptions {
                 vfs: RealVfs::arc(),
                 shards: 1,
-                group_commit: true,
                 backend: requested,
             },
         ) {
@@ -164,7 +160,6 @@ fn reopening_under_the_recorded_backend_recovers_the_data() {
                 DurableOptions {
                     vfs: RealVfs::arc(),
                     shards: 1,
-                    group_commit: true,
                     backend,
                 },
             )
@@ -184,7 +179,6 @@ fn reopening_under_the_recorded_backend_recovers_the_data() {
             DurableOptions {
                 vfs: RealVfs::arc(),
                 shards: 1,
-                group_commit: true,
                 backend,
             },
         )

@@ -271,7 +271,6 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
             DurableOptions {
                 vfs: Arc::new(counting),
                 shards: SWEEP_SHARDS,
-                group_commit: true,
                 backend,
             },
         )
@@ -300,7 +299,6 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
             DurableOptions {
                 vfs: Arc::new(vfs),
                 shards: SWEEP_SHARDS,
-                group_commit: true,
                 backend,
             },
         ) else {
@@ -379,7 +377,6 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
             DurableOptions {
                 vfs: RealVfs::arc(),
                 shards: SWEEP_SHARDS,
-                group_commit: true,
                 backend,
             },
         )
@@ -422,7 +419,6 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
             DurableOptions {
                 vfs: Arc::new(counting),
                 shards: SWEEP_SHARDS,
-                group_commit: true,
                 backend,
             },
         )
@@ -451,7 +447,6 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
             DurableOptions {
                 vfs: Arc::new(vfs),
                 shards: SWEEP_SHARDS,
-                group_commit: true,
                 backend,
             },
         ) else {
@@ -529,7 +524,6 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
             DurableOptions {
                 vfs: RealVfs::arc(),
                 shards: SWEEP_SHARDS,
-                group_commit: true,
                 backend,
             },
         )

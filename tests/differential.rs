@@ -578,7 +578,6 @@ fn durable_options(i: usize, backend: BackendKind) -> DurableOptions {
     DurableOptions {
         vfs: RealVfs::arc(),
         shards: DURABLE_SHARDS,
-        group_commit: true,
         backend,
     }
 }

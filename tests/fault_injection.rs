@@ -303,7 +303,6 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             DurableOptions {
                 vfs: Arc::new(counting),
                 shards,
-                group_commit: true,
                 backend,
             },
         )
@@ -341,7 +340,6 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             DurableOptions {
                 vfs: Arc::new(vfs),
                 shards,
-                group_commit: true,
                 backend,
             },
         ) {
@@ -374,7 +372,6 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             DurableOptions {
                 vfs: RealVfs::arc(),
                 shards,
-                group_commit: true,
                 backend,
             },
         )
@@ -474,7 +471,6 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             DurableOptions {
                 vfs: Arc::new(counting),
                 shards,
-                group_commit: true,
                 backend,
             },
         )
@@ -509,7 +505,6 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             DurableOptions {
                 vfs: Arc::new(vfs),
                 shards,
-                group_commit: true,
                 backend,
             },
         ) {
@@ -545,7 +540,6 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             DurableOptions {
                 vfs: RealVfs::arc(),
                 shards,
-                group_commit: true,
                 backend,
             },
         )
@@ -895,7 +889,6 @@ fn scheme2_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
             DurableOptions {
                 vfs: Arc::new(vfs),
                 shards: 1,
-                group_commit: true,
                 backend,
             },
         ) {
@@ -941,7 +934,6 @@ fn scheme2_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
                 DurableOptions {
                     vfs: RealVfs::arc(),
                     shards: 1,
-                    group_commit: true,
                     backend,
                 },
             )
@@ -1016,7 +1008,6 @@ fn scheme1_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
             DurableOptions {
                 vfs: Arc::new(vfs),
                 shards: 1,
-                group_commit: true,
                 backend,
             },
         ) {
@@ -1062,7 +1053,6 @@ fn scheme1_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
                 DurableOptions {
                     vfs: RealVfs::arc(),
                     shards: 1,
-                    group_commit: true,
                     backend,
                 },
             )
