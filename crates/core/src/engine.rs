@@ -61,8 +61,7 @@ use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
 use sse_storage::store::{DocStore, StoreOptions};
 use sse_storage::wal::{self, WalVerdict};
 use sse_storage::{
-    resolve_backend, BackendCounters, BackendKind, DocBlobStore, KeywordMap, RealVfs, StorageError,
-    Vfs,
+    resolve_backend, BackendCounters, BackendKind, DocBlobStore, RealVfs, StorageError, Vfs,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -78,7 +77,7 @@ pub(crate) trait SchemeOps: Sized + 'static {
     /// and persisted with every checkpoint (Scheme 1's index geometry).
     type Meta: Clone + Send + Sync + 'static;
     /// Per-shard in-memory state the engine carries but never reads
-    /// (Scheme 2's chain-key memo).
+    /// (Scheme 2's per-keyword search cache).
     type Sidecar: Default + Send + Sync + 'static;
 
     /// File stem: `<stem>.index`, `<stem>.{i}.wal`, `<stem>.kw{i}`,
@@ -182,6 +181,12 @@ impl<S: SchemeOps> ShardData<S> {
         }
     }
 
+    /// Inside an apply closure: the seq of the mutation being applied,
+    /// which the snapshot published right after will carry.
+    pub(crate) fn applying_seq(&self) -> u64 {
+        self.applied_seq + 1
+    }
+
     /// Record a durable mutation of `tag` for the next checkpoint flush.
     pub(crate) fn note_mutated(&mut self, tag: [u8; 32]) {
         if self.kw_map.is_some() {
@@ -206,16 +211,16 @@ impl<S: SchemeOps> ShardData<S> {
             return Ok(());
         };
         if self.cleared {
-            map.clear()?;
+            map.clear();
         }
         for tag in &self.dirty {
             match self.tree.get(tag) {
                 Some(value) => {
                     let mut w = WireWriter::new();
                     S::encode_value(value, &mut w);
-                    map.put(*tag, w.finish())?;
+                    map.put(*tag, w.finish());
                 }
-                None => map.delete(tag)?,
+                None => map.delete(tag),
             }
         }
         map.flush(self.applied_seq, &S::encode_meta(meta))?;
@@ -590,12 +595,6 @@ impl<S: SchemeOps> IndexEngine<S> {
         }
     }
 
-    /// Shard `i`'s data lock if it is free right now — for best-effort
-    /// work that must never queue behind a mutation.
-    pub(crate) fn try_lock_data(&self, i: usize) -> Option<MutexGuard<'_, ShardData<S>>> {
-        self.shards[i].data.try_lock()
-    }
-
     /// Lock every shard's data in ascending order (checkpoint / export).
     pub(crate) fn lock_all_data(&self) -> Vec<MutexGuard<'_, ShardData<S>>> {
         (0..self.shards.len()).map(|i| self.lock_data(i)).collect()
@@ -631,8 +630,9 @@ impl<S: SchemeOps> IndexEngine<S> {
     }
 
     /// Publish shard `i`'s current tree as the immutable search snapshot.
-    /// O(1): the tree clone shares all nodes copy-on-write.
-    pub(crate) fn publish(&self, i: usize, data: &ShardData<S>, meta: &S::Meta) {
+    /// O(1): the tree clone shares all nodes copy-on-write. Private to the
+    /// commit pipeline: a snapshot changes only when a mutation is applied.
+    fn publish(&self, i: usize, data: &ShardData<S>, meta: &S::Meta) {
         *self.shards[i].snap.write() = Arc::new(SnapShard {
             tree: data.tree.clone(),
             applied_seq: data.applied_seq,

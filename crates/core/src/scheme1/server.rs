@@ -705,17 +705,22 @@ mod tests {
         // Plant an entry whose array width disagrees with the capacity,
         // bypassing the update path's width validation (models a corrupted
         // or adversarially imported index, not reachable via ApplyUpdates).
-        {
-            let mut data = s.engine.lock_data(0);
-            data.tree.insert(
-                tag,
-                Entry {
-                    masked_index: vec![0u8; 3], // capacity 64 needs 8 bytes
-                    f_r: vec![],
+        s.engine
+            .commit_mutation(
+                &[0],
+                &s.engine.pipeline(),
+                |_| Vec::new(),
+                |_, data| {
+                    data.tree.insert(
+                        tag,
+                        Entry {
+                            masked_index: vec![0u8; 3], // capacity 64 needs 8 bytes
+                            f_r: vec![],
+                        },
+                    );
                 },
-            );
-            s.engine.publish(0, &data, &Geometry::new(64));
-        }
+            )
+            .unwrap();
         let resp = s.handle(&encode_search_reveal(&tag, &[0u8; 32]));
         assert!(
             decode_result(&resp).is_err(),

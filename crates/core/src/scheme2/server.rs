@@ -12,12 +12,11 @@
 //! Sharding, journaling, group commit, snapshot reads, checkpointing and
 //! recovery are the [`crate::engine`]'s; this module is the scheme's
 //! request semantics. A search resolves the tag — and walks the whole
-//! chain — against the shard's snapshot, never taking the shard mutex and
-//! never waiting on an fsync. The Optimization-1 cache is written back
-//! opportunistically afterwards: a `try_lock` on the live shard that is
-//! simply skipped if the shard is busy or has changed since the snapshot
-//! (the next search rebuilds the cache — it is an optimization, not
-//! state). The chain-key memo rides in the engine's per-shard sidecar.
+//! chain — against the shard's snapshot, never taking the shard mutex,
+//! never waiting on an fsync and never writing the index: what a search
+//! learned (§5.6 Optimization 1's decrypted ids, the chain key it walked
+//! from) is filed in one per-keyword cache in the engine's per-shard
+//! sidecar ([`SearchMemo`]), so only a mutation ever publishes a snapshot.
 
 use super::protocol::{self, GenerationEntry, Request};
 use super::Scheme2Config;
@@ -77,36 +76,59 @@ struct StatsCells {
     walk_steps_saved: AtomicU64,
 }
 
-/// Per-keyword search memo: everything the server learned from serving a
-/// prior search, so a repeat search answers without touching the tree or
-/// re-walking the chain. Purely in-memory — never persisted, rebuilt by
-/// the first search after recovery.
+/// The server's one plaintext cache, per keyword: what it learned from
+/// serving the last search — §5.6 Optimization 1's decrypted ids and the
+/// chain key the walk started from (DESIGN.md §4f). Purely in-memory —
+/// never persisted, rebuilt by the first search after recovery.
 ///
 /// Leakage note (DESIGN.md §4f): every field is a value the server
 /// already computed while serving a search the client asked for — the
-/// revealed trapdoor, the unlocked id set, the walk it performed. The
-/// memo changes *when* the server recomputes, never *what* it knows.
+/// revealed trapdoor, the unlocked id set, the walk it performed, a
+/// commitment it stores. The cache changes *when* the server
+/// recomputes, never *what* it knows.
 #[derive(Clone)]
 struct SearchMemo {
-    /// Shard `applied_seq` the memoized answer was computed at: the memo
-    /// is valid exactly while the shard's snapshot still carries it.
+    /// Shard `applied_seq` the answer was computed at: it is the whole
+    /// answer (an exact hit) while the shard's snapshot still carries it.
     applied_seq: u64,
     /// Newest trapdoor seen for this tag (the walk start point).
     t_prime: [u8; 32],
     /// The unlocked document-id set, sorted. Shared, so a hit takes a
-    /// reference under the memo mutex instead of copying the list there.
+    /// reference under the sidecar mutex instead of copying the list there.
     ids: Arc<[u64]>,
-    /// Chain steps a from-scratch walk from `t_prime` would cost — what a
-    /// memo hit saves.
+    /// Chain steps a from-scratch walk from `t_prime` would cost — what an
+    /// exact hit saves.
     walk_cost: u64,
-    /// Generations the memoized answer covers (credited to
-    /// `generations_from_cache` on a hit).
+    /// Generations `ids` covers (credited to `generations_from_cache`
+    /// whenever the entry is used).
     gens: u64,
+    /// Key commitment of generation `gens − 1`, the newest one covered:
+    /// what makes `ids` a decrypted prefix of a list that has grown since.
+    last_commitment: [u8; 32],
 }
 
-/// Per-shard memo capacity; crossing it clears the map (crude but bounded
-/// — the memo is an optimization, not state).
-const MEMO_CAP: usize = 4096;
+impl SearchMemo {
+    /// The prefix rule: `ids` stands for `list[..gens]` iff the entry is
+    /// no newer than the snapshot `list` came from and the newest covered
+    /// generation is still the one recorded — lists only grow between
+    /// resets, which [`ShardCache::reset_seq`] is for: re-appending under
+    /// the same chain keys reproduces the commitment.
+    fn covers_prefix_of(&self, list: &[Generation], snap_seq: u64) -> bool {
+        let newest = list.get(..self.gens as usize).and_then(<[_]>::last);
+        self.applied_seq <= snap_seq
+            && newest.is_some_and(|g| g.key_commitment == self.last_commitment)
+    }
+}
+
+/// One shard's entries: only for tags found in its tree, and emptied by
+/// a `ResetIndex` — so bounded by the index they shadow.
+#[derive(Default)]
+struct ShardCache {
+    entries: HashMap<[u8; 32], SearchMemo>,
+    /// Seq of the shard's last `ResetIndex`. An answer computed from an
+    /// older snapshot describes an index that is gone, and is never filed.
+    reset_seq: u64,
+}
 
 /// Most document ids a memo entry may hold and still be answered on the
 /// caller's thread by [`Scheme2Server::try_handle_inline`]. A head-of-line
@@ -126,12 +148,12 @@ const INLINE_MAX_DOCS: usize = 32;
 /// reply-buffer class; unmeasured beyond that, as above.
 const INLINE_MAX_BYTES: usize = 4096;
 
-/// How far a memo lookup may go to produce a hit.
+/// How far an exact hit may go to produce its answer.
 #[derive(Clone, Copy)]
 enum MemoMode {
-    /// A worker's: wait for the memo and store locks, walk the delta from
-    /// a newer trapdoor (at most `max_walk` steps), fetch any number of
-    /// blobs from either backend.
+    /// A worker's: wait for the store lock, walk the delta from a newer
+    /// trapdoor (at most `max_walk` steps), fetch any number of blobs
+    /// from either backend.
     Worker { max_walk: usize },
     /// The reactor's (DESIGN.md §4n): `try_` locks only, the memoized
     /// trapdoor only, at most [`INLINE_MAX_DOCS`] blobs of at most
@@ -146,10 +168,12 @@ struct Ops;
 impl SchemeOps for Ops {
     type Value = GenerationList;
     type Meta = ();
-    /// Per-keyword search memo (see [`SearchMemo`]). A short-critical-
+    /// The per-keyword search cache (see [`SearchMemo`]). A short-critical-
     /// section mutex: held only for a lookup or an insert, never across
     /// crypto or I/O, so the search path stays effectively lock-free.
-    type Sidecar = Mutex<HashMap<[u8; 32], SearchMemo>>;
+    /// Lock order: a search takes it alone; the `ResetIndex` apply closure
+    /// takes it under the shard's data lock.
+    type Sidecar = Mutex<ShardCache>;
 
     const STEM: &'static str = "scheme2";
     const MAGIC: &'static [u8; 8] = b"SSE2IDX2";
@@ -404,7 +428,9 @@ impl Scheme2Server {
         };
         let si = self.engine.shard_of(&tag);
         let snap = self.engine.try_snap(si)?;
-        let docs = self.try_memo(si, snap.applied_seq, &tag, &t_prime, MemoMode::Inline)?;
+        let sidecar = self.engine.sidecar(si);
+        let memo = sidecar.try_lock()?.entries.get(&tag).cloned()?;
+        let docs = self.try_memo(snap.applied_seq, &tag, &t_prime, &memo, MemoMode::Inline)?;
         Some(proto_common::encode_result_with(&docs, scratch()))
     }
 
@@ -465,7 +491,14 @@ impl Scheme2Server {
             &idxs,
             &pipeline,
             |_| protocol::encode_reset_index(),
-            |_, data| reset_index(data),
+            |i, data| {
+                reset_index(data);
+                // The entries go with the tree they shadowed; the seq keeps
+                // a search still on an older snapshot from filing one later.
+                let mut cache = self.engine.sidecar(i).lock();
+                cache.entries = HashMap::new();
+                cache.reset_seq = data.applying_seq();
+            },
         );
         self.engine.ack(result)
     }
@@ -497,27 +530,28 @@ impl Scheme2Server {
     /// Execute one Fig. 4 search, returning the matching encrypted
     /// documents or an error description. Lock-free against the index:
     /// the tag lookup and the entire chain walk run on the shard's
-    /// immutable snapshot, never waiting on a shard mutex or an fsync.
-    /// The Optimization-1 cache write-back afterwards is opportunistic
-    /// (see [`Scheme2Server::write_back_cache`]).
+    /// immutable snapshot, never waiting on a shard mutex or an fsync, and
+    /// what the search learned goes to the sidecar, never into the tree.
     fn search_one(
         &self,
         tag: [u8; 32],
         t_prime: [u8; 32],
     ) -> std::result::Result<Vec<(u64, Vec<u8>)>, String> {
         let max_walk = self.config.chain_length as usize + 1;
-        let use_cache = self.config.server_cache;
-
         let si = self.engine.shard_of(&tag);
         let snap = self.engine.snap(si);
+        // The search's one sidecar read, for both uses below (empty with the
+        // cache off: nothing is ever filed). The clone is the id list's
+        // reference plus 88 bytes; no crypto or blob copy under the mutex.
+        let memo = self.engine.sidecar(si).lock().entries.get(&tag).cloned();
 
-        // Memo fast path: if this keyword was searched before and the
-        // shard has not changed since, answer without touching the tree
-        // or the chain (same trapdoor), or after walking only the delta
-        // between the new trapdoor and the memoized one (newer trapdoor).
-        if use_cache {
+        // Exact hit: if this keyword was searched before and the shard
+        // has not changed since, answer without touching the tree or the
+        // chain (same trapdoor), or after walking only the delta between
+        // the new trapdoor and the memoized one (newer trapdoor).
+        if let Some(memo) = &memo {
             let mode = MemoMode::Worker { max_walk };
-            if let Some(docs) = self.try_memo(si, snap.applied_seq, &tag, &t_prime, mode) {
+            if let Some(docs) = self.try_memo(snap.applied_seq, &tag, &t_prime, memo, mode) {
                 return Ok(docs);
             }
         }
@@ -526,126 +560,118 @@ impl Scheme2Server {
         self.stats
             .tree_nodes_visited
             .fetch_add(tree_stats.nodes_visited as u64, Ordering::Relaxed);
-        let Some(list) = found else {
-            self.stats.searches.fetch_add(1, Ordering::Relaxed);
-            return Ok(Vec::new());
+        let mut walker = ChainWalker::new(&t_prime);
+        let outcome = match found {
+            None => Ok(Vec::new()),
+            Some(list) => {
+                let list = list.as_slice();
+                // Optimization 1: with the ids of a prefix of the list on
+                // file, only what was appended since is walked and decrypted.
+                let prefix = memo.filter(|m| m.covers_prefix_of(list, snap.applied_seq));
+                if self.config.server_cache {
+                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+                }
+                self.unlock(list, prefix.as_ref(), &mut walker).map(|ids| {
+                    if let Some(newest) = list.last() {
+                        let memo = SearchMemo {
+                            applied_seq: snap.applied_seq,
+                            t_prime,
+                            ids: Arc::clone(&ids),
+                            walk_cost: walker.steps() as u64,
+                            gens: list.len() as u64,
+                            last_commitment: newest.key_commitment,
+                        };
+                        self.store_memo(si, tag, memo);
+                    }
+                    self.engine.get_many(&ids)
+                })
+            }
         };
-        if use_cache {
-            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        // The one exit of a search that missed the exact hit: it counts
+        // whatever happened, and so do the steps it walked before a failure
+        // — `chain_steps` must not read low exactly when something is wrong.
+        self.stats.searches.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .chain_steps
+            .fetch_add(walker.steps() as u64, Ordering::Relaxed);
+        outcome
+    }
 
+    /// Unlock `list` with `walker`, which stands on the trapdoor: the sorted
+    /// id set it holds. `prefix` holds the ids of its first `prefix.gens`.
+    fn unlock(
+        &self,
+        list: &[Generation],
+        prefix: Option<&SearchMemo>,
+        walker: &mut ChainWalker,
+    ) -> std::result::Result<Arc<[u64]>, String> {
+        let max_walk = self.config.chain_length as usize + 1;
+        let (known_ids, covered): (&[u64], usize) =
+            prefix.map_or((&[], 0), |m| (&m.ids, m.gens as usize));
         self.stats
             .generations_from_cache
-            .fetch_add(list.cached_generations() as u64, Ordering::Relaxed);
+            .fetch_add(covered as u64, Ordering::Relaxed);
 
         // Unlock the undecrypted suffix newest-to-oldest while walking the
         // chain forward from the trapdoor. Each generation decrypts to an
         // (added ids, deleted ids) pair; deletions are the beyond-paper
         // dynamic-SSE extension (an empty delete list is the paper's case).
-        let locked: &[Generation] = list.undecrypted();
+        let locked = &list[covered..];
         let mut decoded: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); locked.len()];
-        let mut walker = ChainWalker::new(&t_prime);
         for (pos, generation) in locked.iter().enumerate().rev() {
             // Advance until the commitment matches this generation's key.
             if !walker.seek_commitment(&generation.key_commitment, max_walk) {
-                self.stats.searches.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .chain_steps
-                    .fetch_add(walker.steps() as u64, Ordering::Relaxed);
                 return Err(format!(
                     "chain walk exceeded {max_walk} steps; client/server desync"
                 ));
             }
             // The walker stands on the generation key: decrypt the posting
             // entry.
-            let etm = EtmKey::new(walker.element());
-            let plain = match etm.open(&generation.masked_ids) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.stats.searches.fetch_add(1, Ordering::Relaxed);
-                    return Err(format!("generation decryption failed: {e}"));
-                }
-            };
+            let plain = EtmKey::new(walker.element())
+                .open(&generation.masked_ids)
+                .map_err(|e| format!("generation decryption failed: {e}"))?;
             let mut r = WireReader::new(&plain);
-            let parsed: std::result::Result<(Vec<u64>, Vec<u64>), _> = (|| {
+            decoded[pos] = (|| {
                 let adds = r.get_u64_vec()?;
                 let dels = r.get_u64_vec()?;
                 r.finish()?;
                 Ok::<_, sse_net::wire::WireError>((adds, dels))
-            })();
-            match parsed {
-                Ok(pair) => decoded[pos] = pair,
-                Err(e) => {
-                    self.stats.searches.fetch_add(1, Ordering::Relaxed);
-                    return Err(format!("generation payload malformed: {e}"));
-                }
-            }
+            })()
+            .map_err(|e| format!("generation payload malformed: {e}"))?;
         }
-        let steps_used = walker.steps() as u64;
-        self.stats
-            .chain_steps
-            .fetch_add(steps_used, Ordering::Relaxed);
         self.stats
             .generations_decrypted
             .fetch_add(locked.len() as u64, Ordering::Relaxed);
-        self.stats.searches.fetch_add(1, Ordering::Relaxed);
 
-        // Apply generations in chronological order on top of the
-        // Optimization-1 cache: adds union in, deletes remove.
-        let mut id_set: BTreeSet<u64> = list.cached_ids().iter().copied().collect();
+        // Apply generations in chronological order on top of the cached
+        // prefix: adds union in, deletes remove.
+        let mut id_set: BTreeSet<u64> = known_ids.iter().copied().collect();
         for (adds, dels) in &decoded {
             id_set.extend(adds);
             for id in dels {
                 id_set.remove(id);
             }
         }
-        // Sorted, as the reply and the memo want them; shared, so the memo
-        // takes a reference and only the write-back (when it goes through)
-        // copies the list.
-        let all_ids: Arc<[u64]> = id_set.into_iter().collect();
-        if use_cache && !locked.is_empty() {
-            self.write_back_cache(si, &tag, list, &all_ids);
-        }
-
-        if use_cache {
-            self.store_memo(
-                si,
-                SearchMemo {
-                    applied_seq: snap.applied_seq,
-                    t_prime,
-                    ids: Arc::clone(&all_ids),
-                    walk_cost: steps_used,
-                    gens: list.len() as u64,
-                },
-                tag,
-            );
-        }
-        Ok(self.engine.get_many(&all_ids))
+        // Sorted, as the reply and the cache want them; shared, so the
+        // cache takes a reference.
+        Ok(id_set.into_iter().collect())
     }
 
-    /// Try to answer a search from the per-keyword memo. Returns the
-    /// documents on a hit, `None` on any miss (no entry, shard changed,
-    /// or the delta walk from the new trapdoor never reaches the
+    /// Try to answer a search from `memo`, its keyword's entry, as an exact
+    /// hit. Returns the documents on a hit, `None` on any miss (shard
+    /// changed, or the delta walk from the new trapdoor never reaches the
     /// memoized one within the walk bound — the cold path then produces
     /// the correct answer or the correct desync error). Under
     /// [`MemoMode::Inline`] also `None` for anything that would wait or
     /// run long; no counter moves before the last thing that can decline.
     fn try_memo(
         &self,
-        si: usize,
         snap_seq: u64,
         tag: &[u8; 32],
         t_prime: &[u8; 32],
+        memo: &SearchMemo,
         mode: MemoMode,
     ) -> Option<Vec<(u64, Vec<u8>)>> {
-        // The clone is a reference to the id list plus 56 bytes; the
-        // mutex is released before any blob is copied.
-        let memo = match mode {
-            MemoMode::Worker { .. } => self.engine.sidecar(si).lock(),
-            MemoMode::Inline => self.engine.sidecar(si).try_lock()?,
-        }
-        .get(tag)
-        .cloned()?;
         if memo.applied_seq != snap_seq {
             return None;
         }
@@ -678,10 +704,10 @@ impl Scheme2Server {
             .generations_from_cache
             .fetch_add(memo.gens, Ordering::Relaxed);
         if delta > 0 {
-            // Advance the memo to the newer trapdoor so the next repeat
+            // Advance the entry to the newer trapdoor so the next repeat
             // of *this* trapdoor is a zero-walk hit.
-            let mut map = self.engine.sidecar(si).lock();
-            if let Some(live) = map.get_mut(tag) {
+            let mut cache = self.engine.sidecar(self.engine.shard_of(tag)).lock();
+            if let Some(live) = cache.entries.get_mut(tag) {
                 if live.applied_seq == memo.applied_seq && live.t_prime == memo.t_prime {
                     live.t_prime = *t_prime;
                     live.walk_cost = memo.walk_cost + delta;
@@ -691,41 +717,13 @@ impl Scheme2Server {
         Some(docs)
     }
 
-    /// Record a cold search's answer in the shard's memo map.
-    fn store_memo(&self, si: usize, memo: SearchMemo, tag: [u8; 32]) {
-        let mut map = self.engine.sidecar(si).lock();
-        if map.len() >= MEMO_CAP && !map.contains_key(&tag) {
-            map.clear();
+    /// File a cold search's answer, unless the cache is off or the shard
+    /// was reset since the snapshot it was computed from.
+    fn store_memo(&self, si: usize, tag: [u8; 32], memo: SearchMemo) {
+        let mut cache = self.engine.sidecar(si).lock();
+        if self.config.server_cache && memo.applied_seq >= cache.reset_seq {
+            cache.entries.insert(tag, memo);
         }
-        map.insert(tag, memo);
-    }
-
-    /// Opportunistically record the Optimization-1 plaintext cache
-    /// computed by a snapshot search back into the live shard. Best
-    /// effort by design — the search already has its answer, and the
-    /// cache is a pure optimization the next search can rebuild:
-    ///
-    /// * `try_lock` only — a search must never queue behind a mutation
-    ///   (that is the whole point of the snapshot read path);
-    /// * skipped unless the live list is exactly the one the search saw
-    ///   (same length, same cache point, same newest commitment) — a
-    ///   racing append or reset invalidates the computed id set.
-    fn write_back_cache(&self, si: usize, tag: &[u8; 32], seen: &GenerationList, all_ids: &[u64]) {
-        let Some(mut data) = self.engine.try_lock_data(si) else {
-            return;
-        };
-        let Some(live) = data.tree.get_mut(tag) else {
-            return;
-        };
-        let unchanged = live.len() == seen.len()
-            && live.cached_generations() == seen.cached_generations()
-            && live.undecrypted().last().map(|g| g.key_commitment)
-                == seen.undecrypted().last().map(|g| g.key_commitment);
-        if !unchanged {
-            return;
-        }
-        live.set_cached(all_ids.to_vec());
-        self.engine.publish(si, &data, &());
     }
 }
 
@@ -1174,8 +1172,8 @@ mod tests {
         let s = server();
         let request = warm(&s, [0x28u8; 32], 1);
         {
-            let _memo = s.engine.sidecar(0).lock();
-            assert_declines(&s, &request, "memo mutex held");
+            let _cache = s.engine.sidecar(0).lock();
+            assert_declines(&s, &request, "sidecar mutex held");
         }
         {
             let _store = s.engine.hold_store();
@@ -1313,7 +1311,7 @@ mod tests {
         };
         let want = vec![1, 2, 3, 5, 7];
         assert_eq!(ids(&s.handle(&protocol::encode_search(&tag, &t))), want);
-        // Again, now from the written-back Optimization-1 cache / memo.
+        // Again, now from the cache.
         assert_eq!(ids(&s.handle(&protocol::encode_search(&tag, &t))), want);
     }
 
@@ -1349,6 +1347,24 @@ mod tests {
         }]));
         let resp = s.handle(&protocol::encode_search(&[1u8; 32], &k));
         assert!(decode_result(&resp).is_err());
+
+        // A failed search still counts, with the steps it walked before
+        // the bad generation: 4 from the trapdoor to the sound generation
+        // at counter 5, 4 more to the corrupted one at counter 1.
+        let k5 = chain.key_for_counter(5).unwrap();
+        s.handle(&protocol::encode_append_generations(&[GenerationEntry {
+            tag: [1u8; 32],
+            sealed_ids: sealed_ids(&k5, &[2]),
+            commitment: key_commitment(&k5),
+        }]));
+        let before = s.stats();
+        let t9 = chain.key_for_counter(9).unwrap();
+        let resp = s.handle(&protocol::encode_search(&[1u8; 32], &t9));
+        let err = decode_result(&resp).unwrap_err().to_string();
+        assert!(err.contains("generation decryption failed"), "{err}");
+        let after = s.stats();
+        assert_eq!(after.searches, before.searches + 1);
+        assert_eq!(after.chain_steps, before.chain_steps + 8);
     }
 
     #[test]
@@ -1438,8 +1454,8 @@ mod tests {
     #[test]
     fn searches_see_acked_appends_through_snapshots() {
         // Read-your-writes through the snapshot path: an acked append is
-        // immediately visible to a search, and the cache write-back
-        // republishes so the *next* search decrypts nothing.
+        // immediately visible to a search, and what that search decrypted
+        // is cached so the *next* search decrypts nothing.
         let s = Scheme2Server::new_in_memory_sharded(
             Scheme2Config::standard().with_chain_length(64),
             4,
@@ -1459,7 +1475,7 @@ mod tests {
             decode_ack(&resp).unwrap();
             let docs = decode_result(&s.handle_shared(&protocol::encode_search(&tag, &k))).unwrap();
             assert_eq!(docs, vec![(u64::from(i), vec![i; 3])]);
-            // Repeat search hits the written-back cache.
+            // Repeat search hits the cache.
             decode_result(&s.handle_shared(&protocol::encode_search(&tag, &k))).unwrap();
         }
         assert_eq!(
@@ -1468,7 +1484,212 @@ mod tests {
             "second searches cached"
         );
         assert_eq!(s.stats().generations_from_cache, 16);
-        // 16 appends + 16 cache write-backs published snapshots.
-        assert_eq!(s.commit_counters().snapshot_swaps, 32);
+        // 16 appends published snapshots; no search did.
+        assert_eq!(s.commit_counters().snapshot_swaps, 16);
+    }
+
+    /// Counter `ctr`'s key on the tests' one chain.
+    fn key(ctr: u64) -> [u8; 32] {
+        HashChain::new(&[b"kw", b"key"], 64)
+            .key_for_counter(ctr)
+            .unwrap()
+    }
+
+    /// Append one generation holding `ids` to `tag` under counter `ctr`.
+    fn append(s: &Scheme2Server, tag: [u8; 32], ctr: u64, ids: &[u64]) {
+        let resp = s.handle_shared(&protocol::encode_append_generations(&[GenerationEntry {
+            tag,
+            sealed_ids: sealed_ids(&key(ctr), ids),
+            commitment: key_commitment(&key(ctr)),
+        }]));
+        decode_ack(&resp).unwrap();
+    }
+
+    /// Search `tag` with counter `ctr`'s trapdoor; the raw reply.
+    fn search(s: &Scheme2Server, tag: [u8; 32], ctr: u64) -> Vec<u8> {
+        s.handle_shared(&protocol::encode_search(&tag, &key(ctr)))
+    }
+
+    /// A cached server and its `server_cache = false` twin, both holding
+    /// documents `1..=9`.
+    fn twins(shards: usize) -> (Scheme2Server, Scheme2Server) {
+        let cfg = Scheme2Config::standard().with_chain_length(64);
+        let cached = Scheme2Server::new_in_memory_sharded(cfg.clone(), shards);
+        let cold = Scheme2Server::new_in_memory_sharded(cfg.with_server_cache(false), shards);
+        let docs: Vec<(u64, Vec<u8>)> = (1..=9u64).map(|id| (id, vec![id as u8; 3])).collect();
+        for s in [&cached, &cold] {
+            decode_ack(&s.handle_shared(&protocol::encode_put_docs(&docs))).unwrap();
+        }
+        (cached, cold)
+    }
+
+    fn cached_entries(s: &Scheme2Server) -> usize {
+        (0..s.num_shards())
+            .map(|i| s.engine.sidecar(i).lock().entries.len())
+            .sum()
+    }
+
+    #[test]
+    fn searches_never_publish_a_snapshot() {
+        // A snapshot changes only when a mutation is applied: N
+        // single-shard appends interleaved with cold, prefix and exact-hit
+        // searches end with exactly N publishes, on every kind of server.
+        let dir = std::env::temp_dir().join(format!("sse-s2-nopublish-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = || Scheme2Config::standard().with_chain_length(64);
+        let mut servers = Vec::new();
+        for shards in [1, 4] {
+            servers.push(Scheme2Server::new_in_memory_sharded(cfg(), shards));
+            for backend in sse_storage::BackendKind::all() {
+                let home = dir.join(format!("{backend}-{shards}"));
+                let opts = DurableOptions {
+                    shards,
+                    backend,
+                    ..DurableOptions::default()
+                };
+                servers.push(Scheme2Server::open_durable_with(cfg(), &home, opts).unwrap());
+            }
+        }
+        const N: u64 = 12;
+        for s in &servers {
+            for n in 1..=N {
+                let mut tag = [0u8; 32];
+                tag[0] = (n % 3) as u8 * 67;
+                append(s, tag, n, &[n]);
+                // Cold the first time a keyword is searched, a prefix
+                // search afterwards; then the same trapdoor again.
+                decode_result(&search(s, tag, n)).unwrap();
+                decode_result(&search(s, tag, n)).unwrap();
+            }
+            let st = s.stats();
+            assert_eq!(st.cache_hits, N, "every repeat was an exact hit");
+            assert_eq!(st.generations_decrypted, N, "each generation once");
+            assert!(st.generations_from_cache > N, "prefixes were used");
+            assert_eq!(s.commit_counters().snapshot_swaps, N);
+        }
+        drop(servers);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn prefix_search_decrypts_only_what_was_appended_since() {
+        for shards in [1, 4] {
+            let (cached, cold) = twins(shards);
+            let (tag, other) = ([0x31u8; 32], [0x32u8; 32]);
+            for s in [&cached, &cold] {
+                // k = 3 generations, then a search that caches them.
+                append(s, tag, 1, &[1, 2]);
+                append(s, tag, 2, &[3]);
+                append(s, tag, 3, &[4]);
+                decode_result(&search(s, tag, 3)).unwrap();
+            }
+            let before = cached.stats();
+            for s in [&cached, &cold] {
+                // j = 2 more to the same keyword, 2 to another.
+                append(s, other, 4, &[9]);
+                append(s, tag, 4, &[5]);
+                append(s, other, 5, &[8]);
+                append(s, tag, 5, &[6]);
+            }
+            let reply = search(&cached, tag, 6);
+            assert_eq!(reply, search(&cold, tag, 6), "bytes and order");
+            assert_eq!(decode_result(&reply).unwrap().len(), 6);
+            let after = cached.stats();
+            assert_eq!(
+                after.generations_decrypted,
+                before.generations_decrypted + 2
+            );
+            assert_eq!(
+                after.generations_from_cache,
+                before.generations_from_cache + 3
+            );
+            assert_eq!(after.cache_hits, before.cache_hits, "not an exact hit");
+            // One step to counter 5's key, one to counter 4's; the cached
+            // prefix is not walked to.
+            assert_eq!(after.chain_steps, before.chain_steps + 2);
+        }
+    }
+
+    #[test]
+    fn reset_then_the_same_keys_never_reuses_the_old_prefix() {
+        // A client that resets and re-appends under the same chain key
+        // reproduces tag, commitment and list length; only the reset
+        // rule tells the old entry from the new index.
+        let (cached, cold) = twins(1);
+        let tag = [0x33u8; 32];
+        for s in [&cached, &cold] {
+            append(s, tag, 1, &[1, 2]);
+            assert_eq!(decode_result(&search(s, tag, 1)).unwrap().len(), 2);
+            decode_ack(&s.handle_shared(&protocol::encode_reset_index())).unwrap();
+            append(s, tag, 1, &[3, 4]);
+        }
+        let before = cached.stats().generations_decrypted;
+        let reply = search(&cached, tag, 1);
+        assert_eq!(reply, search(&cold, tag, 1));
+        let ids: Vec<u64> = decode_result(&reply).unwrap().iter().map(|d| d.0).collect();
+        assert_eq!(ids, vec![3, 4]);
+        assert_eq!(cached.stats().generations_decrypted, before + 1);
+    }
+
+    #[test]
+    fn a_search_racing_a_reset_neither_files_nor_borrows_across_it() {
+        let (s, cold) = twins(1);
+        let tag = [0x34u8; 32];
+        append(&s, tag, 1, &[1, 2]);
+        // The racing search took its snapshot here and found this answer ...
+        let old = s.engine.snap(0);
+        let stale = SearchMemo {
+            applied_seq: old.applied_seq,
+            t_prime: key(1),
+            ids: Arc::from([1u64, 2]),
+            walk_cost: 0,
+            gens: 1,
+            last_commitment: key_commitment(&key(1)),
+        };
+        for s in [&s, &cold] {
+            decode_ack(&s.handle_shared(&protocol::encode_reset_index())).unwrap();
+            append(s, tag, 1, &[3, 4]);
+        }
+        // ... and files it only after the reset was applied: nothing may
+        // be left behind for the searches of the new index.
+        s.store_memo(0, tag, stale);
+        assert_eq!(cached_entries(&s), 0, "a pre-reset answer was filed");
+        let before = s.stats().generations_decrypted;
+        assert_eq!(search(&s, tag, 1), search(&cold, tag, 1));
+        assert_eq!(s.stats().generations_decrypted, before + 1);
+
+        // The other way round: the post-reset entry now on file is no
+        // prefix for a search still reading the old snapshot, although
+        // tag, list length and commitment all agree.
+        let filed = s.engine.sidecar(0).lock().entries[&tag].clone();
+        let old_list = old.tree.get(&tag).unwrap().as_slice();
+        assert_eq!(filed.last_commitment, old_list[0].key_commitment);
+        assert!(!filed.covers_prefix_of(old_list, old.applied_seq));
+        let now = s.engine.snap(0);
+        assert!(filed.covers_prefix_of(now.tree.get(&tag).unwrap().as_slice(), now.applied_seq));
+    }
+
+    #[test]
+    fn the_cache_is_bounded_by_the_index_it_shadows() {
+        let (s, _) = twins(4);
+        for i in 0..10_000u32 {
+            let mut tag = [0xEEu8; 32];
+            tag[..4].copy_from_slice(&i.to_le_bytes());
+            assert!(decode_result(&search(&s, tag, 1)).unwrap().is_empty());
+        }
+        assert_eq!(cached_entries(&s), 0, "an unknown tag files nothing");
+        for i in 0..8u8 {
+            let tag = [i; 32];
+            append(&s, tag, 1, &[u64::from(i) + 1]);
+            decode_result(&search(&s, tag, 2)).unwrap();
+            decode_result(&search(&s, tag, 3)).unwrap();
+        }
+        assert_eq!(cached_entries(&s), 8, "one entry per searched keyword");
+        decode_ack(&s.handle_shared(&protocol::encode_reset_index())).unwrap();
+        for i in 0..s.num_shards() {
+            assert!(s.engine.sidecar(i).lock().entries.is_empty());
+        }
+        // DESIGN.md §4f's per-entry figure.
+        assert_eq!(std::mem::size_of::<SearchMemo>(), 104);
     }
 }

@@ -8,9 +8,10 @@
 //! forward (from the trapdoor's key) matching commitments to unlock each
 //! generation.
 //!
-//! Optimization 1 (§5.6) is also housed here: once a generation has been
-//! decrypted during a search, the server caches the plaintext ids so a
-//! later search only decrypts generations added since.
+//! Optimization 1 (§5.6) — the plaintext ids a search decrypted, so a
+//! later search only decrypts generations added since — is housed in the
+//! Scheme 2 server's per-shard sidecar, not here: this list is exactly
+//! what the server persists, and a search never writes it.
 
 /// One masked generation: an encrypted batch of document ids plus the
 /// commitment to its masking key.
@@ -22,14 +23,10 @@ pub struct Generation {
     pub key_commitment: [u8; 32],
 }
 
-/// The generation list for one keyword, with the Optimization-1 cache.
+/// The generation list for one keyword, oldest generation first.
 #[derive(Clone, Debug, Default)]
 pub struct GenerationList {
     generations: Vec<Generation>,
-    /// Plaintext ids recovered by previous searches (Optimization 1).
-    cached_ids: Vec<u64>,
-    /// How many leading generations `cached_ids` covers.
-    cached_upto: usize,
 }
 
 impl GenerationList {
@@ -56,55 +53,11 @@ impl GenerationList {
         self.generations.is_empty()
     }
 
-    /// The generations *not yet* covered by the plaintext cache — exactly
-    /// the ones a new search still has to decrypt (Optimization 1).
+    /// All generations in append order: `[..n]` is the prefix a search
+    /// that saw `n` generations covered, `[n..]` what was added since.
     #[must_use]
-    pub fn undecrypted(&self) -> &[Generation] {
-        &self.generations[self.cached_upto..]
-    }
-
-    /// Number of generations the cache already covers.
-    #[must_use]
-    pub fn cached_generations(&self) -> usize {
-        self.cached_upto
-    }
-
-    /// The cached plaintext ids (server-visible after prior searches).
-    #[must_use]
-    pub fn cached_ids(&self) -> &[u64] {
-        &self.cached_ids
-    }
-
-    /// Record the plaintext ids recovered for the currently-undecrypted
-    /// suffix, extending the cache to cover the whole list.
-    ///
-    /// `newly_decrypted` are the ids from `undecrypted()` in order; they are
-    /// appended to the cache and deduplicated (a doc id can legitimately
-    /// appear in several generations; the paper's list semantics make the
-    /// posting set their union).
-    pub fn absorb_decrypted(&mut self, newly_decrypted: &[u64]) {
-        for &id in newly_decrypted {
-            if !self.cached_ids.contains(&id) {
-                self.cached_ids.push(id);
-            }
-        }
-        self.cached_upto = self.generations.len();
-    }
-
-    /// Replace the cached plaintext state wholesale with an already-applied
-    /// id set and mark every generation covered. Used when generations
-    /// carry add *and* delete entries (the deletion extension), where the
-    /// caller applies them in chronological order itself.
-    pub fn set_cached(&mut self, ids: Vec<u64>) {
-        self.cached_ids = ids;
-        self.cached_upto = self.generations.len();
-    }
-
-    /// Clear the plaintext cache (used when re-keying after chain
-    /// exhaustion, and by the no-optimization experiment arms).
-    pub fn clear_cache(&mut self) {
-        self.cached_ids.clear();
-        self.cached_upto = 0;
+    pub fn as_slice(&self) -> &[Generation] {
+        &self.generations
     }
 
     /// Iterate all generations (diagnostics).
@@ -140,48 +93,8 @@ mod tests {
         l.push(generation(1, 10));
         l.push(generation(2, 20));
         assert_eq!(l.len(), 2);
-        assert_eq!(l.undecrypted().len(), 2);
+        assert_eq!(l.as_slice()[1], generation(2, 20));
         assert_eq!(l.stored_bytes(), 10 + 32 + 20 + 32);
-    }
-
-    #[test]
-    fn cache_covers_decrypted_prefix() {
-        let mut l = GenerationList::new();
-        l.push(generation(1, 4));
-        l.push(generation(2, 4));
-        l.absorb_decrypted(&[10, 11]);
-        assert_eq!(l.cached_ids(), &[10, 11]);
-        assert_eq!(l.undecrypted().len(), 0);
-        assert_eq!(l.cached_generations(), 2);
-
-        // New generations appear after the cache point.
-        l.push(generation(3, 4));
-        assert_eq!(l.undecrypted().len(), 1);
-        assert_eq!(l.undecrypted()[0], generation(3, 4));
-
-        l.absorb_decrypted(&[12]);
-        assert_eq!(l.cached_ids(), &[10, 11, 12]);
-        assert_eq!(l.undecrypted().len(), 0);
-    }
-
-    #[test]
-    fn absorb_deduplicates_ids() {
-        let mut l = GenerationList::new();
-        l.push(generation(1, 4));
-        l.absorb_decrypted(&[5, 6]);
-        l.push(generation(2, 4));
-        l.absorb_decrypted(&[6, 7]);
-        assert_eq!(l.cached_ids(), &[5, 6, 7]);
-    }
-
-    #[test]
-    fn clear_cache_resets_progress() {
-        let mut l = GenerationList::new();
-        l.push(generation(1, 4));
-        l.absorb_decrypted(&[1]);
-        l.clear_cache();
-        assert_eq!(l.cached_ids(), &[] as &[u64]);
-        assert_eq!(l.undecrypted().len(), 1);
     }
 
     #[test]

@@ -140,8 +140,8 @@ impl Hello {
     /// Decode a frame body.
     ///
     /// # Errors
-    /// `None` on bad magic, unknown scheme, non-UTF-8 tenant, or trailing
-    /// bytes.
+    /// `None` on bad magic, unknown scheme, an empty or non-UTF-8 tenant,
+    /// or trailing bytes.
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<Hello> {
         let mut r = WireReader::new(body);
@@ -153,6 +153,11 @@ impl Hello {
             let scheme = SchemeId::from_u8(r.get_u8()?).ok_or(WireError::UnknownTag(0))?;
             let tenant =
                 String::from_utf8(r.get_bytes()?.to_vec()).map_err(|_| WireError::UnknownTag(0))?;
+            // The tenant name is a directory name under the data dir; the
+            // empty one would be the data dir itself.
+            if tenant.is_empty() {
+                return Err(WireError::UnknownTag(0));
+            }
             Ok(Hello { tenant, scheme })
         })();
         let hello = ok.ok()?;
@@ -334,8 +339,8 @@ pub struct StatsSnapshot {
     pub max_group_size: u64,
     /// Fsyncs avoided versus one-fsync-per-op journaling.
     pub fsyncs_saved: u64,
-    /// Immutable search-snapshot publications (one per applied mutation
-    /// plus opportunistic cache write-backs).
+    /// Immutable search-snapshot publications: one per shard a mutation
+    /// was applied to, and nothing else — a search never publishes.
     pub snapshot_swaps: u64,
     /// Search-memo hits (repeat searches answered from the per-shard
     /// chain-key memo), summed across all open tenant databases.
@@ -668,6 +673,16 @@ mod tests {
         };
         let mut body = hello.encode();
         body[0] ^= 0xFF;
+        assert_eq!(Hello::decode(&body), None);
+    }
+
+    #[test]
+    fn hello_rejects_an_empty_tenant() {
+        let body = Hello {
+            tenant: String::new(),
+            scheme: SchemeId::Scheme2,
+        }
+        .encode();
         assert_eq!(Hello::decode(&body), None);
     }
 

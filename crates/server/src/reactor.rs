@@ -1923,6 +1923,23 @@ mod tests {
     }
 
     #[test]
+    fn hello_with_an_empty_tenant_answers_err_and_drains_closed() {
+        let mut rig = rig();
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello("", SchemeId::Scheme2));
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+        let expected = encode_frame(&proto::encode_response(
+            STATUS_ERR,
+            HELLO_SEQ,
+            b"malformed hello",
+        ));
+        assert_eq!(*written.lock().unwrap(), expected);
+        assert!(!rig.is_open(idx, gen));
+        assert_eq!(rig.shared.registry.tenant_count(), 0, "nothing opened");
+    }
+
+    #[test]
     fn forged_length_prefix_answers_err_and_closes() {
         let mut rig = rig();
         let (mut io, written, _cap) = ScriptIo::new(7);

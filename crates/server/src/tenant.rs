@@ -346,8 +346,16 @@ impl TenantRegistry {
     /// reference.
     ///
     /// # Errors
-    /// Durable mode only: storage errors from the open/recovery path.
+    /// An empty `tenant` (its directory would be the data directory
+    /// itself, beside every other tenant's); in durable mode also storage
+    /// errors from the open/recovery path.
     pub fn get_or_create(&self, tenant: &str, scheme: SchemeId) -> Result<TenantHandle, SseError> {
+        if tenant.is_empty() {
+            return Err(SseError::ProtocolViolation {
+                expected: "a non-empty tenant name",
+                got: "an empty one".to_string(),
+            });
+        }
         let mut map = self.tenants.lock();
         if let Some(handle) = map.get(&(tenant.to_string(), scheme)) {
             return Ok(handle.clone());
@@ -706,6 +714,28 @@ mod tests {
         );
         assert_eq!(reg2.preopen_existing().unwrap(), 2);
         assert_eq!(reg2.tenant_count(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn durable_registry_refuses_the_empty_tenant_name() {
+        // `tenant_dir(root, "", s)` is `root/s2`: the files would sit beside
+        // every tenant's directory, start-up would read them as a tenant
+        // *named* "s2", and a tenant really named "s2" would nest inside.
+        let dir = tempdir();
+        let reg = TenantRegistry::durable(
+            TenantParams::default(),
+            dir.clone(),
+            sse_storage::RealVfs::arc(),
+        );
+        assert!(reg.get_or_create("", SchemeId::Scheme2).is_err());
+        assert_eq!(reg.tenant_count(), 0);
+        assert!(!dir.join("s2").exists(), "nothing was opened");
+        reg.get_or_create("s2", SchemeId::Scheme2).unwrap();
+        assert_eq!(reg.preopen_existing().unwrap(), 1);
+        assert!(TenantRegistry::new(TenantParams::default())
+            .get_or_create("", SchemeId::Scheme1)
+            .is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

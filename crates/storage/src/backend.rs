@@ -1,20 +1,16 @@
 //! The pluggable storage-backend ADT.
 //!
 //! The paper's server is two abstract stores — a keyword index mapping PRF
-//! tags to opaque per-keyword state, and the `(E_km(M_i), i)` DataStorage —
-//! so this module names them as traits, findex-style:
-//!
-//! * [`KeywordMap`] — point get/put over 32-byte tags, batched multi-get,
-//!   an explicit flush-is-the-durability-point contract and an immutable
-//!   [`KeywordMapSnapshot`] handle compatible with the scheme servers'
-//!   epoch-swap search path;
-//! * [`DocBlobStore`] — blob get/put/delete with per-mutation durability,
-//!   checkpointing and a [`RecoveryReport`].
-//!
-//! Two genuinely different engines implement them: the historical
-//! B+-tree/heap/WAL engine ([`crate::store::DocStore`] and
-//! [`BtreeKeywordMap`], the `btree` backend) and the log-structured engine
-//! in [`crate::lsm`] (`lsm`), tuned for update-heavy workloads.
+//! tags to opaque per-keyword state, and the `(E_km(M_i), i)` DataStorage.
+//! The second is the [`DocBlobStore`] trait — blob get/put/delete with
+//! per-mutation durability, checkpointing and a [`RecoveryReport`] —
+//! implemented by two genuinely different engines: the historical
+//! B+-tree/heap/WAL engine ([`crate::store::DocStore`], the `btree`
+//! backend) and the log-structured engine in [`crate::lsm`] (`lsm`), tuned
+//! for update-heavy workloads. The keyword index persists per backend
+//! without a trait between them: `btree` rewrites the index engine's own
+//! snapshot file, `lsm` flushes changed tags into a
+//! [`crate::lsm::LsmKeywordMap`].
 //!
 //! Every durable directory carries a tiny backend manifest
 //! (`backend.meta`). A directory written by one backend refuses to open
@@ -25,11 +21,9 @@ use crate::crc32::crc32;
 use crate::error::{Result, StorageError};
 use crate::store::{DocStore, RecoveryReport};
 use crate::vfs::Vfs;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// A 32-byte PRF tag: the key type of every keyword index in this repo.
 pub type Tag = [u8; 32];
@@ -373,349 +367,6 @@ impl DocBlobStore for DocStore {
     }
 }
 
-// ---------------------------------------------------------------------------
-// KeywordMap
-// ---------------------------------------------------------------------------
-
-/// An immutable point-in-time view of a [`KeywordMap`]: the same shape the
-/// scheme servers publish per epoch for lock-free search, so a map snapshot
-/// can stand in on the epoch-swap search path.
-pub trait KeywordMapSnapshot: Send + Sync {
-    /// Value for `tag` at snapshot time.
-    fn get(&self, tag: &Tag) -> Option<Vec<u8>>;
-
-    /// Batched point lookups, position-aligned with `tags`.
-    fn get_many(&self, tags: &[Tag]) -> Vec<Option<Vec<u8>>> {
-        tags.iter().map(|t| self.get(t)).collect()
-    }
-
-    /// Number of tags in the snapshot.
-    fn len(&self) -> usize;
-
-    /// True iff the snapshot is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Materialized snapshot shared by every engine.
-struct MaterializedSnapshot {
-    map: BTreeMap<Tag, Vec<u8>>,
-}
-
-impl KeywordMapSnapshot for MaterializedSnapshot {
-    fn get(&self, tag: &Tag) -> Option<Vec<u8>> {
-        self.map.get(tag).cloned()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// The paper's keyword index, as an abstract map from 32-byte PRF tags to
-/// opaque per-keyword state (scheme 1: masked bit-array + `f_r`; scheme 2:
-/// generation lists).
-///
-/// Durability contract: mutations become durable at [`KeywordMap::flush`],
-/// not before — pre-flush durability is the caller's journal's job (the
-/// scheme servers' group-commit journal is the write path; the map is the
-/// checkpoint target). After a crash, a reopened map serves exactly the
-/// state of the last successful flush.
-pub trait KeywordMap: Send + Sync {
-    /// Value stored for `tag`.
-    ///
-    /// # Errors
-    /// I/O errors, or [`StorageError::Corrupt`] for damaged runs.
-    fn get(&self, tag: &Tag) -> Result<Option<Vec<u8>>>;
-
-    /// Batched point lookups, position-aligned with `tags`.
-    ///
-    /// # Errors
-    /// As [`KeywordMap::get`].
-    fn get_many(&self, tags: &[Tag]) -> Result<Vec<Option<Vec<u8>>>> {
-        tags.iter().map(|t| self.get(t)).collect()
-    }
-
-    /// Insert or replace the value for `tag`.
-    ///
-    /// # Errors
-    /// I/O errors.
-    fn put(&mut self, tag: Tag, value: Vec<u8>) -> Result<()>;
-
-    /// Remove `tag` (absent tags are fine — idempotent).
-    ///
-    /// # Errors
-    /// I/O errors.
-    fn delete(&mut self, tag: &Tag) -> Result<()>;
-
-    /// Drop every tag (scheme re-initialization).
-    ///
-    /// # Errors
-    /// I/O errors.
-    fn clear(&mut self) -> Result<()>;
-
-    /// Durability point: persist all mutations since the last flush
-    /// together with `applied_seq` (the journal sequence this state
-    /// covers) and an opaque caller `meta` blob (scheme 1 stores its
-    /// index geometry here).
-    ///
-    /// # Errors
-    /// I/O errors.
-    fn flush(&mut self, applied_seq: u64, meta: &[u8]) -> Result<()>;
-
-    /// The `applied_seq` recorded by the last flush (0: never flushed).
-    fn last_seq(&self) -> u64;
-
-    /// The caller `meta` blob recorded by the last flush.
-    fn meta(&self) -> Vec<u8>;
-
-    /// Every `(tag, value)` pair, tag-sorted (open-time tree rebuild).
-    ///
-    /// # Errors
-    /// I/O errors, or [`StorageError::Corrupt`] for damaged runs.
-    fn iter_all(&self) -> Result<Vec<(Tag, Vec<u8>)>>;
-
-    /// Number of live tags.
-    ///
-    /// # Errors
-    /// As [`KeywordMap::iter_all`].
-    fn key_count(&self) -> Result<usize>;
-
-    /// Immutable point-in-time view for the epoch-swap search path.
-    ///
-    /// # Errors
-    /// As [`KeywordMap::iter_all`].
-    fn snapshot(&self) -> Result<Arc<dyn KeywordMapSnapshot>> {
-        Ok(Arc::new(MaterializedSnapshot {
-            map: self.iter_all()?.into_iter().collect(),
-        }))
-    }
-
-    /// Engine internals for STATS (zero for run-less engines).
-    fn counters(&self) -> BackendCounters {
-        BackendCounters::default()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MemKeywordMap — ephemeral reference implementation
-// ---------------------------------------------------------------------------
-
-/// Purely in-memory [`KeywordMap`] (benchmarks, simulators, conformance
-/// oracle). `flush` records the sequence but nothing survives a drop.
-#[derive(Default)]
-pub struct MemKeywordMap {
-    map: BTreeMap<Tag, Vec<u8>>,
-    seq: u64,
-    meta: Vec<u8>,
-}
-
-impl MemKeywordMap {
-    /// Empty map.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl KeywordMap for MemKeywordMap {
-    fn get(&self, tag: &Tag) -> Result<Option<Vec<u8>>> {
-        Ok(self.map.get(tag).cloned())
-    }
-
-    fn put(&mut self, tag: Tag, value: Vec<u8>) -> Result<()> {
-        self.map.insert(tag, value);
-        Ok(())
-    }
-
-    fn delete(&mut self, tag: &Tag) -> Result<()> {
-        self.map.remove(tag);
-        Ok(())
-    }
-
-    fn clear(&mut self) -> Result<()> {
-        self.map.clear();
-        Ok(())
-    }
-
-    fn flush(&mut self, applied_seq: u64, meta: &[u8]) -> Result<()> {
-        self.seq = applied_seq;
-        self.meta = meta.to_vec();
-        Ok(())
-    }
-
-    fn last_seq(&self) -> u64 {
-        self.seq
-    }
-
-    fn meta(&self) -> Vec<u8> {
-        self.meta.clone()
-    }
-
-    fn iter_all(&self) -> Result<Vec<(Tag, Vec<u8>)>> {
-        Ok(self.map.iter().map(|(k, v)| (*k, v.clone())).collect())
-    }
-
-    fn key_count(&self) -> Result<usize> {
-        Ok(self.map.len())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BtreeKeywordMap — the btree backend's durable keyword map
-// ---------------------------------------------------------------------------
-
-const KWMAP_MAGIC: &[u8; 8] = b"SSEKMB1\0";
-
-/// The `btree` backend's durable [`KeywordMap`]: the whole map lives in
-/// memory and every flush rewrites one monolithic CRC-framed snapshot file
-/// (`<prefix>.kwmap`) via temp + rename + dir fsync — maximal write
-/// amplification, minimal read cost, the mirror image of
-/// [`crate::lsm::LsmKeywordMap`].
-pub struct BtreeKeywordMap {
-    vfs: Arc<dyn Vfs>,
-    dir: std::path::PathBuf,
-    prefix: String,
-    map: BTreeMap<Tag, Vec<u8>>,
-    seq: u64,
-    meta: Vec<u8>,
-}
-
-impl BtreeKeywordMap {
-    /// Open (or create) the map stored as `dir/<prefix>.kwmap`.
-    ///
-    /// # Errors
-    /// I/O errors, or [`StorageError::Corrupt`] for a damaged snapshot.
-    pub fn open(vfs: Arc<dyn Vfs>, dir: &Path, prefix: &str) -> Result<Self> {
-        vfs.create_dir_all(dir)?;
-        let mut map = BtreeKeywordMap {
-            vfs,
-            dir: dir.to_path_buf(),
-            prefix: prefix.to_string(),
-            map: BTreeMap::new(),
-            seq: 0,
-            meta: Vec::new(),
-        };
-        let path = map.file_path();
-        if map.vfs.exists(&path) {
-            let bytes = map.vfs.read(&path)?;
-            map.load(&bytes)?;
-        }
-        Ok(map)
-    }
-
-    fn file_path(&self) -> std::path::PathBuf {
-        self.dir.join(format!("{}.kwmap", self.prefix))
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<()> {
-        let corrupt = |detail: String| StorageError::Corrupt {
-            what: "keyword-map snapshot",
-            detail,
-        };
-        if bytes.len() < 12 || &bytes[..8] != KWMAP_MAGIC {
-            return Err(corrupt("bad magic or truncated header".to_string()));
-        }
-        let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let body = &bytes[12..];
-        if crc32(body) != stored_crc {
-            return Err(corrupt("checksum mismatch".to_string()));
-        }
-        let mut pos = 0usize;
-        let take = |p: &mut usize, n: usize| -> Result<&[u8]> {
-            if *p + n > body.len() {
-                return Err(StorageError::Corrupt {
-                    what: "keyword-map snapshot",
-                    detail: "truncated".to_string(),
-                });
-            }
-            let s = &body[*p..*p + n];
-            *p += n;
-            Ok(s)
-        };
-        self.seq = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
-        let meta_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        self.meta = take(&mut pos, meta_len)?.to_vec();
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")) as usize;
-        let mut map = BTreeMap::new();
-        for _ in 0..count {
-            let tag: Tag = take(&mut pos, 32)?.try_into().expect("32 bytes");
-            let vlen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-            map.insert(tag, take(&mut pos, vlen)?.to_vec());
-        }
-        if pos != body.len() {
-            return Err(corrupt(format!("{} trailing bytes", body.len() - pos)));
-        }
-        self.map = map;
-        Ok(())
-    }
-}
-
-impl KeywordMap for BtreeKeywordMap {
-    fn get(&self, tag: &Tag) -> Result<Option<Vec<u8>>> {
-        Ok(self.map.get(tag).cloned())
-    }
-
-    fn put(&mut self, tag: Tag, value: Vec<u8>) -> Result<()> {
-        self.map.insert(tag, value);
-        Ok(())
-    }
-
-    fn delete(&mut self, tag: &Tag) -> Result<()> {
-        self.map.remove(tag);
-        Ok(())
-    }
-
-    fn clear(&mut self) -> Result<()> {
-        self.map.clear();
-        Ok(())
-    }
-
-    fn flush(&mut self, applied_seq: u64, meta: &[u8]) -> Result<()> {
-        self.seq = applied_seq;
-        self.meta = meta.to_vec();
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.seq.to_le_bytes());
-        body.extend_from_slice(&(self.meta.len() as u32).to_le_bytes());
-        body.extend_from_slice(&self.meta);
-        body.extend_from_slice(&(self.map.len() as u64).to_le_bytes());
-        for (tag, value) in &self.map {
-            body.extend_from_slice(tag);
-            body.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            body.extend_from_slice(value);
-        }
-        let tmp = self.dir.join(format!("{}.kwmap.tmp", self.prefix));
-        let path = self.file_path();
-        {
-            let mut f = self.vfs.create(&tmp)?;
-            f.write_all(KWMAP_MAGIC)?;
-            f.write_all(&crc32(&body).to_le_bytes())?;
-            f.write_all(&body)?;
-            f.sync_data()?;
-        }
-        self.vfs.rename(&tmp, &path)?;
-        self.vfs.sync_dir(&self.dir)?;
-        Ok(())
-    }
-
-    fn last_seq(&self) -> u64 {
-        self.seq
-    }
-
-    fn meta(&self) -> Vec<u8> {
-        self.meta.clone()
-    }
-
-    fn iter_all(&self) -> Result<Vec<(Tag, Vec<u8>)>> {
-        Ok(self.map.iter().map(|(k, v)| (*k, v.clone())).collect())
-    }
-
-    fn key_count(&self) -> Result<usize> {
-        Ok(self.map.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,32 +439,6 @@ mod tests {
             read_backend_manifest(&RealVfs, &dir),
             Err(StorageError::Corrupt { .. })
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn btree_keyword_map_round_trips() {
-        let dir = temp_dir("kwmap");
-        let tag = |b: u8| [b; 32];
-        {
-            let mut m = BtreeKeywordMap::open(RealVfs::arc(), &dir, "kw0").unwrap();
-            m.put(tag(1), b"one".to_vec()).unwrap();
-            m.put(tag(2), b"two".to_vec()).unwrap();
-            m.delete(&tag(1)).unwrap();
-            m.flush(42, b"geometry").unwrap();
-            m.put(tag(3), b"unflushed".to_vec()).unwrap();
-            // tag(3) was never flushed: it must not survive reopen.
-        }
-        let m = BtreeKeywordMap::open(RealVfs::arc(), &dir, "kw0").unwrap();
-        assert_eq!(m.last_seq(), 42);
-        assert_eq!(m.meta(), b"geometry");
-        assert_eq!(m.get(&tag(2)).unwrap(), Some(b"two".to_vec()));
-        assert_eq!(m.get(&tag(1)).unwrap(), None);
-        assert_eq!(m.get(&tag(3)).unwrap(), None);
-        assert_eq!(m.key_count().unwrap(), 1);
-        let snap = m.snapshot().unwrap();
-        assert_eq!(snap.get(&tag(2)), Some(b"two".to_vec()));
-        assert_eq!(snap.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -21,12 +21,13 @@
 //!   deterministic fault injection: failed/torn writes, failed fsyncs,
 //!   failed dir fsyncs, lost renames, hard crash at any scheduled write
 //!   point);
-//! * [`backend`] — the pluggable backend ADT: [`backend::KeywordMap`] and
-//!   [`backend::DocBlobStore`] traits, the [`backend::BackendKind`]
-//!   manifest that makes directories refuse to open under the wrong
-//!   engine, and the `btree` implementations;
+//! * [`backend`] — the pluggable backend ADT: the
+//!   [`backend::DocBlobStore`] trait with its `btree` implementation, and
+//!   the [`backend::BackendKind`] manifest that makes directories refuse
+//!   to open under the wrong engine;
 //! * [`lsm`] — the log-structured backend: append-only sorted runs,
-//!   bloom-filtered point reads, tag-range compaction.
+//!   bloom-filtered point reads, tag-range compaction; its document store
+//!   and the keyword map the index engine checkpoints into.
 //!
 //! Everything is plain `std::fs`; no external crates.
 
@@ -43,10 +44,7 @@ pub mod store;
 pub mod vfs;
 pub mod wal;
 
-pub use backend::{
-    resolve_backend, BackendCounters, BackendKind, BtreeKeywordMap, DocBlobStore, KeywordMap,
-    KeywordMapSnapshot, MemKeywordMap,
-};
+pub use backend::{resolve_backend, BackendCounters, BackendKind, DocBlobStore};
 pub use error::{Result, StorageError};
 pub use lsm::{LsmCore, LsmDocStore, LsmKeywordMap};
 pub use vfs::{FaultConfig, FaultStats, FaultVfs, RealVfs, Vfs, VfsFile};

@@ -899,13 +899,20 @@ impl crate::backend::DocBlobStore for LsmDocStore {
 // LsmKeywordMap
 // ---------------------------------------------------------------------------
 
-use crate::backend::{BackendCounters, KeywordMap, Tag};
+use crate::backend::{BackendCounters, Tag};
 
-/// Log-structured [`KeywordMap`]: flushes write **only the tags that
-/// changed** since the last flush as one sorted run — the low-write-
-/// amplification checkpoint target for update-heavy workloads. Pre-flush
-/// durability belongs to the caller's journal (the scheme servers'
-/// group-commit machinery), per the trait contract.
+/// The `lsm` backend's durable keyword map — the paper's keyword index as
+/// a map from 32-byte PRF tags to opaque per-keyword state (scheme 1:
+/// masked bit-array + `f_r`; scheme 2: generation lists). Flushes write
+/// **only the tags that changed** since the last flush as one sorted run —
+/// the low-write-amplification checkpoint target for update-heavy
+/// workloads.
+///
+/// Durability contract: mutations become durable at
+/// [`LsmKeywordMap::flush`], not before — pre-flush durability is the
+/// caller's journal's job (the scheme servers' group-commit journal is the
+/// write path; the map is the checkpoint target). After a crash, a
+/// reopened map serves exactly the state of the last successful flush.
 pub struct LsmKeywordMap {
     core: LsmCore,
 }
@@ -936,41 +943,58 @@ impl LsmKeywordMap {
     pub fn verify_runs(&self) -> Result<u64> {
         self.core.verify_runs()
     }
-}
 
-impl KeywordMap for LsmKeywordMap {
-    fn get(&self, tag: &Tag) -> Result<Option<Vec<u8>>> {
+    /// Value stored for `tag`.
+    ///
+    /// # Errors
+    /// I/O errors, or [`StorageError::Corrupt`] for damaged runs.
+    pub fn get(&self, tag: &Tag) -> Result<Option<Vec<u8>>> {
         self.core.get(tag)
     }
 
-    fn put(&mut self, tag: Tag, value: Vec<u8>) -> Result<()> {
+    /// Insert or replace the value for `tag`.
+    pub fn put(&mut self, tag: Tag, value: Vec<u8>) {
         self.core.put(tag.to_vec(), value);
-        Ok(())
     }
 
-    fn delete(&mut self, tag: &Tag) -> Result<()> {
+    /// Remove `tag` (absent tags are fine — idempotent).
+    pub fn delete(&mut self, tag: &Tag) {
         self.core.delete(tag.to_vec());
-        Ok(())
     }
 
-    fn clear(&mut self) -> Result<()> {
+    /// Drop every tag (scheme re-initialization).
+    pub fn clear(&mut self) {
         self.core.clear();
-        Ok(())
     }
 
-    fn flush(&mut self, applied_seq: u64, meta: &[u8]) -> Result<()> {
+    /// Durability point: persist all mutations since the last flush
+    /// together with `applied_seq` (the journal sequence this state
+    /// covers) and an opaque caller `meta` blob (scheme 1 stores its
+    /// index geometry here).
+    ///
+    /// # Errors
+    /// I/O errors.
+    pub fn flush(&mut self, applied_seq: u64, meta: &[u8]) -> Result<()> {
         self.core.flush(applied_seq, meta)
     }
 
-    fn last_seq(&self) -> u64 {
+    /// The `applied_seq` recorded by the last flush (0: never flushed).
+    #[must_use]
+    pub fn last_seq(&self) -> u64 {
         self.core.last_seq()
     }
 
-    fn meta(&self) -> Vec<u8> {
+    /// The caller `meta` blob recorded by the last flush.
+    #[must_use]
+    pub fn meta(&self) -> Vec<u8> {
         self.core.user_meta().to_vec()
     }
 
-    fn iter_all(&self) -> Result<Vec<(Tag, Vec<u8>)>> {
+    /// Every `(tag, value)` pair, tag-sorted (open-time tree rebuild).
+    ///
+    /// # Errors
+    /// I/O errors, or [`StorageError::Corrupt`] for damaged runs.
+    pub fn iter_all(&self) -> Result<Vec<(Tag, Vec<u8>)>> {
         self.core
             .iter_all()?
             .into_iter()
@@ -978,11 +1002,9 @@ impl KeywordMap for LsmKeywordMap {
             .collect()
     }
 
-    fn key_count(&self) -> Result<usize> {
-        Ok(self.core.live_keys().len())
-    }
-
-    fn counters(&self) -> BackendCounters {
+    /// Engine internals for STATS.
+    #[must_use]
+    pub fn counters(&self) -> BackendCounters {
         self.core.counters()
     }
 }
@@ -1158,11 +1180,11 @@ mod tests {
         let dir = temp_dir("kw");
         {
             let mut m = LsmKeywordMap::open(RealVfs::arc(), &dir, "kw0").unwrap();
-            m.put(tag(1), b"one".to_vec()).unwrap();
-            m.put(tag(2), b"two".to_vec()).unwrap();
+            m.put(tag(1), b"one".to_vec());
+            m.put(tag(2), b"two".to_vec());
             m.flush(5, b"meta-a").unwrap();
             // Second flush writes only the dirty tag.
-            m.put(tag(2), b"two-v2".to_vec()).unwrap();
+            m.put(tag(2), b"two-v2".to_vec());
             m.flush(9, b"meta-b").unwrap();
             assert_eq!(m.counters().runs_live, 2);
         }
@@ -1171,15 +1193,9 @@ mod tests {
         assert_eq!(m.meta(), b"meta-b");
         assert_eq!(m.get(&tag(1)).unwrap(), Some(b"one".to_vec()));
         assert_eq!(m.get(&tag(2)).unwrap(), Some(b"two-v2".to_vec()));
-        assert_eq!(m.key_count().unwrap(), 2);
+        assert_eq!(m.get(&tag(3)).unwrap(), None);
         let all = m.iter_all().unwrap();
         assert_eq!(all.len(), 2);
-        let snap = m.snapshot().unwrap();
-        assert_eq!(snap.get(&tag(2)), Some(b"two-v2".to_vec()));
-        assert_eq!(
-            snap.get_many(&[tag(1), tag(3)]),
-            vec![Some(b"one".to_vec()), None]
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

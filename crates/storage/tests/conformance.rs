@@ -1,30 +1,29 @@
-//! Backend conformance suite: one generic test body per storage trait,
-//! run against **every** implementation.
+//! Backend conformance suite: one generic test body per storage
+//! contract, run against **every** implementation.
 //!
 //! * [`DocBlobStore`] — `DocStore` (B+-tree-era heap + WAL) and
 //!   `LsmDocStore` must behave identically against a map oracle under
 //!   random put/delete/checkpoint traces, across clean restarts, and
 //!   after a crash at every scheduled write point (durable-on-return:
 //!   every acked op survives, the in-flight op is all-or-nothing).
-//! * [`KeywordMap`] — `MemKeywordMap`, `BtreeKeywordMap` and
-//!   `LsmKeywordMap` must agree with a map oracle on live reads, and the
-//!   durable two must reopen to exactly the last acked `flush` (or the
-//!   in-flight one if the crash raced it), carrying `last_seq` and the
-//!   `meta` blob with it.
+//! * [`LsmKeywordMap`] — the one durable keyword map (the btree backend
+//!   persists the index engine's own snapshot file instead) must agree
+//!   with a map oracle on live reads, and reopen to exactly the last acked
+//!   `flush` (or the in-flight one if the crash raced it), carrying
+//!   `last_seq` and the `meta` blob with it.
 //!
-//! The generic bodies take an opener closure, so adding a third backend
-//! means adding one opener per trait, not a new test suite.
+//! The doc-store bodies take an opener closure, so adding a third backend
+//! means adding one opener, not a new test suite.
 
 use proptest::prelude::*;
 use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
 use sse_storage::store::{DocStore, StoreOptions};
-use sse_storage::{BtreeKeywordMap, DocBlobStore, FaultVfs, KeywordMap, RealVfs, Vfs};
+use sse_storage::{DocBlobStore, FaultVfs, RealVfs, Vfs};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 type DocOpener = fn(Arc<dyn Vfs>, &Path) -> sse_storage::error::Result<Box<dyn DocBlobStore>>;
-type MapOpener = fn(Arc<dyn Vfs>, &Path) -> sse_storage::error::Result<Box<dyn KeywordMap>>;
 
 fn open_doc_btree(
     vfs: Arc<dyn Vfs>,
@@ -48,19 +47,11 @@ fn open_doc_lsm(
     )?))
 }
 
-fn open_map_btree(
-    vfs: Arc<dyn Vfs>,
-    dir: &Path,
-) -> sse_storage::error::Result<Box<dyn KeywordMap>> {
-    Ok(Box::new(BtreeKeywordMap::open(vfs, dir, "conf")?))
-}
-
-fn open_map_lsm(vfs: Arc<dyn Vfs>, dir: &Path) -> sse_storage::error::Result<Box<dyn KeywordMap>> {
-    Ok(Box::new(LsmKeywordMap::open(vfs, dir, "conf")?))
+fn open_map(vfs: Arc<dyn Vfs>, dir: &Path) -> sse_storage::error::Result<LsmKeywordMap> {
+    LsmKeywordMap::open(vfs, dir, "conf")
 }
 
 const DOC_OPENERS: [(&str, DocOpener); 2] = [("btree", open_doc_btree), ("lsm", open_doc_lsm)];
-const MAP_OPENERS: [(&str, MapOpener); 2] = [("btree", open_map_btree), ("lsm", open_map_lsm)];
 
 fn temp_dir(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -227,7 +218,7 @@ fn doc_store_crash_sweep(name: &str, open: DocOpener, ops: &[DocOp], seed: u64) 
 }
 
 // ---------------------------------------------------------------------------
-// KeywordMap conformance
+// LsmKeywordMap conformance
 // ---------------------------------------------------------------------------
 
 /// One random keyword-map op: `(kind, tag_byte, value)`; kind 0/3 = put,
@@ -248,19 +239,18 @@ fn advance_oracle(oracle: &mut BTreeMap<[u8; 32], Vec<u8>>, (op, key, value): &M
     }
 }
 
-/// Apply one op to a real map; `false` means the map errored (only a
-/// crashed VFS produces that for these infallible-by-contract mutations).
-fn apply_to_map(map: &mut dyn KeywordMap, (op, key, value): &MapOp) -> bool {
+/// Apply one op to the real map (pre-flush mutations are in-memory and
+/// cannot fail; `flush` is the only write point).
+fn apply_to_map(map: &mut LsmKeywordMap, (op, key, value): &MapOp) {
     let tag = tag_of(*key);
     match op {
-        1 => map.delete(&tag).is_ok(),
-        2 => map.clear().is_ok(),
-        _ => map.put(tag, value.clone()).is_ok(),
+        1 => map.delete(&tag),
+        2 => map.clear(),
+        _ => map.put(tag, value.clone()),
     }
 }
 
-fn assert_map_matches(name: &str, map: &dyn KeywordMap, oracle: &BTreeMap<[u8; 32], Vec<u8>>) {
-    assert_eq!(map.key_count().unwrap(), oracle.len(), "{name}: key_count");
+fn assert_map_matches(name: &str, map: &LsmKeywordMap, oracle: &BTreeMap<[u8; 32], Vec<u8>>) {
     let mut all = map.iter_all().unwrap();
     all.sort_by_key(|e| e.0);
     let want: Vec<([u8; 32], Vec<u8>)> = oracle.iter().map(|(t, v)| (*t, v.clone())).collect();
@@ -273,31 +263,16 @@ fn assert_map_matches(name: &str, map: &dyn KeywordMap, oracle: &BTreeMap<[u8; 3
             "{name}: get diverged on tag byte {b}"
         );
     }
-    let tags: Vec<[u8; 32]> = (0..=255u8).map(tag_of).collect();
-    let many = map.get_many(&tags).unwrap();
-    for (b, got) in many.into_iter().enumerate() {
-        assert_eq!(
-            got,
-            oracle.get(&tag_of(b as u8)).cloned(),
-            "{name}: get_many diverged on tag byte {b}"
-        );
-    }
 }
 
 /// Fault-free conformance body. Mutations only become durable at `flush`;
 /// the reopened map must equal the *flushed* oracle snapshot (plus its
-/// `applied_seq` and `meta`), never the unflushed tail. A snapshot handle
-/// taken before the tail mutations must keep answering from its epoch.
-fn keyword_map_matches_oracle(
-    name: &str,
-    open: MapOpener,
-    ops: &[MapOp],
-    reopens: bool,
-    case: u64,
-) {
-    let dir = temp_dir(&format!("map-{name}"), case);
+/// `applied_seq` and `meta`), never the unflushed tail.
+fn keyword_map_matches_oracle(ops: &[MapOp], case: u64) {
+    let name = "lsm";
+    let dir = temp_dir("map-lsm", case);
     let mut oracle: BTreeMap<[u8; 32], Vec<u8>> = BTreeMap::new();
-    let mut map = open(RealVfs::arc(), &dir).unwrap();
+    let mut map = open_map(RealVfs::arc(), &dir).unwrap();
     assert_eq!(map.last_seq(), 0, "{name}: fresh map must start at seq 0");
     assert!(
         map.meta().is_empty(),
@@ -306,13 +281,10 @@ fn keyword_map_matches_oracle(
 
     let half = ops.len() / 2;
     for op in &ops[..half] {
-        assert!(
-            apply_to_map(map.as_mut(), op),
-            "{name}: fault-free op errored"
-        );
+        apply_to_map(&mut map, op);
         advance_oracle(&mut oracle, op);
     }
-    assert_map_matches(name, map.as_ref(), &oracle);
+    assert_map_matches(name, &map, &oracle);
 
     let flushed = oracle.clone();
     let meta = vec![0xAB, case as u8, 0xCD];
@@ -324,48 +296,33 @@ fn keyword_map_matches_oracle(
     );
     assert_eq!(map.meta(), meta, "{name}: meta after flush");
 
-    // Snapshot isolation: the handle answers from the flush-time epoch
-    // even while the live map mutates on.
-    let snapshot = map.snapshot().unwrap();
     for op in &ops[half..] {
-        assert!(
-            apply_to_map(map.as_mut(), op),
-            "{name}: fault-free op errored"
-        );
+        apply_to_map(&mut map, op);
         advance_oracle(&mut oracle, op);
     }
-    assert_map_matches(name, map.as_ref(), &oracle);
-    assert_eq!(snapshot.len(), flushed.len(), "{name}: snapshot len moved");
-    for (tag, value) in &flushed {
-        assert_eq!(
-            snapshot.get(tag),
-            Some(value.clone()),
-            "{name}: snapshot lost a flushed entry"
-        );
-    }
+    assert_map_matches(name, &map, &oracle);
 
-    if reopens {
-        drop(map);
-        let reopened = open(RealVfs::arc(), &dir).unwrap();
-        assert_map_matches(&format!("{name} (reopened)"), reopened.as_ref(), &flushed);
-        assert_eq!(
-            reopened.last_seq(),
-            half as u64 + 1,
-            "{name}: last_seq lost"
-        );
-        assert_eq!(reopened.meta(), meta, "{name}: meta lost");
-    }
+    drop(map);
+    let reopened = open_map(RealVfs::arc(), &dir).unwrap();
+    assert_map_matches("lsm (reopened)", &reopened, &flushed);
+    assert_eq!(
+        reopened.last_seq(),
+        half as u64 + 1,
+        "{name}: last_seq lost"
+    );
+    assert_eq!(reopened.meta(), meta, "{name}: meta lost");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Crash conformance body for durable keyword maps: flush every few ops,
-/// crash at every scheduled write point, reopen through the real
-/// filesystem. The recovered state must be exactly the last acked flush —
-/// or the one in flight when the crash hit — never a torn mix.
 /// One durable keyword-map state: the map contents plus the flush `seq`.
 type FlushState = (BTreeMap<[u8; 32], Vec<u8>>, u64);
 
-fn keyword_map_crash_sweep(name: &str, open: MapOpener, ops: &[MapOp], seed: u64) {
+/// Crash conformance body for the durable keyword map: flush every few
+/// ops, crash at every scheduled write point, reopen through the real
+/// filesystem. The recovered state must be exactly the last acked flush —
+/// or the one in flight when the crash hit — never a torn mix.
+fn keyword_map_crash_sweep(ops: &[MapOp], seed: u64) {
+    let name = "lsm";
     const FLUSH_EVERY: usize = 5;
     // flush_states[j] = (oracle, seq) as of the j-th flush; index 0 is the
     // never-flushed empty state.
@@ -384,12 +341,9 @@ fn keyword_map_crash_sweep(name: &str, open: MapOpener, ops: &[MapOp], seed: u64
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let mut map = open(Arc::new(counting), &count_dir).unwrap();
+        let mut map = open_map(Arc::new(counting), &count_dir).unwrap();
         for (i, op) in ops.iter().enumerate() {
-            assert!(
-                apply_to_map(map.as_mut(), op),
-                "{name}: counting op errored"
-            );
+            apply_to_map(&mut map, op);
             if (i + 1) % FLUSH_EVERY == 0 {
                 map.flush((i + 1) as u64, &[]).unwrap();
             }
@@ -401,19 +355,16 @@ fn keyword_map_crash_sweep(name: &str, open: MapOpener, ops: &[MapOp], seed: u64
 
     for k in 1..=write_points {
         let dir = temp_dir(&format!("mapc-{name}"), seed ^ k);
-        let acked_flushes = match open(Arc::new(FaultVfs::crashing_at(seed, k)), &dir) {
+        let acked_flushes = match open_map(Arc::new(FaultVfs::crashing_at(seed, k)), &dir) {
             Err(_) => 0,
             Ok(mut map) => {
                 let mut acked = 0usize;
-                'trace: for (i, op) in ops.iter().enumerate() {
-                    // Pre-flush mutations are in-memory; only a crashed
-                    // map errors here, which ends the "process".
-                    if !apply_to_map(map.as_mut(), op) {
-                        break 'trace;
-                    }
+                for (i, op) in ops.iter().enumerate() {
+                    apply_to_map(&mut map, op);
                     if (i + 1) % FLUSH_EVERY == 0 {
+                        // A failed flush is the crash: the "process" ends.
                         if map.flush((i + 1) as u64, &[]).is_err() {
-                            break 'trace;
+                            break;
                         }
                         acked += 1;
                     }
@@ -421,7 +372,7 @@ fn keyword_map_crash_sweep(name: &str, open: MapOpener, ops: &[MapOp], seed: u64
                 acked
             }
         };
-        let reopened = open(RealVfs::arc(), &dir).unwrap();
+        let reopened = open_map(RealVfs::arc(), &dir).unwrap();
         let mut observed = reopened.iter_all().unwrap();
         observed.sort_by_key(|e| e.0);
         let observed_seq = reopened.last_seq();
@@ -463,22 +414,13 @@ proptest! {
     }
 
     #[test]
-    fn every_keyword_map_matches_the_oracle(
+    fn the_lsm_keyword_map_matches_the_oracle(
         ops in prop::collection::vec((0u8..10, 0u8..12, prop::collection::vec(any::<u8>(), 0..60)), 2..40),
         case in any::<u64>(),
     ) {
         // Kind >= 3 folds to put; 1 = delete, 2 = clear (rare by weight).
         let ops: Vec<MapOp> = ops.into_iter().map(|(k, t, v)| (k.min(3), t, v)).collect();
-        keyword_map_matches_oracle(
-            "mem",
-            |_vfs, _dir| Ok(Box::new(sse_storage::MemKeywordMap::new())),
-            &ops,
-            false,
-            case,
-        );
-        for (name, open) in MAP_OPENERS {
-            keyword_map_matches_oracle(name, open, &ops, true, case);
-        }
+        keyword_map_matches_oracle(&ops, case);
     }
 }
 
@@ -521,9 +463,6 @@ fn every_doc_blob_store_recovers_an_op_atomic_prefix_from_any_crash() {
 }
 
 #[test]
-fn every_durable_keyword_map_recovers_a_flush_atomic_state_from_any_crash() {
-    let ops = crash_trace(0x3A9, 30);
-    for (name, open) in MAP_OPENERS {
-        keyword_map_crash_sweep(name, open, &ops, 0x3A9);
-    }
+fn the_lsm_keyword_map_recovers_a_flush_atomic_state_from_any_crash() {
+    keyword_map_crash_sweep(&crash_trace(0x3A9, 30), 0x3A9);
 }
