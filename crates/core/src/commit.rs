@@ -1,35 +1,69 @@
-//! Per-shard group commit: amortize one fsync across concurrent mutations.
+//! Per-shard staging for the engine's flush: the shard journal, the
+//! records parked on it, its writer and the group-commit counters.
 //!
-//! PR 3's serving benchmark showed per-mutation journal fsyncs dominate
-//! throughput — sharding overlaps fsyncs but never amortizes them. The
-//! [`GroupCommitter`] fixes that: concurrent mutations *stage* their
-//! already-seq-stamped journal records into a pending group, and the first
-//! waiter to find work becomes the **leader**, writing the whole group with
-//! one vectored [`sse_storage::wal::Wal::append_batch`] call (one `write`
-//! syscall + one `sync_data`). Followers sleep on a condvar until the
-//! leader advances `durable_seq` past their record.
+//! A durable mutation **stages** its already-seq-stamped journal record
+//! into its shard's [`GroupCommitter`] together with its reply
+//! continuation ([`Reply`]) and returns: nothing is durable, applied or
+//! acknowledged yet, and the thread that staged it is free. A **flush**
+//! (`IndexEngine::flush_with`) later asks every shard's committer to
+//! [`GroupCommitter::write_pending`]: the first thread to ask becomes that
+//! shard's *writer*, cuts everything staged, writes it with one vectored
+//! [`crate::journal::IndexJournal::append_stamped_batch`] — one `write`
+//! syscall and one `sync_data` — and hands the group to the engine, which
+//! applies it in seq order and only then calls its replies. So every
+//! record staged while the previous fsync was in flight shares the next
+//! one, whichever thread staged it, and writers of different shards —
+//! different threads — fsync at the same time (DESIGN.md §4e).
 //!
-//! The durability contract is unchanged from per-op journaling: a mutation
-//! is acknowledged only after [`GroupCommitter::wait_durable`] returns
-//! `Ok`, i.e. strictly after the fsync that covered its record. Sequence
-//! numbers are assigned at stage time under the committer lock, so journal
-//! order, group order, and apply order are all the same order, and
-//! cross-shard batch ids can embed the coordinator's seq before anything
-//! hits disk.
+//! The durability contract is that of per-op journaling: a mutation is
+//! acknowledged strictly after the fsync that covered its record. Sequence
+//! numbers are assigned at stage time under the stage lock, so journal
+//! order, group order and apply order are one order, and cross-shard batch
+//! ids can embed the coordinator's seq before anything hits disk.
 //!
 //! Failure model: if a group's write or fsync fails, the committer is
-//! **poisoned** — every record in that group and everything staged after
-//! it reports an error, and no further staging is accepted. This mirrors a
+//! **poisoned** — every record of that group and every record staged
+//! behind it fails, and no further staging is accepted. This mirrors a
 //! crash (the only source of sync failures in this workspace is injected
 //! faults, which kill all subsequent I/O anyway): the journal's on-disk
 //! state is an acked prefix plus at most one in-doubt unacked group.
 
 use crate::error::{Result, SseError};
 use crate::journal::IndexJournal;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use crate::proto_common;
+use crate::shard::BatchId;
+use parking_lot::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+
+/// Where a mutation's reply goes once a flush knows its fate: the encoded
+/// ack, or the encoded error. Called exactly once, on whichever thread
+/// applied the mutation's last slice.
+pub type Reply = Box<dyn FnOnce(Vec<u8>) + Send>;
+
+/// A [`Reply`] for a caller that waits for the reply itself: the library
+/// path (`handle_shared`, `apply_batch`, `Service::handle`). The reply may
+/// come from another thread — the writer of a shard this caller's flush
+/// found busy — so it travels through a channel.
+#[derive(Default)]
+pub(crate) struct ReplySlot(Option<mpsc::Receiver<Vec<u8>>>);
+
+impl ReplySlot {
+    /// The continuation to stage with.
+    pub(crate) fn reply(&mut self) -> Reply {
+        let (tx, rx) = mpsc::channel();
+        self.0 = Some(rx);
+        Box::new(move |reply| {
+            let _ = tx.send(reply);
+        })
+    }
+
+    /// Block until the reply arrives. `None` when [`Self::reply`] was
+    /// never called: nothing was staged.
+    pub(crate) fn wait(self) -> Option<Vec<u8>> {
+        self.0?.recv().ok()
+    }
+}
 
 /// Pipeline counters shared by every shard's committer in a server.
 ///
@@ -47,7 +81,8 @@ pub struct CommitStats {
     pub max_group: AtomicU64,
     /// Fsyncs avoided versus one-per-op journaling (`group_size - 1` per group).
     pub fsyncs_saved: AtomicU64,
-    /// Immutable search-snapshot publications (one per shard apply).
+    /// Immutable search-snapshot publications (one per shard an apply
+    /// changed).
     pub snapshot_swaps: AtomicU64,
 }
 
@@ -126,276 +161,285 @@ impl CommitCounters {
     }
 }
 
+/// One staged shard record: parked from its stage until it is dropped,
+/// which is after its reply. Dropped with its reply unsent — a flush that
+/// unwound, an engine dropped with records parked — it sends an error
+/// reply itself, so no client waits forever.
+pub(crate) struct Staged {
+    pub(crate) seq: u64,
+    /// `[seq u64 LE][request bytes]` — what the journal gets.
+    record: Vec<u8>,
+    /// Where the shard-local mutation starts in `record`: after the seq
+    /// stamp and, in a batch slice, the slice header.
+    body: usize,
+    /// The mutation the record belongs to (for a single-shard mutation,
+    /// its own shard and seq).
+    pub(crate) batch: BatchId,
+    /// Every shard the batch has a slice on; `None` for a single-shard
+    /// mutation.
+    pub(crate) shards: Option<Arc<[u32]>>,
+    /// The mutation's reply, carried by its first slice only.
+    pub(crate) reply: Option<Reply>,
+    /// Why the record is not durable: its group's write failed, or the
+    /// shard was poisoned before the cut.
+    pub(crate) failed: Option<String>,
+    /// The engine's count of records not yet dropped.
+    parked: Arc<AtomicUsize>,
+}
+
+impl Staged {
+    /// The shard-local mutation: the bytes recovery replays for this record.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.record[self.body..]
+    }
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        if let Some(reply) = self.reply.take() {
+            reply(proto_common::encode_error(
+                "index mutation abandoned before its flush finished",
+            ));
+        }
+        self.parked.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 struct CommitState {
-    /// The shard's journal; `None` only while a leader has it checked out
-    /// for a flush (durable mode) or permanently in in-memory mode.
-    journal: Option<IndexJournal>,
     /// Seq the next `stage` call will assign.
     next_seq: u64,
-    /// Staged, stamped records awaiting flush, in seq order:
-    /// `(seq, [seq u64 LE][request bytes])`.
-    pending: VecDeque<(u64, Vec<u8>)>,
-    /// True while a leader is flushing outside the lock.
+    /// Staged records no writer has cut yet, in seq order.
+    pending: Vec<Staged>,
+    /// True while a thread is this shard's writer (see
+    /// [`GroupCommitter::write_pending`]).
     writing: bool,
-    /// Highest seq covered by a completed fsync.
-    durable_seq: u64,
     /// Set when a group flush failed: the shard journal is dead, every
     /// staged-or-later mutation errors out.
     poisoned: Option<String>,
 }
 
-/// A per-shard journal wrapper that batches concurrent appends into
-/// single-fsync groups. See the module docs for the full protocol.
-pub struct GroupCommitter {
+/// A per-shard journal wrapper that holds staged records until a writer
+/// makes them durable as one single-fsync group. See the module docs.
+pub(crate) struct GroupCommitter {
     state: Mutex<CommitState>,
-    cv: Condvar,
-    /// In-memory servers journal nothing: staging is immediately durable.
-    in_memory: bool,
+    /// Held by the writer for its group's write and fsync, and by a
+    /// journal reset or swap.
+    journal: Mutex<IndexJournal>,
     stats: Arc<CommitStats>,
+    /// Records staged on any of the engine's shards and not yet dropped.
+    parked: Arc<AtomicUsize>,
 }
 
 impl GroupCommitter {
-    /// Wrap a shard journal opened by the server. `last_seq` must be the
-    /// journal's `next_seq - 1` (i.e. everything already on disk is
-    /// trivially durable).
-    #[must_use]
-    pub fn new_durable(journal: IndexJournal, stats: Arc<CommitStats>) -> Self {
-        let next_seq = journal.next_seq();
+    /// Wrap a shard journal opened by the server; everything already on
+    /// disk is trivially durable.
+    pub(crate) fn new(
+        journal: IndexJournal,
+        stats: Arc<CommitStats>,
+        parked: Arc<AtomicUsize>,
+    ) -> Self {
         GroupCommitter {
             state: Mutex::new(CommitState {
-                journal: Some(journal),
-                next_seq,
-                pending: VecDeque::new(),
+                next_seq: journal.next_seq(),
+                pending: Vec::new(),
                 writing: false,
-                durable_seq: next_seq - 1,
                 poisoned: None,
             }),
-            cv: Condvar::new(),
-            in_memory: false,
+            journal: Mutex::new(journal),
             stats,
+            parked,
         }
     }
 
-    /// A committer with no backing journal: sequence numbers still order
-    /// applies, but staging is immediately durable.
-    #[must_use]
-    pub fn new_in_memory(stats: Arc<CommitStats>) -> Self {
-        GroupCommitter {
-            state: Mutex::new(CommitState {
-                journal: None,
-                next_seq: 1,
-                pending: VecDeque::new(),
-                writing: false,
-                durable_seq: 0,
-                poisoned: None,
-            }),
-            cv: Condvar::new(),
-            in_memory: true,
-            stats,
-        }
-    }
-
-    /// Stage one request, assigning and returning its sequence number.
-    /// Durability comes later, from [`GroupCommitter::wait_durable`].
-    ///
-    /// # Errors
-    /// [`SseError::Storage`]-wrapped I/O error if the shard journal was
-    /// poisoned by an earlier failed group.
-    pub fn stage(&self, request: &[u8]) -> Result<u64> {
-        self.lock().stage(request)
-    }
-
-    /// Lock the stage queue. Cross-shard batches hold the [`StageGuard`]s
-    /// of every affected shard (in ascending shard order) so all slices —
-    /// whose batch id embeds the coordinator's seq — stage atomically.
-    #[must_use]
-    pub fn lock(&self) -> StageGuard<'_> {
+    /// Lock the stage queue. A cross-shard batch holds the [`StageGuard`]s
+    /// of every affected shard (ascending) so its slices — whose batch id
+    /// embeds the coordinator's seq — stage atomically, and the batch has
+    /// one place in every affected shard's order.
+    pub(crate) fn lock(&self) -> StageGuard<'_> {
         StageGuard {
             state: self.state.lock(),
             committer: self,
         }
     }
 
-    /// Block until `seq` is covered by a completed fsync (or is trivially
-    /// durable in in-memory mode). The calling thread may be drafted as
-    /// the group leader and perform the flush itself.
+    /// Become this shard's writer and write everything staged: cut it, make
+    /// it durable with one vectored write and one fsync (or mark it failed
+    /// and poison the shard), hand the group to `done`, and repeat until a
+    /// cut finds nothing staged; then step down. `done` therefore sees this
+    /// shard's groups in seq order.
     ///
-    /// # Errors
-    /// [`SseError::Storage`] if the group containing `seq` (or an earlier
-    /// group) failed to flush — the record is *not* durable and the caller
-    /// must not apply or ack it.
-    pub fn wait_durable(&self, seq: u64) -> Result<()> {
-        let mut state = self.state.lock();
+    /// Returns false, doing nothing, when nothing is staged or another
+    /// thread is the writer. That writer takes what is staged now before
+    /// it steps down — the check and the step-down share the stage lock —
+    /// so a caller that finds the shard busy may leave its records to it.
+    pub(crate) fn write_pending(&self, mut done: impl FnMut(Vec<Staged>)) -> bool {
+        {
+            let mut state = self.state.lock();
+            if state.writing || state.pending.is_empty() {
+                return false;
+            }
+            state.writing = true;
+        }
+        let mut writer = Writer(Some(self));
         loop {
-            if state.durable_seq >= seq {
-                return Ok(());
-            }
-            if let Some(msg) = &state.poisoned {
-                return Err(journal_dead(msg));
-            }
-            if !state.writing && !state.pending.is_empty() {
-                // Become the leader: take the whole pending group, flush it
-                // outside the lock, then report back.
-                state.writing = true;
-                let group: Vec<(u64, Vec<u8>)> = state.pending.drain(..).collect();
-                let mut journal = state
-                    .journal
-                    .take()
-                    .expect("journal present when not writing");
-                drop(state);
-
-                let first_seq = group[0].0;
-                let last_seq = group[group.len() - 1].0;
-                let records: Vec<&[u8]> = group.iter().map(|(_, r)| r.as_slice()).collect();
-                let outcome = journal.append_stamped_batch(&records, first_seq);
-
-                state = self.state.lock();
-                state.journal = Some(journal);
-                state.writing = false;
-                match outcome {
-                    Ok(()) => {
-                        state.durable_seq = last_seq;
-                        self.stats.note_group(group.len() as u64);
-                    }
-                    Err(err) => {
-                        state.poisoned = Some(err.to_string());
-                    }
+            let (mut group, poisoned) = {
+                let mut state = self.state.lock();
+                if state.pending.is_empty() {
+                    state.writing = false;
+                    writer.0 = None;
+                    return true;
                 }
-                self.cv.notify_all();
-                continue;
+                (std::mem::take(&mut state.pending), state.poisoned.clone())
+            };
+            if let Some(msg) = poisoned.or_else(|| self.write(&group).err()) {
+                for record in &mut group {
+                    record.failed = Some(msg.clone());
+                }
             }
-            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+            done(group);
         }
     }
 
-    /// Highest seq assigned so far (the `last_op_seq` a checkpoint taken
-    /// under full quiescence should record).
-    #[must_use]
-    pub fn last_seq(&self) -> u64 {
-        self.state.lock().next_seq - 1
+    /// One group's vectored write and fsync. A failure — or a panic inside
+    /// the journal — poisons the shard; records staged behind it fail at
+    /// the next cut.
+    fn write(&self, group: &[Staged]) -> std::result::Result<(), String> {
+        let records: Vec<&[u8]> = group.iter().map(|r| r.record.as_slice()).collect();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.journal
+                .lock()
+                .append_stamped_batch(&records, group[0].seq)
+        }));
+        let msg = match outcome {
+            Ok(Ok(())) => {
+                self.stats.note_group(records.len() as u64);
+                return Ok(());
+            }
+            Ok(Err(err)) => err.to_string(),
+            Err(_) => "the journal write panicked".to_string(),
+        };
+        self.state.lock().poisoned = Some(msg.clone());
+        Err(msg)
     }
 
     /// Truncate the journal after a checkpoint. Only call under full
-    /// quiescence (no staged-but-unflushed records); seqs keep increasing.
+    /// quiescence, after a flush; seqs keep increasing.
     ///
     /// # Errors
-    /// [`SseError::Storage`] if the journal is poisoned, mid-flush, has
-    /// staged records, or the truncation itself fails.
-    pub fn reset_journal(&self) -> Result<()> {
-        let mut state = self.state.lock();
+    /// [`SseError::Storage`] if the journal is poisoned, being written,
+    /// has staged records, or the truncation itself fails.
+    pub(crate) fn reset_journal(&self) -> Result<()> {
+        let state = self.state.lock();
         if let Some(msg) = &state.poisoned {
             return Err(journal_dead(msg));
         }
-        if state.writing || !state.pending.is_empty() {
-            return Err(SseError::Storage(sse_storage::StorageError::Io(
-                std::io::Error::other("journal reset while mutations are in flight"),
-            )));
-        }
-        if let Some(journal) = state.journal.as_mut() {
-            journal.reset()?;
-        }
+        check_quiet(&state, "journal reset")?;
+        self.journal.lock().reset()?;
         Ok(())
-    }
-
-    /// True when this committer's journal was disabled by a failed group
-    /// commit (the scrub checks this to decide whether a repair is due).
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned.is_some()
     }
 
     /// Replace the backing journal wholesale — the scrub's repair path.
     ///
-    /// The caller must hold the server fully quiesced (no mutation may be
-    /// staging or waiting: every in-flight pipeline holds the server's
-    /// barrier/geometry read lock, which the repair write-holds) and must
-    /// have re-persisted the shard's applied state so the fresh journal's
-    /// contents are redundant. Clears any poison, discards staged records
-    /// of failed groups (they were never acked and are not on disk in the
-    /// fresh journal), installs `journal`, and resets the seq counters to
-    /// the journal's own `next_seq` — per-shard applies require dense
-    /// seqs, so the failed groups' seq numbers are reclaimed.
+    /// The caller must have quiesced the server and flushed (so nothing is
+    /// staged or being written) and re-persisted the shard's applied
+    /// state, so the fresh journal's contents are redundant. Clears any
+    /// poison, installs `journal`, and resets the seq counter to the
+    /// journal's own `next_seq` — per-shard applies require dense seqs, so
+    /// the failed groups' seq numbers are reclaimed.
     ///
-    /// No-op (Ok) for in-memory committers: nothing to repair.
-    pub fn replace_journal(&self, journal: IndexJournal) {
-        if self.in_memory {
-            return;
-        }
-        let next_seq = journal.next_seq();
+    /// # Errors
+    /// [`SseError::Storage`] while a writer is active on this shard or
+    /// records are staged: a swap under either would strand replies or
+    /// split one order over two journals. Nothing is changed.
+    pub(crate) fn replace_journal(&self, journal: IndexJournal) -> Result<()> {
         let mut state = self.state.lock();
-        debug_assert!(!state.writing, "replace_journal requires quiescence");
-        state.journal = Some(journal);
-        state.pending.clear();
+        check_quiet(&state, "journal swap")?;
+        state.next_seq = journal.next_seq();
+        *self.journal.lock() = journal;
         state.poisoned = None;
-        state.next_seq = next_seq;
-        state.durable_seq = next_seq - 1;
-        drop(state);
-        self.cv.notify_all();
+        Ok(())
     }
+}
 
-    /// The shared pipeline counters.
-    #[must_use]
-    pub fn stats(&self) -> &Arc<CommitStats> {
-        &self.stats
+/// Steps the writer down if [`GroupCommitter::write_pending`] unwinds, so
+/// the shard is not left with a writer that never writes again.
+struct Writer<'a>(Option<&'a GroupCommitter>);
+
+impl Drop for Writer<'_> {
+    fn drop(&mut self) {
+        if let Some(committer) = self.0 {
+            committer.state.lock().writing = false;
+        }
     }
+}
+
+/// Refuse `what` while a writer is active or records are staged.
+fn check_quiet(state: &CommitState, what: &str) -> Result<()> {
+    if state.writing || !state.pending.is_empty() {
+        return Err(SseError::Storage(sse_storage::StorageError::Io(
+            std::io::Error::other(format!("{what} while mutations are in flight")),
+        )));
+    }
+    Ok(())
 }
 
 /// Exclusive access to a committer's stage queue; see
 /// [`GroupCommitter::lock`].
-pub struct StageGuard<'a> {
+pub(crate) struct StageGuard<'a> {
     state: MutexGuard<'a, CommitState>,
     committer: &'a GroupCommitter,
 }
 
 impl StageGuard<'_> {
     /// The seq the next [`StageGuard::stage`] call will assign.
-    #[must_use]
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.state.next_seq
     }
 
-    /// True when this shard's journal was disabled by a failed group
-    /// commit. Stable while the guard is held: poisoning requires the
-    /// state lock. Cross-shard coordinators check every affected shard
-    /// before staging anything, so a dead shard never strands a
-    /// half-staged batch.
-    #[must_use]
-    pub fn poisoned(&self) -> bool {
-        self.state.poisoned.is_some()
+    /// Why this shard's journal was disabled, if a group commit failed.
+    /// Stable while the guard is held: poisoning requires the state lock.
+    /// Coordinators check every affected shard before staging anything,
+    /// so a dead shard never strands a half-staged batch.
+    pub(crate) fn poisoned(&self) -> Option<&str> {
+        self.state.poisoned.as_deref()
     }
 
-    /// Stage one request, assigning and returning its sequence number.
-    ///
-    /// # Errors
-    /// [`SseError::Storage`] if the shard journal is poisoned.
-    pub fn stage(&mut self, request: &[u8]) -> Result<u64> {
-        if let Some(msg) = &self.state.poisoned {
-            return Err(journal_dead(msg));
-        }
+    /// Stage one request, assigning and returning its seq. `body` is where
+    /// the shard-local mutation starts in `request`; `shards` is the
+    /// batch's shard set (`None`: a single-shard mutation).
+    pub(crate) fn stage(
+        &mut self,
+        request: &[u8],
+        body: usize,
+        batch: BatchId,
+        shards: Option<Arc<[u32]>>,
+        reply: Option<Reply>,
+    ) -> u64 {
+        debug_assert!(self.state.poisoned.is_none(), "checked by the caller");
         let seq = self.state.next_seq;
         self.state.next_seq = seq + 1;
-        if self.committer.in_memory {
-            self.state.durable_seq = seq;
-        } else {
-            let mut record = Vec::with_capacity(8 + request.len());
-            record.extend_from_slice(&seq.to_le_bytes());
-            record.extend_from_slice(request);
-            self.state.pending.push_back((seq, record));
-        }
-        Ok(seq)
+        let mut record = Vec::with_capacity(8 + request.len());
+        record.extend_from_slice(&seq.to_le_bytes());
+        record.extend_from_slice(request);
+        // Raised under the stage lock, before any writer can cut it.
+        self.committer.parked.fetch_add(1, Ordering::AcqRel);
+        self.state.pending.push(Staged {
+            seq,
+            record,
+            body: 8 + body,
+            batch,
+            shards,
+            reply,
+            failed: None,
+            parked: Arc::clone(&self.committer.parked),
+        });
+        seq
     }
 }
 
-impl Drop for StageGuard<'_> {
-    fn drop(&mut self) {
-        // Wake sleepers so one of them can lead the newly staged group.
-        if !self.state.pending.is_empty() {
-            self.committer.cv.notify_all();
-        }
-    }
-}
-
-fn journal_dead(msg: &str) -> SseError {
+/// The error a mutation gets when its shard's journal is (or just went)
+/// dead.
+pub(crate) fn journal_dead(msg: &str) -> SseError {
     SseError::Storage(sse_storage::StorageError::Io(std::io::Error::other(
         format!("shard journal disabled by failed group commit: {msg}"),
     )))
@@ -406,7 +450,6 @@ mod tests {
     use super::*;
     use sse_storage::{FaultVfs, RealVfs};
     use std::path::{Path, PathBuf};
-    use std::sync::Barrier;
 
     fn temp_journal(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sse-commit-{}-{}", std::process::id(), name));
@@ -415,120 +458,109 @@ mod tests {
         dir.join("shard.wal")
     }
 
+    fn committer(journal: IndexJournal) -> GroupCommitter {
+        GroupCommitter::new(journal, Arc::default(), Arc::default())
+    }
+
     fn durable_committer(path: &Path) -> GroupCommitter {
         let (journal, _) = IndexJournal::open_with_vfs(RealVfs::arc(), path, true, 0).unwrap();
-        GroupCommitter::new_durable(journal, Arc::new(CommitStats::default()))
+        committer(journal)
+    }
+
+    /// Stage `requests` as single-shard records of shard 0.
+    fn stage_all(c: &GroupCommitter, requests: &[&[u8]]) -> Vec<u64> {
+        let mut guard = c.lock();
+        requests
+            .iter()
+            .map(|r| {
+                let batch = BatchId {
+                    coordinator: 0,
+                    seq: guard.next_seq(),
+                };
+                guard.stage(r, 0, batch, None, None)
+            })
+            .collect()
+    }
+
+    /// Write everything staged; the groups, in the order written.
+    fn flush(c: &GroupCommitter) -> Vec<Vec<Staged>> {
+        let mut groups = Vec::new();
+        c.write_pending(|group| groups.push(group));
+        groups
     }
 
     #[test]
-    fn in_memory_staging_is_immediately_durable() {
-        let c = GroupCommitter::new_in_memory(Arc::new(CommitStats::default()));
-        let s1 = c.stage(b"a").unwrap();
-        let s2 = c.stage(b"b").unwrap();
-        assert_eq!((s1, s2), (1, 2));
-        c.wait_durable(s2).unwrap();
-        assert_eq!(c.stats().counters().groups_committed, 0);
-    }
-
-    #[test]
-    fn single_writer_round_trips_through_the_journal() {
-        let path = temp_journal("single");
+    fn a_cut_is_one_write_and_one_fsync_and_replays_in_order() {
+        let path = temp_journal("group");
         let c = durable_committer(&path);
-        for i in 0..5u64 {
-            let seq = c.stage(format!("op-{i}").as_bytes()).unwrap();
-            assert_eq!(seq, i + 1);
-            c.wait_durable(seq).unwrap();
-        }
-        let counters = c.stats().counters();
-        assert_eq!(counters.ops_committed, 5);
-        // Sequential writers can't group: every op is its own flush.
-        assert_eq!(counters.groups_committed, 5);
+        assert_eq!(stage_all(&c, &[b"op-0", b"op-1", b"op-2"]), [1, 2, 3]);
+        let groups = flush(&c);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].len(), 3);
+        assert!(groups[0].iter().all(|r| r.failed.is_none()));
+        assert_eq!(groups[0][1].body(), b"op-1");
+        assert_eq!(stage_all(&c, &[b"op-3"]), [4]);
+        flush(&c);
+        assert!(flush(&c).is_empty(), "nothing left to cut");
+        let counters = c.stats.counters();
+        assert_eq!(counters.groups_committed, 2, "one fsync per non-empty cut");
+        assert_eq!(counters.ops_committed, 4);
+        assert_eq!(counters.max_group, 3);
+        assert_eq!(counters.fsyncs_saved, 2);
+        drop(groups);
         drop(c);
 
         let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        let want: Vec<Vec<u8>> = (0..5).map(|i| format!("op-{i}").into_bytes()).collect();
+        let want: Vec<Vec<u8>> = (0..4).map(|i| format!("op-{i}").into_bytes()).collect();
         assert_eq!(rec.replay, want);
     }
 
     #[test]
-    fn concurrent_writers_form_groups_and_all_become_durable() {
-        let path = temp_journal("group");
-        let c = Arc::new(durable_committer(&path));
-        let writers = 8;
-        let ops_per_writer = 20;
-        let barrier = Arc::new(Barrier::new(writers));
-        let handles: Vec<_> = (0..writers)
-            .map(|w| {
-                let c = Arc::clone(&c);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for i in 0..ops_per_writer {
-                        let seq = c.stage(format!("w{w}-{i}").as_bytes()).unwrap();
-                        c.wait_durable(seq).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = (writers * ops_per_writer) as u64;
-        let counters = c.stats().counters();
-        assert_eq!(counters.ops_committed, total);
-        assert!(
-            counters.groups_committed <= total,
-            "groups must never exceed ops"
-        );
-        assert_eq!(
-            counters.fsyncs_saved,
-            total - counters.groups_committed,
-            "every record beyond the first in a group saves one fsync"
-        );
-        drop(c);
-
-        // Every staged record is on disk exactly once, in seq order.
-        let (journal, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        assert_eq!(rec.replay.len() as u64, total);
-        assert_eq!(journal.next_seq(), total + 1);
-    }
-
-    #[test]
-    fn forced_group_via_stage_guard_costs_one_fsync() {
-        let path = temp_journal("forced");
+    fn the_writer_takes_what_was_staged_during_its_write_before_stepping_down() {
+        let path = temp_journal("loop");
         let c = durable_committer(&path);
-        let mut guard = c.lock();
-        let first = guard.next_seq();
-        let s1 = guard.stage(b"batch-a").unwrap();
-        let s2 = guard.stage(b"batch-b").unwrap();
-        let s3 = guard.stage(b"batch-c").unwrap();
-        drop(guard);
-        assert_eq!((s1, s2, s3), (first, first + 1, first + 2));
-        c.wait_durable(s3).unwrap();
-        let counters = c.stats().counters();
-        assert_eq!(counters.groups_committed, 1, "one flush for the group");
-        assert_eq!(counters.ops_committed, 3);
-        assert_eq!(counters.max_group, 3);
-        assert_eq!(counters.fsyncs_saved, 2);
+        stage_all(&c, &[b"first"]);
+        let mut groups = Vec::new();
+        assert!(c.write_pending(|group| {
+            if groups.is_empty() {
+                // Staged while this shard has a writer: another flush finds
+                // it busy and leaves the record to the writer.
+                stage_all(&c, &[b"behind-a", b"behind-b"]);
+                assert!(!c.write_pending(|_| unreachable!()));
+            }
+            groups.push(group);
+        }));
+        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [1, 2]);
+        assert_eq!(c.stats.counters().groups_committed, 2);
+        assert!(!c.write_pending(|_| unreachable!()), "stepped down empty");
     }
 
     #[test]
-    fn failed_flush_poisons_the_committer() {
+    fn a_failed_write_poisons_the_group_and_everything_behind_it() {
         let path = temp_journal("poison");
         // First sync call dies (and all I/O after it).
         let vfs: Arc<dyn sse_storage::Vfs> = Arc::new(FaultVfs::crashing_at_sync(7, 1));
         let (journal, _) = IndexJournal::open_with_vfs(vfs, &path, true, 0).unwrap();
-        let c = GroupCommitter::new_durable(journal, Arc::new(CommitStats::default()));
-        let seq = c.stage(b"doomed").unwrap();
-        let err = c.wait_durable(seq).unwrap_err();
-        assert!(err.to_string().contains("injected fault"), "{err}");
-        // Everything afterwards errors fast.
-        let err2 = c.stage(b"after").unwrap_err();
-        assert!(err2.to_string().contains("disabled"), "{err2}");
-        let err3 = c.wait_durable(seq).unwrap_err();
-        assert!(err3.to_string().contains("disabled"), "{err3}");
+        let c = committer(journal);
+        stage_all(&c, &[b"doomed-a", b"doomed-b"]);
+        let mut groups = Vec::new();
+        c.write_pending(|group| {
+            if groups.is_empty() {
+                // Staged behind the failing group: it fails at the next
+                // cut, without a write.
+                stage_all(&c, &[b"behind"]);
+            }
+            groups.push(group);
+        });
+        assert_eq!(groups.len(), 2);
+        let msg = groups[0][0].failed.clone().expect("the group failed");
+        assert!(msg.contains("injected fault"), "{msg}");
+        assert!(groups[0].iter().all(|r| r.failed.as_ref() == Some(&msg)));
+        assert_eq!(groups[1][0].failed.as_ref(), Some(&msg));
+        assert!(c.lock().poisoned().is_some());
         assert!(c.reset_journal().is_err());
-        assert_eq!(c.stats().counters().groups_committed, 0);
+        assert_eq!(c.stats.counters().groups_committed, 0);
     }
 
     #[test]
@@ -536,32 +568,77 @@ mod tests {
         let path = temp_journal("replace");
         let vfs: Arc<dyn sse_storage::Vfs> = Arc::new(FaultVfs::crashing_at_sync(7, 1));
         let (journal, _) = IndexJournal::open_with_vfs(vfs, &path, true, 0).unwrap();
-        let c = GroupCommitter::new_durable(journal, Arc::new(CommitStats::default()));
-        let seq = c.stage(b"doomed").unwrap();
-        assert!(c.wait_durable(seq).is_err());
-        assert!(c.is_poisoned());
+        let c = committer(journal);
+        stage_all(&c, &[b"doomed"]);
+        assert!(flush(&c)[0][0].failed.is_some());
 
         // Repair: re-open a fresh journal (as if the applied state were
         // re-persisted with snapshot_seq = applied_seq) and install it.
         let _ = std::fs::remove_file(&path);
         let (fresh, _) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        c.replace_journal(fresh);
-        assert!(!c.is_poisoned());
+        c.replace_journal(fresh).unwrap();
+        assert!(c.lock().poisoned().is_none());
         // The failed seq is reclaimed: staging resumes densely from 1.
-        let seq2 = c.stage(b"after repair").unwrap();
-        assert_eq!(seq2, 1);
-        c.wait_durable(seq2).unwrap();
+        assert_eq!(stage_all(&c, &[b"after repair"]), [1]);
+        assert!(flush(&c)[0][0].failed.is_none());
         drop(c);
         let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
         assert_eq!(rec.replay, vec![b"after repair".to_vec()]);
     }
 
     #[test]
-    fn reset_journal_rejects_inflight_records() {
-        let path = temp_journal("reset-inflight");
+    fn journal_swaps_and_resets_refuse_a_writer_in_progress() {
+        let path = temp_journal("swap-mid-write");
         let c = durable_committer(&path);
-        let _seq = c.stage(b"staged-not-flushed").unwrap();
+        stage_all(&c, &[b"staged-not-flushed"]);
         let err = c.reset_journal().unwrap_err();
         assert!(err.to_string().contains("in flight"), "{err}");
+
+        // Inside `done` the writer is still active: its group is written
+        // and the next cut has not run.
+        c.write_pending(|_| {
+            let (other, _) = IndexJournal::open_with_vfs(
+                RealVfs::arc(),
+                &temp_journal("swap-mid-write-other"),
+                true,
+                0,
+            )
+            .unwrap();
+            let err = c.replace_journal(other).unwrap_err();
+            assert!(err.to_string().contains("in flight"), "{err}");
+            assert!(c.reset_journal().is_err());
+        });
+        // Stepped down: the group went into the journal it was cut for.
+        c.reset_journal().unwrap();
+        drop(c);
+        let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
+        assert!(rec.replay.is_empty(), "reset after the write");
+    }
+
+    #[test]
+    fn a_record_dropped_unreplied_sends_an_error_and_unparks() {
+        let c = durable_committer(&temp_journal("abandoned"));
+        let mut slot = ReplySlot::default();
+        {
+            let mut guard = c.lock();
+            let batch = BatchId {
+                coordinator: 0,
+                seq: guard.next_seq(),
+            };
+            guard.stage(b"never flushed", 0, batch, None, Some(slot.reply()));
+        }
+        assert_eq!(c.parked.load(Ordering::Acquire), 1);
+        drop(c);
+        let reply = slot.wait().expect("the drop replied");
+        assert!(proto_common::decode_ack(&reply).is_err());
+    }
+
+    #[test]
+    fn reply_slots_hand_the_reply_to_the_waiting_caller() {
+        let mut slot = ReplySlot::default();
+        let reply = slot.reply();
+        std::thread::spawn(move || reply(b"ack".to_vec()));
+        assert_eq!(slot.wait(), Some(b"ack".to_vec()));
+        assert_eq!(ReplySlot::default().wait(), None);
     }
 }

@@ -17,37 +17,53 @@
 //! server already sees, so the leakage profile is unchanged (DESIGN.md
 //! §4d/§4e). Each shard is a pipeline, not a single mutex:
 //!
-//! * **Mutations** stage their journal record into the shard's
-//!   [`GroupCommitter`], which batches concurrent records into one
-//!   vectored write + one fsync (the PR 3 benchmark showed per-op fsyncs
-//!   dominate serving cost). Only after its group's fsync does a mutation
-//!   apply to the shard tree — in sequence-number order, enforced by a
-//!   per-shard condvar — and only after applying is it acknowledged. The
-//!   journal-then-ack durability contract is exactly that of per-op
-//!   journaling; the fsync is merely shared.
+//! * **Durable mutations** stage their journal record into the shard's
+//!   [`GroupCommitter`] together with their reply continuation and return:
+//!   the staging thread is free, the record is *parked*. A **flush**
+//!   (`IndexEngine::flush_with`) writes every shard nobody else is
+//!   writing — one vectored write + one fsync per shard for everything
+//!   parked there — then applies every record whose mutation is durable
+//!   on all its shards, in sequence-number order, publishes each shard it
+//!   changed once and only then replies. Every mutation that arrived
+//!   while the previous fsync was in flight shares the next one, and
+//!   threads flushing at once write different shards, so their fsyncs
+//!   overlap. The journal-then-ack durability contract is exactly that of
+//!   per-op journaling; the fsync is merely shared. Who flushes and when
+//!   is the caller's business (DESIGN.md §4e): the library path on its
+//!   own thread, the daemon's worker at its next idle moment.
+//! * **In-memory mutations** are durable at once: they apply and publish
+//!   under their own shards' data locks before returning, so mutations
+//!   on different shards run in parallel and nothing parks.
 //! * **Searches** never touch the shard mutex: every apply publishes an
-//!   immutable copy-on-write snapshot ([`sse_index::bptree::BpTree`]
-//!   clones are O(1) structural shares), and reads resolve tags against
-//!   the snapshot. A search therefore never queues behind an in-flight
-//!   fsync. A global epoch seqlock makes multi-shard batch swaps atomic
-//!   to readers: the coordinator publishes all touched shards inside an
-//!   odd-epoch window and readers retry around it.
+//!   immutable copy-on-write snapshot of each shard it changed
+//!   ([`sse_index::bptree::BpTree`] clones are O(1) structural shares),
+//!   and reads resolve tags against the snapshot. A search therefore never
+//!   queues behind an in-flight fsync. A global epoch seqlock makes
+//!   multi-shard swaps atomic to readers: an apply publishes all the
+//!   shards it changed inside one odd-epoch window and readers retry
+//!   around it.
 //!
 //! Mutations touching several shards stage [`crate::shard`] batch slices
-//! under every affected committer's stage lock (ascending), so crash
-//! recovery keeps them all-or-nothing; they apply under all affected data
-//! locks. Lock order everywhere: quiescence lock → stage locks ascending →
-//! data locks ascending → document store. Mutations hold the quiescence
-//! read lock (`IndexEngine::pipeline`) across their whole stage→apply
-//! pipeline, so its writers — checkpoint, repair and any scheme request
-//! that rewrites the guarded `SchemeOps::Meta` — run fully quiesced.
+//! under every affected committer's stage lock (ascending), so every
+//! batch has one place in each of its shards' orders; a batch applies only
+//! once all its slices are durable, on all its shards inside one window,
+//! and crash recovery keeps it all-or-nothing. Lock order everywhere:
+//! quiescence lock → stage locks ascending → ready queues → data locks
+//! ascending → swap window → document store; a shard's journal lock is
+//! taken alone. Staging and flushes hold the quiescence lock
+//! (`IndexEngine::pipeline`, read), so its writers — checkpoint, repair
+//! and any scheme request that rewrites the guarded `SchemeOps::Meta` —
+//! wait out every writer in progress, then flush themselves and work
+//! fully quiesced.
 //!
 //! The data path is generic over the scheme, not `dyn`: a search costs
 //! the same seqlock read and allocations as before the engine existed.
 //! Only the admin surface ([`IndexAdmin`]: scrub, counters, checkpoint)
 //! is reached through a trait object.
 
-use crate::commit::{CommitCounters, CommitStats, GroupCommitter, StageGuard};
+use crate::commit::{
+    journal_dead, CommitCounters, CommitStats, GroupCommitter, Reply, ReplySlot, StageGuard, Staged,
+};
 use crate::error::{Result, SseError};
 use crate::health::{ScrubFindings, TenantHealth};
 use crate::journal::{IndexJournal, ServerRecovery};
@@ -63,10 +79,10 @@ use sse_storage::wal::{self, WalVerdict};
 use sse_storage::{
     resolve_backend, BackendCounters, BackendKind, DocBlobStore, RealVfs, StorageError, Vfs,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// What a scheme supplies to the engine. Crate-private and statically
 /// dispatched: the engine is monomorphized per scheme.
@@ -76,8 +92,8 @@ pub(crate) trait SchemeOps: Sized + 'static {
     /// State guarded by the quiescence lock, copied into every snapshot
     /// and persisted with every checkpoint (Scheme 1's index geometry).
     type Meta: Clone + Send + Sync + 'static;
-    /// Per-shard in-memory state the engine carries but never reads
-    /// (Scheme 2's per-keyword search cache).
+    /// Per-shard in-memory state the engine carries but never reads, only
+    /// hands to [`SchemeOps::apply`] (Scheme 2's per-keyword search cache).
     type Sidecar: Default + Send + Sync + 'static;
 
     /// File stem: `<stem>.index`, `<stem>.{i}.wal`, `<stem>.kw{i}`,
@@ -113,14 +129,21 @@ pub(crate) trait SchemeOps: Sized + 'static {
     /// out.
     fn decode_value(r: &mut WireReader<'_>, meta: &Self::Meta) -> Result<Self::Value>;
 
-    /// Re-apply one journaled shard-local mutation during recovery (no
-    /// re-journaling, no re-validation: the record was validated before
-    /// it was ever journaled).
+    /// Apply one shard-local mutation — the same bytes live (at once in
+    /// memory; by a flush once the record is durable) and in recovery. No
+    /// re-journaling, no re-validation: the record was validated before it
+    /// was ever staged. Returns the entries it applied, for the scheme's
+    /// counters.
     ///
     /// # Errors
     /// Wire errors, or [`StorageError::Corrupt`] if the record is not a
     /// mutation.
-    fn replay(data: &mut ShardData<Self>, meta: &mut Self::Meta, record: &[u8]) -> Result<()>;
+    fn apply(
+        data: &mut ShardData<Self>,
+        sidecar: &Self::Sidecar,
+        meta: &mut Self::Meta,
+        record: &[u8],
+    ) -> Result<u64>;
 }
 
 /// How to open a durable server. The defaults are what
@@ -151,7 +174,7 @@ impl Default for DurableOptions {
 }
 
 /// A shard's mutable state: the live tree plus the highest op-seq applied
-/// to it. Mutations apply in seq order (`applied_seq + 1 == my_seq`).
+/// to it. Records apply in seq order (`applied_seq + 1 == seq`).
 pub(crate) struct ShardData<S: SchemeOps> {
     pub(crate) tree: BpTree<[u8; 32], S::Value>,
     applied_seq: u64,
@@ -181,8 +204,8 @@ impl<S: SchemeOps> ShardData<S> {
         }
     }
 
-    /// Inside an apply closure: the seq of the mutation being applied,
-    /// which the snapshot published right after will carry.
+    /// Inside [`SchemeOps::apply`] on the live path: the seq of the record
+    /// being applied.
     pub(crate) fn applying_seq(&self) -> u64 {
         self.applied_seq + 1
     }
@@ -240,12 +263,9 @@ pub(crate) struct SnapShard<S: SchemeOps> {
     pub(crate) meta: S::Meta,
 }
 
-/// One index shard: group-commit pipeline + live tree + search snapshot.
+/// One index shard: live tree + search snapshot.
 struct ShardSlot<S: SchemeOps> {
     data: Mutex<ShardData<S>>,
-    /// Signaled whenever `applied_seq` advances.
-    applied: Condvar,
-    committer: GroupCommitter,
     snap: RwLock<Arc<SnapShard<S>>>,
     sidecar: S::Sidecar,
     /// Contended acquisitions of `data` (served via STATS).
@@ -253,7 +273,7 @@ struct ShardSlot<S: SchemeOps> {
 }
 
 impl<S: SchemeOps> ShardSlot<S> {
-    fn new(data: ShardData<S>, meta: &S::Meta, committer: GroupCommitter) -> Self {
+    fn new(data: ShardData<S>, meta: &S::Meta) -> Self {
         ShardSlot {
             snap: RwLock::new(Arc::new(SnapShard {
                 tree: data.tree.clone(),
@@ -261,19 +281,27 @@ impl<S: SchemeOps> ShardSlot<S> {
                 meta: meta.clone(),
             })),
             data: Mutex::new(data),
-            applied: Condvar::new(),
-            committer,
             sidecar: S::Sidecar::default(),
             contention: AtomicU64::new(0),
         }
     }
 }
 
-/// Where a durable engine lives.
+/// Where a durable engine lives, and its commit pipeline.
 struct Home {
     dir: PathBuf,
     /// The VFS every index file goes through (real or fault-injecting).
     vfs: Arc<dyn Vfs>,
+    /// Per shard: its journal and the records staged on it.
+    committers: Vec<GroupCommitter>,
+    /// Per shard: records written (durable, or failed) and not yet
+    /// applied, in seq order. A batch slice waits here until every slice
+    /// of its batch heads its own shard's queue. Held by an apply from
+    /// its plan to its last publish, so applies run one at a time.
+    ready: Mutex<Vec<VecDeque<Staged>>>,
+    /// Records staged and not yet dropped — a record drops after its
+    /// reply, so zero means every staged mutation has its reply.
+    parked: Arc<AtomicUsize>,
 }
 
 /// Shard 0 keeps the pre-sharding name so single-shard directories stay
@@ -305,13 +333,22 @@ fn kw_prefix<S: SchemeOps>(i: usize) -> String {
 /// serving daemon, the scrub and the tests reach without caring which
 /// scheme is underneath. `Scheme1Server` and `Scheme2Server` deref to it.
 pub trait IndexAdmin {
+    /// Flush (DESIGN.md §4e): every mutation parked so far is made durable,
+    /// applied and replied to — by this call, which writes every shard no
+    /// other thread is writing, or by the writer of a shard it found busy,
+    /// which takes everything staged before it steps down. So with no
+    /// other flush in progress, everything is replied to before this
+    /// returns. A no-op when nothing is parked, and always in memory.
+    fn flush(&self);
+
     /// Checkpoint everything durable, in crash-safe order: document store
     /// snapshot, then every shard's index snapshot (each recording its
     /// `applied_seq` as `last_op_seq`), then every journal truncation.
-    /// The quiescence write lock stops the mutation pipeline first, so
-    /// every staged record is both durable and applied — no journal may
-    /// be reset while a group is in flight, and the snapshots-before-any-
-    /// reset order keeps cross-shard batch slices resolvable.
+    /// The quiescence write lock stops staging and waits out every flush
+    /// in progress; a flush of its own then makes every parked record
+    /// durable and applied (and replies to it) — no journal may be reset
+    /// while a record is parked, and the snapshots-before-any-reset order
+    /// keeps cross-shard batch slices resolvable.
     ///
     /// # Errors
     /// Filesystem errors. In-memory servers have nothing to checkpoint
@@ -320,15 +357,17 @@ pub trait IndexAdmin {
 
     /// Attempt to repair a degraded server — the scrub's probe-write path.
     ///
-    /// Under full quiescence (quiescence write lock + all data locks, so
-    /// no mutation is staging, flushing or applying), re-persist every
-    /// shard's *applied* state — document-store checkpoint, then index
-    /// snapshots (btree) or keyword-map flushes (lsm) — and then replace
-    /// each shard's journal with a freshly opened empty one, clearing any
-    /// group-commit poison. Seqs of failed groups are reclaimed: those
-    /// records were never acknowledged and the fresh journal restarts
-    /// densely at `applied_seq + 1`. The end-to-end write pass is itself
-    /// the probe write: on success the health cell returns to Healthy.
+    /// Under full quiescence (quiescence write lock, a flush of its own,
+    /// then all data locks, so no mutation is parked, being written or
+    /// applying), re-persist every shard's *applied* state —
+    /// document-store checkpoint, then index snapshots (btree) or
+    /// keyword-map flushes (lsm) — and then replace each shard's journal
+    /// with a freshly opened empty one, clearing any group-commit poison.
+    /// Records parked behind a failed group get their error replies from
+    /// that flush. Seqs of failed groups are reclaimed: those records were
+    /// never acknowledged and the fresh journal restarts densely at
+    /// `applied_seq + 1`. The end-to-end write pass is itself the probe
+    /// write: on success the health cell returns to Healthy.
     ///
     /// # Errors
     /// Filesystem errors (the disk is still bad); the server stays
@@ -395,14 +434,19 @@ pub trait IndexAdmin {
 
 /// See the module docs.
 pub(crate) struct IndexEngine<S: SchemeOps> {
-    /// The quiescence lock: read-held by every mutation pipeline,
+    /// The quiescence lock: read-held while staging and by a flush,
     /// write-held by checkpoint, repair and meta rewrites — a checkpoint
-    /// must see every staged record already applied before it may
-    /// snapshot and reset journals.
+    /// must see every staged record applied before it may snapshot and
+    /// reset journals.
     meta: RwLock<S::Meta>,
     shards: Vec<ShardSlot<S>>,
-    /// Seqlock epoch: odd while a multi-shard batch swaps its snapshots.
+    /// Entries applied live (recovery's replays not counted).
+    entries_applied: AtomicU64,
+    /// Seqlock epoch: odd while an apply swaps several snapshots.
     epoch: AtomicU64,
+    /// Held across one multi-shard swap window: in-memory mutations on
+    /// disjoint shards apply in parallel, and the seqlock has one writer.
+    window: Mutex<()>,
     /// Group-commit pipeline counters, shared by every shard's committer.
     commit_stats: Arc<CommitStats>,
     store: RwLock<Box<dyn DocBlobStore>>,
@@ -416,21 +460,16 @@ pub(crate) struct IndexEngine<S: SchemeOps> {
 impl<S: SchemeOps> IndexEngine<S> {
     /// In-memory engine with `shards` independently locked index shards.
     pub(crate) fn in_memory(meta: S::Meta, shards: usize) -> Self {
-        let commit_stats = Arc::new(CommitStats::default());
         let shards = (0..shards.max(1))
-            .map(|_| {
-                ShardSlot::new(
-                    ShardData::new(BpTree::new(), 0, None),
-                    &meta,
-                    GroupCommitter::new_in_memory(Arc::clone(&commit_stats)),
-                )
-            })
+            .map(|_| ShardSlot::new(ShardData::new(BpTree::new(), 0, None), &meta))
             .collect();
         IndexEngine {
             meta: RwLock::new(meta),
             shards,
+            entries_applied: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            commit_stats,
+            window: Mutex::new(()),
+            commit_stats: Arc::default(),
             store: RwLock::new(Box::new(DocStore::in_memory())),
             backend: BackendKind::Btree,
             home: None,
@@ -521,33 +560,43 @@ impl<S: SchemeOps> IndexEngine<S> {
         // tags go dirty so the next checkpoint flushes them. Irrelevant
         // for btree (whole-snapshot rewrites).
         let plan = shard::resolve_shard_recoveries(&recoveries)?;
+        // The shards' sidecars do not exist yet, and start empty anyway.
+        let sidecar = S::Sidecar::default();
         let mut replayed = 0u64;
         for (data, apply) in datas.iter_mut().zip(&plan.apply) {
             for record in apply {
-                S::replay(data, &mut meta, record)?;
+                S::apply(data, &sidecar, &mut meta, record)?;
                 replayed += 1;
             }
         }
         let commit_stats = Arc::new(CommitStats::default());
-        let shards = datas
-            .into_iter()
-            .zip(journals)
-            .map(|(mut data, journal)| {
-                data.applied_seq = journal.last_seq();
-                let committer = GroupCommitter::new_durable(journal, Arc::clone(&commit_stats));
-                ShardSlot::new(data, &meta, committer)
-            })
-            .collect();
+        let parked = Arc::new(AtomicUsize::new(0));
+        let mut shards = Vec::with_capacity(n);
+        let mut committers = Vec::with_capacity(n);
+        for (mut data, journal) in datas.into_iter().zip(journals) {
+            data.applied_seq = journal.last_seq();
+            shards.push(ShardSlot::new(data, &meta));
+            committers.push(GroupCommitter::new(
+                journal,
+                Arc::clone(&commit_stats),
+                Arc::clone(&parked),
+            ));
+        }
         Ok(IndexEngine {
             meta: RwLock::new(meta),
             shards,
+            entries_applied: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
+            window: Mutex::new(()),
             commit_stats,
             store: RwLock::new(store),
             backend,
             home: Some(Home {
                 dir: dir.to_path_buf(),
                 vfs,
+                committers,
+                ready: Mutex::new((0..n).map(|_| VecDeque::new()).collect()),
+                parked,
             }),
             recovery: ServerRecovery {
                 index_ops_replayed: replayed,
@@ -562,8 +611,8 @@ impl<S: SchemeOps> IndexEngine<S> {
 
     // ---- locks and snapshots ------------------------------------------------
 
-    /// Enter the mutation pipeline: the quiescence read lock, to be held
-    /// across the whole stage→apply of one mutation.
+    /// Enter the mutation pipeline: the quiescence read lock, held while a
+    /// mutation validates against the meta and stages.
     pub(crate) fn pipeline(&self) -> RwLockReadGuard<'_, S::Meta> {
         self.meta.read()
     }
@@ -629,154 +678,261 @@ impl<S: SchemeOps> IndexEngine<S> {
         (self.epoch.load(Ordering::Acquire) == before).then_some(snap)
     }
 
-    /// Publish shard `i`'s current tree as the immutable search snapshot.
-    /// O(1): the tree clone shares all nodes copy-on-write. Private to the
-    /// commit pipeline: a snapshot changes only when a mutation is applied.
-    fn publish(&self, i: usize, data: &ShardData<S>, meta: &S::Meta) {
-        *self.shards[i].snap.write() = Arc::new(SnapShard {
-            tree: data.tree.clone(),
-            applied_seq: data.applied_seq,
-            meta: meta.clone(),
+    /// Publish the current trees of `changed` as their immutable search
+    /// snapshots, several inside one odd/even epoch window so a reader
+    /// sees a multi-shard mutation whole. O(1) per shard: the tree clone
+    /// shares all nodes copy-on-write. Private to the apply paths: a
+    /// snapshot changes only when a mutation is applied.
+    fn publish(&self, changed: &[(usize, &ShardData<S>)], meta: &S::Meta) {
+        let window = (changed.len() > 1).then(|| {
+            let held = self.window.lock();
+            self.epoch.fetch_add(1, Ordering::AcqRel);
+            held
         });
-        self.commit_stats.note_swap();
-    }
-
-    // ---- the commit pipeline ------------------------------------------------
-
-    /// Wait until shard `i` has applied every predecessor of `seq`.
-    fn wait_turn(&self, i: usize, seq: u64) -> MutexGuard<'_, ShardData<S>> {
-        let mut data = self.lock_data(i);
-        while data.applied_seq + 1 != seq {
-            data = self.shards[i]
-                .applied
-                .wait(data)
-                .unwrap_or_else(PoisonError::into_inner);
+        for &(i, data) in changed {
+            *self.shards[i].snap.write() = Arc::new(SnapShard {
+                tree: data.tree.clone(),
+                applied_seq: data.applied_seq,
+                meta: meta.clone(),
+            });
+            self.commit_stats.note_swap();
         }
-        data
+        if window.is_some() {
+            self.epoch.fetch_add(1, Ordering::AcqRel);
+        }
     }
 
-    /// Wait until shard `i` has applied every predecessor of `seq`, then
-    /// run `apply`, advance `applied_seq`, publish the snapshot and wake
-    /// successors. The caller must have made `seq` durable first.
-    fn apply_at(&self, i: usize, seq: u64, meta: &S::Meta, apply: impl FnOnce(&mut ShardData<S>)) {
-        let mut data = self.wait_turn(i, seq);
-        apply(&mut data);
-        data.applied_seq = seq;
-        self.publish(i, &data, meta);
-        drop(data);
-        self.shards[i].applied.notify_all();
-    }
+    // ---- the commit pipeline: stage, park, flush -----------------------------
 
-    /// Run one mutation through the full pipeline: stage its journal
-    /// record(s) (one per affected shard, batch slices when several),
-    /// wait for the group fsync(s), then apply in seq order and publish
-    /// new snapshots carrying `meta`. `idxs` must be ascending and
-    /// non-empty. The caller must hold the quiescence lock.
+    /// Run one index mutation: its shard-local records, one per shard in
+    /// `idxs` (ascending, non-empty), under the caller's quiescence lock,
+    /// whose `meta` they were validated against.
     ///
-    /// On partial durability (some shard's journal failed) nothing is
-    /// applied anywhere: durable shards advance `applied_seq` without
-    /// mutating (recovery's sibling-completeness check discards their
-    /// on-disk slices too), failed shards are poisoned, and the client
-    /// gets an error — the mutation is never acknowledged.
-    pub(crate) fn commit_mutation(
+    /// In memory the mutation is durable at once: it applies and publishes
+    /// under its shards' data locks, and its reply is returned. Durable, it
+    /// is staged — batch slices when several shards, under every affected
+    /// stage lock at once — with the continuation `park` builds on its
+    /// first record, and parked: `None`, and the flush that makes it
+    /// durable calls the continuation. A poisoned shard refuses the whole
+    /// mutation: its error is returned, and `park` is not called.
+    pub(crate) fn mutate(
         &self,
-        idxs: &[usize],
         meta: &S::Meta,
+        idxs: &[usize],
         encode_for: impl Fn(usize) -> Vec<u8>,
-        mut apply_for: impl FnMut(usize, &mut ShardData<S>),
-    ) -> Result<()> {
-        debug_assert!(idxs.windows(2).all(|w| w[0] < w[1]));
-        if let [i] = *idxs {
-            let seq = self.shards[i].committer.stage(&encode_for(i))?;
-            self.shards[i].committer.wait_durable(seq)?;
-            self.apply_at(i, seq, meta, |data| apply_for(i, data));
-            return Ok(());
-        }
-
-        // Phase S — stage every slice atomically under all stage locks
-        // (ascending), so the batch id (coordinator shard, coordinator
-        // seq) is consistent and no foreign record interleaves.
-        let shard_set: Vec<u32> = idxs.iter().map(|&i| i as u32).collect();
-        let mut guards: Vec<_> = idxs
-            .iter()
-            .map(|&i| self.shards[i].committer.lock())
-            .collect();
-        if guards.iter().any(StageGuard::poisoned) {
-            return Err(journal_unavailable());
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        debug_assert!(!idxs.is_empty() && idxs.windows(2).all(|w| w[0] < w[1]));
+        let Some(home) = &self.home else {
+            return Some(self.apply_now(&mut meta.clone(), idxs, encode_for));
+        };
+        let mut guards: Vec<StageGuard<'_>> =
+            idxs.iter().map(|&i| home.committers[i].lock()).collect();
+        if let Some(msg) = guards.iter().find_map(StageGuard::poisoned) {
+            let err = journal_dead(msg);
+            drop(guards);
+            return Some(self.mutation_failed(&err));
         }
         let batch = BatchId {
-            coordinator: shard_set[0],
+            coordinator: idxs[0] as u32,
             seq: guards[0].next_seq(),
         };
-        let mut seqs = Vec::with_capacity(idxs.len());
-        for (guard, &i) in guards.iter_mut().zip(idxs) {
-            // Cannot fail: staging only errors on poison, checked above
-            // while continuously holding every stage lock.
-            seqs.push(guard.stage(&shard::encode_slice(batch, &shard_set, &encode_for(i)))?);
+        let mut reply = Some(park());
+        if let [i] = *idxs {
+            guards[0].stage(&encode_for(i), 0, batch, None, reply);
+        } else {
+            let shard_set: Arc<[u32]> = idxs.iter().map(|&i| i as u32).collect();
+            let header = shard::slice_header_len(idxs.len());
+            for (guard, &i) in guards.iter_mut().zip(idxs) {
+                let slice = shard::encode_slice(batch, &shard_set, &encode_for(i));
+                guard.stage(
+                    &slice,
+                    header,
+                    batch,
+                    Some(Arc::clone(&shard_set)),
+                    reply.take(),
+                );
+            }
         }
-        drop(guards);
+        None
+    }
 
-        // Phase D — wait for every shard's group fsync.
-        let mut durable = vec![false; idxs.len()];
-        let mut first_err = None;
-        for (k, &i) in idxs.iter().enumerate() {
-            match self.shards[i].committer.wait_durable(seqs[k]) {
-                Ok(()) => durable[k] = true,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
+    /// [`Self::mutate`] under the quiescence write lock, run to completion
+    /// — what a meta rewrite (Scheme 1's `ReplaceIndex`) needs: applying
+    /// it moves `meta`, the way recovery's replay of the same records does.
+    /// The caller has flushed already.
+    pub(crate) fn mutate_quiesced(
+        &self,
+        meta: &mut S::Meta,
+        idxs: &[usize],
+        encode_for: impl Fn(usize) -> Vec<u8>,
+    ) -> Vec<u8> {
+        if self.home.is_none() {
+            return self.apply_now(meta, idxs, encode_for);
+        }
+        let mut slot = ReplySlot::default();
+        if let Some(refused) = self.mutate(meta, idxs, encode_for, || slot.reply()) {
+            return refused;
+        }
+        self.flush_with(meta);
+        slot.wait()
+            .expect("a flush under the write lock replies to everything staged")
+    }
+
+    /// An in-memory mutation, applied now: each record under its shard's
+    /// data lock (ascending), then one publish.
+    fn apply_now(
+        &self,
+        meta: &mut S::Meta,
+        idxs: &[usize],
+        encode_for: impl Fn(usize) -> Vec<u8>,
+    ) -> Vec<u8> {
+        let mut datas: Vec<_> = idxs.iter().map(|&i| self.lock_data(i)).collect();
+        let mut outcome = Ok(());
+        for (data, &i) in datas.iter_mut().zip(idxs) {
+            if outcome.is_ok() {
+                outcome = self.apply_record(i, data, meta, &encode_for(i));
+            }
+            data.applied_seq += 1;
+        }
+        let changed: Vec<_> = idxs.iter().zip(&datas).map(|(&i, d)| (i, &**d)).collect();
+        self.publish(&changed, meta);
+        drop(changed);
+        drop(datas);
+        self.ack(outcome)
+    }
+
+    /// Apply one shard-local record to shard `i`. A record that does not
+    /// decode, or whose apply panics, fails its mutation — and degrades
+    /// the tenant, since the index no longer follows its journal — instead
+    /// of unwinding through the flush that carries other mutations.
+    fn apply_record(
+        &self,
+        i: usize,
+        data: &mut ShardData<S>,
+        meta: &mut S::Meta,
+        record: &[u8],
+    ) -> Result<()> {
+        let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            S::apply(data, &self.shards[i].sidecar, meta, record)
+        }));
+        let n = applied.unwrap_or_else(|_| {
+            Err(SseError::Storage(StorageError::Io(std::io::Error::other(
+                "applying an index mutation panicked",
+            ))))
+        })?;
+        self.entries_applied.fetch_add(n, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The library path (DESIGN.md §4e): serve one request on this thread
+    /// with a [`ReplySlot`] as its continuation; if it parked, flush here
+    /// and wait for the reply — sent by this flush, or by the writer of a
+    /// shard this flush found busy.
+    pub(crate) fn run_here(
+        &self,
+        serve: impl FnOnce(&mut ReplySlot) -> Option<Vec<u8>>,
+    ) -> Vec<u8> {
+        let mut slot = ReplySlot::default();
+        serve(&mut slot).unwrap_or_else(|| {
+            self.flush();
+            slot.wait().expect("every staged record gets its reply")
+        })
+    }
+
+    /// Flush under the caller's quiescence lock. `meta` is what snapshots
+    /// are published under; a replayed meta rewrite lands in it.
+    ///
+    /// 1. Every shard with records staged and no writer is written, this
+    ///    thread its writer ([`GroupCommitter::write_pending`]): one
+    ///    vectored write and one fsync per cut, each written group queued
+    ///    for apply. A shard another thread is writing is left to that
+    ///    writer, which takes everything staged before it steps down — so
+    ///    threads flushing at once fsync different journals in parallel.
+    /// 2. Every queued mutation that is written on all its shards applies,
+    ///    in seq order, through [`SchemeOps::apply`] — the function
+    ///    recovery replays with — unless one of its slices failed: then
+    ///    its durable shards advance `applied_seq` past their slices
+    ///    without applying them (recovery's sibling-completeness check
+    ///    discards those on disk) and a poisoned shard applies nothing.
+    /// 3. Each shard that changed publishes once, several inside one
+    ///    odd/even epoch window.
+    /// 4. Every applied mutation gets its reply: `Ack`, or the failed
+    ///    group's error (which degrades the tenant).
+    ///
+    /// Under the quiescence write lock no other writer is active, so a
+    /// flush there takes and applies everything staged before it.
+    pub(crate) fn flush_with(&self, meta: &mut S::Meta) {
+        let Some(home) = &self.home else {
+            return;
+        };
+        for (i, committer) in home.committers.iter().enumerate() {
+            committer.write_pending(|group| home.ready.lock()[i].extend(group));
+        }
+        self.apply_ready(home, meta);
+    }
+
+    /// Steps 2–4 of [`Self::flush_with`] over everything queued so far.
+    fn apply_ready(&self, home: &Home, meta: &mut S::Meta) {
+        let mut applied: Vec<(Vec<Staged>, Result<()>)> = Vec::new();
+        {
+            let mut ready = home.ready.lock();
+            let plan = take_ready(&mut ready);
+            if plan.is_empty() {
+                return;
+            }
+            // Every shard a durable slice applies to, locked ascending.
+            let mut touched: Vec<usize> = plan
+                .iter()
+                .flatten()
+                .filter(|(_, rec)| rec.failed.is_none())
+                .map(|&(i, _)| i)
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let mut datas: Vec<_> = touched.iter().map(|&i| self.lock_data(i)).collect();
+            let mut changed = vec![false; touched.len()];
+            for mutation in plan {
+                let mut outcome = mutation
+                    .iter()
+                    .find_map(|(_, rec)| rec.failed.as_deref())
+                    .map_or(Ok(()), |msg| Err(journal_dead(msg)));
+                for (i, rec) in &mutation {
+                    if rec.failed.is_some() {
+                        continue;
                     }
+                    let k = touched.binary_search(i).expect("locked above");
+                    let data = &mut datas[k];
+                    debug_assert_eq!(data.applied_seq + 1, rec.seq, "records apply in seq order");
+                    if outcome.is_ok() {
+                        outcome = self.apply_record(*i, data, meta, rec.body());
+                        changed[k] = true;
+                    }
+                    data.applied_seq = rec.seq;
                 }
+                applied.push((mutation.into_iter().map(|(_, rec)| rec).collect(), outcome));
+            }
+            let changed: Vec<_> = touched
+                .iter()
+                .zip(&datas)
+                .zip(&changed)
+                .filter(|(_, &c)| c)
+                .map(|((&i, data), _)| (i, &**data))
+                .collect();
+            self.publish(&changed, meta);
+        }
+        for (mut records, outcome) in applied {
+            let reply = records.iter_mut().find_map(|rec| rec.reply.take());
+            let response = self.ack(outcome);
+            if let Some(send) = reply {
+                send(response);
             }
         }
-        let apply = first_err.is_none();
+    }
 
-        // Phase R — wait (one shard at a time, holding nothing else)
-        // until each durable shard has applied all our predecessors.
-        // Stable once reached: our seq is the only possible successor.
-        for (k, &i) in idxs.iter().enumerate() {
-            if durable[k] {
-                drop(self.wait_turn(i, seqs[k]));
-            }
-        }
-
-        // Phase A — lock all durable shards (ascending) and swap them
-        // atomically inside an odd-epoch window so snapshot readers see
-        // the batch all-or-nothing.
-        if apply {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        let mut held: Vec<(usize, MutexGuard<'_, ShardData<S>>)> = Vec::with_capacity(idxs.len());
-        for (k, &i) in idxs.iter().enumerate() {
-            if durable[k] {
-                held.push((k, self.lock_data(i)));
-            }
-        }
-        for (k, data) in &mut held {
-            debug_assert_eq!(data.applied_seq + 1, seqs[*k], "readiness must be stable");
-            if apply {
-                apply_for(idxs[*k], data);
-            }
-            data.applied_seq = seqs[*k];
-        }
-        if apply {
-            for (k, data) in &held {
-                self.publish(idxs[*k], data, meta);
-            }
-        }
-        drop(held);
-        if apply {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        for (k, &i) in idxs.iter().enumerate() {
-            if durable[k] {
-                self.shards[i].applied.notify_all();
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+    /// Entries applied live, for the scheme's counters.
+    pub(crate) fn entries_applied(&self) -> &AtomicU64 {
+        &self.entries_applied
     }
 
     /// Partition `items` by the shard their tag routes to, preserving
@@ -924,22 +1080,37 @@ impl<S: SchemeOps> IndexEngine<S> {
     }
 
     /// Open (first call) or close (second) a multi-shard swap window, as
-    /// `commit_mutation`'s phase A does around its publishes.
+    /// an apply does around its publishes.
     pub(crate) fn toggle_swap_window(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 }
 
 impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
+    fn flush(&self) {
+        let Some(home) = &self.home else {
+            return;
+        };
+        if home.parked.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        // A flush under the read lock never rewrites the meta: the one
+        // mutation that does runs to completion under the write lock.
+        let meta = self.pipeline();
+        self.flush_with(&mut (*meta).clone());
+    }
+
     fn checkpoint(&self) -> Result<()> {
         let Some(home) = &self.home else {
             return Ok(());
         };
-        let meta = self.quiesce();
+        let mut meta = self.quiesce();
+        self.flush_with(&mut meta);
+        debug_assert_eq!(home.parked.load(Ordering::Acquire), 0, "quiesced flush");
         let mut datas = self.lock_all_data();
         self.persist_applied(home, &meta, &mut datas)?;
-        for slot in &self.shards {
-            slot.committer.reset_journal()?;
+        for committer in &home.committers {
+            committer.reset_journal()?;
         }
         Ok(())
     }
@@ -949,7 +1120,9 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
             self.health.note_probe_ok();
             return Ok(());
         };
-        let meta = self.quiesce();
+        let mut meta = self.quiesce();
+        self.flush_with(&mut meta);
+        debug_assert_eq!(home.parked.load(Ordering::Acquire), 0, "quiesced flush");
         let mut datas = self.lock_all_data();
         self.persist_applied(home, &meta, &mut datas)?;
         for (i, data) in datas.iter().enumerate() {
@@ -957,7 +1130,7 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
             let _ = home.vfs.remove_file(&path);
             let (journal, _) =
                 IndexJournal::open_with_vfs(home.vfs.clone(), &path, true, data.applied_seq)?;
-            self.shards[i].committer.replace_journal(journal);
+            home.committers[i].replace_journal(journal)?;
         }
         self.health.note_probe_ok();
         Ok(())
@@ -1072,12 +1245,42 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
     }
 }
 
-/// The error surfaced when a mutation reaches a shard whose journal was
-/// disabled by an earlier failed group commit.
-fn journal_unavailable() -> SseError {
-    SseError::Storage(StorageError::Io(std::io::Error::other(
-        "shard journal disabled by failed group commit",
-    )))
+/// Take every queued mutation that can apply now, each as its slices with
+/// their shards, in an order that keeps every shard's seq order: a shard's
+/// head record goes once its batch heads the queue of every shard it has a
+/// slice on. Two batches are staged in the same order on every shard they
+/// share (each holds all its stage locks at once), so heads never wait on
+/// each other in a cycle: whatever stays queued waits for a slice that is
+/// not written yet.
+fn take_ready(ready: &mut [VecDeque<Staged>]) -> Vec<Vec<(usize, Staged)>> {
+    let mut plan = Vec::new();
+    let mut progress = true;
+    while progress {
+        progress = false;
+        for i in 0..ready.len() {
+            while let Some(head) = ready[i].front() {
+                let batch = head.batch;
+                let shards: Vec<usize> = match &head.shards {
+                    Some(set) => set.iter().map(|&s| s as usize).collect(),
+                    None => vec![i],
+                };
+                let whole = shards
+                    .iter()
+                    .all(|&s| ready[s].front().is_some_and(|rec| rec.batch == batch));
+                if !whole {
+                    break;
+                }
+                plan.push(
+                    shards
+                        .into_iter()
+                        .map(|s| (s, ready[s].pop_front().expect("heads checked")))
+                        .collect(),
+                );
+                progress = true;
+            }
+        }
+    }
+    plan
 }
 
 fn corrupt_snapshot(detail: String) -> SseError {
@@ -1183,4 +1386,119 @@ fn load_kw_map<S: SchemeOps>(map: LsmKeywordMap, meta: &S::Meta) -> Result<Shard
         r.finish()?;
     }
     Ok(ShardData::new(tree, map.last_seq(), Some(map)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::health::HealthState;
+    use crate::proto_common::decode_ack;
+
+    /// A scheme whose record `[b, ..]` stores itself under the tag
+    /// `[b; 32]`, and whose record `panic` panics when applied.
+    struct Toy;
+
+    impl SchemeOps for Toy {
+        type Value = Vec<u8>;
+        type Meta = ();
+        type Sidecar = ();
+
+        const STEM: &'static str = "toy";
+        const MAGIC: &'static [u8; 8] = b"SSETOYI2";
+        const MIN_VALUE_BYTES: usize = 8;
+
+        fn encode_meta((): &()) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn check_meta((): &(), _: &[u8]) -> Result<()> {
+            Ok(())
+        }
+
+        fn encode_value(value: &Vec<u8>, w: &mut WireWriter) {
+            w.put_bytes(value);
+        }
+
+        fn decode_value(r: &mut WireReader<'_>, (): &()) -> Result<Vec<u8>> {
+            Ok(r.get_bytes()?.to_vec())
+        }
+
+        fn apply(data: &mut ShardData<Self>, (): &(), (): &mut (), record: &[u8]) -> Result<u64> {
+            assert_ne!(record, b"panic", "the test's poisoned record");
+            data.tree.insert([record[0]; 32], record.to_vec());
+            Ok(1)
+        }
+    }
+
+    type Sink = Arc<Mutex<Vec<Vec<u8>>>>;
+
+    fn open(name: &str) -> (IndexEngine<Toy>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("sse-engine-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        (
+            IndexEngine::open((), &dir, DurableOptions::default()).unwrap(),
+            dir,
+        )
+    }
+
+    /// Park `record` on shard 0, its reply going to `sink`.
+    fn park(engine: &IndexEngine<Toy>, record: &[u8], sink: &Sink) {
+        let sink = Arc::clone(sink);
+        let reply = engine.mutate(
+            &engine.pipeline(),
+            &[0],
+            |_| record.to_vec(),
+            || -> Reply { Box::new(move |r| sink.lock().push(r)) },
+        );
+        assert!(reply.is_none(), "a durable mutation parks");
+    }
+
+    #[test]
+    fn a_panicking_apply_fails_its_mutation_and_every_other_reply_arrives() {
+        let (engine, dir) = open("panic");
+        let sink = Sink::default();
+        for record in [&b"a"[..], b"panic", b"b"] {
+            park(&engine, record, &sink);
+        }
+        engine.flush();
+        let got = std::mem::take(&mut *sink.lock());
+        assert_eq!(got.len(), 3, "every parked mutation got its reply");
+        decode_ack(&got[0]).unwrap();
+        let err = decode_ack(&got[1]).unwrap_err();
+        assert!(err.to_string().contains("panicked"), "{err}");
+        decode_ack(&got[2]).unwrap();
+        assert_eq!(engine.health().state(), HealthState::Degraded);
+        let home = engine.home.as_ref().unwrap();
+        assert_eq!(
+            home.parked.load(Ordering::Acquire),
+            0,
+            "nothing left parked"
+        );
+
+        // The shard's order survived: the next record applies at seq 4.
+        assert_eq!(engine.lock_data(0).applied_seq, 3);
+        park(&engine, b"c", &sink);
+        engine.flush();
+        decode_ack(&sink.lock()[0]).unwrap();
+        assert_eq!(engine.lock_data(0).applied_seq, 4);
+        assert_eq!(engine.unique_keywords(), 3);
+        // The journal holds the panicking record, so the directory is not
+        // reopened.
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_engine_dropped_with_mutations_parked_answers_each_with_an_error() {
+        let (engine, dir) = open("dropped");
+        let sink = Sink::default();
+        park(&engine, b"a", &sink);
+        park(&engine, b"b", &sink);
+        drop(engine);
+        let got = std::mem::take(&mut *sink.lock());
+        assert_eq!(got.len(), 2);
+        assert!(got.iter().all(|r| decode_ack(r).is_err()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -14,6 +14,7 @@
 //! lock.
 
 use super::protocol::{self, Request, UpdateEntry};
+use crate::commit::Reply;
 use crate::engine::{DurableOptions, IndexAdmin, IndexEngine, SchemeOps, ShardData};
 use crate::error::{Result, SseError};
 use sse_index::bitset::DocBitSet;
@@ -116,17 +117,23 @@ impl SchemeOps for Ops {
 
     /// Each shard's log is internally ordered across capacity migrations,
     /// so a replayed `ReplaceIndex` moves the geometry forward for the
-    /// records behind it.
-    fn replay(data: &mut ShardData<Self>, geometry: &mut Geometry, record: &[u8]) -> Result<()> {
+    /// records behind it — and, applied live, for the server itself.
+    fn apply(
+        data: &mut ShardData<Self>,
+        (): &(),
+        geometry: &mut Geometry,
+        record: &[u8],
+    ) -> Result<u64> {
         match protocol::decode_request(record)? {
             Request::ApplyUpdates(entries) => {
+                let n = entries.len() as u64;
                 apply_updates(data, entries);
-                Ok(())
+                Ok(n)
             }
             Request::ReplaceIndex { capacity, entries } => {
                 replace_index(data, entries);
                 *geometry = Geometry::new(capacity);
-                Ok(())
+                Ok(0)
             }
             _ => Err(corrupt(
                 "scheme1 index journal",
@@ -203,7 +210,6 @@ struct StatsCells {
     tree_lookups: AtomicU64,
     tree_nodes_visited: AtomicU64,
     searches: AtomicU64,
-    updates_applied: AtomicU64,
     docs_stored: AtomicU64,
 }
 
@@ -275,7 +281,7 @@ impl Scheme1Server {
             tree_lookups: self.stats.tree_lookups.load(Ordering::Relaxed),
             tree_nodes_visited: self.stats.tree_nodes_visited.load(Ordering::Relaxed),
             searches: self.stats.searches.load(Ordering::Relaxed),
-            updates_applied: self.stats.updates_applied.load(Ordering::Relaxed),
+            updates_applied: self.engine.entries_applied().load(Ordering::Relaxed),
             docs_stored: self.stats.docs_stored.load(Ordering::Relaxed),
         }
     }
@@ -285,7 +291,7 @@ impl Scheme1Server {
         self.stats.tree_lookups.store(0, Ordering::Relaxed);
         self.stats.tree_nodes_visited.store(0, Ordering::Relaxed);
         self.stats.searches.store(0, Ordering::Relaxed);
-        self.stats.updates_applied.store(0, Ordering::Relaxed);
+        self.engine.entries_applied().store(0, Ordering::Relaxed);
         self.stats.docs_stored.store(0, Ordering::Relaxed);
     }
 
@@ -321,10 +327,10 @@ impl Scheme1Server {
         self.engine.all_docs()
     }
 
-    /// Serve one request without exclusive access — the entry point the
-    /// multi-tenant daemon's workers call concurrently. Searches run
-    /// against immutable snapshots; mutations pipeline through the
-    /// per-shard group committers.
+    /// Serve one request without exclusive access, from any number of
+    /// threads at once. Searches run against immutable snapshots; a
+    /// durable index mutation is staged and then committed by a flush on
+    /// this thread (DESIGN.md §4e), so the reply is final either way.
     pub fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
         self.handle_shared_with(request, Vec::new())
     }
@@ -335,14 +341,51 @@ impl Scheme1Server {
     /// costs no allocation when the caller recycles buffers through a
     /// pool. Every other request kind ignores the scratch.
     pub fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
-        match protocol::decode_request(request) {
+        self.engine
+            .run_here(|slot| self.handle_parked(request, scratch, || slot.reply()))
+    }
+
+    /// [`Self::handle_shared_with`] for a caller that does not wait for a
+    /// durable index update (the daemon's worker, DESIGN.md §4e): the
+    /// update is staged with the continuation `park` builds and left
+    /// parked for a flush, which calls it. `Some` is the reply to
+    /// send now, and then `park` was not called; `None` means the reply
+    /// went, or will go, to the continuation. `ReplaceIndex` never parks:
+    /// it runs to completion under the quiescence write lock. An in-memory
+    /// server applies before returning and never leaves anything parked.
+    pub fn handle_parked(
+        &self,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        let reply = match protocol::decode_request(request) {
             Ok(Request::SearchReveal { tag, seed }) => match self.reveal_one(&tag, &seed) {
                 Ok(docs) => protocol::encode_result_with(&docs, scratch),
                 Err(msg) => protocol::encode_error(&msg),
             },
-            Ok(req) => self.handle_request(req),
+            Ok(Request::ApplyUpdates(entries)) => return self.apply_updates_sharded(entries, park),
+            Ok(Request::PutDocs(docs)) => match self.put_docs_checked(&docs) {
+                Ok(()) => protocol::encode_ack(),
+                Err(resp) => resp,
+            },
+            Ok(Request::GetNonces(tags)) => {
+                let items: Vec<Option<Vec<u8>>> = tags
+                    .iter()
+                    .map(|tag| self.find_nonce(tag, |f_r| f_r.map(<[u8]>::to_vec)))
+                    .collect();
+                protocol::encode_nonces(&items)
+            }
+            Ok(Request::SearchFind(tag)) => self.find_nonce(&tag, protocol::encode_found),
+            Ok(Request::SearchRevealMany(items)) => self.reveal_many(&items),
+            Ok(Request::Checkpoint) => self.engine.handle_checkpoint(),
+            Ok(Request::ExportIndex) => protocol::encode_index_dump(&self.export_representations()),
+            Ok(Request::ReplaceIndex { capacity, entries }) => {
+                self.handle_replace_index(capacity, entries)
+            }
             Err(e) => protocol::encode_error(&e.to_string()),
-        }
+        };
+        Some(reply)
     }
 
     /// Apply an `UPDATE_MANY` batch: every part must be a mutation
@@ -351,6 +394,17 @@ impl Scheme1Server {
     /// all-or-nothing with respect to racing searches (all touched
     /// shards' snapshots swap inside one epoch window).
     pub fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
+        self.engine
+            .run_here(|slot| self.apply_batch_parked(parts, || slot.reply()))
+    }
+
+    /// [`Self::apply_batch`] that leaves the batch's index update parked,
+    /// as [`Self::handle_parked`] does.
+    pub fn apply_batch_parked(
+        &self,
+        parts: &[&[u8]],
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
         let mut docs: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut entries: Vec<UpdateEntry> = Vec::new();
         for part in parts {
@@ -358,17 +412,17 @@ impl Scheme1Server {
                 Ok(Request::PutDocs(d)) => docs.extend(d),
                 Ok(Request::ApplyUpdates(e)) => entries.extend(e),
                 Ok(_) => {
-                    return protocol::encode_error(
+                    return Some(protocol::encode_error(
                         "batch parts must be mutations (PutDocs / ApplyUpdates)",
-                    )
+                    ))
                 }
-                Err(e) => return protocol::encode_error(&e.to_string()),
+                Err(e) => return Some(protocol::encode_error(&e.to_string())),
             }
         }
         if let Err(resp) = self.put_docs_checked(&docs) {
-            return resp;
+            return Some(resp);
         }
-        self.apply_updates_sharded(entries)
+        self.apply_updates_sharded(entries, park)
     }
 
     /// Store `docs`, enforcing the capacity bound. The error is the
@@ -393,35 +447,35 @@ impl Scheme1Server {
     }
 
     /// Validate update entries against the geometry, group them per shard
-    /// and run the commit pipeline.
-    fn apply_updates_sharded(&self, entries: Vec<UpdateEntry>) -> Vec<u8> {
+    /// and run them as one mutation (parked, when durable). The quiescence
+    /// read lock spans both, so no `ReplaceIndex` can change the widths in
+    /// between.
+    fn apply_updates_sharded(
+        &self,
+        entries: Vec<UpdateEntry>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
         let geometry = self.engine.pipeline();
         for entry in &entries {
             if entry.delta.len() != geometry.index_bytes {
-                return protocol::encode_error(&format!(
+                return Some(protocol::encode_error(&format!(
                     "delta length {} != index width {}",
                     entry.delta.len(),
                     geometry.index_bytes
-                ));
+                )));
             }
         }
         if entries.is_empty() {
-            return protocol::encode_ack();
+            return Some(protocol::encode_ack());
         }
         let groups = self.engine.group_by_shard(entries, |e| &e.tag);
         let idxs: Vec<usize> = groups.keys().copied().collect();
-        let result = self.engine.commit_mutation(
-            &idxs,
+        self.engine.mutate(
             &geometry,
+            &idxs,
             |i| protocol::encode_apply_updates(&groups[&i]),
-            |i, data| {
-                apply_updates(data, groups[&i].iter().cloned());
-                self.stats
-                    .updates_applied
-                    .fetch_add(groups[&i].len() as u64, Ordering::Relaxed);
-            },
-        );
-        self.engine.ack(result)
+            park,
+        )
     }
 
     fn handle_replace_index(&self, capacity: u64, entries: Vec<UpdateEntry>) -> Vec<u8> {
@@ -438,9 +492,11 @@ impl Scheme1Server {
         }
         // Migration must not lose keywords: the replacement set must cover
         // every currently stored tag. The quiescence write lock stops
-        // every mutation pipeline, so the data trees are stable while we
-        // validate and replace.
+        // staging and waits out every flush in progress; a flush of its own
+        // applies everything parked, so the data trees are complete and
+        // stable while we validate and replace.
         let mut geometry = self.engine.quiesce();
+        self.engine.flush_with(&mut geometry);
         let new_tags: HashSet<[u8; 32]> = entries.iter().map(|e| e.tag).collect();
         for i in 0..self.engine.num_shards() {
             let data = self.engine.lock_data(i);
@@ -459,16 +515,11 @@ impl Scheme1Server {
         for &i in &idxs {
             groups.entry(i).or_default();
         }
-        let result = self.engine.commit_mutation(
-            &idxs,
-            &new_geometry,
-            |i| protocol::encode_replace_index(capacity, &groups[&i]),
-            |i, data| replace_index(data, groups[&i].iter().cloned()),
-        );
-        if result.is_ok() {
-            *geometry = new_geometry;
-        }
-        self.engine.ack(result)
+        // Applying the replacement also moves `geometry` to the new
+        // capacity.
+        self.engine.mutate_quiesced(&mut geometry, &idxs, |i| {
+            protocol::encode_replace_index(capacity, &groups[&i])
+        })
     }
 
     /// Look `tag` up in its shard's snapshot and hand the stored `F(r)`
@@ -483,41 +534,17 @@ impl Scheme1Server {
         then(entry.map(|e| e.f_r.as_slice()))
     }
 
-    fn handle_request(&self, req: Request) -> Vec<u8> {
-        match req {
-            Request::PutDocs(docs) => match self.put_docs_checked(&docs) {
-                Ok(()) => protocol::encode_ack(),
-                Err(resp) => resp,
-            },
-            Request::GetNonces(tags) => {
-                let items: Vec<Option<Vec<u8>>> = tags
-                    .iter()
-                    .map(|tag| self.find_nonce(tag, |f_r| f_r.map(<[u8]>::to_vec)))
-                    .collect();
-                protocol::encode_nonces(&items)
-            }
-            Request::ApplyUpdates(entries) => self.apply_updates_sharded(entries),
-            Request::SearchFind(tag) => self.find_nonce(&tag, protocol::encode_found),
-            Request::SearchReveal { tag, seed } => match self.reveal_one(&tag, &seed) {
-                Ok(docs) => protocol::encode_result(&docs),
-                Err(msg) => protocol::encode_error(&msg),
-            },
-            Request::SearchRevealMany(items) => {
-                let mut results: Vec<Vec<(u64, Vec<u8>)>> = Vec::with_capacity(items.len());
-                for (tag, seed) in &items {
-                    match self.reveal_one(tag, seed) {
-                        Ok(docs) => results.push(docs),
-                        Err(msg) => return protocol::encode_error(&msg),
-                    }
-                }
-                crate::proto_common::encode_result_many(&results)
-            }
-            Request::Checkpoint => self.engine.handle_checkpoint(),
-            Request::ExportIndex => protocol::encode_index_dump(&self.export_representations()),
-            Request::ReplaceIndex { capacity, entries } => {
-                self.handle_replace_index(capacity, entries)
+    /// Serve a `SearchRevealMany`: every part's documents, or the first
+    /// error.
+    fn reveal_many(&self, items: &[([u8; 32], [u8; 32])]) -> Vec<u8> {
+        let mut results: Vec<Vec<(u64, Vec<u8>)>> = Vec::with_capacity(items.len());
+        for (tag, seed) in items {
+            match self.reveal_one(tag, seed) {
+                Ok(docs) => results.push(docs),
+                Err(msg) => return protocol::encode_error(&msg),
             }
         }
+        crate::proto_common::encode_result_many(&results)
     }
 
     /// Unmask one posting array with the revealed seed and fetch matches.
@@ -705,22 +732,18 @@ mod tests {
         // Plant an entry whose array width disagrees with the capacity,
         // bypassing the update path's width validation (models a corrupted
         // or adversarially imported index, not reachable via ApplyUpdates).
-        s.engine
-            .commit_mutation(
-                &[0],
-                &s.engine.pipeline(),
-                |_| Vec::new(),
-                |_, data| {
-                    data.tree.insert(
-                        tag,
-                        Entry {
-                            masked_index: vec![0u8; 3], // capacity 64 needs 8 bytes
-                            f_r: vec![],
-                        },
-                    );
-                },
-            )
-            .unwrap();
+        let bad = [UpdateEntry {
+            tag,
+            delta: vec![0u8; 3], // capacity 64 needs 8 bytes
+            f_r: vec![],
+        }];
+        let applied = s.engine.mutate(
+            &s.engine.pipeline(),
+            &[0],
+            |_| encode_apply_updates(&bad),
+            || unreachable!("in memory: applied at once"),
+        );
+        decode_ack(&applied.unwrap()).unwrap();
         let resp = s.handle(&encode_search_reveal(&tag, &[0u8; 32]));
         assert!(
             decode_result(&resp).is_err(),

@@ -20,6 +20,7 @@
 
 use super::protocol::{self, GenerationEntry, Request};
 use super::Scheme2Config;
+use crate::commit::Reply;
 use crate::engine::{DurableOptions, IndexAdmin, IndexEngine, SchemeOps, ShardData};
 use crate::error::{Result, SseError};
 use crate::proto_common;
@@ -47,7 +48,7 @@ pub struct Scheme2ServerStats {
     pub generations_decrypted: u64,
     /// Generations served straight from the Optimization-1 cache.
     pub generations_from_cache: u64,
-    /// Generation entries appended.
+    /// Generation entries appended (applied, not merely staged).
     pub generations_appended: u64,
     /// B+-tree nodes visited across lookups.
     pub tree_nodes_visited: u64,
@@ -69,7 +70,6 @@ struct StatsCells {
     chain_steps: AtomicU64,
     generations_decrypted: AtomicU64,
     generations_from_cache: AtomicU64,
-    generations_appended: AtomicU64,
     tree_nodes_visited: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -171,8 +171,8 @@ impl SchemeOps for Ops {
     /// The per-keyword search cache (see [`SearchMemo`]). A short-critical-
     /// section mutex: held only for a lookup or an insert, never across
     /// crypto or I/O, so the search path stays effectively lock-free.
-    /// Lock order: a search takes it alone; the `ResetIndex` apply closure
-    /// takes it under the shard's data lock.
+    /// Lock order: a search takes it alone; applying a `ResetIndex` takes
+    /// it under the shard's data lock.
     type Sidecar = Mutex<ShardCache>;
 
     const STEM: &'static str = "scheme2";
@@ -212,15 +212,26 @@ impl SchemeOps for Ops {
         Ok(list)
     }
 
-    fn replay(data: &mut ShardData<Self>, (): &mut (), record: &[u8]) -> Result<()> {
+    fn apply(
+        data: &mut ShardData<Self>,
+        cache: &Mutex<ShardCache>,
+        (): &mut (),
+        record: &[u8],
+    ) -> Result<u64> {
         match protocol::decode_request(record)? {
             Request::AppendGenerations(entries) => {
+                let n = entries.len() as u64;
                 append_generations(data, entries);
-                Ok(())
+                Ok(n)
             }
             Request::ResetIndex => {
                 reset_index(data);
-                Ok(())
+                // The entries go with the tree they shadowed; the seq keeps
+                // a search still on an older snapshot from filing one later.
+                let mut cache = cache.lock();
+                cache.entries = HashMap::new();
+                cache.reset_seq = data.applying_seq();
+                Ok(0)
             }
             _ => Err(SseError::Storage(StorageError::Corrupt {
                 what: "scheme2 index journal",
@@ -336,7 +347,7 @@ impl Scheme2Server {
             chain_steps: self.stats.chain_steps.load(Ordering::Relaxed),
             generations_decrypted: self.stats.generations_decrypted.load(Ordering::Relaxed),
             generations_from_cache: self.stats.generations_from_cache.load(Ordering::Relaxed),
-            generations_appended: self.stats.generations_appended.load(Ordering::Relaxed),
+            generations_appended: self.engine.entries_applied().load(Ordering::Relaxed),
             tree_nodes_visited: self.stats.tree_nodes_visited.load(Ordering::Relaxed),
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
@@ -352,7 +363,7 @@ impl Scheme2Server {
         self.stats
             .generations_from_cache
             .store(0, Ordering::Relaxed);
-        self.stats.generations_appended.store(0, Ordering::Relaxed);
+        self.engine.entries_applied().store(0, Ordering::Relaxed);
         self.stats.tree_nodes_visited.store(0, Ordering::Relaxed);
         self.stats.cache_hits.store(0, Ordering::Relaxed);
         self.stats.cache_misses.store(0, Ordering::Relaxed);
@@ -369,10 +380,10 @@ impl Scheme2Server {
             .sum()
     }
 
-    /// Serve one request without exclusive access — the entry point the
-    /// multi-tenant daemon's workers call concurrently. Searches run
-    /// against immutable snapshots; mutations pipeline through the
-    /// per-shard group committers.
+    /// Serve one request without exclusive access, from any number of
+    /// threads at once. Searches run against immutable snapshots; a
+    /// durable index mutation is staged and then committed by a flush on
+    /// this thread (DESIGN.md §4e), so the reply is final either way.
     pub fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
         self.handle_shared_with(request, Vec::new())
     }
@@ -384,14 +395,47 @@ impl Scheme2Server {
     /// pool. Every other request kind ignores the scratch — mutations
     /// and admin requests are not on the serving hot path.
     pub fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
-        match protocol::decode_request(request) {
+        self.engine
+            .run_here(|slot| self.handle_parked(request, scratch, || slot.reply()))
+    }
+
+    /// [`Self::handle_shared_with`] for a caller that does not wait for a
+    /// durable index mutation (the daemon's worker, DESIGN.md §4e): the
+    /// mutation is staged with the continuation `park` builds and left
+    /// parked for a flush, which calls it — [`IndexAdmin::flush`], or any
+    /// checkpoint or repair. `Some` is the reply to send now, and then
+    /// `park` was not called; `None` means the reply went, or will go, to
+    /// the continuation. An in-memory server applies before returning and
+    /// never leaves anything parked.
+    pub fn handle_parked(
+        &self,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        let reply = match protocol::decode_request(request) {
             Ok(Request::Search { tag, t_prime }) => match self.search_one(tag, t_prime) {
                 Ok(docs) => proto_common::encode_result_with(&docs, scratch),
                 Err(msg) => proto_common::encode_error(&msg),
             },
-            Ok(req) => self.handle_request(req),
+            Ok(Request::AppendGenerations(entries)) => return self.append_sharded(entries, park),
+            Ok(Request::ResetIndex) => {
+                // ResetIndex rewrites every shard, so the batch spans all N.
+                let idxs: Vec<usize> = (0..self.engine.num_shards()).collect();
+                return self.engine.mutate(
+                    &self.engine.pipeline(),
+                    &idxs,
+                    |_| protocol::encode_reset_index(),
+                    park,
+                );
+            }
+            Ok(Request::PutDocs(docs)) => self.engine.ack(self.engine.put_docs(&docs)),
+            Ok(Request::SearchMany(trapdoors)) => self.search_many(trapdoors),
+            Ok(Request::Checkpoint) => self.engine.handle_checkpoint(),
+            Ok(Request::RemoveDocs(ids)) => self.engine.ack(self.engine.remove_docs(&ids)),
             Err(e) => proto_common::encode_error(&e.to_string()),
-        }
+        };
+        Some(reply)
     }
 
     /// Answer `request` on the calling thread **only if that can neither
@@ -440,6 +484,17 @@ impl Scheme2Server {
     /// with respect to racing searches (all touched shards' snapshots swap
     /// inside one epoch window).
     pub fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
+        self.engine
+            .run_here(|slot| self.apply_batch_parked(parts, || slot.reply()))
+    }
+
+    /// [`Self::apply_batch`] that leaves the batch's index mutation parked,
+    /// as [`Self::handle_parked`] does.
+    pub fn apply_batch_parked(
+        &self,
+        parts: &[&[u8]],
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
         let mut docs: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut entries: Vec<GenerationEntry> = Vec::new();
         for part in parts {
@@ -447,84 +502,50 @@ impl Scheme2Server {
                 Ok(Request::PutDocs(d)) => docs.extend(d),
                 Ok(Request::AppendGenerations(e)) => entries.extend(e),
                 Ok(_) => {
-                    return proto_common::encode_error(
+                    return Some(proto_common::encode_error(
                         "batch parts must be mutations (PutDocs / AppendGenerations)",
-                    )
+                    ))
                 }
-                Err(e) => return proto_common::encode_error(&e.to_string()),
+                Err(e) => return Some(proto_common::encode_error(&e.to_string())),
             }
         }
         if let Err(e) = self.engine.put_docs(&docs) {
-            return self.engine.mutation_failed(&e);
+            return Some(self.engine.mutation_failed(&e));
         }
-        self.append_sharded(entries)
+        self.append_sharded(entries, park)
     }
 
     /// Append generation entries: group per shard (preserving input order
-    /// within each shard), then run the commit pipeline.
-    fn append_sharded(&self, entries: Vec<GenerationEntry>) -> Vec<u8> {
+    /// within each shard) and run them as one mutation (parked, when
+    /// durable).
+    fn append_sharded(
+        &self,
+        entries: Vec<GenerationEntry>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
         if entries.is_empty() {
-            return proto_common::encode_ack();
+            return Some(proto_common::encode_ack());
         }
-        let pipeline = self.engine.pipeline();
         let groups = self.engine.group_by_shard(entries, |e| &e.tag);
         let idxs: Vec<usize> = groups.keys().copied().collect();
-        let result = self.engine.commit_mutation(
+        self.engine.mutate(
+            &self.engine.pipeline(),
             &idxs,
-            &pipeline,
             |i| protocol::encode_append_generations(&groups[&i]),
-            |i, data| {
-                append_generations(data, groups[&i].iter().cloned());
-                self.stats
-                    .generations_appended
-                    .fetch_add(groups[&i].len() as u64, Ordering::Relaxed);
-            },
-        );
-        self.engine.ack(result)
+            park,
+        )
     }
 
-    fn handle_reset_index(&self) -> Vec<u8> {
-        // ResetIndex rewrites every shard, so the batch spans all N.
-        let pipeline = self.engine.pipeline();
-        let idxs: Vec<usize> = (0..self.engine.num_shards()).collect();
-        let result = self.engine.commit_mutation(
-            &idxs,
-            &pipeline,
-            |_| protocol::encode_reset_index(),
-            |i, data| {
-                reset_index(data);
-                // The entries go with the tree they shadowed; the seq keeps
-                // a search still on an older snapshot from filing one later.
-                let mut cache = self.engine.sidecar(i).lock();
-                cache.entries = HashMap::new();
-                cache.reset_seq = data.applying_seq();
-            },
-        );
-        self.engine.ack(result)
-    }
-
-    fn handle_request(&self, request: Request) -> Vec<u8> {
-        match request {
-            Request::PutDocs(docs) => self.engine.ack(self.engine.put_docs(&docs)),
-            Request::AppendGenerations(entries) => self.append_sharded(entries),
-            Request::Search { tag, t_prime } => match self.search_one(tag, t_prime) {
-                Ok(docs) => proto_common::encode_result(&docs),
-                Err(msg) => proto_common::encode_error(&msg),
-            },
-            Request::SearchMany(trapdoors) => {
-                let mut results = Vec::with_capacity(trapdoors.len());
-                for (tag, t_prime) in trapdoors {
-                    match self.search_one(tag, t_prime) {
-                        Ok(docs) => results.push(docs),
-                        Err(msg) => return proto_common::encode_error(&msg),
-                    }
-                }
-                proto_common::encode_result_many(&results)
+    /// Serve a `SearchMany`: every part's documents, or the first error.
+    fn search_many(&self, trapdoors: Vec<([u8; 32], [u8; 32])>) -> Vec<u8> {
+        let mut results = Vec::with_capacity(trapdoors.len());
+        for (tag, t_prime) in trapdoors {
+            match self.search_one(tag, t_prime) {
+                Ok(docs) => results.push(docs),
+                Err(msg) => return proto_common::encode_error(&msg),
             }
-            Request::ResetIndex => self.handle_reset_index(),
-            Request::Checkpoint => self.engine.handle_checkpoint(),
-            Request::RemoveDocs(ids) => self.engine.ack(self.engine.remove_docs(&ids)),
         }
+        proto_common::encode_result_many(&results)
     }
 
     /// Execute one Fig. 4 search, returning the matching encrypted

@@ -70,11 +70,18 @@ pub struct SliceRecord<'a> {
     pub inner: &'a [u8],
 }
 
+/// Bytes [`encode_slice`] puts before the inner mutation of a batch that
+/// touches `shards` shards.
+#[must_use]
+pub const fn slice_header_len(shards: usize) -> usize {
+    17 + 4 * shards
+}
+
 /// Encode a batch slice: `[SLICE_MAGIC][coordinator u32][seq u64]
 /// [n_shards u32][shard u32 ...][inner bytes]`, all little-endian.
 #[must_use]
 pub fn encode_slice(batch: BatchId, shard_set: &[u32], inner: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(17 + 4 * shard_set.len() + inner.len());
+    let mut out = Vec::with_capacity(slice_header_len(shard_set.len()) + inner.len());
     out.push(SLICE_MAGIC);
     out.extend_from_slice(&batch.coordinator.to_le_bytes());
     out.extend_from_slice(&batch.seq.to_le_bytes());
@@ -299,6 +306,7 @@ mod tests {
             seq: 42,
         };
         let rec = encode_slice(batch, &[1, 3, 7], b"inner request");
+        assert_eq!(&rec[slice_header_len(3)..], b"inner request");
         let slice = decode_slice(&rec).unwrap().expect("is a slice");
         assert_eq!(slice.batch, batch);
         assert_eq!(slice.shards, vec![1, 3, 7]);

@@ -43,6 +43,7 @@ use crate::sched::{JobSender, SchedCounters, Scheduler, SearchFanout};
 use crate::scrub::{scrub_loop, scrub_pass, ScrubCounters};
 use crate::stats::ServingStats;
 use crate::tenant::{TenantHandle, TenantParams, TenantRegistry};
+use sse_core::commit::Reply;
 use sse_core::health::{HealthState, DEGRADED_RETRY_AFTER_MS};
 use sse_net::pool::{BufPool, PooledBuf};
 use sse_net::shutdown::ShutdownSignal;
@@ -495,6 +496,62 @@ impl Daemon {
     }
 }
 
+/// Most jobs a worker runs after parking a mutation (that job included)
+/// before it flushes anyway (DESIGN.md §4e). Without a bound, a worker
+/// whose queue never empties would never reach the idle moment that
+/// commits what it parked, and those replies would wait on traffic they
+/// have nothing to do with. A head-of-line guard, not a tuned value: a
+/// flush costs one fsync, so 32 jobs keeps the wait near the work of the
+/// jobs themselves; no workload has a worker that stays busy that long
+/// (`sse-perf` keeps 8 requests in flight), so nothing measures it.
+const FLUSH_AFTER_JOBS: usize = 32;
+
+/// The tenants a worker parked mutations on since its last flush.
+#[derive(Default)]
+struct Parked {
+    tenants: Vec<TenantHandle>,
+    /// Jobs run since the first of them parked.
+    jobs: usize,
+}
+
+impl Parked {
+    fn note(&mut self, tenant: &TenantHandle) {
+        if !self.tenants.iter().any(|t| Arc::ptr_eq(t, tenant)) {
+            self.tenants.push(Arc::clone(tenant));
+        }
+    }
+
+    /// Count one job run, flushing once [`FLUSH_AFTER_JOBS`] is reached.
+    fn ran_job(&mut self) {
+        if !self.tenants.is_empty() {
+            self.jobs += 1;
+            if self.jobs >= FLUSH_AFTER_JOBS {
+                self.flush();
+            }
+        }
+    }
+
+    /// Flush every noted tenant: what is parked on each of its journals,
+    /// by this worker or any other, goes out as one group — or, on a
+    /// journal another worker is writing, with that writer's next group.
+    /// False when there was nothing to flush.
+    fn flush(&mut self) -> bool {
+        if self.tenants.is_empty() {
+            return false;
+        }
+        for tenant in self.tenants.drain(..) {
+            // A panicking flush costs the mutations it carried (each one
+            // answers with an error as it drops), not this worker thread.
+            let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tenant.flush()));
+            if flushed.is_err() {
+                eprintln!("sse-serverd: a flush panicked");
+            }
+        }
+        self.jobs = 0;
+        true
+    }
+}
+
 fn worker_loop(
     me: usize,
     sched: &Arc<Scheduler<Job>>,
@@ -505,19 +562,23 @@ fn worker_loop(
     // thread).
     allocmeter::track_current_thread();
     // Worker w serves its own run queue first (its tenants' home), then
-    // steals, then helps an active search fan-out, and only then parks.
+    // steals; when nothing is runnable it first commits what it parked —
+    // every mutation that arrived while the last fsync ran goes out as one
+    // group — then helps an active search fan-out, and only then parks.
     // The epoch is read before the probes so a submit that lands between
     // probe and park wakes the worker instead of waiting out the timeout.
-    // Workers exit only once the scheduler is closed AND drained — the
-    // same drain-the-backlog shutdown contract the old channel's
-    // `recv`-until-disconnect loop provided.
+    // Workers exit only once the scheduler is closed AND drained and
+    // nothing they parked is left — the same drain-the-backlog shutdown
+    // contract the old channel's `recv`-until-disconnect loop provided.
+    let mut parked = Parked::default();
     loop {
         let epoch = sched.idle_epoch();
         if let Some(job) = sched.try_next(me) {
-            process_job(job, fanout, stats);
+            process_job(job, fanout, stats, &mut parked);
+            parked.ran_job();
             continue;
         }
-        if fanout.try_help() {
+        if parked.flush() || fanout.try_help() {
             continue;
         }
         if sched.is_closed() && sched.queued() == 0 {
@@ -527,7 +588,22 @@ fn worker_loop(
     }
 }
 
-fn process_job(job: Job, fanout: &Arc<SearchFanout>, stats: &Arc<ServingStats>) {
+/// What serving one job produced.
+enum Served {
+    /// The reply, to send now.
+    Reply(Vec<u8>),
+    /// The reply went, or will go, through the parked continuation.
+    Parked,
+    /// A batch envelope that did not decode.
+    Malformed,
+}
+
+fn process_job(
+    job: Job,
+    fanout: &Arc<SearchFanout>,
+    stats: &Arc<ServingStats>,
+    parked: &mut Parked,
+) {
     // The split point between the two latency phases: everything before
     // this instant was run-queue wait, everything after is service.
     let queue_wait = job.accepted.elapsed();
@@ -561,30 +637,54 @@ fn process_job(job: Job, fanout: &Arc<SearchFanout>, stats: &Arc<ServingStats>) 
         ..
     } = job;
     let bytes_in = payload.len();
+    // A parked mutation's reply: sent and counted by the flush that
+    // commits it, its service time running until then.
+    let park = || -> Reply {
+        let (responder, stats) = (responder.clone(), Arc::clone(stats));
+        Box::new(move |response: Vec<u8>| {
+            let bytes_out = response.len();
+            responder.send(STATUS_OK, seq, response);
+            stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
+        })
+    };
     // A panicking scheme handler must cost its request, not this worker
     // thread: an uncaught unwind here would shrink the pool until the
     // daemon deadlocks with jobs queued and no workers. parking_lot locks
     // release on unwind (no poisoning), so the tenant stays usable.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match kind {
-        KIND_UPDATE_MANY => proto::decode_batch(&payload).map(|parts| tenant.apply_batch(&parts)),
-        // SEARCH_MANY takes the payload by value: the executor shares the
-        // (pooled, zero-copy) buffer with helper workers via Arc.
-        KIND_SEARCH_MANY => fanout.search_many(&tenant, payload),
-        _ => {
-            // The pool closes the loop on the response side too: encode
-            // into a recycled buffer, which `send` seals so the reactor's
-            // gather write recycles it again.
-            let scratch = responder.pool.acquire(RESPONSE_SCRATCH_CAPACITY);
-            Some(tenant.handle_shared_with(&payload, scratch))
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // A read sees every mutation staged before it: a search pipelined
+        // behind its own connection's update must find it (DESIGN.md §4n).
+        if !tenant.is_mutation(kind, &payload) {
+            tenant.flush();
+        }
+        let now = |reply: Option<Vec<u8>>| reply.map_or(Served::Parked, Served::Reply);
+        match kind {
+            KIND_UPDATE_MANY => match proto::decode_batch(&payload) {
+                Some(parts) => now(tenant.apply_batch_parked(&parts, park)),
+                None => Served::Malformed,
+            },
+            // SEARCH_MANY takes the payload by value: the executor shares
+            // the (pooled, zero-copy) buffer with helper workers via Arc.
+            KIND_SEARCH_MANY => fanout
+                .search_many(&tenant, payload)
+                .map_or(Served::Malformed, Served::Reply),
+            _ => {
+                // The pool closes the loop on the response side too:
+                // encode into a recycled buffer, which `send` seals so the
+                // reactor's gather write recycles it again.
+                let scratch = responder.pool.acquire(RESPONSE_SCRATCH_CAPACITY);
+                now(tenant.handle_parked(&payload, scratch, park))
+            }
         }
     }));
     match outcome {
-        Ok(Some(response)) => {
+        Ok(Served::Reply(response)) => {
             let bytes_out = response.len();
             responder.send(STATUS_OK, seq, response);
             stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
         }
-        Ok(None) => {
+        Ok(Served::Parked) => parked.note(&tenant),
+        Ok(Served::Malformed) => {
             stats.record_err();
             responder.send(STATUS_ERR, seq, b"malformed batch".to_vec());
         }

@@ -565,27 +565,33 @@ impl<P: Poller> Reactor<P> {
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => panic!("reactor: poll failed: {e}"),
         }
-        let mut wake_seen = false;
-        for &ev in events.iter() {
-            match ev.token {
-                LISTENER_TOKEN => self.accept_ready(),
-                WAKE_TOKEN => wake_seen = true,
-                _ => self.conn_event(ev),
-            }
-        }
-        if wake_seen {
+        if events.iter().any(|ev| ev.token == WAKE_TOKEN) {
             // One pipe read per poll batch, no matter how many worker
             // notifications piled up while we were busy — every
-            // notification beyond the first rode along for free.
+            // notification beyond the first rode along for free. Read
+            // before the queue is drained, so a completion posted after
+            // the drain leaves a byte that wakes the next poll.
             let notifications = self.wake.as_ref().map_or(0, WakeReader::drain);
             self.shared.stats.record_reactor_wakeup();
             self.shared
                 .stats
                 .record_wakeups_coalesced(notifications.saturating_sub(1) as u64);
         }
-        // Completions can arrive without a wake being observed yet (the
-        // pipe write races the poll timeout), so drain every turn.
+        // Completions first, then the connections' events: a connection
+        // whose last reply arrived in this turn is back at `in_flight == 0`
+        // when its next frame is read, so a memo hit there is answered
+        // inline instead of hopping to a worker behind a reply that was
+        // already here. Completions can arrive without a wake being
+        // observed yet (the pipe write races the poll timeout), so drain
+        // every turn.
         self.drain_completions();
+        for &ev in events.iter() {
+            match ev.token {
+                LISTENER_TOKEN => self.accept_ready(),
+                WAKE_TOKEN => {}
+                _ => self.conn_event(ev),
+            }
+        }
         if self.shared.shutdown.is_requested() {
             self.enter_shutdown();
         } else {
@@ -1487,6 +1493,12 @@ mod tests {
         fn push_eof(&mut self) {
             self.reads.push_back(Some(Vec::new()));
         }
+
+        /// End one readiness event's reads: the chunks after this one
+        /// arrive with the next event.
+        fn push_would_block(&mut self) {
+            self.reads.push_back(None);
+        }
     }
 
     impl Read for ScriptIo {
@@ -2282,6 +2294,40 @@ mod tests {
             *written2.lock().unwrap(),
             [ok_response(HELLO_SEQ, &[]), ok_response(1, &reply)].concat()
         );
+    }
+
+    #[test]
+    fn a_reply_arriving_with_the_next_frame_frees_it_for_the_inline_path() {
+        let mut rig = rig();
+        let (_tenant, search, reply) = warm_tenant(&rig.shared);
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        io.push_read(&data_frame(1, &miss_request()));
+        io.push_would_block();
+        io.push_read(&data_frame(2, &search));
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+        let miss = rig.sched.try_next(0).expect("the miss went to a worker");
+        assert_eq!(rig.conn(idx, gen).in_flight, 1);
+
+        // The worker's reply and the connection's next frame land in the
+        // same turn: the reply is delivered first, so the hit behind it
+        // finds nothing in flight and is answered right here.
+        post_ok(&rig.completions, token, miss.seq, b"miss-reply");
+        rig.turn_with(vec![Event::readable(token)]);
+        assert_eq!(rig.sched.queued(), 0, "no job was queued for the hit");
+        assert_eq!(rig.conn(idx, gen).in_flight, 0);
+        assert_eq!(
+            *written.lock().unwrap(),
+            [
+                ok_response(HELLO_SEQ, &[]),
+                ok_response(1, b"miss-reply"),
+                ok_response(2, &reply)
+            ]
+            .concat()
+        );
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!((snap.inline_served, snap.inline_declined), (1, 1));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::proto::SchemeId;
 use parking_lot::Mutex;
-use sse_core::commit::CommitCounters;
+use sse_core::commit::{CommitCounters, Reply};
 use sse_core::engine::{DurableOptions, IndexAdmin};
 use sse_core::error::SseError;
 use sse_core::health::HealthState;
@@ -158,7 +158,9 @@ impl TenantDb {
 
     /// Serve one scheme request. Safe to call from many worker threads at
     /// once: the scheme servers lock per index shard internally, so
-    /// requests touching distinct shards genuinely run in parallel.
+    /// requests touching distinct shards run in parallel — in-memory
+    /// mutations apply under their own shards' locks, and workers flushing
+    /// durable ones at once fsync different shards' journals.
     #[must_use]
     pub fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
         match self {
@@ -176,6 +178,24 @@ impl TenantDb {
         match self {
             TenantDb::S1(s) => s.handle_shared_with(request, scratch),
             TenantDb::S2(s) => s.handle_shared_with(request, scratch),
+        }
+    }
+
+    /// [`Self::handle_shared_with`] for the daemon's worker (DESIGN.md
+    /// §4e): a durable index mutation is staged with the continuation
+    /// `park` builds and left parked for a flush
+    /// ([`IndexAdmin::flush`], a checkpoint or a repair), which calls it.
+    /// `Some` is the reply to send now, and then `park` was not called;
+    /// `None` means the reply went, or will go, to the continuation.
+    pub fn handle_parked(
+        &self,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        match self {
+            TenantDb::S1(s) => s.handle_parked(request, scratch, park),
+            TenantDb::S2(s) => s.handle_parked(request, scratch, park),
         }
     }
 
@@ -210,6 +230,19 @@ impl TenantDb {
         match self {
             TenantDb::S1(s) => s.apply_batch(parts),
             TenantDb::S2(s) => s.apply_batch(parts),
+        }
+    }
+
+    /// [`Self::apply_batch`] with the batch's index mutation left parked,
+    /// as [`Self::handle_parked`] does.
+    pub fn apply_batch_parked(
+        &self,
+        parts: &[&[u8]],
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        match self {
+            TenantDb::S1(s) => s.apply_batch_parked(parts, park),
+            TenantDb::S2(s) => s.apply_batch_parked(parts, park),
         }
     }
 

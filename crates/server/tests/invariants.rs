@@ -1,12 +1,14 @@
 //! Count invariants of the daemon's serving path: allocations per warm
 //! search, pool reuse, gather-write batching, spawn-free `SEARCH_MANY`
-//! fan-out, and fsync sharing between concurrent updaters. Every bound is
+//! fan-out, and fsync sharing between concurrent updaters and between one
+//! connection's pipelined updates on one worker. Every bound is
 //! a count read from one process, so none depends on how fast the box is
 //! (EXPERIMENTS.md E12 lists the readings they were pinned from).
 //!
 //! One `#[test]`: the allocation counters and `Threads:` are process-wide,
 //! and a second test running beside this one would move both.
 
+use sse_core::scheme2::protocol::{encode_append_generations, GenerationEntry};
 use sse_core::scheme2::{Scheme2Client, Scheme2Config};
 use sse_core::types::{Document, Keyword, MasterKey};
 use sse_net::frame::encode_frame;
@@ -307,8 +309,64 @@ fn concurrent_updaters_share_fsyncs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One connection, one worker, one journal: a group can only form out of
+/// the updates that wait in the worker's queue while the last fsync runs,
+/// which is what parking the mutation instead of the worker lets them do
+/// (DESIGN.md §4e). One fsync per update reads 64 groups for 64 ops; the
+/// parked pipeline reads 8-10.
+fn pipelined_updates_on_one_worker_share_fsyncs() {
+    const UPDATES: u32 = 64;
+    const WINDOW: u32 = 8;
+    let dir = std::env::temp_dir().join(format!("sse-invariants-pipe-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let daemon = Daemon::spawn(ServerConfig {
+        workers: 1,
+        tenant_params: TenantParams {
+            shards: 1,
+            ..TenantParams::default()
+        },
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut stream = raw_connection(daemon.local_addr());
+    // The server appends without decrypting: any bytes make a generation.
+    let update = |n: u32| {
+        let mut tag = [0u8; 32];
+        tag[..4].copy_from_slice(&n.to_le_bytes());
+        let append = encode_append_generations(&[GenerationEntry {
+            tag,
+            sealed_ids: vec![0xA5; 48],
+            commitment: [0x5A; 32],
+        }]);
+        encode_frame(&proto::encode_request(KIND_DATA, n, &append))
+    };
+    let first: Vec<u8> = (1..=WINDOW).flat_map(update).collect();
+    stream.write_all(&first).unwrap();
+    let mut sent = WINDOW;
+    for _ in 0..UPDATES {
+        assert_eq!(read_status(&mut stream).0, STATUS_OK);
+        if sent < UPDATES {
+            sent += 1;
+            stream.write_all(&update(sent)).unwrap();
+        }
+    }
+    let stats = daemon.stats();
+    assert_eq!(stats.ops_committed, u64::from(UPDATES), "{stats:?}");
+    assert!(
+        stats.groups_committed < stats.ops_committed,
+        "{WINDOW} pipelined updates on one worker never shared an fsync: {} op(s) in {} group(s)",
+        stats.ops_committed,
+        stats.groups_committed
+    );
+    drop(stream);
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serving_path_count_invariants() {
     warm_searches_allocate_little_share_writes_and_spawn_nothing();
     concurrent_updaters_share_fsyncs();
+    pipelined_updates_on_one_worker_share_fsyncs();
 }

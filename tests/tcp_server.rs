@@ -978,3 +978,250 @@ fn search_many_envelope_matches_sequential_searches() {
 
     daemon.shutdown();
 }
+
+// ---- parked mutations over the wire (DESIGN.md §4e) ---------------------
+
+mod parked {
+    use sse_repro::core::proto_common::{decode_ack, decode_result};
+    use sse_repro::core::scheme2::key_commitment;
+    use sse_repro::core::scheme2::protocol::{self as s2, GenerationEntry};
+    use sse_repro::net::frame::encode_frame;
+    use sse_repro::net::wire::WireWriter;
+    use sse_repro::primitives::etm::EtmKey;
+    use sse_repro::primitives::hashchain::HashChain;
+    use sse_repro::server::daemon::{Daemon, ServerConfig};
+    use sse_repro::server::proto::{
+        self, Hello, SchemeId, ADMIN_SHUTDOWN, HELLO_SEQ, KIND_ADMIN, KIND_DATA, STATUS_OK,
+    };
+    use sse_repro::server::tenant::TenantParams;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::path::PathBuf;
+    use std::time::Duration;
+
+    /// Slow searches [`occupy_the_worker`] queues.
+    const BLOCKERS: u32 = 32;
+
+    /// Counter 1's key: every generation here is sealed under it and every
+    /// matching search starts from it.
+    fn key() -> [u8; 32] {
+        HashChain::new(&[b"kw", b"key"], 64)
+            .key_for_counter(1)
+            .unwrap()
+    }
+
+    /// An `AppendGenerations` adding `ids` under `tag`.
+    fn append(tag: [u8; 32], ids: &[u64]) -> Vec<u8> {
+        let mut plain = WireWriter::new();
+        plain.put_u64_vec(ids).put_u64_vec(&[]);
+        s2::encode_append_generations(&[GenerationEntry {
+            tag,
+            sealed_ids: EtmKey::new(&key()).seal(&plain.finish()),
+            commitment: key_commitment(&key()),
+        }])
+    }
+
+    fn data_frame(seq: u32, payload: &[u8]) -> Vec<u8> {
+        encode_frame(&proto::encode_request(KIND_DATA, seq, payload))
+    }
+
+    /// A durable daemon with one worker in a fresh data directory. Its
+    /// chain bound makes a search that never meets its generation walk
+    /// 2^16 steps.
+    fn one_worker_durable(name: &str) -> (Daemon, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("sse-parked-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::spawn(ServerConfig {
+            workers: 1,
+            queue_depth: 1024,
+            tenant_params: TenantParams {
+                scheme2_chain_length: 1 << 16,
+                ..TenantParams::default()
+            },
+            data_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        (daemon, dir)
+    }
+
+    /// A bare Scheme 2 socket past its hello.
+    fn connect(addr: SocketAddr, tenant: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let hello = Hello {
+            tenant: tenant.into(),
+            scheme: SchemeId::Scheme2,
+        };
+        stream.write_all(&encode_frame(&hello.encode())).unwrap();
+        assert_eq!(read_reply(&mut stream).0, HELLO_SEQ);
+        stream
+    }
+
+    /// One response frame: `(seq, payload)`.
+    fn read_reply(stream: &mut TcpStream) -> (u32, Vec<u8>) {
+        let mut len = [0u8; 4];
+        stream.read_exact(&mut len).unwrap();
+        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+        stream.read_exact(&mut body).unwrap();
+        let (status, seq, payload) = proto::decode_response(&body).unwrap();
+        assert_eq!(status, STATUS_OK, "seq {seq}");
+        (seq, payload.to_vec())
+    }
+
+    /// Store `ids` as documents, closed loop.
+    fn put_docs(stream: &mut TcpStream, seq: u32, ids: impl Iterator<Item = u64>) {
+        let docs: Vec<(u64, Vec<u8>)> = ids.map(|id| (id, id.to_le_bytes().to_vec())).collect();
+        stream
+            .write_all(&data_frame(seq, &s2::encode_put_docs(&docs)))
+            .unwrap();
+        let (got, payload) = read_reply(stream);
+        assert_eq!(got, seq);
+        decode_ack(&payload).unwrap();
+    }
+
+    /// The ids a search reply holds.
+    fn ids(reply: &[u8]) -> Vec<u64> {
+        decode_result(reply).unwrap().iter().map(|d| d.0).collect()
+    }
+
+    /// Hold the one worker: another tenant's [`BLOCKERS`] searches from a
+    /// trapdoor that never reaches their generation, each a whole 2^16-step
+    /// walk that fails (milliseconds no memo shortens). Returns once the
+    /// first is answered: the worker is on the rest, so whatever is sent
+    /// next queues behind them whole, in order, before it runs.
+    fn occupy_the_worker(addr: SocketAddr) -> TcpStream {
+        let mut busy = connect(addr, "busy");
+        let tag = [0x42; 32];
+        busy.write_all(&data_frame(1, &append(tag, &[1]))).unwrap();
+        decode_ack(&read_reply(&mut busy).1).unwrap();
+        let slow = s2::encode_search(&tag, &[0xEE; 32]);
+        let burst: Vec<u8> = (2..2 + BLOCKERS)
+            .flat_map(|seq| data_frame(seq, &slow))
+            .collect();
+        busy.write_all(&burst).unwrap();
+        read_reply(&mut busy);
+        busy
+    }
+
+    /// Read the rest of the blockers' replies.
+    fn release(mut busy: TcpStream) {
+        for _ in 1..BLOCKERS {
+            read_reply(&mut busy);
+        }
+    }
+
+    /// One worker, one connection: the search pipelined behind the
+    /// connection's own unacked update reaches the worker while the update
+    /// is parked, and must find it — the read flushes first, so the
+    /// update's ack also leaves before the search's reply.
+    #[test]
+    fn a_search_pipelined_behind_its_own_unacked_update_sees_it() {
+        let (daemon, dir) = one_worker_durable("read-your-write");
+        let mut conn = connect(daemon.local_addr(), "read-your-write");
+        put_docs(&mut conn, 1, 7..=7);
+        let busy = occupy_the_worker(daemon.local_addr());
+        let tag = [0x77; 32];
+        let pipelined = [
+            data_frame(2, &append(tag, &[7])),
+            data_frame(3, &s2::encode_search(&tag, &key())),
+        ]
+        .concat();
+        conn.write_all(&pipelined).unwrap();
+        let (first, ack) = read_reply(&mut conn);
+        let (second, found) = read_reply(&mut conn);
+        assert_eq!((first, second), (2, 3), "the update is acked first");
+        decode_ack(&ack).unwrap();
+        assert_eq!(ids(&found), [7], "the search saw its connection's update");
+        release(busy);
+        assert_eq!(daemon.stats().ops_committed, 2);
+        drop(conn);
+        daemon.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A worker whose queue never empties never reaches the idle moment
+    /// that flushes what it parked; the bound on the jobs it runs after
+    /// parking flushes anyway. Behind the update go blob stores: not reads
+    /// (a read of the tenant would flush it), not parked themselves, just
+    /// jobs that keep the worker's queue from emptying.
+    #[test]
+    fn a_worker_that_never_idles_still_acks_a_parked_update_within_its_bound() {
+        /// Stores behind the update: more than the bound.
+        const STORES: u32 = 48;
+        let (daemon, dir) = one_worker_durable("bounded");
+        let mut conn = connect(daemon.local_addr(), "bounded");
+        let busy = occupy_the_worker(daemon.local_addr());
+        let mut pipelined = data_frame(1, &append([0x43; 32], &[1]));
+        for seq in 2..2 + STORES {
+            let store = s2::encode_put_docs(&[(u64::from(seq), vec![7; 16])]);
+            pipelined.extend(data_frame(seq, &store));
+        }
+        conn.write_all(&pipelined).unwrap();
+        let order: Vec<u32> = (0..=STORES).map(|_| read_reply(&mut conn).0).collect();
+        let stores_first = order.iter().position(|&seq| seq == 1).unwrap();
+        // FLUSH_AFTER_JOBS (daemon.rs) is 32: the update and 31 stores.
+        assert!(
+            stores_first <= 31,
+            "acked after {stores_first} stores that came behind it: {order:?}"
+        );
+        release(busy);
+        drop(conn);
+        daemon.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `ADMIN_SHUTDOWN` read behind a pipeline of updates that the one
+    /// worker has not reached: it drains its queue, parking every update,
+    /// and commits them at its idle moment before it may exit — every
+    /// update is acked, and all of them are there when the daemon comes
+    /// back.
+    #[test]
+    fn admin_shutdown_acks_every_parked_update_before_the_daemon_exits() {
+        const UPDATES: u32 = 16;
+        let (daemon, dir) = one_worker_durable("drain");
+        let mut conn = connect(daemon.local_addr(), "drain");
+        put_docs(&mut conn, 100, 1..=u64::from(UPDATES));
+        let busy = occupy_the_worker(daemon.local_addr());
+        let tag = [0x5D; 32];
+        let mut burst: Vec<u8> = (1..=UPDATES)
+            .flat_map(|n| data_frame(n, &append(tag, &[u64::from(n)])))
+            .collect();
+        burst.extend(encode_frame(&proto::encode_request(
+            KIND_ADMIN,
+            UPDATES + 1,
+            &[ADMIN_SHUTDOWN],
+        )));
+        conn.write_all(&burst).unwrap();
+        let mut acked = 0;
+        for _ in 0..=UPDATES {
+            let (seq, payload) = read_reply(&mut conn);
+            if seq <= UPDATES {
+                decode_ack(&payload).unwrap();
+                acked += 1;
+            }
+        }
+        assert_eq!(acked, UPDATES);
+        release(busy);
+        daemon.wait_for_shutdown_request();
+        let report = daemon.shutdown();
+        assert_eq!(report.final_stats.ops_committed, u64::from(UPDATES) + 1);
+
+        let daemon = Daemon::spawn(ServerConfig {
+            data_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut conn = connect(daemon.local_addr(), "drain");
+        conn.write_all(&data_frame(1, &s2::encode_search(&tag, &key())))
+            .unwrap();
+        let want: Vec<u64> = (1..=u64::from(UPDATES)).collect();
+        assert_eq!(ids(&read_reply(&mut conn).1), want);
+        drop(conn);
+        daemon.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
