@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sse_index::bptree::BpTree;
+use sse_index::postings::{Generation, GenerationList};
 use sse_primitives::aes::Aes128;
 use sse_primitives::chacha20::prg_expand;
 use sse_primitives::drbg::HmacDrbg;
@@ -154,6 +155,34 @@ fn bench_bptree(c: &mut Criterion) {
             b.iter(|| {
                 i = (i + 7919) % n;
                 std::hint::black_box(tree.get(&keys[i]))
+            });
+        });
+    }
+    // What a Scheme 2 update after a publish costs the tree: clone it as
+    // the search snapshot, then append one generation to a random keyword
+    // whose list holds 16. Each iteration starts from `base`, so every list
+    // stays at 16 and the copy-on-write path is taken every time.
+    for n in [1_000usize, 100_000] {
+        let generation = |g: u8| Generation {
+            masked_ids: vec![g; 48],
+            key_commitment: [g; 32],
+        };
+        let mut base: BpTree<[u8; 32], GenerationList> = BpTree::new();
+        let mut drbg = HmacDrbg::from_u64(3);
+        let keys: Vec<[u8; 32]> = (0..n).map(|_| drbg.gen_key()).collect();
+        for key in &keys {
+            let mut list = GenerationList::new();
+            (0..16).for_each(|g| list.push(generation(g)));
+            base.insert(*key, list);
+        }
+        group.bench_with_input(BenchmarkId::new("append_after_publish", n), &n, |b, &n| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 7919) % n;
+                let mut tree = base.clone();
+                let snapshot = tree.clone();
+                tree.get_mut(&keys[i]).unwrap().push(generation(16));
+                std::hint::black_box((tree, snapshot))
             });
         });
     }

@@ -35,9 +35,11 @@
 //!   under their own shards' data locks before returning, so mutations
 //!   on different shards run in parallel and nothing parks.
 //! * **Searches** never touch the shard mutex: every apply publishes an
-//!   immutable copy-on-write snapshot of each shard it changed
-//!   ([`sse_index::bptree::BpTree`] clones are O(1) structural shares),
-//!   and reads resolve tags against the snapshot. A search therefore never
+//!   immutable copy-on-write snapshot of each shard it changed, and reads
+//!   resolve tags against the snapshot. A [`sse_index::bptree::BpTree`]
+//!   clone is one pointer copy; the shard's next mutation pays for it by
+//!   copying its root-to-leaf path (keys and pointers) and the one value
+//!   it changes, if the snapshot still holds them. A search therefore never
 //!   queues behind an in-flight fsync. A global epoch seqlock makes
 //!   multi-shard swaps atomic to readers: an apply publishes all the
 //!   shards it changed inside one odd-epoch window and readers retry
@@ -680,9 +682,11 @@ impl<S: SchemeOps> IndexEngine<S> {
 
     /// Publish the current trees of `changed` as their immutable search
     /// snapshots, several inside one odd/even epoch window so a reader
-    /// sees a multi-shard mutation whole. O(1) per shard: the tree clone
-    /// shares all nodes copy-on-write. Private to the apply paths: a
-    /// snapshot changes only when a mutation is applied.
+    /// sees a multi-shard mutation whole. One pointer copy per shard: the
+    /// tree clone shares its root, and through it every node and value.
+    /// The shard's next mutation copies the nodes on its path and the
+    /// value it changes, where this snapshot still holds them. Private to
+    /// the apply paths: a snapshot changes only when a mutation is applied.
     fn publish(&self, changed: &[(usize, &ShardData<S>)], meta: &S::Meta) {
         let window = (changed.len() > 1).then(|| {
             let held = self.window.lock();
@@ -1363,8 +1367,18 @@ fn load_snapshot<S: SchemeOps>(bytes: &[u8], meta: &S::Meta, path: &Path) -> Res
     S::check_meta(meta, r.get_array(S::encode_meta(meta).len())?)?;
     let n = r.get_count(32 + S::MIN_VALUE_BYTES)?;
     let mut tree = BpTree::new();
+    let mut prev: Option<[u8; 32]> = None;
     for _ in 0..n {
         let tag = r.get_array32()?;
+        // `save_snapshot` writes tags in tree order: a repeated or
+        // out-of-order tag would silently replace an entry.
+        if prev.is_some_and(|p| p >= tag) {
+            return Err(corrupt_snapshot(format!(
+                "tags not strictly ascending in {}",
+                path.display()
+            )));
+        }
+        prev = Some(tag);
         tree.insert(tag, S::decode_value(&mut r, meta)?);
     }
     r.finish()?;

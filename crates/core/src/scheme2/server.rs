@@ -200,7 +200,7 @@ impl SchemeOps for Ops {
 
     fn decode_value(r: &mut WireReader<'_>, (): &()) -> Result<GenerationList> {
         let gens = r.get_count(40)?;
-        let mut list = GenerationList::new();
+        let mut list = GenerationList::with_capacity(gens);
         for _ in 0..gens {
             let masked_ids = r.get_bytes()?.to_vec();
             let key_commitment = r.get_array32()?;

@@ -12,12 +12,16 @@
 //! Branching factor is [`ORDER`] (children per internal node / entries per
 //! leaf).
 //!
-//! Child pointers are [`Arc`]s: `BpTree::clone` copies only the root node
-//! (O(`ORDER`)), sharing every subtree, and mutations copy just the
-//! root-to-leaf path they touch ([`Arc::make_mut`]). The scheme servers
-//! lean on this to publish an immutable search snapshot after *every*
-//! mutation without paying an O(u) deep copy — the group-commit read path
-//! serves searches from such snapshots while writers keep mutating.
+//! Everything is shared by pointer: the root, every child and every value
+//! sit behind an [`Arc`]. `BpTree::clone` is one reference-count bump, so
+//! publishing a snapshot copies nothing. The first mutation after a
+//! publish copies the nodes on its root-to-leaf path ([`Arc::make_mut`]
+//! per node), and a node copy is its keys plus child or value pointers, at
+//! most [`ORDER`] of each — never a value. A changed value is then cloned
+//! on its own, and only if a snapshot still holds it: an append to one
+//! keyword copies that keyword's representation and no other. The scheme
+//! servers lean on this to publish an immutable search snapshot after
+//! every applied mutation while writers keep mutating.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -36,7 +40,7 @@ enum Node<K, V> {
         children: Vec<Arc<Node<K, V>>>,
     },
     Leaf {
-        entries: Vec<(K, V)>,
+        entries: Vec<(K, Arc<V>)>,
     },
 }
 
@@ -55,15 +59,16 @@ impl<K: Ord + Clone, V: Clone> Node<K, V> {
     }
 }
 
-/// Take a node out of its `Arc`, cloning only if a snapshot still shares it.
-fn unshare<K: Clone, V: Clone>(node: Arc<Node<K, V>>) -> Node<K, V> {
-    Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone())
+/// Take a node or a value out of its `Arc`, cloning only if a snapshot
+/// still shares it.
+fn unshare<T: Clone>(shared: Arc<T>) -> T {
+    Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// Result of inserting into a subtree: a value was replaced, and/or the node
 /// split producing a new right sibling with its separator key.
 struct InsertOutcome<K, V> {
-    replaced: Option<V>,
+    replaced: Option<Arc<V>>,
     split: Option<(K, Node<K, V>)>,
 }
 
@@ -78,14 +83,15 @@ pub struct SearchStats {
 
 /// A B+-tree map from `K` to `V`.
 ///
-/// `Clone` is O(`ORDER`): it copies the root and shares every subtree.
-/// A clone is a stable snapshot — later mutations of either tree
-/// copy-on-write the paths they touch and never disturb the other. The
-/// scheme servers use this to publish immutable search snapshots of
-/// mutated shards.
+/// `Clone` is one reference-count bump: the clone shares the root, and
+/// through it every node and value. A clone is a stable snapshot — a later
+/// mutation of either tree copies the nodes on the path it walks (keys and
+/// pointers) plus, for `get_mut`, the one value it hands out, and never
+/// disturbs the other. The scheme servers use this to publish immutable
+/// search snapshots of mutated shards.
 #[derive(Clone)]
 pub struct BpTree<K, V> {
-    root: Node<K, V>,
+    root: Arc<Node<K, V>>,
     len: usize,
 }
 
@@ -100,7 +106,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
     #[must_use]
     pub fn new() -> Self {
         BpTree {
-            root: Node::new_leaf(),
+            root: Arc::new(Node::new_leaf()),
             len: 0,
         }
     }
@@ -121,7 +127,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
     #[must_use]
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node = &self.root;
+        let mut node = self.root.as_ref();
         while let Node::Internal { children, .. } = node {
             h += 1;
             node = children[0].as_ref();
@@ -129,24 +135,24 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
         h
     }
 
-    /// Insert `key -> value`, returning the previous value if the key existed.
+    /// Insert `key -> value`, returning the previous value if the key existed
+    /// (a clone of it if a snapshot still shares it).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let outcome = Self::insert_rec(&mut self.root, key, value);
+        let outcome = Self::insert_rec(Arc::make_mut(&mut self.root), key, Arc::new(value));
         if let Some((sep, right)) = outcome.split {
             // Grow a new root.
-            let old_root = std::mem::replace(&mut self.root, Node::new_leaf());
-            self.root = Node::Internal {
+            self.root = Arc::new(Node::Internal {
                 keys: vec![sep],
-                children: vec![Arc::new(old_root), Arc::new(right)],
-            };
+                children: vec![Arc::clone(&self.root), Arc::new(right)],
+            });
         }
         if outcome.replaced.is_none() {
             self.len += 1;
         }
-        outcome.replaced
+        outcome.replaced.map(unshare)
     }
 
-    fn insert_rec(node: &mut Node<K, V>, key: K, value: V) -> InsertOutcome<K, V> {
+    fn insert_rec(node: &mut Node<K, V>, key: K, value: Arc<V>) -> InsertOutcome<K, V> {
         match node {
             Node::Leaf { entries } => match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
                 Ok(pos) => InsertOutcome {
@@ -217,7 +223,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
             nodes_visited: 0,
             comparisons: 0,
         };
-        let mut node = &self.root;
+        let mut node = self.root.as_ref();
         loop {
             stats.nodes_visited += 1;
             match node {
@@ -229,7 +235,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
                 Node::Leaf { entries } => {
                     stats.comparisons += entries.len().max(1).ilog2() as usize + 1;
                     return match entries.binary_search_by(|(k, _)| k.cmp(key)) {
-                        Ok(pos) => (Some(&entries[pos].1), stats),
+                        Ok(pos) => (Some(entries[pos].1.as_ref()), stats),
                         Err(_) => (None, stats),
                     };
                 }
@@ -237,10 +243,10 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
         }
     }
 
-    /// Mutable point lookup. Copy-on-write: unshares the root→leaf path if
-    /// a snapshot still holds it.
+    /// Mutable point lookup. Copy-on-write: unshares the root→leaf path,
+    /// and the one value returned, where a snapshot still holds them.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let mut node = &mut self.root;
+        let mut node = Arc::make_mut(&mut self.root);
         loop {
             match node {
                 Node::Internal { keys, children } => {
@@ -249,7 +255,7 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
                 }
                 Node::Leaf { entries } => {
                     return match entries.binary_search_by(|(k, _)| k.cmp(key)) {
-                        Ok(pos) => Some(&mut entries[pos].1),
+                        Ok(pos) => Some(Arc::make_mut(&mut entries[pos].1)),
                         Err(_) => None,
                     };
                 }
@@ -263,23 +269,23 @@ impl<K: Ord + Clone, V: Clone> BpTree<K, V> {
         self.get(key).is_some()
     }
 
-    /// Remove a key, returning its value if present.
+    /// Remove a key, returning its value if present (a clone of it if a
+    /// snapshot still shares it).
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let removed = Self::remove_rec(&mut self.root, key);
+        let removed = Self::remove_rec(Arc::make_mut(&mut self.root), key);
         if removed.is_some() {
             self.len -= 1;
         }
         // Shrink the root if it became a pass-through internal node.
-        if let Node::Internal { children, .. } = &mut self.root {
+        if let Node::Internal { children, .. } = self.root.as_ref() {
             if children.len() == 1 {
-                let only = children.pop().expect("checked length 1");
-                self.root = unshare(only);
+                self.root = Arc::clone(&children[0]);
             }
         }
-        removed
+        removed.map(unshare)
     }
 
-    fn remove_rec(node: &mut Node<K, V>, key: &K) -> Option<V> {
+    fn remove_rec(node: &mut Node<K, V>, key: &K) -> Option<Arc<V>> {
         match node {
             Node::Leaf { entries } => match entries.binary_search_by(|(k, _)| k.cmp(key)) {
                 Ok(pos) => Some(entries.remove(pos).1),
@@ -513,7 +519,7 @@ impl<'a, K, V> Iterator for Iter<'a, K, V> {
                     if frame.idx < entries.len() {
                         let (k, v) = &entries[frame.idx];
                         frame.idx += 1;
-                        return Some((k, v));
+                        return Some((k, v.as_ref()));
                     }
                     self.stack.pop();
                 }
@@ -539,6 +545,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn empty_tree_basics() {
@@ -765,6 +772,66 @@ mod tests {
         assert_eq!(t.get(&77), Some(&[1u8; 64]));
     }
 
+    /// A value that counts its own `clone()` calls in a shared counter.
+    struct Counted {
+        n: u64,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Counted {
+                n: self.n,
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    /// Run `op`, returning its result and the `Counted` clones it made.
+    fn copies<R>(clones: &AtomicUsize, op: impl FnOnce() -> R) -> (R, usize) {
+        let before = clones.load(Ordering::Relaxed);
+        let result = op();
+        (result, clones.load(Ordering::Relaxed) - before)
+    }
+
+    #[test]
+    fn values_are_copied_one_at_a_time() {
+        // A publish (a clone) copies no value, and the mutation after it
+        // copies the one value it hands out or returns — not the leaf's
+        // 8-16 neighbours that a by-value leaf would deep-copy with it.
+        let clones = Arc::new(AtomicUsize::new(0));
+        let value = |n| Counted {
+            n,
+            clones: Arc::clone(&clones),
+        };
+        let mut t = BpTree::new();
+        for i in 0..4_096u64 {
+            t.insert(i, value(i));
+        }
+        let (snapshot, n) = copies(&clones, || t.clone());
+        assert_eq!(n, 0, "clone");
+
+        let bump = |t: &mut BpTree<u64, Counted>| t.get_mut(&77).unwrap().n += 10_000;
+        assert_eq!(copies(&clones, || bump(&mut t)).1, 1, "get_mut, shared");
+        assert_eq!(copies(&clones, || bump(&mut t)).1, 0, "get_mut, unshared");
+        let (old, n) = copies(&clones, || t.insert(5_000, value(5_000)));
+        assert_eq!((old.is_none(), n), (true, 0), "insert of a new key");
+        let (removed, n) = copies(&clones, || t.remove(&200));
+        assert_eq!((removed.map(|v| v.n), n), (Some(200), 1), "remove, shared");
+        let (removed, n) = copies(&clones, || t.remove(&5_000));
+        assert_eq!((removed.map(|v| v.n), n), (Some(5_000), 0), "unshared");
+        t.check_invariants();
+        assert_eq!(t.get(&77).map(|v| v.n), Some(20_077));
+
+        // The snapshot still reads exactly as frozen.
+        assert_eq!(snapshot.len(), 4_096);
+        snapshot.check_invariants();
+        for (i, (k, v)) in snapshot.iter().enumerate() {
+            assert_eq!((*k, v.n), (i as u64, i as u64), "snapshot drifted");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -793,7 +860,7 @@ mod tests {
         /// answering as of its clone point while the live tree moves on.
         #[test]
         fn snapshots_are_immutable_under_interleaved_ops(ops in prop::collection::vec(
-            (0u8..4, 0u16..256, 0u32..1000), 1..200)) {
+            (0u8..6, 0u16..256, 0u32..1000), 1..200)) {
             let mut live: BpTree<u16, u32> = BpTree::new();
             let mut oracle: BTreeMap<u16, u32> = BTreeMap::new();
             let mut snaps: Vec<(BpTree<u16, u32>, BTreeMap<u16, u32>)> = Vec::new();
@@ -802,6 +869,11 @@ mod tests {
                     0 => { live.insert(k, v); oracle.insert(k, v); }
                     1 => { live.remove(&k); oracle.remove(&k); }
                     2 => prop_assert_eq!(live.get(&k), oracle.get(&k)),
+                    3 => match (live.get_mut(&k), oracle.get_mut(&k)) {
+                        (Some(ours), Some(theirs)) => { *ours += v; *theirs += v; }
+                        (ours, theirs) => prop_assert_eq!(ours, theirs),
+                    },
+                    4 => prop_assert_eq!(live.remove(&k), oracle.remove(&k)),
                     _ => if snaps.len() < 8 {
                         snaps.push((live.clone(), oracle.clone()));
                     },

@@ -24,20 +24,52 @@ pub struct Generation {
 }
 
 /// The generation list for one keyword, oldest generation first.
-#[derive(Clone, Debug, Default)]
+///
+/// Its capacity tracks its length instead of `Vec`'s doubling: the index
+/// holds one list per keyword, and each is copied on its own whenever an
+/// append finds it shared with a published snapshot (the B+-tree's
+/// `Arc::make_mut`). So a new list has room for one generation, a copy
+/// for exactly one more than it holds — the one that append pushes — and
+/// a push onto a full list (journal replay, or a second append before the
+/// next publish) grows it by exactly one.
+#[derive(Debug)]
 pub struct GenerationList {
     generations: Vec<Generation>,
 }
 
+impl Default for GenerationList {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Clone for GenerationList {
+    fn clone(&self) -> Self {
+        let mut generations = Vec::with_capacity(self.generations.len() + 1);
+        generations.extend_from_slice(&self.generations);
+        GenerationList { generations }
+    }
+}
+
 impl GenerationList {
-    /// An empty list.
+    /// An empty list, with room for one generation.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::with_capacity(1)
+    }
+
+    /// An empty list with room for exactly `generations` generations (a
+    /// list decoded from its stored form).
+    #[must_use]
+    pub fn with_capacity(generations: usize) -> Self {
+        GenerationList {
+            generations: Vec::with_capacity(generations),
+        }
     }
 
     /// Append a generation (server side of `MetadataStorage`).
     pub fn push(&mut self, generation: Generation) {
+        self.generations.reserve_exact(1);
         self.generations.push(generation);
     }
 
@@ -95,6 +127,22 @@ mod tests {
         assert_eq!(l.len(), 2);
         assert_eq!(l.as_slice()[1], generation(2, 20));
         assert_eq!(l.stored_bytes(), 10 + 32 + 20 + 32);
+    }
+
+    #[test]
+    fn capacity_follows_length_through_copy_then_push() {
+        let mut l = GenerationList::new();
+        l.push(generation(0, 4));
+        assert_eq!(l.generations.capacity(), 1);
+        for i in 1..20u8 {
+            // What an append after a publish does: copy, then push once.
+            l = l.clone();
+            l.push(generation(i, 4));
+            assert_eq!(l.generations.capacity(), l.len());
+            // A second append before the next publish.
+            l.push(generation(i, 4));
+            assert_eq!(l.generations.capacity(), l.len());
+        }
     }
 
     #[test]

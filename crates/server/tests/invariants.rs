@@ -1,9 +1,10 @@
 //! Count invariants of the daemon's serving path: allocations per warm
-//! search, pool reuse, gather-write batching, spawn-free `SEARCH_MANY`
-//! fan-out, and fsync sharing between concurrent updaters and between one
-//! connection's pipelined updates on one worker. Every bound is
-//! a count read from one process, so none depends on how fast the box is
-//! (EXPERIMENTS.md E12 lists the readings they were pinned from).
+//! search and per index update, pool reuse, gather-write batching,
+//! spawn-free `SEARCH_MANY` fan-out, and fsync sharing between concurrent
+//! updaters and between one connection's pipelined updates on one worker.
+//! Every bound is a count read from one process, so none depends on how
+//! fast the box is (EXPERIMENTS.md E12 and E15 list the readings they were
+//! pinned from).
 //!
 //! One `#[test]`: the allocation counters and `Threads:` are process-wide,
 //! and a second test running beside this one would move both.
@@ -364,9 +365,69 @@ fn pipelined_updates_on_one_worker_share_fsyncs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An index update after a publish copies the nodes on its tag's path
+/// and that one keyword's generation list, not the whole leaf's
+/// (DESIGN.md §4e). 4 096 keywords of 16 generations in one in-memory shard, then
+/// 256 closed-loop updates of two keywords each, every one published.
+/// Server-thread allocations per update read 314 while a path copy cloned
+/// every list in the leaf (about 9 lists of 17 allocations per keyword),
+/// and 75 since values are shared by `Arc`: per keyword about 10 for the
+/// path's nodes and 18 for its one list, the rest framing and decode.
+fn index_updates_copy_one_list_per_keyword() {
+    const KEYWORDS: u32 = 4096;
+    const GENERATIONS: u8 = 16;
+    const UPDATES: u32 = 256;
+    const ALLOCS_PER_UPDATE: u64 = 100;
+    let daemon = Daemon::spawn(ServerConfig::default()).unwrap();
+    let mut stream = raw_connection(daemon.local_addr());
+    let tag = |k: u32| {
+        let mut tag = [0u8; 32];
+        tag[..4].copy_from_slice(&k.to_be_bytes());
+        tag[4..].fill(0x3C);
+        tag
+    };
+    // The server appends without decrypting: any bytes make a generation.
+    let entry = |k: u32, g: u8| GenerationEntry {
+        tag: tag(k),
+        sealed_ids: vec![g; 48],
+        commitment: [g; 32],
+    };
+    let mut seq = 0u32;
+    let mut append = |stream: &mut TcpStream, entries: &[GenerationEntry]| {
+        seq += 1;
+        let request = proto::encode_request(KIND_DATA, seq, &encode_append_generations(entries));
+        stream.write_all(&encode_frame(&request)).unwrap();
+        assert_eq!(read_status(stream), (STATUS_OK, seq));
+    };
+    for g in 0..GENERATIONS {
+        let round: Vec<GenerationEntry> = (0..KEYWORDS).map(|k| entry(k, g)).collect();
+        append(&mut stream, &round);
+    }
+    let update = |n: u32| {
+        [
+            entry(n * 37 % KEYWORDS, 0xEE),
+            entry((n * 37 + 2048) % KEYWORDS, 0xEF),
+        ]
+    };
+    // Warm the connection's buffers with updates of their own.
+    (UPDATES..UPDATES + 16).for_each(|n| append(&mut stream, &update(n)));
+    let moved = measured(&daemon, || {
+        (0..UPDATES).for_each(|n| append(&mut stream, &update(n)));
+    });
+    assert!(
+        moved.allocs <= ALLOCS_PER_UPDATE * u64::from(UPDATES),
+        "{UPDATES} two-keyword updates over {KEYWORDS} keywords x {GENERATIONS} generations: \
+         {} allocation(s) per update; {moved:?}",
+        moved.allocs / u64::from(UPDATES)
+    );
+    drop(stream);
+    daemon.shutdown();
+}
+
 #[test]
 fn serving_path_count_invariants() {
     warm_searches_allocate_little_share_writes_and_spawn_nothing();
+    index_updates_copy_one_list_per_keyword();
     concurrent_updaters_share_fsyncs();
     pipelined_updates_on_one_worker_share_fsyncs();
 }

@@ -254,6 +254,48 @@ fn corrupt_index_snapshot_is_rejected() {
 }
 
 #[test]
+fn snapshot_with_a_repeated_tag_is_corrupt_even_with_a_valid_crc() {
+    use sse_repro::core::error::SseError;
+    use sse_repro::core::scheme2::protocol::{encode_append_generations, GenerationEntry};
+    use sse_repro::storage::{crc32::crc32, StorageError};
+    let dir = temp_dir("s2-idx-repeat");
+    {
+        let server = Scheme2Server::open_durable(Scheme2Config::standard(), &dir).unwrap();
+        let entries: Vec<GenerationEntry> = (1..=2u8)
+            .map(|n| GenerationEntry {
+                tag: [n; 32],
+                sealed_ids: vec![n; 40],
+                commitment: [n; 32],
+            })
+            .collect();
+        server.handle_shared(&encode_append_generations(&entries));
+        server.checkpoint().unwrap();
+    }
+    // `[magic 8][crc 4][applied_seq 8][count 8]` then, per tag, the tag,
+    // its generation count and one `[len 8][40 B][commitment 32]`.
+    let snap = dir.join("scheme2.index");
+    let bytes = std::fs::read(&snap).unwrap();
+    const ENTRY: usize = 32 + 8 + 8 + 40 + 32;
+    let (head, entries) = bytes.split_at(28);
+    assert_eq!(entries.len(), 2 * ENTRY, "the layout this test rewrites");
+    let mut body = head[12..20].to_vec();
+    body.extend_from_slice(&3u64.to_le_bytes());
+    body.extend_from_slice(&entries[..ENTRY]);
+    body.extend_from_slice(entries);
+    let mut forged = head[..8].to_vec();
+    forged.extend_from_slice(&crc32(&body).to_le_bytes());
+    forged.extend_from_slice(&body);
+    std::fs::write(&snap, &forged).unwrap();
+
+    match Scheme2Server::open_durable(Scheme2Config::standard(), &dir) {
+        Err(SseError::Storage(StorageError::Corrupt { .. })) => {}
+        Err(e) => panic!("a repeated tag must be Corrupt, got {e}"),
+        Ok(_) => panic!("a snapshot with a repeated tag opened"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn scheme1_index_capacity_mismatch_is_rejected() {
     let dir = temp_dir("s1-idx-cap");
     {
