@@ -129,38 +129,6 @@ impl CommitStats {
     }
 }
 
-impl CommitCounters {
-    /// Merge another snapshot into this one (`max_group` takes the max,
-    /// everything else sums) — used to aggregate across tenants.
-    pub fn merge(&mut self, other: &CommitCounters) {
-        self.groups_committed += other.groups_committed;
-        self.ops_committed += other.ops_committed;
-        self.max_group = self.max_group.max(other.max_group);
-        self.fsyncs_saved += other.fsyncs_saved;
-        self.snapshot_swaps += other.snapshot_swaps;
-    }
-
-    /// Fsyncs per committed op (1.0 = no grouping; NaN-free: 0 when idle).
-    #[must_use]
-    pub fn fsyncs_per_op(&self) -> f64 {
-        if self.ops_committed == 0 {
-            0.0
-        } else {
-            self.groups_committed as f64 / self.ops_committed as f64
-        }
-    }
-
-    /// Mean records per group (0 when idle).
-    #[must_use]
-    pub fn mean_group_size(&self) -> f64 {
-        if self.groups_committed == 0 {
-            0.0
-        } else {
-            self.ops_committed as f64 / self.groups_committed as f64
-        }
-    }
-}
-
 /// One staged shard record: parked from its stage until it is dropped,
 /// which is after its reply. Dropped with its reply unsent — a flush that
 /// unwound, an engine dropped with records parked — it sends an error
@@ -448,7 +416,8 @@ pub(crate) fn journal_dead(msg: &str) -> SseError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sse_storage::{FaultVfs, RealVfs};
+    use sse_storage::{FaultVfs, RealVfs, Vfs, VfsFile};
+    use std::io;
     use std::path::{Path, PathBuf};
 
     fn temp_journal(name: &str) -> PathBuf {
@@ -536,23 +505,105 @@ mod tests {
         assert!(!c.write_pending(|_| unreachable!()), "stepped down empty");
     }
 
+    /// Runs once, on the thread that reached the armed sync.
+    type SyncHook = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+    /// `inner`, except that the first file sync after the hook is armed
+    /// runs it first: mid-write, after the group's write and before its
+    /// fsync, with the writer holding the journal but not the stage lock.
+    struct SyncHookVfs {
+        inner: FaultVfs,
+        hook: SyncHook,
+    }
+
+    struct SyncHookFile {
+        inner: Box<dyn VfsFile>,
+        hook: SyncHook,
+    }
+
+    impl SyncHookVfs {
+        fn wrap(&self, inner: Box<dyn VfsFile>) -> Box<dyn VfsFile> {
+            let hook = Arc::clone(&self.hook);
+            Box::new(SyncHookFile { inner, hook })
+        }
+    }
+
+    impl VfsFile for SyncHookFile {
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.inner.write_all(buf)
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            let hook = self.hook.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            self.inner.sync_data()
+        }
+
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            self.inner.set_len(len)
+        }
+
+        fn seek_to(&mut self, pos: u64) -> io::Result<()> {
+            self.inner.seek_to(pos)
+        }
+    }
+
+    impl Vfs for SyncHookVfs {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+
+        fn file_len(&self, path: &Path) -> io::Result<Option<u64>> {
+            self.inner.file_len(path)
+        }
+
+        fn open_write(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            Ok(self.wrap(self.inner.open_write(path)?))
+        }
+
+        fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            Ok(self.wrap(self.inner.create(path)?))
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(path)
+        }
+
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            self.inner.sync_dir(path)
+        }
+
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_file(path)
+        }
+    }
+
     #[test]
     fn a_failed_write_poisons_the_group_and_everything_behind_it() {
         let path = temp_journal("poison");
         // First sync call dies (and all I/O after it).
-        let vfs: Arc<dyn sse_storage::Vfs> = Arc::new(FaultVfs::crashing_at_sync(7, 1));
-        let (journal, _) = IndexJournal::open_with_vfs(vfs, &path, true, 0).unwrap();
-        let c = committer(journal);
-        stage_all(&c, &[b"doomed-a", b"doomed-b"]);
-        let mut groups = Vec::new();
-        c.write_pending(|group| {
-            if groups.is_empty() {
-                // Staged behind the failing group: it fails at the next
-                // cut, without a write.
-                stage_all(&c, &[b"behind"]);
-            }
-            groups.push(group);
+        let hook = SyncHook::default();
+        let vfs: Arc<dyn Vfs> = Arc::new(SyncHookVfs {
+            inner: FaultVfs::crashing_at_sync(7, 1),
+            hook: Arc::clone(&hook),
         });
+        let (journal, _) = IndexJournal::open_with_vfs(vfs, &path, true, 0).unwrap();
+        let c = Arc::new(committer(journal));
+        stage_all(&c, &[b"doomed-a", b"doomed-b"]);
+        // Staged while the failing group is in flight, before its failure
+        // poisons the shard (as `IndexEngine::mutate` would, finding the
+        // shard healthy): it fails at the next cut, without a write.
+        let behind = Arc::clone(&c);
+        *hook.lock() = Some(Box::new(move || {
+            stage_all(&behind, &[b"behind"]);
+        }));
+        let groups = flush(&c);
         assert_eq!(groups.len(), 2);
         let msg = groups[0][0].failed.clone().expect("the group failed");
         assert!(msg.contains("injected fault"), "{msg}");
@@ -566,7 +617,7 @@ mod tests {
     #[test]
     fn replace_journal_clears_poison_and_resumes_dense_seqs() {
         let path = temp_journal("replace");
-        let vfs: Arc<dyn sse_storage::Vfs> = Arc::new(FaultVfs::crashing_at_sync(7, 1));
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::crashing_at_sync(7, 1));
         let (journal, _) = IndexJournal::open_with_vfs(vfs, &path, true, 0).unwrap();
         let c = committer(journal);
         stage_all(&c, &[b"doomed"]);

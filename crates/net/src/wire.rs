@@ -119,18 +119,6 @@ impl WireWriter {
         self
     }
 
-    /// Append a fixed run of `u64`s with **no** length prefix — the
-    /// caller's schema fixes the count, as with a counter block appended
-    /// to an existing stats payload whose decoder reads a known number
-    /// of trailing words. For a self-describing vector use
-    /// [`Self::put_u64_vec`].
-    pub fn put_u64s(&mut self, vs: &[u64]) -> &mut Self {
-        for v in vs {
-            self.put_u64(*v);
-        }
-        self
-    }
-
     /// Append a length-prefixed vector of `u64`.
     pub fn put_u64_vec(&mut self, v: &[u64]) -> &mut Self {
         self.put_u64(v.len() as u64);
@@ -293,21 +281,6 @@ mod tests {
         assert_eq!(r.get_bytes().unwrap(), b"payload");
         assert_eq!(r.get_array(3).unwrap(), &[1, 2, 3]);
         assert_eq!(r.get_u64_vec().unwrap(), vec![10, 20, 30]);
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn unprefixed_u64_run_reads_back_word_by_word() {
-        let mut w = WireWriter::new();
-        w.put_u8(1).put_u64s(&[10, 20, 30]);
-        let msg = w.finish();
-        // No length prefix on the wire: 1 tag byte + 3 bare words.
-        assert_eq!(msg.len(), 1 + 3 * 8);
-        let mut r = WireReader::new(&msg);
-        assert_eq!(r.get_u8().unwrap(), 1);
-        for expected in [10, 20, 30] {
-            assert_eq!(r.get_u64().unwrap(), expected);
-        }
         r.finish().unwrap();
     }
 

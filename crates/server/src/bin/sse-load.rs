@@ -226,41 +226,12 @@ fn main() -> ExitCode {
         Ok(stats)
     }) {
         Ok(stats) => {
+            for (name, value) in stats.fields() {
+                println!("sse-load: server {name} {value}");
+            }
             println!(
-                "sse-load: server stats: {} ok / {} busy / {} err, {} bytes in, {} bytes out, \
-                 server-side p50 {} ns p95 {} ns p99 {} ns",
-                stats.requests_ok,
-                stats.requests_busy,
-                stats.requests_err,
-                stats.bytes_in,
-                stats.bytes_out,
-                stats.p50_ns,
-                stats.p95_ns,
-                stats.p99_ns
-            );
-            println!(
-                "sse-load: server robustness: {} fault(s) injected, {} WAL recover(ies), \
-                 {} torn byte(s) truncated, {} client re-attach(es)",
-                stats.faults_injected,
-                stats.wal_recoveries,
-                stats.torn_tails_truncated,
-                stats.reconnects
-            );
-            println!(
-                "sse-load: group commit: {} op(s) in {} flush group(s) \
-                 (mean {:.2}, max {}), {} fsync(s) saved ({:.3} fsyncs/op), \
-                 {} snapshot swap(s)",
-                stats.ops_committed,
-                stats.groups_committed,
-                stats.mean_group_size(),
-                stats.max_group_size,
-                stats.fsyncs_saved,
-                stats.fsyncs_per_op(),
-                stats.snapshot_swaps
-            );
-            println!(
-                "sse-load: search cache: {} hit(s) / {} miss(es), {} chain step(s) saved",
-                stats.search_cache_hits, stats.search_cache_misses, stats.walk_steps_saved
+                "sse-load: server shard_contention {:?}",
+                stats.shard_contention
             );
         }
         Err(e) => eprintln!("sse-load: stats query failed: {e}"),

@@ -38,6 +38,7 @@
 //! quarantines confirmed corruption. See the `sse_server::scrub` docs.
 
 use sse_server::daemon::{Daemon, ServerConfig};
+use sse_server::proto::StatsSnapshot;
 use sse_server::tenant::TenantParams;
 use std::process::ExitCode;
 
@@ -113,6 +114,20 @@ fn parse_args() -> ServerConfig {
     config
 }
 
+/// Print every counter of `stats` that `keep` accepts, one
+/// `sse-serverd: name value` line each, then the per-shard contention
+/// vector when any of its entries passes `keep`.
+fn print_stats(stats: &StatsSnapshot, keep: impl Fn(u64) -> bool) {
+    for (name, value) in stats.fields() {
+        if keep(value) {
+            println!("sse-serverd: {name} {value}");
+        }
+    }
+    if stats.shard_contention.iter().any(|&c| keep(c)) {
+        println!("sse-serverd: shard_contention {:?}", stats.shard_contention);
+    }
+}
+
 fn main() -> ExitCode {
     let config = parse_args();
     // One fd per connection plus listener/pipe/worker headroom. Best
@@ -151,15 +166,13 @@ fn main() -> ExitCode {
     );
     match &config.data_dir {
         Some(dir) => {
-            let startup = daemon.stats();
             println!(
-                "sse-serverd: durable mode, data dir {} ({} tenant database(s) recovered; \
-                 {} needed WAL replay, {} torn byte(s) truncated)",
+                "sse-serverd: durable mode, data dir {} ({} tenant database(s) recovered)",
                 dir.display(),
                 daemon.tenant_count(),
-                startup.wal_recoveries,
-                startup.torn_tails_truncated
             );
+            // What opening them moved: WAL replays, torn bytes, live runs.
+            print_stats(&daemon.stats(), |value| value != 0);
         }
         None => {
             println!("sse-serverd: in-memory mode (no --data-dir; state dies with the process)")
@@ -167,112 +180,19 @@ fn main() -> ExitCode {
     }
     daemon.wait_for_shutdown_request();
     println!("sse-serverd: shutdown requested, draining…");
-    let stats = daemon.stats();
     let tenants = daemon.tenant_count();
     let report = daemon.shutdown();
     println!(
-        "sse-serverd: served {} requests ({} busy, {} errors) for {} tenant database(s); \
-         {} bytes in, {} bytes out; joined {} workers and {} connections; \
-         checkpointed {} tenant(s)",
-        stats.requests_ok,
-        stats.requests_busy,
-        stats.requests_err,
+        "sse-serverd: drained {} tenant database(s): joined {} workers and {} connections, \
+         checkpointed {} tenant(s), {} thread(s) panicked",
         tenants,
-        stats.bytes_in,
-        stats.bytes_out,
         report.workers_joined,
         report.connections_joined,
-        report.tenants_checkpointed
-    );
-    println!(
-        "sse-serverd: robustness: {} fault(s) injected, {} WAL recover(ies), \
-         {} torn byte(s) truncated, {} client re-attach(es)",
-        stats.faults_injected, stats.wal_recoveries, stats.torn_tails_truncated, stats.reconnects
-    );
-    println!(
-        "sse-serverd: group commit: {} op(s) in {} flush group(s) (mean {:.2}, max {}), \
-         {} fsync(s) saved ({:.3} fsyncs/op), {} snapshot swap(s)",
-        stats.ops_committed,
-        stats.groups_committed,
-        stats.mean_group_size(),
-        stats.max_group_size,
-        stats.fsyncs_saved,
-        stats.fsyncs_per_op(),
-        stats.snapshot_swaps
-    );
-    println!(
-        "sse-serverd: search cache: {} hit(s) / {} miss(es), {} chain step(s) saved",
-        stats.search_cache_hits, stats.search_cache_misses, stats.walk_steps_saved
-    );
-    println!(
-        "sse-serverd: reactor: {} conn(s) accepted ({} rejected at the door), \
-         {} idle reap(s), {} slow-reader disconnect(s), {} deferred write(s), \
-         {} wakeup(s), {} spurious poll(s), \
-         {} request(s) served inline / {} sent to the workers",
-        report.final_stats.conns_accepted,
-        report.final_stats.conns_rejected,
-        report.final_stats.conns_idle_reaped,
-        report.final_stats.slow_reader_disconnects,
-        report.final_stats.writes_deferred,
-        report.final_stats.reactor_wakeups,
-        report.final_stats.reactor_spurious_polls,
-        report.final_stats.inline_served,
-        report.final_stats.inline_declined
-    );
-    println!(
-        "sse-serverd: hot path: pool {} hit(s) / {} miss(es) / {} recycle(s), \
-         {} frame(s) in {} writev call(s) (mean batch {:.2}), \
-         {} wakeup(s) coalesced",
-        report.final_stats.pool_hits,
-        report.final_stats.pool_misses,
-        report.final_stats.pool_recycles,
-        report.final_stats.writev_frames,
-        report.final_stats.writev_calls,
-        report.final_stats.writev_frames as f64 / (report.final_stats.writev_calls as f64).max(1.0),
-        report.final_stats.wakeups_coalesced
-    );
-    println!(
-        "sse-serverd: health: {} degradation(s) / {} recover(ies) / {} quarantine(s), \
-         {} request(s) rejected degraded, {} scrub pass(es), {} repair(s); \
-         {} thread(s) panicked",
-        report.final_stats.health_degradations,
-        report.final_stats.health_recoveries,
-        report.final_stats.health_quarantines,
-        report.final_stats.requests_degraded,
-        report.final_stats.scrub_passes,
-        report.final_stats.scrub_repairs,
+        report.tenants_checkpointed,
         report.threads_panicked
     );
-    println!(
-        "sse-serverd: scheduler: {} job(s) routed, {} local hit(s), \
-         {} stolen, {} spilled, high-water queue depth {}; \
-         {} fan-out batch(es), {} part(s) helped; \
-         queue-wait p50 {} ns p99 {} ns, service p50 {} ns p99 {} ns",
-        report.final_stats.sched_routed,
-        report.final_stats.sched_local_hits,
-        report.final_stats.sched_stolen,
-        report.final_stats.sched_spilled,
-        report.final_stats.sched_queue_depth_hw,
-        report.final_stats.fanout_batches,
-        report.final_stats.fanout_parts_helped,
-        report.final_stats.queue_p50_ns,
-        report.final_stats.queue_p99_ns,
-        report.final_stats.service_p50_ns,
-        report.final_stats.service_p99_ns
-    );
-    // Backend counters come from the post-drain snapshot: the drain
-    // checkpoint itself flushes lsm runs, which a pre-shutdown snapshot
-    // would miss.
-    println!(
-        "sse-serverd: backend: {} run(s) flushed ({} live), {} compaction(s), \
-         {} run read(s), bloom {} check(s) / {} skip(s) / {} false positive(s)",
-        report.final_stats.backend_runs_flushed,
-        report.final_stats.backend_runs_live,
-        report.final_stats.backend_compactions,
-        report.final_stats.backend_run_reads,
-        report.final_stats.backend_bloom_checks,
-        report.final_stats.backend_bloom_skips,
-        report.final_stats.backend_bloom_false_positives
-    );
+    // Taken after the drain and its checkpoint, so requests served and
+    // runs flushed during either are counted.
+    print_stats(&report.final_stats, |_| true);
     ExitCode::SUCCESS
 }

@@ -147,53 +147,22 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Serving counters plus the storage-side robustness counters that
-    /// live with the registry / fault VFS.
+    /// The serving counters plus everything kept elsewhere: the tenant
+    /// registry's, the scheduler's, the pool's, the fault VFS's and the
+    /// scrub thread's.
     pub(crate) fn full_snapshot(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
-        snap.wal_recoveries = self.registry.wal_recoveries();
-        snap.torn_tails_truncated = self.registry.torn_tails_truncated();
-        snap.shard_contention = self.registry.shard_contention();
-        let commit = self.registry.commit_counters();
-        snap.groups_committed = commit.groups_committed;
-        snap.ops_committed = commit.ops_committed;
-        snap.max_group_size = commit.max_group;
-        snap.fsyncs_saved = commit.fsyncs_saved;
-        snap.snapshot_swaps = commit.snapshot_swaps;
-        let cache = self.registry.search_cache_counters();
-        snap.search_cache_hits = cache.hits;
-        snap.search_cache_misses = cache.misses;
-        snap.walk_steps_saved = cache.walk_steps_saved;
-        let backend = self.registry.backend_counters();
-        snap.backend_runs_flushed = backend.runs_flushed;
-        snap.backend_runs_live = backend.runs_live;
-        snap.backend_compactions = backend.compactions;
-        snap.backend_run_reads = backend.run_reads;
-        snap.backend_bloom_checks = backend.bloom_checks;
-        snap.backend_bloom_skips = backend.bloom_skips;
-        snap.backend_bloom_false_positives = backend.bloom_false_positives;
+        self.registry.add_counters(&mut snap);
+        self.sched.add_to(&mut snap);
         if let Some(f) = &self.fault_stats {
             snap.faults_injected = f.injected();
         }
-        let health = self.registry.health_counters();
-        snap.health_degradations = health.degradations;
-        snap.health_recoveries = health.recoveries;
-        snap.health_quarantines = health.quarantines;
-        snap.tenants_degraded = health.tenants_degraded;
-        snap.tenants_quarantined = health.tenants_quarantined;
         snap.scrub_passes = self.scrub.passes();
         snap.scrub_repairs = self.scrub.repairs();
         let pool = self.pool.counters();
         snap.pool_hits = pool.hits;
         snap.pool_misses = pool.misses;
         snap.pool_recycles = pool.recycles;
-        snap.sched_routed = self.sched.routed();
-        snap.sched_local_hits = self.sched.local_hits();
-        snap.sched_stolen = self.sched.stolen();
-        snap.sched_spilled = self.sched.spilled();
-        snap.sched_queue_depth_hw = self.sched.queue_depth_hw();
-        snap.fanout_batches = self.sched.fanout_batches();
-        snap.fanout_parts_helped = self.sched.fanout_parts_helped();
         snap
     }
 }

@@ -297,355 +297,264 @@ pub fn decode_batch_ranges(payload: &[u8]) -> Option<Vec<std::ops::Range<usize>>
     Some(parts)
 }
 
-/// Point-in-time serving statistics, as answered to [`ADMIN_STATS`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
+/// Declares [`StatsSnapshot`]'s scalar counters once. The struct fields,
+/// [`StatsSnapshot::NAMES`], [`StatsSnapshot::fields`] and
+/// [`StatsSnapshot::field_mut`] all come from the one list below, and the
+/// wire form names every value, so a new counter is one line in it plus
+/// its row in DESIGN.md's ADMIN_STATS table (a test holds the two equal).
+macro_rules! stats_snapshot {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// How many scalar counters a [`StatsSnapshot`] carries.
+        const STAT_COUNT: usize = [$(stringify!($name),)*].len();
+
+        /// Point-in-time serving statistics, as answered to [`ADMIN_STATS`]:
+        /// one `u64` per named counter plus the per-shard contention vector.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Contended shard-lock acquisitions per index shard, summed across
+            /// all open tenant databases. Empty when no tenant is open.
+            pub shard_contention: Vec<u64>,
+        }
+
+        impl StatsSnapshot {
+            /// Every scalar counter's name, in declaration order.
+            pub const NAMES: [&'static str; STAT_COUNT] = [$(stringify!($name),)*];
+
+            /// Every scalar counter as `(name, value)`, in [`Self::NAMES`] order.
+            #[must_use]
+            pub fn fields(&self) -> [(&'static str, u64); STAT_COUNT] {
+                [$((stringify!($name), self.$name),)*]
+            }
+
+            /// The scalar counter called `name`, if there is one.
+            pub fn field_mut(&mut self, name: &str) -> Option<&mut u64> {
+                match name {
+                    $(stringify!($name) => Some(&mut self.$name),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+stats_snapshot! {
     /// DATA requests served successfully.
-    pub requests_ok: u64,
+    requests_ok,
     /// DATA requests rejected with `BUSY` (queue full).
-    pub requests_busy: u64,
+    requests_busy,
     /// Malformed requests answered with `ERR`.
-    pub requests_err: u64,
+    requests_err,
     /// Request payload bytes received (framing and envelope excluded).
-    pub bytes_in: u64,
+    bytes_in,
     /// Response payload bytes sent.
-    pub bytes_out: u64,
+    bytes_out,
     /// Median service latency in nanoseconds (queue wait + handler).
-    pub p50_ns: u64,
+    p50_ns,
     /// 95th-percentile service latency in nanoseconds.
-    pub p95_ns: u64,
+    p95_ns,
     /// 99th-percentile service latency in nanoseconds.
-    pub p99_ns: u64,
+    p99_ns,
     /// Storage faults injected by a configured fault VFS (0 unless the
     /// daemon was started with fault injection enabled).
-    pub faults_injected: u64,
+    faults_injected,
     /// Tenant database opens that performed WAL replay or torn-tail
     /// truncation (crash recoveries observed by this daemon).
-    pub wal_recoveries: u64,
+    wal_recoveries,
     /// Torn log-tail bytes truncated across all tenant opens.
-    pub torn_tails_truncated: u64,
+    torn_tails_truncated,
     /// Hello frames that re-attached to an already-open tenant database
     /// (client reconnects, as seen from the server).
-    pub reconnects: u64,
-    /// Contended shard-lock acquisitions per index shard, summed across
-    /// all open tenant databases. Empty when no tenant is open.
-    pub shard_contention: Vec<u64>,
+    reconnects,
     /// Journal groups committed (one vectored write + one fsync each),
     /// summed across all open tenant databases.
-    pub groups_committed: u64,
+    groups_committed,
     /// Mutations made durable through those groups.
-    pub ops_committed: u64,
+    ops_committed,
     /// Largest single commit group observed.
-    pub max_group_size: u64,
+    max_group_size,
     /// Fsyncs avoided versus one-fsync-per-op journaling.
-    pub fsyncs_saved: u64,
+    fsyncs_saved,
     /// Immutable search-snapshot publications: one per shard a mutation
     /// was applied to, and nothing else — a search never publishes.
-    pub snapshot_swaps: u64,
+    snapshot_swaps,
     /// Search-memo hits (repeat searches answered from the per-shard
     /// chain-key memo), summed across all open tenant databases.
-    pub search_cache_hits: u64,
+    search_cache_hits,
     /// Memo-eligible searches that took the cold path.
-    pub search_cache_misses: u64,
+    search_cache_misses,
     /// Forward hash-chain steps avoided by memo hits.
-    pub walk_steps_saved: u64,
+    walk_steps_saved,
     /// Sorted runs written by lsm-backed tenants since open (flushes plus
     /// compaction outputs; 0 for btree-only daemons).
-    pub backend_runs_flushed: u64,
+    backend_runs_flushed,
     /// Sorted runs currently referenced by lsm manifests.
-    pub backend_runs_live: u64,
+    backend_runs_live,
     /// LSM compactions performed since open.
-    pub backend_compactions: u64,
+    backend_compactions,
     /// Point reads that had to consult at least one run on disk.
-    pub backend_run_reads: u64,
+    backend_run_reads,
     /// Per-run bloom membership tests performed.
-    pub backend_bloom_checks: u64,
+    backend_bloom_checks,
     /// Run probes skipped because the bloom filter proved absence.
-    pub backend_bloom_skips: u64,
+    backend_bloom_skips,
     /// Run probes where the bloom said "maybe" but the key was absent.
-    pub backend_bloom_false_positives: u64,
+    backend_bloom_false_positives,
     /// Mutations rejected with `DEGRADED` (tenant read-only).
-    pub requests_degraded: u64,
+    requests_degraded,
     /// `Healthy → Degraded` transitions across all open tenants.
-    pub health_degradations: u64,
+    health_degradations,
     /// `Degraded → Healthy` scrub recoveries across all open tenants.
-    pub health_recoveries: u64,
+    health_recoveries,
     /// `→ Quarantined` transitions across all open tenants.
-    pub health_quarantines: u64,
+    health_quarantines,
     /// Tenants currently in the `Degraded` state.
-    pub tenants_degraded: u64,
+    tenants_degraded,
     /// Tenants currently in the `Quarantined` state.
-    pub tenants_quarantined: u64,
+    tenants_quarantined,
     /// Background scrub passes completed.
-    pub scrub_passes: u64,
+    scrub_passes,
     /// Scrub repairs that promoted a tenant back to `Healthy`.
-    pub scrub_repairs: u64,
+    scrub_repairs,
     /// Connections accepted since startup.
-    pub conns_accepted: u64,
+    conns_accepted,
     /// Connections currently open (accepted minus closed).
-    pub conns_open: u64,
+    conns_open,
     /// Connections reaped by the idle deadline.
-    pub conns_idle_reaped: u64,
+    conns_idle_reaped,
     /// Connections refused at accept because the daemon was at its
     /// configured `max_conns` cap.
-    pub conns_rejected: u64,
+    conns_rejected,
     /// Connections disconnected because their bounded outbound write
     /// queue overflowed (slow or never-draining readers).
-    pub slow_reader_disconnects: u64,
+    slow_reader_disconnects,
     /// Wakeup-pipe notifications observed by the reactor (worker
     /// completions and shutdown nudges).
-    pub reactor_wakeups: u64,
+    reactor_wakeups,
     /// Responses that could not be written synchronously and armed
     /// `EPOLLOUT` to finish later.
-    pub writes_deferred: u64,
+    writes_deferred,
     /// Readiness events that produced no progress (spurious wakeups).
-    pub reactor_spurious_polls: u64,
+    reactor_spurious_polls,
     /// Frame-buffer acquisitions served from the pool's free lists.
-    pub pool_hits: u64,
+    pool_hits,
     /// Frame-buffer acquisitions that had to allocate fresh.
-    pub pool_misses: u64,
+    pool_misses,
     /// Frame buffers returned to the pool's free lists.
-    pub pool_recycles: u64,
+    pool_recycles,
     /// `writev` syscalls issued by the reactor's write path.
-    pub writev_calls: u64,
+    writev_calls,
     /// Response frames fully flushed by those calls — `writev_frames /
     /// writev_calls` is the mean syscall batch (1.0 for a closed-loop
     /// client, above it only when responses genuinely coalesce).
-    pub writev_frames: u64,
+    writev_frames,
     /// Worker-completion notifications absorbed by an already-pending
     /// reactor wakeup (the wake pipe is drained once per poll batch).
-    pub wakeups_coalesced: u64,
+    wakeups_coalesced,
     /// Payload bytes memcpy'd on the serving path. Always 0: request
     /// payloads reach the scheme handler as views of the buffer the socket
-    /// read filled, and no other path exists. The slot stays on the wire
-    /// because peers decode the snapshot by position.
-    pub bytes_copied: u64,
+    /// read filled, and no other path exists. The counter stays only
+    /// because `bench/` reports it as `net.bytes_copied_per_op`.
+    bytes_copied,
     /// Median run-queue wait in nanoseconds (job accepted until a worker
     /// dequeued it) — the backpressure half of `p50_ns`.
-    pub queue_p50_ns: u64,
+    queue_p50_ns,
     /// 95th-percentile run-queue wait in nanoseconds.
-    pub queue_p95_ns: u64,
+    queue_p95_ns,
     /// 99th-percentile run-queue wait in nanoseconds.
-    pub queue_p99_ns: u64,
+    queue_p99_ns,
     /// Median worker service time in nanoseconds (dequeue until the
     /// response was produced) — the compute half of `p50_ns`.
-    pub service_p50_ns: u64,
+    service_p50_ns,
     /// 95th-percentile worker service time in nanoseconds.
-    pub service_p95_ns: u64,
+    service_p95_ns,
     /// 99th-percentile worker service time in nanoseconds.
-    pub service_p99_ns: u64,
+    service_p99_ns,
     /// Jobs accepted into a worker run queue (home or spill).
-    pub sched_routed: u64,
+    sched_routed,
     /// Jobs popped by their home worker from its own queue —
     /// `sched_local_hits / sched_routed` is the affinity locality rate.
-    pub sched_local_hits: u64,
+    sched_local_hits,
     /// Jobs an idle worker took from another worker's queue.
-    pub sched_stolen: u64,
+    sched_stolen,
     /// Jobs whose full home queue overflowed into another queue (still
     /// steal-eligible; only all-queues-full answers `BUSY`).
-    pub sched_spilled: u64,
+    sched_spilled,
     /// High-water mark of any single run queue's depth.
-    pub sched_queue_depth_hw: u64,
+    sched_queue_depth_hw,
     /// `SEARCH_MANY` batches run through the persistent fan-out executor.
-    pub fanout_batches: u64,
+    fanout_batches,
     /// Fan-out batch parts executed by an idle helper worker rather than
     /// the batch's owning worker — nonzero proves the spawn-free executor
     /// draws on the pool.
-    pub fanout_parts_helped: u64,
+    fanout_parts_helped,
     /// DATA requests the reactor answered itself, run to completion with
     /// no worker hop (memo-hit Scheme 2 searches; DESIGN.md §4n). Each is
     /// also in `requests_ok`, with zero queue wait.
-    pub inline_served: u64,
+    inline_served,
     /// DATA requests the reactor sent to the run queue instead (reactor
     /// mode only): `inline_served + inline_declined` is every DATA frame
     /// it saw.
-    pub inline_declined: u64,
+    inline_declined,
 }
 
-impl StatsSnapshot {
-    /// Fsyncs per committed mutation — `1.0` when every op pays its own
-    /// fsync, approaching `1/k` when groups of `k` share one.
-    #[must_use]
-    pub fn fsyncs_per_op(&self) -> f64 {
-        if self.ops_committed == 0 {
-            0.0
-        } else {
-            self.groups_committed as f64 / self.ops_committed as f64
-        }
-    }
+/// Longest counter name [`StatsSnapshot::decode`] accepts.
+pub const MAX_STAT_NAME_LEN: usize = 64;
 
-    /// Mean mutations per commit group (0 when nothing committed).
-    #[must_use]
-    pub fn mean_group_size(&self) -> f64 {
-        if self.groups_committed == 0 {
-            0.0
-        } else {
-            self.ops_committed as f64 / self.groups_committed as f64
-        }
-    }
-    /// Encode as an ADMIN response payload.
+impl StatsSnapshot {
+    /// Encode as an ADMIN response payload: the contention vector
+    /// (`[count u64][u64 …]`), then `[count u64]` name-tagged counters,
+    /// each `[name length u8][name][value u64]`.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.put_u64(self.requests_ok)
-            .put_u64(self.requests_busy)
-            .put_u64(self.requests_err)
-            .put_u64(self.bytes_in)
-            .put_u64(self.bytes_out)
-            .put_u64(self.p50_ns)
-            .put_u64(self.p95_ns)
-            .put_u64(self.p99_ns)
-            .put_u64(self.faults_injected)
-            .put_u64(self.wal_recoveries)
-            .put_u64(self.torn_tails_truncated)
-            .put_u64(self.reconnects)
-            .put_u64_vec(&self.shard_contention)
-            .put_u64(self.groups_committed)
-            .put_u64(self.ops_committed)
-            .put_u64(self.max_group_size)
-            .put_u64(self.fsyncs_saved)
-            .put_u64(self.snapshot_swaps)
-            .put_u64(self.search_cache_hits)
-            .put_u64(self.search_cache_misses)
-            .put_u64(self.walk_steps_saved)
-            .put_u64(self.backend_runs_flushed)
-            .put_u64(self.backend_runs_live)
-            .put_u64(self.backend_compactions)
-            .put_u64(self.backend_run_reads)
-            .put_u64(self.backend_bloom_checks)
-            .put_u64(self.backend_bloom_skips)
-            .put_u64(self.backend_bloom_false_positives)
-            .put_u64(self.requests_degraded)
-            .put_u64(self.health_degradations)
-            .put_u64(self.health_recoveries)
-            .put_u64(self.health_quarantines)
-            .put_u64(self.tenants_degraded)
-            .put_u64(self.tenants_quarantined)
-            .put_u64(self.scrub_passes)
-            .put_u64(self.scrub_repairs)
-            .put_u64(self.conns_accepted)
-            .put_u64(self.conns_open)
-            .put_u64(self.conns_idle_reaped)
-            .put_u64(self.conns_rejected)
-            .put_u64(self.slow_reader_disconnects)
-            .put_u64(self.reactor_wakeups)
-            .put_u64(self.writes_deferred)
-            .put_u64(self.reactor_spurious_polls)
-            .put_u64(self.pool_hits)
-            .put_u64(self.pool_misses)
-            .put_u64(self.pool_recycles)
-            .put_u64(self.writev_calls)
-            .put_u64(self.writev_frames)
-            .put_u64(self.wakeups_coalesced)
-            .put_u64(self.bytes_copied)
-            .put_u64s(&[
-                self.queue_p50_ns,
-                self.queue_p95_ns,
-                self.queue_p99_ns,
-                self.service_p50_ns,
-                self.service_p95_ns,
-                self.service_p99_ns,
-                self.sched_routed,
-                self.sched_local_hits,
-                self.sched_stolen,
-                self.sched_spilled,
-                self.sched_queue_depth_hw,
-                self.fanout_batches,
-                self.fanout_parts_helped,
-                self.inline_served,
-                self.inline_declined,
-            ]);
+        w.put_u64_vec(&self.shard_contention)
+            .put_u64(STAT_COUNT as u64);
+        for (name, value) in self.fields() {
+            w.put_u8(name.len() as u8)
+                .put_array(name.as_bytes())
+                .put_u64(value);
+        }
         w.finish()
     }
 
-    /// Decode an ADMIN response payload.
-    ///
-    /// The `backend_*` counters were appended to the payload after the
-    /// first release of the STATS command; a payload that ends before
-    /// them is an older peer and decodes with those counters zero.
+    /// Decode an ADMIN response payload, filling counters by name: a name
+    /// this build does not know is skipped and a name the payload lacks
+    /// reads 0. `None` when a known name repeats (which value would be
+    /// meant?), a name is longer than [`MAX_STAT_NAME_LEN`], a count
+    /// exceeds what the payload could hold, or bytes trail the last
+    /// counter. An unknown name may repeat: its values are never read, and
+    /// catching it would cost a set of every name seen. Allocates at most
+    /// the contention vector, whose count is checked against the payload
+    /// first.
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<StatsSnapshot> {
         let mut r = WireReader::new(body);
-        let mut snap = StatsSnapshot {
-            requests_ok: r.get_u64().ok()?,
-            requests_busy: r.get_u64().ok()?,
-            requests_err: r.get_u64().ok()?,
-            bytes_in: r.get_u64().ok()?,
-            bytes_out: r.get_u64().ok()?,
-            p50_ns: r.get_u64().ok()?,
-            p95_ns: r.get_u64().ok()?,
-            p99_ns: r.get_u64().ok()?,
-            faults_injected: r.get_u64().ok()?,
-            wal_recoveries: r.get_u64().ok()?,
-            torn_tails_truncated: r.get_u64().ok()?,
-            reconnects: r.get_u64().ok()?,
-            shard_contention: r.get_u64_vec().ok()?,
-            groups_committed: r.get_u64().ok()?,
-            ops_committed: r.get_u64().ok()?,
-            max_group_size: r.get_u64().ok()?,
-            fsyncs_saved: r.get_u64().ok()?,
-            snapshot_swaps: r.get_u64().ok()?,
-            search_cache_hits: r.get_u64().ok()?,
-            search_cache_misses: r.get_u64().ok()?,
-            walk_steps_saved: r.get_u64().ok()?,
-            ..StatsSnapshot::default()
-        };
-        if r.remaining() > 0 {
-            snap.backend_runs_flushed = r.get_u64().ok()?;
-            snap.backend_runs_live = r.get_u64().ok()?;
-            snap.backend_compactions = r.get_u64().ok()?;
-            snap.backend_run_reads = r.get_u64().ok()?;
-            snap.backend_bloom_checks = r.get_u64().ok()?;
-            snap.backend_bloom_skips = r.get_u64().ok()?;
-            snap.backend_bloom_false_positives = r.get_u64().ok()?;
+        let mut snap = StatsSnapshot::default();
+        let shards = r.get_count(8).ok()?;
+        snap.shard_contention.reserve_exact(shards);
+        for _ in 0..shards {
+            snap.shard_contention.push(r.get_u64().ok()?);
         }
-        if r.remaining() > 0 {
-            snap.requests_degraded = r.get_u64().ok()?;
-            snap.health_degradations = r.get_u64().ok()?;
-            snap.health_recoveries = r.get_u64().ok()?;
-            snap.health_quarantines = r.get_u64().ok()?;
-            snap.tenants_degraded = r.get_u64().ok()?;
-            snap.tenants_quarantined = r.get_u64().ok()?;
-            snap.scrub_passes = r.get_u64().ok()?;
-            snap.scrub_repairs = r.get_u64().ok()?;
-        }
-        if r.remaining() > 0 {
-            snap.conns_accepted = r.get_u64().ok()?;
-            snap.conns_open = r.get_u64().ok()?;
-            snap.conns_idle_reaped = r.get_u64().ok()?;
-            snap.conns_rejected = r.get_u64().ok()?;
-            snap.slow_reader_disconnects = r.get_u64().ok()?;
-            snap.reactor_wakeups = r.get_u64().ok()?;
-            snap.writes_deferred = r.get_u64().ok()?;
-            snap.reactor_spurious_polls = r.get_u64().ok()?;
-        }
-        if r.remaining() > 0 {
-            snap.pool_hits = r.get_u64().ok()?;
-            snap.pool_misses = r.get_u64().ok()?;
-            snap.pool_recycles = r.get_u64().ok()?;
-            snap.writev_calls = r.get_u64().ok()?;
-            snap.writev_frames = r.get_u64().ok()?;
-            snap.wakeups_coalesced = r.get_u64().ok()?;
-            snap.bytes_copied = r.get_u64().ok()?;
-        }
-        if r.remaining() > 0 {
-            snap.queue_p50_ns = r.get_u64().ok()?;
-            snap.queue_p95_ns = r.get_u64().ok()?;
-            snap.queue_p99_ns = r.get_u64().ok()?;
-            snap.service_p50_ns = r.get_u64().ok()?;
-            snap.service_p95_ns = r.get_u64().ok()?;
-            snap.service_p99_ns = r.get_u64().ok()?;
-            snap.sched_routed = r.get_u64().ok()?;
-            snap.sched_local_hits = r.get_u64().ok()?;
-            snap.sched_stolen = r.get_u64().ok()?;
-            snap.sched_spilled = r.get_u64().ok()?;
-            snap.sched_queue_depth_hw = r.get_u64().ok()?;
-            snap.fanout_batches = r.get_u64().ok()?;
-            snap.fanout_parts_helped = r.get_u64().ok()?;
-        }
-        if r.remaining() > 0 {
-            snap.inline_served = r.get_u64().ok()?;
-            snap.inline_declined = r.get_u64().ok()?;
+        // A counter is at least its length byte and its value.
+        let counters = r.get_count(1 + 8).ok()?;
+        let mut seen = [false; STAT_COUNT];
+        for _ in 0..counters {
+            let len = usize::from(r.get_u8().ok()?);
+            if len > MAX_STAT_NAME_LEN {
+                return None;
+            }
+            let name = r.get_array(len).ok()?;
+            let value = r.get_u64().ok()?;
+            let Some(i) = Self::NAMES.iter().position(|n| n.as_bytes() == name) else {
+                continue;
+            };
+            if std::mem::replace(&mut seen[i], true) {
+                return None;
+            }
+            if let Some(slot) = snap.field_mut(Self::NAMES[i]) {
+                *slot = value;
+            }
         }
         r.finish().ok()?;
         Some(snap)
@@ -719,209 +628,150 @@ mod tests {
         assert_eq!(decode_request(&[KIND_DATA, 0, 0]), None); // truncated seq
     }
 
+    /// A snapshot with every counter set, each to a distinct nonzero value.
+    fn every_counter_set() -> StatsSnapshot {
+        let mut snap = StatsSnapshot {
+            shard_contention: vec![3, 0, 7, 1],
+            ..StatsSnapshot::default()
+        };
+        for (i, name) in StatsSnapshot::NAMES.iter().enumerate() {
+            *snap.field_mut(name).unwrap() = 1000 + i as u64;
+        }
+        snap
+    }
+
+    /// An ADMIN_STATS payload built by hand: `contention`, then `pairs`
+    /// declared as `count` name-tagged counters.
+    fn stats_payload(contention: &[u64], count: u64, pairs: &[(&[u8], u64)]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u64_vec(contention).put_u64(count);
+        for (name, value) in pairs {
+            w.put_u8(name.len() as u8).put_array(name).put_u64(*value);
+        }
+        w.finish()
+    }
+
+    fn pairs_of(snap: &StatsSnapshot) -> Vec<(&'static [u8], u64)> {
+        snap.fields()
+            .iter()
+            .map(|&(name, value)| (name.as_bytes(), value))
+            .collect()
+    }
+
     #[test]
     fn stats_round_trip() {
-        let snap = StatsSnapshot {
-            requests_ok: 10,
-            requests_busy: 2,
-            requests_err: 1,
-            bytes_in: 4096,
-            bytes_out: 8192,
-            p50_ns: 1_000,
-            p95_ns: 9_000,
-            p99_ns: 20_000,
-            faults_injected: 3,
-            wal_recoveries: 2,
-            torn_tails_truncated: 17,
-            reconnects: 5,
-            shard_contention: vec![3, 0, 7, 1],
-            groups_committed: 40,
-            ops_committed: 160,
-            max_group_size: 9,
-            fsyncs_saved: 120,
-            snapshot_swaps: 165,
-            search_cache_hits: 30,
-            search_cache_misses: 11,
-            walk_steps_saved: 90,
-            backend_runs_flushed: 6,
-            backend_runs_live: 4,
-            backend_compactions: 1,
-            backend_run_reads: 200,
-            backend_bloom_checks: 340,
-            backend_bloom_skips: 280,
-            backend_bloom_false_positives: 3,
-            requests_degraded: 4,
-            health_degradations: 2,
-            health_recoveries: 1,
-            health_quarantines: 1,
-            tenants_degraded: 1,
-            tenants_quarantined: 1,
-            scrub_passes: 12,
-            scrub_repairs: 1,
-            conns_accepted: 44,
-            conns_open: 9,
-            conns_idle_reaped: 6,
-            conns_rejected: 2,
-            slow_reader_disconnects: 1,
-            reactor_wakeups: 210,
-            writes_deferred: 13,
-            reactor_spurious_polls: 5,
-            pool_hits: 900,
-            pool_misses: 40,
-            pool_recycles: 890,
-            writev_calls: 300,
-            writev_frames: 520,
-            wakeups_coalesced: 77,
-            bytes_copied: 12_345,
-            queue_p50_ns: 500,
-            queue_p95_ns: 4_000,
-            queue_p99_ns: 15_000,
-            service_p50_ns: 800,
-            service_p95_ns: 6_000,
-            service_p99_ns: 18_000,
-            sched_routed: 1_000,
-            sched_local_hits: 940,
-            sched_stolen: 45,
-            sched_spilled: 15,
-            sched_queue_depth_hw: 12,
-            fanout_batches: 33,
-            fanout_parts_helped: 88,
-            inline_served: 700,
-            inline_declined: 21,
-        };
+        let snap = every_counter_set();
+        let fields = snap.fields();
+        assert_eq!(fields.len(), StatsSnapshot::NAMES.len());
+        for (i, (name, value)) in fields.iter().enumerate() {
+            assert_eq!(*name, StatsSnapshot::NAMES[i]);
+            assert_eq!(*value, 1000 + i as u64, "{name} is its own field");
+        }
         assert_eq!(StatsSnapshot::decode(&snap.encode()), Some(snap.clone()));
+        assert_eq!(
+            StatsSnapshot::decode(&StatsSnapshot::default().encode()),
+            Some(StatsSnapshot::default())
+        );
         assert_eq!(StatsSnapshot::decode(b"short"), None);
-        assert!((snap.fsyncs_per_op() - 0.25).abs() < 1e-9);
-        assert!((snap.mean_group_size() - 4.0).abs() < 1e-9);
-        assert_eq!(StatsSnapshot::default().fsyncs_per_op(), 0.0);
-        assert_eq!(StatsSnapshot::default().mean_group_size(), 0.0);
+        assert!(StatsSnapshot::NAMES
+            .iter()
+            .all(|n| !n.is_empty() && n.len() <= MAX_STAT_NAME_LEN));
+        assert_eq!(StatsSnapshot::default().field_mut("no_such_counter"), None);
     }
 
     #[test]
-    fn stats_decode_tolerates_pre_backend_payload() {
-        let snap = StatsSnapshot {
-            requests_ok: 5,
-            walk_steps_saved: 7,
-            backend_runs_flushed: 9,
-            ..StatsSnapshot::default()
-        };
-        // An older peer's payload ends before the backend_* counters
-        // (and therefore before the health, reactor, hot-path, sched and
-        // inline blocks appended after them).
-        let mut body = snap.encode();
-        body.truncate(body.len() - (7 + 8 + 8 + 7 + 13 + 2) * 8);
-        let decoded = StatsSnapshot::decode(&body).unwrap();
-        assert_eq!(decoded.requests_ok, 5);
-        assert_eq!(decoded.walk_steps_saved, 7);
-        assert_eq!(decoded.backend_runs_flushed, 0);
-        // A partially present trailing block is still malformed.
-        let mut torn = snap.encode();
-        torn.truncate(torn.len() - 4);
-        assert_eq!(StatsSnapshot::decode(&torn), None);
+    fn design_table_has_one_row_per_field() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design.split("\n## 4o.").nth(1).expect("DESIGN.md §4o");
+        let section = section.split("\n## ").next().unwrap();
+        let rows: Vec<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+            .collect();
+        let mut fields = StatsSnapshot::NAMES.to_vec();
+        fields.push("shard_contention");
+        for name in &fields {
+            assert!(rows.contains(name), "`{name}` has no row in DESIGN.md §4o");
+        }
+        for row in &rows {
+            assert!(
+                fields.contains(row),
+                "DESIGN.md §4o row `{row}` names no field"
+            );
+        }
+        assert_eq!(rows.len(), fields.len(), "a field has two rows");
     }
 
     #[test]
-    fn stats_decode_tolerates_pre_health_payload() {
-        let snap = StatsSnapshot {
-            requests_ok: 5,
-            backend_runs_flushed: 9,
-            health_degradations: 3,
-            scrub_passes: 4,
-            ..StatsSnapshot::default()
-        };
-        // A peer from before the health block: payload ends after the
-        // backend_* counters.
-        let mut body = snap.encode();
-        body.truncate(body.len() - (8 + 8 + 7 + 13 + 2) * 8);
-        let decoded = StatsSnapshot::decode(&body).unwrap();
-        assert_eq!(decoded.requests_ok, 5);
-        assert_eq!(decoded.backend_runs_flushed, 9);
-        assert_eq!(decoded.health_degradations, 0);
-        assert_eq!(decoded.scrub_passes, 0);
+    fn stats_encoding_is_the_documented_layout() {
+        let snap = every_counter_set();
+        let pairs = pairs_of(&snap);
+        let built = stats_payload(&snap.shard_contention, pairs.len() as u64, &pairs);
+        assert_eq!(snap.encode(), built);
     }
 
     #[test]
-    fn stats_decode_tolerates_pre_reactor_payload() {
-        let snap = StatsSnapshot {
-            requests_ok: 5,
-            scrub_passes: 4,
-            conns_accepted: 11,
-            reactor_wakeups: 7,
-            ..StatsSnapshot::default()
-        };
-        // A peer from before the reactor block: payload ends after the
-        // health/scrub counters.
-        let mut body = snap.encode();
-        body.truncate(body.len() - (8 + 7 + 13 + 2) * 8);
+    fn stats_decode_fills_by_name_in_any_order_and_zeroes_what_is_missing() {
+        let snap = every_counter_set();
+        let mut pairs = pairs_of(&snap);
+        pairs.reverse();
+        let missing = pairs.remove(5);
+        let body = stats_payload(&[], pairs.len() as u64, &pairs);
         let decoded = StatsSnapshot::decode(&body).unwrap();
-        assert_eq!(decoded.requests_ok, 5);
-        assert_eq!(decoded.scrub_passes, 4);
-        assert_eq!(decoded.conns_accepted, 0);
-        assert_eq!(decoded.reactor_wakeups, 0);
+        let mut want = StatsSnapshot {
+            shard_contention: Vec::new(),
+            ..snap
+        };
+        *want
+            .field_mut(std::str::from_utf8(missing.0).unwrap())
+            .unwrap() = 0;
+        assert_eq!(decoded, want);
     }
 
     #[test]
-    fn stats_decode_tolerates_pre_hotpath_payload() {
-        let snap = StatsSnapshot {
-            requests_ok: 5,
-            reactor_wakeups: 7,
-            pool_hits: 11,
-            writev_calls: 13,
-            bytes_copied: 17,
-            ..StatsSnapshot::default()
-        };
-        // A peer from before the hot-path block: payload ends after the
-        // reactor counters.
-        let mut body = snap.encode();
-        body.truncate(body.len() - (7 + 13 + 2) * 8);
-        let decoded = StatsSnapshot::decode(&body).unwrap();
-        assert_eq!(decoded.requests_ok, 5);
-        assert_eq!(decoded.reactor_wakeups, 7);
-        assert_eq!(decoded.pool_hits, 0);
-        assert_eq!(decoded.writev_calls, 0);
-        assert_eq!(decoded.bytes_copied, 0);
+    fn stats_decode_skips_unknown_names() {
+        let snap = every_counter_set();
+        let mut pairs = pairs_of(&snap);
+        pairs.insert(3, (b"from_a_newer_peer", 99));
+        pairs.push((&[0xFF, 0xFE], 1)); // not even UTF-8
+        pairs.push((b"", 2));
+        let body = stats_payload(&snap.shard_contention, pairs.len() as u64, &pairs);
+        assert_eq!(StatsSnapshot::decode(&body), Some(snap));
     }
 
     #[test]
-    fn stats_decode_tolerates_pre_sched_payload() {
-        let snap = StatsSnapshot {
-            requests_ok: 5,
-            bytes_copied: 17,
-            queue_p99_ns: 900,
-            sched_routed: 31,
-            fanout_batches: 2,
-            ..StatsSnapshot::default()
-        };
-        // A peer from before the scheduler block: payload ends after the
-        // hot-path counters.
-        let mut body = snap.encode();
-        body.truncate(body.len() - (13 + 2) * 8);
-        let decoded = StatsSnapshot::decode(&body).unwrap();
-        assert_eq!(decoded.requests_ok, 5);
-        assert_eq!(decoded.bytes_copied, 17);
-        assert_eq!(decoded.queue_p99_ns, 0);
-        assert_eq!(decoded.sched_routed, 0);
-        assert_eq!(decoded.fanout_batches, 0);
-    }
+    fn stats_decode_rejects_ambiguous_or_malformed_payloads() {
+        let snap = every_counter_set();
+        let pairs = pairs_of(&snap);
+        let n = pairs.len() as u64;
 
-    #[test]
-    fn stats_decode_tolerates_pre_inline_payload() {
-        let snap = StatsSnapshot {
-            requests_ok: 5,
-            fanout_parts_helped: 3,
-            inline_served: 4,
-            inline_declined: 1,
-            ..StatsSnapshot::default()
-        };
-        // A peer from before the inline block: payload ends after the
-        // scheduler counters.
-        let mut body = snap.encode();
-        body.truncate(body.len() - 2 * 8);
-        let decoded = StatsSnapshot::decode(&body).unwrap();
-        assert_eq!(decoded.requests_ok, 5);
-        assert_eq!(decoded.fanout_parts_helped, 3);
-        assert_eq!(decoded.inline_served, 0);
-        assert_eq!(decoded.inline_declined, 0);
+        let mut twice = pairs.clone();
+        twice.push((b"requests_ok", 1));
+        let body = stats_payload(&[], n + 1, &twice);
+        assert_eq!(StatsSnapshot::decode(&body), None, "duplicate name");
+
+        let long = [b'x'; MAX_STAT_NAME_LEN + 1];
+        let body = stats_payload(&[], 1, &[(&long, 1)]);
+        assert_eq!(StatsSnapshot::decode(&body), None, "over-long name");
+        let longest = [b'x'; MAX_STAT_NAME_LEN];
+        let body = stats_payload(&[], 1, &[(&longest, 1)]);
+        assert!(StatsSnapshot::decode(&body).is_some(), "longest name");
+
+        let body = stats_payload(&[], n + 1, &pairs);
+        assert_eq!(StatsSnapshot::decode(&body), None, "count past the end");
+        let body = stats_payload(&[], u64::MAX, &pairs);
+        assert_eq!(StatsSnapshot::decode(&body), None, "forged count");
+        let mut forged = stats_payload(&[], 0, &[]);
+        forged[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(StatsSnapshot::decode(&forged), None, "forged shard count");
+
+        let mut trailing = snap.encode();
+        trailing.push(0);
+        assert_eq!(StatsSnapshot::decode(&trailing), None, "trailing bytes");
+        let body = snap.encode();
+        for cut in 0..body.len() {
+            assert_eq!(StatsSnapshot::decode(&body[..cut]), None, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! (`crates/server/tests/invariants.rs` holds the process's thread count
 //! equal across fan-out bursts).
 
-use crate::proto::SchemeId;
+use crate::proto::{SchemeId, StatsSnapshot};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -59,52 +59,17 @@ pub struct SchedCounters {
 }
 
 impl SchedCounters {
-    /// Jobs accepted into some run queue (home or spill).
-    #[must_use]
-    pub fn routed(&self) -> u64 {
-        self.routed.load(Ordering::Relaxed)
-    }
-
-    /// Jobs popped by their home worker from its own queue — the
-    /// affinity wins (`local_hits / routed` is the locality rate).
-    #[must_use]
-    pub fn local_hits(&self) -> u64 {
-        self.local_hits.load(Ordering::Relaxed)
-    }
-
-    /// Jobs taken from another worker's queue by an idle worker.
-    #[must_use]
-    pub fn stolen(&self) -> u64 {
-        self.stolen.load(Ordering::Relaxed)
-    }
-
-    /// Jobs whose home queue was full and overflowed to the least-loaded
-    /// queue with room (still steal-eligible; only all-queues-full is
-    /// BUSY).
-    #[must_use]
-    pub fn spilled(&self) -> u64 {
-        self.spilled.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of any single run queue's depth.
-    #[must_use]
-    pub fn queue_depth_hw(&self) -> u64 {
-        self.queue_depth_hw.load(Ordering::Relaxed)
-    }
-
-    /// `SEARCH_MANY` batches executed through the persistent fan-out
-    /// executor (multi-part batches only; single parts run inline).
-    #[must_use]
-    pub fn fanout_batches(&self) -> u64 {
-        self.fanout_batches.load(Ordering::Relaxed)
-    }
-
-    /// Batch parts executed by an idle *helper* worker rather than the
-    /// batch's owner — nonzero proves the executor genuinely draws on
-    /// the pool instead of spawning threads.
-    #[must_use]
-    pub fn fanout_parts_helped(&self) -> u64 {
-        self.fanout_parts_helped.load(Ordering::Relaxed)
+    /// Add these counters to `snap`'s `sched_*` and `fanout_*` fields
+    /// (the queue high-water mark takes the larger of the two).
+    pub fn add_to(&self, snap: &mut StatsSnapshot) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        snap.sched_routed += load(&self.routed);
+        snap.sched_local_hits += load(&self.local_hits);
+        snap.sched_stolen += load(&self.stolen);
+        snap.sched_spilled += load(&self.spilled);
+        snap.sched_queue_depth_hw = snap.sched_queue_depth_hw.max(load(&self.queue_depth_hw));
+        snap.fanout_batches += load(&self.fanout_batches);
+        snap.fanout_parts_helped += load(&self.fanout_parts_helped);
     }
 
     fn note_depth(&self, depth: u64) {
@@ -584,6 +549,13 @@ mod tests {
         tx.try_send(route, Tok { route, seq }).expect("queue room");
     }
 
+    /// The scheduler's counters, as `ADMIN_STATS` would report them.
+    fn counts<T>(sched: &Scheduler<T>) -> StatsSnapshot {
+        let mut snap = StatsSnapshot::default();
+        sched.counters().add_to(&mut snap);
+        snap
+    }
+
     #[test]
     fn affinity_routes_a_tenant_to_one_worker() {
         let (sched, tx) = Scheduler::new(4, 64, true);
@@ -596,9 +568,9 @@ mod tests {
             let tok = sched.try_next(me).expect("one job per worker");
             assert_eq!(tok.route as usize % 4, me, "job served by its home");
         }
-        assert_eq!(sched.counters().local_hits(), 4);
-        assert_eq!(sched.counters().stolen(), 0);
-        assert_eq!(sched.counters().routed(), 4);
+        assert_eq!(counts(&sched).sched_local_hits, 4);
+        assert_eq!(counts(&sched).sched_stolen, 0);
+        assert_eq!(counts(&sched).sched_routed, 4);
     }
 
     #[test]
@@ -630,8 +602,8 @@ mod tests {
             got.push(tok.seq);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5], "stolen in FIFO order");
-        assert_eq!(sched.counters().stolen(), 6);
-        assert_eq!(sched.counters().local_hits(), 0);
+        assert_eq!(counts(&sched).sched_stolen, 6);
+        assert_eq!(counts(&sched).sched_local_hits, 0);
     }
 
     #[test]
@@ -654,7 +626,7 @@ mod tests {
         for seq in 0..4 {
             send(&tx, 0, seq);
         }
-        assert_eq!(sched.counters().spilled(), 2);
+        assert_eq!(counts(&sched).sched_spilled, 2);
         assert_eq!(sched.queued(), 4);
         // Fifth: every queue full => BUSY, and the item comes back.
         let back = tx.try_send(0, Tok { route: 0, seq: 4 }).unwrap_err();
@@ -662,7 +634,7 @@ mod tests {
         // Capacity matches the old global queue: drain one, room returns.
         assert!(sched.try_next(0).is_some());
         assert!(tx.try_send(0, Tok { route: 0, seq: 5 }).is_ok());
-        assert_eq!(sched.counters().queue_depth_hw(), 2);
+        assert_eq!(counts(&sched).sched_queue_depth_hw, 2);
     }
 
     #[test]
@@ -676,8 +648,8 @@ mod tests {
         let order: Vec<u32> = std::iter::from_fn(|| sched.try_next(1).map(|t| t.seq)).collect();
         assert_eq!(order, vec![2, 3, 0, 1]);
         // Spill pops are neither local hits (home was 0) nor steals.
-        assert_eq!(sched.counters().stolen(), 2);
-        assert_eq!(sched.counters().local_hits(), 0);
+        assert_eq!(counts(&sched).sched_stolen, 2);
+        assert_eq!(counts(&sched).sched_local_hits, 0);
     }
 
     #[test]
@@ -746,7 +718,7 @@ mod tests {
                     .is_ok());
                 submitted += 1;
             }
-            prop_assert_eq!(sched.counters().spilled(), 0);
+            prop_assert_eq!(counts(&sched).sched_spilled, 0);
             // Random worker interleaving, then a full drain so every
             // job's dispatch position is observed.
             let mut dispatched: Vec<Item> = Vec::new();

@@ -159,88 +159,51 @@ impl ServingStats {
         self.inline_declined.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Point-in-time snapshot for the ADMIN protocol. The storage-side
-    /// robustness counters (`faults_injected`, `wal_recoveries`,
-    /// `torn_tails_truncated`) live with the tenant registry / fault VFS;
-    /// the daemon overlays them before encoding the ADMIN response.
+    /// Point-in-time snapshot for the ADMIN protocol: the counters kept
+    /// here, every other field 0. The daemon adds the rest — registry,
+    /// scheduler, pool, fault and scrub counters — before encoding the
+    /// ADMIN response.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let LatencySplit {
+            total,
+            queue,
+            service,
+        } = &self.latency;
         StatsSnapshot {
-            requests_ok: self.requests_ok.load(Ordering::Relaxed),
-            requests_busy: self.requests_busy.load(Ordering::Relaxed),
-            requests_err: self.requests_err.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            p50_ns: self.latency.total.quantile_ns(0.50),
-            p95_ns: self.latency.total.quantile_ns(0.95),
-            p99_ns: self.latency.total.quantile_ns(0.99),
-            faults_injected: 0,
-            wal_recoveries: 0,
-            torn_tails_truncated: 0,
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            shard_contention: Vec::new(),
-            groups_committed: 0,
-            ops_committed: 0,
-            max_group_size: 0,
-            fsyncs_saved: 0,
-            snapshot_swaps: 0,
-            search_cache_hits: 0,
-            search_cache_misses: 0,
-            walk_steps_saved: 0,
-            backend_runs_flushed: 0,
-            backend_runs_live: 0,
-            backend_compactions: 0,
-            backend_run_reads: 0,
-            backend_bloom_checks: 0,
-            backend_bloom_skips: 0,
-            backend_bloom_false_positives: 0,
-            requests_degraded: self.requests_degraded.load(Ordering::Relaxed),
-            health_degradations: 0,
-            health_recoveries: 0,
-            health_quarantines: 0,
-            tenants_degraded: 0,
-            tenants_quarantined: 0,
-            scrub_passes: 0,
-            scrub_repairs: 0,
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_open: self
-                .conns_accepted
-                .load(Ordering::Relaxed)
-                .saturating_sub(self.conns_closed.load(Ordering::Relaxed)),
-            conns_idle_reaped: self.idle_reaped.load(Ordering::Relaxed),
-            conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            slow_reader_disconnects: self.slow_reader_disconnects.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            writes_deferred: self.writes_deferred.load(Ordering::Relaxed),
-            reactor_spurious_polls: self.reactor_spurious_polls.load(Ordering::Relaxed),
-            // The pool_* counters live with the BufPool; the daemon
-            // overlays them (like the storage-side counters above).
-            pool_hits: 0,
-            pool_misses: 0,
-            pool_recycles: 0,
-            writev_calls: self.writev_calls.load(Ordering::Relaxed),
-            writev_frames: self.writev_frames.load(Ordering::Relaxed),
-            wakeups_coalesced: self.wakeups_coalesced.load(Ordering::Relaxed),
-            // Nothing on the serving path copies a payload; the slot
-            // stays because the snapshot is decoded by position.
-            bytes_copied: 0,
-            queue_p50_ns: self.latency.queue.quantile_ns(0.50),
-            queue_p95_ns: self.latency.queue.quantile_ns(0.95),
-            queue_p99_ns: self.latency.queue.quantile_ns(0.99),
-            service_p50_ns: self.latency.service.quantile_ns(0.50),
-            service_p95_ns: self.latency.service.quantile_ns(0.95),
-            service_p99_ns: self.latency.service.quantile_ns(0.99),
-            // The scheduler counters live with the Scheduler; the daemon
-            // overlays them (like the storage-side counters above).
-            sched_routed: 0,
-            sched_local_hits: 0,
-            sched_stolen: 0,
-            sched_spilled: 0,
-            sched_queue_depth_hw: 0,
-            fanout_batches: 0,
-            fanout_parts_helped: 0,
-            inline_served: self.inline_served.load(Ordering::Relaxed),
-            inline_declined: self.inline_declined.load(Ordering::Relaxed),
+            requests_ok: load(&self.requests_ok),
+            requests_busy: load(&self.requests_busy),
+            requests_err: load(&self.requests_err),
+            bytes_in: load(&self.bytes_in),
+            bytes_out: load(&self.bytes_out),
+            p50_ns: total.quantile_ns(0.50),
+            p95_ns: total.quantile_ns(0.95),
+            p99_ns: total.quantile_ns(0.99),
+            reconnects: load(&self.reconnects),
+            requests_degraded: load(&self.requests_degraded),
+            conns_accepted: load(&self.conns_accepted),
+            conns_open: load(&self.conns_accepted).saturating_sub(load(&self.conns_closed)),
+            conns_idle_reaped: load(&self.idle_reaped),
+            conns_rejected: load(&self.conns_rejected),
+            slow_reader_disconnects: load(&self.slow_reader_disconnects),
+            reactor_wakeups: load(&self.reactor_wakeups),
+            writes_deferred: load(&self.writes_deferred),
+            reactor_spurious_polls: load(&self.reactor_spurious_polls),
+            writev_calls: load(&self.writev_calls),
+            writev_frames: load(&self.writev_frames),
+            wakeups_coalesced: load(&self.wakeups_coalesced),
+            queue_p50_ns: queue.quantile_ns(0.50),
+            queue_p95_ns: queue.quantile_ns(0.95),
+            queue_p99_ns: queue.quantile_ns(0.99),
+            service_p50_ns: service.quantile_ns(0.50),
+            service_p95_ns: service.quantile_ns(0.95),
+            service_p99_ns: service.quantile_ns(0.99),
+            inline_served: load(&self.inline_served),
+            inline_declined: load(&self.inline_declined),
+            // Nothing on the serving path copies a payload, so
+            // `bytes_copied` keeps its default 0.
+            ..StatsSnapshot::default()
         }
     }
 }

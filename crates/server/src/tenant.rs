@@ -15,9 +15,9 @@
 //! shutdown. Tenant names are arbitrary UTF-8; directory names use a
 //! reversible percent-encoding restricted to `[A-Za-z0-9_-]`.
 
-use crate::proto::SchemeId;
+use crate::proto::{SchemeId, StatsSnapshot};
 use parking_lot::Mutex;
-use sse_core::commit::{CommitCounters, Reply};
+use sse_core::commit::Reply;
 use sse_core::engine::{DurableOptions, IndexAdmin};
 use sse_core::error::SseError;
 use sse_core::health::HealthState;
@@ -25,7 +25,7 @@ use sse_core::journal::ServerRecovery;
 use sse_core::scheme1::Scheme1Server;
 use sse_core::scheme2::{Scheme2Config, Scheme2Server};
 use sse_net::link::Service;
-use sse_storage::{BackendCounters, BackendKind, RealVfs, Vfs};
+use sse_storage::{BackendKind, RealVfs, Vfs};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,43 +43,6 @@ const SEARCH_FANOUT: usize = 8;
 /// [`crate::sched`] sizes from this.
 pub(crate) fn fanout_limit(parts: usize, cores: usize) -> usize {
     parts.min(SEARCH_FANOUT).min(cores.max(1))
-}
-
-/// Search-memo counters summed over one tenant database (or, via
-/// [`TenantRegistry::search_cache_counters`], over all of them).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchCacheCounters {
-    /// Repeat searches answered from the per-shard chain-key memo.
-    pub hits: u64,
-    /// Memo-eligible searches that took the cold path.
-    pub misses: u64,
-    /// Forward hash-chain steps avoided by memo hits.
-    pub walk_steps_saved: u64,
-}
-
-impl SearchCacheCounters {
-    /// Element-wise accumulate.
-    pub fn merge(&mut self, other: &SearchCacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.walk_steps_saved += other.walk_steps_saved;
-    }
-}
-
-/// Health transition counts and current-state tallies summed over one
-/// registry's open tenant databases (the STATS health block).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HealthCounters {
-    /// `Healthy → Degraded` transitions.
-    pub degradations: u64,
-    /// `Degraded → Healthy` scrub recoveries.
-    pub recoveries: u64,
-    /// `→ Quarantined` transitions.
-    pub quarantines: u64,
-    /// Tenants currently `Degraded`.
-    pub tenants_degraded: u64,
-    /// Tenants currently `Quarantined`.
-    pub tenants_quarantined: u64,
 }
 
 /// One tenant's scheme server — the concrete state behind a handle, kept
@@ -254,23 +217,6 @@ impl TenantDb {
     pub(crate) fn handle_part_caught(&self, part: &[u8]) -> Vec<u8> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle_shared(part)))
             .unwrap_or_else(|_| fanout_panicked())
-    }
-
-    /// Search-memo counters (hits, misses, chain steps saved). Scheme 1
-    /// has no server-side search cache, so its counters are always zero.
-    #[must_use]
-    pub fn search_cache_counters(&self) -> SearchCacheCounters {
-        match self {
-            TenantDb::S1(_) => SearchCacheCounters::default(),
-            TenantDb::S2(s) => {
-                let stats = s.stats();
-                SearchCacheCounters {
-                    hits: stats.cache_hits,
-                    misses: stats.cache_misses,
-                    walk_steps_saved: stats.walk_steps_saved,
-                }
-            }
-        }
     }
 }
 
@@ -490,10 +436,9 @@ impl TenantRegistry {
     /// attempted — a failure on one tenant must not strand the others'
     /// unflushed WALs).
     pub fn checkpoint_all(&self) -> Result<usize, SseError> {
-        let handles: Vec<TenantHandle> = self.tenants.lock().values().cloned().collect();
         let mut checkpointed = 0;
         let mut first_err = None;
-        for handle in handles {
+        for handle in self.handles() {
             match handle.checkpoint_home() {
                 Ok(()) => checkpointed += 1,
                 Err(e) => first_err = first_err.or(Some(e)),
@@ -519,52 +464,59 @@ impl TenantRegistry {
         self.tenants.lock().len()
     }
 
-    /// Tenant opens that performed WAL replay or torn-tail truncation.
-    #[must_use]
-    pub fn wal_recoveries(&self) -> u64 {
-        self.wal_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Total torn log-tail bytes truncated across tenant opens.
-    #[must_use]
-    pub fn torn_tails_truncated(&self) -> u64 {
-        self.torn_tails_truncated.load(Ordering::Relaxed)
-    }
-
-    /// Group-commit pipeline counters merged over every open tenant
-    /// database (the STATS commit block).
-    #[must_use]
-    pub fn commit_counters(&self) -> CommitCounters {
-        let handles: Vec<TenantHandle> = self.tenants.lock().values().cloned().collect();
-        let mut out = CommitCounters::default();
-        for handle in handles {
-            out.merge(&handle.commit_counters());
+    /// Add every open tenant database's counters to `snap` in one pass:
+    /// recoveries seen at open, group commit, the Scheme 2 search memo,
+    /// the storage backend, health, and per-shard lock contention. Each
+    /// sums across tenants, except `max_group_size`, which takes the
+    /// largest.
+    pub fn add_counters(&self, snap: &mut StatsSnapshot) {
+        snap.wal_recoveries += self.wal_recoveries.load(Ordering::Relaxed);
+        snap.torn_tails_truncated += self.torn_tails_truncated.load(Ordering::Relaxed);
+        for db in self.handles() {
+            let commit = db.commit_counters();
+            snap.groups_committed += commit.groups_committed;
+            snap.ops_committed += commit.ops_committed;
+            snap.max_group_size = snap.max_group_size.max(commit.max_group);
+            snap.fsyncs_saved += commit.fsyncs_saved;
+            snap.snapshot_swaps += commit.snapshot_swaps;
+            if let TenantDb::S2(server) = &*db {
+                let memo = server.stats();
+                snap.search_cache_hits += memo.cache_hits;
+                snap.search_cache_misses += memo.cache_misses;
+                snap.walk_steps_saved += memo.walk_steps_saved;
+            }
+            let backend = db.backend_counters();
+            snap.backend_runs_flushed += backend.runs_flushed;
+            snap.backend_runs_live += backend.runs_live;
+            snap.backend_compactions += backend.compactions;
+            snap.backend_run_reads += backend.run_reads;
+            snap.backend_bloom_checks += backend.bloom_checks;
+            snap.backend_bloom_skips += backend.bloom_skips;
+            snap.backend_bloom_false_positives += backend.bloom_false_positives;
+            let health = db.health();
+            let (degradations, recoveries, quarantines) = health.transition_counts();
+            snap.health_degradations += degradations;
+            snap.health_recoveries += recoveries;
+            snap.health_quarantines += quarantines;
+            match health.state() {
+                HealthState::Healthy => {}
+                HealthState::Degraded => snap.tenants_degraded += 1,
+                HealthState::Quarantined => snap.tenants_quarantined += 1,
+            }
+            let contention = db.shard_contention();
+            if contention.len() > snap.shard_contention.len() {
+                snap.shard_contention.resize(contention.len(), 0);
+            }
+            for (acc, c) in snap.shard_contention.iter_mut().zip(contention) {
+                *acc += c;
+            }
         }
-        out
     }
 
-    /// Search-memo counters summed over every open tenant database (the
-    /// STATS search-cache block).
-    #[must_use]
-    pub fn search_cache_counters(&self) -> SearchCacheCounters {
-        let handles: Vec<TenantHandle> = self.tenants.lock().values().cloned().collect();
-        let mut out = SearchCacheCounters::default();
-        for handle in handles {
-            out.merge(&handle.search_cache_counters());
-        }
-        out
-    }
-
-    /// Per-backend storage counters merged over every open tenant
-    /// database (the STATS backend block).
-    #[must_use]
-    pub fn backend_counters(&self) -> BackendCounters {
-        let handles: Vec<TenantHandle> = self.tenants.lock().values().cloned().collect();
-        let mut out = BackendCounters::default();
-        for handle in handles {
-            out.merge(&handle.backend_counters());
-        }
-        out
+    /// Every open tenant database. The registry lock is released before
+    /// the caller touches any of them.
+    fn handles(&self) -> Vec<TenantHandle> {
+        self.tenants.lock().values().cloned().collect()
     }
 
     /// Every open tenant database with its routing key — the scrub
@@ -591,45 +543,6 @@ impl TenantRegistry {
     #[must_use]
     pub fn vfs(&self) -> Arc<dyn Vfs> {
         Arc::clone(&self.vfs)
-    }
-
-    /// Health transition counts and current-state tallies over every open
-    /// tenant database (the STATS health block).
-    #[must_use]
-    pub fn health_counters(&self) -> HealthCounters {
-        let handles: Vec<TenantHandle> = self.tenants.lock().values().cloned().collect();
-        let mut out = HealthCounters::default();
-        for handle in handles {
-            let health = handle.health();
-            let (d, r, q) = health.transition_counts();
-            out.degradations += d;
-            out.recoveries += r;
-            out.quarantines += q;
-            match health.state() {
-                HealthState::Healthy => {}
-                HealthState::Degraded => out.tenants_degraded += 1,
-                HealthState::Quarantined => out.tenants_quarantined += 1,
-            }
-        }
-        out
-    }
-
-    /// Per-shard contended lock acquisitions summed element-wise over
-    /// every open tenant database (the STATS contention vector).
-    #[must_use]
-    pub fn shard_contention(&self) -> Vec<u64> {
-        let handles: Vec<TenantHandle> = self.tenants.lock().values().cloned().collect();
-        let mut out: Vec<u64> = Vec::new();
-        for handle in handles {
-            let per_tenant = handle.shard_contention();
-            if per_tenant.len() > out.len() {
-                out.resize(per_tenant.len(), 0);
-            }
-            for (acc, c) in out.iter_mut().zip(per_tenant) {
-                *acc += c;
-            }
-        }
-        out
     }
 }
 
