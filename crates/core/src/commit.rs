@@ -84,6 +84,12 @@ pub struct CommitStats {
     /// Immutable search-snapshot publications (one per shard an apply
     /// changed).
     pub snapshot_swaps: AtomicU64,
+    /// Checkpoints completed.
+    pub checkpoints: AtomicU64,
+    /// Microseconds those checkpoints stalled the engine, summed.
+    pub checkpoint_us: AtomicU64,
+    /// Longest single checkpoint stall, in microseconds.
+    pub checkpoint_max_us: AtomicU64,
 }
 
 /// A point-in-time copy of [`CommitStats`], cheap to aggregate and ship.
@@ -99,6 +105,12 @@ pub struct CommitCounters {
     pub fsyncs_saved: u64,
     /// Immutable search-snapshot publications.
     pub snapshot_swaps: u64,
+    /// Checkpoints completed.
+    pub checkpoints: u64,
+    /// Microseconds those checkpoints stalled the engine, summed.
+    pub checkpoint_us: u64,
+    /// Longest single checkpoint stall, in microseconds.
+    pub checkpoint_max_us: u64,
 }
 
 impl CommitStats {
@@ -116,6 +128,14 @@ impl CommitStats {
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record one completed checkpoint that stalled the engine for `us`
+    /// microseconds.
+    pub fn note_checkpoint(&self, us: u64) {
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.checkpoint_us.fetch_add(us, Ordering::Relaxed);
+        self.checkpoint_max_us.fetch_max(us, Ordering::Relaxed);
+    }
+
     /// Snapshot the counters.
     #[must_use]
     pub fn counters(&self) -> CommitCounters {
@@ -125,6 +145,9 @@ impl CommitStats {
             max_group: self.max_group.load(Ordering::Relaxed),
             fsyncs_saved: self.fsyncs_saved.load(Ordering::Relaxed),
             snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed),
+            checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            checkpoint_us: self.checkpoint_us.load(Ordering::Relaxed),
+            checkpoint_max_us: self.checkpoint_max_us.load(Ordering::Relaxed),
         }
     }
 }

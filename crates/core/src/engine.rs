@@ -85,6 +85,7 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What a scheme supplies to the engine. Crate-private and statically
 /// dispatched: the engine is monomorphized per scheme.
@@ -1108,6 +1109,7 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
         let Some(home) = &self.home else {
             return Ok(());
         };
+        let start = Instant::now();
         let mut meta = self.quiesce();
         self.flush_with(&mut meta);
         debug_assert_eq!(home.parked.load(Ordering::Acquire), 0, "quiesced flush");
@@ -1116,6 +1118,8 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
         for committer in &home.committers {
             committer.reset_journal()?;
         }
+        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.commit_stats.note_checkpoint(us);
         Ok(())
     }
 
@@ -1360,9 +1364,19 @@ fn save_snapshot<S: SchemeOps>(
     Ok(())
 }
 
-/// Decode one shard snapshot, validating it against `meta`.
+/// Decode one shard snapshot, validating it against `meta`. A body that
+/// passes its CRC but does not decode is as corrupt as one that fails it.
 fn load_snapshot<S: SchemeOps>(bytes: &[u8], meta: &S::Meta, path: &Path) -> Result<ShardData<S>> {
-    let mut r = WireReader::new(snapshot_body::<S>(bytes, path)?);
+    let body = snapshot_body::<S>(bytes, path)?;
+    decode_snapshot::<S>(body, meta, path).map_err(|e| match e {
+        SseError::Wire(e) => corrupt_snapshot(format!("{e} in {}", path.display())),
+        e => e,
+    })
+}
+
+/// The body decode of [`load_snapshot`], its errors as the reader gives them.
+fn decode_snapshot<S: SchemeOps>(body: &[u8], meta: &S::Meta, path: &Path) -> Result<ShardData<S>> {
+    let mut r = WireReader::new(body);
     let last_op_seq = r.get_u64()?;
     S::check_meta(meta, r.get_array(S::encode_meta(meta).len())?)?;
     let n = r.get_count(32 + S::MIN_VALUE_BYTES)?;

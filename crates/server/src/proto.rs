@@ -378,6 +378,13 @@ stats_snapshot! {
     /// Immutable search-snapshot publications: one per shard a mutation
     /// was applied to, and nothing else — a search never publishes.
     snapshot_swaps,
+    /// Checkpoints completed, summed across all open tenant databases.
+    checkpoints,
+    /// Microseconds those checkpoints stalled their engine (quiesce to
+    /// the last journal reset), summed.
+    checkpoint_us,
+    /// Longest single checkpoint stall, in microseconds.
+    checkpoint_max_us,
     /// Search-memo hits (repeat searches answered from the per-shard
     /// chain-key memo), summed across all open tenant databases.
     search_cache_hits,

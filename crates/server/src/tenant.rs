@@ -465,10 +465,10 @@ impl TenantRegistry {
     }
 
     /// Add every open tenant database's counters to `snap` in one pass:
-    /// recoveries seen at open, group commit, the Scheme 2 search memo,
-    /// the storage backend, health, and per-shard lock contention. Each
-    /// sums across tenants, except `max_group_size`, which takes the
-    /// largest.
+    /// recoveries seen at open, group commit, checkpoints, the Scheme 2
+    /// search memo, the storage backend, health, and per-shard lock
+    /// contention. Each sums across tenants, except `max_group_size` and
+    /// `checkpoint_max_us`, which take the largest.
     pub fn add_counters(&self, snap: &mut StatsSnapshot) {
         snap.wal_recoveries += self.wal_recoveries.load(Ordering::Relaxed);
         snap.torn_tails_truncated += self.torn_tails_truncated.load(Ordering::Relaxed);
@@ -479,6 +479,9 @@ impl TenantRegistry {
             snap.max_group_size = snap.max_group_size.max(commit.max_group);
             snap.fsyncs_saved += commit.fsyncs_saved;
             snap.snapshot_swaps += commit.snapshot_swaps;
+            snap.checkpoints += commit.checkpoints;
+            snap.checkpoint_us += commit.checkpoint_us;
+            snap.checkpoint_max_us = snap.checkpoint_max_us.max(commit.checkpoint_max_us);
             if let TenantDb::S2(server) = &*db {
                 let memo = server.stats();
                 snap.search_cache_hits += memo.cache_hits;

@@ -26,6 +26,24 @@ pub struct RecordId {
     pub slot: u16,
 }
 
+/// A fragment's header: `(total_remaining, next_page, next_slot)`.
+///
+/// # Errors
+/// [`StorageError::Corrupt`] when the fragment is shorter than its header.
+fn frag_header(frag: &[u8]) -> Result<(u32, u32, u16)> {
+    let Some(header) = frag.get(..FRAG_HEADER) else {
+        return Err(StorageError::Corrupt {
+            what: "fragment",
+            detail: format!("fragment shorter than header: {}", frag.len()),
+        });
+    };
+    Ok((
+        u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")),
+        u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")),
+        u16::from_le_bytes(header[8..10].try_into().expect("2 bytes")),
+    ))
+}
+
 /// An in-memory heap file (persisted wholesale by snapshots).
 #[derive(Default)]
 pub struct HeapFile {
@@ -110,13 +128,7 @@ impl HeapFile {
                 .get(cur.0 as usize)
                 .ok_or(StorageError::RecordNotFound)?;
             let frag = page.get(cur.1)?;
-            if frag.len() < FRAG_HEADER {
-                return Err(StorageError::Corrupt {
-                    what: "fragment",
-                    detail: format!("fragment shorter than header: {}", frag.len()),
-                });
-            }
-            let total_remaining = u32::from_le_bytes(frag[0..4].try_into().expect("4 bytes"));
+            let (total_remaining, next_page, next_slot) = frag_header(frag)?;
             if let Some(exp) = expected {
                 if total_remaining != exp {
                     return Err(StorageError::Corrupt {
@@ -125,14 +137,27 @@ impl HeapFile {
                     });
                 }
             }
-            let next_page = u32::from_le_bytes(frag[4..8].try_into().expect("4 bytes"));
-            let next_slot = u16::from_le_bytes(frag[8..10].try_into().expect("2 bytes"));
             let data = &frag[FRAG_HEADER..];
             out.extend_from_slice(data);
             if next_page == NO_PAGE {
                 return Ok(out);
             }
-            expected = Some(total_remaining - data.len() as u32);
+            // Every link must carry data and count down: the remaining
+            // total then falls strictly along the chain, so a chain that
+            // loops back on itself fails the check above instead of
+            // looping forever.
+            expected = match total_remaining.checked_sub(data.len() as u32) {
+                Some(rest) if !data.is_empty() => Some(rest),
+                _ => {
+                    return Err(StorageError::Corrupt {
+                        what: "fragment chain",
+                        detail: format!(
+                            "{}-byte link claims {total_remaining} remaining",
+                            data.len()
+                        ),
+                    })
+                }
+            };
             cur = (next_page, next_slot);
         }
     }
@@ -147,12 +172,8 @@ impl HeapFile {
             .pages
             .get(id.page as usize)
             .ok_or(StorageError::RecordNotFound)?;
-        let frag = page.get(id.slot)?;
-        let total = frag.get(..4).ok_or_else(|| StorageError::Corrupt {
-            what: "fragment",
-            detail: format!("fragment shorter than header: {}", frag.len()),
-        })?;
-        Ok(u32::from_le_bytes(total.try_into().expect("4 bytes")) as usize)
+        let (total, _, _) = frag_header(page.get(id.slot)?)?;
+        Ok(total as usize)
     }
 
     /// Delete a record and all its fragments.
@@ -166,9 +187,7 @@ impl HeapFile {
                 .pages
                 .get(cur.0 as usize)
                 .ok_or(StorageError::RecordNotFound)?;
-            let frag = page.get(cur.1)?;
-            let next_page = u32::from_le_bytes(frag[4..8].try_into().expect("4 bytes"));
-            let next_slot = u16::from_le_bytes(frag[8..10].try_into().expect("2 bytes"));
+            let (_, next_page, next_slot) = frag_header(page.get(cur.1)?)?;
             self.pages[cur.0 as usize].delete(cur.1)?;
             if next_page == NO_PAGE {
                 return Ok(());
@@ -177,7 +196,8 @@ impl HeapFile {
         }
     }
 
-    /// Compact every page (reclaims tombstoned space in place).
+    /// Compact every page that has a hole (reclaims tombstoned space in
+    /// place; the rest are compact already).
     pub fn compact_all(&mut self) {
         for p in &mut self.pages {
             p.compact();
@@ -236,6 +256,145 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Run `f` on its own thread and fail the test if it has not returned
+    /// within five seconds (a malformed chain must not loop forever).
+    fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(value) => {
+                worker.join().expect("the worker sent its value");
+                value
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("the worker panicked"))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("no result within the time bound"),
+        }
+    }
+
+    /// A one-page heap holding the raw fragment `frag` at slot 0.
+    fn heap_with_fragment(frag: &[u8]) -> HeapFile {
+        let mut page = Page::new();
+        assert_eq!(page.insert(frag).unwrap(), 0);
+        HeapFile { pages: vec![page] }
+    }
+
+    /// A fragment image: header then `data`.
+    fn fragment(total_remaining: u32, next: (u32, u16), data: &[u8]) -> Vec<u8> {
+        let mut frag = Vec::new();
+        frag.extend_from_slice(&total_remaining.to_le_bytes());
+        frag.extend_from_slice(&next.0.to_le_bytes());
+        frag.extend_from_slice(&next.1.to_le_bytes());
+        frag.extend_from_slice(data);
+        frag
+    }
+
+    const FIRST: RecordId = RecordId { page: 0, slot: 0 };
+
+    #[test]
+    fn short_fragment_is_corrupt_for_delete_as_for_get() {
+        let mut h = heap_with_fragment(&[1, 2, 3]);
+        assert!(matches!(h.get(FIRST), Err(StorageError::Corrupt { .. })));
+        assert!(matches!(
+            h.record_len(FIRST),
+            Err(StorageError::Corrupt { .. })
+        ));
+        assert!(matches!(h.delete(FIRST), Err(StorageError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn empty_link_that_names_itself_is_corrupt_not_a_hang() {
+        for total in [0, 7, u32::MAX] {
+            let h = heap_with_fragment(&fragment(total, (0, 0), &[]));
+            let got = bounded(move || h.get(FIRST));
+            assert!(matches!(got, Err(StorageError::Corrupt { .. })), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn chain_that_loops_back_is_corrupt() {
+        // slot 0 -> slot 1 -> slot 0, each carrying data and a consistent
+        // count for one lap: the second visit to slot 0 cannot match.
+        let mut page = Page::new();
+        page.insert(&fragment(4, (0, 1), b"ab")).unwrap();
+        page.insert(&fragment(2, (0, 0), b"cd")).unwrap();
+        let h = HeapFile { pages: vec![page] };
+        let got = bounded(move || h.get(FIRST));
+        assert!(matches!(got, Err(StorageError::Corrupt { .. })), "{got:?}");
+        // A link that claims less than it carries is corrupt too.
+        let h = heap_with_fragment(&fragment(1, (0, 0), b"abc"));
+        assert!(matches!(h.get(FIRST), Err(StorageError::Corrupt { .. })));
+    }
+
+    /// One step of a heap workload: insert `len` bytes, delete the live
+    /// record at `pick % live`, or compact.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Insert(usize),
+        Delete(usize),
+        Compact,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (0usize..600).prop_map(Op::Insert),
+            1 => (0usize..20_000).prop_map(Op::Insert),
+            3 => any::<usize>().prop_map(Op::Delete),
+            1 => Just(Op::Compact),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn compacting_only_pages_with_holes_matches_a_full_compaction(
+            ops in proptest::collection::vec(op(), 1..120),
+        ) {
+            let mut fast = HeapFile::new();
+            let mut reference = HeapFile::new();
+            let mut live: Vec<(RecordId, Vec<u8>)> = Vec::new();
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Insert(len) => {
+                        let data: Vec<u8> =
+                            (0..len).map(|i| (i * 31 + step) as u8).collect();
+                        let id = fast.insert(&data).unwrap();
+                        prop_assert_eq!(reference.insert(&data).unwrap(), id);
+                        live.push((id, data));
+                    }
+                    Op::Delete(pick) if !live.is_empty() => {
+                        let (id, _) = live.swap_remove(pick % live.len());
+                        fast.delete(id).unwrap();
+                        reference.delete(id).unwrap();
+                    }
+                    Op::Delete(_) => {}
+                    Op::Compact => {
+                        fast.compact_all();
+                        for page in &mut reference.pages {
+                            page.compact_reference();
+                        }
+                    }
+                }
+                prop_assert!(
+                    fast.to_bytes() == reference.to_bytes(),
+                    "page images differ after step {} ({:?})",
+                    step,
+                    op
+                );
+            }
+            for (id, data) in &live {
+                prop_assert_eq!(&fast.get(*id).unwrap(), data);
+            }
+        }
+    }
 
     #[test]
     fn small_record_round_trip() {

@@ -31,6 +31,11 @@ pub const MAX_IN_PAGE: usize = PAGE_SIZE - HEADER - SLOT;
 #[derive(Clone)]
 pub struct Page {
     buf: [u8; PAGE_SIZE],
+    /// Whether compacting would move a payload: set by a `delete` and by
+    /// loading an image that is not packed, cleared by [`Page::compact`].
+    /// Kept outside the image, so it is never persisted. `insert` never
+    /// reuses a slot, so a page without holes is already compact.
+    holes: bool,
 }
 
 impl Default for Page {
@@ -45,6 +50,7 @@ impl Page {
     pub fn new() -> Self {
         let mut p = Page {
             buf: [0u8; PAGE_SIZE],
+            holes: false,
         };
         p.set_n_slots(0);
         p.set_free_end(PAGE_SIZE as u16);
@@ -65,9 +71,11 @@ impl Page {
         }
         let mut p = Page {
             buf: [0u8; PAGE_SIZE],
+            holes: false,
         };
         p.buf.copy_from_slice(bytes);
         p.validate()?;
+        p.holes = !p.is_packed();
         Ok(p)
     }
 
@@ -116,6 +124,7 @@ impl Page {
                 detail: format!("n_slots={n}, free_end={free_end}"),
             });
         }
+        let mut live_bytes = 0usize;
         for i in 0..n {
             let (off, len) = self.slot(i as u16);
             if off == TOMBSTONE {
@@ -128,8 +137,35 @@ impl Page {
                     detail: format!("slot {i}: off={off}, len={len}"),
                 });
             }
+            live_bytes += len as usize;
+        }
+        // Overlapping slots could otherwise add up to more than the page
+        // holds, and compaction would write payloads over the directory.
+        if live_bytes > PAGE_SIZE - dir_end {
+            return Err(StorageError::Corrupt {
+                what: "page slots",
+                detail: format!("{live_bytes} live bytes behind a {dir_end}-byte directory"),
+            });
         }
         Ok(())
+    }
+
+    /// Whether every live payload already sits where [`Page::compact`]
+    /// would put it: packed against the page end in slot order, with
+    /// `free_end` right below the last one.
+    fn is_packed(&self) -> bool {
+        let mut end = PAGE_SIZE;
+        for i in 0..self.n_slots() {
+            let (off, len) = self.slot(i);
+            if off == TOMBSTONE {
+                continue;
+            }
+            match end.checked_sub(len as usize) {
+                Some(at) if at == off as usize => end = at,
+                _ => return false,
+            }
+        }
+        end == self.free_end() as usize
     }
 
     /// Free bytes available for one more record (including its slot entry).
@@ -198,25 +234,49 @@ impl Page {
             return Err(StorageError::RecordNotFound);
         }
         self.set_slot(slot, TOMBSTONE, 0);
+        self.holes = true;
         Ok(())
     }
 
     /// Compact payloads to the end of the page, squeezing out holes left by
-    /// deletions. Slot indices are preserved.
+    /// deletions. Slot indices are preserved. A page with no hole is left
+    /// as it is: compacting it would rewrite every byte in place.
     pub fn compact(&mut self) {
+        if !self.holes {
+            return;
+        }
+        // Read the payloads from a copy of the image so that moving one
+        // can never overwrite another that has not moved yet.
+        let old = self.buf;
+        let mut end = PAGE_SIZE;
+        for i in 0..self.n_slots() {
+            let (off, len) = self.slot(i);
+            if off == TOMBSTONE {
+                continue;
+            }
+            let (off, len) = (off as usize, len as usize);
+            end -= len;
+            self.buf[end..end + len].copy_from_slice(&old[off..off + len]);
+            self.set_slot(i, end as u16, len as u16);
+        }
+        self.set_free_end(end as u16);
+        self.holes = false;
+    }
+
+    /// The compaction [`Page::compact`] replaced: every page, one `Vec`
+    /// per live record. The oracle its image must match byte for byte.
+    #[cfg(test)]
+    pub(crate) fn compact_reference(&mut self) {
         let n = self.n_slots();
-        // Collect live records (slot, payload), then rewrite back-to-front.
         let live: Vec<(u16, Vec<u8>)> = (0..n)
             .filter_map(|i| {
                 let (off, len) = self.slot(i);
-                if off == TOMBSTONE {
-                    None
-                } else {
-                    Some((
+                (off != TOMBSTONE).then(|| {
+                    (
                         i,
                         self.buf[off as usize..off as usize + len as usize].to_vec(),
-                    ))
-                }
+                    )
+                })
             })
             .collect();
         let mut end = PAGE_SIZE;
@@ -226,6 +286,7 @@ impl Page {
             self.set_slot(*slot, end as u16, payload.len() as u16);
         }
         self.set_free_end(end as u16);
+        self.holes = false;
     }
 }
 
@@ -332,6 +393,37 @@ mod tests {
         bad[1] = 0xFF;
         assert!(matches!(
             Page::from_bytes(&bad),
+            Err(StorageError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn holes_are_tracked_outside_the_image() {
+        let mut p = Page::new();
+        let a = p.insert(&[0xAA; 100]).unwrap();
+        p.insert(&[0xBB; 100]).unwrap();
+        assert!(!p.holes, "inserts leave the page packed");
+        assert!(p.is_packed());
+        p.delete(a).unwrap();
+        assert!(p.holes);
+        // A loaded image carries no flag: it is recomputed from the layout.
+        assert!(Page::from_bytes(p.as_bytes()).unwrap().holes);
+        p.compact();
+        assert!(!p.holes);
+        assert!(!Page::from_bytes(p.as_bytes()).unwrap().holes);
+    }
+
+    #[test]
+    fn from_bytes_rejects_slots_that_overfill_the_page() {
+        let mut p = Page::new();
+        p.insert(&[7u8; 5000]).unwrap();
+        p.insert(b"x").unwrap();
+        let mut bytes = *p.as_bytes();
+        // Point slot 1 at slot 0's 5000 bytes: each slot is in bounds, but
+        // together they claim more than the page holds.
+        bytes.copy_within(HEADER..HEADER + SLOT, HEADER + SLOT);
+        assert!(matches!(
+            Page::from_bytes(&bytes),
             Err(StorageError::Corrupt { .. })
         ));
     }

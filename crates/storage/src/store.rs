@@ -379,8 +379,8 @@ impl DocStore {
             pos += 6;
             index.insert(id, RecordId { page, slot });
         }
-        let heap_len = read_u64(body, &mut pos)? as usize;
-        if pos + heap_len != body.len() {
+        let heap_len = read_u64(body, &mut pos)?;
+        if (pos as u64).checked_add(heap_len) != Some(body.len() as u64) {
             return Err(StorageError::Corrupt {
                 what: "snapshot heap",
                 detail: format!("declared {heap_len}, available {}", body.len() - pos),

@@ -296,6 +296,79 @@ fn snapshot_with_a_repeated_tag_is_corrupt_even_with_a_valid_crc() {
 }
 
 #[test]
+fn index_snapshot_survives_every_truncation_and_byte_mutation() {
+    use sse_repro::core::error::SseError;
+    use sse_repro::core::scheme2::protocol::{encode_append_generations, GenerationEntry};
+    use sse_repro::storage::{crc32::crc32, StorageError};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let dir = temp_dir("s2-idx-fuzz");
+    {
+        let server = Scheme2Server::open_durable(Scheme2Config::standard(), &dir).unwrap();
+        let entries: Vec<GenerationEntry> = (1..=2u8)
+            .map(|n| GenerationEntry {
+                tag: [n; 32],
+                sealed_ids: vec![n; 40],
+                commitment: [n; 32],
+            })
+            .collect();
+        server.handle_shared(&encode_append_generations(&entries));
+        server.checkpoint().unwrap();
+    }
+    // The layout `snapshot_with_a_repeated_tag_is_corrupt_even_with_a_valid_crc`
+    // spells out. Every value is tried at the header and at each entry's
+    // generation count and id-list length; the tag, id and commitment
+    // bytes only get their low and high bit flipped.
+    let snap = dir.join("scheme2.index");
+    let image = std::fs::read(&snap).unwrap();
+    const ENTRY: usize = 32 + 8 + 8 + 40 + 32;
+    assert_eq!(image.len(), 28 + 2 * ENTRY, "the layout this test mutates");
+    let structural = |at: usize| at < 28 || (at - 28) % ENTRY >= 32 && (at - 28) % ENTRY < 48;
+    let mut inputs: Vec<Vec<u8>> = (0..image.len()).map(|len| image[..len].to_vec()).collect();
+    for at in 0..image.len() {
+        let values: Vec<u8> = if structural(at) {
+            (0..=255).filter(|&v| v != image[at]).collect()
+        } else {
+            vec![image[at] ^ 0x01, image[at] ^ 0x80]
+        };
+        for value in values {
+            let mut bytes = image.clone();
+            bytes[at] = value;
+            inputs.push(bytes);
+        }
+    }
+
+    // The CRC is re-computed after each mutation so the body decoder sees
+    // it. Every reopen must give a server or a Corrupt/Io error, and the
+    // whole sweep must end within the bound.
+    let (tx, rx) = mpsc::channel();
+    let sweep_dir = dir.clone();
+    let sweep = std::thread::spawn(move || {
+        for mut bytes in inputs {
+            if bytes.len() >= 12 {
+                let crc = crc32(&bytes[12..]);
+                bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+            }
+            std::fs::write(sweep_dir.join("scheme2.index"), &bytes).unwrap();
+            match Scheme2Server::open_durable(Scheme2Config::standard(), &sweep_dir) {
+                Ok(_)
+                | Err(SseError::Storage(StorageError::Corrupt { .. } | StorageError::Io(_))) => {}
+                Err(e) => panic!("reopen gave neither a server nor Corrupt/Io: {e}"),
+            }
+        }
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(240)) {
+        Ok(()) => sweep.join().unwrap(),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(sweep.join().unwrap_err())
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("index snapshot sweep hung"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn scheme1_index_capacity_mismatch_is_rejected() {
     let dir = temp_dir("s1-idx-cap");
     {
