@@ -2,11 +2,11 @@
 //! records parked on it, its writer and the group-commit counters.
 //!
 //! A durable mutation **stages** its already-seq-stamped journal record
-//! into its shard's [`GroupCommitter`] together with its reply
+//! into its shard's `GroupCommitter` together with its reply
 //! continuation ([`Reply`]) and returns: nothing is durable, applied or
 //! acknowledged yet, and the thread that staged it is free. A **flush**
 //! (`IndexEngine::flush_with`) later asks every shard's committer to
-//! [`GroupCommitter::write_pending`]: the first thread to ask becomes that
+//! `GroupCommitter::write_pending`: the first thread to ask becomes that
 //! shard's *writer*, cuts everything staged, writes it with one vectored
 //! [`crate::journal::IndexJournal::append_stamped_batch`] — one `write`
 //! syscall and one `sync_data` — and hands the group to the engine, which

@@ -18,7 +18,7 @@
 //! §4d/§4e). Each shard is a pipeline, not a single mutex:
 //!
 //! * **Durable mutations** stage their journal record into the shard's
-//!   [`GroupCommitter`] together with their reply continuation and return:
+//!   `GroupCommitter` together with their reply continuation and return:
 //!   the staging thread is free, the record is *parked*. A **flush**
 //!   (`IndexEngine::flush_with`) writes every shard nobody else is
 //!   writing — one vectored write + one fsync per shard for everything

@@ -447,8 +447,8 @@ impl Scheme2Server {
     ///   shard's published snapshot and was filed under this exact
     ///   trapdoor, so the answer needs no tree lookup, no chain step and
     ///   no decryption;
-    /// * the entry holds at most [`INLINE_MAX_DOCS`] ids, whose blobs
-    ///   total at most [`INLINE_MAX_BYTES`];
+    /// * the entry holds at most `INLINE_MAX_DOCS` ids, whose blobs
+    ///   total at most `INLINE_MAX_BYTES`;
     /// * the epoch seqlock, the snapshot cell, the memo mutex and the
     ///   document-store lock were each free on the first `try_`, and no
     ///   multi-shard swap window was open;

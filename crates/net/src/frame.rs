@@ -217,56 +217,18 @@ impl StreamingDecoder {
     /// the next call — feeding a byte at a time and feeding coalesced
     /// frames produce identical output.
     ///
+    /// Completed frames come out as [`PooledBuf`] views. On a decoder
+    /// built with [`StreamingDecoder::with_pool`] the body buffer is
+    /// acquired from the pool when the length prefix completes and
+    /// recycled when the last view of the sealed frame drops — a pool hit
+    /// makes the whole read→decode→dispatch path allocation-free. Without
+    /// a pool the frames are plain owned buffers behind the same view
+    /// type.
+    ///
     /// # Errors
     /// [`FrameTooLarge`] when a length prefix exceeds the configured
     /// limit; the decoder is then poisoned (every later call re-errors)
     /// and the connection should be dropped.
-    pub fn feed(&mut self, mut chunk: &[u8], out: &mut Vec<Vec<u8>>) -> Result<(), FrameTooLarge> {
-        if let Some(err) = self.poisoned {
-            return Err(err);
-        }
-        while !chunk.is_empty() {
-            if !self.in_body {
-                let take = (4 - self.header_filled).min(chunk.len());
-                self.header[self.header_filled..self.header_filled + take]
-                    .copy_from_slice(&chunk[..take]);
-                self.header_filled += take;
-                chunk = &chunk[take..];
-                if self.header_filled < 4 {
-                    break;
-                }
-                let declared = u32::from_le_bytes(self.header);
-                if declared > self.max_len {
-                    let err = FrameTooLarge { declared };
-                    self.poisoned = Some(err);
-                    return Err(err);
-                }
-                self.body_needed = declared as usize;
-                self.in_body = true;
-            }
-            // Body phase (an empty body completes immediately below).
-            let take = (self.body_needed - self.body.len()).min(chunk.len());
-            self.body.extend_from_slice(&chunk[..take]);
-            chunk = &chunk[take..];
-            if self.body.len() == self.body_needed {
-                out.push(std::mem::take(&mut self.body));
-                self.in_body = false;
-                self.header_filled = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Like [`StreamingDecoder::feed`], but completed frames come out as
-    /// [`PooledBuf`] views. On a decoder built with
-    /// [`StreamingDecoder::with_pool`] the body buffer is acquired from the
-    /// pool when the length prefix completes and recycled when the last
-    /// view of the sealed frame drops — a pool hit makes the whole
-    /// read→decode→dispatch path allocation-free. Without a pool the
-    /// frames are plain owned buffers behind the same view type.
-    ///
-    /// # Errors
-    /// [`FrameTooLarge`] exactly as [`StreamingDecoder::feed`].
     pub fn feed_pooled(
         &mut self,
         mut chunk: &[u8],
@@ -432,9 +394,13 @@ mod tests {
     fn stream_all(decoder: &mut StreamingDecoder, chunks: &[&[u8]]) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         for chunk in chunks {
-            decoder.feed(chunk, &mut out).unwrap();
+            decoder.feed_pooled(chunk, &mut out).unwrap();
         }
-        out
+        owned(&out)
+    }
+
+    fn owned(frames: &[PooledBuf]) -> Vec<Vec<u8>> {
+        frames.iter().map(|f| f.to_vec()).collect()
     }
 
     #[test]
@@ -450,9 +416,11 @@ mod tests {
         let mut trickled = StreamingDecoder::new();
         let mut out = Vec::new();
         for byte in &stream {
-            trickled.feed(std::slice::from_ref(byte), &mut out).unwrap();
+            trickled
+                .feed_pooled(std::slice::from_ref(byte), &mut out)
+                .unwrap();
         }
-        assert_eq!(out, whole);
+        assert_eq!(owned(&out), whole);
         assert_eq!(
             whole,
             vec![b"one".to_vec(), Vec::new(), b"three-is-longer".to_vec()]
@@ -465,11 +433,11 @@ mod tests {
         let frame = encode_frame(&[7u8; 100]);
         let mut d = StreamingDecoder::new();
         let mut out = Vec::new();
-        d.feed(&frame[..30], &mut out).unwrap();
+        d.feed_pooled(&frame[..30], &mut out).unwrap();
         assert!(out.is_empty());
         assert_eq!(d.buffered(), 30, "prefix + partial body held");
-        d.feed(&frame[30..], &mut out).unwrap();
-        assert_eq!(out, vec![vec![7u8; 100]]);
+        d.feed_pooled(&frame[30..], &mut out).unwrap();
+        assert_eq!(owned(&out), vec![vec![7u8; 100]]);
         assert_eq!(d.buffered(), 0);
     }
 
@@ -480,11 +448,14 @@ mod tests {
         let mut out = Vec::new();
         // The forged prefix arrives split across feeds and errors with
         // only 4 bytes on hand — nothing was allocated for the body.
-        d.feed(&2048u32.to_le_bytes()[..2], &mut out).unwrap();
-        let err = d.feed(&2048u32.to_le_bytes()[2..], &mut out).unwrap_err();
+        d.feed_pooled(&2048u32.to_le_bytes()[..2], &mut out)
+            .unwrap();
+        let err = d
+            .feed_pooled(&2048u32.to_le_bytes()[2..], &mut out)
+            .unwrap_err();
         assert_eq!(err, FrameTooLarge { declared: 2048 });
         assert_eq!(
-            d.feed(b"more", &mut out).unwrap_err(),
+            d.feed_pooled(b"more", &mut out).unwrap_err(),
             FrameTooLarge { declared: 2048 },
             "poisoned decoder keeps erroring"
         );
@@ -522,6 +493,7 @@ mod tests {
 
     #[test]
     fn pooled_feed_matches_plain_feed_and_recycles() {
+        // "Plain": a decoder with no pool, whose frames are owned buffers.
         let pool = BufPool::with_config(&[64, 1024], 4);
         let mut stream = Vec::new();
         stream.extend_from_slice(&encode_frame(b"one"));
@@ -529,8 +501,7 @@ mod tests {
         stream.extend_from_slice(&encode_frame(&[9u8; 300]));
 
         let mut plain = StreamingDecoder::new();
-        let mut want = Vec::new();
-        plain.feed(&stream, &mut want).unwrap();
+        let want = stream_all(&mut plain, &[&stream]);
 
         let mut pooled = StreamingDecoder::with_pool(MAX_FRAME_LEN, pool.clone());
         let mut got = Vec::new();

@@ -22,6 +22,11 @@ fn segment(stream: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The decoded frames as owned bytes, comparable with the oracle's.
+fn owned(frames: &[PooledBuf]) -> Vec<Vec<u8>> {
+    frames.iter().map(|f| f.to_vec()).collect()
+}
+
 /// A field in a synthetic wire message.
 #[derive(Clone, Debug)]
 enum Field {
@@ -148,10 +153,11 @@ proptest! {
         }
 
         let mut streaming = StreamingDecoder::new();
-        let mut got = Vec::new();
+        let mut frames = Vec::new();
         for chunk in segment(&stream, &cuts) {
-            streaming.feed(&chunk, &mut got).unwrap();
+            streaming.feed_pooled(&chunk, &mut frames).unwrap();
         }
+        let got = owned(&frames);
         prop_assert_eq!(&got, &expected);
         prop_assert_eq!(got, bodies);
         prop_assert_eq!(streaming.buffered(), 0);
@@ -182,10 +188,11 @@ proptest! {
         }
 
         let mut streaming = StreamingDecoder::new();
-        let mut got = Vec::new();
+        let mut frames = Vec::new();
         for chunk in segment(stream, &cuts) {
-            streaming.feed(&chunk, &mut got).unwrap();
+            streaming.feed_pooled(&chunk, &mut frames).unwrap();
         }
+        let got = owned(&frames);
         prop_assert_eq!(got, expected);
         prop_assert_eq!(streaming.buffered(), oracle.buffered());
     }
@@ -275,14 +282,15 @@ proptest! {
         let oracle_err = oracle_err.expect("forged prefix must error the oracle");
 
         let mut streaming = StreamingDecoder::with_max_len(LIMIT);
-        let mut got = Vec::new();
+        let mut frames = Vec::new();
         let mut streaming_err = None;
         for chunk in segment(&stream, &cuts) {
-            if let Err(e) = streaming.feed(&chunk, &mut got) {
+            if let Err(e) = streaming.feed_pooled(&chunk, &mut frames) {
                 streaming_err = Some(e);
                 break;
             }
         }
+        let got = owned(&frames);
         prop_assert_eq!(streaming_err, Some(oracle_err));
         prop_assert_eq!(got, expected);
     }

@@ -2,7 +2,7 @@
 //! a live daemon, checked against three invariants.
 //!
 //! One durable daemon runs with its file I/O routed through a
-//! [`FaultVfs`] whose schedule (derived from the run seed) opens
+//! [`FaultVfs`](sse_storage::FaultVfs) whose schedule (derived from the run seed) opens
 //! recurring ENOSPC windows — writes fail with `StorageFull` for a few
 //! scheduled write points, then succeed again, over and over. A fast
 //! background scrub repairs tenants the windows degrade. Meanwhile

@@ -16,35 +16,40 @@
 //!   socket readable ─▶ StreamingDecoder ─▶ frames ─▶ try_send job ─▶ workers
 //!                        └ nothing in flight, tenant can answer without
 //!                          waiting or running long ─▶ reply queued here
-//!   socket writable ─▶ drain bounded write queue, disarm EPOLLOUT
+//!   socket writable ─▶ settle: flush the bounded write queue
 //!   wake pipe ready ─▶ drain CompletionQueue (worker responses)
 //! ```
 //!
-//! **Write backpressure.** Responses go through a bounded per-connection
-//! write queue. A response that doesn't fit in the kernel send buffer is
-//! queued and `EPOLLOUT` armed; a reader that never drains hits the queue
-//! bound and is disconnected (`slow_reader_disconnects`) — the daemon's
-//! memory stays bounded no matter how slow the peer is. `BUSY` remains
-//! the job-queue backpressure signal; there is no BUSY-on-accept.
+//! **One reply path.** Every reply — hello, `BUSY`, `ERR`, `ADMIN`, an
+//! inline answer, a worker's completion — is only queued on its
+//! connection's bounded write queue. One method, `Reactor::settle`,
+//! writes: it flushes what the kernel takes in gather writes, arms
+//! `EPOLLOUT` for the rest, disconnects a reader whose queue exceeds the
+//! bound (`slow_reader_disconnects`), and closes a draining connection
+//! once its queue is flushed and nothing of it is in flight. It runs at
+//! the end of every read chunk, once per connection a completion drain
+//! touched, on `EPOLLOUT`, on entering shutdown, and as soon as a queued
+//! reply takes the queue past the bound — so the daemon's memory stays
+//! bounded reply by reply, however slow the peer. `BUSY` remains the
+//! job-queue backpressure signal; there is no BUSY-on-accept.
 //!
 //! **Workers.** CPU-bound scheme work still runs on the worker pool. The
-//! reactor hands jobs over with a [`Responder`] handle; workers post
-//! pre-framed responses to the [`CompletionQueue`] and nudge the reactor
+//! reactor hands jobs over with a `Responder` handle; workers post
+//! pre-framed responses to the `CompletionQueue` and nudge the reactor
 //! through the wakeup pipe.
 //!
 //! **Run to completion.** The hand-off out and back costs more than a
 //! memo-hit Scheme 2 search does, so a `KIND_DATA` frame on a connection
 //! with nothing in flight is first offered to the tenant
 //! ([`TenantDb::try_handle_inline`]), which answers only what can neither
-//! wait nor run long. A yes is queued here, a read chunk's replies leaving
-//! in one gather write; a no becomes a job with the frame untouched. At
-//! most [`INLINE_BURST`] frames per readiness event are answered this
-//! way (DESIGN.md §4n).
+//! wait nor run long. A yes is queued here; a no becomes a job with the
+//! frame untouched. At most `INLINE_BURST` frames per readiness event are
+//! answered this way (DESIGN.md §4n).
 //!
 //! **Determinism.** Everything is generic over [`Poller`], so the unit
 //! tests drive the exact production state machine with a scripted
-//! [`MockPoller`] — spurious wakeups, out-of-order readiness and stale
-//! tokens included — without opening a socket.
+//! [`MockPoller`](epoll::MockPoller) — spurious wakeups, out-of-order
+//! readiness and stale tokens included — without opening a socket.
 
 use crate::daemon::{Job, Responder, Shared, HANDLER_PANICKED, RESPONSE_SCRATCH_CAPACITY};
 use crate::proto::{
@@ -92,15 +97,6 @@ const WRITEV_BATCH: usize = epoll::IOV_MAX;
 /// not tuned, no workload having a second connection whose wait it would
 /// shorten.
 const INLINE_BURST: usize = 64;
-
-/// One readiness event's run-to-completion state.
-struct InlineBurst {
-    /// Frames this event may still answer inline.
-    left: usize,
-    /// Inline replies sit in the write queue unwritten: they are flushed
-    /// once per read chunk, with one gather write, not once each.
-    unflushed: bool,
-}
 
 #[cfg(test)]
 thread_local! {
@@ -350,6 +346,27 @@ impl Conn {
     fn pending_write_bytes(&self) -> usize {
         self.queued_bytes - self.write_offset
     }
+
+    /// Append an outbound message to the write queue. Nothing is written
+    /// here: [`Reactor::settle`] does that.
+    fn queue(&mut self, msg: OutMsg) {
+        self.queued_bytes += msg.len();
+        self.write_queue.push_back(msg);
+    }
+
+    /// Queue one response envelope around an owned payload.
+    fn reply(&mut self, status: u8, seq: u32, payload: Vec<u8>) {
+        self.queue(OutMsg::response(status, seq, Segment::Owned(payload)));
+    }
+
+    /// Answer a fatal protocol error: count it, stop reading and queue the
+    /// ERR. The connection closes once that is flushed and nothing of it
+    /// is in flight.
+    fn reject(&mut self, stats: &ServingStats, seq: u32, msg: impl Into<Vec<u8>>) {
+        stats.record_err();
+        self.state = ConnState::Draining;
+        self.reply(STATUS_ERR, seq, msg.into());
+    }
 }
 
 /// Generation-checked connection slab. Slot indices are reused; the
@@ -446,7 +463,7 @@ pub(crate) struct ReactorOptions {
 pub(crate) struct Reactor<P: Poller> {
     poller: P,
     listener: Option<TcpListener>,
-    wake: Option<WakeReader>,
+    wake: WakeReader,
     completions: Arc<CompletionQueue>,
     conns: ConnTable,
     shared: Arc<Shared>,
@@ -489,28 +506,27 @@ impl Reactor<RealPoller> {
         let (waker, wake_rx) = wake_pipe()?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
         poller.register(wake_rx.fd(), WAKE_TOKEN, Interest::READABLE)?;
-        let completions = Arc::new(CompletionQueue::new(waker));
         let reactor = Reactor::with_parts(
             poller,
             Some(listener),
-            Some(wake_rx),
-            completions.clone(),
+            (waker, wake_rx),
             shared,
             job_tx,
             drain_done,
             opts,
         );
+        let completions = reactor.completions.clone();
         Ok((reactor, completions))
     }
 }
 
 impl<P: Poller> Reactor<P> {
-    #[allow(clippy::too_many_arguments)]
+    /// `wake` is the wakeup pipe: workers post to a completion queue
+    /// around its write end, the reactor reads the other.
     fn with_parts(
         poller: P,
         listener: Option<TcpListener>,
-        wake: Option<WakeReader>,
-        completions: Arc<CompletionQueue>,
+        (waker, wake): (Waker, WakeReader),
         shared: Arc<Shared>,
         job_tx: JobSender<Job>,
         drain_done: ShutdownSignal,
@@ -520,7 +536,7 @@ impl<P: Poller> Reactor<P> {
             poller,
             listener,
             wake,
-            completions,
+            completions: Arc::new(CompletionQueue::new(waker)),
             conns: ConnTable::new(),
             shared,
             job_tx: Some(job_tx),
@@ -571,7 +587,7 @@ impl<P: Poller> Reactor<P> {
             // notification beyond the first rode along for free. Read
             // before the queue is drained, so a completion posted after
             // the drain leaves a byte that wakes the next poll.
-            let notifications = self.wake.as_ref().map_or(0, WakeReader::drain);
+            let notifications = self.wake.drain();
             self.shared.stats.record_reactor_wakeup();
             self.shared
                 .stats
@@ -719,17 +735,22 @@ impl<P: Poller> Reactor<P> {
     /// deliver events queued before a deregister.
     fn conn_event(&mut self, ev: Event) {
         let (idx, gen) = split_token(ev.token);
-        if self.conns.get_mut(idx, gen).is_none() {
+        let Some(conn) = self.conns.get_mut(idx, gen) else {
             return;
-        }
+        };
         if ev.error {
             self.close_conn(idx, gen, CloseReason::IoError);
             return;
         }
         // Writable first: draining the queue may free the bound before
-        // new responses are enqueued by the readable half.
+        // new responses are queued by the readable half.
         if ev.writable {
-            self.on_writable(idx, gen);
+            if conn.write_queue.is_empty() {
+                self.shared.stats.record_reactor_spurious_poll();
+            }
+            if !self.settle(idx, gen) {
+                return;
+            }
         }
         if ev.readable {
             self.on_readable(idx, gen);
@@ -737,19 +758,17 @@ impl<P: Poller> Reactor<P> {
     }
 
     /// Read until `WouldBlock`, feeding the streaming decoder and
-    /// handling every completed frame in arrival order.
+    /// handling every completed frame in arrival order. Each chunk's
+    /// replies are settled after its last frame, so they leave in one
+    /// gather write.
     fn on_readable(&mut self, idx: usize, gen: u32) {
-        let token = make_token(idx, gen);
         let shutdown = self.shared.shutdown.is_requested();
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut frames = std::mem::take(&mut self.frames);
         let mut close: Option<CloseReason> = None;
         let mut progressed = false;
-        let mut inline = InlineBurst {
-            left: INLINE_BURST,
-            unflushed: false,
-        };
-        'read: while let Some(conn) = self.conns.get_mut(idx, gen) {
+        let mut inline_left = INLINE_BURST;
+        while let Some(conn) = self.conns.get_mut(idx, gen) {
             if shutdown || conn.state == ConnState::Draining {
                 break;
             }
@@ -769,152 +788,60 @@ impl<P: Poller> Reactor<P> {
             progressed = true;
             frames.clear();
             if let Err(too_large) = conn.decoder.feed_pooled(&scratch[..n], &mut frames) {
-                // Forged or oversized length prefix: answer ERR and
-                // drain. Frames completed earlier in this chunk still
-                // get handled below? No — a poisoned decoder taints the
-                // whole chunk; drop them with the connection.
-                self.shared.stats.record_err();
-                conn.state = ConnState::Draining;
-                let err = Self::enqueue_response(
-                    &mut self.poller,
-                    &self.shared.stats,
-                    conn,
-                    token,
-                    STATUS_ERR,
-                    HELLO_SEQ,
-                    too_large.to_string().into_bytes(),
-                    self.opts.write_queue_limit,
-                    false,
-                );
-                if err.is_err() {
-                    close = Some(CloseReason::IoError);
-                } else if conn.write_queue.is_empty() {
-                    close = Some(CloseReason::Drained);
-                }
-                break;
+                // Forged or oversized length prefix: a poisoned decoder
+                // taints the whole chunk, so its frames go unanswered.
+                frames.clear();
+                conn.reject(&self.shared.stats, HELLO_SEQ, too_large.to_string());
             }
             for frame in frames.drain(..) {
-                let Some(conn) = self.conns.get_mut(idx, gen) else {
-                    break 'read;
-                };
-                // Only complete frames count as activity: slow-loris
-                // drips never reset the idle deadline.
-                conn.last_activity = Instant::now();
-                match Self::handle_frame(
-                    &mut self.poller,
-                    conn,
-                    token,
-                    frame,
-                    &self.shared,
-                    self.job_tx.as_ref(),
-                    &self.completions,
-                    &self.opts,
-                    &mut inline,
-                ) {
-                    Ok(()) => {}
-                    Err(reason) => {
-                        close = Some(reason);
-                        break 'read;
-                    }
-                }
-                if conn.state == ConnState::Draining {
+                if !self.handle_frame(idx, gen, frame, &mut inline_left) {
                     break;
                 }
             }
-            if std::mem::take(&mut inline.unflushed) {
-                let Some(conn) = self.conns.get_mut(idx, gen) else {
-                    break;
-                };
-                let reads = conn.state != ConnState::Draining;
-                if let Err(reason) = Self::flush_queued(
-                    &mut self.poller,
-                    &self.shared.stats,
-                    conn,
-                    token,
-                    self.opts.write_queue_limit,
-                    reads,
-                ) {
-                    close = Some(reason);
-                    break;
-                }
-            }
-            if inline.left == 0 {
-                // The burst is spent: end the event here instead of
-                // reading on. Replies written above may already have
-                // drawn the peer's next requests, and a peer that keeps
-                // its socket non-empty that way would otherwise never
-                // let this loop reach `WouldBlock`. What it sent stays in
-                // the socket; the level-triggered poller reports it on
-                // the next turn, after every other ready connection.
+            if !self.settle(idx, gen) || inline_left == 0 {
+                // Closed, or the burst is spent: a spent burst ends the
+                // event here instead of reading on. Replies written above may already have drawn the
+                // peer's next requests, and a peer that keeps its socket
+                // non-empty that way would otherwise never let this loop
+                // reach `WouldBlock`. What it sent stays in the socket;
+                // the level-triggered poller reports it on the next turn,
+                // after every other ready connection.
                 break;
             }
         }
         self.scratch = scratch;
         self.frames = frames;
-        if !progressed && close.is_none() {
+        match close {
+            Some(reason) => self.close_conn(idx, gen, reason),
             // The kernel woke us for a socket with nothing to read — by
             // contract that must be harmless.
-            self.shared.stats.record_reactor_spurious_poll();
-        }
-        if close.is_none() {
-            if let Some(conn) = self.conns.get_mut(idx, gen) {
-                if conn.state == ConnState::Draining && conn.write_queue.is_empty() {
-                    close = Some(CloseReason::Drained);
-                }
-            }
-        }
-        if let Some(reason) = close {
-            self.close_conn(idx, gen, reason);
+            None if !progressed => self.shared.stats.record_reactor_spurious_poll(),
+            None => {}
         }
     }
 
-    /// Drain the write queue after an `EPOLLOUT`, disarming write
-    /// interest once empty and closing draining connections that have
-    /// flushed their final bytes.
-    fn on_writable(&mut self, idx: usize, gen: u32) {
-        let token = make_token(idx, gen);
-        let shutdown = self.shared.shutdown.is_requested();
-        let mut close: Option<CloseReason> = None;
-        if let Some(conn) = self.conns.get_mut(idx, gen) {
-            if conn.write_queue.is_empty() {
-                self.shared.stats.record_reactor_spurious_poll();
-            } else if let Err(reason) = Self::flush_conn(conn, &self.shared.stats) {
-                close = Some(reason);
-            }
-            if close.is_none() {
-                let reads = !shutdown && conn.state != ConnState::Draining;
-                Self::sync_interest(&mut self.poller, &self.shared.stats, conn, token, reads);
-                if conn.state == ConnState::Draining
-                    && conn.write_queue.is_empty()
-                    && conn.in_flight == 0
-                {
-                    close = Some(CloseReason::Drained);
-                }
-            }
-        }
-        if let Some(reason) = close {
-            self.close_conn(idx, gen, reason);
-        }
-    }
-
-    /// Interpret one complete frame according to the connection's state.
+    /// Interpret one complete frame according to the connection's state
+    /// and queue its reply. Returns whether to handle the chunk's next
+    /// frame: `false` once the connection is draining or closed.
     ///
     /// Takes the frame **by value**: the job payload is a sliced view of
     /// the frame's pool buffer (no copy), and frames the protocol judged
     /// malformed are poisoned so their buffer is never recycled into the
     /// pool.
-    #[allow(clippy::too_many_arguments)]
     fn handle_frame(
-        poller: &mut P,
-        conn: &mut Conn,
-        token: u64,
+        &mut self,
+        idx: usize,
+        gen: u32,
         frame: PooledBuf,
-        shared: &Shared,
-        job_tx: Option<&JobSender<Job>>,
-        completions: &Arc<CompletionQueue>,
-        opts: &ReactorOptions,
-        inline: &mut InlineBurst,
-    ) -> Result<(), CloseReason> {
+        inline_left: &mut usize,
+    ) -> bool {
+        let Some(conn) = self.conns.get_mut(idx, gen) else {
+            return false;
+        };
+        // Only complete frames count as activity: slow-loris drips never
+        // reset the idle deadline.
+        conn.last_activity = Instant::now();
+        let shared = &*self.shared;
         let stats = &shared.stats;
         match conn.state {
             ConnState::AwaitingHello => match Hello::decode(&frame) {
@@ -928,76 +855,28 @@ impl<P: Poller> Reactor<P> {
                             conn.route = route_hash(&hello.tenant, hello.scheme);
                             conn.tenant = Some(handle);
                             conn.state = ConnState::Established;
-                            Self::enqueue_response(
-                                poller,
-                                stats,
-                                conn,
-                                token,
-                                STATUS_OK,
-                                HELLO_SEQ,
-                                Vec::new(),
-                                opts.write_queue_limit,
-                                true,
-                            )
+                            conn.reply(STATUS_OK, HELLO_SEQ, Vec::new());
                         }
-                        Err(e) => {
-                            stats.record_err();
-                            conn.state = ConnState::Draining;
-                            Self::enqueue_response(
-                                poller,
-                                stats,
-                                conn,
-                                token,
-                                STATUS_ERR,
-                                HELLO_SEQ,
-                                format!("tenant open failed: {e}").into_bytes(),
-                                opts.write_queue_limit,
-                                false,
-                            )
-                        }
+                        Err(e) => conn.reject(stats, HELLO_SEQ, format!("tenant open failed: {e}")),
                     }
                 }
                 None => {
-                    stats.record_err();
-                    conn.state = ConnState::Draining;
                     frame.poison();
-                    Self::enqueue_response(
-                        poller,
-                        stats,
-                        conn,
-                        token,
-                        STATUS_ERR,
-                        HELLO_SEQ,
-                        b"malformed hello".to_vec(),
-                        opts.write_queue_limit,
-                        false,
-                    )
+                    conn.reject(stats, HELLO_SEQ, "malformed hello");
                 }
             },
             ConnState::Established => {
                 let Some((kind, seq, _)) = proto::decode_request(&frame) else {
-                    stats.record_err();
-                    conn.state = ConnState::Draining;
                     frame.poison();
-                    return Self::enqueue_response(
-                        poller,
-                        stats,
-                        conn,
-                        token,
-                        STATUS_ERR,
-                        HELLO_SEQ,
-                        b"malformed request".to_vec(),
-                        opts.write_queue_limit,
-                        false,
-                    );
+                    conn.reject(stats, HELLO_SEQ, "malformed request");
+                    return false;
                 };
                 match kind {
-                    KIND_DATA | KIND_UPDATE_MANY | KIND_SEARCH_MANY => {
+                    KIND_DATA | KIND_UPDATE_MANY | KIND_SEARCH_MANY => 'job: {
+                        let pool = &self.opts.pool;
                         if kind == KIND_DATA {
-                            if let Some(done) = Self::answer_inline(
-                                poller, stats, conn, token, &frame, seq, opts, inline,
-                            ) {
-                                return done;
+                            if Self::answer_inline(conn, stats, pool, &frame, seq, inline_left) {
+                                break 'job;
                             }
                             stats.record_inline_declined();
                         }
@@ -1017,132 +896,73 @@ impl<P: Poller> Reactor<P> {
                             seq,
                             payload,
                             responder: Responder {
-                                token,
-                                completions: completions.clone(),
-                                pool: opts.pool.clone(),
+                                token: make_token(idx, gen),
+                                completions: self.completions.clone(),
+                                pool: pool.clone(),
                             },
                             accepted: Instant::now(),
                         };
                         // `None` (shutdown already began; workers are
                         // draining) is treated like a full queue.
-                        let outcome = match job_tx {
-                            Some(tx) => tx.try_send(conn.route, job).map_err(|_job| ()),
-                            None => Err(()),
+                        let sent = match &self.job_tx {
+                            Some(tx) => tx.try_send(conn.route, job).is_ok(),
+                            None => false,
                         };
-                        match outcome {
-                            Ok(()) => {
-                                conn.in_flight += 1;
-                                Ok(())
-                            }
-                            Err(()) => {
-                                // Explicit job-queue backpressure (every
-                                // run queue full, home and spill alike):
-                                // reject now, the client backs off and
-                                // retries.
-                                stats.record_busy();
-                                Self::enqueue_response(
-                                    poller,
-                                    stats,
-                                    conn,
-                                    token,
-                                    STATUS_BUSY,
-                                    seq,
-                                    Vec::new(),
-                                    opts.write_queue_limit,
-                                    true,
-                                )
-                            }
+                        if sent {
+                            conn.in_flight += 1;
+                        } else {
+                            // Explicit job-queue backpressure (every run
+                            // queue full, home and spill alike): reject
+                            // now, the client backs off and retries.
+                            stats.record_busy();
+                            conn.reply(STATUS_BUSY, seq, Vec::new());
                         }
                     }
                     KIND_ADMIN => match frame.get(proto::REQUEST_HEADER_LEN).copied() {
                         Some(ADMIN_STATS) => {
-                            let snap = shared.full_snapshot().encode();
-                            Self::enqueue_response(
-                                poller,
-                                stats,
-                                conn,
-                                token,
-                                STATUS_OK,
-                                seq,
-                                snap,
-                                opts.write_queue_limit,
-                                true,
-                            )
+                            conn.reply(STATUS_OK, seq, shared.full_snapshot().encode());
                         }
                         Some(ADMIN_SHUTDOWN) => {
-                            let res = Self::enqueue_response(
-                                poller,
-                                stats,
-                                conn,
-                                token,
-                                STATUS_OK,
-                                seq,
-                                Vec::new(),
-                                opts.write_queue_limit,
-                                false,
-                            );
+                            conn.reply(STATUS_OK, seq, Vec::new());
                             shared.shutdown.request();
-                            res
                         }
                         _ => {
-                            stats.record_err();
-                            conn.state = ConnState::Draining;
                             frame.poison();
-                            Self::enqueue_response(
-                                poller,
-                                stats,
-                                conn,
-                                token,
-                                STATUS_ERR,
-                                seq,
-                                b"unknown admin command".to_vec(),
-                                opts.write_queue_limit,
-                                false,
-                            )
+                            conn.reject(stats, seq, "unknown admin command");
                         }
                     },
                     _ => {
-                        stats.record_err();
-                        conn.state = ConnState::Draining;
                         frame.poison();
-                        Self::enqueue_response(
-                            poller,
-                            stats,
-                            conn,
-                            token,
-                            STATUS_ERR,
-                            seq,
-                            b"unknown request kind".to_vec(),
-                            opts.write_queue_limit,
-                            false,
-                        )
+                        conn.reject(stats, seq, "unknown request kind");
                     }
                 }
             }
             // Already draining: frames decoded after the fatal one are
             // ignored.
-            ConnState::Draining => Ok(()),
+            ConnState::Draining => {}
         }
+        // A reply that took the queue past the bound is settled at once,
+        // so the bound holds reply by reply, not only per chunk.
+        let serving = conn.state != ConnState::Draining;
+        let over = conn.pending_write_bytes() > self.opts.write_queue_limit;
+        serving && (!over || self.settle(idx, gen))
     }
 
     /// Run to completion (DESIGN.md §4n): answer a `KIND_DATA` frame here
-    /// if the tenant can do that without waiting or running long. With
-    /// nothing of the connection in flight an answer given here cannot
-    /// overtake an earlier request. `None`: the frame, untouched, still
-    /// needs a worker.
-    #[allow(clippy::too_many_arguments)]
+    /// if the tenant can do that without waiting or running long, and
+    /// queue the reply. With nothing of the connection in flight an
+    /// answer given here cannot overtake an earlier request. `false`: the
+    /// frame, untouched, still needs a worker.
     fn answer_inline(
-        poller: &mut P,
-        stats: &ServingStats,
         conn: &mut Conn,
-        token: u64,
+        stats: &ServingStats,
+        pool: &BufPool,
         frame: &[u8],
         seq: u32,
-        opts: &ReactorOptions,
-        inline: &mut InlineBurst,
-    ) -> Option<Result<(), CloseReason>> {
-        if conn.in_flight != 0 || inline.left == 0 {
-            return None;
+        inline_left: &mut usize,
+    ) -> bool {
+        if conn.in_flight != 0 || *inline_left == 0 {
+            return false;
         }
         let tenant = conn
             .tenant
@@ -1150,8 +970,8 @@ impl<P: Poller> Reactor<P> {
             .expect("established connection has a tenant");
         let payload = &frame[proto::REQUEST_HEADER_LEN..];
         let started = Instant::now();
-        match try_inline(tenant, payload, &opts.pool) {
-            Ok(None) => None,
+        match try_inline(tenant, payload, pool) {
+            Ok(None) => return false,
             Ok(Some(response)) => {
                 stats.record_ok(
                     payload.len(),
@@ -1160,85 +980,65 @@ impl<P: Poller> Reactor<P> {
                     started.elapsed(),
                 );
                 stats.record_inline_served();
-                inline.left -= 1;
-                inline.unflushed = true;
-                let response = Segment::Pooled(opts.pool.seal(response));
-                Self::queue_msg(conn, OutMsg::response(STATUS_OK, seq, response));
-                Some(Ok(()))
+                *inline_left -= 1;
+                let response = Segment::Pooled(pool.seal(response));
+                conn.queue(OutMsg::response(STATUS_OK, seq, response));
             }
             Err(_) => {
                 stats.record_err();
-                Some(Self::enqueue_response(
-                    poller,
-                    stats,
-                    conn,
-                    token,
-                    STATUS_ERR,
-                    seq,
-                    HANDLER_PANICKED.to_vec(),
-                    opts.write_queue_limit,
-                    true,
-                ))
+                conn.reply(STATUS_ERR, seq, HANDLER_PANICKED.to_vec());
             }
         }
+        true
     }
 
-    /// Enqueue one response envelope around an owned payload.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_response(
-        poller: &mut P,
-        stats: &ServingStats,
-        conn: &mut Conn,
-        token: u64,
-        status: u8,
-        seq: u32,
-        payload: Vec<u8>,
-        limit: usize,
-        reads: bool,
-    ) -> Result<(), CloseReason> {
-        let msg = OutMsg::response(status, seq, Segment::Owned(payload));
-        Self::enqueue_msg(poller, stats, conn, token, msg, limit, reads)
-    }
-
-    /// Queue an outbound message and [`Self::flush_queued`].
-    fn enqueue_msg(
-        poller: &mut P,
-        stats: &ServingStats,
-        conn: &mut Conn,
-        token: u64,
-        msg: OutMsg,
-        limit: usize,
-        reads: bool,
-    ) -> Result<(), CloseReason> {
-        Self::queue_msg(conn, msg);
-        Self::flush_queued(poller, stats, conn, token, limit, reads)
-    }
-
-    /// Append an outbound message to the write queue without writing.
-    fn queue_msg(conn: &mut Conn, msg: OutMsg) {
-        conn.queued_bytes += msg.len();
-        conn.write_queue.push_back(msg);
-    }
-
-    /// Flush what the kernel will take now and enforce the write-queue
-    /// bound. `reads` is whether the connection should remain
-    /// read-subscribed (false while draining/shutdown).
-    fn flush_queued(
-        poller: &mut P,
-        stats: &ServingStats,
-        conn: &mut Conn,
-        token: u64,
-        limit: usize,
-        reads: bool,
-    ) -> Result<(), CloseReason> {
-        Self::flush_conn(conn, stats)?;
-        if conn.pending_write_bytes() > limit {
-            // The peer is not draining its responses: cut it loose
-            // rather than buffer without bound.
-            return Err(CloseReason::SlowReader);
+    /// The one place a connection's queued replies are written and its
+    /// fate decided (DESIGN.md §4i). Flush what the kernel will take; cut
+    /// a peer whose unwritten bytes exceed the write-queue bound; close a
+    /// draining connection once its queue is flushed **and** nothing of
+    /// it is in flight, so no reply owed to an earlier request is lost;
+    /// otherwise register interest for what is left — readable while
+    /// serving and not shut down, writable while bytes are queued.
+    /// Returns whether the connection is still open.
+    fn settle(&mut self, idx: usize, gen: u32) -> bool {
+        let Some(conn) = self.conns.get_mut(idx, gen) else {
+            return false;
+        };
+        let stats = &self.shared.stats;
+        let close = match Self::flush_conn(conn, stats) {
+            Err(reason) => Some(reason),
+            // The peer is not draining its responses: cut it loose rather
+            // than buffer without bound.
+            Ok(()) if conn.pending_write_bytes() > self.opts.write_queue_limit => {
+                Some(CloseReason::SlowReader)
+            }
+            Ok(())
+                if conn.state == ConnState::Draining
+                    && conn.write_queue.is_empty()
+                    && conn.in_flight == 0 =>
+            {
+                Some(CloseReason::Drained)
+            }
+            Ok(()) => None,
+        };
+        if let Some(reason) = close {
+            self.close_conn(idx, gen, reason);
+            return false;
         }
-        Self::sync_interest(poller, stats, conn, token, reads);
-        Ok(())
+        let want = Interest {
+            readable: conn.state != ConnState::Draining && !self.shared.shutdown.is_requested(),
+            writable: !conn.write_queue.is_empty(),
+        };
+        if want != conn.interest {
+            if want.writable && !conn.interest.writable {
+                stats.record_write_deferred();
+            }
+            let _ = self
+                .poller
+                .reregister(conn.io.fd(), make_token(idx, gen), want);
+            conn.interest = want;
+        }
+        true
     }
 
     /// Write queued messages until the kernel pushes back, gathering up
@@ -1306,32 +1106,9 @@ impl<P: Poller> Reactor<P> {
         }
     }
 
-    /// Reconcile poller interest with the connection's needs: readable
-    /// while serving, writable exactly while the write queue is
-    /// non-empty.
-    fn sync_interest(
-        poller: &mut P,
-        stats: &ServingStats,
-        conn: &mut Conn,
-        token: u64,
-        reads: bool,
-    ) {
-        let want = Interest {
-            readable: reads,
-            writable: !conn.write_queue.is_empty(),
-        };
-        if want != conn.interest {
-            if want.writable && !conn.interest.writable {
-                stats.record_write_deferred();
-            }
-            let _ = poller.reregister(conn.io.fd(), token, want);
-            conn.interest = want;
-        }
-    }
-
     /// Deliver worker responses posted since the last turn, in two
     /// phases: queue every completion onto its connection first, then
-    /// flush each touched connection once — responses that arrived in
+    /// settle each touched connection once — responses that arrived in
     /// the same drain share gather-write syscalls instead of paying one
     /// `writev` each.
     fn drain_completions(&mut self) {
@@ -1348,37 +1125,15 @@ impl<P: Poller> Reactor<P> {
             // flight; the response is dropped on the floor.
             if let Some(conn) = self.conns.get_mut(idx, gen) {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
-                Self::queue_msg(conn, completion.msg);
+                conn.queue(completion.msg);
                 if !touched.contains(&(idx, gen)) {
                     touched.push((idx, gen));
                 }
             }
         }
         self.completion_buf = buf;
-        let shutdown = self.shared.shutdown.is_requested();
-        for (idx, gen) in touched.drain(..) {
-            let token = make_token(idx, gen);
-            let mut close: Option<CloseReason> = None;
-            if let Some(conn) = self.conns.get_mut(idx, gen) {
-                let reads = !shutdown && conn.state != ConnState::Draining;
-                if let Err(reason) = Self::flush_conn(conn, &self.shared.stats) {
-                    close = Some(reason);
-                } else if conn.pending_write_bytes() > self.opts.write_queue_limit {
-                    // The peer is not draining its responses: cut it
-                    // loose rather than buffer without bound.
-                    close = Some(CloseReason::SlowReader);
-                } else if conn.state == ConnState::Draining
-                    && conn.write_queue.is_empty()
-                    && conn.in_flight == 0
-                {
-                    close = Some(CloseReason::Drained);
-                } else {
-                    Self::sync_interest(&mut self.poller, &self.shared.stats, conn, token, reads);
-                }
-            }
-            if let Some(reason) = close {
-                self.close_conn(idx, gen, reason);
-            }
+        for &(idx, gen) in &touched {
+            self.settle(idx, gen);
         }
         self.touched_buf = touched;
     }
@@ -1421,10 +1176,7 @@ impl<P: Poller> Reactor<P> {
         }
         self.job_tx = None;
         for (idx, gen) in self.conns.tokens() {
-            let token = make_token(idx, gen);
-            if let Some(conn) = self.conns.get_mut(idx, gen) {
-                Self::sync_interest(&mut self.poller, &self.shared.stats, conn, token, false);
-            }
+            self.settle(idx, gen);
         }
     }
 
@@ -1585,8 +1337,6 @@ mod tests {
     fn rig_with(idle_timeout: Duration, queue_depth: usize, write_queue_limit: usize) -> Rig {
         let shared = test_shared();
         let (sched, job_tx) = Scheduler::<Job>::new(1, queue_depth, true);
-        let (waker, wake_rx) = wake_pipe().expect("wake pipe");
-        let completions = Arc::new(CompletionQueue::new(waker));
         let opts = ReactorOptions {
             max_frame_len: sse_net::frame::MAX_FRAME_LEN,
             idle_timeout,
@@ -1597,16 +1347,15 @@ mod tests {
         let reactor = Reactor::with_parts(
             MockPoller::new(),
             None,
-            Some(wake_rx),
-            completions.clone(),
+            wake_pipe().expect("wake pipe"),
             shared.clone(),
             job_tx,
             ShutdownSignal::new(),
             opts,
         );
         Rig {
+            completions: reactor.completions.clone(),
             reactor,
-            completions,
             sched,
             shared,
             events: Vec::new(),
@@ -1966,6 +1715,103 @@ mod tests {
         let (status, seq, msg) = proto::decode_response(body).expect("framed ERR");
         assert_eq!((status, seq), (STATUS_ERR, HELLO_SEQ));
         assert!(std::str::from_utf8(msg).unwrap().contains("exceeds limit"));
+    }
+
+    /// One readiness event reads hello, then DATA seq 1, then a protocol
+    /// error, split into the read chunks `chunks`. The DATA went to the
+    /// run queue before the error was read: its reply must still reach
+    /// the peer, after the ERR, and only then may the connection close.
+    fn reply_in_flight_outlives_a_protocol_error(chunks: &[Vec<u8>], err: Vec<u8>) {
+        let mut rig = rig();
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        for chunk in chunks {
+            io.push_read(chunk);
+        }
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+        let hello_ok = ok_response(HELLO_SEQ, &[]);
+        assert_eq!(
+            *written.lock().unwrap(),
+            [hello_ok.clone(), err.clone()].concat()
+        );
+        assert!(rig.is_open(idx, gen), "seq 1 is still owed a reply");
+        assert_eq!(rig.conn(idx, gen).state, ConnState::Draining);
+        assert_eq!(
+            rig.reactor.poller.interest_of(7),
+            Some(Interest {
+                readable: false,
+                writable: false
+            }),
+            "a draining connection is not read"
+        );
+
+        let job = rig.sched.try_next(0).expect("seq 1 was queued");
+        assert_eq!(job.seq, 1);
+        post_ok(&rig.completions, token, 1, b"result");
+        rig.turn_with(vec![]);
+        assert_eq!(
+            *written.lock().unwrap(),
+            [hello_ok, err, ok_response(1, b"result")].concat()
+        );
+        assert!(!rig.is_open(idx, gen), "flushed and nothing in flight");
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!((snap.requests_err, snap.conns_open), (1, 0));
+    }
+
+    #[test]
+    fn unknown_kind_after_a_pipelined_request_keeps_its_reply() {
+        let chunk = [
+            hello_frame(),
+            encode_frame(&proto::encode_request(KIND_DATA, 1, b"q")),
+            encode_frame(&proto::encode_request(99, 2, b"")),
+        ]
+        .concat();
+        let err = proto::encode_response(STATUS_ERR, 2, b"unknown request kind");
+        reply_in_flight_outlives_a_protocol_error(&[chunk], encode_frame(&err));
+    }
+
+    #[test]
+    fn forged_length_prefix_after_a_pipelined_request_keeps_its_reply() {
+        // A poisoned decoder drops the frames of its own chunk, so the
+        // DATA comes in the read before the forged prefix.
+        let chunks = [
+            [
+                hello_frame(),
+                encode_frame(&proto::encode_request(KIND_DATA, 1, b"q")),
+            ]
+            .concat(),
+            u32::MAX.to_le_bytes().to_vec(),
+        ];
+        let too_large = sse_net::frame::FrameTooLarge { declared: u32::MAX };
+        let err = proto::encode_response(STATUS_ERR, HELLO_SEQ, too_large.to_string().as_bytes());
+        reply_in_flight_outlives_a_protocol_error(&chunks, encode_frame(&err));
+    }
+
+    #[test]
+    fn write_queue_bound_holds_within_one_read_chunk() {
+        // Depth-1 run queue, a 64-byte bound, and a peer that reads
+        // nothing. One chunk: hello, DATA seq 1 (queued as a job), then 50
+        // more DATA frames, each answered BUSY.
+        let mut rig = rig_with(Duration::from_secs(60), 1, 64);
+        let (mut io, written, cap) = ScriptIo::new(7);
+        *cap.lock().unwrap() = 0;
+        let chunk: Vec<u8> = std::iter::once(hello_frame())
+            .chain((1..=51).map(|seq| encode_frame(&proto::encode_request(KIND_DATA, seq, b"q"))))
+            .flatten()
+            .collect();
+        io.push_read(&chunk);
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+
+        // An empty-payload reply is 9 bytes: the 9-byte hello plus seven
+        // BUSYs is 72 > 64, so the seventh BUSY cuts the connection and
+        // the other 43 frames are never answered.
+        assert!(!rig.is_open(idx, gen));
+        assert!(written.lock().unwrap().is_empty());
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!(snap.slow_reader_disconnects, 1);
+        assert_eq!(snap.requests_busy, 7);
+        assert_eq!(snap.conns_open, 0);
     }
 
     #[test]

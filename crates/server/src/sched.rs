@@ -31,7 +31,7 @@
 //! FIFO push, FIFO pop/steal. A spill can interleave *across* queues,
 //! which the proptest below pins down precisely: no-spill ⇒ no reorder.
 //!
-//! The second half of the module is [`SearchFanout`]: the worker that
+//! The second half of the module is `SearchFanout`: the worker that
 //! dequeued a `SEARCH_MANY` batch publishes it as claimable and *idle
 //! pool workers* help execute its parts — no request starts a thread
 //! (`crates/server/tests/invariants.rs` holds the process's thread count
@@ -166,7 +166,7 @@ impl<T> Scheduler<T> {
         self.shards.len()
     }
 
-    /// The shared counters handle (cloned into [`crate::daemon::Shared`]
+    /// The shared counters handle (cloned into `crate::daemon::Shared`
     /// for the `ADMIN_STATS` overlay).
     #[must_use]
     pub fn counters(&self) -> Arc<SchedCounters> {

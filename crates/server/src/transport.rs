@@ -11,7 +11,7 @@
 //! exponential backoff, so schemes never observe them. `DEGRADED`
 //! responses (the tenant is read-only while a scrub repairs a storage
 //! fault) are likewise retried, honoring the server's retry-after hint
-//! bounded by [`DEGRADED_BACKOFF_CAP`] — operations are delayed, never
+//! bounded by `DEGRADED_BACKOFF_CAP` — operations are delayed, never
 //! dropped, and both retry kinds share one total deadline.
 //!
 //! On a broken connection the transport **fails the in-flight operation**
