@@ -5,6 +5,7 @@
 //! cargo run --release -p sse-bench --bin harness            # all, quick
 //! cargo run --release -p sse-bench --bin harness -- --full  # all, full sweeps
 //! cargo run --release -p sse-bench --bin harness -- e1 e4   # selected
+//! cargo run --release -p sse-bench --bin harness -- p1      # primitive costs
 //! ```
 
 use sse_bench::experiments;
@@ -31,7 +32,7 @@ fn main() {
         ids.iter()
             .map(|id| {
                 experiments::by_id(id)
-                    .unwrap_or_else(|| panic!("unknown experiment id: {id} (use e1..e8, t1)"))(
+                    .unwrap_or_else(|| panic!("unknown experiment id: {id} (use e1..e8, t1, p1)"))(
                     scale,
                 )
             })

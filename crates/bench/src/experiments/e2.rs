@@ -7,7 +7,7 @@
 
 use crate::table::{fmt_nanos, Table};
 use crate::Scale;
-use sse_core::scheme2::{CtrPolicy, InMemoryScheme2Client, Scheme2Config};
+use sse_core::scheme2::{InMemoryScheme2Client, Scheme2Config};
 use sse_core::types::{Document, Keyword, MasterKey};
 use std::time::Instant;
 
@@ -83,26 +83,4 @@ keyword — the measured shape (linear in the gap) is the same.",
 generations, so 'gens decrypted/search' stays ≈ x instead of growing with history."
     ));
     table
-}
-
-/// Helper reused by the Criterion bench: one (x updates + 1 search) cycle.
-pub fn one_cycle(client: &mut InMemoryScheme2Client, next_id: &mut u64, x: u64, keyword: &Keyword) {
-    for _ in 0..x {
-        client
-            .store(&[Document::new(*next_id, vec![0u8; 16], [keyword.as_str()])])
-            .unwrap();
-        *next_id += 1;
-    }
-    std::hint::black_box(client.search(keyword).unwrap());
-}
-
-/// Helper: a fresh Scheme 2 client for cycle benchmarks.
-#[must_use]
-pub fn fresh_client(policy: CtrPolicy, cache: bool) -> InMemoryScheme2Client {
-    InMemoryScheme2Client::new_in_memory(
-        MasterKey::from_seed(0xE2),
-        Scheme2Config::base(1 << 16)
-            .with_ctr_policy(policy)
-            .with_server_cache(cache),
-    )
 }

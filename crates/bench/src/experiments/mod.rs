@@ -9,16 +9,18 @@ mod e5;
 mod e6;
 mod e7;
 mod e8;
+mod p1;
 mod t1;
 
 pub use e1::e1_search_scaling;
-pub use e2::{e2_chain_walk, fresh_client, one_cycle};
+pub use e2::e2_chain_walk;
 pub use e3::e3_comm_overhead;
 pub use e4::e4_update_cost;
 pub use e5::e5_search_protocol;
 pub use e6::e6_exhaustion;
 pub use e7::e7_leakage;
 pub use e8::e8_simulator;
+pub use p1::p1_primitives;
 pub use t1::t1_summary;
 
 use crate::table::Table;
@@ -37,10 +39,11 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
         e7_leakage(scale),
         e8_simulator(scale),
         t1_summary(scale),
+        p1_primitives(scale),
     ]
 }
 
-/// Look up an experiment runner by id (`e1`..`e8`, `t1`).
+/// Look up an experiment runner by id (`e1`..`e8`, `t1`, `p1`).
 #[must_use]
 pub fn by_id(id: &str) -> Option<fn(Scale) -> Table> {
     Some(match id.to_ascii_lowercase().as_str() {
@@ -53,6 +56,7 @@ pub fn by_id(id: &str) -> Option<fn(Scale) -> Table> {
         "e7" => e7_leakage,
         "e8" => e8_simulator,
         "t1" => t1_summary,
+        "p1" => p1_primitives,
         _ => return None,
     })
 }

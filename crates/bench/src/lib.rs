@@ -1,10 +1,10 @@
 //! Shared experiment machinery for the reproduction benchmarks.
 //!
 //! Every paper artifact (Table 1 and the protocol Figures 1–4) maps to one
-//! experiment in [`experiments`]; the functions there return structured
-//! [`table::Table`]s consumed both by the `harness` binary (which prints
-//! EXPERIMENTS.md-style output) and by the Criterion benches (which time
-//! the same code paths).
+//! experiment in [`experiments`], and `p1` prices the primitives they are
+//! built from; the functions there return structured [`table::Table`]s
+//! that the `harness` binary prints as EXPERIMENTS.md-style output. All
+//! timing goes through [`timing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,7 +17,7 @@ pub mod timing;
 /// How much work an experiment run should do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Laptop-quick settings (CI, `cargo bench` smoke runs).
+    /// Laptop-quick settings (the harness default; CI runs it).
     Quick,
     /// The full parameter sweeps reported in EXPERIMENTS.md.
     Full,

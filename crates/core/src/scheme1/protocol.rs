@@ -40,6 +40,21 @@ pub mod REQ_TAGS {
     pub const CHECKPOINT: u8 = 0x09;
 }
 
+/// Whether the request tagged `tag` only reads the server's state: what a
+/// degraded (read-only) tenant may still serve, and all a `SEARCH_MANY`
+/// envelope part may be. An unknown tag is not a read.
+#[must_use]
+pub const fn is_read(tag: u8) -> bool {
+    matches!(
+        tag,
+        REQ_TAGS::GET_NONCES
+            | REQ_TAGS::SEARCH_FIND
+            | REQ_TAGS::SEARCH_REVEAL
+            | REQ_TAGS::SEARCH_REVEAL_MANY
+            | REQ_TAGS::EXPORT_INDEX
+    )
+}
+
 /// Scheme 1's own response tag bytes (server → client); the shared ones
 /// are [`crate::proto_common::resp`].
 mod RESP_TAGS {

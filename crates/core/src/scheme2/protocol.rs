@@ -25,6 +25,14 @@ pub mod req {
     pub const CHECKPOINT: u8 = 0x15;
 }
 
+/// Whether the request tagged `tag` only reads the server's state: what a
+/// degraded (read-only) tenant may still serve, and all a `SEARCH_MANY`
+/// envelope part may be. An unknown tag is not a read.
+#[must_use]
+pub const fn is_read(tag: u8) -> bool {
+    matches!(tag, req::SEARCH | req::SEARCH_MANY)
+}
+
 /// One generation to append: `(f_kw(w), E_k(I_new), f'(k))`.
 #[derive(Clone)]
 pub struct GenerationEntry {

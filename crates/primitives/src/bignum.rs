@@ -473,9 +473,9 @@ impl BigUint {
 
     /// Square-and-multiply *without* Montgomery reduction (any modulus).
     ///
-    /// Public for the ablation benchmark (`prim_elgamal` compares it
-    /// against the Montgomery path) and used internally as the fallback
-    /// for even moduli.
+    /// Public for the ablation benchmark (`harness p1`'s
+    /// `prim_modexp_ablation` rows compare it against the Montgomery path)
+    /// and used internally as the fallback for even moduli.
     ///
     /// # Panics
     /// Panics if `modulus` is zero or one.

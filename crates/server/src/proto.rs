@@ -225,8 +225,8 @@ pub fn decode_request(body: &[u8]) -> Option<(u8, u32, &[u8])> {
     Some((kind, u32::from_le_bytes(*seq), payload))
 }
 
-/// Encode an `UPDATE_MANY` payload: `[count u32]` then, per part,
-/// `[len u32][part bytes]`.
+/// Encode a batch envelope (`UPDATE_MANY`, `SEARCH_MANY`): `[count u32]`
+/// then, per part, `[len u32][part bytes]`.
 #[must_use]
 pub fn encode_batch(parts: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>());
@@ -238,39 +238,21 @@ pub fn encode_batch(parts: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Decode an `UPDATE_MANY` payload into its parts. `None` on any length
+/// Decode an `UPDATE_MANY` or `SEARCH_MANY` payload into its parts: the
+/// slices of `payload` at [`decode_batch_ranges`]. `None` on any length
 /// mismatch (truncated part, trailing bytes, or a forged count).
 #[must_use]
 pub fn decode_batch(payload: &[u8]) -> Option<Vec<&[u8]>> {
-    let (count, mut rest) = payload.split_first_chunk::<4>()?;
-    let count = u32::from_le_bytes(*count) as usize;
-    // Each part costs at least its 4-byte length prefix.
-    if count > rest.len() / 4 + 1 {
-        return None;
-    }
-    let mut parts = Vec::with_capacity(count);
-    for _ in 0..count {
-        let (len, tail) = rest.split_first_chunk::<4>()?;
-        let len = u32::from_le_bytes(*len) as usize;
-        if len > tail.len() {
-            return None;
-        }
-        let (part, tail) = tail.split_at(len);
-        parts.push(part);
-        rest = tail;
-    }
-    if !rest.is_empty() {
-        return None;
-    }
-    Some(parts)
+    let ranges = decode_batch_ranges(payload)?;
+    Some(ranges.into_iter().map(|r| &payload[r]).collect())
 }
 
-/// [`decode_batch`] without borrowing the parts: the same validation,
-/// returning each part's byte range *within* `payload`. The spawn-free
-/// search fan-out executor ([`crate::sched`]) shares one pooled request
-/// buffer across helper workers via `Arc`, so parts must be positions,
-/// not borrows tied to a local slice. `None` exactly when
-/// [`decode_batch`] returns `None`.
+/// The batch envelope's one parser: each part's byte range *within*
+/// `payload`. The spawn-free search fan-out executor ([`crate::sched`])
+/// shares one pooled request buffer across helper workers via `Arc`, so
+/// parts must be positions, not borrows tied to a local slice. `None` on
+/// any length mismatch (truncated part, trailing bytes, or a forged
+/// count).
 #[must_use]
 pub fn decode_batch_ranges(payload: &[u8]) -> Option<Vec<std::ops::Range<usize>>> {
     let (count, rest) = payload.split_first_chunk::<4>()?;

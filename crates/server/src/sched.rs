@@ -556,6 +556,63 @@ mod tests {
         snap
     }
 
+    /// Serve a `SEARCH_MANY` envelope of `[read, mutation]` through the
+    /// fan-out executor — inline (one worker) and as a published batch
+    /// (four) — on a fresh in-memory tenant. The read is served, the
+    /// mutation part is answered with an error, and the tenant's documents
+    /// and keywords are unchanged.
+    fn search_many_refuses_the_mutation_part(scheme: SchemeId, read: Vec<u8>, mutation: Vec<u8>) {
+        use crate::tenant::{TenantParams, TenantRegistry};
+        use sse_core::proto_common::resp::ERROR;
+
+        for workers in [1, 4] {
+            let tenant = TenantRegistry::new(TenantParams::default())
+                .get_or_create("t", scheme)
+                .unwrap();
+            let (sched, _tx) = Scheduler::new(workers, 8, false);
+            let envelope = crate::proto::encode_batch(&[read.clone(), mutation.clone()]);
+            let reply = SearchFanout::new(sched)
+                .search_many(&tenant, PooledBuf::from_vec(envelope))
+                .unwrap();
+            let parts = crate::proto::decode_batch(&reply).unwrap();
+            assert_ne!(
+                parts[0][0], ERROR,
+                "{scheme:?}/{workers}: the read is served"
+            );
+            assert_eq!(
+                parts[1][0], ERROR,
+                "{scheme:?}/{workers}: the mutation is refused"
+            );
+            assert_eq!(tenant.stored_docs(), 0, "{scheme:?}/{workers}");
+            assert_eq!(tenant.unique_keywords(), 0, "{scheme:?}/{workers}");
+        }
+    }
+
+    #[test]
+    fn scheme2_search_many_serves_no_put_docs_part() {
+        use sse_core::scheme2::protocol as s2;
+        search_many_refuses_the_mutation_part(
+            SchemeId::Scheme2,
+            s2::encode_search(&[1; 32], &[2; 32]),
+            s2::encode_put_docs(&[(7, b"doc".to_vec())]),
+        );
+    }
+
+    #[test]
+    fn scheme1_search_many_serves_no_apply_updates_part() {
+        use sse_core::scheme1::protocol::{self as s1, UpdateEntry};
+        let entry = UpdateEntry {
+            tag: [3; 32],
+            delta: vec![0; 4096 / 8],
+            f_r: vec![4; 32],
+        };
+        search_many_refuses_the_mutation_part(
+            SchemeId::Scheme1,
+            s1::encode_search_find(&[3; 32]),
+            s1::encode_apply_updates(&[entry]),
+        );
+    }
+
     #[test]
     fn affinity_routes_a_tenant_to_one_worker() {
         let (sched, tx) = Scheduler::new(4, 64, true);

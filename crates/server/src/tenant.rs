@@ -83,39 +83,33 @@ impl TenantDb {
 
     /// Whether an envelope request would mutate this database — the
     /// routing predicate for degraded (read-only) serving. `UPDATE_MANY`
-    /// is always a mutation and `SEARCH_MANY` never is; for `DATA` the
-    /// scheme request tag (first payload byte) decides. Unknown and empty
-    /// payloads classify as mutations: the scheme server will reject them
-    /// anyway, and a degraded tenant must fail closed, not execute a
-    /// request the classifier could not read.
+    /// is always a mutation and `SEARCH_MANY` never is (its parts are
+    /// served only if each is a read, see `handle_part_caught`); for
+    /// `DATA` the scheme's `is_read` on the request tag (first payload
+    /// byte) decides. Unknown and empty payloads classify as mutations:
+    /// the scheme server will reject them anyway, and a degraded tenant
+    /// must fail closed, not execute a request the classifier could not
+    /// read.
     #[must_use]
     pub fn is_mutation(&self, kind: u8, payload: &[u8]) -> bool {
         match kind {
             crate::proto::KIND_UPDATE_MANY => true,
             crate::proto::KIND_SEARCH_MANY => false,
-            crate::proto::KIND_DATA => {
-                let Some(&tag) = payload.first() else {
-                    return true;
-                };
-                match self {
-                    TenantDb::S1(_) => {
-                        use sse_core::scheme1::REQ_TAGS as t1;
-                        !matches!(
-                            tag,
-                            t1::GET_NONCES
-                                | t1::SEARCH_FIND
-                                | t1::SEARCH_REVEAL
-                                | t1::SEARCH_REVEAL_MANY
-                                | t1::EXPORT_INDEX
-                        )
-                    }
-                    TenantDb::S2(_) => {
-                        use sse_core::scheme2::protocol::req as t2;
-                        !matches!(tag, t2::SEARCH | t2::SEARCH_MANY)
-                    }
-                }
-            }
+            crate::proto::KIND_DATA => !self.is_read(payload),
             _ => true,
+        }
+    }
+
+    /// Whether the scheme request `request` only reads: its tag (first
+    /// byte) is one of the scheme's reads (`scheme1::protocol::is_read`,
+    /// `scheme2::protocol::is_read`). An empty request is not a read.
+    fn is_read(&self, request: &[u8]) -> bool {
+        let Some(&tag) = request.first() else {
+            return false;
+        };
+        match self {
+            TenantDb::S1(_) => sse_core::scheme1::protocol::is_read(tag),
+            TenantDb::S2(_) => sse_core::scheme2::protocol::is_read(tag),
         }
     }
 
@@ -209,12 +203,17 @@ impl TenantDb {
         }
     }
 
-    /// Serve one fan-out part, converting a scheme-server panic into that
-    /// part's protocol error instead of unwinding through the pool — one
-    /// poisoned part must not kill the other parts or the connection. The
-    /// executor in [`crate::sched`] waits on every claimed part reporting
-    /// a result.
+    /// Serve one `SEARCH_MANY` fan-out part, converting a scheme-server
+    /// panic into that part's protocol error instead of unwinding through
+    /// the pool — one poisoned part must not kill the other parts or the
+    /// connection. The executor in [`crate::sched`] waits on every claimed
+    /// part reporting a result. A part that is not a read is answered with
+    /// an error and not served: the envelope passes the degraded gate and
+    /// is never parked, so a mutation inside it would skip both.
     pub(crate) fn handle_part_caught(&self, part: &[u8]) -> Vec<u8> {
+        if !self.is_read(part) {
+            return sse_core::proto_common::encode_error("SEARCH_MANY part is not a read");
+        }
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle_shared(part)))
             .unwrap_or_else(|_| fanout_panicked())
     }
@@ -609,6 +608,59 @@ mod tests {
         assert_eq!(fanout_limit(8, 1), 1, "single core: caller alone, 0 spawns");
         assert_eq!(fanout_limit(1, 8), 1, "single part stays inline");
         assert_eq!(fanout_limit(3, 0), 1, "a zero core count cannot size to 0");
+    }
+
+    #[test]
+    fn every_opcode_of_both_schemes_is_classified() {
+        use crate::proto::{KIND_DATA, KIND_SEARCH_MANY, KIND_UPDATE_MANY};
+        use sse_core::scheme1::REQ_TAGS as t1;
+        use sse_core::scheme2::protocol::req as t2;
+
+        let reg = TenantRegistry::new(TenantParams::default());
+        let schemes = [
+            (
+                SchemeId::Scheme1,
+                vec![
+                    (t1::PUT_DOCS, false),
+                    (t1::GET_NONCES, true),
+                    (t1::APPLY_UPDATES, false),
+                    (t1::SEARCH_FIND, true),
+                    (t1::SEARCH_REVEAL, true),
+                    (t1::SEARCH_REVEAL_MANY, true),
+                    (t1::EXPORT_INDEX, true),
+                    (t1::REPLACE_INDEX, false),
+                    (t1::CHECKPOINT, false),
+                ],
+            ),
+            (
+                SchemeId::Scheme2,
+                vec![
+                    (t2::PUT_DOCS, false),
+                    (t2::APPEND_GENERATIONS, false),
+                    (t2::SEARCH, true),
+                    (t2::RESET_INDEX, false),
+                    (t2::SEARCH_MANY, true),
+                    (t2::REMOVE_DOCS, false),
+                    (t2::CHECKPOINT, false),
+                ],
+            ),
+        ];
+        for (scheme, opcodes) in schemes {
+            let tenant = reg.get_or_create("t", scheme).unwrap();
+            for tag in 0..=u8::MAX {
+                // Every byte that is not one of the scheme's opcodes is
+                // unknown, and an unknown request is a mutation.
+                let read = opcodes.iter().any(|&(op, read)| op == tag && read);
+                assert_eq!(
+                    tenant.is_mutation(KIND_DATA, &[tag]),
+                    !read,
+                    "{scheme:?} tag {tag:#04x}"
+                );
+            }
+            assert!(tenant.is_mutation(KIND_DATA, &[]), "{scheme:?}: empty");
+            assert!(tenant.is_mutation(KIND_UPDATE_MANY, &[]));
+            assert!(!tenant.is_mutation(KIND_SEARCH_MANY, &[]));
+        }
     }
 
     #[test]

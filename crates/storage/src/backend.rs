@@ -243,9 +243,13 @@ impl BackendCounters {
 
 /// The paper's DataStorage: opaque encrypted blobs keyed by document id.
 ///
-/// Durability contract: every successful mutation is durable on return
-/// (write-ahead logged); [`DocBlobStore::checkpoint`] is a space/recovery
-/// optimization, never a durability requirement.
+/// Durability contract: every successful mutation is write-ahead logged
+/// before it returns, so it survives a *process* crash from then on.
+/// Against power loss it is durable only once fsynced: on every append
+/// with [`crate::store::StoreOptions::sync_on_append`], else at the next
+/// [`DocBlobStore::checkpoint`]. The index engine opens its store with
+/// the default (`sync_on_append: false`), so a served document is
+/// power-loss durable only after the next checkpoint (ROADMAP item 7).
 pub trait DocBlobStore: Send + Sync {
     /// Store (or replace) the blob for `id`.
     ///

@@ -7,7 +7,11 @@
 //! Durability: every mutation is appended to a [`crate::wal::Wal`] before
 //! being applied to the in-memory heap; [`DocStore::checkpoint`] folds the
 //! log into an atomic snapshot (`write to temp + rename`) and resets the
-//! log. [`DocStore::open`] recovers snapshot + log after a crash.
+//! log. [`DocStore::open`] recovers snapshot + log after a crash. The
+//! append is fsynced only with [`StoreOptions::sync_on_append`]; without
+//! it (the default, and what the index engine uses) a returned mutation
+//! survives a process crash, but power loss can take it until the next
+//! checkpoint (ROADMAP item 7).
 
 use crate::crc32::{crc32, Crc32};
 use crate::error::{Result, StorageError};

@@ -926,3 +926,92 @@ fn scheme2_remove_docs_on_a_failing_disk_is_an_error_not_an_ack() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Total bytes of every file under `dir`.
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            if meta.is_dir() {
+                dir_bytes(&entry.path())
+            } else {
+                meta.len()
+            }
+        })
+        .sum()
+}
+
+/// A `SEARCH_MANY` envelope counts as a read, so it passes a degraded
+/// tenant's read-only gate; its parts must therefore be reads too. A
+/// durable Scheme 2 tenant degraded by a failed fsync (no scrub, so it
+/// stays degraded) answers `[Search, PutDocs, ResetIndex]` with the
+/// search's result and an error for each mutation, writes no byte to its
+/// directory, and still answers the baseline search.
+#[test]
+fn degraded_tenant_stores_nothing_from_a_search_many_envelope() {
+    use sse_repro::core::proto_common::{decode_result, resp};
+    use sse_repro::core::scheme2::protocol as s2p;
+    use sse_repro::server::proto::{self, KIND_SEARCH_MANY};
+
+    for backend in fault_backends() {
+        let data_dir = temp_dir(&format!("search-many-{backend}"));
+        let params = TenantParams {
+            backend,
+            ..TenantParams::default()
+        };
+        let daemon = Daemon::spawn(ServerConfig {
+            workers: 2,
+            tenant_params: params,
+            data_dir: Some(data_dir.clone()),
+            fault: Some(FaultConfig {
+                seed: fault_seed(),
+                fail_sync_at: Some(4),
+                ..FaultConfig::default()
+            }),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = daemon.local_addr();
+        let key = MasterKey::from_seed(fault_seed() ^ 0x5EA);
+        let mut client =
+            DaemonClient::connect(addr, SchemeId::Scheme2, &key, params.scheme1_capacity, 1);
+        let mut acked = 0;
+        while client
+            .store(&Document::new(acked, doc_data(acked), ["stable"]))
+            .is_ok()
+        {
+            acked += 1;
+            assert!(acked < 32, "{backend}: the failing fsync never came");
+        }
+        assert!(acked > 0, "{backend}: no store landed before the fault");
+        assert_eq!(daemon.stats().tenants_degraded, 1, "{backend}");
+        let baseline = client.search("stable");
+        assert!(!baseline.is_empty(), "{backend}");
+
+        let bytes_before = dir_bytes(&data_dir);
+        let envelope = proto::encode_batch(&[
+            s2p::encode_search(&[1; 32], &[2; 32]),
+            s2p::encode_put_docs(&[(999, doc_data(999))]),
+            s2p::encode_reset_index(),
+        ]);
+        let mut raw = TcpTransport::connect(addr, "degr", SchemeId::Scheme2).unwrap();
+        let body = raw.request(KIND_SEARCH_MANY, &envelope).unwrap();
+        let parts = proto::decode_batch(&body).unwrap();
+        assert!(decode_result(parts[0]).unwrap().is_empty(), "{backend}");
+        assert_eq!(parts[1][0], resp::ERROR, "{backend}: PutDocs was served");
+        assert_eq!(parts[2][0], resp::ERROR, "{backend}: ResetIndex was served");
+        assert_eq!(client.search("stable"), baseline, "{backend}");
+        assert_eq!(
+            dir_bytes(&data_dir),
+            bytes_before,
+            "{backend}: bytes stored"
+        );
+        assert_eq!(daemon.stats().tenants_degraded, 1, "{backend}");
+
+        drop((client, raw));
+        daemon.shutdown();
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
+}
