@@ -74,7 +74,9 @@ use crate::shard::{self, shard_of, BatchId};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sse_index::bptree::BpTree;
 use sse_net::wire::{WireReader, WireWriter};
+use sse_storage::backend::read_backend_manifest;
 use sse_storage::crc32::crc32;
+use sse_storage::durable::{self, commit_by_rename, sealed_header, unseal};
 use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
 use sse_storage::store::{DocStore, StoreOptions};
 use sse_storage::wal::{self, WalVerdict};
@@ -327,6 +329,11 @@ fn journal_file<S: SchemeOps>(i: usize) -> String {
     shard_file::<S>(i, "wal")
 }
 
+/// The shard manifest (`SSESHRD1`).
+fn manifest_file<S: SchemeOps>() -> String {
+    format!("{}.meta", S::STEM)
+}
+
 /// LSM keyword-map file prefix for shard `i` (lsm backend).
 fn kw_prefix<S: SchemeOps>(i: usize) -> String {
     format!("{}.kw{i}", S::STEM)
@@ -383,11 +390,13 @@ pub trait IndexAdmin {
     /// Checks every checksum the storage formats carry: the per-shard
     /// index journals and the document store's WAL (CRC-framed records —
     /// append-only and prefix-stable, so scanning a live log is safe),
-    /// the btree index snapshots (magic + body CRC; replaced atomically
-    /// via temp-file + rename, so a concurrent checkpoint can never be
-    /// seen half-written), and under the lsm backend every live run's
-    /// index and value CRCs (under the shard/store lock, since flushes
-    /// swap run files). Heap pages carry no checksums and are skipped.
+    /// the sealed files — btree index snapshots, the heap store's
+    /// `store.snapshot` and the lsm manifests (magic + body CRC; replaced
+    /// atomically by rename, so a concurrent checkpoint can never be seen
+    /// half-written), the shard and backend manifests (`<stem>.meta`,
+    /// `backend.meta`), and under the lsm backend every live run's index
+    /// and value CRCs (under the shard/store lock, since flushes swap run
+    /// files).
     ///
     /// A torn WAL tail is a *repairable* finding, not corruption — it is
     /// exactly what a crash (or a read racing an append) leaves behind.
@@ -504,7 +513,7 @@ impl<S: SchemeOps> IndexEngine<S> {
             shards,
             backend,
         } = opts;
-        let manifest_file = format!("{}.meta", S::STEM);
+        let manifest_file = manifest_file::<S>();
         let backend = resolve_backend(
             vfs.as_ref(),
             dir,
@@ -537,11 +546,9 @@ impl<S: SchemeOps> IndexEngine<S> {
             let data = match backend {
                 BackendKind::Btree => {
                     let path = dir.join(index_file::<S>(i));
-                    if vfs.exists(&path) {
-                        let bytes = vfs.read(&path).map_err(StorageError::Io)?;
-                        load_snapshot(&bytes, &meta, &path)?
-                    } else {
-                        ShardData::new(BpTree::new(), 0, None)
+                    match durable::read_if_exists(vfs.as_ref(), &path)? {
+                        Some(bytes) => load_snapshot(&bytes, &meta, &path)?,
+                        None => ShardData::new(BpTree::new(), 0, None),
                     }
                 }
                 BackendKind::Lsm => load_kw_map(
@@ -568,7 +575,15 @@ impl<S: SchemeOps> IndexEngine<S> {
         let mut replayed = 0u64;
         for (data, apply) in datas.iter_mut().zip(&plan.apply) {
             for record in apply {
-                S::apply(data, &sidecar, &mut meta, record)?;
+                // Every journaled record was a valid mutation when it was
+                // staged, so one that no longer applies is a damaged record.
+                S::apply(data, &sidecar, &mut meta, record).map_err(|e| match e {
+                    SseError::Storage(e) => SseError::Storage(e),
+                    e => SseError::Storage(StorageError::Corrupt {
+                        what: "index journal record",
+                        detail: format!("replay: {e}"),
+                    }),
+                })?;
                 replayed += 1;
             }
         }
@@ -1059,12 +1074,14 @@ impl<S: SchemeOps> IndexEngine<S> {
         self.store.write().checkpoint()?;
         match self.backend {
             BackendKind::Btree => {
-                for (i, data) in datas.iter().enumerate() {
-                    save_snapshot(home, data, meta, &home.dir.join(index_file::<S>(i)))?;
-                }
-                // The snapshots committed via rename; one dir fsync makes
-                // all the renames durable before any journal is reset.
-                home.vfs.sync_dir(&home.dir).map_err(StorageError::Io)?;
+                // One commit for every shard: its one dir fsync makes all
+                // the renames durable before any journal is reset.
+                let names: Vec<String> = (0..datas.len()).map(index_file::<S>).collect();
+                commit_by_rename(home.vfs.as_ref(), &home.dir, &names, |i, f| {
+                    let body = snapshot_body(&datas[i], meta);
+                    f.write_all(&sealed_header(S::MAGIC, crc32(&body)))?;
+                    Ok(f.write_all(&body)?)
+                })?;
             }
             BackendKind::Lsm => {
                 for data in datas.iter_mut() {
@@ -1179,7 +1196,7 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
             BackendKind::Btree => {
                 for i in 0..self.shards.len() {
                     let path = home.dir.join(index_file::<S>(i));
-                    if verify_index_snapshot::<S>(home.vfs.as_ref(), &path)? {
+                    if durable::verify_sealed(home.vfs.as_ref(), &path, S::MAGIC)? {
                         findings.artifacts_verified += 1;
                     }
                 }
@@ -1194,6 +1211,14 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
             }
         }
         findings.artifacts_verified += self.store.read().verify()?;
+        // The two stamps, written once at open.
+        let manifest = home.dir.join(manifest_file::<S>());
+        if shard::read_manifest(home.vfs.as_ref(), &manifest)?.is_some() {
+            findings.artifacts_verified += 1;
+        }
+        if read_backend_manifest(home.vfs.as_ref(), &home.dir)?.is_some() {
+            findings.artifacts_verified += 1;
+        }
         Ok(findings)
     }
 
@@ -1298,49 +1323,11 @@ fn corrupt_snapshot(detail: String) -> SseError {
     })
 }
 
-/// Check a snapshot file's framing — `[magic: 8][crc32(body): u32 LE]
-/// [body]` — and return the body.
-fn snapshot_body<'a, S: SchemeOps>(bytes: &'a [u8], path: &Path) -> Result<&'a [u8]> {
-    if bytes.len() < 12 || &bytes[..8] != S::MAGIC {
-        return Err(corrupt_snapshot(format!(
-            "bad magic or truncated in {}",
-            path.display()
-        )));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let body = &bytes[12..];
-    if crc32(body) != stored_crc {
-        return Err(corrupt_snapshot(format!(
-            "checksum mismatch in {}",
-            path.display()
-        )));
-    }
-    Ok(body)
-}
-
-/// Scrub check of one shard snapshot file: magic + body CRC, without
-/// decoding the body. `Ok(false)` when the file does not exist (no
-/// checkpoint has happened yet — nothing to verify).
-fn verify_index_snapshot<S: SchemeOps>(vfs: &dyn Vfs, path: &Path) -> Result<bool> {
-    let bytes = match vfs.read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(SseError::Storage(StorageError::Io(e))),
-    };
-    snapshot_body::<S>(&bytes, path)?;
-    Ok(true)
-}
-
-/// Persist one shard's index snapshot (CRC-protected; carries the shard's
-/// `applied_seq` as `last_op_seq`), committed by temp-file + rename. The
-/// index contains only what the server already sees, so persisting it
-/// leaks nothing new.
-fn save_snapshot<S: SchemeOps>(
-    home: &Home,
-    data: &ShardData<S>,
-    meta: &S::Meta,
-    path: &Path,
-) -> Result<()> {
+/// The body of one shard's index snapshot: its `applied_seq` (the
+/// `last_op_seq` a reopen skips the journal to), the meta, then every
+/// entry in tree order. The index contains only what the server already
+/// sees, so persisting it leaks nothing new.
+fn snapshot_body<S: SchemeOps>(data: &ShardData<S>, meta: &S::Meta) -> Vec<u8> {
     let mut body = WireWriter::new();
     body.put_u64(data.applied_seq);
     body.put_array(&S::encode_meta(meta));
@@ -1349,25 +1336,13 @@ fn save_snapshot<S: SchemeOps>(
         body.put_array(tag);
         S::encode_value(value, &mut body);
     }
-    let body = body.finish();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = home.vfs.create(&tmp).map_err(StorageError::Io)?;
-        let mut header = Vec::with_capacity(12);
-        header.extend_from_slice(S::MAGIC);
-        header.extend_from_slice(&crc32(&body).to_le_bytes());
-        f.write_all(&header).map_err(StorageError::Io)?;
-        f.write_all(&body).map_err(StorageError::Io)?;
-        f.sync_data().map_err(StorageError::Io)?;
-    }
-    home.vfs.rename(&tmp, path).map_err(StorageError::Io)?;
-    Ok(())
+    body.finish()
 }
 
 /// Decode one shard snapshot, validating it against `meta`. A body that
 /// passes its CRC but does not decode is as corrupt as one that fails it.
 fn load_snapshot<S: SchemeOps>(bytes: &[u8], meta: &S::Meta, path: &Path) -> Result<ShardData<S>> {
-    let body = snapshot_body::<S>(bytes, path)?;
+    let body = unseal(bytes, S::MAGIC, path)?;
     decode_snapshot::<S>(body, meta, path).map_err(|e| match e {
         SseError::Wire(e) => corrupt_snapshot(format!("{e} in {}", path.display())),
         e => e,
@@ -1384,7 +1359,7 @@ fn decode_snapshot<S: SchemeOps>(body: &[u8], meta: &S::Meta, path: &Path) -> Re
     let mut prev: Option<[u8; 32]> = None;
     for _ in 0..n {
         let tag = r.get_array32()?;
-        // `save_snapshot` writes tags in tree order: a repeated or
+        // `snapshot_body` writes tags in tree order: a repeated or
         // out-of-order tag would silently replace an entry.
         if prev.is_some_and(|p| p >= tag) {
             return Err(corrupt_snapshot(format!(

@@ -94,27 +94,29 @@ impl IndexJournal {
         sync_on_append: bool,
         snapshot_seq: u64,
     ) -> Result<(Self, JournalRecovery)> {
-        let mut recovery = JournalRecovery::default();
+        let (wal, log) = Wal::open_with_vfs(vfs, path, sync_on_append)?;
+        let mut recovery = JournalRecovery {
+            torn_bytes_truncated: wal.torn_bytes_truncated(),
+            ..JournalRecovery::default()
+        };
         let mut max_seq = snapshot_seq;
-        for record in Wal::replay_with_vfs(vfs.as_ref(), path)? {
-            if record.len() < 8 {
+        for record in log.records() {
+            let Some((seq, request)) = record.split_first_chunk::<8>() else {
                 return Err(sse_storage::StorageError::Corrupt {
                     what: "index journal record",
                     detail: format!("record of {} bytes lacks op_seq header", record.len()),
                 }
                 .into());
-            }
-            let seq = u64::from_le_bytes(record[0..8].try_into().expect("8 bytes"));
+            };
+            let seq = u64::from_le_bytes(*seq);
             if seq > snapshot_seq {
-                recovery.replay.push(record[8..].to_vec());
+                recovery.replay.push(request.to_vec());
             } else {
                 recovery.skipped += 1;
-                recovery.skipped_raw.push(record[8..].to_vec());
+                recovery.skipped_raw.push(request.to_vec());
             }
             max_seq = max_seq.max(seq);
         }
-        let wal = Wal::open_with_vfs(vfs, path, sync_on_append)?;
-        recovery.torn_bytes_truncated = wal.torn_bytes_truncated();
         Ok((
             IndexJournal {
                 wal,

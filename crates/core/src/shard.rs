@@ -26,10 +26,9 @@
 
 use crate::error::Result;
 use crate::journal::JournalRecovery;
-use sse_storage::crc32::crc32;
+use sse_storage::durable::{read_stamp, write_stamp};
 use sse_storage::{StorageError, Vfs};
 use std::collections::{HashMap, HashSet};
-use std::io;
 use std::path::Path;
 
 /// First byte of a batch-slice journal record. Chosen outside every
@@ -190,59 +189,30 @@ pub fn resolve_shard_recoveries(recoveries: &[JournalRecovery]) -> Result<ShardR
 /// Magic prefix of the shard manifest file.
 const MANIFEST_MAGIC: &[u8; 8] = b"SSESHRD1";
 
+/// Most index shards a durable directory may have: the bound keeps a
+/// damaged manifest from making an open create billions of journals.
+pub(crate) const MAX_SHARDS: usize = 1024;
+
 /// Read a shard manifest, returning the shard count, or `None` when the
 /// file does not exist (a legacy or fresh directory).
 ///
 /// # Errors
 /// I/O errors, or [`StorageError::Corrupt`] on a damaged manifest.
 pub fn read_manifest(vfs: &dyn Vfs, path: &Path) -> Result<Option<u32>> {
-    let bytes = match vfs.read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(StorageError::from(e).into()),
-    };
-    let corrupt = |detail: String| StorageError::Corrupt {
-        what: "shard manifest",
-        detail,
-    };
-    if bytes.len() != 16 || &bytes[0..8] != MANIFEST_MAGIC {
-        return Err(corrupt(format!("bad length or magic ({} bytes)", bytes.len())).into());
+    match read_stamp(vfs, path, MANIFEST_MAGIC)? {
+        Some(n) if n == 0 || n as usize > MAX_SHARDS => Err(StorageError::Corrupt {
+            what: "shard manifest",
+            detail: format!("shard count {n} outside 1..={MAX_SHARDS}"),
+        }
+        .into()),
+        shards => Ok(shards),
     }
-    let stored_crc = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    if crc32(&bytes[0..12]) != stored_crc {
-        return Err(corrupt("checksum mismatch".to_string()).into());
-    }
-    let shards = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if shards == 0 {
-        return Err(corrupt("zero shard count".to_string()).into());
-    }
-    Ok(Some(shards))
-}
-
-/// Write the shard manifest atomically (tmp file + rename), fixing the
-/// directory's shard count for all future opens.
-///
-/// # Errors
-/// I/O errors from the VFS (including injected faults).
-pub fn write_manifest(vfs: &dyn Vfs, path: &Path, shards: u32) -> Result<()> {
-    let mut bytes = Vec::with_capacity(16);
-    bytes.extend_from_slice(MANIFEST_MAGIC);
-    bytes.extend_from_slice(&shards.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
-    let tmp = path.with_extension("meta.tmp");
-    {
-        let mut f = vfs.create(&tmp).map_err(StorageError::from)?;
-        f.write_all(&bytes).map_err(StorageError::from)?;
-        f.sync_data().map_err(StorageError::from)?;
-    }
-    vfs.rename(&tmp, path).map_err(StorageError::from)?;
-    Ok(())
 }
 
 /// Decide how many shards a durable directory has. A manifest fixes the
 /// count; otherwise a directory with legacy single-shard files stays
-/// single-shard, and a fresh directory gets the requested count (recorded
-/// in a new manifest either way).
+/// single-shard, and a fresh directory gets the requested count, clamped
+/// to `1..=`[`MAX_SHARDS`] (recorded in a new manifest either way).
 ///
 /// # Errors
 /// I/O errors or a corrupt manifest.
@@ -253,8 +223,7 @@ pub(crate) fn resolve_shard_count(
     legacy_index_file: &str,
     requested: usize,
 ) -> Result<usize> {
-    let manifest_path = dir.join(manifest_file);
-    if let Some(n) = read_manifest(vfs, &manifest_path)? {
+    if let Some(n) = read_manifest(vfs, &dir.join(manifest_file))? {
         return Ok(n as usize);
     }
     let legacy_wal = Path::new(legacy_index_file)
@@ -262,8 +231,12 @@ pub(crate) fn resolve_shard_count(
         .to_string_lossy()
         .into_owned();
     let legacy = vfs.exists(&dir.join(legacy_index_file)) || vfs.exists(&dir.join(legacy_wal));
-    let n = if legacy { 1 } else { requested.max(1) };
-    write_manifest(vfs, &manifest_path, n as u32)?;
+    let n = if legacy {
+        1
+    } else {
+        requested.clamp(1, MAX_SHARDS)
+    };
+    write_stamp(vfs, dir, manifest_file, MANIFEST_MAGIC, n as u32)?;
     Ok(n)
 }
 
@@ -399,7 +372,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let vfs = RealVfs;
         assert_eq!(read_manifest(&vfs, &path).unwrap(), None);
-        write_manifest(&vfs, &path, 8).unwrap();
+        write_stamp(&vfs, &dir, "scheme1.meta", MANIFEST_MAGIC, 8).unwrap();
         assert_eq!(read_manifest(&vfs, &path).unwrap(), Some(8));
         // Flip a byte: corrupt, not silently wrong.
         let mut bytes = std::fs::read(&path).unwrap();

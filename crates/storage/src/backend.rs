@@ -17,7 +17,7 @@
 //! under the other with [`StorageError::BackendMismatch`] — a clean error
 //! instead of silent misreading.
 
-use crate::crc32::crc32;
+use crate::durable::{read_stamp, write_stamp};
 use crate::error::{Result, StorageError};
 use crate::store::{DocStore, RecoveryReport};
 use crate::vfs::Vfs;
@@ -105,53 +105,14 @@ const BACKEND_MAGIC: &[u8; 8] = b"SSEBKND1";
 /// # Errors
 /// I/O errors, or [`StorageError::Corrupt`] for a damaged manifest.
 pub fn read_backend_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<Option<BackendKind>> {
-    let path = dir.join(BACKEND_MANIFEST_FILE);
-    if !vfs.exists(&path) {
-        return Ok(None);
-    }
-    let bytes = vfs.read(&path)?;
-    if bytes.len() != 16 || &bytes[..8] != BACKEND_MAGIC {
-        return Err(StorageError::Corrupt {
-            what: "backend manifest",
-            detail: "bad magic or length".to_string(),
-        });
-    }
-    let code = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let stored_crc = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    if crc32(&bytes[..12]) != stored_crc {
-        return Err(StorageError::Corrupt {
-            what: "backend manifest",
-            detail: "checksum mismatch".to_string(),
-        });
-    }
-    BackendKind::from_code(code)
-        .map(Some)
-        .ok_or(StorageError::Corrupt {
+    let code = read_stamp(vfs, &dir.join(BACKEND_MANIFEST_FILE), BACKEND_MAGIC)?;
+    code.map(|code| {
+        BackendKind::from_code(code).ok_or(StorageError::Corrupt {
             what: "backend manifest",
             detail: format!("unknown backend code {code}"),
         })
-}
-
-/// Write the backend manifest of `dir` (atomic: temp + rename + dir fsync).
-///
-/// # Errors
-/// I/O errors.
-pub fn write_backend_manifest(vfs: &dyn Vfs, dir: &Path, kind: BackendKind) -> Result<()> {
-    let mut bytes = Vec::with_capacity(16);
-    bytes.extend_from_slice(BACKEND_MAGIC);
-    bytes.extend_from_slice(&kind.code().to_le_bytes());
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    let tmp = dir.join(format!("{BACKEND_MANIFEST_FILE}.tmp"));
-    let path = dir.join(BACKEND_MANIFEST_FILE);
-    {
-        let mut f = vfs.create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    vfs.rename(&tmp, &path)?;
-    vfs.sync_dir(dir)?;
-    Ok(())
+    })
+    .transpose()
 }
 
 /// Resolve which backend governs `dir` when the caller requests
@@ -174,30 +135,22 @@ pub fn resolve_backend(
     legacy_markers: &[&str],
 ) -> Result<BackendKind> {
     vfs.create_dir_all(dir)?;
-    let on_disk = match read_backend_manifest(vfs, dir)? {
-        Some(kind) => Some(kind),
-        None => legacy_markers
-            .iter()
-            .any(|m| vfs.exists(&dir.join(m)))
-            .then_some(BackendKind::Btree),
-    };
-    match on_disk {
-        Some(kind) if kind != requested => Err(StorageError::BackendMismatch {
+    let manifest = read_backend_manifest(vfs, dir)?;
+    let legacy = || legacy_markers.iter().any(|m| vfs.exists(&dir.join(m)));
+    let kind = manifest
+        .or_else(|| legacy().then_some(BackendKind::Btree))
+        .unwrap_or(requested);
+    if kind != requested {
+        return Err(StorageError::BackendMismatch {
             on_disk: kind.as_str(),
             requested: requested.as_str(),
-        }),
-        Some(kind) => {
-            // Self-describe legacy directories on first contact.
-            if read_backend_manifest(vfs, dir)?.is_none() {
-                write_backend_manifest(vfs, dir, kind)?;
-            }
-            Ok(kind)
-        }
-        None => {
-            write_backend_manifest(vfs, dir, requested)?;
-            Ok(requested)
-        }
+        });
     }
+    // Record a fresh directory's kind; self-describe a legacy one.
+    if manifest.is_none() {
+        write_stamp(vfs, dir, BACKEND_MANIFEST_FILE, BACKEND_MAGIC, kind.code())?;
+    }
+    Ok(kind)
 }
 
 // ---------------------------------------------------------------------------
@@ -313,9 +266,10 @@ pub trait DocBlobStore: Send + Sync {
     }
 
     /// Integrity scrub: re-verify whatever on-disk checksums the engine
-    /// maintains, returning the number of artifacts verified. Engines
-    /// without checksummed artifacts (the heap store's pages carry no
-    /// CRCs; its WAL is verified separately by the caller) return 0.
+    /// maintains besides its WAL (which the caller verifies), returning
+    /// the number of artifacts verified: the heap store's snapshot, the
+    /// lsm store's manifest and runs. Engines without checksummed
+    /// artifacts keep this default.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] on a confirmed mismatch; I/O errors.
@@ -368,6 +322,10 @@ impl DocBlobStore for DocStore {
 
     fn recovery_report(&self) -> RecoveryReport {
         DocStore::recovery_report(self)
+    }
+
+    fn verify(&self) -> Result<u64> {
+        DocStore::verify(self)
     }
 }
 

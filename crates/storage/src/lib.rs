@@ -12,8 +12,11 @@
 //! * [`page`] — 8 KiB slotted pages;
 //! * [`heap`] — a heap file of slotted pages with overflow-fragment chains
 //!   for blobs larger than one page;
-//! * [`wal`] — a CRC-framed append-only write-ahead log with torn-tail
-//!   detection on replay;
+//! * [`wal`] — a CRC-framed append-only write-ahead log, parsed by one
+//!   walk that yields the records to replay, the length to truncate to
+//!   and the scrub's verdict;
+//! * [`durable`] — every other framing decision (document records,
+//!   snapshots, manifests) and the one commit-by-rename;
 //! * [`store`] — [`store::DocStore`]: the blob store the SSE server uses,
 //!   combining an in-memory id→record index, the heap, the WAL and
 //!   checkpointing into a snapshot file;
@@ -40,6 +43,7 @@
 
 pub mod backend;
 pub mod crc32;
+pub mod durable;
 pub mod error;
 pub mod heap;
 pub mod lsm;

@@ -12,13 +12,14 @@
 //! run may drop them — the compaction invariant).
 //!
 //! Crash safety: a run file is written with a single `write_all` + fsync
-//! and is *referenced only by the manifest*, which commits via temp file +
-//! rename + parent-dir fsync. A crash at any point leaves either the old
-//! manifest (new run is unreferenced garbage, overwritten on generation
-//! reuse) or the new one — never a half-state. File formats are documented
-//! in DESIGN.md §4g.
+//! and is *referenced only by the manifest*, a sealed file committed by
+//! [`crate::durable::commit_by_rename`] (temp file + rename + parent-dir
+//! fsync). A crash at any point leaves either the old manifest (new run is
+//! unreferenced garbage, overwritten on generation reuse) or the new one —
+//! never a half-state. File formats are documented in DESIGN.md §4g.
 
 use crate::crc32::crc32;
+use crate::durable::{self, commit_by_rename, unseal, DocRecord};
 use crate::error::{Result, StorageError};
 use crate::store::{RecoveryReport, StoreOptions};
 use crate::vfs::Vfs;
@@ -135,9 +136,8 @@ impl LsmCore {
             counters: CounterCells::default(),
         };
         let manifest = core.manifest_path();
-        if core.vfs.exists(&manifest) {
-            let bytes = core.vfs.read(&manifest)?;
-            let gens = core.load_manifest(&bytes)?;
+        if let Some(bytes) = durable::read_if_exists(core.vfs.as_ref(), &manifest)? {
+            let gens = core.load_manifest(unseal(&bytes, MANIFEST_MAGIC, &manifest)?)?;
             for gen in gens {
                 let meta = core.load_run(gen)?;
                 core.runs.push(meta);
@@ -147,8 +147,12 @@ impl LsmCore {
         Ok(core)
     }
 
+    fn manifest_name(&self) -> String {
+        format!("{}.manifest", self.prefix)
+    }
+
     fn manifest_path(&self) -> PathBuf {
-        self.dir.join(format!("{}.manifest", self.prefix))
+        self.dir.join(self.manifest_name())
     }
 
     fn run_path(&self, gen: u64) -> PathBuf {
@@ -316,9 +320,10 @@ impl LsmCore {
         }
     }
 
-    /// Integrity scrub: re-read every live run file from disk and verify
-    /// its magic, index checksum, and **every** value checksum against the
-    /// manifest's view. Returns the number of runs verified. This is the
+    /// Integrity scrub: re-check the manifest's framing, then re-read
+    /// every live run file from disk and verify its magic, index checksum,
+    /// and **every** value checksum against the manifest's view. Returns
+    /// the number of files verified (manifest included). This is the
     /// background-scrub entry point — callers must hold whatever lock
     /// guards this engine, since a concurrent flush/compaction swaps run
     /// files.
@@ -328,6 +333,8 @@ impl LsmCore {
     /// the run was fully written and synced when the manifest committed);
     /// I/O errors from the re-reads.
     pub fn verify_runs(&self) -> Result<u64> {
+        let manifest =
+            durable::verify_sealed(self.vfs.as_ref(), &self.manifest_path(), MANIFEST_MAGIC)?;
         for run in &self.runs {
             // Reload the header + index exactly as open would...
             let reloaded = self.load_run(run.gen)?;
@@ -345,7 +352,7 @@ impl LsmCore {
                 }
             }
         }
-        Ok(self.runs.len() as u64)
+        Ok(u64::from(manifest) + self.runs.len() as u64)
     }
 
     /// Durability point: persist the memtable as a new sorted run, commit
@@ -645,19 +652,8 @@ impl LsmCore {
         })
     }
 
-    fn load_manifest(&mut self, bytes: &[u8]) -> Result<Vec<u64>> {
-        let corrupt = |detail: String| StorageError::Corrupt {
-            what: "lsm manifest",
-            detail,
-        };
-        if bytes.len() < 12 || &bytes[..8] != MANIFEST_MAGIC {
-            return Err(corrupt("bad magic or truncated header".to_string()));
-        }
-        let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let body = &bytes[12..];
-        if crc32(body) != stored_crc {
-            return Err(corrupt("checksum mismatch".to_string()));
-        }
+    /// Decode an unsealed manifest body.
+    fn load_manifest(&mut self, body: &[u8]) -> Result<Vec<u64>> {
         let mut pos = 0usize;
         let take = |p: &mut usize, n: usize| -> Result<&[u8]> {
             if *p + n > body.len() {
@@ -683,14 +679,17 @@ impl LsmCore {
             ));
         }
         if pos != body.len() {
-            return Err(corrupt(format!("{} trailing bytes", body.len() - pos)));
+            return Err(StorageError::Corrupt {
+                what: "lsm manifest",
+                detail: format!("{} trailing bytes", body.len() - pos),
+            });
         }
         Ok(gens)
     }
 
-    /// Commit a manifest referencing exactly `gens` (temp file + rename +
-    /// parent-dir fsync). Takes the target state as arguments so callers
-    /// can stage the commit before mutating the in-memory run list.
+    /// Commit a manifest referencing exactly `gens` (by rename). Takes the
+    /// target state as arguments so callers can stage the commit before
+    /// mutating the in-memory run list.
     fn write_manifest(&self, gens: &[u64], last_seq: u64, user_meta: &[u8]) -> Result<()> {
         let mut body = Vec::new();
         body.extend_from_slice(&last_seq.to_le_bytes());
@@ -701,18 +700,16 @@ impl LsmCore {
         for gen in gens {
             body.extend_from_slice(&gen.to_le_bytes());
         }
-        let tmp = self.dir.join(format!("{}.manifest.tmp", self.prefix));
-        let path = self.manifest_path();
-        {
-            let mut f = self.vfs.create(&tmp)?;
-            f.write_all(MANIFEST_MAGIC)?;
-            f.write_all(&crc32(&body).to_le_bytes())?;
-            f.write_all(&body)?;
-            f.sync_data()?;
-        }
-        self.vfs.rename(&tmp, &path)?;
-        self.vfs.sync_dir(&self.dir)?;
-        Ok(())
+        commit_by_rename(
+            self.vfs.as_ref(),
+            &self.dir,
+            &[self.manifest_name()],
+            |_, f| {
+                f.write_all(MANIFEST_MAGIC)?;
+                f.write_all(&crc32(&body).to_le_bytes())?;
+                Ok(f.write_all(&body)?)
+            },
+        )
     }
 }
 
@@ -720,11 +717,8 @@ impl LsmCore {
 // LsmDocStore
 // ---------------------------------------------------------------------------
 
-const OP_PUT: u8 = 0;
-const OP_DELETE: u8 = 1;
-
 /// Log-structured [`crate::backend::DocBlobStore`]: per-mutation WAL
-/// durability (the same record format as [`crate::store::DocStore`]), blobs
+/// durability (the `DocRecord`s of [`crate::store::DocStore`]), blobs
 /// in sorted runs instead of a heap file. Checkpoints flush only blobs
 /// written since the last checkpoint.
 pub struct LsmDocStore {
@@ -756,12 +750,20 @@ impl LsmDocStore {
             })?;
             ids.insert(u64::from_be_bytes(id));
         }
-        let wal_path = dir.join("doc.wal");
-        for record in Wal::replay_with_vfs(vfs.as_ref(), &wal_path)? {
-            apply_doc_record(&mut core, &mut ids, &record)?;
+        let (wal, replay) = Wal::open_with_vfs(vfs, &dir.join("doc.wal"), opts.sync_on_append)?;
+        for record in replay.records() {
+            match DocRecord::decode(record)? {
+                DocRecord::Put(id, blob) => {
+                    core.put(Self::key(id), blob.to_vec());
+                    ids.insert(id);
+                }
+                DocRecord::Delete(id) => {
+                    core.delete(Self::key(id));
+                    ids.remove(&id);
+                }
+            }
             recovery.wal_records_replayed += 1;
         }
-        let wal = Wal::open_with_vfs(vfs, &wal_path, opts.sync_on_append)?;
         recovery.torn_bytes_truncated = wal.torn_bytes_truncated();
         Ok(LsmDocStore {
             core,
@@ -776,54 +778,9 @@ impl LsmDocStore {
     }
 }
 
-fn apply_doc_record(core: &mut LsmCore, ids: &mut BTreeSet<u64>, record: &[u8]) -> Result<()> {
-    match record.first() {
-        Some(&OP_PUT) => {
-            if record.len() < 13 {
-                return Err(StorageError::Corrupt {
-                    what: "wal put record",
-                    detail: format!("length {}", record.len()),
-                });
-            }
-            let id = u64::from_le_bytes(record[1..9].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(record[9..13].try_into().expect("4 bytes")) as usize;
-            if record.len() != 13 + len {
-                return Err(StorageError::Corrupt {
-                    what: "wal put record",
-                    detail: format!("declared {len}, got {}", record.len() - 13),
-                });
-            }
-            core.put(LsmDocStore::key(id), record[13..].to_vec());
-            ids.insert(id);
-            Ok(())
-        }
-        Some(&OP_DELETE) => {
-            if record.len() != 9 {
-                return Err(StorageError::Corrupt {
-                    what: "wal delete record",
-                    detail: format!("length {}", record.len()),
-                });
-            }
-            let id = u64::from_le_bytes(record[1..9].try_into().expect("8 bytes"));
-            core.delete(LsmDocStore::key(id));
-            ids.remove(&id);
-            Ok(())
-        }
-        _ => Err(StorageError::Corrupt {
-            what: "wal record",
-            detail: "unknown opcode".to_string(),
-        }),
-    }
-}
-
 impl crate::backend::DocBlobStore for LsmDocStore {
     fn put(&mut self, id: u64, blob: &[u8]) -> Result<()> {
-        let mut rec = Vec::with_capacity(13 + blob.len());
-        rec.push(OP_PUT);
-        rec.extend_from_slice(&id.to_le_bytes());
-        rec.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        rec.extend_from_slice(blob);
-        self.wal.append(&rec)?;
+        self.wal.append(&DocRecord::Put(id, blob).encode())?;
         self.core.put(Self::key(id), blob.to_vec());
         self.ids.insert(id);
         Ok(())
@@ -842,10 +799,7 @@ impl crate::backend::DocBlobStore for LsmDocStore {
         if !self.ids.contains(&id) {
             return Err(StorageError::RecordNotFound);
         }
-        let mut rec = Vec::with_capacity(9);
-        rec.push(OP_DELETE);
-        rec.extend_from_slice(&id.to_le_bytes());
-        self.wal.append(&rec)?;
+        self.wal.append(&DocRecord::Delete(id).encode())?;
         self.core.delete(Self::key(id));
         self.ids.remove(&id);
         Ok(())

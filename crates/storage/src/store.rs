@@ -4,16 +4,18 @@
 //! `(E_km(M_i), i)` tuples of the paper's `DataStorage`. The store never
 //! interprets blob contents — that is the whole point of the scheme.
 //!
-//! Durability: every mutation is appended to a [`crate::wal::Wal`] before
-//! being applied to the in-memory heap; [`DocStore::checkpoint`] folds the
-//! log into an atomic snapshot (`write to temp + rename`) and resets the
-//! log. [`DocStore::open`] recovers snapshot + log after a crash. The
-//! append is fsynced only with [`StoreOptions::sync_on_append`]; without
-//! it (the default, and what the index engine uses) a returned mutation
-//! survives a process crash, but power loss can take it until the next
-//! checkpoint (ROADMAP item 7).
+//! Durability: every mutation is appended to a [`crate::wal::Wal`] as a
+//! `DocRecord` before being applied to the in-memory heap;
+//! [`DocStore::checkpoint`] folds the log into a sealed `SSESNAP1` snapshot,
+//! committed by [`crate::durable::commit_by_rename`], and resets the log.
+//! [`DocStore::open`] recovers snapshot + log after a crash, reading the
+//! log once. The append is fsynced only with
+//! [`StoreOptions::sync_on_append`]; without it (the default, and what
+//! the index engine uses) a returned mutation survives a process crash,
+//! but power loss can take it until the next checkpoint (ROADMAP item 7).
 
-use crate::crc32::{crc32, Crc32};
+use crate::crc32::Crc32;
+use crate::durable::{self, commit_by_rename, sealed_header, unseal, DocRecord};
 use crate::error::{Result, StorageError};
 use crate::heap::{HeapFile, RecordId};
 use crate::vfs::{RealVfs, Vfs};
@@ -23,8 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SSESNAP1";
-const OP_PUT: u8 = 0;
-const OP_DELETE: u8 = 1;
+const SNAPSHOT_FILE: &str = "store.snapshot";
 
 /// Configuration for a [`DocStore`].
 #[derive(Clone, Debug, Default)]
@@ -100,19 +101,24 @@ impl DocStore {
             recovery: RecoveryReport::default(),
         };
         // 1. Load the snapshot, if any.
-        let snap_path = dir.join("store.snapshot");
-        if vfs.exists(&snap_path) {
-            store.load_snapshot(&vfs.read(&snap_path)?)?;
+        let snap_path = dir.join(SNAPSHOT_FILE);
+        if let Some(bytes) = durable::read_if_exists(vfs.as_ref(), &snap_path)? {
+            store.load_snapshot(&bytes, &snap_path)?;
             store.recovery.snapshot_loaded = true;
         }
-        // 2. Replay the WAL on top.
-        let wal_path = dir.join("store.wal");
-        for record in Wal::replay_with_vfs(vfs.as_ref(), &wal_path)? {
-            store.apply_record(&record)?;
+        // 2. Open the WAL (truncating any torn tail) and replay it on top.
+        let (wal, replay) =
+            Wal::open_with_vfs(vfs.clone(), &dir.join("store.wal"), opts.sync_on_append)?;
+        for record in replay.records() {
+            match DocRecord::decode(record)? {
+                DocRecord::Put(id, blob) => store.apply_put(id, blob)?,
+                // Deleting a missing id during replay is fine (idempotence).
+                DocRecord::Delete(id) => {
+                    let _ = store.apply_delete(id);
+                }
+            }
             store.recovery.wal_records_replayed += 1;
         }
-        // 3. Open the WAL for appending (truncating any torn tail).
-        let wal = Wal::open_with_vfs(vfs.clone(), &wal_path, opts.sync_on_append)?;
         store.recovery.torn_bytes_truncated = wal.torn_bytes_truncated();
         store.backing = Backing::Disk {
             wal,
@@ -153,12 +159,7 @@ impl DocStore {
     /// I/O errors when durable.
     pub fn put(&mut self, id: u64, blob: &[u8]) -> Result<()> {
         if let Backing::Disk { wal, .. } = &mut self.backing {
-            let mut rec = Vec::with_capacity(1 + 8 + 4 + blob.len());
-            rec.push(OP_PUT);
-            rec.extend_from_slice(&id.to_le_bytes());
-            rec.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-            rec.extend_from_slice(blob);
-            wal.append(&rec)?;
+            wal.append(&DocRecord::Put(id, blob).encode())?;
         }
         self.apply_put(id, blob)
     }
@@ -187,10 +188,7 @@ impl DocStore {
             return Err(StorageError::RecordNotFound);
         }
         if let Backing::Disk { wal, .. } = &mut self.backing {
-            let mut rec = Vec::with_capacity(9);
-            rec.push(OP_DELETE);
-            rec.extend_from_slice(&id.to_le_bytes());
-            wal.append(&rec)?;
+            wal.append(&DocRecord::Delete(id).encode())?;
         }
         self.apply_delete(id)
     }
@@ -232,44 +230,6 @@ impl DocStore {
             }
         }
         Some(out)
-    }
-
-    fn apply_record(&mut self, record: &[u8]) -> Result<()> {
-        match record.first() {
-            Some(&OP_PUT) => {
-                if record.len() < 13 {
-                    return Err(StorageError::Corrupt {
-                        what: "wal put record",
-                        detail: format!("length {}", record.len()),
-                    });
-                }
-                let id = u64::from_le_bytes(record[1..9].try_into().expect("8 bytes"));
-                let len = u32::from_le_bytes(record[9..13].try_into().expect("4 bytes")) as usize;
-                if record.len() != 13 + len {
-                    return Err(StorageError::Corrupt {
-                        what: "wal put record",
-                        detail: format!("declared {len}, got {}", record.len() - 13),
-                    });
-                }
-                self.apply_put(id, &record[13..])
-            }
-            Some(&OP_DELETE) => {
-                if record.len() != 9 {
-                    return Err(StorageError::Corrupt {
-                        what: "wal delete record",
-                        detail: format!("length {}", record.len()),
-                    });
-                }
-                let id = u64::from_le_bytes(record[1..9].try_into().expect("8 bytes"));
-                // Deleting a missing id during replay is fine (idempotence).
-                let _ = self.apply_delete(id);
-                Ok(())
-            }
-            _ => Err(StorageError::Corrupt {
-                what: "wal record",
-                detail: "unknown opcode".to_string(),
-            }),
-        }
     }
 
     fn apply_put(&mut self, id: u64, blob: &[u8]) -> Result<()> {
@@ -317,23 +277,15 @@ impl DocStore {
             crc.update(page);
         }
 
-        let tmp_path = dir.join("store.snapshot.tmp");
-        let final_path = dir.join("store.snapshot");
-        {
-            let mut f = vfs.create(&tmp_path)?;
-            let mut header = Vec::with_capacity(12);
-            header.extend_from_slice(SNAPSHOT_MAGIC);
-            header.extend_from_slice(&crc.finalize().to_le_bytes());
+        // The commit fsyncs the directory entry: without that the rename
+        // itself can be lost on crash, resurrecting the old snapshot
+        // *after* the WAL below has been reset — silent data loss.
+        let header = sealed_header(SNAPSHOT_MAGIC, crc.finalize());
+        commit_by_rename(vfs.as_ref(), &dir, &[SNAPSHOT_FILE], |_, f| {
             f.write_all(&header)?;
             f.write_all(&meta)?;
-            self.heap.write_to(f.as_mut())?;
-            f.sync_data()?;
-        }
-        vfs.rename(&tmp_path, &final_path)?;
-        // fsync the directory entry: without this the rename itself can be
-        // lost on crash, resurrecting the old snapshot *after* the WAL
-        // below has been reset — silent data loss.
-        vfs.sync_dir(&dir)?;
+            Ok(self.heap.write_to(f)?)
+        })?;
 
         if let Backing::Disk { wal, .. } = &mut self.backing {
             wal.reset()?;
@@ -341,21 +293,22 @@ impl DocStore {
         Ok(())
     }
 
-    fn load_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
-        if bytes.len() < 12 || &bytes[..8] != SNAPSHOT_MAGIC {
-            return Err(StorageError::Corrupt {
-                what: "snapshot",
-                detail: "bad magic or truncated header".to_string(),
-            });
-        }
-        let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let body = &bytes[12..];
-        if crc32(body) != stored_crc {
-            return Err(StorageError::Corrupt {
-                what: "snapshot",
-                detail: "checksum mismatch".to_string(),
-            });
-        }
+    /// Scrub check of the snapshot's framing: 1 when it exists and its
+    /// CRC holds, 0 for an in-memory store or before the first checkpoint.
+    ///
+    /// # Errors
+    /// [`StorageError::Corrupt`] on a damaged snapshot; I/O errors.
+    pub fn verify(&self) -> Result<u64> {
+        let Backing::Disk { dir, vfs, .. } = &self.backing else {
+            return Ok(0);
+        };
+        let path = dir.join(SNAPSHOT_FILE);
+        let verified = durable::verify_sealed(vfs.as_ref(), &path, SNAPSHOT_MAGIC)?;
+        Ok(u64::from(verified))
+    }
+
+    fn load_snapshot(&mut self, bytes: &[u8], path: &Path) -> Result<()> {
+        let body = unseal(bytes, SNAPSHOT_MAGIC, path)?;
         let mut pos = 0usize;
         let read_u64 = |b: &[u8], p: &mut usize| -> Result<u64> {
             if *p + 8 > b.len() {

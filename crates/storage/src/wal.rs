@@ -1,10 +1,11 @@
 //! Write-ahead log with CRC-framed records and torn-tail recovery.
 //!
-//! Record framing: `[len: u32][crc32(payload): u32][payload]`. On replay,
-//! the first record whose frame is incomplete or whose checksum mismatches
-//! terminates the scan — everything before it is considered durable, the
-//! torn tail is truncated. This is the standard redo-log contract: an
-//! operation is durable once `append` (with sync) returns.
+//! Record framing: `[len: u32][crc32(payload): u32][payload]`, parsed by
+//! one function, [`walk`]. The first record whose frame is incomplete or
+//! whose checksum mismatches ends the valid prefix: everything before it
+//! is durable, and [`Wal::open_with_vfs`] truncates the rest and replays
+//! the prefix from its one read. This is the standard redo-log contract:
+//! an operation is durable once `append` (with sync) returns.
 //!
 //! All file I/O goes through a [`crate::vfs::Vfs`], so the WAL can run over
 //! the real filesystem or a fault-injecting one. Each `append` issues the
@@ -13,8 +14,10 @@
 //! truncates exactly that record.
 
 use crate::crc32::crc32;
+use crate::durable::read_if_exists;
 use crate::error::{Result, StorageError};
 use crate::vfs::{RealVfs, Vfs, VfsFile};
+use std::ops::Range;
 use std::path::Path;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,37 +36,39 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (or create) the log at `path` on the real filesystem, scanning
-    /// for its valid prefix and truncating any torn tail.
+    /// [`Wal::open_with_vfs`] on the real filesystem, dropping the records.
     ///
     /// # Errors
     /// I/O errors from the filesystem.
     pub fn open(path: &Path, sync_on_append: bool) -> Result<Self> {
-        Self::open_with_vfs(RealVfs::arc(), path, sync_on_append)
+        Ok(Self::open_with_vfs(RealVfs::arc(), path, sync_on_append)?.0)
     }
 
-    /// [`Wal::open`] over an explicit [`Vfs`].
+    /// Open (or create) the log at `path`: read it once, truncate it to its
+    /// valid prefix and hand back that prefix's records for replay.
     ///
     /// # Errors
     /// I/O errors from the VFS (including injected faults).
-    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, path: &Path, sync_on_append: bool) -> Result<Self> {
-        let (valid_len, file_len) = match vfs.file_len(path)? {
-            Some(file_len) => {
-                let bytes = vfs.read(path)?;
-                (scan_valid_prefix(&bytes), file_len)
-            }
-            None => (0, 0),
-        };
+    pub fn open_with_vfs(
+        vfs: Arc<dyn Vfs>,
+        path: &Path,
+        sync_on_append: bool,
+    ) -> Result<(Self, Replay)> {
+        let image = read_if_exists(vfs.as_ref(), path)?.unwrap_or_default();
+        let WalWalk {
+            records, valid_len, ..
+        } = walk(&image);
         let mut file = vfs.open_write(path)?;
         file.set_len(valid_len)?;
         file.seek_to(valid_len)?;
-        Ok(Wal {
+        let wal = Wal {
             path: path.to_path_buf(),
             file,
             len: valid_len,
-            torn_bytes_truncated: file_len.saturating_sub(valid_len),
+            torn_bytes_truncated: image.len() as u64 - valid_len,
             sync_on_append,
-        })
+        };
+        Ok((wal, Replay { image, records }))
     }
 
     /// Length in bytes of the durable prefix.
@@ -149,40 +154,18 @@ impl Wal {
     }
 
     /// Read every valid record from the start of the log on the real
-    /// filesystem.
+    /// filesystem, without opening it for appends.
     ///
     /// # Errors
     /// I/O errors from the filesystem. Torn tails are not errors; they
     /// simply end the iteration.
     pub fn replay(path: &Path) -> Result<Vec<Vec<u8>>> {
-        Self::replay_with_vfs(&RealVfs, path)
-    }
-
-    /// [`Wal::replay`] over an explicit [`Vfs`].
-    ///
-    /// # Errors
-    /// I/O errors from the VFS (including injected faults).
-    pub fn replay_with_vfs(vfs: &dyn Vfs, path: &Path) -> Result<Vec<Vec<u8>>> {
-        let buf = match vfs.read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        };
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        loop {
-            if pos + 8 > buf.len() {
-                return Ok(records);
-            }
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            let body_start = pos + 8;
-            if body_start + len > buf.len() || crc32(&buf[body_start..body_start + len]) != crc {
-                return Ok(records);
-            }
-            records.push(buf[body_start..body_start + len].to_vec());
-            pos = body_start + len;
-        }
+        let image = read_if_exists(&RealVfs, path)?.unwrap_or_default();
+        Ok(walk(&image)
+            .records
+            .into_iter()
+            .map(|r| image[r].to_vec())
+            .collect())
     }
 
     /// Truncate the log to empty (after a checkpoint has made its contents
@@ -205,7 +188,21 @@ impl Wal {
     }
 }
 
-/// What a [`verify_image`] integrity walk found.
+/// The records [`Wal::open_with_vfs`] recovered: the log image it read
+/// and the payload ranges of the image's valid prefix.
+pub struct Replay {
+    image: Vec<u8>,
+    records: Vec<Range<usize>>,
+}
+
+impl Replay {
+    /// Every recovered record, in log order.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.records.iter().map(|r| &self.image[r.clone()])
+    }
+}
+
+/// What a [`walk`] found in a log image.
 ///
 /// The distinction matters to a background scrub: a torn tail is the
 /// normal residue of a crash (or of reading a live log mid-append) and is
@@ -237,61 +234,73 @@ pub enum WalVerdict {
     },
 }
 
-/// CRC-walk a log image. Safe to run against a live log: appends only
-/// extend the image, so a concurrent writer can at worst make the final
-/// frame look torn — never corrupt.
+/// What one [`walk`] over a log image found.
+#[derive(Clone, Debug)]
+pub struct WalWalk {
+    /// Payload ranges of the valid prefix's records, in log order.
+    pub records: Vec<Range<usize>>,
+    /// Byte length of the valid prefix: where an open truncates.
+    pub valid_len: u64,
+    /// The scrub's verdict on the whole image.
+    pub verdict: WalVerdict,
+}
+
+/// Walk a log image once, frame by frame. The valid prefix ends at the
+/// first frame that is incomplete or fails its CRC. The walk goes on past
+/// a complete frame that fails its CRC: a torn append tears inside ONE
+/// record, so a valid record found *after* the bad frame proves mid-log
+/// damage ([`WalVerdict::Corrupt`]) rather than a torn tail.
+///
+/// Safe to run against a live log: appends only extend the image, so a
+/// concurrent writer can at worst make the final frame look torn — never
+/// corrupt.
 #[must_use]
-pub fn verify_image(buf: &[u8]) -> WalVerdict {
+pub fn walk(buf: &[u8]) -> WalWalk {
+    let mut records = Vec::new();
     let mut pos = 0usize;
-    let mut records = 0u64;
-    // First checksum-failing (but structurally complete) frame, with the
-    // record count at that point. The walk continues past it: a torn
-    // append tears inside ONE record, so any valid record found *after*
-    // the bad frame proves mid-log damage rather than a torn tail.
-    let mut first_bad: Option<(usize, u64)> = None;
+    let mut first_bad: Option<usize> = None;
     let mut valid_after_bad = false;
-    loop {
-        if pos == buf.len() {
-            return match first_bad {
-                None => WalVerdict::Clean { records },
-                Some((at, _)) if valid_after_bad => WalVerdict::Corrupt { at: at as u64 },
-                Some((at, n)) => WalVerdict::TornTail {
-                    records: n,
-                    torn_bytes: (buf.len() - at) as u64,
-                },
-            };
-        }
-        let frame_ok = pos + 8 <= buf.len() && {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            pos + 8 + len <= buf.len()
-        };
-        if !frame_ok {
-            // Incomplete final frame: torn from the earliest damage point.
-            return match first_bad {
-                Some((at, _)) if valid_after_bad => WalVerdict::Corrupt { at: at as u64 },
-                Some((at, n)) => WalVerdict::TornTail {
-                    records: n,
-                    torn_bytes: (buf.len() - at) as u64,
-                },
-                None => WalVerdict::TornTail {
-                    records,
-                    torn_bytes: (buf.len() - pos) as u64,
-                },
-            };
+    // Start of the incomplete final frame, or the end of the image.
+    let end = loop {
+        if pos + 8 > buf.len() {
+            break pos;
         }
         let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let body_start = pos + 8;
-        if crc32(&buf[body_start..body_start + len]) == crc {
-            if first_bad.is_some() {
-                valid_after_bad = true;
-            }
-            records += 1;
-        } else if first_bad.is_none() {
-            first_bad = Some((pos, records));
+        let body = pos + 8..pos + 8 + len;
+        if body.end > buf.len() {
+            break pos;
         }
-        pos = body_start + len;
+        if crc32(&buf[body.clone()]) != crc {
+            first_bad.get_or_insert(pos);
+        } else if first_bad.is_none() {
+            records.push(body.clone());
+        } else {
+            valid_after_bad = true;
+        }
+        pos = body.end;
+    };
+    let valid_len = first_bad.unwrap_or(end);
+    let n = records.len() as u64;
+    let verdict = match first_bad {
+        Some(at) if valid_after_bad => WalVerdict::Corrupt { at: at as u64 },
+        _ if valid_len == buf.len() => WalVerdict::Clean { records: n },
+        _ => WalVerdict::TornTail {
+            records: n,
+            torn_bytes: (buf.len() - valid_len) as u64,
+        },
+    };
+    WalWalk {
+        records,
+        valid_len: valid_len as u64,
+        verdict,
     }
+}
+
+/// The scrub's [`WalVerdict`] on a log image: [`walk`]'s verdict.
+#[must_use]
+pub fn verify_image(buf: &[u8]) -> WalVerdict {
+    walk(buf).verdict
 }
 
 /// [`verify_image`] over a file. A missing file is clean (nothing has
@@ -300,31 +309,9 @@ pub fn verify_image(buf: &[u8]) -> WalVerdict {
 /// # Errors
 /// I/O errors from the VFS.
 pub fn verify_file(vfs: &dyn Vfs, path: &Path) -> Result<WalVerdict> {
-    match vfs.read(path) {
-        Ok(bytes) => Ok(verify_image(&bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(WalVerdict::Clean { records: 0 }),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Scan a log image, returning the byte length of the valid record prefix.
-fn scan_valid_prefix(buf: &[u8]) -> u64 {
-    let mut pos = 0usize;
-    loop {
-        if pos + 8 > buf.len() {
-            return pos as u64;
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let body_start = pos + 8;
-        if body_start + len > buf.len() {
-            return pos as u64;
-        }
-        if crc32(&buf[body_start..body_start + len]) != crc {
-            return pos as u64;
-        }
-        pos = body_start + len;
-    }
+    Ok(verify_image(
+        &read_if_exists(vfs, path)?.unwrap_or_default(),
+    ))
 }
 
 #[cfg(test)]
@@ -461,7 +448,7 @@ mod tests {
             },
         ));
         {
-            let mut wal = Wal::open_with_vfs(vfs.clone(), &path, false).unwrap();
+            let mut wal = Wal::open_with_vfs(vfs.clone(), &path, false).unwrap().0;
             wal.append(b"kept").unwrap();
             assert!(wal.append(b"torn away entirely").is_err());
         }
@@ -552,7 +539,7 @@ mod tests {
                 },
             ));
             {
-                let mut wal = Wal::open_with_vfs(vfs, &path, false).unwrap();
+                let mut wal = Wal::open_with_vfs(vfs, &path, false).unwrap().0;
                 wal.append(b"before-group").unwrap();
                 let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
                 let group: Vec<&[&[u8]]> = refs.iter().map(std::slice::from_ref).collect();
@@ -635,7 +622,7 @@ mod tests {
         for k in 1..=5u64 {
             let path = temp_path(&format!("crash-{k}"));
             let vfs = Arc::new(FaultVfs::crashing_at(k, k));
-            let mut wal = Wal::open_with_vfs(vfs, &path, false).unwrap();
+            let mut wal = Wal::open_with_vfs(vfs, &path, false).unwrap().0;
             let mut completed = 0u64;
             for i in 0..5u64 {
                 match wal.append(format!("record-{i}").as_bytes()) {

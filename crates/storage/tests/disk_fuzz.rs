@@ -1,5 +1,5 @@
 //! Seeded fuzzing of the on-disk decoders: the WAL's record framing
-//! (`Wal::replay_with_vfs`) and the document store's `SSESNAP1` snapshot
+//! (`wal::walk`) and the document store's `SSESNAP1` snapshot
 //! plus the store's WAL record decoder (`DocStore::open` on a temp dir).
 //!
 //! Every truncation, every single-byte mutation and arbitrary bytes are
@@ -12,10 +12,8 @@
 use proptest::prelude::*;
 use sse_storage::crc32::crc32;
 use sse_storage::store::{DocStore, StoreOptions};
-use sse_storage::vfs::{Vfs, VfsFile};
-use sse_storage::wal::Wal;
+use sse_storage::wal;
 use sse_storage::StorageError;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -104,36 +102,6 @@ fn u32_at(bytes: &[u8], at: usize) -> usize {
 // WAL framing
 // ---------------------------------------------------------------------------
 
-/// A read-only filesystem holding one file: all `replay_with_vfs` needs.
-struct OneFile(Vec<u8>);
-
-impl Vfs for OneFile {
-    fn read(&self, _: &Path) -> io::Result<Vec<u8>> {
-        Ok(self.0.clone())
-    }
-    fn file_len(&self, _: &Path) -> io::Result<Option<u64>> {
-        Ok(Some(self.0.len() as u64))
-    }
-    fn open_write(&self, _: &Path) -> io::Result<Box<dyn VfsFile>> {
-        Err(io::ErrorKind::Unsupported.into())
-    }
-    fn create(&self, _: &Path) -> io::Result<Box<dyn VfsFile>> {
-        Err(io::ErrorKind::Unsupported.into())
-    }
-    fn rename(&self, _: &Path, _: &Path) -> io::Result<()> {
-        Err(io::ErrorKind::Unsupported.into())
-    }
-    fn create_dir_all(&self, _: &Path) -> io::Result<()> {
-        Err(io::ErrorKind::Unsupported.into())
-    }
-    fn sync_dir(&self, _: &Path) -> io::Result<()> {
-        Err(io::ErrorKind::Unsupported.into())
-    }
-    fn remove_file(&self, _: &Path) -> io::Result<()> {
-        Err(io::ErrorKind::Unsupported.into())
-    }
-}
-
 /// Re-compute the CRC of every frame whose length fits in the image, so a
 /// mutated length or payload is read as a valid record.
 fn fix_wal_crcs(bytes: &mut [u8]) {
@@ -162,8 +130,7 @@ fn wal_frame(payload: &[u8]) -> Vec<u8> {
 
 /// Replay `image`; the records must tile a prefix of it exactly.
 fn replay_checked(image: &[u8]) {
-    let records = Wal::replay_with_vfs(&OneFile(image.to_vec()), Path::new("fuzz.wal"))
-        .expect("replay over an in-memory image cannot fail");
+    let records = wal::walk(image).records;
     let framed: usize = records.iter().map(|r| 8 + r.len()).sum();
     assert!(
         framed <= image.len(),

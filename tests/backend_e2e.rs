@@ -6,13 +6,15 @@
 //!   directions);
 //! * a checkpoint whose snapshot **rename** is lost to an un-fsynced
 //!   directory entry (the `lose_unsynced_renames` fault model) never
-//!   loses an acknowledged document — the WAL still covers everything;
+//!   loses an acknowledged document — the WAL still covers everything —
+//!   and a whole sharded tenant keeps its shard count and every
+//!   acknowledged keyword;
 //! * an `lsm`-backed daemon tenant surfaces its run/bloom internals
 //!   through `STATS` after a wire-driven checkpoint.
 
 use sse_repro::core::engine::DurableOptions;
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
-use sse_repro::core::scheme2::{Scheme2Client, Scheme2Config, Scheme2Server};
+use sse_repro::core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
 use sse_repro::core::types::{Document, Keyword, MasterKey};
 use sse_repro::net::link::MeteredLink;
 use sse_repro::net::meter::Meter;
@@ -312,6 +314,105 @@ fn checkpoint_rename_loss_never_loses_acked_documents() {
                 "{name}: crash at dir fsync {k} (renames rolled back) \
                  lost or invented documents"
             );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// The whole-tenant arm of the rename-loss sweep: a 4-shard durable
+/// Scheme 2 tenant is crashed at every directory fsync of open → store →
+/// checkpoint, un-fsynced renames rolled back, and must reopen with its 4
+/// shards and every acknowledged keyword. The shard manifest is committed
+/// at open: were its rename lost, the reopen would take the directory for
+/// a legacy single-shard one and drop every cross-shard batch slice.
+#[test]
+fn checkpoint_rename_loss_keeps_a_sharded_tenant_whole() {
+    const SHARDS: usize = 4;
+    let config = Scheme2Config::standard();
+    let key = MasterKey::from_seed(0x5EED);
+    let docs: Vec<Document> = (0..8u64)
+        .map(|i| {
+            Document::new(
+                i,
+                format!("doc {i}").into_bytes(),
+                [format!("kw-{i}-a"), format!("kw-{i}-b")].map(Keyword::new),
+            )
+        })
+        .collect();
+    let open = |vfs: Arc<dyn Vfs>, dir: &Path, backend| {
+        Scheme2Server::open_durable_with(
+            config.clone(),
+            dir,
+            DurableOptions {
+                vfs,
+                shards: SHARDS,
+                backend,
+            },
+        )
+    };
+    let client = |server: Scheme2Server| {
+        Scheme2Client::new_seeded(
+            MeteredLink::new(server, Meter::new()),
+            key.clone(),
+            config.clone(),
+            5,
+        )
+    };
+    // Store, then checkpoint: the client state when the store was acked.
+    let drive = |server: Scheme2Server| -> Option<Scheme2ClientState> {
+        let mut client = client(server);
+        client.store(&docs).ok()?;
+        let _ = client.transport_mut().service_mut().checkpoint();
+        Some(client.state())
+    };
+
+    for backend in BackendKind::all() {
+        let count_dir = temp_dir(&format!("rl-tenant-{backend}-count"));
+        let counting = FaultVfs::counting();
+        let stats = counting.stats();
+        assert!(drive(open(Arc::new(counting), &count_dir, backend).unwrap()).is_some());
+        let dir_syncs = stats.dir_syncs();
+        let _ = std::fs::remove_dir_all(&count_dir);
+
+        for k in 1..=dir_syncs {
+            let dir = temp_dir(&format!("rl-tenant-{backend}-{k}"));
+            let vfs = FaultVfs::new(
+                RealVfs::arc(),
+                FaultConfig {
+                    seed: 0xC4E5,
+                    crash_at_dir_sync: Some(k),
+                    lose_unsynced_renames: true,
+                    ..FaultConfig::default()
+                },
+            );
+            let fault_stats = vfs.stats();
+            let acked = open(Arc::new(vfs), &dir, backend).ok().and_then(drive);
+            assert!(
+                fault_stats
+                    .crashed
+                    .load(std::sync::atomic::Ordering::SeqCst),
+                "{backend}: dir-fsync crash point {k} never fired"
+            );
+            let server = open(RealVfs::arc(), &dir, backend).unwrap();
+            assert_eq!(
+                server.num_shards(),
+                SHARDS,
+                "{backend}: crash at dir fsync {k} lost the shard manifest"
+            );
+            if let Some(state) = acked {
+                let mut client = client(server);
+                client.restore_state(state);
+                for doc in &docs {
+                    for keyword in &doc.keywords {
+                        let hits = client.search(keyword).unwrap();
+                        assert_eq!(
+                            hits,
+                            vec![(doc.id, doc.data.clone())],
+                            "{backend}: crash at dir fsync {k} lost {keyword:?}"
+                        );
+                    }
+                }
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

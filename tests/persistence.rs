@@ -253,6 +253,63 @@ fn corrupt_index_snapshot_is_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The scrub checks every checksummed file, not only the logs and the
+/// index snapshots: one flipped body byte in the store snapshot, a
+/// manifest or a stamp makes `verify_files` report corruption while the
+/// tenant is still serving, before any reopen trips over it.
+#[test]
+fn scrub_finds_a_flipped_byte_in_every_checksummed_file() {
+    use sse_repro::core::engine::{DurableOptions, IndexAdmin};
+    use sse_repro::core::error::SseError;
+    use sse_repro::storage::{BackendKind, StorageError};
+    for (backend, files) in [
+        (
+            BackendKind::Btree,
+            &["store.snapshot", "scheme2.meta", "backend.meta"][..],
+        ),
+        (
+            BackendKind::Lsm,
+            &["doc.manifest", "scheme2.kw0.manifest"][..],
+        ),
+    ] {
+        let dir = temp_dir(&format!("scrub-{backend}"));
+        let server = Scheme2Server::open_durable_with(
+            Scheme2Config::standard(),
+            &dir,
+            DurableOptions {
+                backend,
+                ..DurableOptions::default()
+            },
+        )
+        .unwrap();
+        let mut client = Scheme2Client::new_seeded(
+            MeteredLink::new(server, Meter::new()),
+            MasterKey::from_seed(3),
+            Scheme2Config::standard(),
+            3,
+        );
+        client.store(&docs()).unwrap();
+        let server: &dyn IndexAdmin = &**client.transport_mut().service_mut();
+        server.checkpoint().unwrap();
+        server.verify_files().unwrap();
+        for file in files {
+            let path = dir.join(file);
+            let clean = std::fs::read(&path).unwrap();
+            let mut flipped = clean.clone();
+            *flipped.last_mut().unwrap() ^= 0x01;
+            std::fs::write(&path, &flipped).unwrap();
+            match server.verify_files() {
+                Err(SseError::Storage(StorageError::Corrupt { .. })) => {}
+                other => panic!("{backend}: a flipped byte in {file} gave {other:?}"),
+            }
+            std::fs::write(&path, &clean).unwrap();
+        }
+        server.verify_files().unwrap();
+        drop(client);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 #[test]
 fn snapshot_with_a_repeated_tag_is_corrupt_even_with_a_valid_crc() {
     use sse_repro::core::error::SseError;
