@@ -131,6 +131,13 @@ fn ciphers(rows: &mut Rows) {
 
 /// Ablation: fixed-base windowed table vs Montgomery vs plain
 /// square-and-multiply modexp (DESIGN.md §4b, §4f).
+///
+/// `montgomery_*` and `naive_g_*` time `Montgomery::pow`'s fixed 4-bit
+/// window ladder (four squarings and one product per window, the window
+/// count set by the modulus width), `fixed_base_g_*` one product per
+/// nonzero nibble against a precomputed table, both on the one CIOS
+/// product kernel; `plain_*` is square-and-multiply with a division per
+/// product, outside the kernel.
 fn modexp_ablation(rows: &mut Rows) {
     for (bits, grp) in [
         ("256", ModpGroup::modp_256()),
@@ -150,7 +157,8 @@ fn modexp_ablation(rows: &mut Rows) {
         // The fixed-base arms pin the base to `g`: the table is only usable
         // for a base known ahead of time, which is exactly the `g^x` shape
         // on the hot path. `naive_g_*` is the same base through the generic
-        // Montgomery ladder, so the pair isolates the table's contribution.
+        // window ladder on the same kernel, so the pair isolates the
+        // table's contribution.
         let fb = FixedBase::new(&grp.g, &grp.p, grp.p.bit_len());
         rows.time(
             &format!("prim_modexp_ablation/fixed_base_g_{bits}"),

@@ -8,6 +8,15 @@
 //!
 //! Representation: little-endian `u64` limbs, always *normalized* (no
 //! most-significant zero limbs; zero is the empty limb vector).
+//!
+//! Modular exponentiation has one product kernel, [`Montgomery`]'s CIOS
+//! product over fixed-width `k`-limb slices with caller-owned scratch. Both
+//! [`Montgomery::pow`] (a fixed 4-bit-window ladder whose product sequence
+//! does not depend on the exponent) and [`FixedBase::pow`] (one product per
+//! nonzero nibble against a precomputed table) run on it, and each
+//! allocates its workspace once per call rather than per product.
+//! [`BigUint::mod_pow_plain`] stays outside it: it is the ablation baseline
+//! and the even-modulus fallback.
 
 use crate::drbg::HmacDrbg;
 use crate::error::{CryptoError, Result};
@@ -445,8 +454,8 @@ impl BigUint {
 
     /// Modular exponentiation `self^exp mod modulus`.
     ///
-    /// Uses Montgomery multiplication when the modulus is odd (all group
-    /// moduli in this workspace are odd primes); falls back to
+    /// Uses [`Montgomery::pow`]'s window ladder when the modulus is odd (all
+    /// group moduli in this workspace are odd primes); falls back to
     /// square-and-multiply with division otherwise.
     ///
     /// # Panics
@@ -457,18 +466,10 @@ impl BigUint {
             !modulus.is_zero() && !modulus.is_one(),
             "mod_pow: modulus must exceed 1"
         );
-        if exp.is_zero() {
-            return Self::one();
-        }
-        let base = self.rem(modulus);
-        if base.is_zero() {
-            return Self::zero();
-        }
         if modulus.is_even() {
-            return base.mod_pow_plain(exp, modulus);
+            return self.mod_pow_plain(exp, modulus);
         }
-        let ctx = Montgomery::new(modulus);
-        ctx.pow(&base, exp)
+        Montgomery::new(modulus).pow(self, exp)
     }
 
     /// Square-and-multiply *without* Montgomery reduction (any modulus).
@@ -651,15 +652,25 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
 }
 
 /// Montgomery-multiplication context for a fixed odd modulus.
+///
+/// Every product goes through one kernel, `Montgomery::product`, which
+/// works on `k`-limb slices and writes into caller-owned scratch, so an
+/// exponentiation allocates its workspace once instead of per product.
 pub struct Montgomery {
     n: BigUint,
-    /// Number of limbs in the modulus.
-    k: usize,
     /// `-n^{-1} mod 2^64`.
     n_prime: u64,
-    /// `R^2 mod n` where `R = 2^(64k)` — converts into Montgomery form.
-    r2: BigUint,
+    /// `R^2 mod n` where `R = 2^(64k)`, padded to `k` limbs — converts into
+    /// Montgomery form.
+    r2: Vec<u64>,
+    /// `R mod n`, padded to `k` limbs: one in Montgomery form.
+    one: Vec<u64>,
 }
+
+/// Exponent bits consumed per step of [`Montgomery::pow`]'s ladder.
+const WINDOW: usize = 4;
+/// Entries in the ladder's table: every `WINDOW`-bit digit.
+const DIGITS: usize = 1 << WINDOW;
 
 impl Montgomery {
     /// Build a context for odd `modulus`.
@@ -677,73 +688,173 @@ impl Montgomery {
         for _ in 0..6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
-        let n_prime = inv.wrapping_neg();
-        // R^2 mod n, with R = 2^(64k).
-        let r2 = BigUint::one().shl(64 * k * 2).rem(modulus);
+        let padded = |v: BigUint| {
+            let mut limbs = v.limbs;
+            limbs.resize(k, 0);
+            limbs
+        };
         Montgomery {
             n: modulus.clone(),
-            k,
-            n_prime,
-            r2,
+            n_prime: inv.wrapping_neg(),
+            r2: padded(BigUint::one().shl(64 * k * 2).rem(modulus)),
+            one: padded(BigUint::one().shl(64 * k).rem(modulus)),
         }
     }
 
-    /// Montgomery reduction of a (≤ 2k limb) product: returns `t * R^{-1} mod n`.
-    fn redc(&self, t: &BigUint) -> BigUint {
-        let k = self.k;
-        let mut a = t.limbs.clone();
-        a.resize(2 * k + 1, 0);
-        for i in 0..k {
-            let m = a[i].wrapping_mul(self.n_prime);
-            // a += m * n << (64*i)
-            let mut carry = 0u128;
-            for j in 0..k {
-                let p = u128::from(m) * u128::from(self.n.limbs[j]) + u128::from(a[i + j]) + carry;
-                a[i + j] = p as u64;
-                carry = p >> 64;
+    /// Limbs in the modulus.
+    fn k(&self) -> usize {
+        self.n.limbs.len()
+    }
+
+    /// The product kernel (CIOS): `t[..k] = a * b * R^{-1} mod n`.
+    ///
+    /// `a` and `b` are `k` limbs with `a < R` and `b < n`; `t` is `k + 2`
+    /// limbs of scratch whose contents are ignored. The running sum stays
+    /// below `2n`, which needs the limb past `k` when the modulus's top limb
+    /// is all ones (the RFC 3526 primes), and one more for the carry out of
+    /// each row. The result is reduced below `n` by one conditional
+    /// subtraction.
+    fn product(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let n = &self.n.limbs[..];
+        let k = n.len();
+        let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 2]);
+        t.fill(0);
+        for &bi in b {
+            // t += a * b_i
+            let mut c = 0u64;
+            for (tj, &aj) in t.iter_mut().zip(a) {
+                let s = u128::from(aj) * u128::from(bi) + u128::from(*tj) + u128::from(c);
+                *tj = s as u64;
+                c = (s >> 64) as u64;
             }
-            let mut idx = i + k;
-            while carry > 0 {
-                let s = u128::from(a[idx]) + carry;
-                a[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
+            let s = u128::from(t[k]) + u128::from(c);
+            t[k] = s as u64;
+            t[k + 1] = (s >> 64) as u64;
+            // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
+            let m = t[0].wrapping_mul(self.n_prime);
+            let s = u128::from(m) * u128::from(n[0]) + u128::from(t[0]);
+            let mut c = (s >> 64) as u64;
+            for j in 1..k {
+                let s = u128::from(m) * u128::from(n[j]) + u128::from(t[j]) + u128::from(c);
+                t[j - 1] = s as u64;
+                c = (s >> 64) as u64;
+            }
+            let s = u128::from(t[k]) + u128::from(c);
+            t[k - 1] = s as u64;
+            t[k] = t[k + 1] + (s >> 64) as u64;
+        }
+        if t[k] != 0 || !limbs_lt(&t[..k], n) {
+            let mut borrow = 0u64;
+            for (tj, &nj) in t[..k].iter_mut().zip(n) {
+                let (d1, b1) = tj.overflowing_sub(nj);
+                let (d2, b2) = d1.overflowing_sub(borrow);
+                *tj = d2;
+                borrow = u64::from(b1 | b2);
             }
         }
-        let mut res = BigUint {
-            limbs: a[k..].to_vec(),
+    }
+
+    /// Convert into Montgomery form, `a * R mod n`, as `k` limbs.
+    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
+        let mut x = vec![0u64; self.k()];
+        let mut t = vec![0u64; self.k() + 2];
+        self.load(a, &mut x);
+        self.product(&x, &self.r2, &mut t);
+        t.truncate(self.k());
+        t
+    }
+
+    /// Copy `a` into the `k`-limb slice `out`. The kernel accepts any value
+    /// below `R`; a wider one (only a caller's unreduced base) is reduced
+    /// first.
+    fn load(&self, a: &BigUint, out: &mut [u64]) {
+        out.fill(0);
+        if a.limbs.len() <= out.len() {
+            out[..a.limbs.len()].copy_from_slice(&a.limbs);
+        } else {
+            let r = a.rem(&self.n);
+            out[..r.limbs.len()].copy_from_slice(&r.limbs);
+        }
+    }
+
+    /// Convert `a` (Montgomery form) back out: `a * R^{-1} mod n`, using
+    /// `unit` (`k` limbs) and `t` (`k + 2`) as scratch.
+    fn to_plain(&self, a: &[u64], unit: &mut [u64], t: &mut [u64]) -> BigUint {
+        unit.fill(0);
+        unit[0] = 1;
+        self.product(a, unit, t);
+        let mut out = BigUint {
+            limbs: t[..self.k()].to_vec(),
         };
-        res.normalize();
-        if res.cmp_big(&self.n) != Ordering::Less {
-            res = res.sub(&self.n);
-        }
-        res
+        out.normalize();
+        out
     }
 
-    /// Montgomery product of two Montgomery-form operands.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.redc(&a.mul(b))
-    }
-
-    /// Convert into Montgomery form: `a * R mod n`.
-    fn to_mont(&self, a: &BigUint) -> BigUint {
-        self.redc(&a.mul(&self.r2))
-    }
-
-    /// `base^exp mod n` with `base` already reduced.
+    /// `base^exp mod n` for any `base` (it need not be reduced).
+    ///
+    /// A fixed 4-bit-window ladder: the table holds `base^d` for every
+    /// digit `d in 0..16`, and each window costs four squarings and one
+    /// product with the digit's entry, picked by a masked scan of all 16
+    /// entries. The number of windows is set by the modulus's limb width
+    /// (or the exponent's, when that is wider), not by the exponent's value,
+    /// so the sequence of products is the same for every exponent below
+    /// `R`, the secret ElGamal exponent included.
     #[must_use]
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let base_m = self.to_mont(base);
-        // 1 in Montgomery form is R mod n.
-        let mut acc = self.redc(&self.r2); // R mod n
-        let bits = exp.bit_len();
-        for i in (0..bits).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-            }
+        let k = self.k();
+        // One workspace: table | acc | sel | t.
+        let mut buf = vec![0u64; DIGITS * k + k + k + (k + 2)];
+        let (table, rest) = buf.split_at_mut(DIGITS * k);
+        let (acc, rest) = rest.split_at_mut(k);
+        let (sel, t) = rest.split_at_mut(k);
+        table[..k].copy_from_slice(&self.one);
+        self.load(base, sel);
+        self.product(sel, &self.r2, t);
+        table[k..2 * k].copy_from_slice(&t[..k]);
+        for d in 2..DIGITS {
+            let (done, next) = table.split_at_mut(d * k);
+            self.product(&done[(d - 1) * k..], &done[k..2 * k], t);
+            next[..k].copy_from_slice(&t[..k]);
         }
-        self.redc(&acc) // convert out of Montgomery form
+        let windows = 64 / WINDOW * k.max(exp.limbs.len());
+        let digit = |i: usize| {
+            let limb = exp.limbs.get(i * WINDOW / 64).copied().unwrap_or(0);
+            (limb >> (i * WINDOW % 64)) & (DIGITS as u64 - 1)
+        };
+        select(table, digit(windows - 1), acc);
+        for i in (0..windows - 1).rev() {
+            for _ in 0..WINDOW {
+                self.product(acc, acc, t);
+                acc.copy_from_slice(&t[..k]);
+            }
+            select(table, digit(i), sel);
+            self.product(acc, sel, t);
+            acc.copy_from_slice(&t[..k]);
+        }
+        self.to_plain(acc, sel, t)
+    }
+}
+
+/// `a < b` for two equal-length little-endian limb slices.
+fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
+}
+
+/// Copy entry `digit` of a table of equal-width entries into `out`,
+/// reading every entry and keeping one by mask, so the memory access
+/// pattern does not depend on `digit`.
+fn select(table: &[u64], digit: u64, out: &mut [u64]) {
+    out.fill(0);
+    for (d, entry) in table.chunks_exact(out.len()).enumerate() {
+        let mask = 0u64.wrapping_sub(u64::from(d as u64 == digit));
+        for (o, &e) in out.iter_mut().zip(entry) {
+            *o |= e & mask;
+        }
     }
 }
 
@@ -752,18 +863,22 @@ impl Montgomery {
 /// For a base that is exponentiated many times against the same odd modulus
 /// (the group generator `g` in ElGamal), precomputing
 /// `base^(d * 16^i) mod n` for every window position `i` and digit
-/// `d in 1..=15` turns each exponentiation into roughly one Montgomery
-/// multiplication per nonzero exponent nibble — about `bits/4` products
-/// versus ~`1.5 * bits` for square-and-multiply.
+/// `d in 1..=15` turns each exponentiation into one Montgomery product per
+/// nonzero exponent nibble — about `bits/4` products, against the
+/// `5 * bits/4` (four squarings and one product per nibble) of
+/// [`Montgomery::pow`]'s ladder. Unlike the ladder it skips zero digits
+/// and indexes the table directly, so its work depends on the exponent.
 pub struct FixedBase {
     ctx: Montgomery,
     /// The reduced base, kept for the rare fallback when an exponent
     /// exceeds the precomputed window count.
     base: BigUint,
-    /// `table[i][d-1] = to_mont(base^(d * 16^i))` for `d in 1..=15`.
-    table: Vec<Vec<BigUint>>,
-    /// `R mod n`: the multiplicative identity in Montgomery form.
-    one_m: BigUint,
+    /// `base^(d * 16^i)` in Montgomery form for window `i` and digit
+    /// `d in 1..=15`, `k` limbs each at offset `(15 * i + d - 1) * k`.
+    /// Empty for a zero base.
+    table: Vec<u64>,
+    /// Windows in `table`.
+    windows: usize,
 }
 
 impl FixedBase {
@@ -778,29 +893,32 @@ impl FixedBase {
     pub fn new(base: &BigUint, modulus: &BigUint, max_exp_bits: usize) -> Self {
         let ctx = Montgomery::new(modulus);
         let base = base.rem(modulus);
-        let one_m = ctx.redc(&ctx.r2); // R mod n
-        let windows = max_exp_bits.div_ceil(4).max(1);
-        let mut table = Vec::with_capacity(windows);
+        let k = ctx.k();
+        let windows = max_exp_bits.div_ceil(WINDOW).max(1);
+        let mut table = Vec::new();
         if !base.is_zero() {
-            // cur = to_mont(base^(16^i)) for the current window i.
+            let row = DIGITS - 1;
+            table = vec![0u64; windows * row * k];
+            let mut t = vec![0u64; k + 2];
+            // cur = base^(16^i) for the current window i.
             let mut cur = ctx.to_mont(&base);
-            for _ in 0..windows {
-                let mut row = Vec::with_capacity(15);
-                row.push(cur.clone());
-                for d in 1..15 {
-                    let prev: &BigUint = &row[d - 1];
-                    row.push(ctx.mont_mul(prev, &cur));
+            for w in table.chunks_exact_mut(row * k) {
+                w[..k].copy_from_slice(&cur);
+                for d in 1..row {
+                    let (done, next) = w.split_at_mut(d * k);
+                    ctx.product(&done[(d - 1) * k..], &cur, &mut t);
+                    next[..k].copy_from_slice(&t[..k]);
                 }
                 // base^(16^(i+1)) = base^(15 * 16^i) * base^(16^i).
-                cur = ctx.mont_mul(&row[14], &cur);
-                table.push(row);
+                ctx.product(&w[(row - 1) * k..], &cur, &mut t);
+                cur.copy_from_slice(&t[..k]);
             }
         }
         FixedBase {
             ctx,
             base,
             table,
-            one_m,
+            windows,
         }
     }
 
@@ -813,21 +931,44 @@ impl FixedBase {
         if self.base.is_zero() {
             return BigUint::zero();
         }
-        let nibbles = exp.bit_len().div_ceil(4);
-        if nibbles > self.table.len() {
+        let nibbles = exp.bit_len().div_ceil(WINDOW);
+        if nibbles > self.windows {
             // Exponent exceeds the precomputed range; fall back to the
             // generic Montgomery ladder.
             return self.ctx.pow(&self.base, exp);
         }
-        let mut acc = self.one_m.clone();
+        let k = self.ctx.k();
+        // One workspace: acc | unit | t.
+        let mut buf = vec![0u64; 3 * k + 2];
+        let (acc, rest) = buf.split_at_mut(k);
+        let (unit, t) = rest.split_at_mut(k);
+        acc.copy_from_slice(&self.ctx.one);
         for i in 0..nibbles {
-            let limb = exp.limbs[i / 16];
-            let d = ((limb >> (4 * (i % 16))) & 0xf) as usize;
+            let limb = exp.limbs[i * WINDOW / 64];
+            let d = ((limb >> (i * WINDOW % 64)) & (DIGITS as u64 - 1)) as usize;
             if d != 0 {
-                acc = self.ctx.mont_mul(&acc, &self.table[i][d - 1]);
+                let at = ((DIGITS - 1) * i + d - 1) * k;
+                self.ctx.product(acc, &self.table[at..at + k], t);
+                acc.copy_from_slice(&t[..k]);
             }
         }
-        self.ctx.redc(&acc)
+        self.ctx.to_plain(acc, unit, t)
+    }
+}
+
+#[cfg(test)]
+impl Montgomery {
+    /// Allocating form of [`Montgomery::product`] for the tests below.
+    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut t = vec![0u64; self.k() + 2];
+        self.product(a, b, &mut t);
+        t.truncate(self.k());
+        t
+    }
+
+    /// Allocating form of `to_plain` for the tests below.
+    fn redc(&self, a: &[u64]) -> BigUint {
+        self.to_plain(a, &mut vec![0; self.k()], &mut vec![0; self.k() + 2])
     }
 }
 
@@ -980,6 +1121,63 @@ mod tests {
         let bm = ctx.to_mont(&b.rem(&m));
         let prod = ctx.redc(&ctx.mont_mul(&am, &bm));
         assert_eq!(prod, a.mod_mul(&b, &m));
+    }
+
+    #[test]
+    fn ladder_matches_plain_at_the_edges_of_an_all_ones_top_limb() {
+        // RFC 3526 1536-bit prime: top limb all ones, so the kernel's
+        // running sum uses the limb past k.
+        let m = BigUint::from_hex(
+            "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
+020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F14374FE1356D\
+6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7EDEE386BFB5A899FA5\
+AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF0598DA48361C55D39A69163FA8\
+FD24CF5F83655D23DCA3AD961C62F356208552BB9ED529077096966D670C354E4ABC9804\
+F1746C08CA237327FFFFFFFFFFFFFFFF",
+        )
+        .unwrap();
+        let k = m.limbs.len();
+        let r_minus_1 = BigUint::one().shl(64 * k).sub(&BigUint::one());
+        let m_minus_1 = m.sub(&BigUint::one());
+        let bases = [
+            BigUint::zero(),
+            BigUint::one(),
+            m_minus_1.clone(),
+            m.clone(),
+            m.add(&BigUint::one()),
+            // The widest base the kernel takes without reducing it first.
+            r_minus_1.clone(),
+            // Wider than R: reduced before it reaches the kernel.
+            r_minus_1.mul(&r_minus_1),
+        ];
+        let exps = [
+            BigUint::zero(),
+            BigUint::one(),
+            n(0xf),
+            m_minus_1.clone(),
+            // One limb wider than the modulus.
+            BigUint::one().shl(64 * (k + 1)).sub(&BigUint::one()),
+        ];
+        let ctx = Montgomery::new(&m);
+        for base in &bases {
+            for exp in &exps {
+                let want = base.mod_pow_plain(exp, &m);
+                assert_eq!(ctx.pow(base, exp), want, "{base:?}^{exp:?}");
+                assert_eq!(base.mod_pow(exp, &m), want, "{base:?}^{exp:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn product_kernel_reduces_a_sum_past_r() {
+        // n = 2^128 - 1: every operand near n drives the CIOS sum past R.
+        let m = BigUint::one().shl(128).sub(&BigUint::one());
+        let ctx = Montgomery::new(&m);
+        let top = m.sub(&BigUint::one());
+        for (a, b) in [(top.clone(), top.clone()), (top.clone(), n(1)), (n(2), top)] {
+            let prod = ctx.redc(&ctx.mont_mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
+            assert_eq!(prod, a.mod_mul(&b, &m));
+        }
     }
 
     #[test]

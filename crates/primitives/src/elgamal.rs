@@ -81,8 +81,10 @@ impl ElGamalCiphertext {
 /// ElGamal key pair over a MODP group.
 pub struct ElGamal {
     group: ModpGroup,
-    /// Secret exponent `x` — the trapdoor.
-    secret: BigUint,
+    /// The trapdoor, stored as the decryption exponent `p - 1 - x` for the
+    /// secret exponent `x`: `c1^(p-1-x) = (c1^x)^{-1}` for every `c1` in
+    /// `[1, p-1]` (Fermat, `c1^(p-1) = 1`), so decryption needs no inverse.
+    decrypt_exp: BigUint,
     /// Public element `y = g^x`.
     public: BigUint,
 }
@@ -93,9 +95,10 @@ impl ElGamal {
     pub fn keygen(group: ModpGroup, drbg: &mut HmacDrbg) -> Self {
         let secret = group.random_exponent(drbg);
         let public = group.pow_g(&secret);
+        let decrypt_exp = group.p.sub(&BigUint::one()).sub(&secret);
         ElGamal {
             group,
-            secret,
+            decrypt_exp,
             public,
         }
     }
@@ -132,7 +135,12 @@ impl ElGamal {
         ElGamalCiphertext { c1, c2 }
     }
 
-    /// Decrypt to the group element: `m = c2 * (c1^x)^{-1}`.
+    /// Decrypt to the group element: `m = c2 * (c1^x)^{-1}`, computed
+    /// without an inverse as `c2 * c1^(p-1-x)`.
+    ///
+    /// The exponent is `p - 1 - x` rather than `q - x`: the latter inverts
+    /// only elements of the order-`q` subgroup, while a ciphertext from an
+    /// untrusted server may carry any `c1` in `[1, p-1]`.
     ///
     /// # Errors
     /// [`CryptoError::OutOfRange`] if a component is not a group element.
@@ -140,8 +148,8 @@ impl ElGamal {
         if !self.group.contains(&ct.c1) || !self.group.contains(&ct.c2) {
             return Err(CryptoError::OutOfRange("ciphertext component"));
         }
-        let s = self.group.pow(&ct.c1, &self.secret);
-        Ok(self.group.mul(&ct.c2, &self.group.inv(&s)))
+        let s_inv = self.group.pow(&ct.c1, &self.decrypt_exp);
+        Ok(self.group.mul(&ct.c2, &s_inv))
     }
 
     /// Embed a 32-byte nonce into a group element.
@@ -292,6 +300,65 @@ mod tests {
         let right = eg1.decrypt_to_seed(&ct).unwrap();
         let wrong = eg2.decrypt_to_seed(&ct).unwrap();
         assert_ne!(right, wrong);
+    }
+
+    /// The reference: textbook decryption `c2 * (c1^x)^{-1}`, by
+    /// square-and-multiply and extended Euclid, off the product kernel.
+    fn inverse_formula(group: &ModpGroup, x: &BigUint, ct: &ElGamalCiphertext) -> BigUint {
+        let s = ct.c1.mod_pow_plain(x, &group.p);
+        ct.c2.mod_mul(&s.mod_inverse(&group.p).unwrap(), &group.p)
+    }
+
+    /// A key pair from `seed` and its secret exponent, drawn the way
+    /// [`ElGamal::keygen`] draws it.
+    fn keys_and_secret(group: &ModpGroup, seed: u64) -> (ElGamal, BigUint) {
+        let x = group.random_exponent(&mut HmacDrbg::from_u64(seed));
+        let eg = ElGamal::keygen(group.clone(), &mut HmacDrbg::from_u64(seed));
+        assert_eq!(eg.public(), &group.pow_g(&x));
+        (eg, x)
+    }
+
+    #[test]
+    fn decrypt_matches_inverse_formula_for_any_c1() {
+        let group = ModpGroup::modp_256();
+        let (eg, x) = keys_and_secret(&group, 12);
+        let p_minus_1 = group.p.sub(&BigUint::one());
+        // Smallest quadratic non-residue: outside the order-q subgroup, as
+        // a malicious server's c1 may be (p - 1 is another).
+        let non_residue = (2u64..)
+            .map(BigUint::from_u64)
+            .find(|a| a.mod_pow_plain(&group.q, &group.p) == p_minus_1)
+            .unwrap();
+        let mut drbg = HmacDrbg::from_u64(13);
+        let mut c1s = vec![BigUint::one(), p_minus_1.clone(), non_residue];
+        for _ in 0..8 {
+            c1s.push(BigUint::random_range(&mut drbg, &BigUint::one(), &group.p));
+        }
+        for c1 in c1s {
+            let c2 = BigUint::random_range(&mut drbg, &BigUint::one(), &group.p);
+            let ct = ElGamalCiphertext { c1, c2 };
+            assert_eq!(
+                eg.decrypt_element(&ct).unwrap(),
+                inverse_formula(&group, &x, &ct),
+                "{:?}",
+                ct.c1
+            );
+        }
+    }
+
+    #[test]
+    fn decrypt_matches_inverse_formula_in_2048_bit_group() {
+        let group = ModpGroup::modp_2048();
+        let (eg, x) = keys_and_secret(&group, 14);
+        let mut drbg = HmacDrbg::from_u64(15);
+        let ct = ElGamalCiphertext {
+            c1: BigUint::random_range(&mut drbg, &BigUint::one(), &group.p),
+            c2: BigUint::random_range(&mut drbg, &BigUint::one(), &group.p),
+        };
+        assert_eq!(
+            eg.decrypt_element(&ct).unwrap(),
+            inverse_formula(&group, &x, &ct)
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sse_primitives::aes::Aes128;
-use sse_primitives::bignum::BigUint;
+use sse_primitives::bignum::{BigUint, FixedBase};
 use sse_primitives::chacha20::prg_expand;
 use sse_primitives::ct;
 use sse_primitives::ctr::{ctr_decrypt, ctr_encrypt};
@@ -17,6 +17,29 @@ use sse_primitives::sha256::{sha256, Sha256};
 fn biguint(max_bytes: usize) -> impl Strategy<Value = BigUint> {
     prop::collection::vec(any::<u8>(), 0..=max_bytes)
         .prop_map(|bytes| BigUint::from_bytes_be(&bytes))
+}
+
+/// The value of little-endian `u64` limbs.
+fn from_limbs(limbs: &[u64]) -> BigUint {
+    let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
+    BigUint::from_bytes_be(&bytes)
+}
+
+/// An odd modulus of `raw.len()` limbs whose top limb is nonzero, and all
+/// ones when `all_ones_top` (the RFC 3526 primes' shape).
+fn odd_modulus(raw: &[u64], all_ones_top: bool) -> BigUint {
+    let mut limbs = raw.to_vec();
+    let top = limbs.len() - 1;
+    limbs[0] |= 1;
+    if all_ones_top {
+        limbs[top] = u64::MAX;
+    } else if limbs[top] == 0 {
+        limbs[top] = 1;
+    }
+    if top == 0 {
+        limbs[0] = limbs[0].max(3);
+    }
+    from_limbs(&limbs)
 }
 
 proptest! {
@@ -241,5 +264,47 @@ proptest! {
             let mut fresh = HmacDrbg::from_u64(s1);
             prop_assert_ne!(fresh.gen_key(), b.gen_key());
         }
+    }
+}
+
+// ---- the Montgomery kernel against square-and-multiply ---------------------
+
+proptest! {
+    // Fewer cases: a 33-limb reference exponentiation is slow unoptimized.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn montgomery_ladder_and_fixed_base_match_plain_mod_pow(
+        raw in prop::collection::vec(any::<u64>(), 1..=33),
+        material in prop::collection::vec(any::<u64>(), 99),
+        all_ones_top in any::<bool>(),
+        exp_kind in 0usize..4,
+        base_kind in 0usize..6,
+    ) {
+        let n = odd_modulus(&raw, all_ones_top);
+        let k = raw.len();
+        let exp = match exp_kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            // As wide as the modulus.
+            2 => from_limbs(&material[..k]),
+            // Wider than the modulus: one more limb, nonzero.
+            _ => from_limbs(&material[..k]).add(&BigUint::one().shl(64 * k)),
+        };
+        let base = match base_kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => n.sub(&BigUint::one()),
+            // At or just above n: may still fit in k limbs.
+            3 => n.add(&from_limbs(&material[k..k + 1])),
+            // Twice the modulus's width.
+            4 => from_limbs(&material[k..3 * k]),
+            _ => from_limbs(&material[k..2 * k]).rem(&n),
+        };
+        let want = base.mod_pow_plain(&exp, &n);
+        prop_assert_eq!(base.mod_pow(&exp, &n), want.clone());
+        // A table sized for the modulus: wider exponents take the fallback.
+        let fixed = FixedBase::new(&base, &n, n.bit_len());
+        prop_assert_eq!(fixed.pow(&exp), want);
     }
 }
