@@ -367,103 +367,6 @@ impl<T: Transport> Scheme1Client<T> {
         Ok(out)
     }
 
-    /// [`Scheme1Client::search_many`] with one scheme message per keyword
-    /// in each round, shipped through
-    /// [`Transport::round_trip_search_batch`]: over the TCP `SEARCH_MANY`
-    /// envelope this is a batched `SearchFind` round followed by a batched
-    /// `SearchReveal` round — **two rounds total**, with the daemon
-    /// evaluating the per-keyword lookups and unmaskings concurrently
-    /// across its shard snapshots. On non-batching transports this
-    /// degrades to the per-keyword sequence of [`Scheme1Client::search`].
-    /// Returns one hit list per keyword, position-aligned.
-    ///
-    /// # Errors
-    /// Propagates protocol and crypto failures.
-    pub fn search_batch(&mut self, keywords: &[Keyword]) -> Result<Vec<SearchHits>> {
-        if keywords.is_empty() {
-            return Ok(Vec::new());
-        }
-        let tags: Vec<[u8; 32]> = keywords.iter().map(|w| self.tag(w)).collect();
-
-        // Round 1: one SearchFind part per tag, fanned out server-side.
-        let find_parts: Vec<Vec<u8>> = tags.iter().map(protocol::encode_search_find).collect();
-        let find_responses = self.link.round_trip_search_batch(&find_parts)?;
-        if find_responses.len() != tags.len() {
-            return Err(SseError::ProtocolViolation {
-                expected: "one find response per search part",
-                got: format!(
-                    "{} responses for {} parts",
-                    find_responses.len(),
-                    tags.len()
-                ),
-            });
-        }
-
-        // Recover seeds for the keywords that exist.
-        let mut reveal: Vec<([u8; 32], [u8; 32])> = Vec::new();
-        let mut reveal_pos: Vec<usize> = Vec::new();
-        for (i, resp) in find_responses.iter().enumerate() {
-            if let Some(f_r_bytes) = protocol::decode_found(resp)? {
-                let ct = ElGamalCiphertext::from_bytes(self.elgamal.group(), &f_r_bytes)?;
-                let seed = self.elgamal.decrypt_to_seed(&ct)?;
-                reveal.push((tags[i], seed));
-                reveal_pos.push(i);
-            }
-        }
-        let mut out: Vec<SearchHits> = vec![Vec::new(); keywords.len()];
-        if reveal.is_empty() {
-            return Ok(out);
-        }
-
-        // Round 2: one SearchReveal part per present keyword.
-        let reveal_parts: Vec<Vec<u8>> = reveal
-            .iter()
-            .map(|(tag, seed)| protocol::encode_search_reveal(tag, seed))
-            .collect();
-        let reveal_responses = self.link.round_trip_search_batch(&reveal_parts)?;
-        if reveal_responses.len() != reveal.len() {
-            return Err(SseError::ProtocolViolation {
-                expected: "one reveal response per revealed tag",
-                got: format!(
-                    "{} responses for {} reveals",
-                    reveal_responses.len(),
-                    reveal.len()
-                ),
-            });
-        }
-        for (slot, resp) in reveal_pos.iter().zip(&reveal_responses) {
-            let encrypted = protocol::decode_result(resp)?;
-            let mut hits = Vec::with_capacity(encrypted.len());
-            for (id, blob) in encrypted {
-                hits.push((id, self.etm.open(&blob)?));
-            }
-            out[*slot] = hits;
-        }
-
-        if self.config.remask_after_search {
-            // One extra round re-randomizes every revealed mask at once.
-            let entries: Vec<UpdateEntry> = reveal
-                .iter()
-                .map(|(tag, seed)| {
-                    let mut delta = vec![0u8; self.config.index_bytes()];
-                    Prg::mask_in_place(seed, &mut delta);
-                    let (new_seed, f_r_new) = self.fresh_nonce();
-                    Prg::mask_in_place(&new_seed, &mut delta);
-                    UpdateEntry {
-                        tag: *tag,
-                        delta,
-                        f_r: f_r_new,
-                    }
-                })
-                .collect();
-            let resp = self
-                .link
-                .round_trip(&protocol::encode_apply_updates(&entries))?;
-            protocol::decode_ack(&resp)?;
-        }
-        Ok(out)
-    }
-
     /// §5.7 *fake update*: run the full two-round update exchange with
     /// all-zero `U(w)` arrays. On the wire this is indistinguishable from a
     /// real update touching the same number of keywords, and it leaves every

@@ -41,8 +41,8 @@ pub mod REQ_TAGS {
 }
 
 /// Whether the request tagged `tag` only reads the server's state: what a
-/// degraded (read-only) tenant may still serve, and all a `SEARCH_MANY`
-/// envelope part may be. An unknown tag is not a read.
+/// degraded (read-only) tenant may still serve. An unknown tag is not a
+/// read.
 #[must_use]
 pub const fn is_read(tag: u8) -> bool {
     matches!(

@@ -345,47 +345,6 @@ impl<T: Transport> Scheme2Client<T> {
         Ok(out)
     }
 
-    /// [`Scheme2Client::search_many`] with one scheme `Search` message per
-    /// keyword, all shipped through [`Transport::round_trip_search_batch`]:
-    /// over the TCP `SEARCH_MANY` envelope the whole batch is **one round**
-    /// and the daemon evaluates the per-keyword searches concurrently
-    /// across its shard snapshots, instead of serializing them inside a
-    /// single `SearchMany` handler. On non-batching transports this
-    /// degrades to one round per keyword. Results are position-aligned.
-    ///
-    /// # Errors
-    /// Protocol and crypto failures.
-    pub fn search_batch(&mut self, keywords: &[Keyword]) -> Result<Vec<SearchHits>> {
-        if keywords.is_empty() {
-            return Ok(Vec::new());
-        }
-        let ctr = self.state.ctr;
-        let mut parts = Vec::with_capacity(keywords.len());
-        for w in keywords {
-            let tag = self.tag(w);
-            let t_prime = self.chain(w).key_for_counter(ctr)?;
-            parts.push(protocol::encode_search(&tag, &t_prime));
-        }
-        let responses = self.link.round_trip_search_batch(&parts)?;
-        if responses.len() != keywords.len() {
-            return Err(SseError::ProtocolViolation {
-                expected: "one response per search part",
-                got: format!("{} responses for {} parts", responses.len(), keywords.len()),
-            });
-        }
-        let mut out = Vec::with_capacity(responses.len());
-        for resp in &responses {
-            let encrypted = proto_common::decode_result(resp)?;
-            let mut hits = Vec::with_capacity(encrypted.len());
-            for (id, blob) in encrypted {
-                hits.push((id, self.etm.open(&blob)?));
-            }
-            out.push(hits);
-        }
-        self.state.searched_since_update = true;
-        Ok(out)
-    }
-
     /// §5.7 *fake update*: append empty-id generations for the given
     /// keywords. Indistinguishable on the wire from a real update touching
     /// the same keyword count; posting sets are unchanged (empty lists add

@@ -38,26 +38,14 @@ pub trait Transport {
     /// coalesce lose nothing. Transports with a wire-level batch op (the
     /// TCP transport's `UPDATE_MANY`) override this to ship all parts in a
     /// single round and have the server journal them per index shard.
+    /// Searches need no transport batch: each scheme batches its own
+    /// (Scheme 2 `SearchMany`, Scheme 1 `GetNonces` + `SearchRevealMany`)
+    /// inside one request sent through [`Transport::round_trip`].
     ///
     /// # Errors
     /// As [`Transport::round_trip`]; on error, any prefix of the batch may
     /// already have taken effect server-side.
     fn round_trip_batch(&mut self, parts: &[Vec<u8>]) -> std::io::Result<Vec<Vec<u8>>> {
-        parts.iter().map(|p| self.round_trip(p)).collect()
-    }
-
-    /// Execute a batch of **search** rounds, returning one response per
-    /// part, position-aligned. Unlike [`Transport::round_trip_batch`] the
-    /// parts produce distinct responses, and the server side is free to
-    /// evaluate them concurrently — searches are read-only, so no
-    /// atomicity is implied. The default sends the parts sequentially;
-    /// the TCP transport overrides this with one `SEARCH_MANY` envelope
-    /// that the daemon fans out across its shard snapshots.
-    ///
-    /// # Errors
-    /// As [`Transport::round_trip`]; searches have no server-side effect,
-    /// so a failed batch can simply be retried.
-    fn round_trip_search_batch(&mut self, parts: &[Vec<u8>]) -> std::io::Result<Vec<Vec<u8>>> {
         parts.iter().map(|p| self.round_trip(p)).collect()
     }
 }

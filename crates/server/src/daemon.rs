@@ -20,9 +20,8 @@
 //! tenant's hot state — Scheme 2 chain-key memo, shard snapshots, shard
 //! locks — stays on one core instead of bouncing between whichever
 //! workers happen to pop a shared queue; stealing keeps a skewed tenant
-//! mix from idling the rest of the pool. `SEARCH_MANY` batches execute
-//! on the same pool through the spawn-free fan-out executor, so no
-//! request ever starts a thread.
+//! mix from idling the rest of the pool. No request ever starts a
+//! thread.
 //!
 //! Backpressure is explicit: when every run queue is full the reactor
 //! answers `BUSY` immediately instead of buffering unboundedly — the
@@ -35,11 +34,9 @@
 //! responses. [`Daemon::shutdown`] joins all of them — no thread outlives
 //! the call.
 
-use crate::proto::{
-    self, StatsSnapshot, KIND_SEARCH_MANY, KIND_UPDATE_MANY, STATUS_DEGRADED, STATUS_ERR, STATUS_OK,
-};
+use crate::proto::{self, StatsSnapshot, KIND_UPDATE_MANY, STATUS_DEGRADED, STATUS_ERR, STATUS_OK};
 use crate::reactor::{CompletionQueue, OutMsg, Reactor, ReactorOptions, Segment, POISON_TOKEN};
-use crate::sched::{JobSender, SchedCounters, Scheduler, SearchFanout};
+use crate::sched::{JobSender, SchedCounters, Scheduler};
 use crate::scrub::{scrub_loop, scrub_pass, ScrubCounters};
 use crate::stats::ServingStats;
 use crate::tenant::{TenantHandle, TenantParams, TenantRegistry};
@@ -141,7 +138,7 @@ pub(crate) struct Shared {
     /// lets `ADMIN_STATS` report the hit/miss/recycle counters.
     pub(crate) pool: BufPool,
     /// Scheduler observability counters (routed / local hits / steals /
-    /// spills / queue high-water, fan-out batches), overlaid into
+    /// spills / queue high-water), overlaid into
     /// `ADMIN_STATS` like the pool and storage counters.
     pub(crate) sched: Arc<SchedCounters>,
 }
@@ -198,11 +195,11 @@ impl Responder {
     }
 }
 
-/// One queued DATA, UPDATE_MANY or SEARCH_MANY request.
+/// One queued DATA or UPDATE_MANY request.
 pub(crate) struct Job {
     pub(crate) tenant: TenantHandle,
-    /// [`KIND_DATA`], [`KIND_UPDATE_MANY`] or [`KIND_SEARCH_MANY`] —
-    /// decides how the worker interprets the payload.
+    /// [`KIND_DATA`] or [`KIND_UPDATE_MANY`] — decides how the worker
+    /// interprets the payload.
     pub(crate) kind: u8,
     /// Client sequence number, echoed in the response so a pipelining
     /// client can match responses that workers complete out of order.
@@ -287,7 +284,6 @@ impl Daemon {
         registry.preopen_existing().map_err(std::io::Error::other)?;
         let (sched, job_tx) =
             Scheduler::<Job>::new(config.workers.max(1), config.queue_depth, true);
-        let fanout = Arc::new(SearchFanout::new(sched.clone()));
 
         let shared = Arc::new(Shared {
             shutdown: ShutdownSignal::new(),
@@ -318,9 +314,8 @@ impl Daemon {
         let worker_joins: Vec<JoinHandle<()>> = (0..sched.workers())
             .map(|me| {
                 let sched = sched.clone();
-                let fanout = fanout.clone();
                 let stats = shared.stats.clone();
-                std::thread::spawn(move || worker_loop(me, &sched, &fanout, &stats))
+                std::thread::spawn(move || worker_loop(me, &sched, &stats))
             })
             .collect();
 
@@ -521,19 +516,14 @@ impl Parked {
     }
 }
 
-fn worker_loop(
-    me: usize,
-    sched: &Arc<Scheduler<Job>>,
-    fanout: &Arc<SearchFanout>,
-    stats: &Arc<ServingStats>,
-) {
+fn worker_loop(me: usize, sched: &Arc<Scheduler<Job>>, stats: &Arc<ServingStats>) {
     // Server-side thread: opt into the allocation meter (see the reactor
     // thread).
     allocmeter::track_current_thread();
     // Worker w serves its own run queue first (its tenants' home), then
     // steals; when nothing is runnable it first commits what it parked —
     // every mutation that arrived while the last fsync ran goes out as one
-    // group — then helps an active search fan-out, and only then parks.
+    // group — and only then parks.
     // The epoch is read before the probes so a submit that lands between
     // probe and park wakes the worker instead of waiting out the timeout.
     // Workers exit only once the scheduler is closed AND drained and
@@ -543,11 +533,11 @@ fn worker_loop(
     loop {
         let epoch = sched.idle_epoch();
         if let Some(job) = sched.try_next(me) {
-            process_job(job, fanout, stats, &mut parked);
+            process_job(job, stats, &mut parked);
             parked.ran_job();
             continue;
         }
-        if parked.flush() || fanout.try_help() {
+        if parked.flush() {
             continue;
         }
         if sched.is_closed() && sched.queued() == 0 {
@@ -567,12 +557,7 @@ enum Served {
     Malformed,
 }
 
-fn process_job(
-    job: Job,
-    fanout: &Arc<SearchFanout>,
-    stats: &Arc<ServingStats>,
-    parked: &mut Parked,
-) {
+fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {
     // The split point between the two latency phases: everything before
     // this instant was run-queue wait, everything after is service.
     let queue_wait = job.accepted.elapsed();
@@ -632,11 +617,6 @@ fn process_job(
                 Some(parts) => now(tenant.apply_batch_parked(&parts, park)),
                 None => Served::Malformed,
             },
-            // SEARCH_MANY takes the payload by value: the executor shares
-            // the (pooled, zero-copy) buffer with helper workers via Arc.
-            KIND_SEARCH_MANY => fanout
-                .search_many(&tenant, payload)
-                .map_or(Served::Malformed, Served::Reply),
             _ => {
                 // The pool closes the loop on the response side too:
                 // encode into a recycled buffer, which `send` seals so the

@@ -18,8 +18,8 @@
 //!   *unchanged* scheme wire messages; ADMIN frames expose stats and
 //!   shutdown.
 //! * [`sched`] — the affinity-sharded worker runtime: per-worker run
-//!   queues routed by tenant hash, work stealing from the busiest queue,
-//!   and the spawn-free `SEARCH_MANY` fan-out executor (DESIGN.md §4k).
+//!   queues routed by tenant hash and work stealing from the busiest
+//!   queue (DESIGN.md §4k).
 //! * [`tenant`] — lazy per-`(tenant, scheme)` server state.
 //! * [`transport`] — [`transport::TcpTransport`], the
 //!   [`sse_net::link::Transport`] impl that lets every existing scheme

@@ -40,12 +40,6 @@ pub const KIND_ADMIN: u8 = 1;
 /// response carries a single scheme response body valid for every part —
 /// batched mutations all acknowledge identically.
 pub const KIND_UPDATE_MANY: u8 = 2;
-/// Request kind: a batch of scheme **search** payloads fanned out across
-/// the tenant's shard snapshots on a small worker pool. Unlike
-/// `UPDATE_MANY` the parts produce distinct results, so the response is
-/// itself a batch ([`encode_batch`]) of per-part scheme response bodies,
-/// position-aligned with the request parts.
-pub const KIND_SEARCH_MANY: u8 = 3;
 
 /// ADMIN command: return a [`StatsSnapshot`].
 pub const ADMIN_STATS: u8 = 0;
@@ -225,8 +219,8 @@ pub fn decode_request(body: &[u8]) -> Option<(u8, u32, &[u8])> {
     Some((kind, u32::from_le_bytes(*seq), payload))
 }
 
-/// Encode a batch envelope (`UPDATE_MANY`, `SEARCH_MANY`): `[count u32]`
-/// then, per part, `[len u32][part bytes]`.
+/// Encode an `UPDATE_MANY` batch envelope: `[count u32]` then, per
+/// part, `[len u32][part bytes]`.
 #[must_use]
 pub fn encode_batch(parts: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>());
@@ -238,23 +232,11 @@ pub fn encode_batch(parts: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Decode an `UPDATE_MANY` or `SEARCH_MANY` payload into its parts: the
-/// slices of `payload` at [`decode_batch_ranges`]. `None` on any length
-/// mismatch (truncated part, trailing bytes, or a forged count).
+/// Decode an `UPDATE_MANY` payload into its parts, each a slice of
+/// `payload`. `None` on any length mismatch (truncated part, trailing
+/// bytes, or a forged count).
 #[must_use]
 pub fn decode_batch(payload: &[u8]) -> Option<Vec<&[u8]>> {
-    let ranges = decode_batch_ranges(payload)?;
-    Some(ranges.into_iter().map(|r| &payload[r]).collect())
-}
-
-/// The batch envelope's one parser: each part's byte range *within*
-/// `payload`. The spawn-free search fan-out executor ([`crate::sched`])
-/// shares one pooled request buffer across helper workers via `Arc`, so
-/// parts must be positions, not borrows tied to a local slice. `None` on
-/// any length mismatch (truncated part, trailing bytes, or a forged
-/// count).
-#[must_use]
-pub fn decode_batch_ranges(payload: &[u8]) -> Option<Vec<std::ops::Range<usize>>> {
     let (count, rest) = payload.split_first_chunk::<4>()?;
     let count = u32::from_le_bytes(*count) as usize;
     // Each part costs at least its 4-byte length prefix.
@@ -270,7 +252,7 @@ pub fn decode_batch_ranges(payload: &[u8]) -> Option<Vec<std::ops::Range<usize>>
         if payload.len() - off < len {
             return None;
         }
-        parts.push(off..off + len);
+        parts.push(&payload[off..off + len]);
         off += len;
     }
     if off != payload.len() {
@@ -471,12 +453,6 @@ stats_snapshot! {
     sched_spilled,
     /// High-water mark of any single run queue's depth.
     sched_queue_depth_hw,
-    /// `SEARCH_MANY` batches run through the persistent fan-out executor.
-    fanout_batches,
-    /// Fan-out batch parts executed by an idle helper worker rather than
-    /// the batch's owning worker — nonzero proves the spawn-free executor
-    /// draws on the pool.
-    fanout_parts_helped,
     /// DATA requests the reactor answered itself, run to completion with
     /// no worker hop (memo-hit Scheme 2 searches; DESIGN.md §4n). Each is
     /// also in `requests_ok`, with zero queue wait.
@@ -810,39 +786,5 @@ mod tests {
         forged[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_batch(&forged).is_none(), "forged count");
         assert!(decode_batch(&[1, 2]).is_none(), "short header");
-    }
-
-    #[test]
-    fn batch_ranges_agree_with_decode_batch() {
-        let parts = vec![b"first".to_vec(), Vec::new(), b"third-part".to_vec()];
-        let payload = encode_batch(&parts);
-        let ranges = decode_batch_ranges(&payload).unwrap();
-        let borrowed = decode_batch(&payload).unwrap();
-        assert_eq!(ranges.len(), borrowed.len());
-        for (range, part) in ranges.iter().zip(&borrowed) {
-            assert_eq!(&payload[range.clone()], *part);
-        }
-        assert_eq!(decode_batch_ranges(&encode_batch(&[])).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn batch_ranges_reject_exactly_what_decode_batch_rejects() {
-        let good = encode_batch(&[b"part".to_vec()]);
-        for bad in [
-            &good[..good.len() - 1],               // truncated part
-            &[good.clone(), vec![0]].concat()[..], // trailing bytes
-            &{
-                let mut forged = good.clone();
-                forged[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-                forged
-            }[..], // forged count
-            &[1, 2][..],                           // short header
-        ] {
-            assert_eq!(
-                decode_batch_ranges(bad).is_none(),
-                decode_batch(bad).is_none()
-            );
-            assert!(decode_batch_ranges(bad).is_none());
-        }
     }
 }

@@ -53,8 +53,8 @@
 
 use crate::daemon::{Job, Responder, Shared, HANDLER_PANICKED, RESPONSE_SCRATCH_CAPACITY};
 use crate::proto::{
-    self, Hello, ADMIN_SHUTDOWN, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN, KIND_DATA, KIND_SEARCH_MANY,
-    KIND_UPDATE_MANY, STATUS_BUSY, STATUS_ERR, STATUS_OK,
+    self, Hello, ADMIN_SHUTDOWN, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN, KIND_DATA, KIND_UPDATE_MANY,
+    STATUS_BUSY, STATUS_ERR, STATUS_OK,
 };
 use crate::sched::{route_hash, JobSender};
 use crate::stats::ServingStats;
@@ -872,7 +872,7 @@ impl<P: Poller> Reactor<P> {
                     return false;
                 };
                 match kind {
-                    KIND_DATA | KIND_UPDATE_MANY | KIND_SEARCH_MANY => 'job: {
+                    KIND_DATA | KIND_UPDATE_MANY => 'job: {
                         let pool = &self.opts.pool;
                         if kind == KIND_DATA {
                             if Self::answer_inline(conn, stats, pool, &frame, seq, inline_left) {
@@ -1760,14 +1760,18 @@ mod tests {
 
     #[test]
     fn unknown_kind_after_a_pipelined_request_keeps_its_reply() {
-        let chunk = [
-            hello_frame(),
-            encode_frame(&proto::encode_request(KIND_DATA, 1, b"q")),
-            encode_frame(&proto::encode_request(99, 2, b"")),
-        ]
-        .concat();
-        let err = proto::encode_response(STATUS_ERR, 2, b"unknown request kind");
-        reply_in_flight_outlives_a_protocol_error(&[chunk], encode_frame(&err));
+        // Kind 3 was a batch-search envelope; a client still sending it
+        // is refused like any other unknown kind.
+        for kind in [3, 99] {
+            let chunk = [
+                hello_frame(),
+                encode_frame(&proto::encode_request(KIND_DATA, 1, b"q")),
+                encode_frame(&proto::encode_request(kind, 2, b"")),
+            ]
+            .concat();
+            let err = proto::encode_response(STATUS_ERR, 2, b"unknown request kind");
+            reply_in_flight_outlives_a_protocol_error(&[chunk], encode_frame(&err));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Affinity-sharded worker runtime: per-worker run queues, work
-//! stealing, and the spawn-free `SEARCH_MANY` fan-out executor.
+//! Affinity-sharded worker runtime: per-worker run queues and work
+//! stealing.
 //!
 //! The daemon used to funnel every request through one shared MPMC
 //! channel: correct, but at high concurrency all workers contend on the
@@ -30,17 +30,10 @@
 //! jobs stay on one queue (the no-spill steady state): same home queue,
 //! FIFO push, FIFO pop/steal. A spill can interleave *across* queues,
 //! which the proptest below pins down precisely: no-spill ⇒ no reorder.
-//!
-//! The second half of the module is `SearchFanout`: the worker that
-//! dequeued a `SEARCH_MANY` batch publishes it as claimable and *idle
-//! pool workers* help execute its parts — no request starts a thread
-//! (`crates/server/tests/invariants.rs` holds the process's thread count
-//! equal across fan-out bursts).
 
 use crate::proto::{SchemeId, StatsSnapshot};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
@@ -54,13 +47,11 @@ pub struct SchedCounters {
     stolen: AtomicU64,
     spilled: AtomicU64,
     queue_depth_hw: AtomicU64,
-    fanout_batches: AtomicU64,
-    fanout_parts_helped: AtomicU64,
 }
 
 impl SchedCounters {
-    /// Add these counters to `snap`'s `sched_*` and `fanout_*` fields
-    /// (the queue high-water mark takes the larger of the two).
+    /// Add these counters to `snap`'s `sched_*` fields (the queue
+    /// high-water mark takes the larger of the two).
     pub fn add_to(&self, snap: &mut StatsSnapshot) {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         snap.sched_routed += load(&self.routed);
@@ -68,8 +59,6 @@ impl SchedCounters {
         snap.sched_stolen += load(&self.stolen);
         snap.sched_spilled += load(&self.spilled);
         snap.sched_queue_depth_hw = snap.sched_queue_depth_hw.max(load(&self.queue_depth_hw));
-        snap.fanout_batches += load(&self.fanout_batches);
-        snap.fanout_parts_helped += load(&self.fanout_parts_helped);
     }
 
     fn note_depth(&self, depth: u64) {
@@ -123,9 +112,9 @@ pub struct Scheduler<T> {
     affinity: bool,
     rr: AtomicUsize,
     senders: AtomicUsize,
-    /// Wakeup epoch: bumped (under the lock) on every submit, fan-out
-    /// publish and close, so a worker that observed epoch `e` and found
-    /// nothing runnable can park without racing a concurrent submit.
+    /// Wakeup epoch: bumped (under the lock) on every submit and on
+    /// close, so a worker that observed epoch `e` and found nothing
+    /// runnable can park without racing a concurrent submit.
     epoch: Mutex<u64>,
     parked: Condvar,
     counters: Arc<SchedCounters>,
@@ -260,8 +249,8 @@ impl<T> Scheduler<T> {
         );
     }
 
-    /// Bump the epoch and wake every parked worker (submits, fan-out
-    /// publishes, sender disconnect).
+    /// Bump the epoch and wake every parked worker (submits, sender
+    /// disconnect).
     pub fn notify_all(&self) {
         let mut e = self.epoch.lock();
         *e = e.wrapping_add(1);
@@ -365,173 +354,6 @@ impl<T> Drop for JobSender<T> {
     }
 }
 
-// ---------------------------------------------------------------------
-// The spawn-free SEARCH_MANY fan-out executor.
-// ---------------------------------------------------------------------
-
-use crate::daemon::Job;
-use crate::tenant::{fanout_limit, TenantHandle};
-use sse_net::pool::PooledBuf;
-
-struct FanoutState {
-    results: Vec<Vec<u8>>,
-    done: usize,
-}
-
-/// One published `SEARCH_MANY` batch: parts are claimed by atomic
-/// counter (owner and helpers alike), results land position-aligned,
-/// and the owner condvar-waits for the last part.
-struct FanoutBatch {
-    tenant: TenantHandle,
-    /// The whole request payload (a pooled zero-copy view); parts are
-    /// sub-ranges of it, so helpers never copy bytes.
-    payload: Arc<PooledBuf>,
-    ranges: Vec<Range<usize>>,
-    next: AtomicUsize,
-    /// Concurrent helpers are capped at `fanout - 1`: the owner *is*
-    /// participant number one, counted exactly once (see `fanout_limit`).
-    max_helpers: usize,
-    helpers: AtomicUsize,
-    state: Mutex<FanoutState>,
-    finished: Condvar,
-}
-
-impl FanoutBatch {
-    /// Claim and execute one part. `false` when every part is claimed
-    /// (the batch may still be finishing on other workers).
-    fn claim_and_run(&self) -> bool {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        let Some(range) = self.ranges.get(i) else {
-            return false;
-        };
-        // Per-part panics become that part's protocol error inside
-        // `handle_part_caught`, so `done` always reaches `len` and the
-        // owner can never wait forever.
-        let resp = self.tenant.handle_part_caught(&self.payload[range.clone()]);
-        let mut st = self.state.lock();
-        st.results[i] = resp;
-        st.done += 1;
-        if st.done == self.ranges.len() {
-            drop(st);
-            self.finished.notify_all();
-        }
-        true
-    }
-
-    fn has_unclaimed(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.ranges.len()
-    }
-
-    fn wait_done(&self) -> Vec<Vec<u8>> {
-        let mut st = self.state.lock();
-        while st.done < self.ranges.len() {
-            st = self.finished.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-        std::mem::take(&mut st.results)
-    }
-}
-
-/// The persistent fan-out executor: `SEARCH_MANY` batches are published
-/// here by the worker that dequeued them, and *idle* pool workers (no
-/// runnable job anywhere) pick up parts, so a batch spawns nothing.
-pub(crate) struct SearchFanout {
-    sched: Arc<Scheduler<Job>>,
-    active: Mutex<Vec<Arc<FanoutBatch>>>,
-    counters: Arc<SchedCounters>,
-}
-
-impl SearchFanout {
-    pub(crate) fn new(sched: Arc<Scheduler<Job>>) -> SearchFanout {
-        let counters = sched.counters();
-        SearchFanout {
-            sched,
-            active: Mutex::new(Vec::new()),
-            counters,
-        }
-    }
-
-    /// Serve one `SEARCH_MANY` payload on the calling worker, drawing
-    /// idle pool workers in as helpers. Returns the position-aligned
-    /// response batch, or `None` for a malformed batch envelope.
-    pub(crate) fn search_many(&self, tenant: &TenantHandle, payload: PooledBuf) -> Option<Vec<u8>> {
-        let ranges = crate::proto::decode_batch_ranges(&payload)?;
-        // Participants are pool workers (the owner plus idle helpers),
-        // not fresh threads, so the pool size — not the machine's core
-        // count — is the honest cap: a 4-worker daemon on one core still
-        // interleaves helpers.
-        let fanout = fanout_limit(ranges.len(), self.sched.workers());
-        if fanout <= 1 {
-            // Single part (or single core): no parallelism to win, skip
-            // the publish/claim machinery entirely.
-            let responses: Vec<Vec<u8>> = ranges
-                .iter()
-                .map(|r| tenant.handle_part_caught(&payload[r.clone()]))
-                .collect();
-            return Some(crate::proto::encode_batch(&responses));
-        }
-        let len = ranges.len();
-        let batch = Arc::new(FanoutBatch {
-            tenant: tenant.clone(),
-            payload: Arc::new(payload),
-            ranges,
-            next: AtomicUsize::new(0),
-            max_helpers: fanout - 1,
-            helpers: AtomicUsize::new(0),
-            state: Mutex::new(FanoutState {
-                results: vec![Vec::new(); len],
-                done: 0,
-            }),
-            finished: Condvar::new(),
-        });
-        self.counters.fanout_batches.fetch_add(1, Ordering::Relaxed);
-        self.active.lock().push(batch.clone());
-        // Wake parked workers so they find the batch via `try_help`.
-        self.sched.notify_all();
-        // The owner participates in its own claim loop — one of the
-        // `fanout` slots, occupied exactly once.
-        while batch.claim_and_run() {}
-        self.retire(&batch);
-        let results = batch.wait_done();
-        Some(crate::proto::encode_batch(&results))
-    }
-
-    /// Called by an idle worker (empty queues, nothing stealable): claim
-    /// parts of the neediest active batch until none remain. `true` if
-    /// any part was executed.
-    pub(crate) fn try_help(&self) -> bool {
-        let batch = {
-            let active = self.active.lock();
-            active
-                .iter()
-                .find(|b| b.has_unclaimed() && b.helpers.load(Ordering::Relaxed) < b.max_helpers)
-                .cloned()
-        };
-        let Some(batch) = batch else {
-            return false;
-        };
-        // Re-check the helper cap under a real reservation: the owner's
-        // slot plus `max_helpers` concurrent helpers never exceeds the
-        // batch's sized fan-out.
-        if batch.helpers.fetch_add(1, Ordering::AcqRel) >= batch.max_helpers {
-            batch.helpers.fetch_sub(1, Ordering::AcqRel);
-            return false;
-        }
-        let mut helped = false;
-        while batch.claim_and_run() {
-            helped = true;
-            self.counters
-                .fanout_parts_helped
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        batch.helpers.fetch_sub(1, Ordering::AcqRel);
-        helped
-    }
-
-    fn retire(&self, batch: &Arc<FanoutBatch>) {
-        self.active.lock().retain(|b| !Arc::ptr_eq(b, batch));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,63 +376,6 @@ mod tests {
         let mut snap = StatsSnapshot::default();
         sched.counters().add_to(&mut snap);
         snap
-    }
-
-    /// Serve a `SEARCH_MANY` envelope of `[read, mutation]` through the
-    /// fan-out executor — inline (one worker) and as a published batch
-    /// (four) — on a fresh in-memory tenant. The read is served, the
-    /// mutation part is answered with an error, and the tenant's documents
-    /// and keywords are unchanged.
-    fn search_many_refuses_the_mutation_part(scheme: SchemeId, read: Vec<u8>, mutation: Vec<u8>) {
-        use crate::tenant::{TenantParams, TenantRegistry};
-        use sse_core::proto_common::resp::ERROR;
-
-        for workers in [1, 4] {
-            let tenant = TenantRegistry::new(TenantParams::default())
-                .get_or_create("t", scheme)
-                .unwrap();
-            let (sched, _tx) = Scheduler::new(workers, 8, false);
-            let envelope = crate::proto::encode_batch(&[read.clone(), mutation.clone()]);
-            let reply = SearchFanout::new(sched)
-                .search_many(&tenant, PooledBuf::from_vec(envelope))
-                .unwrap();
-            let parts = crate::proto::decode_batch(&reply).unwrap();
-            assert_ne!(
-                parts[0][0], ERROR,
-                "{scheme:?}/{workers}: the read is served"
-            );
-            assert_eq!(
-                parts[1][0], ERROR,
-                "{scheme:?}/{workers}: the mutation is refused"
-            );
-            assert_eq!(tenant.stored_docs(), 0, "{scheme:?}/{workers}");
-            assert_eq!(tenant.unique_keywords(), 0, "{scheme:?}/{workers}");
-        }
-    }
-
-    #[test]
-    fn scheme2_search_many_serves_no_put_docs_part() {
-        use sse_core::scheme2::protocol as s2;
-        search_many_refuses_the_mutation_part(
-            SchemeId::Scheme2,
-            s2::encode_search(&[1; 32], &[2; 32]),
-            s2::encode_put_docs(&[(7, b"doc".to_vec())]),
-        );
-    }
-
-    #[test]
-    fn scheme1_search_many_serves_no_apply_updates_part() {
-        use sse_core::scheme1::protocol::{self as s1, UpdateEntry};
-        let entry = UpdateEntry {
-            tag: [3; 32],
-            delta: vec![0; 4096 / 8],
-            f_r: vec![4; 32],
-        };
-        search_many_refuses_the_mutation_part(
-            SchemeId::Scheme1,
-            s1::encode_search_find(&[3; 32]),
-            s1::encode_apply_updates(&[entry]),
-        );
     }
 
     #[test]

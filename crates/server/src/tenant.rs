@@ -31,20 +31,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Upper bound on workers serving one `SEARCH_MANY` batch, the calling
-/// worker included. Small batches use one participant per part; larger
-/// batches share.
-const SEARCH_FANOUT: usize = 8;
-
-/// Size the fan-out for a `SEARCH_MANY` batch of `parts` parts on
-/// `cores` cores: the number of *participants*, with the calling worker
-/// counted exactly once as participant number one. Helpers beyond the
-/// caller are therefore `fanout_limit(..) - 1`; the executor in
-/// [`crate::sched`] sizes from this.
-pub(crate) fn fanout_limit(parts: usize, cores: usize) -> usize {
-    parts.min(SEARCH_FANOUT).min(cores.max(1))
-}
-
 /// One tenant's scheme server — the concrete state behind a handle, kept
 /// as an enum (not `Box<dyn Service>`) so requests dispatch statically
 /// and callers can reach scheme-specific state (the request-tag
@@ -83,18 +69,15 @@ impl TenantDb {
 
     /// Whether an envelope request would mutate this database — the
     /// routing predicate for degraded (read-only) serving. `UPDATE_MANY`
-    /// is always a mutation and `SEARCH_MANY` never is (its parts are
-    /// served only if each is a read, see `handle_part_caught`); for
-    /// `DATA` the scheme's `is_read` on the request tag (first payload
-    /// byte) decides. Unknown and empty payloads classify as mutations:
-    /// the scheme server will reject them anyway, and a degraded tenant
-    /// must fail closed, not execute a request the classifier could not
-    /// read.
+    /// is always a mutation; for `DATA` the scheme's `is_read` on the
+    /// request tag (first payload byte) decides. Unknown kinds and empty
+    /// or unknown payloads classify as mutations: they are rejected
+    /// anyway, and a degraded tenant must fail closed, not execute a
+    /// request the classifier could not read.
     #[must_use]
     pub fn is_mutation(&self, kind: u8, payload: &[u8]) -> bool {
         match kind {
             crate::proto::KIND_UPDATE_MANY => true,
-            crate::proto::KIND_SEARCH_MANY => false,
             crate::proto::KIND_DATA => !self.is_read(payload),
             _ => true,
         }
@@ -202,26 +185,6 @@ impl TenantDb {
             TenantDb::S2(s) => s.apply_batch_parked(parts, park),
         }
     }
-
-    /// Serve one `SEARCH_MANY` fan-out part, converting a scheme-server
-    /// panic into that part's protocol error instead of unwinding through
-    /// the pool — one poisoned part must not kill the other parts or the
-    /// connection. The executor in [`crate::sched`] waits on every claimed
-    /// part reporting a result. A part that is not a read is answered with
-    /// an error and not served: the envelope passes the degraded gate and
-    /// is never parked, so a mutation inside it would skip both.
-    pub(crate) fn handle_part_caught(&self, part: &[u8]) -> Vec<u8> {
-        if !self.is_read(part) {
-            return sse_core::proto_common::encode_error("SEARCH_MANY part is not a read");
-        }
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle_shared(part)))
-            .unwrap_or_else(|_| fanout_panicked())
-    }
-}
-
-/// The error response for a fan-out part whose worker died.
-fn fanout_panicked() -> Vec<u8> {
-    sse_core::proto_common::encode_error("internal error: search fan-out worker panicked")
 }
 
 impl Service for TenantDb {
@@ -598,21 +561,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fanout_limit_counts_the_caller_exactly_once() {
-        // `fanout_limit` returns total participants, caller included:
-        // helpers are always `limit - 1`, never `limit` (which would
-        // double-count the caller's slot against the core budget).
-        assert_eq!(fanout_limit(4, 16), 4, "one participant per part");
-        assert_eq!(fanout_limit(16, 4), 4, "core-capped: caller + 3 helpers");
-        assert_eq!(fanout_limit(100, 64), SEARCH_FANOUT, "hard batch cap");
-        assert_eq!(fanout_limit(8, 1), 1, "single core: caller alone, 0 spawns");
-        assert_eq!(fanout_limit(1, 8), 1, "single part stays inline");
-        assert_eq!(fanout_limit(3, 0), 1, "a zero core count cannot size to 0");
-    }
-
-    #[test]
     fn every_opcode_of_both_schemes_is_classified() {
-        use crate::proto::{KIND_DATA, KIND_SEARCH_MANY, KIND_UPDATE_MANY};
+        use crate::proto::{KIND_DATA, KIND_UPDATE_MANY};
         use sse_core::scheme1::REQ_TAGS as t1;
         use sse_core::scheme2::protocol::req as t2;
 
@@ -659,7 +609,12 @@ mod tests {
             }
             assert!(tenant.is_mutation(KIND_DATA, &[]), "{scheme:?}: empty");
             assert!(tenant.is_mutation(KIND_UPDATE_MANY, &[]));
-            assert!(!tenant.is_mutation(KIND_SEARCH_MANY, &[]));
+            // Every other kind, the retired batch-search kind 3 included,
+            // is unknown here whatever its payload.
+            for kind in (0..=u8::MAX).filter(|&k| k != KIND_DATA && k != KIND_UPDATE_MANY) {
+                assert!(tenant.is_mutation(kind, &[t1::GET_NONCES]), "kind {kind}");
+                assert!(tenant.is_mutation(kind, &[t2::SEARCH]), "kind {kind}");
+            }
         }
     }
 

@@ -23,7 +23,7 @@
 
 use crate::proto::{
     self, Hello, SchemeId, StatsSnapshot, ADMIN_SHUTDOWN, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN,
-    KIND_DATA, KIND_SEARCH_MANY, KIND_UPDATE_MANY, STATUS_BUSY, STATUS_DEGRADED, STATUS_OK,
+    KIND_DATA, KIND_UPDATE_MANY, STATUS_BUSY, STATUS_DEGRADED, STATUS_OK,
 };
 use sse_net::frame::{encode_frame, FrameDecoder};
 use sse_net::link::Transport;
@@ -329,31 +329,6 @@ impl Transport for TcpTransport {
         }
         let body = self.request(KIND_UPDATE_MANY, &proto::encode_batch(parts))?;
         Ok(vec![body; parts.len()])
-    }
-
-    /// Ship all search parts in one `SEARCH_MANY` round. The daemon fans
-    /// the parts out across the tenant's shard snapshots on a scoped
-    /// worker pool and answers with a batch of per-part response bodies,
-    /// which is unpacked here — position-aligned, exactly like the
-    /// sequential default.
-    fn round_trip_search_batch(&mut self, parts: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        if parts.is_empty() {
-            return Ok(Vec::new());
-        }
-        let body = self.request(KIND_SEARCH_MANY, &proto::encode_batch(parts))?;
-        let responses = proto::decode_batch(&body)
-            .ok_or_else(|| Error::new(ErrorKind::InvalidData, "malformed search batch response"))?;
-        if responses.len() != parts.len() {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "search batch arity mismatch: sent {} parts, got {} responses",
-                    parts.len(),
-                    responses.len()
-                ),
-            ));
-        }
-        Ok(responses.into_iter().map(<[u8]>::to_vec).collect())
     }
 }
 

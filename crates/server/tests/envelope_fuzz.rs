@@ -1,9 +1,9 @@
 //! Property tests for every decoder a peer's bytes reach before a scheme
 //! server does: the hello, the request and response envelopes, the
-//! `UPDATE_MANY` / `SEARCH_MANY` batch, the `DEGRADED` payload and the
-//! `ADMIN_STATS` snapshot. Arbitrary bytes never panic; every valid
-//! encoding round-trips; every truncation and every single-byte mutation
-//! of a valid encoding decodes to `None` or to a value, never a panic.
+//! `UPDATE_MANY` batch, the `DEGRADED` payload and the `ADMIN_STATS`
+//! snapshot. Arbitrary bytes never panic; every valid encoding
+//! round-trips; every truncation and every single-byte mutation of a
+//! valid encoding decodes to `None` or to a value, never a panic.
 //!
 //! The counting allocator is installed so the stats decoder's allocation
 //! bound can be checked: it allocates no more than its input's length,
@@ -11,9 +11,8 @@
 
 use proptest::prelude::*;
 use sse_server::proto::{
-    decode_batch, decode_batch_ranges, decode_degraded, decode_request, decode_response,
-    encode_batch, encode_degraded, encode_request, encode_response, Hello, SchemeId, StatsSnapshot,
-    MAX_STAT_NAME_LEN,
+    decode_batch, decode_degraded, decode_request, decode_response, encode_batch, encode_degraded,
+    encode_request, encode_response, Hello, SchemeId, StatsSnapshot, MAX_STAT_NAME_LEN,
 };
 use std::sync::{Mutex, PoisonError};
 
@@ -33,22 +32,13 @@ fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, bytes)
 }
 
-/// Feed `bytes` to every decoder. The two batch decoders must agree.
+/// Feed `bytes` to every decoder.
 fn decode_all(bytes: &[u8]) {
     let _ = Hello::decode(bytes);
     let _ = decode_request(bytes);
     let _ = decode_response(bytes);
     let _ = decode_degraded(bytes);
-    match (decode_batch(bytes), decode_batch_ranges(bytes)) {
-        (Some(parts), Some(ranges)) => {
-            assert_eq!(parts.len(), ranges.len());
-            for (part, range) in parts.iter().zip(ranges) {
-                assert_eq!(*part, &bytes[range]);
-            }
-        }
-        (None, None) => {}
-        (parts, ranges) => panic!("batch decoders disagree: {parts:?} vs {ranges:?}"),
-    }
+    let _ = decode_batch(bytes);
     let (_, allocated) = bytes_allocated(|| StatsSnapshot::decode(bytes));
     assert!(
         allocated <= bytes.len() as u64,

@@ -1,6 +1,6 @@
 //! Count invariants of the daemon's serving path: allocations per warm
-//! search and per index update, pool reuse, gather-write batching,
-//! spawn-free `SEARCH_MANY` fan-out, and fsync sharing between concurrent
+//! search and per index update, pool reuse, gather-write batching, a
+//! thread count no request moves, and fsync sharing between concurrent
 //! updaters and between one connection's pipelined updates on one worker.
 //! Every bound is a count read from one process, so none depends on how
 //! fast the box is (EXPERIMENTS.md E12 and E15 list the readings they were
@@ -9,13 +9,16 @@
 //! One `#[test]`: the allocation counters and `Threads:` are process-wide,
 //! and a second test running beside this one would move both.
 
-use sse_core::scheme2::protocol::{encode_append_generations, GenerationEntry};
+use sse_core::proto_common::decode_result_many;
+use sse_core::scheme2::protocol::{
+    decode_request, encode_append_generations, encode_search_many, GenerationEntry, Request,
+};
 use sse_core::scheme2::{Scheme2Client, Scheme2Config};
 use sse_core::types::{Document, Keyword, MasterKey};
 use sse_net::frame::encode_frame;
 use sse_net::link::Transport;
 use sse_server::daemon::{Daemon, ServerConfig};
-use sse_server::proto::{self, Hello, SchemeId, HELLO_SEQ, KIND_DATA, KIND_SEARCH_MANY, STATUS_OK};
+use sse_server::proto::{self, Hello, SchemeId, HELLO_SEQ, KIND_DATA, STATUS_OK};
 use sse_server::tenant::TenantParams;
 use sse_server::transport::TcpTransport;
 use std::io::{Read, Write};
@@ -33,7 +36,7 @@ const TENANT: &str = "invariants";
 const DEPTH: usize = 16;
 /// Warm searches per measured phase.
 const OPS: u64 = 2048;
-/// Scheme searches inside each `SEARCH_MANY` request.
+/// Trapdoors inside each Scheme 2 `SearchMany` request.
 const BATCH_PARTS: usize = 4;
 /// Server-thread allocations one warm search may cost: the reading taken
 /// before this bound was written, closed-loop and pipelined alike.
@@ -80,12 +83,18 @@ fn warm_search_request(addr: SocketAddr) -> Vec<u8> {
     client.transport_mut().last.clone()
 }
 
-fn read_status(stream: &mut TcpStream) -> (u8, u32) {
+/// The next reply's `(status, seq, payload)`.
+fn read_reply(stream: &mut TcpStream) -> (u8, u32, Vec<u8>) {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
     stream.read_exact(&mut body).unwrap();
-    let (status, seq, _) = proto::decode_response(&body).unwrap();
+    let (status, seq, payload) = proto::decode_response(&body).unwrap();
+    (status, seq, payload.to_vec())
+}
+
+fn read_status(stream: &mut TcpStream) -> (u8, u32) {
+    let (status, seq, _) = read_reply(stream);
     (status, seq)
 }
 
@@ -135,7 +144,6 @@ struct Moved {
     pool_hits: u64,
     writev_calls: u64,
     writev_frames: u64,
-    fanout_batches: u64,
 }
 
 fn measured(daemon: &Daemon, phase: impl FnOnce()) -> Moved {
@@ -149,7 +157,6 @@ fn measured(daemon: &Daemon, phase: impl FnOnce()) -> Moved {
         pool_hits: after.pool_hits - before.pool_hits,
         writev_calls: after.writev_calls - before.writev_calls,
         writev_frames: after.writev_frames - before.writev_frames,
-        fanout_batches: after.fanout_batches - before.fanout_batches,
     }
 }
 
@@ -197,10 +204,13 @@ fn warm_searches_allocate_little_share_writes_and_spawn_nothing() {
     let mut stream = raw_connection(addr);
     let single = encode_frame(&proto::encode_request(KIND_DATA, 1, &search));
     let searches = burst(|_| (KIND_DATA, &search));
-    let batch = proto::encode_batch(&vec![search.clone(); BATCH_PARTS]);
+    let Ok(Request::Search { tag, t_prime }) = decode_request(&search) else {
+        panic!("the captured request is a Scheme 2 search");
+    };
+    let batch = encode_search_many(&[(tag, t_prime); BATCH_PARTS]);
     let mixed = burst(|slot| match slot % 2 {
         0 => (KIND_DATA, &search[..]),
-        _ => (KIND_SEARCH_MANY, &batch[..]),
+        _ => (KIND_DATA, &batch[..]),
     });
     // Fill the pool's free lists and grow every reused vector once.
     replay(&mut closed, &single, 1, 64);
@@ -235,20 +245,30 @@ fn warm_searches_allocate_little_share_writes_and_spawn_nothing() {
     // outlives its request in the count afterwards, one that is joined
     // before the reply (a scoped helper per batch) in the peak.
     let threads = process_threads();
-    let mut peak = 0;
-    let fanned_out = measured(&daemon, || {
-        peak = peak_threads_during(|| replay(&mut stream, &mixed, DEPTH, rounds));
+    let mut batches = 0;
+    let peak = peak_threads_during(|| {
+        for _ in 0..rounds {
+            stream.write_all(&mixed).unwrap();
+            for _ in 0..DEPTH {
+                let (status, seq, payload) = read_reply(&mut stream);
+                assert_eq!(status, STATUS_OK, "seq {seq}");
+                // Odd slots, even sequence numbers, carry the batches.
+                if seq % 2 == 0 {
+                    let lists = decode_result_many(&payload).unwrap();
+                    assert_eq!(lists.len(), BATCH_PARTS, "seq {seq}");
+                    assert!(lists.iter().all(|hits| hits.len() == 1), "seq {seq}");
+                    batches += 1;
+                }
+            }
+        }
     });
     assert_eq!(
         (peak, process_threads()),
         (threads + 1, threads),
-        "serving SEARCH_MANY batches changed the process's thread count \
+        "serving SearchMany batches changed the process's thread count \
          (peak while they ran, sampler included; count afterwards)"
     );
-    assert!(
-        fanned_out.fanout_batches > 0,
-        "no batch reached the fan-out executor: {fanned_out:?}"
-    );
+    assert_eq!(batches, rounds * DEPTH as u64 / 2);
 
     let stats = daemon.stats();
     assert_eq!((stats.requests_err, stats.requests_busy), (0, 0));

@@ -943,17 +943,18 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
         .sum()
 }
 
-/// A `SEARCH_MANY` envelope counts as a read, so it passes a degraded
-/// tenant's read-only gate; its parts must therefore be reads too. A
-/// durable Scheme 2 tenant degraded by a failed fsync (no scrub, so it
-/// stays degraded) answers `[Search, PutDocs, ResetIndex]` with the
-/// search's result and an error for each mutation, writes no byte to its
-/// directory, and still answers the baseline search.
+/// Request kind 3 once carried a batch of scheme requests as one "read"
+/// envelope, and the parts of one had to be kept from mutating a degraded
+/// tenant. The kind is retired: a durable Scheme 2 tenant degraded by a
+/// failed fsync (no scrub, so it stays degraded) refuses a kind-3 frame
+/// holding `[Search, PutDocs, ResetIndex]` with an ERR, writes no byte to
+/// its directory, and still answers the baseline search.
 #[test]
 fn degraded_tenant_stores_nothing_from_a_search_many_envelope() {
-    use sse_repro::core::proto_common::{decode_result, resp};
     use sse_repro::core::scheme2::protocol as s2p;
-    use sse_repro::server::proto::{self, KIND_SEARCH_MANY};
+    use sse_repro::server::proto;
+    /// The retired batch-search envelope kind.
+    const RETIRED_SEARCH_MANY: u8 = 3;
 
     for backend in fault_backends() {
         let data_dir = temp_dir(&format!("search-many-{backend}"));
@@ -997,11 +998,11 @@ fn degraded_tenant_stores_nothing_from_a_search_many_envelope() {
             s2p::encode_reset_index(),
         ]);
         let mut raw = TcpTransport::connect(addr, "degr", SchemeId::Scheme2).unwrap();
-        let body = raw.request(KIND_SEARCH_MANY, &envelope).unwrap();
-        let parts = proto::decode_batch(&body).unwrap();
-        assert!(decode_result(parts[0]).unwrap().is_empty(), "{backend}");
-        assert_eq!(parts[1][0], resp::ERROR, "{backend}: PutDocs was served");
-        assert_eq!(parts[2][0], resp::ERROR, "{backend}: ResetIndex was served");
+        let refused = raw.request(RETIRED_SEARCH_MANY, &envelope).unwrap_err();
+        assert!(
+            refused.to_string().contains("unknown request kind"),
+            "{backend}: {refused}"
+        );
         assert_eq!(client.search("stable"), baseline, "{backend}");
         assert_eq!(
             dir_bytes(&data_dir),

@@ -729,11 +729,10 @@ fn busy_deadline_is_monotonic_and_bounded() {
 /// succeed when retried after the queue drains.
 #[test]
 fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
+    use sse_repro::core::scheme2::protocol::{decode_request, encode_search_many, Request};
     use sse_repro::net::frame::encode_frame;
     use sse_repro::net::link::Transport;
-    use sse_repro::server::proto::{
-        self, Hello, HELLO_SEQ, KIND_SEARCH_MANY, STATUS_BUSY, STATUS_OK,
-    };
+    use sse_repro::server::proto::{self, Hello, HELLO_SEQ, KIND_DATA, STATUS_BUSY, STATUS_OK};
     use std::collections::BTreeMap;
     use std::io::{Read, Write};
 
@@ -760,7 +759,7 @@ fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
     }
 
     // One worker and a two-deep queue: with the worker chewing on a
-    // fan-out batch, a pipelined burst must overflow into BUSY.
+    // batched search, a pipelined burst must overflow into BUSY.
     let daemon = Daemon::spawn(ServerConfig {
         workers: 1,
         queue_depth: 2,
@@ -799,11 +798,15 @@ fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
         .unwrap();
     assert_eq!(read_response(&mut stream), (STATUS_OK, HELLO_SEQ));
 
-    // Each request is a SEARCH_MANY batch (8 parts of the same warm
-    // search) so the lone worker's service time dwarfs the reactor's
-    // dispatch of the rest of the burst.
+    // Each request is a Scheme 2 `SearchMany` of 8 copies of the warm
+    // trapdoor, which the reactor never answers inline: the lone
+    // worker's service time dwarfs the reactor's dispatch of the rest of
+    // the burst.
     const BURST: u32 = 24;
-    let batch = proto::encode_batch(&vec![search_request; 8]);
+    let Ok(Request::Search { tag, t_prime }) = decode_request(&search_request) else {
+        panic!("the captured request is a Scheme 2 search");
+    };
+    let batch = encode_search_many(&[(tag, t_prime); 8]);
     let mut responded: BTreeMap<u32, u8> = BTreeMap::new();
     let mut busy_seqs: Vec<u32> = Vec::new();
     let mut rounds = 0u32;
@@ -814,7 +817,7 @@ fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
         let mut burst = Vec::new();
         for i in 0..BURST {
             burst.extend_from_slice(&encode_frame(&proto::encode_request(
-                KIND_SEARCH_MANY,
+                KIND_DATA,
                 base + 1 + i,
                 &batch,
             )));
@@ -857,9 +860,7 @@ fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
             );
             stream
                 .write_all(&encode_frame(&proto::encode_request(
-                    KIND_SEARCH_MANY,
-                    seq,
-                    &batch,
+                    KIND_DATA, seq, &batch,
                 )))
                 .unwrap();
             let (status, got) = read_response(&mut stream);
@@ -882,11 +883,11 @@ fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
     daemon.shutdown();
 }
 
-/// The `SEARCH_MANY` envelope end to end, both schemes: a batched search
-/// over a sharded tenant must return exactly what the same keywords yield
-/// one at a time, with absent keywords coming back empty in position —
-/// and the Scheme 2 repeat searches must show up as memo hits in the
-/// daemon's STATS.
+/// Each scheme's own batched search over TCP (Scheme 2 `SearchMany`,
+/// Scheme 1 `GetNonces` + `SearchRevealMany`): a batch over a sharded
+/// tenant must return exactly what the same keywords yield one at a time,
+/// with absent keywords coming back empty in position — and the Scheme 2
+/// repeat searches must show up as memo hits in the daemon's STATS.
 #[test]
 fn search_many_envelope_matches_sequential_searches() {
     use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config};
@@ -907,7 +908,7 @@ fn search_many_envelope_matches_sequential_searches() {
     let mut with_absent = keywords.clone();
     with_absent.insert(3, Keyword::new("never-stored"));
 
-    // Scheme 2: per-keyword Search parts in one envelope round.
+    // Scheme 2: one SearchMany round.
     let t = TcpTransport::connect(addr, "many2", SchemeId::Scheme2).unwrap();
     let mut s2 =
         Scheme2Client::new_seeded(t, MasterKey::from_seed(41), Scheme2Config::standard(), 41);
@@ -930,7 +931,7 @@ fn search_many_envelope_matches_sequential_searches() {
         .map(|w| sorted(s2.search(w).unwrap()))
         .collect();
     let batched: Vec<SearchHits> = s2
-        .search_batch(&with_absent)
+        .search_many(&with_absent)
         .unwrap()
         .into_iter()
         .map(sorted)
@@ -938,7 +939,7 @@ fn search_many_envelope_matches_sequential_searches() {
     assert_eq!(batched, individual, "scheme 2 batch diverged");
     assert!(batched[3].is_empty(), "absent keyword must be empty");
 
-    // Scheme 1: batched find round + batched reveal round.
+    // Scheme 1: a GetNonces round + a SearchRevealMany round.
     let t = TcpTransport::connect(addr, "many1", SchemeId::Scheme1).unwrap();
     let mut s1 = Scheme1Client::new_seeded(
         t,
@@ -957,7 +958,7 @@ fn search_many_envelope_matches_sequential_searches() {
         .map(|w| sorted(s1.search(w).unwrap()))
         .collect();
     let batched: Vec<SearchHits> = s1
-        .search_batch(&with_absent)
+        .search_many(&with_absent)
         .unwrap()
         .into_iter()
         .map(sorted)
