@@ -119,6 +119,13 @@ fn ciphers(rows: &mut Rows) {
             EtmKey::new(black_box(&master)).open(&sealed).unwrap()
         });
     }
+    // The Scheme 1 client's case: a traveler-record-sized blob opened
+    // under a key held across the reply (no derivation, no keying).
+    let key = EtmKey::new(&[8u8; 32]);
+    let sealed = key.seal_with_iv(&[9u8; 12], &[0x5Au8; 110]);
+    rows.time("prim_cipher/etm_open_110B_keyed", Some(110), || {
+        key.open(black_box(&sealed)).unwrap()
+    });
     let seed = [7u8; 32];
     for size in [128usize, 4096] {
         rows.time(

@@ -82,21 +82,32 @@ pub fn decode_ack(buf: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Decode a search result.
+/// Decode a search result. Each blob is a slice of `buf`: the client
+/// opens it from there into the one `Vec` the plaintext needs.
 ///
 /// # Errors
 /// Protocol violations and wire errors.
-pub fn decode_result(buf: &[u8]) -> Result<Vec<(u64, Vec<u8>)>> {
+pub fn decode_result(buf: &[u8]) -> Result<Vec<(u64, &[u8])>> {
     let mut r = WireReader::new(buf);
     expect_tag(&mut r, resp::RESULT, "Result")?;
     let n = r.get_count(16)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let id = r.get_u64()?;
-        out.push((id, r.get_bytes()?.to_vec()));
+        out.push((id, r.get_bytes()?));
     }
     r.finish()?;
     Ok(out)
+}
+
+/// [`decode_result`] with owned blobs, for tests that compare a reply
+/// against the documents they stored.
+#[cfg(test)]
+pub(crate) fn decode_result_owned(buf: &[u8]) -> Result<Vec<(u64, Vec<u8>)>> {
+    Ok(decode_result(buf)?
+        .into_iter()
+        .map(|(id, blob)| (id, blob.to_vec()))
+        .collect())
 }
 
 /// Encode a batched search result: one `(id, blob)` list per queried
@@ -114,14 +125,16 @@ pub fn encode_result_many(results: &[Vec<(u64, Vec<u8>)>]) -> Vec<u8> {
     w.finish()
 }
 
-/// One `(doc id, encrypted blob)` result list per queried keyword.
-pub type ResultLists = Vec<Vec<(u64, Vec<u8>)>>;
+/// One `(doc id, encrypted blob)` result list per queried keyword, each
+/// blob a slice of the reply it was decoded from.
+pub type ResultLists<'a> = Vec<Vec<(u64, &'a [u8])>>;
 
-/// Decode a batched search result.
+/// Decode a batched search result (blobs borrowed from `buf`, as in
+/// [`decode_result`]).
 ///
 /// # Errors
 /// Protocol violations and wire errors.
-pub fn decode_result_many(buf: &[u8]) -> Result<ResultLists> {
+pub fn decode_result_many(buf: &[u8]) -> Result<ResultLists<'_>> {
     let mut r = WireReader::new(buf);
     expect_tag(&mut r, resp::RESULT_MANY, "ResultMany")?;
     let n = r.get_count(8)?;
@@ -131,7 +144,7 @@ pub fn decode_result_many(buf: &[u8]) -> Result<ResultLists> {
         let mut docs = Vec::with_capacity(m);
         for _ in 0..m {
             let id = r.get_u64()?;
-            docs.push((id, r.get_bytes()?.to_vec()));
+            docs.push((id, r.get_bytes()?));
         }
         out.push(docs);
     }
@@ -173,7 +186,7 @@ mod tests {
     #[test]
     fn result_round_trip() {
         let docs = vec![(1u64, vec![1, 2]), (2, vec![])];
-        assert_eq!(decode_result(&encode_result(&docs)).unwrap(), docs);
+        assert_eq!(decode_result_owned(&encode_result(&docs)).unwrap(), docs);
     }
 
     #[test]
@@ -189,10 +202,13 @@ mod tests {
             vec![],
             vec![(9, vec![9])],
         ];
-        assert_eq!(
-            decode_result_many(&encode_result_many(&results)).unwrap(),
-            results
-        );
+        let encoded = encode_result_many(&results);
+        let decoded = decode_result_many(&encoded).unwrap();
+        let owned: Vec<Vec<(u64, Vec<u8>)>> = decoded
+            .into_iter()
+            .map(|docs| docs.into_iter().map(|(id, b)| (id, b.to_vec())).collect())
+            .collect();
+        assert_eq!(owned, results);
     }
 
     #[test]

@@ -276,7 +276,7 @@ impl<T: Transport> Scheme1Client<T> {
         let encrypted = protocol::decode_result(&resp)?;
         let mut hits = Vec::with_capacity(encrypted.len());
         for (id, blob) in encrypted {
-            hits.push((id, self.etm.open(&blob)?));
+            hits.push((id, self.etm.open(blob)?));
         }
 
         if self.config.remask_after_search {
@@ -338,7 +338,7 @@ impl<T: Transport> Scheme1Client<T> {
         for (slot, encrypted) in reveal_pos.iter().zip(results) {
             let mut hits = Vec::with_capacity(encrypted.len());
             for (id, blob) in encrypted {
-                hits.push((id, self.etm.open(&blob)?));
+                hits.push((id, self.etm.open(blob)?));
             }
             out[*slot] = hits;
         }

@@ -454,7 +454,10 @@ mod tests {
             Some(vec![9, 9])
         );
         let docs = vec![(5u64, b"blob".to_vec())];
-        assert_eq!(decode_result(&encode_result(&docs)).unwrap(), docs);
+        assert_eq!(
+            crate::proto_common::decode_result_owned(&encode_result(&docs)).unwrap(),
+            docs
+        );
     }
 
     #[test]

@@ -714,7 +714,7 @@ mod tests {
         }]));
 
         let resp = s.handle(&encode_search_reveal(&tag, &seed));
-        let docs = decode_result(&resp).unwrap();
+        let docs = crate::proto_common::decode_result_owned(&resp).unwrap();
         assert_eq!(docs, vec![(3, b"three".to_vec()), (7, b"seven".to_vec())]);
     }
 

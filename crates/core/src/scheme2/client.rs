@@ -301,7 +301,7 @@ impl<T: Transport> Scheme2Client<T> {
         let encrypted = proto_common::decode_result(&resp)?;
         let mut hits = Vec::with_capacity(encrypted.len());
         for (id, blob) in encrypted {
-            hits.push((id, self.etm.open(&blob)?));
+            hits.push((id, self.etm.open(blob)?));
         }
         self.state.searched_since_update = true;
         Ok(hits)
@@ -337,7 +337,7 @@ impl<T: Transport> Scheme2Client<T> {
         for encrypted in results {
             let mut hits = Vec::with_capacity(encrypted.len());
             for (id, blob) in encrypted {
-                hits.push((id, self.etm.open(&blob)?));
+                hits.push((id, self.etm.open(blob)?));
             }
             out.push(hits);
         }

@@ -765,7 +765,7 @@ impl Service for Scheme2Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto_common::{decode_ack, decode_result};
+    use crate::proto_common::{decode_ack, decode_result, decode_result_owned};
     use crate::scheme2::key_commitment;
     use sse_net::wire::WireWriter;
     use sse_primitives::hashchain::{walk_forward, HashChain};
@@ -801,7 +801,7 @@ mod tests {
 
         // Trapdoor at the same counter: zero walk steps.
         let resp = s.handle(&protocol::encode_search(&tag, &k1));
-        let docs = decode_result(&resp).unwrap();
+        let docs = decode_result_owned(&resp).unwrap();
         assert_eq!(docs, vec![(1, b"one".to_vec()), (2, b"two".to_vec())]);
         assert_eq!(s.stats().chain_steps, 0);
         assert_eq!(s.stats().generations_decrypted, 1);
@@ -867,7 +867,7 @@ mod tests {
             commitment: key_commitment(&k3),
         }]));
         let t4 = chain.key_for_counter(4).unwrap();
-        let docs = decode_result(&s.handle(&protocol::encode_search(&tag, &t4))).unwrap();
+        let docs = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t4))).unwrap();
         assert_eq!(docs.len(), 2);
         assert_eq!(s.stats().generations_decrypted, 2);
     }
@@ -911,12 +911,12 @@ mod tests {
             commitment: key_commitment(&k1),
         }]));
         let t3 = chain.key_for_counter(3).unwrap();
-        let cold = decode_result(&s.handle(&protocol::encode_search(&tag, &t3))).unwrap();
+        let cold = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t3))).unwrap();
         let after_cold = s.stats();
         assert_eq!(after_cold.chain_steps, 2);
         assert_eq!(after_cold.cache_misses, 1);
 
-        let warm = decode_result(&s.handle(&protocol::encode_search(&tag, &t3))).unwrap();
+        let warm = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t3))).unwrap();
         assert_eq!(warm, cold, "memo hit must be byte-identical");
         let after_warm = s.stats();
         assert_eq!(after_warm.cache_hits, 1);
@@ -939,13 +939,13 @@ mod tests {
             commitment: key_commitment(&k1),
         }]));
         let t2 = chain.key_for_counter(2).unwrap();
-        let cold = decode_result(&s.handle(&protocol::encode_search(&tag, &t2))).unwrap();
+        let cold = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t2))).unwrap();
         assert_eq!(s.stats().chain_steps, 1);
 
         // A search from a *newer* trapdoor (fake updates advanced the
         // counter) walks only the 3-step delta down to the memoized one.
         let t5 = chain.key_for_counter(5).unwrap();
-        let delta = decode_result(&s.handle(&protocol::encode_search(&tag, &t5))).unwrap();
+        let delta = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t5))).unwrap();
         assert_eq!(delta, cold);
         let st = s.stats();
         assert_eq!(st.cache_hits, 1);
@@ -986,14 +986,14 @@ mod tests {
             commitment: key_commitment(&k3),
         }]));
         let t4 = chain.key_for_counter(4).unwrap();
-        let docs = decode_result(&s.handle(&protocol::encode_search(&tag, &t4))).unwrap();
+        let docs = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t4))).unwrap();
         assert_eq!(docs.len(), 2, "append visible despite memo");
         assert_eq!(s.stats().cache_hits, 0);
         assert_eq!(s.stats().cache_misses, 2);
 
         // Reset invalidates: the tag is gone.
         decode_ack(&s.handle(&protocol::encode_reset_index())).unwrap();
-        let docs = decode_result(&s.handle(&protocol::encode_search(&tag, &t4))).unwrap();
+        let docs = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t4))).unwrap();
         assert!(docs.is_empty(), "reset visible despite memo");
     }
 
@@ -1014,10 +1014,10 @@ mod tests {
             commitment: key_commitment(&k5),
         }]));
         let t6 = chain.key_for_counter(6).unwrap();
-        let cold = decode_result(&s.handle(&protocol::encode_search(&tag, &t6))).unwrap();
+        let cold = decode_result_owned(&s.handle(&protocol::encode_search(&tag, &t6))).unwrap();
         let t1 = chain.key_for_counter(1).unwrap();
         let resp = s.handle(&protocol::encode_search(&tag, &t1));
-        assert_eq!(decode_result(&resp).unwrap(), cold);
+        assert_eq!(decode_result_owned(&resp).unwrap(), cold);
         assert_eq!(s.stats().cache_hits, 0, "memo must not hit");
 
         // With a still-locked newer generation the desync error is
@@ -1056,7 +1056,10 @@ mod tests {
         }]);
         decode_ack(&s.handle_shared(&append)).unwrap();
         let search = protocol::encode_search(&tag, &chain.key_for_counter(2).unwrap());
-        assert_eq!(decode_result(&s.handle_shared(&search)).unwrap(), docs);
+        assert_eq!(
+            decode_result_owned(&s.handle_shared(&search)).unwrap(),
+            docs
+        );
         search
     }
 
@@ -1157,7 +1160,7 @@ mod tests {
         // over: copying it would hold the caller's thread, so a worker does.
         let over = warm_sized(&s, [0x2Du8; 32], 1, INLINE_MAX_BYTES + 1);
         assert_declines(&s, &over, "one blob a byte over INLINE_MAX_BYTES");
-        let docs = decode_result(&s.handle_shared(&over)).unwrap();
+        let docs = decode_result_owned(&s.handle_shared(&over)).unwrap();
         assert_eq!(docs[0].1.len(), INLINE_MAX_BYTES + 1);
     }
 
@@ -1284,7 +1287,10 @@ mod tests {
         let mut s = fresh();
         let t10 = chain.key_for_counter(10).unwrap();
         let resp = s.handle(&protocol::encode_search(&tag, &t10));
-        assert_eq!(decode_result(&resp).unwrap(), vec![(1, b"one".to_vec())]);
+        assert_eq!(
+            decode_result_owned(&resp).unwrap(),
+            vec![(1, b"one".to_vec())]
+        );
         assert_eq!(s.stats().chain_steps, 9);
         // Ten steps away: the walk stops after nine and reports desync.
         let mut s = fresh();
@@ -1462,7 +1468,10 @@ mod tests {
         assert_eq!(s.unique_keywords(), 1);
 
         let resp = s.handle_shared(&protocol::encode_search(&tag, &k));
-        assert_eq!(decode_result(&resp).unwrap(), vec![(1, b"d".to_vec())]);
+        assert_eq!(
+            decode_result_owned(&resp).unwrap(),
+            vec![(1, b"d".to_vec())]
+        );
     }
 
     #[test]
@@ -1494,7 +1503,8 @@ mod tests {
                 commitment: key_commitment(&k),
             }]));
             decode_ack(&resp).unwrap();
-            let docs = decode_result(&s.handle_shared(&protocol::encode_search(&tag, &k))).unwrap();
+            let docs =
+                decode_result_owned(&s.handle_shared(&protocol::encode_search(&tag, &k))).unwrap();
             assert_eq!(docs, vec![(u64::from(i), vec![i; 3])]);
             // Repeat search hits the cache.
             decode_result(&s.handle_shared(&protocol::encode_search(&tag, &k))).unwrap();

@@ -59,8 +59,14 @@ impl AesCtr {
     }
 
     pub(crate) fn with_kernel(key: &[u8; 16], iv: &[u8; IV_LEN], kernel: Kernel) -> Self {
+        Self::with_cipher(Aes128::new(key), iv, kernel)
+    }
+
+    /// A CTR instance on an already expanded key, for callers that keep
+    /// the key schedule across messages.
+    pub(crate) fn with_cipher(aes: Aes128, iv: &[u8; IV_LEN], kernel: Kernel) -> Self {
         AesCtr {
-            aes: Aes128::new(key),
+            aes,
             iv: *iv,
             next_block_index: 0,
             kernel,
@@ -162,6 +168,32 @@ mod tests {
                 ctr.apply(block);
             }
             assert_eq!(hex(&data), want, "{kernel:?}, block by block");
+        }
+    }
+
+    /// Every length through two 8-block strides, so every tail length
+    /// 0-7 blocks with and without a partial last block, on every kernel.
+    /// Starting at 0xfc puts the counter's byte carry (0xff -> 0x100)
+    /// inside the tail of every message shorter than 8 blocks.
+    #[test]
+    fn kernels_agree_on_every_tail_length() {
+        let key = [0x2bu8; 16];
+        let iv = [0xf0u8; IV_LEN];
+        let data: Vec<u8> = (0..=200u8).map(|i| i.wrapping_mul(37)).collect();
+        for start in [0, 0x0000_00fc] {
+            for len in 0..=200 {
+                let mut want = data[..len].to_vec();
+                let mut reference = AesCtr::with_kernel(&key, &iv, Kernel::Portable);
+                reference.next_block_index = start;
+                reference.apply(&mut want);
+                for kernel in Kernel::all() {
+                    let mut got = data[..len].to_vec();
+                    let mut ctr = AesCtr::with_kernel(&key, &iv, kernel);
+                    ctr.next_block_index = start;
+                    ctr.apply(&mut got);
+                    assert_eq!(got, want, "{kernel:?}, start {start:#x}, len {len}");
+                }
+            }
         }
     }
 

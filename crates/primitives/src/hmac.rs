@@ -4,6 +4,12 @@
 //! searchable-representation tag) and `f'` (chain-key commitment in
 //! Scheme 2). Keys longer than the 64-byte block are hashed first, exactly
 //! per the RFC.
+//!
+//! Keying costs two compressions (`key ⊕ ipad` into the inner hash,
+//! `key ⊕ opad` into the outer one), both done once in
+//! [`HmacSha256::new`]. A caller that MACs many messages under one key
+//! keeps a keyed instance and clones it per message, so each MAC pays only
+//! for its own message and the two finishing compressions.
 
 use crate::sha256::{Kernel, Sha256, BLOCK_LEN, DIGEST_LEN};
 
@@ -11,11 +17,15 @@ const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
 /// Incremental HMAC-SHA-256 computation.
+///
+/// A freshly keyed instance is the key's reusable state: clone it, feed
+/// the clone one message, finalize the clone.
 #[derive(Clone)]
 pub struct HmacSha256 {
+    /// The inner hash, `key ⊕ ipad` and the message so far absorbed.
     inner: Sha256,
-    /// Key XOR opad, kept to finish the outer hash.
-    opad_key: [u8; BLOCK_LEN],
+    /// The outer hash with `key ⊕ opad` already absorbed.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -46,7 +56,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::with_kernel(kernel);
         inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
+        let mut outer = Sha256::with_kernel(kernel);
+        outer.update(&opad_key);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -57,10 +69,8 @@ impl HmacSha256 {
     /// Finish and return the 32-byte MAC.
     #[must_use]
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let mut outer = Sha256::with_kernel(self.inner.kernel());
-        let inner_digest = self.inner.finalize();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -97,12 +107,17 @@ mod tests {
         b.iter().map(|x| format!("{x:02x}")).collect()
     }
 
-    /// Known-answer check on every SHA-256 kernel this machine can run.
+    /// Known-answer check on every SHA-256 kernel this machine can run,
+    /// twice from one keyed instance: a clone's MAC must not disturb the
+    /// key state the next clone starts from.
     fn assert_mac(key: &[u8], msg: &[u8], want: &str) {
         for kernel in Kernel::all() {
-            let mut h = HmacSha256::with_kernel(key, kernel);
-            h.update(msg);
-            assert_eq!(hex(&h.finalize()), want, "{kernel:?}");
+            let keyed = HmacSha256::with_kernel(key, kernel);
+            for round in 0..2 {
+                let mut h = keyed.clone();
+                h.update(msg);
+                assert_eq!(hex(&h.finalize()), want, "{kernel:?}, MAC {round}");
+            }
         }
         assert_eq!(hex(&hmac_sha256(key, msg)), want);
     }

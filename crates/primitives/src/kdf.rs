@@ -6,6 +6,7 @@
 //! schemes (tag PRF vs. chain seed vs. masking keys).
 
 use crate::hmac::{hmac_sha256, HmacSha256};
+use std::sync::OnceLock;
 
 /// HKDF-Extract: `PRK = HMAC(salt, ikm)`.
 #[must_use]
@@ -18,6 +19,12 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 /// # Panics
 /// Panics if more than `255 * 32` bytes are requested (RFC 5869 limit).
 pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
+    expand_keyed(&HmacSha256::new(prk), info, out);
+}
+
+/// HKDF-Expand from an HMAC already keyed under the PRK, so that several
+/// expansions of one PRK share its two keying compressions.
+fn expand_keyed(prk: &HmacSha256, info: &[u8], out: &mut [u8]) {
     assert!(
         out.len() <= 255 * 32,
         "HKDF-Expand output too long: {}",
@@ -26,7 +33,7 @@ pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
     // T(0) is empty; T(i) = HMAC(prk, T(i-1) ‖ info ‖ i).
     let mut prev = [0u8; 32];
     for (i, chunk) in out.chunks_mut(32).enumerate() {
-        let mut h = HmacSha256::new(prk);
+        let mut h = prk.clone();
         if i > 0 {
             h.update(&prev);
         }
@@ -56,13 +63,22 @@ pub fn derive_key32(master: &[u8; 32], label: &str) -> [u8; 32] {
 }
 
 /// Derive the (AES-128, HMAC) subkey pair used by encrypt-then-MAC.
+///
+/// The Scheme 2 server derives one pair per generation it opens, so the
+/// constant-salt extract starts from an HMAC keyed under the salt once per
+/// process, and the PRK is keyed once for both expansions.
 #[must_use]
 pub fn derive_subkeys(master: &[u8; 32]) -> ([u8; 16], [u8; 32]) {
-    let prk = hkdf_extract(b"sse-repro/etm", master);
+    static SALTED: OnceLock<HmacSha256> = OnceLock::new();
+    let mut extract = SALTED
+        .get_or_init(|| HmacSha256::new(b"sse-repro/etm"))
+        .clone();
+    extract.update(master);
+    let prk = HmacSha256::new(&extract.finalize());
     let mut enc = [0u8; 16];
-    hkdf_expand(&prk, b"enc", &mut enc);
+    expand_keyed(&prk, b"enc", &mut enc);
     let mut mac = [0u8; 32];
-    hkdf_expand(&prk, b"mac", &mut mac);
+    expand_keyed(&prk, b"mac", &mut mac);
     (enc, mac)
 }
 
@@ -131,6 +147,15 @@ cc30c58179ec3e87c14c01d5c1f3434f1d87"
         let master = [0x77u8; 32];
         assert_ne!(derive_key32(&master, "a"), derive_key32(&master, "b"));
         assert_eq!(derive_key32(&master, "a"), derive_key32(&master, "a"));
+    }
+
+    /// The shortcuts in `derive_subkeys` compute plain HKDF.
+    #[test]
+    fn subkeys_are_hkdf() {
+        let master = [0x5au8; 32];
+        let (enc, mac) = derive_subkeys(&master);
+        assert_eq!(enc.to_vec(), hkdf(b"sse-repro/etm", &master, b"enc", 16));
+        assert_eq!(mac.to_vec(), hkdf(b"sse-repro/etm", &master, b"mac", 32));
     }
 
     #[test]

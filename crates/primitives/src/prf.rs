@@ -4,8 +4,11 @@
 //! independent PRFs: `f` maps a keyword to its searchable-representation tag
 //! `f_kw(w)`, and `f'` commits to a chain key in Scheme 2. Both are
 //! instances of [`Prf`] under domain-separated keys.
+//!
+//! A [`Prf`] keys its HMAC once, at construction; each evaluation clones
+//! that state and hashes only its input, with no allocation.
 
-use crate::hmac::hmac_sha256_concat;
+use crate::hmac::HmacSha256;
 use crate::Key256;
 
 /// Output of the PRF — a 32-byte tag.
@@ -46,36 +49,38 @@ impl std::fmt::Debug for Tag {
 /// A keyed PRF instance.
 #[derive(Clone)]
 pub struct Prf {
-    key: Key256,
+    /// HMAC keyed under the PRF key, cloned per evaluation.
+    mac: HmacSha256,
 }
 
 impl Prf {
     /// Instantiate the PRF under `key`.
     #[must_use]
     pub fn new(key: Key256) -> Self {
-        Prf { key }
+        Prf {
+            mac: HmacSha256::new(&key),
+        }
     }
 
     /// Evaluate `f_k(input)`.
     #[must_use]
     pub fn eval(&self, input: &[u8]) -> Tag {
-        Tag(hmac_sha256_concat(&self.key, &[input]))
+        let mut mac = self.mac.clone();
+        mac.update(input);
+        Tag(mac.finalize())
     }
 
     /// Evaluate over multiple parts with unambiguous (length-prefixed)
-    /// encoding, so that `eval_parts(["ab","c"]) != eval_parts(["a","bc"])`.
+    /// encoding, so that `eval_parts(["ab","c"]) != eval_parts(["a","bc"])`:
+    /// the MAC of `be64(len(p_0)) ‖ p_0 ‖ be64(len(p_1)) ‖ p_1 ‖ …`.
     #[must_use]
     pub fn eval_parts(&self, parts: &[&[u8]]) -> Tag {
-        let mut framed: Vec<&[u8]> = Vec::with_capacity(parts.len() * 2);
-        let lens: Vec<[u8; 8]> = parts
-            .iter()
-            .map(|p| (p.len() as u64).to_be_bytes())
-            .collect();
-        for (p, l) in parts.iter().zip(lens.iter()) {
-            framed.push(l);
-            framed.push(p);
+        let mut mac = self.mac.clone();
+        for part in parts {
+            mac.update(&(part.len() as u64).to_be_bytes());
+            mac.update(part);
         }
-        Tag(hmac_sha256_concat(&self.key, &framed))
+        Tag(mac.finalize())
     }
 }
 
@@ -97,6 +102,17 @@ mod tests {
         let p = Prf::new([3u8; 32]);
         assert_ne!(p.eval_parts(&[b"ab", b"c"]), p.eval_parts(&[b"a", b"bc"]));
         assert_ne!(p.eval_parts(&[b"abc"]), p.eval(b"abc"));
+    }
+
+    /// The framing is a wire-visible format: tags computed before the PRF
+    /// kept its keyed state must still come out.
+    #[test]
+    fn parts_tag_is_pinned() {
+        let p = Prf::new([3u8; 32]);
+        assert_eq!(
+            p.eval_parts(&[b"ab", b"c", b""]).to_hex(),
+            "f2c74833ff8bc449af7f2d7bef68330e7ab0eeee22d6c2504b3e4f67b52c896e"
+        );
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl Sha256 {
         }
     }
 
-    /// The compression kernel this hasher was created with.
-    pub(crate) fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
     /// Absorb more message bytes.
     pub fn update(&mut self, mut data: &[u8]) {
         self.len = self

@@ -233,8 +233,8 @@ fn sha_compress2(states: &mut [[u32; 8]; 2], blocks: [&[u8; BLOCK_LEN]; 2]) {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AesNi(());
 
-/// Blocks encrypted per main-loop iteration: enough independent `aesenc`
-/// chains to cover the instruction's latency.
+/// Blocks encrypted per pass, main loop and tail alike: enough
+/// independent `aesenc` chains to cover the instruction's latency.
 const CTR_LANES: usize = 8;
 
 impl AesNi {
@@ -260,6 +260,28 @@ impl AesNi {
     }
 }
 
+/// Keystream blocks `ctr .. ctr + CTR_LANES` (counters wrap; the caller
+/// discards any it does not need), as eight independent `aesenc` chains.
+#[inline]
+#[target_feature(enable = "aes,sse4.1")]
+fn keystream8(rk: &[__m128i; 11], iv_block: __m128i, ctr: u32) -> [__m128i; CTR_LANES] {
+    let mut b = [iv_block; CTR_LANES];
+    for (x, i) in b.iter_mut().zip(0u32..) {
+        // Counter in the last four bytes, big-endian; fold in round key 0.
+        let counter = ctr.wrapping_add(i).swap_bytes() as i32;
+        *x = _mm_xor_si128(_mm_insert_epi32::<3>(*x, counter), rk[0]);
+    }
+    for k in &rk[1..10] {
+        for x in &mut b {
+            *x = _mm_aesenc_si128(*x, *k);
+        }
+    }
+    for x in &mut b {
+        *x = _mm_aesenclast_si128(*x, rk[10]);
+    }
+    b
+}
+
 #[target_feature(enable = "aes,sse4.1")]
 fn aes_ctr_xor(round_keys: &[[u8; 16]; 11], iv: &[u8; 12], first_block: u32, data: &mut [u8]) {
     let mut rk = [_mm_set_epi32(0, 0, 0, 0); 11];
@@ -273,36 +295,23 @@ fn aes_ctr_xor(round_keys: &[[u8; 16]; 11], iv: &[u8; 12], first_block: u32, dat
 
     let mut wide = data.chunks_exact_mut(16 * CTR_LANES);
     for chunk in &mut wide {
-        let mut b = [iv_block; CTR_LANES];
-        for x in &mut b {
-            // Counter in the last four bytes, big-endian; fold in round key 0.
-            *x = _mm_xor_si128(_mm_insert_epi32::<3>(*x, ctr.swap_bytes() as i32), rk[0]);
-            ctr = ctr.wrapping_add(1);
-        }
-        for k in &rk[1..10] {
-            for x in &mut b {
-                *x = _mm_aesenc_si128(*x, *k);
-            }
-        }
-        for (j, x) in b.iter().enumerate() {
-            let ks = _mm_aesenclast_si128(*x, rk[10]);
+        for (j, ks) in keystream8(&rk, iv_block, ctr).into_iter().enumerate() {
             let out = window_mut(chunk, 16 * j);
             store128(out, _mm_xor_si128(load128(out), ks));
         }
+        ctr = ctr.wrapping_add(CTR_LANES as u32);
     }
 
-    for piece in wide.into_remainder().chunks_mut(16) {
-        let mut x = _mm_xor_si128(
-            _mm_insert_epi32::<3>(iv_block, ctr.swap_bytes() as i32),
-            rk[0],
-        );
-        ctr = ctr.wrapping_add(1);
-        for k in &rk[1..10] {
-            x = _mm_aesenc_si128(x, *k);
+    // The 1-7 trailing blocks (all of a short message) in one eight-lane
+    // pass: a serial chain per block would cost each block the full
+    // `aesenc` latency.
+    let tail = wide.into_remainder();
+    if !tail.is_empty() {
+        let mut ks = [0u8; 16 * CTR_LANES];
+        for (j, block) in keystream8(&rk, iv_block, ctr).into_iter().enumerate() {
+            store128(window_mut(&mut ks, 16 * j), block);
         }
-        let mut ks = [0u8; 16];
-        store128(&mut ks, _mm_aesenclast_si128(x, rk[10]));
-        for (d, k) in piece.iter_mut().zip(ks) {
+        for (d, k) in tail.iter_mut().zip(ks) {
             *d ^= k;
         }
     }

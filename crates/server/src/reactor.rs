@@ -2057,7 +2057,7 @@ mod tests {
         let search = s2::encode_search(&tag, &chain.key_for_counter(2).unwrap());
         let reply = tenant.handle_shared(&search);
         let docs = sse_core::proto_common::decode_result(&reply).unwrap();
-        assert_eq!(docs, vec![(1, b"blob".to_vec())]);
+        assert_eq!(docs, vec![(1, &b"blob"[..])]);
         (tenant, search, reply)
     }
 
