@@ -216,30 +216,37 @@ fn bptree(rows: &mut Rows) {
     }
     // What a Scheme 2 update after a publish costs the tree: clone it as
     // the search snapshot, then append one generation to a random keyword
-    // whose list holds 16. Each call starts from `base`, so every list
-    // stays at 16 and the copy-on-write path is taken every time.
+    // whose list holds `gens`. Each call starts from `base`, so every list
+    // stays at `gens` and the copy-on-write path is taken every time. The
+    // copy is O(gens): the `gens/{g}` rows (and `1000`, which is g = 16)
+    // are what the Scheme 2 server's inline budget is sized from
+    // (DESIGN.md §4n).
     let generation = |g: u8| Generation {
         masked_ids: vec![g; 48],
         key_commitment: [g; 32],
     };
-    for n in [1_000usize, 100_000] {
+    let cases = [1_000usize, 100_000]
+        .map(|n| (n, 16usize, n.to_string()))
+        .into_iter()
+        .chain([32, 64, 128, 256].map(|g| (1_000, g, format!("gens/{g}"))));
+    for (n, gens, name) in cases {
         let mut base: BpTree<[u8; 32], GenerationList> = BpTree::new();
         let mut drbg = HmacDrbg::from_u64(3);
         let keys: Vec<[u8; 32]> = (0..n).map(|_| drbg.gen_key()).collect();
         for key in &keys {
             let mut list = GenerationList::new();
-            (0..16).for_each(|g| list.push(generation(g)));
+            (0..gens).for_each(|g| list.push(generation(g as u8)));
             base.insert(*key, list);
         }
         let mut i = 0usize;
         rows.time(
-            &format!("prim_bptree/append_after_publish/{n}"),
+            &format!("prim_bptree/append_after_publish/{name}"),
             None,
             || {
                 i = (i + 7919) % n;
                 let mut tree = base.clone();
                 let snapshot = tree.clone();
-                tree.get_mut(&keys[i]).unwrap().push(generation(16));
+                tree.get_mut(&keys[i]).unwrap().push(generation(0xFF));
                 (tree, snapshot)
             },
         );

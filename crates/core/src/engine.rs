@@ -33,7 +33,11 @@
 //!   own thread, the daemon's worker at its next idle moment.
 //! * **In-memory mutations** are durable at once: they apply and publish
 //!   under their own shards' data locks before returning, so mutations
-//!   on different shards run in parallel and nothing parks.
+//!   on different shards run in parallel and nothing parks. A caller that
+//!   must never wait (the daemon's reactor, DESIGN.md §4n) runs the same
+//!   apply under `try_` locks, all taken before the first record applies
+//!   (`IndexEngine::try_mutate`), and declines having changed nothing
+//!   when one is held.
 //! * **Searches** never touch the shard mutex: every apply publishes an
 //!   immutable copy-on-write snapshot of each shard it changed, and reads
 //!   resolve tags against the snapshot. A [`sse_index::bptree::BpTree`]
@@ -51,12 +55,12 @@
 //! once all its slices are durable, on all its shards inside one window,
 //! and crash recovery keeps it all-or-nothing. Lock order everywhere:
 //! quiescence lock → stage locks ascending → ready queues → data locks
-//! ascending → swap window → document store; a shard's journal lock is
-//! taken alone. Staging and flushes hold the quiescence lock
-//! (`IndexEngine::pipeline`, read), so its writers — checkpoint, repair
-//! and any scheme request that rewrites the guarded `SchemeOps::Meta` —
-//! wait out every writer in progress, then flush themselves and work
-//! fully quiesced.
+//! ascending → swap window → snapshot cells ascending → document store;
+//! a shard's journal lock is taken alone. Staging and flushes hold the
+//! quiescence lock (`IndexEngine::pipeline`, read), so its writers —
+//! checkpoint, repair and any scheme request that rewrites the guarded
+//! `SchemeOps::Meta` — wait out every writer in progress, then flush
+//! themselves and work fully quiesced.
 //!
 //! The data path is generic over the scheme, not `dyn`: a search costs
 //! the same seqlock read and allocations as before the engine existed.
@@ -290,6 +294,35 @@ impl<S: SchemeOps> ShardSlot<S> {
             contention: AtomicU64::new(0),
         }
     }
+}
+
+/// How [`IndexEngine::apply_now`] takes its locks — the one difference
+/// between its callers, as `MemoMode` is for a Scheme 2 memo hit.
+pub(crate) enum ApplyMode<'a, S: SchemeOps> {
+    /// A worker's: wait for each lock where it is needed; the publish
+    /// takes the swap window and each snapshot cell in turn after the
+    /// records apply.
+    Worker,
+    /// The reactor's (DESIGN.md §4n): `try_` every lock the apply and its
+    /// publish need, all before the first record applies, and apply only
+    /// if `admits` passes each locked shard's live data (the scheme's
+    /// bound on how long the apply may run). A lock held or a shard
+    /// refused declines having changed nothing.
+    Inline {
+        admits: &'a dyn Fn(usize, &ShardData<S>) -> bool,
+    },
+}
+
+/// Why `ApplyMode::Worker`'s apply yields a reply: it waits for its
+/// locks and never declines.
+const WAITS: &str = "a worker waits for its locks and never declines";
+
+/// What an `ApplyMode::Inline` apply holds for its publish, taken before
+/// its first record applies: the swap window when there are several
+/// shards, and each one's snapshot cell, ascending.
+struct Publishing<'a, S: SchemeOps> {
+    window: Option<MutexGuard<'a, ()>>,
+    cells: Vec<RwLockWriteGuard<'a, Arc<SnapShard<S>>>>,
 }
 
 /// Where a durable engine lives, and its commit pipeline.
@@ -640,6 +673,11 @@ impl<S: SchemeOps> IndexEngine<S> {
         self.meta.write()
     }
 
+    /// Whether mutations wait for an fsync (the engine has a home).
+    pub(crate) fn is_durable(&self) -> bool {
+        self.home.is_some()
+    }
+
     /// The shard `tag` routes to.
     pub(crate) fn shard_of(&self, tag: &[u8; 32]) -> usize {
         shard_of(tag, self.shards.len())
@@ -696,6 +734,24 @@ impl<S: SchemeOps> IndexEngine<S> {
         (self.epoch.load(Ordering::Acquire) == before).then_some(snap)
     }
 
+    /// Take what publishing `idxs` (ascending) needs under `try_` only:
+    /// `None` while any lock is held or a multi-shard swap window is open
+    /// (odd epoch).
+    fn try_publishing(&self, idxs: &[usize]) -> Option<Publishing<'_, S>> {
+        let window = match idxs.len() > 1 {
+            true => Some(self.window.try_lock()?),
+            false => None,
+        };
+        if self.epoch.load(Ordering::Acquire) & 1 == 1 {
+            return None;
+        }
+        let cells = idxs
+            .iter()
+            .map(|&i| self.shards[i].snap.try_write())
+            .collect::<Option<_>>()?;
+        Some(Publishing { window, cells })
+    }
+
     /// Publish the current trees of `changed` as their immutable search
     /// snapshots, several inside one odd/even epoch window so a reader
     /// sees a multi-shard mutation whole. One pointer copy per shard: the
@@ -703,18 +759,34 @@ impl<S: SchemeOps> IndexEngine<S> {
     /// The shard's next mutation copies the nodes on its path and the
     /// value it changes, where this snapshot still holds them. Private to
     /// the apply paths: a snapshot changes only when a mutation is applied.
-    fn publish(&self, changed: &[(usize, &ShardData<S>)], meta: &S::Meta) {
-        let window = (changed.len() > 1).then(|| {
-            let held = self.window.lock();
+    ///
+    /// `held` is what an inline apply took up front (`try_publishing`);
+    /// without it the window is taken here and each cell in turn.
+    fn publish(
+        &self,
+        changed: &[(usize, &ShardData<S>)],
+        meta: &S::Meta,
+        held: Option<Publishing<'_, S>>,
+    ) {
+        let (window, cells) = match held {
+            Some(Publishing { window, cells }) => (window, cells),
+            None => ((changed.len() > 1).then(|| self.window.lock()), Vec::new()),
+        };
+        debug_assert!(cells.is_empty() || cells.len() == changed.len());
+        if window.is_some() {
             self.epoch.fetch_add(1, Ordering::AcqRel);
-            held
-        });
+        }
+        let mut cells = cells.into_iter();
         for &(i, data) in changed {
-            *self.shards[i].snap.write() = Arc::new(SnapShard {
+            let snap = Arc::new(SnapShard {
                 tree: data.tree.clone(),
                 applied_seq: data.applied_seq,
                 meta: meta.clone(),
             });
+            match cells.next() {
+                Some(mut cell) => *cell = snap,
+                None => *self.shards[i].snap.write() = snap,
+            }
             self.commit_stats.note_swap();
         }
         if window.is_some() {
@@ -744,7 +816,8 @@ impl<S: SchemeOps> IndexEngine<S> {
     ) -> Option<Vec<u8>> {
         debug_assert!(!idxs.is_empty() && idxs.windows(2).all(|w| w[0] < w[1]));
         let Some(home) = &self.home else {
-            return Some(self.apply_now(&mut meta.clone(), idxs, encode_for));
+            let applied = self.apply_now(&mut meta.clone(), idxs, encode_for, ApplyMode::Worker);
+            return Some(applied.expect(WAITS));
         };
         let mut guards: Vec<StageGuard<'_>> =
             idxs.iter().map(|&i| home.committers[i].lock()).collect();
@@ -788,7 +861,9 @@ impl<S: SchemeOps> IndexEngine<S> {
         encode_for: impl Fn(usize) -> Vec<u8>,
     ) -> Vec<u8> {
         if self.home.is_none() {
-            return self.apply_now(meta, idxs, encode_for);
+            return self
+                .apply_now(meta, idxs, encode_for, ApplyMode::Worker)
+                .expect(WAITS);
         }
         let mut slot = ReplySlot::default();
         if let Some(refused) = self.mutate(meta, idxs, encode_for, || slot.reply()) {
@@ -799,15 +874,53 @@ impl<S: SchemeOps> IndexEngine<S> {
             .expect("a flush under the write lock replies to everything staged")
     }
 
+    /// [`Self::mutate`] on the caller's thread, only if that can neither
+    /// wait nor run long (DESIGN.md §4n): the engine is in memory (a
+    /// durable mutation waits for an fsync), the quiescence lock and every
+    /// lock [`Self::apply_now`] takes are free on the first `try_`, and
+    /// `admits` passes each touched shard's live data. `None` declines
+    /// having changed nothing: no record applied, no seq or counter moved.
+    pub(crate) fn try_mutate(
+        &self,
+        idxs: &[usize],
+        encode_for: impl Fn(usize) -> Vec<u8>,
+        admits: &dyn Fn(usize, &ShardData<S>) -> bool,
+    ) -> Option<Vec<u8>> {
+        if self.home.is_some() {
+            return None;
+        }
+        let meta = self.meta.try_read()?;
+        let mode = ApplyMode::Inline { admits };
+        self.apply_now(&mut meta.clone(), idxs, encode_for, mode)
+    }
+
     /// An in-memory mutation, applied now: each record under its shard's
-    /// data lock (ascending), then one publish.
+    /// data lock (ascending), then one publish. `mode` says how the locks
+    /// are taken; only [`ApplyMode::Inline`] returns `None`, and only
+    /// before the first record applies.
     fn apply_now(
         &self,
         meta: &mut S::Meta,
         idxs: &[usize],
         encode_for: impl Fn(usize) -> Vec<u8>,
-    ) -> Vec<u8> {
-        let mut datas: Vec<_> = idxs.iter().map(|&i| self.lock_data(i)).collect();
+        mode: ApplyMode<'_, S>,
+    ) -> Option<Vec<u8>> {
+        let mut datas: Vec<_> = match mode {
+            ApplyMode::Worker => idxs.iter().map(|&i| self.lock_data(i)).collect(),
+            ApplyMode::Inline { .. } => idxs
+                .iter()
+                .map(|&i| self.shards[i].data.try_lock())
+                .collect::<Option<_>>()?,
+        };
+        // Inline, the publish's locks are taken now: once a record has
+        // applied, a held lock could no longer decline.
+        let mut held = None;
+        if let ApplyMode::Inline { admits } = mode {
+            if !idxs.iter().zip(&datas).all(|(&i, data)| admits(i, data)) {
+                return None;
+            }
+            held = Some(self.try_publishing(idxs)?);
+        }
         let mut outcome = Ok(());
         for (data, &i) in datas.iter_mut().zip(idxs) {
             if outcome.is_ok() {
@@ -816,10 +929,10 @@ impl<S: SchemeOps> IndexEngine<S> {
             data.applied_seq += 1;
         }
         let changed: Vec<_> = idxs.iter().zip(&datas).map(|(&i, d)| (i, &**d)).collect();
-        self.publish(&changed, meta);
+        self.publish(&changed, meta, held);
         drop(changed);
         drop(datas);
-        self.ack(outcome)
+        Some(self.ack(outcome))
     }
 
     /// Apply one shard-local record to shard `i`. A record that does not
@@ -939,7 +1052,7 @@ impl<S: SchemeOps> IndexEngine<S> {
                 .filter(|(_, &c)| c)
                 .map(|((&i, data), _)| (i, &**data))
                 .collect();
-            self.publish(&changed, meta);
+            self.publish(&changed, meta, None);
         }
         for (mut records, outcome) in applied {
             let reply = records.iter_mut().find_map(|rec| rec.reply.take());
@@ -1010,11 +1123,13 @@ impl<S: SchemeOps> IndexEngine<S> {
         if docs.is_empty() {
             return Ok(());
         }
-        let mut store = self.store.write();
-        for (id, blob) in docs {
-            store.put(*id, blob)?;
-        }
-        Ok(())
+        put_all(&mut **self.store.write(), docs)
+    }
+
+    /// [`Self::put_docs`] only if the store's write lock is free now:
+    /// `None` declines having stored nothing.
+    pub(crate) fn try_put_docs(&self, docs: &[(u64, Vec<u8>)]) -> Option<Result<()>> {
+        Some(put_all(&mut **self.store.try_write()?, docs))
     }
 
     /// Delete document blobs. Deleting an unknown id is a no-op, not an
@@ -1024,14 +1139,13 @@ impl<S: SchemeOps> IndexEngine<S> {
     /// Any other storage error — the delete never reached the log, so it
     /// must not be acknowledged.
     pub(crate) fn remove_docs(&self, ids: &[u64]) -> Result<()> {
-        let mut store = self.store.write();
-        for &id in ids {
-            match store.delete(id) {
-                Ok(()) | Err(StorageError::RecordNotFound) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
+        remove_all(&mut **self.store.write(), ids)
+    }
+
+    /// [`Self::remove_docs`] only if the store's write lock is free now:
+    /// `None` declines having deleted nothing.
+    pub(crate) fn try_remove_docs(&self, ids: &[u64]) -> Option<Result<()>> {
+        Some(remove_all(&mut **self.store.try_write()?, ids))
     }
 
     /// Fetch the stored blobs among `ids` (missing ids are skipped).
@@ -1099,6 +1213,16 @@ impl<S: SchemeOps> IndexEngine<S> {
     /// The document store's write lock, as `put_docs` holds it.
     pub(crate) fn hold_store(&self) -> RwLockWriteGuard<'_, Box<dyn DocBlobStore>> {
         self.store.write()
+    }
+
+    /// A reader's hold on shard `i`'s snapshot cell, as `snap` takes it.
+    pub(crate) fn hold_snapshot_cell(&self, i: usize) -> RwLockReadGuard<'_, Arc<SnapShard<S>>> {
+        self.shards[i].snap.read()
+    }
+
+    /// The multi-shard swap window, as a publish holds it.
+    pub(crate) fn hold_swap_window(&self) -> MutexGuard<'_, ()> {
+        self.window.lock()
     }
 
     /// Open (first call) or close (second) a multi-shard swap window, as
@@ -1276,6 +1400,25 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// The body of [`IndexEngine::put_docs`], under the store lock.
+fn put_all(store: &mut dyn DocBlobStore, docs: &[(u64, Vec<u8>)]) -> Result<()> {
+    for (id, blob) in docs {
+        store.put(*id, blob)?;
+    }
+    Ok(())
+}
+
+/// The body of [`IndexEngine::remove_docs`], under the store lock.
+fn remove_all(store: &mut dyn DocBlobStore, ids: &[u64]) -> Result<()> {
+    for &id in ids {
+        match store.delete(id) {
+            Ok(()) | Err(StorageError::RecordNotFound) => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 /// Take every queued mutation that can apply now, each as its slices with

@@ -32,6 +32,7 @@ use sse_net::wire::{WireReader, WireWriter};
 use sse_primitives::etm::EtmKey;
 use sse_primitives::hashchain::ChainWalker;
 use sse_storage::StorageError;
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,6 +148,24 @@ const INLINE_MAX_DOCS: usize = 32;
 /// stall the others' connections. 4 KiB is the daemon's pooled
 /// reply-buffer class; unmeasured beyond that, as above.
 const INLINE_MAX_BYTES: usize = 4096;
+
+/// What an `AppendGenerations` may cost, in generation copies, to be
+/// applied on the caller's thread. Every in-memory append publishes, so
+/// the next append to a keyword copies its list (the snapshot still
+/// holds it) and the path to it: each keyword is charged its list's
+/// length plus [`INLINE_PATH_GENERATIONS`]. `harness p1`'s
+/// `prim_bptree/append_after_publish` rows read ≈ 1.8 µs at 16
+/// generations, 5.5 µs at 64 and 10.5 µs at 128 (2-vCPU Xeon VM):
+/// ≈ 73 ns a generation on top of ≈ 0.8 µs for the path. So 96 is
+/// ≈ 7 µs of copying, about 1.6 of the ≈ 4.3 µs hops a decline costs
+/// before a worker does the same copy (DESIGN.md §4n): one keyword of 84
+/// generations, two of 36, or eight new ones; `INLINE_MAX_BYTES` alone
+/// would let it name 56.
+const INLINE_MAX_GENERATIONS: usize = 96;
+
+/// The root-to-leaf path copy an append pays per keyword, in generation
+/// copies of the same time (≈ 0.8 µs ÷ 73 ns ≈ 11; see above).
+const INLINE_PATH_GENERATIONS: usize = 12;
 
 /// How far an exact hit may go to produce its answer.
 #[derive(Clone, Copy)]
@@ -418,7 +437,9 @@ impl Scheme2Server {
                 Ok(docs) => proto_common::encode_result_with(&docs, scratch),
                 Err(msg) => proto_common::encode_error(&msg),
             },
-            Ok(Request::AppendGenerations(entries)) => return self.append_sharded(entries, park),
+            Ok(Request::AppendGenerations(entries)) => {
+                return self.append_sharded(entries, Some(park))
+            }
             Ok(Request::ResetIndex) => {
                 // ResetIndex rewrites every shard, so the batch spans all N.
                 let idxs: Vec<usize> = (0..self.engine.num_shards()).collect();
@@ -440,13 +461,13 @@ impl Scheme2Server {
 
     /// Answer `request` on the calling thread **only if that can neither
     /// wait nor run long** — what lets the daemon's reactor skip the
-    /// worker hop for a repeat search (DESIGN.md §4n). All of these hold
-    /// for a `Some`:
+    /// worker hop (DESIGN.md §4n). Two kinds of request qualify.
     ///
-    /// * `request` is a `Search` whose memo entry is current for the
-    ///   shard's published snapshot and was filed under this exact
-    ///   trapdoor, so the answer needs no tree lookup, no chain step and
-    ///   no decryption;
+    /// A `Search`, when all of these hold:
+    ///
+    /// * its memo entry is current for the shard's published snapshot and
+    ///   was filed under this exact trapdoor, so the answer needs no tree
+    ///   lookup, no chain step and no decryption;
     /// * the entry holds at most `INLINE_MAX_DOCS` ids, whose blobs
     ///   total at most `INLINE_MAX_BYTES`;
     /// * the epoch seqlock, the snapshot cell, the memo mutex and the
@@ -455,16 +476,44 @@ impl Scheme2Server {
     /// * the document store reads from memory (in-memory and `btree`;
     ///   `lsm` reads run files and never qualifies).
     ///
+    /// A `PutDocs`, `RemoveDocs` or `AppendGenerations`, when all of these
+    /// hold:
+    ///
+    /// * the server is in memory (a durable mutation waits for an fsync);
+    /// * the request is at most `INLINE_MAX_BYTES`;
+    /// * the keywords an append touches cost at most
+    ///   `INLINE_MAX_GENERATIONS` generation copies together, each its
+    ///   list's length plus `INLINE_PATH_GENERATIONS`;
+    /// * every lock it needs — the document-store lock, or the quiescence
+    ///   lock, the shard data locks, the swap window and the snapshot
+    ///   cells — was free on the first `try_`, all taken before anything
+    ///   is applied, and the epoch is even.
+    ///
     /// The reply is byte-identical to [`Self::handle_shared_with`]'s and
     /// moves the same counters by the same amounts. `None` declines having
-    /// changed nothing — no counter moved, `scratch` not called — and the
-    /// caller hands the untouched request to a worker.
+    /// changed nothing — no counter or seq moved, `scratch` not called —
+    /// and the caller hands the untouched request to a worker.
     pub fn try_handle_inline(
         &self,
         request: &[u8],
         scratch: impl FnOnce() -> Vec<u8>,
     ) -> Option<Vec<u8>> {
-        if !self.config.server_cache || request.first() != Some(&protocol::req::SEARCH) {
+        match *request.first()? {
+            protocol::req::SEARCH => self.try_search_inline(request, scratch),
+            protocol::req::PUT_DOCS
+            | protocol::req::REMOVE_DOCS
+            | protocol::req::APPEND_GENERATIONS => self.try_mutate_inline(request),
+            _ => None,
+        }
+    }
+
+    /// The `Search` half of [`Self::try_handle_inline`].
+    fn try_search_inline(
+        &self,
+        request: &[u8],
+        scratch: impl FnOnce() -> Vec<u8>,
+    ) -> Option<Vec<u8>> {
+        if !self.config.server_cache {
             return None;
         }
         let Ok(Request::Search { tag, t_prime }) = protocol::decode_request(request) else {
@@ -476,6 +525,23 @@ impl Scheme2Server {
         let memo = sidecar.try_lock()?.entries.get(&tag).cloned()?;
         let docs = self.try_memo(snap.applied_seq, &tag, &t_prime, &memo, MemoMode::Inline)?;
         Some(proto_common::encode_result_with(&docs, scratch()))
+    }
+
+    /// The mutation half of [`Self::try_handle_inline`]: the worker path's
+    /// apply under `try_` locks ([`IndexEngine::try_mutate`]).
+    fn try_mutate_inline(&self, request: &[u8]) -> Option<Vec<u8>> {
+        if self.engine.is_durable() || request.len() > INLINE_MAX_BYTES {
+            return None;
+        }
+        let outcome = match protocol::decode_request(request).ok()? {
+            Request::PutDocs(docs) => self.engine.try_put_docs(&docs)?,
+            Request::RemoveDocs(ids) => self.engine.try_remove_docs(&ids)?,
+            Request::AppendGenerations(entries) => {
+                return self.append_sharded(entries, None::<fn() -> Reply>)
+            }
+            _ => return None,
+        };
+        Some(self.engine.ack(outcome))
     }
 
     /// Apply an `UPDATE_MANY` batch: every part must be a mutation
@@ -512,28 +578,41 @@ impl Scheme2Server {
         if let Err(e) = self.engine.put_docs(&docs) {
             return Some(self.engine.mutation_failed(&e));
         }
-        self.append_sharded(entries, park)
+        self.append_sharded(entries, Some(park))
     }
 
     /// Append generation entries: group per shard (preserving input order
-    /// within each shard) and run them as one mutation (parked, when
-    /// durable).
+    /// within each shard) and run them as one mutation. With a worker's
+    /// `park` it waits for its locks (and parks, when durable); `None` is
+    /// the inline path ([`Self::try_handle_inline`]), which applies under
+    /// `try_` locks only if the touched keywords fit the inline budget,
+    /// and otherwise declines with `None`.
     fn append_sharded(
         &self,
         entries: Vec<GenerationEntry>,
-        park: impl FnOnce() -> Reply,
+        park: Option<impl FnOnce() -> Reply>,
     ) -> Option<Vec<u8>> {
         if entries.is_empty() {
             return Some(proto_common::encode_ack());
         }
         let groups = self.engine.group_by_shard(entries, |e| &e.tag);
         let idxs: Vec<usize> = groups.keys().copied().collect();
-        self.engine.mutate(
-            &self.engine.pipeline(),
-            &idxs,
-            |i| protocol::encode_append_generations(&groups[&i]),
-            park,
-        )
+        let encode_for = |i| protocol::encode_append_generations(&groups[&i]);
+        let Some(park) = park else {
+            // Charged against one budget as each shard's data lock is
+            // taken; a tag named twice is charged twice.
+            let budget = Cell::new(INLINE_MAX_GENERATIONS);
+            let admits = |i: usize, data: &ShardData<Ops>| {
+                groups[&i].iter().all(|e| {
+                    let held = data.tree.get(&e.tag).map_or(0, GenerationList::len);
+                    let left = budget.get().checked_sub(held + INLINE_PATH_GENERATIONS);
+                    left.inspect(|&left| budget.set(left)).is_some()
+                })
+            };
+            return self.engine.try_mutate(&idxs, encode_for, &admits);
+        };
+        self.engine
+            .mutate(&self.engine.pipeline(), &idxs, encode_for, park)
     }
 
     /// Serve a `SearchMany`: every part's documents, or the first error.
@@ -1063,13 +1142,41 @@ mod tests {
         search
     }
 
-    /// The inline path must decline `request` without moving a counter or
-    /// asking for a reply buffer.
-    fn assert_declines(s: &Scheme2Server, request: &[u8], why: &str) {
-        let before = s.stats();
+    /// Everything a request can move: the scheme's counters, every
+    /// shard's published seq, the snapshot swaps, the stored documents,
+    /// the keywords and the contention counts.
+    fn footprint(s: &Scheme2Server) -> impl PartialEq + std::fmt::Debug {
+        let seqs: Vec<u64> = (0..s.num_shards())
+            .map(|i| s.engine.hold_snapshot_cell(i).applied_seq)
+            .collect();
+        (
+            s.stats(),
+            seqs,
+            s.commit_counters(),
+            s.stored_docs(),
+            s.unique_keywords(),
+            s.shard_contention(),
+        )
+    }
+
+    /// The inline path must decline `request` while `hold`'s guard is
+    /// held, having changed nothing at all and asked for no reply buffer.
+    fn assert_declines_under<G>(
+        s: &Scheme2Server,
+        request: &[u8],
+        why: &str,
+        hold: impl FnOnce() -> G,
+    ) {
+        let before = footprint(s);
+        let held = hold();
         let reply = s.try_handle_inline(request, || unreachable!("declines take no buffer"));
+        drop(held);
         assert!(reply.is_none(), "must decline: {why}");
-        assert_eq!(s.stats(), before, "a decline moves no counter: {why}");
+        assert!(footprint(s) == before, "a decline changes nothing: {why}");
+    }
+
+    fn assert_declines(s: &Scheme2Server, request: &[u8], why: &str) {
+        assert_declines_under(s, request, why, || ());
     }
 
     #[test]
@@ -1195,14 +1302,10 @@ mod tests {
     fn inline_declines_while_a_lock_it_needs_is_held() {
         let s = server();
         let request = warm(&s, [0x28u8; 32], 1);
-        {
-            let _cache = s.engine.sidecar(0).lock();
-            assert_declines(&s, &request, "sidecar mutex held");
-        }
-        {
-            let _store = s.engine.hold_store();
-            assert_declines(&s, &request, "doc-store write lock held");
-        }
+        let cache = || s.engine.sidecar(0).lock();
+        assert_declines_under(&s, &request, "sidecar mutex held", cache);
+        let store = || s.engine.hold_store();
+        assert_declines_under(&s, &request, "doc-store write lock held", store);
         s.engine.toggle_swap_window();
         assert_declines(&s, &request, "odd epoch: a multi-shard swap is open");
         s.engine.toggle_swap_window();
@@ -1221,16 +1324,19 @@ mod tests {
     }
 
     #[test]
-    fn inline_declines_everything_that_is_not_a_well_formed_search() {
+    fn inline_declines_what_no_rule_admits() {
         let s = server();
         let request = warm(&s, [0x2Au8; 32], 1);
         assert_declines(&s, &[], "empty payload");
         assert_declines(&s, &request[..request.len() - 1], "truncated search");
-        assert_declines(
-            &s,
-            &protocol::encode_put_docs(&[(9, vec![1])]),
-            "a mutation",
-        );
+        let put = protocol::encode_put_docs(&[(9, vec![1])]);
+        assert_declines(&s, &put[..put.len() - 1], "truncated mutation");
+        for request in [
+            protocol::encode_reset_index(),
+            protocol::encode_checkpoint(),
+        ] {
+            assert_declines(&s, &request, "ResetIndex and Checkpoint stay on the pool");
+        }
         let many = protocol::encode_search_many(&[([0x2Au8; 32], [0u8; 32])]);
         assert_declines(&s, &many, "SEARCH_MANY stays on the pool");
         assert_declines(
@@ -1238,6 +1344,191 @@ mod tests {
             &protocol::encode_search(&[0x2Bu8; 32], &[0u8; 32]),
             "never searched: no entry",
         );
+    }
+
+    /// One generation of `ids` under `tag`, sealed with key `ctr` of the
+    /// test chain.
+    fn entry(tag: [u8; 32], ctr: u64, ids: &[u64]) -> GenerationEntry {
+        let k = HashChain::new(&[b"kw", b"key"], 64)
+            .key_for_counter(ctr)
+            .unwrap();
+        GenerationEntry {
+            tag,
+            sealed_ids: sealed_ids(&k, ids),
+            commitment: key_commitment(&k),
+        }
+    }
+
+    /// Two tags of a sharded server that route to different shards.
+    fn tags_on_two_shards(s: &Scheme2Server) -> ([u8; 32], [u8; 32]) {
+        let a = [0x31u8; 32];
+        let b = (0x32..=0xFFu8)
+            .map(|x| [x; 32])
+            .find(|b| s.engine.shard_of(b) != s.engine.shard_of(&a))
+            .expect("some tag routes elsewhere");
+        (a, b)
+    }
+
+    #[test]
+    fn inline_mutation_is_the_worker_mutation_in_bytes_seqs_and_swaps() {
+        let cfg = Scheme2Config::standard().with_chain_length(64);
+        let (worker, inline) = (
+            Scheme2Server::new_in_memory_sharded(cfg.clone(), 4),
+            Scheme2Server::new_in_memory_sharded(cfg, 4),
+        );
+        let (a, b) = tags_on_two_shards(&worker);
+        let requests = [
+            protocol::encode_put_docs(&[(1, b"one".to_vec()), (2, b"two".to_vec())]),
+            // One shard, then two inside one swap window.
+            protocol::encode_append_generations(&[entry(a, 1, &[1])]),
+            protocol::encode_append_generations(&[entry(a, 2, &[2]), entry(b, 1, &[1, 2])]),
+            protocol::encode_remove_docs(&[1, 7]),
+            protocol::encode_append_generations(&[]),
+        ];
+        for request in &requests {
+            let want = worker.handle_shared(request);
+            let got = inline
+                .try_handle_inline(request, || unreachable!("a mutation takes no buffer"))
+                .expect("a small in-memory mutation is applied inline");
+            assert_eq!(got, want, "byte-identical reply");
+            assert!(
+                footprint(&inline) == footprint(&worker),
+                "same seqs, swaps, counters"
+            );
+        }
+        assert_eq!(inline.stats().generations_appended, 3);
+        assert_eq!(
+            inline.commit_counters().snapshot_swaps,
+            3,
+            "one per shard an append applied to"
+        );
+        for (tag, ctr) in [(a, 3), (b, 2)] {
+            let key = HashChain::new(&[b"kw", b"key"], 64)
+                .key_for_counter(ctr)
+                .unwrap();
+            let search = protocol::encode_search(&tag, &key);
+            let got = inline.handle_shared(&search);
+            assert_eq!(
+                got,
+                worker.handle_shared(&search),
+                "the later search agrees"
+            );
+            assert_eq!(decode_result(&got).unwrap(), vec![(2, &b"two"[..])]);
+        }
+    }
+
+    #[test]
+    fn inline_mutation_declines_over_a_bound() {
+        let s = server();
+        // The request size: a `PutDocs` of exactly INLINE_MAX_BYTES is
+        // applied, one byte more is not.
+        let sized = |len: usize| {
+            let empty = protocol::encode_put_docs(&[(5, Vec::new())]).len();
+            protocol::encode_put_docs(&[(5, vec![5; len - empty])])
+        };
+        let over = sized(INLINE_MAX_BYTES + 1);
+        assert_declines(&s, &over, "a byte over INLINE_MAX_BYTES");
+        let at_bound = sized(INLINE_MAX_BYTES);
+        assert_eq!(at_bound.len(), INLINE_MAX_BYTES);
+        decode_ack(&s.try_handle_inline(&at_bound, Vec::new).expect("at bound")).unwrap();
+
+        // The budget: two keywords whose lists cost INLINE_MAX_GENERATIONS
+        // together are appended to, one generation more is not. The
+        // server appends without decrypting: any bytes make a generation.
+        let (x, y) = ([0x41u8; 32], [0x42u8; 32]);
+        let raw = |tag, g: u8| GenerationEntry {
+            tag,
+            sealed_ids: vec![g; 48],
+            commitment: [g; 32],
+        };
+        let both = |g| protocol::encode_append_generations(&[raw(x, g), raw(y, g)]);
+        for g in 0..INLINE_MAX_GENERATIONS / 2 - INLINE_PATH_GENERATIONS {
+            decode_ack(&s.handle_shared(&both(g as u8))).unwrap();
+        }
+        let at_budget = s.try_handle_inline(&both(0xA0), Vec::new);
+        decode_ack(&at_budget.expect("at budget")).unwrap();
+        assert_declines(&s, &both(0xA1), "a generation over the budget");
+        let one = |g| protocol::encode_append_generations(&[raw(x, g)]);
+        let alone = s.try_handle_inline(&one(0xA2), Vec::new);
+        decode_ack(&alone.expect("one list alone fits")).unwrap();
+        // One list alone: at most INLINE_MAX_GENERATIONS less its path.
+        while s.engine.snap(0).tree.get(&x).unwrap().len()
+            < INLINE_MAX_GENERATIONS - INLINE_PATH_GENERATIONS
+        {
+            decode_ack(&s.handle_shared(&one(0xB0))).unwrap();
+        }
+        decode_ack(
+            &s.try_handle_inline(&one(0xB1), Vec::new)
+                .expect("at budget"),
+        )
+        .unwrap();
+        assert_declines(&s, &one(0xB2), "one list a generation over the budget");
+        // Keywords cost their paths too: no more new ones in one append
+        // than the budget allows, however short the request.
+        let fresh = |n: u8| {
+            let entries: Vec<_> = (0..n).map(|k| raw([0x50 + k; 32], k)).collect();
+            protocol::encode_append_generations(&entries)
+        };
+        let most = (INLINE_MAX_GENERATIONS / INLINE_PATH_GENERATIONS) as u8;
+        assert_declines(&s, &fresh(most + 1), "one new keyword over the budget");
+        decode_ack(
+            &s.try_handle_inline(&fresh(most), Vec::new)
+                .expect("at budget"),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn inline_mutation_declines_on_a_durable_server() {
+        let dir =
+            std::env::temp_dir().join(format!("sse-s2-inline-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = Scheme2Config::standard().with_chain_length(64);
+        let s = Scheme2Server::open_durable(cfg, &dir).unwrap();
+        for request in [
+            protocol::encode_put_docs(&[(9, vec![1])]),
+            protocol::encode_remove_docs(&[9]),
+            protocol::encode_append_generations(&[entry([0x43u8; 32], 1, &[9])]),
+        ] {
+            assert_declines(&s, &request, "a durable mutation waits for an fsync");
+        }
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn inline_mutation_declines_while_a_lock_it_needs_is_held() {
+        let s = Scheme2Server::new_in_memory_sharded(
+            Scheme2Config::standard().with_chain_length(64),
+            4,
+        );
+        let (a, b) = tags_on_two_shards(&s);
+        let (sa, sb) = (s.engine.shard_of(&a), s.engine.shard_of(&b));
+        let put = protocol::encode_put_docs(&[(3, b"three".to_vec())]);
+        let remove = protocol::encode_remove_docs(&[3]);
+        let one = protocol::encode_append_generations(&[entry(a, 1, &[3])]);
+        let two = protocol::encode_append_generations(&[entry(a, 2, &[3]), entry(b, 1, &[3])]);
+        let store = || s.engine.hold_store();
+        assert_declines_under(&s, &put, "doc-store lock held", store);
+        assert_declines_under(&s, &remove, "doc-store lock held", store);
+        let quiesced = || s.engine.quiesce();
+        assert_declines_under(&s, &one, "quiescence lock held", quiesced);
+        let data = || s.engine.lock_data(sb);
+        assert_declines_under(&s, &two, "second shard's data lock held", data);
+        let reader = || s.engine.hold_snapshot_cell(sa);
+        assert_declines_under(&s, &one, "a reader holds the snapshot cell", reader);
+        assert_declines_under(&s, &two, "a reader holds one snapshot cell", reader);
+        let window = || s.engine.hold_swap_window();
+        assert_declines_under(&s, &two, "the swap window is held", window);
+        s.engine.toggle_swap_window();
+        assert_declines(&s, &one, "odd epoch: a multi-shard swap is open");
+        assert_declines(&s, &two, "odd epoch: a multi-shard swap is open");
+        s.engine.toggle_swap_window();
+        for request in [put, one, two, remove] {
+            decode_ack(&s.try_handle_inline(&request, Vec::new).expect("all free")).unwrap();
+        }
+        assert_eq!(s.stats().generations_appended, 3);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //!  reactor thread ── owns the listener and every socket ([`crate::reactor`])
-//!        │  parse frames, answer ADMIN and memo-hit searches itself
-//!        │  try_send DATA jobs, routed by
+//!        │  parse frames, answer ADMIN, memo-hit searches and small
+//!        │  in-memory updates itself; try_send DATA jobs, routed by
 //!        ▼  tenant hash │ all queues full ⇒ BUSY
 //!                    sharded scheduler (one run queue per worker)
 //!                      q0      q1      q2      q3
@@ -555,6 +555,14 @@ enum Served {
     Parked,
     /// A batch envelope that did not decode.
     Malformed,
+}
+
+/// Serve `job` as a worker does, flushing whatever it parked.
+#[cfg(test)]
+pub(crate) fn run_job(job: Job, stats: &Arc<ServingStats>) {
+    let mut parked = Parked::default();
+    process_job(job, stats, &mut parked);
+    parked.flush();
 }
 
 fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {

@@ -454,8 +454,9 @@ stats_snapshot! {
     /// High-water mark of any single run queue's depth.
     sched_queue_depth_hw,
     /// DATA requests the reactor answered itself, run to completion with
-    /// no worker hop (memo-hit Scheme 2 searches; DESIGN.md §4n). Each is
-    /// also in `requests_ok`, with zero queue wait.
+    /// no worker hop (memo-hit Scheme 2 searches and small in-memory
+    /// Scheme 2 updates; DESIGN.md §4n). Each is also in `requests_ok`,
+    /// with zero queue wait.
     inline_served,
     /// DATA requests the reactor sent to the run queue instead (reactor
     /// mode only): `inline_served + inline_declined` is every DATA frame

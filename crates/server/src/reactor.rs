@@ -39,12 +39,12 @@
 //! through the wakeup pipe.
 //!
 //! **Run to completion.** The hand-off out and back costs more than a
-//! memo-hit Scheme 2 search does, so a `KIND_DATA` frame on a connection
-//! with nothing in flight is first offered to the tenant
-//! ([`TenantDb::try_handle_inline`]), which answers only what can neither
-//! wait nor run long. A yes is queued here; a no becomes a job with the
-//! frame untouched. At most `INLINE_BURST` frames per readiness event are
-//! answered this way (DESIGN.md §4n).
+//! memo-hit Scheme 2 search or a small in-memory Scheme 2 update does, so
+//! a `KIND_DATA` frame on a connection with nothing in flight is first
+//! offered to the tenant ([`TenantDb::try_handle_inline`]), which answers
+//! only what can neither wait nor run long. A yes is queued here; a no
+//! becomes a job with the frame untouched. At most `INLINE_BURST` frames
+//! per readiness event are answered this way (DESIGN.md §4n).
 //!
 //! **Determinism.** Everything is generic over [`Poller`], so the unit
 //! tests drive the exact production state machine with a scripted
@@ -1204,7 +1204,7 @@ impl<P: Poller> Reactor<P> {
 mod tests {
     use super::*;
     use crate::daemon::DEFAULT_WRITE_QUEUE_LIMIT;
-    use crate::proto::SchemeId;
+    use crate::proto::{SchemeId, STATUS_DEGRADED};
     use crate::sched::{SchedCounters, Scheduler};
     use crate::scrub::ScrubCounters;
     use crate::tenant::{TenantParams, TenantRegistry};
@@ -2298,6 +2298,126 @@ mod tests {
         let snap = rig.shared.stats.snapshot();
         assert_eq!(snap.requests_err, 1);
         assert_eq!((snap.requests_ok, snap.inline_served), (1, 1));
+    }
+
+    #[test]
+    fn a_search_pipelined_behind_inline_stores_sees_them() {
+        use sse_core::proto_common::encode_ack;
+        use sse_core::scheme2::protocol::{self as s2, GenerationEntry};
+        use sse_primitives::etm::EtmKey;
+        use sse_primitives::hashchain::HashChain;
+
+        let mut rig = rig();
+        let (tenant, _, _) = warm_tenant(&rig.shared);
+        // The store's two requests and a search of its keyword, in one
+        // chunk: the next generation (key 3) under warm_tenant's tag, and
+        // the trapdoor that unlocks it (key 4).
+        let chain = HashChain::new(&[b"kw", b"key"], 64);
+        let k3 = chain.key_for_counter(3).unwrap();
+        let mut ids = sse_net::wire::WireWriter::new();
+        ids.put_u64_vec(&[2]).put_u64_vec(&[]);
+        let tag = [0x5Au8; 32];
+        let put = s2::encode_put_docs(&[(2, b"two".to_vec())]);
+        let append = s2::encode_append_generations(&[GenerationEntry {
+            tag,
+            sealed_ids: EtmKey::new(&k3).seal(&ids.finish()),
+            commitment: sse_core::scheme2::key_commitment(&k3),
+        }]);
+        let search = s2::encode_search(&tag, &chain.key_for_counter(4).unwrap());
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello2_frame());
+        io.push_read(
+            &[
+                data_frame(1, &put),
+                data_frame(2, &append),
+                data_frame(3, &search),
+            ]
+            .concat(),
+        );
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+
+        // Both store requests were applied on the reactor; the search,
+        // whose memo entry they made stale, went to a worker behind them.
+        let ack = encode_ack();
+        let acks = [
+            ok_response(HELLO_SEQ, &[]),
+            ok_response(1, &ack),
+            ok_response(2, &ack),
+        ]
+        .concat();
+        assert_eq!(*written.lock().unwrap(), acks);
+        let job = rig.sched.try_next(0).expect("the search went to a worker");
+        assert_eq!((job.seq, rig.sched.queued()), (3, 0));
+        crate::daemon::run_job(job, &rig.shared.stats);
+        rig.turn_with(vec![Event::readable(WAKE_TOKEN)]);
+        assert_eq!(rig.conn(idx, gen).in_flight, 0);
+
+        let reply = tenant.handle_shared(&search);
+        let docs = sse_core::proto_common::decode_result(&reply).unwrap();
+        assert_eq!(
+            docs,
+            vec![(1, &b"blob"[..]), (2, &b"two"[..])],
+            "the search saw the store"
+        );
+        assert_eq!(
+            *written.lock().unwrap(),
+            [acks, ok_response(3, &reply)].concat()
+        );
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!((snap.inline_served, snap.inline_declined), (2, 1));
+        assert_eq!(snap.requests_ok, 3);
+    }
+
+    #[test]
+    fn a_degraded_or_quarantined_tenants_mutation_goes_to_the_workers_gate() {
+        let mut rig = rig();
+        let (tenant, _, _) = warm_tenant(&rig.shared);
+        let put = sse_core::scheme2::protocol::encode_put_docs(&[(2, b"two".to_vec())]);
+        let stored = tenant.stored_docs();
+        let serve = |rig: &mut Rig, fd: RawFd| {
+            let (mut io, written, _cap) = ScriptIo::new(fd);
+            io.push_read(&hello2_frame());
+            io.push_read(&data_frame(1, &put));
+            let (_, _, token) = rig.add_conn(io);
+            rig.turn_with(vec![Event::readable(token)]);
+            let job = rig.sched.try_next(0).expect("declined to a worker");
+            assert_eq!(&job.payload[..], &put[..], "untouched");
+            crate::daemon::run_job(job, &rig.shared.stats);
+            rig.turn_with(vec![Event::readable(WAKE_TOKEN)]);
+            let got = written.lock().unwrap().clone();
+            got
+        };
+
+        tenant.health().note_storage_error("disk full");
+        let degraded = proto::encode_degraded(
+            sse_core::health::DEGRADED_RETRY_AFTER_MS,
+            &tenant.health().reason(),
+        );
+        assert_eq!(
+            serve(&mut rig, 7),
+            [
+                ok_response(HELLO_SEQ, &[]),
+                encode_frame(&proto::encode_response(STATUS_DEGRADED, 1, &degraded))
+            ]
+            .concat(),
+            "a degraded tenant is read-only, and the worker says so"
+        );
+
+        tenant.health().note_corruption("checksum mismatch");
+        let refusal = format!("tenant quarantined: {}", tenant.health().reason());
+        assert_eq!(
+            serve(&mut rig, 8),
+            [
+                ok_response(HELLO_SEQ, &[]),
+                encode_frame(&proto::encode_response(STATUS_ERR, 1, refusal.as_bytes()))
+            ]
+            .concat(),
+        );
+        assert_eq!(tenant.stored_docs(), stored, "nothing was stored");
+        let snap = rig.shared.stats.snapshot();
+        assert_eq!((snap.inline_served, snap.inline_declined), (0, 2));
+        assert_eq!((snap.requests_degraded, snap.requests_err), (1, 1));
     }
 
     #[test]

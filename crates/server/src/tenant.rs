@@ -143,10 +143,12 @@ impl TenantDb {
     /// can neither wait nor run long** — the reactor's run-to-completion
     /// path (DESIGN.md §4n). `None` declines having changed nothing; the
     /// request then goes to the worker pool untouched. The rule itself is
-    /// [`Scheme2Server::try_handle_inline`]'s; no Scheme 1 request
-    /// qualifies. A quarantined tenant declines everything, so the
-    /// worker's health gate words the refusal; a degraded one still
-    /// serves reads, and only a read can be answered here.
+    /// [`Scheme2Server::try_handle_inline`]'s: a memo-hit search or a
+    /// bounded in-memory mutation; no Scheme 1 request qualifies. The
+    /// health gate is the worker's, kept by declining: a quarantined
+    /// tenant declines everything and a degraded one every mutation, so
+    /// the worker words the refusal (`ERR`, `DEGRADED`); a degraded
+    /// tenant still serves reads, here too.
     pub fn try_handle_inline(
         &self,
         request: &[u8],
@@ -155,8 +157,10 @@ impl TenantDb {
         let TenantDb::S2(server) = self else {
             return None;
         };
-        if self.health().state() == HealthState::Quarantined {
-            return None;
+        match self.health().state() {
+            HealthState::Healthy => {}
+            HealthState::Degraded if self.is_read(request) => {}
+            HealthState::Degraded | HealthState::Quarantined => return None,
         }
         server.try_handle_inline(request, scratch)
     }
