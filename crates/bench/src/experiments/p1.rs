@@ -13,7 +13,7 @@ use crate::table::{fmt_nanos, Table};
 use crate::timing::batched_median_nanos;
 use crate::Scale;
 use sse_index::bptree::BpTree;
-use sse_index::postings::{Generation, GenerationList};
+use sse_index::postings::GenerationList;
 use sse_primitives::aes::Aes128;
 use sse_primitives::bignum::{BigUint, FixedBase};
 use sse_primitives::chacha20::prg_expand;
@@ -218,13 +218,9 @@ fn bptree(rows: &mut Rows) {
     // the search snapshot, then append one generation to a random keyword
     // whose list holds `gens`. Each call starts from `base`, so every list
     // stays at `gens` and the copy-on-write path is taken every time. The
-    // copy is O(gens): the `gens/{g}` rows (and `1000`, which is g = 16)
-    // are what the Scheme 2 server's inline budget is sized from
-    // (DESIGN.md §4n).
-    let generation = |g: u8| Generation {
-        masked_ids: vec![g; 48],
-        key_commitment: [g; 32],
-    };
+    // copy is one allocation and a `memcpy` of the list's block: the
+    // `gens/{g}` rows (and `1000`, which is g = 16) are what the Scheme 2
+    // server's inline budget is sized from (DESIGN.md §4n).
     let cases = [1_000usize, 100_000]
         .map(|n| (n, 16usize, n.to_string()))
         .into_iter()
@@ -235,7 +231,7 @@ fn bptree(rows: &mut Rows) {
         let keys: Vec<[u8; 32]> = (0..n).map(|_| drbg.gen_key()).collect();
         for key in &keys {
             let mut list = GenerationList::new();
-            (0..gens).for_each(|g| list.push(generation(g as u8)));
+            (0..gens).for_each(|g| list.push(&[g as u8; 48], &[g as u8; 32]));
             base.insert(*key, list);
         }
         let mut i = 0usize;
@@ -246,7 +242,9 @@ fn bptree(rows: &mut Rows) {
                 i = (i + 7919) % n;
                 let mut tree = base.clone();
                 let snapshot = tree.clone();
-                tree.get_mut(&keys[i]).unwrap().push(generation(0xFF));
+                tree.get_mut(&keys[i])
+                    .unwrap()
+                    .push(&[0xFF; 48], &[0xFF; 32]);
                 (tree, snapshot)
             },
         );

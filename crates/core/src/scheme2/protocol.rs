@@ -44,6 +44,17 @@ pub struct GenerationEntry {
     pub commitment: [u8; 32],
 }
 
+/// A [`GenerationEntry`] borrowed from the encoded request.
+#[derive(Clone, Copy)]
+pub struct GenerationEntryRef<'a> {
+    /// `f_kw(w)`.
+    pub tag: [u8; 32],
+    /// `E_k(I_{j+1}(w))`, in place in the request.
+    pub sealed_ids: &'a [u8],
+    /// `f'(k_{j+1}(w))`.
+    pub commitment: [u8; 32],
+}
+
 /// Encode `PutDocs`.
 #[must_use]
 pub fn encode_put_docs(docs: &[(u64, Vec<u8>)]) -> Vec<u8> {
@@ -110,6 +121,41 @@ pub fn encode_reset_index() -> Vec<u8> {
     w.finish()
 }
 
+/// Decode an `AppendGenerations` without copying its sealed ids: what
+/// the server applies, so each generation goes from the record straight
+/// into its keyword's list. The whole request is checked before the
+/// entries are returned.
+///
+/// # Errors
+/// Wire errors on malformed input, or any other request.
+pub fn decode_append_generations(buf: &[u8]) -> Result<Vec<GenerationEntryRef<'_>>> {
+    let mut r = WireReader::new(buf);
+    match r.get_u8()? {
+        req::APPEND_GENERATIONS => {}
+        other => return Err(SseError::Wire(sse_net::wire::WireError::UnknownTag(other))),
+    }
+    let entries = decode_entries(&mut r, |e| e)?;
+    r.finish()?;
+    Ok(entries)
+}
+
+/// The entries of an `AppendGenerations` body, each mapped by `f`.
+fn decode_entries<'a, T>(
+    r: &mut WireReader<'a>,
+    f: impl Fn(GenerationEntryRef<'a>) -> T,
+) -> Result<Vec<T>> {
+    let n = r.get_count(72)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(f(GenerationEntryRef {
+            tag: r.get_array32()?,
+            sealed_ids: r.get_bytes()?,
+            commitment: r.get_array32()?,
+        }));
+    }
+    Ok(entries)
+}
+
 /// A decoded client request (server side).
 pub enum Request {
     /// `DataStorage` upload.
@@ -143,19 +189,11 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
     let request = match tag {
         req::PUT_DOCS => Request::PutDocs(proto_common::decode_put_docs_body(&mut r)?),
         req::APPEND_GENERATIONS => {
-            let n = r.get_count(72)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = r.get_array32()?;
-                let sealed_ids = r.get_bytes()?.to_vec();
-                let commitment = r.get_array32()?;
-                entries.push(GenerationEntry {
-                    tag,
-                    sealed_ids,
-                    commitment,
-                });
-            }
-            Request::AppendGenerations(entries)
+            Request::AppendGenerations(decode_entries(&mut r, |e| GenerationEntry {
+                tag: e.tag,
+                sealed_ids: e.sealed_ids.to_vec(),
+                commitment: e.commitment,
+            })?)
         }
         req::SEARCH => Request::Search {
             tag: r.get_array32()?,
@@ -198,7 +236,8 @@ mod tests {
                 commitment: [4u8; 32],
             },
         ];
-        match decode_request(&encode_append_generations(&entries)).unwrap() {
+        let encoded = encode_append_generations(&entries);
+        match decode_request(&encoded).unwrap() {
             Request::AppendGenerations(e) => {
                 assert_eq!(e.len(), 2);
                 assert_eq!(e[0].tag, [1u8; 32]);
@@ -207,6 +246,21 @@ mod tests {
             }
             _ => panic!("wrong variant"),
         }
+        // The borrowed decode reads the same entries, in place.
+        let borrowed = decode_append_generations(&encoded).unwrap();
+        assert_eq!(borrowed.len(), 2);
+        for (b, e) in borrowed.iter().zip(&entries) {
+            assert_eq!(
+                (b.tag, b.sealed_ids, b.commitment),
+                (e.tag, &e.sealed_ids[..], e.commitment)
+            );
+        }
+        // and refuses what `decode_request` refuses, or another request.
+        let mut trailing = encoded.clone();
+        trailing.push(0);
+        assert!(decode_append_generations(&trailing).is_err());
+        assert!(decode_append_generations(&encoded[..encoded.len() - 1]).is_err());
+        assert!(decode_append_generations(&encode_reset_index()).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! from) is filed in one per-keyword cache in the engine's per-shard
 //! sidecar ([`SearchMemo`]), so only a mutation ever publishes a snapshot.
 
-use super::protocol::{self, GenerationEntry, Request};
+use super::protocol::{self, GenerationEntry, GenerationEntryRef, Request};
 use super::Scheme2Config;
 use crate::commit::Reply;
 use crate::engine::{DurableOptions, IndexAdmin, IndexEngine, SchemeOps, ShardData};
@@ -26,7 +26,7 @@ use crate::error::{Result, SseError};
 use crate::proto_common;
 use parking_lot::Mutex;
 use sse_index::bptree::BpTree;
-use sse_index::postings::{Generation, GenerationList};
+use sse_index::postings::{GenerationList, GenerationRef};
 use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_primitives::etm::EtmKey;
@@ -114,10 +114,12 @@ impl SearchMemo {
     /// generation is still the one recorded — lists only grow between
     /// resets, which [`ShardCache::reset_seq`] is for: re-appending under
     /// the same chain keys reproduces the commitment.
-    fn covers_prefix_of(&self, list: &[Generation], snap_seq: u64) -> bool {
-        let newest = list.get(..self.gens as usize).and_then(<[_]>::last);
+    fn covers_prefix_of(&self, list: &GenerationList, snap_seq: u64) -> bool {
+        let newest = (self.gens as usize)
+            .checked_sub(1)
+            .and_then(|i| list.get(i));
         self.applied_seq <= snap_seq
-            && newest.is_some_and(|g| g.key_commitment == self.last_commitment)
+            && newest.is_some_and(|g| *g.key_commitment == self.last_commitment)
     }
 }
 
@@ -149,23 +151,27 @@ const INLINE_MAX_DOCS: usize = 32;
 /// reply-buffer class; unmeasured beyond that, as above.
 const INLINE_MAX_BYTES: usize = 4096;
 
-/// What an `AppendGenerations` may cost, in generation copies, to be
-/// applied on the caller's thread. Every in-memory append publishes, so
-/// the next append to a keyword copies its list (the snapshot still
-/// holds it) and the path to it: each keyword is charged its list's
-/// length plus [`INLINE_PATH_GENERATIONS`]. `harness p1`'s
-/// `prim_bptree/append_after_publish` rows read ≈ 1.8 µs at 16
-/// generations, 5.5 µs at 64 and 10.5 µs at 128 (2-vCPU Xeon VM):
-/// ≈ 73 ns a generation on top of ≈ 0.8 µs for the path. So 96 is
-/// ≈ 7 µs of copying, about 1.6 of the ≈ 4.3 µs hops a decline costs
-/// before a worker does the same copy (DESIGN.md §4n): one keyword of 84
-/// generations, two of 36, or eight new ones; `INLINE_MAX_BYTES` alone
-/// would let it name 56.
-const INLINE_MAX_GENERATIONS: usize = 96;
+/// What an `AppendGenerations` may cost, in bytes copied, to be applied
+/// on the caller's thread. Every in-memory append publishes, so the next
+/// append to a keyword copies its list (the snapshot still holds it) and
+/// the path to it. A list is one block, so its copy is one `memcpy` of
+/// its bytes: each keyword is charged its list's
+/// [`GenerationList::stored_bytes`] (the block less 4 B a generation)
+/// plus [`INLINE_PATH_BYTES`]. `harness p1`'s
+/// `prim_bptree/append_after_publish` rows (116 B a generation) read
+/// ≈ 1.1 µs at 32 generations, 1.4 at 64, 1.9 at 128 and 5.7 at 256
+/// (2-vCPU Xeon VM): ≈ 0.8 µs for the path, then ≈ 75 ns a KiB up to
+/// 15 KiB and ≈ 250 ns a KiB beyond. So 32 KiB is at most ≈ 5.5 µs of
+/// copying, about 1.3 of the ≈ 4.3 µs hops a decline costs
+/// before a worker does the same copy (DESIGN.md §4n): one keyword of
+/// 28 KiB (≈ 270 generations of one id), two of 12 KiB, or eight new
+/// ones; `INLINE_MAX_BYTES` alone would let it name 56.
+const INLINE_MAX_COPY_BYTES: usize = 32 * 1024;
 
-/// The root-to-leaf path copy an append pays per keyword, in generation
-/// copies of the same time (≈ 0.8 µs ÷ 73 ns ≈ 11; see above).
-const INLINE_PATH_GENERATIONS: usize = 12;
+/// The root-to-leaf path copy an append pays per keyword, in list bytes
+/// of about the same time (≈ 0.8 µs at 75–250 ns a KiB is 3–11 KiB; see
+/// above). It is what bounds the new keywords one append may name.
+const INLINE_PATH_BYTES: usize = 4 * 1024;
 
 /// How far an exact hit may go to produce its answer.
 #[derive(Clone, Copy)]
@@ -212,21 +218,26 @@ impl SchemeOps for Ops {
     fn encode_value(list: &GenerationList, w: &mut WireWriter) {
         w.put_u64(list.len() as u64);
         for generation in list.iter() {
-            w.put_bytes(&generation.masked_ids);
-            w.put_array(&generation.key_commitment);
+            w.put_bytes(generation.masked_ids);
+            w.put_array(generation.key_commitment);
         }
     }
 
+    /// One exact allocation per list: a first pass over a copy of the
+    /// reader sizes the block (and finds any truncation before anything is
+    /// built), the second copies each generation into it.
     fn decode_value(r: &mut WireReader<'_>, (): &()) -> Result<GenerationList> {
         let gens = r.get_count(40)?;
-        let mut list = GenerationList::with_capacity(gens);
+        let mut sizing = r.clone();
+        let mut masked_bytes = 0;
         for _ in 0..gens {
-            let masked_ids = r.get_bytes()?.to_vec();
-            let key_commitment = r.get_array32()?;
-            list.push(Generation {
-                masked_ids,
-                key_commitment,
-            });
+            masked_bytes += sizing.get_bytes()?.len();
+            sizing.get_array(32)?;
+        }
+        let mut list = GenerationList::with_capacity(gens, masked_bytes);
+        for _ in 0..gens {
+            let masked_ids = r.get_bytes()?;
+            list.push(masked_ids, &r.get_array32()?);
         }
         Ok(list)
     }
@@ -237,12 +248,12 @@ impl SchemeOps for Ops {
         (): &mut (),
         record: &[u8],
     ) -> Result<u64> {
+        if record.first() == Some(&protocol::req::APPEND_GENERATIONS) {
+            let entries = protocol::decode_append_generations(record)?;
+            append_generations(data, &entries);
+            return Ok(entries.len() as u64);
+        }
         match protocol::decode_request(record)? {
-            Request::AppendGenerations(entries) => {
-                let n = entries.len() as u64;
-                append_generations(data, entries);
-                Ok(n)
-            }
             Request::ResetIndex => {
                 reset_index(data);
                 // The entries go with the tree they shadowed; the seq keeps
@@ -260,28 +271,17 @@ impl SchemeOps for Ops {
     }
 }
 
-/// Append generation entries to the shard tree.
-fn append_generations(
-    data: &mut ShardData<Ops>,
-    entries: impl IntoIterator<Item = GenerationEntry>,
-) {
+/// Append generation entries to the shard tree, each copied from the
+/// record straight into its keyword's list.
+fn append_generations(data: &mut ShardData<Ops>, entries: &[GenerationEntryRef<'_>]) {
     for entry in entries {
-        let GenerationEntry {
-            tag,
-            sealed_ids,
-            commitment,
-        } = entry;
-        data.note_mutated(tag);
-        let generation = Generation {
-            masked_ids: sealed_ids,
-            key_commitment: commitment,
-        };
-        match data.tree.get_mut(&tag) {
-            Some(list) => list.push(generation),
+        data.note_mutated(entry.tag);
+        match data.tree.get_mut(&entry.tag) {
+            Some(list) => list.push(entry.sealed_ids, &entry.commitment),
             None => {
                 let mut list = GenerationList::new();
-                list.push(generation);
-                data.tree.insert(tag, list);
+                list.push(entry.sealed_ids, &entry.commitment);
+                data.tree.insert(entry.tag, list);
             }
         }
     }
@@ -482,8 +482,8 @@ impl Scheme2Server {
     /// * the server is in memory (a durable mutation waits for an fsync);
     /// * the request is at most `INLINE_MAX_BYTES`;
     /// * the keywords an append touches cost at most
-    ///   `INLINE_MAX_GENERATIONS` generation copies together, each its
-    ///   list's length plus `INLINE_PATH_GENERATIONS`;
+    ///   `INLINE_MAX_COPY_BYTES` together, each its list's stored bytes
+    ///   plus `INLINE_PATH_BYTES`;
     /// * every lock it needs — the document-store lock, or the quiescence
     ///   lock, the shard data locks, the swap window and the snapshot
     ///   cells — was free on the first `try_`, all taken before anything
@@ -601,11 +601,14 @@ impl Scheme2Server {
         let Some(park) = park else {
             // Charged against one budget as each shard's data lock is
             // taken; a tag named twice is charged twice.
-            let budget = Cell::new(INLINE_MAX_GENERATIONS);
+            let budget = Cell::new(INLINE_MAX_COPY_BYTES);
             let admits = |i: usize, data: &ShardData<Ops>| {
                 groups[&i].iter().all(|e| {
-                    let held = data.tree.get(&e.tag).map_or(0, GenerationList::len);
-                    let left = budget.get().checked_sub(held + INLINE_PATH_GENERATIONS);
+                    let held = data
+                        .tree
+                        .get(&e.tag)
+                        .map_or(0, GenerationList::stored_bytes);
+                    let left = budget.get().checked_sub(held + INLINE_PATH_BYTES);
                     left.inspect(|&left| budget.set(left)).is_some()
                 })
             };
@@ -664,7 +667,6 @@ impl Scheme2Server {
         let outcome = match found {
             None => Ok(Vec::new()),
             Some(list) => {
-                let list = list.as_slice();
                 // Optimization 1: with the ids of a prefix of the list on
                 // file, only what was appended since is walked and decrypted.
                 let prefix = memo.filter(|m| m.covers_prefix_of(list, snap.applied_seq));
@@ -679,7 +681,7 @@ impl Scheme2Server {
                             ids: Arc::clone(&ids),
                             walk_cost: walker.steps() as u64,
                             gens: list.len() as u64,
-                            last_commitment: newest.key_commitment,
+                            last_commitment: *newest.key_commitment,
                         };
                         self.store_memo(si, tag, memo);
                     }
@@ -701,7 +703,7 @@ impl Scheme2Server {
     /// id set it holds. `prefix` holds the ids of its first `prefix.gens`.
     fn unlock(
         &self,
-        list: &[Generation],
+        list: &GenerationList,
         prefix: Option<&SearchMemo>,
         walker: &mut ChainWalker,
     ) -> std::result::Result<Arc<[u64]>, String> {
@@ -716,11 +718,11 @@ impl Scheme2Server {
         // chain forward from the trapdoor. Each generation decrypts to an
         // (added ids, deleted ids) pair; deletions are the beyond-paper
         // dynamic-SSE extension (an empty delete list is the paper's case).
-        let locked = &list[covered..];
+        let locked: Vec<GenerationRef<'_>> = list.iter().skip(covered).collect();
         let mut decoded: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); locked.len()];
         for (pos, generation) in locked.iter().enumerate().rev() {
             // Advance until the commitment matches this generation's key.
-            if !walker.seek_commitment(&generation.key_commitment, max_walk) {
+            if !walker.seek_commitment(generation.key_commitment, max_walk) {
                 return Err(format!(
                     "chain walk exceeded {max_walk} steps; client/server desync"
                 ));
@@ -728,7 +730,7 @@ impl Scheme2Server {
             // The walker stands on the generation key: decrypt the posting
             // entry.
             let plain = EtmKey::new(walker.element())
-                .open(&generation.masked_ids)
+                .open(generation.masked_ids)
                 .map_err(|e| format!("generation decryption failed: {e}"))?;
             let mut r = WireReader::new(&plain);
             decoded[pos] = (|| {
@@ -858,6 +860,46 @@ mod tests {
 
     fn server() -> Scheme2Server {
         Scheme2Server::new_in_memory(Scheme2Config::standard().with_chain_length(64))
+    }
+
+    /// The stored form of a generation list — snapshots, and the values
+    /// an `lsm` run holds — is pinned byte for byte, whatever the list's
+    /// layout in memory: `u64` count, then per generation a `u64`-length-
+    /// prefixed `masked_ids` and the 32-byte commitment. One of three
+    /// bytes, one empty and one of ten.
+    #[test]
+    fn value_encoding_is_pinned_and_decodes_exactly() {
+        let mut list = GenerationList::new();
+        let ten: Vec<u8> = (0..10).collect();
+        for (masked_ids, c) in [(&[0xA1, 0xA2, 0xA3][..], 0x11), (&[], 0x22), (&ten, 0x33)] {
+            list.push(masked_ids, &[c; 32]);
+        }
+        let mut w = WireWriter::new();
+        Ops::encode_value(&list, &mut w);
+        let encoded = w.finish();
+        let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+        let commitment = |c: &str| c.repeat(32);
+        let want = [
+            "0300000000000000",
+            "0300000000000000a1a2a3",
+            &commitment("11"),
+            "0000000000000000",
+            &commitment("22"),
+            "0a0000000000000000010203040506070809",
+            &commitment("33"),
+        ]
+        .concat();
+        assert_eq!(hex, want);
+
+        let mut r = WireReader::new(&encoded);
+        let decoded = Ops::decode_value(&mut r, &()).unwrap();
+        r.finish().unwrap();
+        assert_eq!(decoded, list);
+        // Every truncation is an error, never a panic or a shorter list.
+        for cut in 0..encoded.len() {
+            let mut r = WireReader::new(&encoded[..cut]);
+            assert!(Ops::decode_value(&mut r, &()).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -1432,31 +1474,36 @@ mod tests {
         assert_eq!(at_bound.len(), INLINE_MAX_BYTES);
         decode_ack(&s.try_handle_inline(&at_bound, Vec::new).expect("at bound")).unwrap();
 
-        // The budget: two keywords whose lists cost INLINE_MAX_GENERATIONS
+        // The budget: two keywords whose lists cost INLINE_MAX_COPY_BYTES
         // together are appended to, one generation more is not. The
-        // server appends without decrypting: any bytes make a generation.
+        // server appends without decrypting: any bytes make a generation,
+        // here 128 stored bytes each, which both budget lines divide.
         let (x, y) = ([0x41u8; 32], [0x42u8; 32]);
+        const STORED: usize = 96 + 32;
+        assert_eq!((INLINE_MAX_COPY_BYTES / 2 - INLINE_PATH_BYTES) % STORED, 0);
+        assert_eq!((INLINE_MAX_COPY_BYTES - INLINE_PATH_BYTES) % STORED, 0);
         let raw = |tag, g: u8| GenerationEntry {
             tag,
-            sealed_ids: vec![g; 48],
+            sealed_ids: vec![g; STORED - 32],
             commitment: [g; 32],
         };
+        let stored = |tag| s.engine.snap(0).tree.get(&tag).unwrap().stored_bytes();
         let both = |g| protocol::encode_append_generations(&[raw(x, g), raw(y, g)]);
-        for g in 0..INLINE_MAX_GENERATIONS / 2 - INLINE_PATH_GENERATIONS {
+        for g in 0..(INLINE_MAX_COPY_BYTES / 2 - INLINE_PATH_BYTES) / STORED {
             decode_ack(&s.handle_shared(&both(g as u8))).unwrap();
         }
+        assert_eq!(2 * (stored(x) + INLINE_PATH_BYTES), INLINE_MAX_COPY_BYTES);
         let at_budget = s.try_handle_inline(&both(0xA0), Vec::new);
         decode_ack(&at_budget.expect("at budget")).unwrap();
         assert_declines(&s, &both(0xA1), "a generation over the budget");
         let one = |g| protocol::encode_append_generations(&[raw(x, g)]);
         let alone = s.try_handle_inline(&one(0xA2), Vec::new);
         decode_ack(&alone.expect("one list alone fits")).unwrap();
-        // One list alone: at most INLINE_MAX_GENERATIONS less its path.
-        while s.engine.snap(0).tree.get(&x).unwrap().len()
-            < INLINE_MAX_GENERATIONS - INLINE_PATH_GENERATIONS
-        {
+        // One list alone: at most INLINE_MAX_COPY_BYTES less its path.
+        while stored(x) < INLINE_MAX_COPY_BYTES - INLINE_PATH_BYTES {
             decode_ack(&s.handle_shared(&one(0xB0))).unwrap();
         }
+        assert_eq!(stored(x) + INLINE_PATH_BYTES, INLINE_MAX_COPY_BYTES);
         decode_ack(
             &s.try_handle_inline(&one(0xB1), Vec::new)
                 .expect("at budget"),
@@ -1469,7 +1516,11 @@ mod tests {
             let entries: Vec<_> = (0..n).map(|k| raw([0x50 + k; 32], k)).collect();
             protocol::encode_append_generations(&entries)
         };
-        let most = (INLINE_MAX_GENERATIONS / INLINE_PATH_GENERATIONS) as u8;
+        let most = (INLINE_MAX_COPY_BYTES / INLINE_PATH_BYTES) as u8;
+        assert!(
+            fresh(most + 1).len() <= INLINE_MAX_BYTES,
+            "the budget declines, not the size"
+        );
         assert_declines(&s, &fresh(most + 1), "one new keyword over the budget");
         decode_ack(
             &s.try_handle_inline(&fresh(most), Vec::new)
@@ -1984,11 +2035,14 @@ mod tests {
         // prefix for a search still reading the old snapshot, although
         // tag, list length and commitment all agree.
         let filed = s.engine.sidecar(0).lock().entries[&tag].clone();
-        let old_list = old.tree.get(&tag).unwrap().as_slice();
-        assert_eq!(filed.last_commitment, old_list[0].key_commitment);
+        let old_list = old.tree.get(&tag).unwrap();
+        assert_eq!(
+            filed.last_commitment,
+            *old_list.get(0).unwrap().key_commitment
+        );
         assert!(!filed.covers_prefix_of(old_list, old.applied_seq));
         let now = s.engine.snap(0);
-        assert!(filed.covers_prefix_of(now.tree.get(&tag).unwrap().as_slice(), now.applied_seq));
+        assert!(filed.covers_prefix_of(now.tree.get(&tag).unwrap(), now.applied_seq));
     }
 
     #[test]

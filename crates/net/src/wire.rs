@@ -147,7 +147,8 @@ impl WireWriter {
     }
 }
 
-/// Message reader.
+/// Message reader. A clone reads on from the same position, on its own.
+#[derive(Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,

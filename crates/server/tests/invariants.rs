@@ -391,15 +391,17 @@ fn pipelined_updates_on_one_worker_share_fsyncs() {
 /// 256 closed-loop updates of two keywords each, every one published.
 /// Server-thread allocations per update read 314 while a path copy cloned
 /// every list in the leaf (about 9 lists of 17 allocations per keyword),
-/// and 75 since values are shared by `Arc` (per keyword about 10 for the
-/// path's nodes and 18 for its one list, the rest framing and decode).
-/// It reads 75 whether a worker applies the update or the reactor does
-/// (DESIGN.md §4n); the bound is that reading plus a small margin.
+/// 75 once values were shared by `Arc` (a list copy was then 18: its
+/// `Arc`, its `Vec` of generations and one `Vec` per generation), and 41
+/// since a list is one block: a copy is its `Arc` and one allocation,
+/// and the apply pushes each generation straight from the record. The
+/// rest per keyword is about 10 for the path's nodes; the remainder is
+/// framing and decode. The bound is that reading plus a small margin.
 fn index_updates_copy_one_list_per_keyword() {
     const KEYWORDS: u32 = 4096;
     const GENERATIONS: u8 = 16;
     const UPDATES: u32 = 256;
-    const ALLOCS_PER_UPDATE: u64 = 80;
+    const ALLOCS_PER_UPDATE: u64 = 45;
     let daemon = Daemon::spawn(ServerConfig::default()).unwrap();
     let mut stream = raw_connection(daemon.local_addr());
     let tag = |k: u32| {
