@@ -9,7 +9,10 @@
 //!   the batch grows ("the information leakage goes asymptotically towards
 //!   zero bits").
 //! * **Fake updates** — pad every update to an identical keyword count
-//!   with no-op entries, making all updates look alike.
+//!   with no-op entries, making all updates look alike in that count.
+//!   Not in length for Scheme 2: a sealed generation carries 8 bytes per
+//!   id, so a no-op one is shorter than a real one (Scheme 1's all-zero
+//!   arrays have full width). This module models the count only.
 //!
 //! This module quantifies both. The *observation* available to the
 //! honest-but-curious server is exactly the number of entries in an

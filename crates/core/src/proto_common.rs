@@ -1,8 +1,13 @@
 //! Protocol fragments shared by both schemes' wire formats: document
-//! upload, acknowledgements, search results and error responses.
+//! upload, acknowledgements, search results and error responses, plus the
+//! client-side send and open steps both scheme clients share.
 
 use crate::error::{Result, SseError};
+use crate::types::{Document, SearchHits};
+use sse_net::link::Transport;
 use sse_net::wire::{WireReader, WireWriter};
+use sse_primitives::drbg::HmacDrbg;
+use sse_primitives::etm::EtmKey;
 
 /// Shared response tag bytes.
 pub mod resp {
@@ -172,6 +177,51 @@ pub fn decode_put_docs_body(r: &mut WireReader<'_>) -> Result<Vec<(u64, Vec<u8>)
         docs.push((id, r.get_bytes()?.to_vec()));
     }
     Ok(docs)
+}
+
+/// Client side: send one request and check its `Ack`.
+pub(crate) fn send<T: Transport>(link: &mut T, request: &[u8]) -> Result<()> {
+    decode_ack(&link.round_trip(request)?)
+}
+
+/// Client side: send update messages and check every `Ack` — through
+/// [`Transport::round_trip_batch`] when `batch` (no round for no parts),
+/// else one [`send`] each, stopping at the first failure.
+pub(crate) fn send_all<T: Transport>(link: &mut T, parts: &[Vec<u8>], batch: bool) -> Result<()> {
+    if !batch {
+        return parts.iter().try_for_each(|p| send(link, p));
+    }
+    if !parts.is_empty() {
+        for resp in &link.round_trip_batch(parts)? {
+            decode_ack(resp)?;
+        }
+    }
+    Ok(())
+}
+
+/// Client side: `(id, E_km(M_i))` for each document, each under a fresh
+/// IV drawn from the client's DRBG (so seeded runs are reproducible).
+pub(crate) fn seal_blobs(
+    etm: &EtmKey,
+    drbg: &mut HmacDrbg,
+    docs: &[Document],
+) -> Vec<(u64, Vec<u8>)> {
+    let seal = |d: &Document| {
+        let mut iv = [0u8; 12];
+        drbg.fill(&mut iv);
+        (d.id, etm.seal_with_iv(&iv, &d.data))
+    };
+    docs.iter().map(seal).collect()
+}
+
+/// Client side: open every blob of a decoded result list under the data
+/// key.
+pub(crate) fn open_hits(etm: &EtmKey, encrypted: Vec<(u64, &[u8])>) -> Result<SearchHits> {
+    let mut hits = Vec::with_capacity(encrypted.len());
+    for (id, blob) in encrypted {
+        hits.push((id, etm.open(blob)?));
+    }
+    Ok(hits)
 }
 
 #[cfg(test)]

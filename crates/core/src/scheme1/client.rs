@@ -8,6 +8,7 @@
 use super::protocol::{self, UpdateEntry};
 use super::Scheme1Config;
 use crate::error::{Result, SseError};
+use crate::proto_common;
 use crate::scheme::SseClientApi;
 use crate::types::{Document, Keyword, MasterKey, SearchHits};
 use sse_index::bitset::DocBitSet;
@@ -102,39 +103,10 @@ impl<T: Transport> Scheme1Client<T> {
     /// Rejects ids beyond the configured capacity; propagates protocol and
     /// crypto failures.
     pub fn store(&mut self, docs: &[Document]) -> Result<()> {
-        for d in docs {
-            if d.id >= self.config.capacity_docs {
-                return Err(SseError::DocIdOutOfRange {
-                    id: d.id,
-                    capacity: self.config.capacity_docs,
-                });
-            }
-        }
-
+        let updates = self.index_updates(docs)?;
         // DataStorage: ship E_km(M_i).
-        if !docs.is_empty() {
-            let blobs: Vec<(u64, Vec<u8>)> = docs
-                .iter()
-                .map(|d| (d.id, self.seal_blob(&d.data)))
-                .collect();
-            let resp = self.link.round_trip(&protocol::encode_put_docs(&blobs))?;
-            protocol::decode_ack(&resp)?;
-        }
-
-        // MetadataStorage: gather U(w) for each unique keyword.
-        let mut updates: BTreeMap<[u8; 32], DocBitSet> = BTreeMap::new();
-        for d in docs {
-            for w in &d.keywords {
-                updates
-                    .entry(self.tag(w))
-                    .or_insert_with(|| DocBitSet::new(self.config.capacity_docs as usize))
-                    .toggle(d.id);
-            }
-        }
-        if updates.is_empty() {
-            return Ok(());
-        }
-        self.send_masked_updates(updates)
+        let put = self.put_docs(docs);
+        self.update(put, updates, false)
     }
 
     /// [`Scheme1Client::store`] with the final two mutations (`PutDocs`,
@@ -150,64 +122,76 @@ impl<T: Transport> Scheme1Client<T> {
     /// # Errors
     /// Same failure modes as [`Scheme1Client::store`].
     pub fn store_batch(&mut self, docs: &[Document]) -> Result<()> {
-        for d in docs {
-            if d.id >= self.config.capacity_docs {
-                return Err(SseError::DocIdOutOfRange {
-                    id: d.id,
-                    capacity: self.config.capacity_docs,
-                });
+        let updates = self.index_updates(docs)?;
+        let put = self.put_docs(docs);
+        self.update(put, updates, true)
+    }
+
+    /// The one update body (Fig. 1 `MetadataStorage`; §5.7's fake updates
+    /// only change its input). Sends `lead` (`PutDocs`), then — for a
+    /// non-empty `tag → U(w)` map — fetches every `F(r)` (round 1) and
+    /// sends the masked deltas (round 2): each old mask stripped where a
+    /// nonce exists, a fresh `G(r')` applied. With `batch` the lead and the
+    /// deltas go in one [`Transport::round_trip_batch`] after round 1.
+    fn update(
+        &mut self,
+        lead: Option<Vec<u8>>,
+        updates: BTreeMap<[u8; 32], DocBitSet>,
+        batch: bool,
+    ) -> Result<()> {
+        let mut parts = Vec::with_capacity(2);
+        if let Some(lead) = lead {
+            if batch {
+                parts.push(lead);
+            } else {
+                proto_common::send(&mut self.link, &lead)?;
             }
+        }
+        if !updates.is_empty() {
+            let tags: Vec<[u8; 32]> = updates.keys().copied().collect();
+            let nonces = self.fetch_nonces(&tags)?;
+            let mut entries = Vec::with_capacity(updates.len());
+            for ((tag, u_w), stored_f_r) in updates.into_iter().zip(nonces) {
+                let old_seed = stored_f_r.map(|f_r| self.seed_of(&f_r)).transpose()?;
+                entries.push(self.masked_entry(tag, u_w.as_bytes().to_vec(), old_seed.as_ref()));
+            }
+            parts.push(protocol::encode_apply_updates(&entries));
+        }
+        proto_common::send_all(&mut self.link, &parts, batch)
+    }
+
+    /// Check every id against the capacity, then gather `U(w)` per unique
+    /// keyword tag.
+    fn index_updates(&self, docs: &[Document]) -> Result<BTreeMap<[u8; 32], DocBitSet>> {
+        let capacity = self.config.capacity_docs;
+        if let Some(d) = docs.iter().find(|d| d.id >= capacity) {
+            return Err(SseError::DocIdOutOfRange { id: d.id, capacity });
         }
         let mut updates: BTreeMap<[u8; 32], DocBitSet> = BTreeMap::new();
         for d in docs {
             for w in &d.keywords {
                 updates
                     .entry(self.tag(w))
-                    .or_insert_with(|| DocBitSet::new(self.config.capacity_docs as usize))
+                    .or_insert_with(|| DocBitSet::new(capacity as usize))
                     .toggle(d.id);
             }
         }
-
-        let mut parts: Vec<Vec<u8>> = Vec::with_capacity(2);
-        if !docs.is_empty() {
-            let blobs: Vec<(u64, Vec<u8>)> = docs
-                .iter()
-                .map(|d| (d.id, self.seal_blob(&d.data)))
-                .collect();
-            parts.push(protocol::encode_put_docs(&blobs));
-        }
-        if !updates.is_empty() {
-            // Round 1: fetch F(r) for every touched keyword.
-            let tags: Vec<[u8; 32]> = updates.keys().copied().collect();
-            let resp = self.link.round_trip(&protocol::encode_get_nonces(&tags))?;
-            let nonces = protocol::decode_nonces(&resp)?;
-            if nonces.len() != tags.len() {
-                return Err(SseError::ProtocolViolation {
-                    expected: "one nonce slot per requested tag",
-                    got: format!("{} slots for {} tags", nonces.len(), tags.len()),
-                });
-            }
-            let entries = self.build_masked_entries(updates, nonces)?;
-            parts.push(protocol::encode_apply_updates(&entries));
-        }
-        if parts.is_empty() {
-            return Ok(());
-        }
-        let responses = self.link.round_trip_batch(&parts)?;
-        for resp in &responses {
-            protocol::decode_ack(resp)?;
-        }
-        Ok(())
+        Ok(updates)
     }
 
-    /// The two-round masked-update exchange of Fig. 1 for pre-built
-    /// `tag → U(w)` arrays. Shared by [`Scheme1Client::store`] and the
-    /// leakage-hiding fake updates.
-    fn send_masked_updates(&mut self, updates: BTreeMap<[u8; 32], DocBitSet>) -> Result<()> {
-        let tags: Vec<[u8; 32]> = updates.keys().copied().collect();
+    /// The `PutDocs` message for `docs` (`DataStorage`), none for no docs.
+    fn put_docs(&mut self, docs: &[Document]) -> Option<Vec<u8>> {
+        if docs.is_empty() {
+            return None;
+        }
+        let blobs = proto_common::seal_blobs(&self.etm, &mut self.drbg, docs);
+        Some(protocol::encode_put_docs(&blobs))
+    }
 
-        // Round 1: fetch F(r) for every touched keyword.
-        let resp = self.link.round_trip(&protocol::encode_get_nonces(&tags))?;
+    /// Round 1 of an update or batched search: the stored `F(r)` for every
+    /// tag, position-aligned (absent for unknown tags).
+    fn fetch_nonces(&mut self, tags: &[[u8; 32]]) -> Result<Vec<Option<Vec<u8>>>> {
+        let resp = self.link.round_trip(&protocol::encode_get_nonces(tags))?;
         let nonces = protocol::decode_nonces(&resp)?;
         if nonces.len() != tags.len() {
             return Err(SseError::ProtocolViolation {
@@ -215,42 +199,37 @@ impl<T: Transport> Scheme1Client<T> {
                 got: format!("{} slots for {} tags", nonces.len(), tags.len()),
             });
         }
-
-        // Round 2: build and send the masked deltas.
-        let entries = self.build_masked_entries(updates, nonces)?;
-        let resp = self
-            .link
-            .round_trip(&protocol::encode_apply_updates(&entries))?;
-        protocol::decode_ack(&resp)
+        Ok(nonces)
     }
 
-    /// Turn `tag → U(w)` arrays plus their fetched `F(r)` slots into masked
-    /// [`UpdateEntry`]s: strip the old mask where a nonce exists, apply a
-    /// fresh `G(r')`.
-    fn build_masked_entries(
+    /// Recover the PRG seed of `r` from a serialized `F(r)`.
+    fn seed_of(&self, f_r_bytes: &[u8]) -> Result<[u8; 32]> {
+        let ct = ElGamalCiphertext::from_bytes(self.elgamal.group(), f_r_bytes)?;
+        Ok(self.elgamal.decrypt_to_seed(&ct)?)
+    }
+
+    /// An [`UpdateEntry`] for `tag`: `delta` with the old mask `G(r)`
+    /// stripped (when `old_seed` is known) and the mask `G(r')` of a fresh
+    /// nonce `r'` applied, plus `F(r')`.
+    fn masked_entry(
         &mut self,
-        updates: BTreeMap<[u8; 32], DocBitSet>,
-        nonces: Vec<Option<Vec<u8>>>,
-    ) -> Result<Vec<UpdateEntry>> {
-        let mut entries = Vec::with_capacity(updates.len());
-        for ((tag, u_w), stored_f_r) in updates.into_iter().zip(nonces) {
-            let mut delta = u_w.as_bytes().to_vec();
-            if let Some(f_r_bytes) = stored_f_r {
-                // Existing keyword: recover r and strip the old mask.
-                let ct = ElGamalCiphertext::from_bytes(self.elgamal.group(), &f_r_bytes)?;
-                let old_seed = self.elgamal.decrypt_to_seed(&ct)?;
-                Prg::mask_in_place(&old_seed, &mut delta);
-            }
-            // Apply the fresh mask G(r').
-            let (new_seed, f_r_new) = self.fresh_nonce();
-            Prg::mask_in_place(&new_seed, &mut delta);
-            entries.push(UpdateEntry {
-                tag,
-                delta,
-                f_r: f_r_new,
-            });
+        tag: [u8; 32],
+        mut delta: Vec<u8>,
+        old_seed: Option<&[u8; 32]>,
+    ) -> UpdateEntry {
+        if let Some(seed) = old_seed {
+            Prg::mask_in_place(seed, &mut delta);
         }
-        Ok(entries)
+        // A fresh nonce r': apply G(r'), ship F(r').
+        let embedded = self.elgamal.embed_nonce(&self.drbg.gen_key());
+        let group = self.elgamal.group();
+        Prg::mask_in_place(&element_to_seed(group, &embedded), &mut delta);
+        let f_r = self.elgamal.encrypt_element(&embedded, &mut self.drbg);
+        UpdateEntry {
+            tag,
+            delta,
+            f_r: f_r.to_bytes(group),
+        }
     }
 
     /// `Trapdoor` + `Search` (Fig. 2, two rounds).
@@ -266,21 +245,16 @@ impl<T: Transport> Scheme1Client<T> {
         let Some(f_r_bytes) = protocol::decode_found(&resp)? else {
             return Ok(Vec::new());
         };
-        let ct = ElGamalCiphertext::from_bytes(self.elgamal.group(), &f_r_bytes)?;
-        let seed = self.elgamal.decrypt_to_seed(&ct)?;
+        let seed = self.seed_of(&f_r_bytes)?;
 
         // Round 2: reveal r; expect the matching encrypted documents.
         let resp = self
             .link
             .round_trip(&protocol::encode_search_reveal(&tag, &seed))?;
-        let encrypted = protocol::decode_result(&resp)?;
-        let mut hits = Vec::with_capacity(encrypted.len());
-        for (id, blob) in encrypted {
-            hits.push((id, self.etm.open(blob)?));
-        }
+        let hits = proto_common::open_hits(&self.etm, protocol::decode_result(&resp)?)?;
 
         if self.config.remask_after_search {
-            self.remask(tag, &seed)?;
+            self.remask(&[(tag, seed)])?;
         }
         Ok(hits)
     }
@@ -299,23 +273,14 @@ impl<T: Transport> Scheme1Client<T> {
         let tags: Vec<[u8; 32]> = keywords.iter().map(|w| self.tag(w)).collect();
 
         // Round 1: F(r) for every tag (unknown keywords come back absent).
-        let resp = self.link.round_trip(&protocol::encode_get_nonces(&tags))?;
-        let nonces = protocol::decode_nonces(&resp)?;
-        if nonces.len() != tags.len() {
-            return Err(SseError::ProtocolViolation {
-                expected: "one nonce slot per requested tag",
-                got: format!("{} slots for {} tags", nonces.len(), tags.len()),
-            });
-        }
+        let nonces = self.fetch_nonces(&tags)?;
 
         // Recover seeds for the keywords that exist.
         let mut reveal: Vec<([u8; 32], [u8; 32])> = Vec::new();
         let mut reveal_pos: Vec<usize> = Vec::new();
         for (i, stored) in nonces.iter().enumerate() {
             if let Some(f_r_bytes) = stored {
-                let ct = ElGamalCiphertext::from_bytes(self.elgamal.group(), f_r_bytes)?;
-                let seed = self.elgamal.decrypt_to_seed(&ct)?;
-                reveal.push((tags[i], seed));
+                reveal.push((tags[i], self.seed_of(f_r_bytes)?));
                 reveal_pos.push(i);
             }
         }
@@ -328,7 +293,7 @@ impl<T: Transport> Scheme1Client<T> {
         let resp = self
             .link
             .round_trip(&protocol::encode_search_reveal_many(&reveal))?;
-        let results = crate::proto_common::decode_result_many(&resp)?;
+        let results = proto_common::decode_result_many(&resp)?;
         if results.len() != reveal.len() {
             return Err(SseError::ProtocolViolation {
                 expected: "one result list per revealed tag",
@@ -336,33 +301,11 @@ impl<T: Transport> Scheme1Client<T> {
             });
         }
         for (slot, encrypted) in reveal_pos.iter().zip(results) {
-            let mut hits = Vec::with_capacity(encrypted.len());
-            for (id, blob) in encrypted {
-                hits.push((id, self.etm.open(blob)?));
-            }
-            out[*slot] = hits;
+            out[*slot] = proto_common::open_hits(&self.etm, encrypted)?;
         }
 
         if self.config.remask_after_search {
-            // One extra round re-randomizes every revealed mask at once.
-            let entries: Vec<UpdateEntry> = reveal
-                .iter()
-                .map(|(tag, seed)| {
-                    let mut delta = vec![0u8; self.config.index_bytes()];
-                    Prg::mask_in_place(seed, &mut delta);
-                    let (new_seed, f_r_new) = self.fresh_nonce();
-                    Prg::mask_in_place(&new_seed, &mut delta);
-                    UpdateEntry {
-                        tag: *tag,
-                        delta,
-                        f_r: f_r_new,
-                    }
-                })
-                .collect();
-            let resp = self
-                .link
-                .round_trip(&protocol::encode_apply_updates(&entries))?;
-            protocol::decode_ack(&resp)?;
+            self.remask(&reveal)?;
         }
         Ok(out)
     }
@@ -375,19 +318,12 @@ impl<T: Transport> Scheme1Client<T> {
     /// # Errors
     /// Propagates protocol and crypto failures.
     pub fn fake_update(&mut self, keywords: &[Keyword]) -> Result<()> {
-        let updates: BTreeMap<[u8; 32], DocBitSet> = keywords
+        let width = self.config.capacity_docs as usize;
+        let updates = keywords
             .iter()
-            .map(|w| {
-                (
-                    self.tag(w),
-                    DocBitSet::new(self.config.capacity_docs as usize),
-                )
-            })
+            .map(|w| (self.tag(w), DocBitSet::new(width)))
             .collect();
-        if updates.is_empty() {
-            return Ok(());
-        }
-        self.send_masked_updates(updates)
+        self.update(None, updates, false)
     }
 
     /// Ask a durable server to checkpoint its document store and keyword
@@ -396,8 +332,7 @@ impl<T: Transport> Scheme1Client<T> {
     /// # Errors
     /// Protocol failures, or a server-side error for in-memory servers.
     pub fn request_checkpoint(&mut self) -> Result<()> {
-        let resp = self.link.round_trip(&protocol::encode_checkpoint())?;
-        protocol::decode_ack(&resp)
+        proto_common::send(&mut self.link, &protocol::encode_checkpoint())
     }
 
     /// Capacity migration (extension; two rounds): grow the database's
@@ -427,68 +362,39 @@ impl<T: Transport> Scheme1Client<T> {
 
         // Re-mask every entry at the new width.
         let mut entries = Vec::with_capacity(dump.len());
-        for (tag, masked, f_r_bytes) in dump {
-            if masked.len() != old_width {
+        for (tag, mut plain, f_r_bytes) in dump {
+            if plain.len() != old_width {
                 return Err(SseError::ProtocolViolation {
                     expected: "index entries at the current width",
-                    got: format!("width {}", masked.len()),
+                    got: format!("width {}", plain.len()),
                 });
             }
-            let ct = ElGamalCiphertext::from_bytes(self.elgamal.group(), &f_r_bytes)?;
-            let seed = self.elgamal.decrypt_to_seed(&ct)?;
-            let mut plain = Prg::mask(&seed, &masked);
+            Prg::mask_in_place(&self.seed_of(&f_r_bytes)?, &mut plain);
             plain.resize(new_width, 0);
-            let (new_seed, f_r_new) = self.fresh_nonce();
-            Prg::mask_in_place(&new_seed, &mut plain);
-            entries.push(UpdateEntry {
-                tag,
-                delta: plain,
-                f_r: f_r_new,
-            });
+            entries.push(self.masked_entry(tag, plain, None));
         }
 
         // Round 2: atomic replace.
-        let resp = self
-            .link
-            .round_trip(&protocol::encode_replace_index(new_capacity, &entries))?;
-        protocol::decode_ack(&resp)?;
+        let replace = protocol::encode_replace_index(new_capacity, &entries);
+        proto_common::send(&mut self.link, &replace)?;
         self.config.capacity_docs = new_capacity;
         Ok(())
     }
 
-    /// Post-search re-masking (extension): replace the revealed mask `G(r)`
-    /// with a fresh `G(r')` via a zero-delta update, without a nonce
-    /// round-trip (the client just learned `r`).
-    fn remask(&mut self, tag: [u8; 32], revealed_seed: &[u8; 32]) -> Result<()> {
-        let mut delta = vec![0u8; self.config.index_bytes()];
-        Prg::mask_in_place(revealed_seed, &mut delta);
-        let (new_seed, f_r_new) = self.fresh_nonce();
-        Prg::mask_in_place(&new_seed, &mut delta);
-        let resp = self
-            .link
-            .round_trip(&protocol::encode_apply_updates(&[UpdateEntry {
-                tag,
-                delta,
-                f_r: f_r_new,
-            }]))?;
-        protocol::decode_ack(&resp)
-    }
-
-    /// Sample a fresh nonce `r'`, returning its PRG seed and serialized
-    /// `F(r')`.
-    fn fresh_nonce(&mut self) -> ([u8; 32], Vec<u8>) {
-        let nonce = self.drbg.gen_key();
-        let embedded = self.elgamal.embed_nonce(&nonce);
-        let seed = element_to_seed(self.elgamal.group(), &embedded);
-        let ct = self.elgamal.encrypt_element(&embedded, &mut self.drbg);
-        (seed, ct.to_bytes(self.elgamal.group()))
-    }
-
-    fn seal_blob(&mut self, data: &[u8]) -> Vec<u8> {
-        // Draw the IV from the client DRBG so runs are reproducible.
-        let mut iv = [0u8; 12];
-        self.drbg.fill(&mut iv);
-        self.etm.seal_with_iv(&iv, data)
+    /// Post-search re-masking (extension): replace each revealed mask
+    /// `G(r)` with a fresh `G(r')` via a zero-delta update, without a nonce
+    /// round-trip (the client just learned `r`). One entry per distinct
+    /// tag: two deltas built from the same `r` would both strip `G(r)`,
+    /// leaving `I ⊕ G(r) ⊕ G(r'₁) ⊕ G(r'₂)` under `F(r'₂)`.
+    fn remask(&mut self, revealed: &[([u8; 32], [u8; 32])]) -> Result<()> {
+        let width = self.config.index_bytes();
+        let mut entries: Vec<UpdateEntry> = Vec::with_capacity(revealed.len());
+        for (tag, seed) in revealed {
+            if !entries.iter().any(|e| e.tag == *tag) {
+                entries.push(self.masked_entry(*tag, vec![0u8; width], Some(seed)));
+            }
+        }
+        proto_common::send(&mut self.link, &protocol::encode_apply_updates(&entries))
     }
 
     /// Access the underlying transport (benchmarks swap meters, examples
@@ -656,6 +562,26 @@ mod tests {
             let hits = c.search(&Keyword::new("fever")).unwrap();
             assert_eq!(hits.len(), 2);
         }
+    }
+
+    #[test]
+    fn search_many_remasks_a_repeated_keyword_once() {
+        // Both reveals of "flu" carry the same r; a remask delta for each
+        // would strip G(r) twice and leave the stored array garbled.
+        let mut c = InMemoryScheme1Client::new_in_memory(
+            MasterKey::from_seed(42),
+            Scheme1Config::fast_profile(64).with_remask(),
+        );
+        c.store(&[
+            Document::new(0, b"zero".to_vec(), ["flu"]),
+            Document::new(1, b"one".to_vec(), ["flu"]),
+        ])
+        .unwrap();
+        let flu = Keyword::new("flu");
+        let both = c.search_many(&[flu.clone(), flu.clone()]).unwrap();
+        assert_eq!(both[0].len(), 2);
+        assert_eq!(both[1], both[0]);
+        assert_eq!(c.search(&flu).unwrap(), both[0], "index intact after");
     }
 
     #[test]

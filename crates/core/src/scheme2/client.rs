@@ -186,47 +186,9 @@ impl<T: Transport> Scheme2Client<T> {
     /// left — call [`Scheme2Client::reinitialize`]; other protocol/crypto
     /// failures propagate.
     pub fn store(&mut self, docs: &[Document]) -> Result<()> {
-        // DataStorage.
-        if !docs.is_empty() {
-            let blobs: Vec<(u64, Vec<u8>)> = docs
-                .iter()
-                .map(|d| (d.id, self.seal_blob(&d.data)))
-                .collect();
-            let resp = self.link.round_trip(&protocol::encode_put_docs(&blobs))?;
-            proto_common::decode_ack(&resp)?;
-        }
-
-        // Gather I_{j+1}(w) per unique keyword.
-        let mut per_keyword: BTreeMap<Keyword, Vec<DocId>> = BTreeMap::new();
-        for d in docs {
-            for w in &d.keywords {
-                per_keyword.entry(w.clone()).or_default().push(d.id);
-            }
-        }
-        if per_keyword.is_empty() {
-            return Ok(());
-        }
-        let (ctr, advanced) = self.next_update_counter()?;
-
-        let mut entries = Vec::with_capacity(per_keyword.len());
-        for (w, ids) in &per_keyword {
-            let k = self.chain(w).key_for_counter(ctr)?;
-            entries.push(GenerationEntry {
-                tag: self.tag(w),
-                sealed_ids: self.seal_posting(&k, ids, &[]),
-                commitment: key_commitment(&k),
-            });
-        }
-        let resp = self
-            .link
-            .round_trip(&protocol::encode_append_generations(&entries))?;
-        proto_common::decode_ack(&resp)?;
-
-        if advanced {
-            self.state.ctr = ctr;
-        }
-        self.state.searched_since_update = false;
-        Ok(())
+        // DataStorage, then MetadataStorage.
+        let put = self.put_docs(docs);
+        self.update(put, &[postings(docs, false)], false)
     }
 
     /// [`Scheme2Client::store`] with the two protocol messages (`PutDocs`,
@@ -236,55 +198,15 @@ impl<T: Transport> Scheme2Client<T> {
     /// the server applies it atomically — a racing search observes either
     /// none or all of the new generations, and each index shard takes a
     /// single journal append for the batch. On non-batching transports this
-    /// degrades to exactly the message sequence of [`Scheme2Client::store`].
+    /// degrades to exactly the message sequence of [`Scheme2Client::store`],
+    /// except on chain exhaustion: this sends nothing, where `store` has
+    /// already sent its `PutDocs`.
     ///
     /// # Errors
     /// Same failure modes as [`Scheme2Client::store`].
     pub fn store_batch(&mut self, docs: &[Document]) -> Result<()> {
-        let mut parts: Vec<Vec<u8>> = Vec::with_capacity(2);
-        if !docs.is_empty() {
-            let blobs: Vec<(u64, Vec<u8>)> = docs
-                .iter()
-                .map(|d| (d.id, self.seal_blob(&d.data)))
-                .collect();
-            parts.push(protocol::encode_put_docs(&blobs));
-        }
-
-        let mut per_keyword: BTreeMap<Keyword, Vec<DocId>> = BTreeMap::new();
-        for d in docs {
-            for w in &d.keywords {
-                per_keyword.entry(w.clone()).or_default().push(d.id);
-            }
-        }
-        let mut counter = None;
-        if !per_keyword.is_empty() {
-            let (ctr, advanced) = self.next_update_counter()?;
-            let mut entries = Vec::with_capacity(per_keyword.len());
-            for (w, ids) in &per_keyword {
-                let k = self.chain(w).key_for_counter(ctr)?;
-                entries.push(GenerationEntry {
-                    tag: self.tag(w),
-                    sealed_ids: self.seal_posting(&k, ids, &[]),
-                    commitment: key_commitment(&k),
-                });
-            }
-            parts.push(protocol::encode_append_generations(&entries));
-            counter = Some((ctr, advanced));
-        }
-        if parts.is_empty() {
-            return Ok(());
-        }
-        let responses = self.link.round_trip_batch(&parts)?;
-        for resp in &responses {
-            proto_common::decode_ack(resp)?;
-        }
-        if let Some((ctr, advanced)) = counter {
-            if advanced {
-                self.state.ctr = ctr;
-            }
-            self.state.searched_since_update = false;
-        }
-        Ok(())
+        let put = self.put_docs(docs);
+        self.update(put, &[postings(docs, false)], true)
     }
 
     /// `Trapdoor` + `Search` (Fig. 4): one round.
@@ -298,11 +220,7 @@ impl<T: Transport> Scheme2Client<T> {
         let resp = self
             .link
             .round_trip(&protocol::encode_search(&tag, &t_prime))?;
-        let encrypted = proto_common::decode_result(&resp)?;
-        let mut hits = Vec::with_capacity(encrypted.len());
-        for (id, blob) in encrypted {
-            hits.push((id, self.etm.open(blob)?));
-        }
+        let hits = proto_common::open_hits(&self.etm, proto_common::decode_result(&resp)?)?;
         self.state.searched_since_update = true;
         Ok(hits)
     }
@@ -333,48 +251,25 @@ impl<T: Transport> Scheme2Client<T> {
                 got: format!("{} lists for {} trapdoors", results.len(), keywords.len()),
             });
         }
-        let mut out = Vec::with_capacity(results.len());
-        for encrypted in results {
-            let mut hits = Vec::with_capacity(encrypted.len());
-            for (id, blob) in encrypted {
-                hits.push((id, self.etm.open(blob)?));
-            }
-            out.push(hits);
-        }
+        let out = results
+            .into_iter()
+            .map(|encrypted| proto_common::open_hits(&self.etm, encrypted))
+            .collect::<Result<Vec<_>>>()?;
         self.state.searched_since_update = true;
         Ok(out)
     }
 
     /// §5.7 *fake update*: append empty-id generations for the given
-    /// keywords. Indistinguishable on the wire from a real update touching
-    /// the same keyword count; posting sets are unchanged (empty lists add
-    /// nothing).
+    /// keywords — the same message, round and counter step as a real
+    /// update touching the same keyword count; posting sets are unchanged
+    /// (empty lists add nothing). Not length-indistinguishable: a sealed
+    /// generation carries 8 bytes per id it adds or removes, so an empty
+    /// one is shorter than a real one by 8 bytes per id.
     ///
     /// # Errors
     /// Same failure modes as [`Scheme2Client::store`].
     pub fn fake_update(&mut self, keywords: &[Keyword]) -> Result<()> {
-        if keywords.is_empty() {
-            return Ok(());
-        }
-        let (ctr, advanced) = self.next_update_counter()?;
-        let mut entries = Vec::with_capacity(keywords.len());
-        for w in keywords {
-            let k = self.chain(w).key_for_counter(ctr)?;
-            entries.push(GenerationEntry {
-                tag: self.tag(w),
-                sealed_ids: self.seal_posting(&k, &[], &[]),
-                commitment: key_commitment(&k),
-            });
-        }
-        let resp = self
-            .link
-            .round_trip(&protocol::encode_append_generations(&entries))?;
-        proto_common::decode_ack(&resp)?;
-        if advanced {
-            self.state.ctr = ctr;
-        }
-        self.state.searched_since_update = false;
-        Ok(())
+        self.update(None, &[fakes(keywords)], false)
     }
 
     /// Batched [`Scheme2Client::fake_update`]: one `AppendGenerations`
@@ -382,39 +277,14 @@ impl<T: Transport> Scheme2Client<T> {
     /// [`Transport::round_trip_batch`] — over TCP that is a single
     /// `UPDATE_MANY` envelope the server applies atomically with one journal
     /// append per touched shard. All groups share one counter value (they
-    /// form a single logical update). Used by the serving benchmark to issue
-    /// pure index-write load.
+    /// form a single logical update), which makes this pure index-write
+    /// load.
     ///
     /// # Errors
     /// Same failure modes as [`Scheme2Client::fake_update`].
     pub fn fake_update_many(&mut self, keyword_groups: &[Vec<Keyword>]) -> Result<()> {
-        let groups: Vec<&Vec<Keyword>> = keyword_groups.iter().filter(|g| !g.is_empty()).collect();
-        if groups.is_empty() {
-            return Ok(());
-        }
-        let (ctr, advanced) = self.next_update_counter()?;
-        let mut parts = Vec::with_capacity(groups.len());
-        for group in groups {
-            let mut entries = Vec::with_capacity(group.len());
-            for w in group.iter() {
-                let k = self.chain(w).key_for_counter(ctr)?;
-                entries.push(GenerationEntry {
-                    tag: self.tag(w),
-                    sealed_ids: self.seal_posting(&k, &[], &[]),
-                    commitment: key_commitment(&k),
-                });
-            }
-            parts.push(protocol::encode_append_generations(&entries));
-        }
-        let responses = self.link.round_trip_batch(&parts)?;
-        for resp in &responses {
-            proto_common::decode_ack(resp)?;
-        }
-        if advanced {
-            self.state.ctr = ctr;
-        }
-        self.state.searched_since_update = false;
-        Ok(())
+        let groups: Vec<Vec<Posting<'_>>> = keyword_groups.iter().map(|g| fakes(g)).collect();
+        self.update(None, &groups, true)
     }
 
     /// Deletion extension (beyond the paper): remove documents from the
@@ -431,37 +301,8 @@ impl<T: Transport> Scheme2Client<T> {
             return Ok(());
         }
         let ids: Vec<DocId> = docs.iter().map(|d| d.id).collect();
-        let resp = self.link.round_trip(&protocol::encode_remove_docs(&ids))?;
-        proto_common::decode_ack(&resp)?;
-
-        let mut per_keyword: BTreeMap<Keyword, Vec<DocId>> = BTreeMap::new();
-        for d in docs {
-            for w in &d.keywords {
-                per_keyword.entry(w.clone()).or_default().push(d.id);
-            }
-        }
-        if per_keyword.is_empty() {
-            return Ok(());
-        }
-        let (ctr, advanced) = self.next_update_counter()?;
-        let mut entries = Vec::with_capacity(per_keyword.len());
-        for (w, dels) in &per_keyword {
-            let k = self.chain(w).key_for_counter(ctr)?;
-            entries.push(GenerationEntry {
-                tag: self.tag(w),
-                sealed_ids: self.seal_posting(&k, &[], dels),
-                commitment: key_commitment(&k),
-            });
-        }
-        let resp = self
-            .link
-            .round_trip(&protocol::encode_append_generations(&entries))?;
-        proto_common::decode_ack(&resp)?;
-        if advanced {
-            self.state.ctr = ctr;
-        }
-        self.state.searched_since_update = false;
-        Ok(())
+        let remove = protocol::encode_remove_docs(&ids);
+        self.update(Some(remove), &[postings(docs, true)], false)
     }
 
     /// Ask a durable server to checkpoint its document store and keyword
@@ -470,8 +311,7 @@ impl<T: Transport> Scheme2Client<T> {
     /// # Errors
     /// Protocol failures, or a server-side error for in-memory servers.
     pub fn request_checkpoint(&mut self) -> Result<()> {
-        let resp = self.link.round_trip(&protocol::encode_checkpoint())?;
-        proto_common::decode_ack(&resp)
+        proto_common::send(&mut self.link, &protocol::encode_checkpoint())
     }
 
     /// Re-initialize after chain exhaustion (§5.6): bump the epoch, reset
@@ -482,41 +322,73 @@ impl<T: Transport> Scheme2Client<T> {
     /// # Errors
     /// Protocol/crypto failures during the rebuild.
     pub fn reinitialize(&mut self, all_docs: &[Document]) -> Result<()> {
-        let resp = self.link.round_trip(&protocol::encode_reset_index())?;
-        proto_common::decode_ack(&resp)?;
-        self.state.epoch += 1;
-        self.state.ctr = 0;
-        self.state.searched_since_update = true;
+        proto_common::send(&mut self.link, &protocol::encode_reset_index())?;
+        self.state = Scheme2ClientState {
+            epoch: self.state.epoch + 1,
+            ..Scheme2ClientState::default()
+        };
         self.chains.clear();
         // Re-run MetadataStorage only (blobs are still stored server-side).
-        let mut per_keyword: BTreeMap<Keyword, Vec<DocId>> = BTreeMap::new();
-        for d in all_docs {
-            for w in &d.keywords {
-                per_keyword.entry(w.clone()).or_default().push(d.id);
+        self.update(None, &[postings(all_docs, false)], false)
+    }
+
+    /// The one update body (Fig. 3 `MetadataStorage`; §5.7's batched and
+    /// fake updates only change its input). Sends `lead` (`PutDocs` or
+    /// `RemoveDocs`), then seals one generation per `(keyword, adds, dels)`
+    /// item under the next counter value — one `AppendGenerations` per
+    /// non-empty group — and sends those. With `batch` every message goes
+    /// in one [`Transport::round_trip_batch`] after the counter check; else
+    /// one round each, `lead` before it. The client state advances only
+    /// once every message is acked, and not at all when every group is
+    /// empty.
+    fn update(
+        &mut self,
+        lead: Option<Vec<u8>>,
+        groups: &[Vec<Posting<'_>>],
+        batch: bool,
+    ) -> Result<()> {
+        let mut parts = Vec::with_capacity(groups.len() + 1);
+        if let Some(lead) = lead {
+            if batch {
+                parts.push(lead);
+            } else {
+                proto_common::send(&mut self.link, &lead)?;
             }
         }
-        if per_keyword.is_empty() {
-            return Ok(());
+        let mut counter = None;
+        if groups.iter().any(|g| !g.is_empty()) {
+            let (ctr, advance) = self.next_update_counter()?;
+            for group in groups.iter().filter(|g| !g.is_empty()) {
+                let mut entries = Vec::with_capacity(group.len());
+                for (w, adds, dels) in group {
+                    let k = self.chain(w).key_for_counter(ctr)?;
+                    entries.push(GenerationEntry {
+                        tag: self.tag(w),
+                        sealed_ids: self.seal_posting(&k, adds, dels),
+                        commitment: key_commitment(&k),
+                    });
+                }
+                parts.push(protocol::encode_append_generations(&entries));
+            }
+            counter = Some((ctr, advance));
         }
-        let (ctr, advanced) = self.next_update_counter()?;
-        let mut entries = Vec::with_capacity(per_keyword.len());
-        for (w, ids) in &per_keyword {
-            let k = self.chain(w).key_for_counter(ctr)?;
-            entries.push(GenerationEntry {
-                tag: self.tag(w),
-                sealed_ids: self.seal_posting(&k, ids, &[]),
-                commitment: key_commitment(&k),
-            });
+        proto_common::send_all(&mut self.link, &parts, batch)?;
+        if let Some((ctr, advance)) = counter {
+            if advance {
+                self.state.ctr = ctr;
+            }
+            self.state.searched_since_update = false;
         }
-        let resp = self
-            .link
-            .round_trip(&protocol::encode_append_generations(&entries))?;
-        proto_common::decode_ack(&resp)?;
-        if advanced {
-            self.state.ctr = ctr;
-        }
-        self.state.searched_since_update = false;
         Ok(())
+    }
+
+    /// The `PutDocs` message for `docs` (`DataStorage`), none for no docs.
+    fn put_docs(&mut self, docs: &[Document]) -> Option<Vec<u8>> {
+        if docs.is_empty() {
+            return None;
+        }
+        let blobs = proto_common::seal_blobs(&self.etm, &mut self.drbg, docs);
+        Some(protocol::encode_put_docs(&blobs))
     }
 
     /// Seal one posting generation: the added ids plus (deletion
@@ -530,16 +402,42 @@ impl<T: Transport> Scheme2Client<T> {
         EtmKey::new(chain_key).seal_with_iv(&iv, &w.finish())
     }
 
-    fn seal_blob(&mut self, data: &[u8]) -> Vec<u8> {
-        let mut iv = [0u8; 12];
-        self.drbg.fill(&mut iv);
-        self.etm.seal_with_iv(&iv, data)
-    }
-
     /// Access the underlying transport.
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.link
     }
+}
+
+/// One generation to seal: a keyword, the ids it adds and (deletion
+/// extension) the ids it removes.
+type Posting<'a> = (&'a Keyword, Vec<DocId>, Vec<DocId>);
+
+/// One generation per unique keyword of `docs`, in keyword order, adding
+/// the ids of the documents that carry it — or, for `delete`, removing
+/// them.
+fn postings(docs: &[Document], delete: bool) -> Vec<Posting<'_>> {
+    let mut per_keyword: BTreeMap<&Keyword, Vec<DocId>> = BTreeMap::new();
+    for d in docs {
+        for w in &d.keywords {
+            per_keyword.entry(w).or_default().push(d.id);
+        }
+    }
+    let item = |(w, ids)| {
+        if delete {
+            (w, Vec::new(), ids)
+        } else {
+            (w, ids, Vec::new())
+        }
+    };
+    per_keyword.into_iter().map(item).collect()
+}
+
+/// Empty generations for a fake update.
+fn fakes(keywords: &[Keyword]) -> Vec<Posting<'_>> {
+    keywords
+        .iter()
+        .map(|w| (w, Vec::new(), Vec::new()))
+        .collect()
 }
 
 impl<T: Transport> SseClientApi for Scheme2Client<T> {
