@@ -1,14 +1,18 @@
-//! The index engine: everything under a scheme server that does not
-//! depend on which scheme it serves.
+//! The index engine: everything in a scheme server that does not depend
+//! on which scheme it serves.
 //!
 //! The paper's §5.1 is one design — one searchable representation `S(w)`
 //! per unique keyword, in a tree keyed by the tag `f_kw(w)` — and the two
 //! schemes differ only in what `S(w)` holds and how search and update
-//! read it. `IndexEngine` owns the shared part once: the sharded tag
+//! read it. [`IndexEngine`] owns the shared part once: the sharded tag
 //! trees, their journals and group committers, the epoch-snapshot read
-//! path, the document store, checkpointing, recovery, scrub and health.
-//! A scheme plugs in through `SchemeOps` (its value type, its codecs,
-//! its journal replay) and keeps only its request semantics.
+//! path, the document store, checkpointing, recovery, scrub and health,
+//! and the serving shell around them — the constructors, the library
+//! path, the `UPDATE_MANY` batch, the `Deref` to [`IndexAdmin`] and the
+//! `Service` impl. A scheme plugs in through `SchemeOps` (its value type,
+//! its codecs, its journal replay, its request dispatch and batch parts)
+//! and keeps only its request semantics: `Scheme1Server` and
+//! `Scheme2Server` are `IndexEngine` at their scheme.
 //!
 //! ## Sharding, group commit and snapshot reads
 //!
@@ -64,8 +68,10 @@
 //!
 //! The data path is generic over the scheme, not `dyn`: a search costs
 //! the same seqlock read and allocations as before the engine existed.
-//! Only the admin surface ([`IndexAdmin`]: scrub, counters, checkpoint)
-//! is reached through a trait object.
+//! A router hosting both schemes (the daemon's tenant table) reaches a
+//! server through the trait object [`IndexAdmin`]: one virtual call into
+//! the monomorphized path per request, and the admin surface (scrub,
+//! counters, checkpoint).
 
 use crate::commit::{
     journal_dead, CommitCounters, CommitStats, GroupCommitter, Reply, ReplySlot, StageGuard, Staged,
@@ -73,10 +79,12 @@ use crate::commit::{
 use crate::error::{Result, SseError};
 use crate::health::{ScrubFindings, TenantHealth};
 use crate::journal::{IndexJournal, ServerRecovery};
+use crate::ops::{BatchPart, SchemeOps, ShardData};
 use crate::proto_common;
 use crate::shard::{self, shard_of, BatchId};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sse_index::bptree::BpTree;
+use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_storage::backend::read_backend_manifest;
 use sse_storage::crc32::crc32;
@@ -87,73 +95,11 @@ use sse_storage::wal::{self, WalVerdict};
 use sse_storage::{
     resolve_backend, BackendCounters, BackendKind, DocBlobStore, RealVfs, StorageError, Vfs,
 };
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// What a scheme supplies to the engine. Crate-private and statically
-/// dispatched: the engine is monomorphized per scheme.
-pub(crate) trait SchemeOps: Sized + 'static {
-    /// The searchable representation stored per tag.
-    type Value: Clone + Send + Sync + 'static;
-    /// State guarded by the quiescence lock, copied into every snapshot
-    /// and persisted with every checkpoint (Scheme 1's index geometry).
-    type Meta: Clone + Send + Sync + 'static;
-    /// Per-shard in-memory state the engine carries but never reads, only
-    /// hands to [`SchemeOps::apply`] (Scheme 2's per-keyword search cache).
-    type Sidecar: Default + Send + Sync + 'static;
-
-    /// File stem: `<stem>.index`, `<stem>.{i}.wal`, `<stem>.kw{i}`,
-    /// `<stem>.meta`.
-    const STEM: &'static str;
-    /// Snapshot magic. The trailing version digit is 2: the body leads
-    /// with the `last_op_seq` the snapshot covers, so journal replay can
-    /// skip already-applied mutations.
-    const MAGIC: &'static [u8; 8];
-    /// Lower bound on one encoded value; with the 32-byte tag it bounds
-    /// the entry count a snapshot may declare.
-    const MIN_VALUE_BYTES: usize;
-
-    /// The persisted form of `meta`, of a width that does not depend on
-    /// its value: it follows `last_op_seq` in a btree snapshot and is the
-    /// keyword map's `meta` blob under lsm.
-    fn encode_meta(meta: &Self::Meta) -> Vec<u8>;
-
-    /// Check persisted meta bytes against the server's own.
-    ///
-    /// # Errors
-    /// [`StorageError::Corrupt`] on any disagreement.
-    fn check_meta(meta: &Self::Meta, stored: &[u8]) -> Result<()>;
-
-    /// Serialize one value: the per-tag body of a btree snapshot entry,
-    /// and the whole keyword-map value under lsm.
-    fn encode_value(value: &Self::Value, w: &mut WireWriter);
-
-    /// Inverse of [`SchemeOps::encode_value`], validated against `meta`.
-    ///
-    /// # Errors
-    /// Wire errors, or [`StorageError::Corrupt`] for a value `meta` rules
-    /// out.
-    fn decode_value(r: &mut WireReader<'_>, meta: &Self::Meta) -> Result<Self::Value>;
-
-    /// Apply one shard-local mutation — the same bytes live (at once in
-    /// memory; by a flush once the record is durable) and in recovery. No
-    /// re-journaling, no re-validation: the record was validated before it
-    /// was ever staged. Returns the entries it applied, for the scheme's
-    /// counters.
-    ///
-    /// # Errors
-    /// Wire errors, or [`StorageError::Corrupt`] if the record is not a
-    /// mutation.
-    fn apply(
-        data: &mut ShardData<Self>,
-        sidecar: &Self::Sidecar,
-        meta: &mut Self::Meta,
-        record: &[u8],
-    ) -> Result<u64>;
-}
 
 /// How to open a durable server. The defaults are what
 /// `open_durable(cfg, dir)` uses.
@@ -179,86 +125,6 @@ impl Default for DurableOptions {
             shards: 1,
             backend: BackendKind::Btree,
         }
-    }
-}
-
-/// A shard's mutable state: the live tree plus the highest op-seq applied
-/// to it. Records apply in seq order (`applied_seq + 1 == seq`).
-pub(crate) struct ShardData<S: SchemeOps> {
-    pub(crate) tree: BpTree<[u8; 32], S::Value>,
-    applied_seq: u64,
-    /// Tags mutated since the last checkpoint. Only tracked under the lsm
-    /// backend, which flushes exactly these into its keyword map; the
-    /// btree backend rewrites the whole snapshot file and never records.
-    dirty: HashSet<[u8; 32]>,
-    /// The whole index was replaced since the last checkpoint (lsm).
-    cleared: bool,
-    /// Durable per-shard keyword-map persistence (lsm backend only; the
-    /// btree backend keeps the monolithic `<stem>.index` snapshot).
-    kw_map: Option<LsmKeywordMap>,
-}
-
-impl<S: SchemeOps> ShardData<S> {
-    fn new(
-        tree: BpTree<[u8; 32], S::Value>,
-        applied_seq: u64,
-        kw_map: Option<LsmKeywordMap>,
-    ) -> Self {
-        ShardData {
-            tree,
-            applied_seq,
-            dirty: HashSet::new(),
-            cleared: false,
-            kw_map,
-        }
-    }
-
-    /// Inside [`SchemeOps::apply`] on the live path: the seq of the record
-    /// being applied.
-    pub(crate) fn applying_seq(&self) -> u64 {
-        self.applied_seq + 1
-    }
-
-    /// Record a durable mutation of `tag` for the next checkpoint flush.
-    pub(crate) fn note_mutated(&mut self, tag: [u8; 32]) {
-        if self.kw_map.is_some() {
-            self.dirty.insert(tag);
-        }
-    }
-
-    /// Record a full index replacement for the next checkpoint flush.
-    pub(crate) fn note_cleared(&mut self) {
-        if self.kw_map.is_some() {
-            self.dirty.clear();
-            self.cleared = true;
-        }
-    }
-
-    /// Flush an lsm-backed shard: clear if the index was replaced, write
-    /// every dirty tag's current value (or a tombstone if it vanished),
-    /// then commit one run carrying `applied_seq` and the encoded `meta`.
-    /// No-op for btree shards.
-    fn flush_kw_map(&mut self, meta: &S::Meta) -> Result<()> {
-        let Some(map) = &mut self.kw_map else {
-            return Ok(());
-        };
-        if self.cleared {
-            map.clear();
-        }
-        for tag in &self.dirty {
-            match self.tree.get(tag) {
-                Some(value) => {
-                    let mut w = WireWriter::new();
-                    S::encode_value(value, &mut w);
-                    map.put(*tag, w.finish());
-                }
-                None => map.delete(tag),
-            }
-        }
-        map.flush(self.applied_seq, &S::encode_meta(meta))?;
-        self.dirty.clear();
-        self.cleared = false;
-        Ok(())
     }
 }
 
@@ -372,10 +238,57 @@ fn kw_prefix<S: SchemeOps>(i: usize) -> String {
     format!("{}.kw{i}", S::STEM)
 }
 
-/// The scheme-independent admin surface of a scheme server: what the
-/// serving daemon, the scrub and the tests reach without caring which
-/// scheme is underneath. `Scheme1Server` and `Scheme2Server` deref to it.
+/// A scheme server with its scheme erased: its serving entry points and
+/// its admin surface — what the daemon's tenant table, the scrub and the
+/// tests reach without caring which scheme is underneath. Every
+/// [`IndexEngine`] derefs to it, so none of it needs this trait in scope.
 pub trait IndexAdmin {
+    /// Serve one request without exclusive access, from any number of
+    /// threads at once. Searches run against immutable snapshots; a
+    /// durable index mutation is staged and then committed by a flush on
+    /// this thread (DESIGN.md §4e), so the reply is final either way.
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+        self.handle_shared_with(request, Vec::new())
+    }
+
+    /// [`IndexAdmin::handle_shared`] with a recycled response buffer: the
+    /// hot search branch (Scheme 1's `SearchReveal`, Scheme 2's `Search`)
+    /// encodes its result into `scratch` (capacity reused, contents
+    /// discarded), so a steady-state search response costs no allocation
+    /// when the caller recycles buffers through a pool. Every other
+    /// request kind ignores the scratch.
+    fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8>;
+
+    /// [`IndexEngine::handle_parked`], its continuation borrowed rather
+    /// than boxed.
+    fn handle_parked(
+        &self,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: &mut dyn FnMut() -> Reply,
+    ) -> Option<Vec<u8>>;
+
+    /// Apply an `UPDATE_MANY` batch: every part must be a mutation
+    /// (`PutDocs`, or the scheme's `ApplyUpdates` / `AppendGenerations`).
+    /// All parts are decoded first (and Scheme 1's validated), then the
+    /// documents stored and the index updates journaled as one cross-shard
+    /// batch, applied all-or-nothing with respect to racing searches (all
+    /// touched shards' snapshots swap inside one epoch window).
+    fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8>;
+
+    /// [`IndexAdmin::apply_batch`] that leaves the batch's index mutation
+    /// parked, as [`IndexEngine::handle_parked`] does.
+    fn apply_batch_parked(
+        &self,
+        parts: &[&[u8]],
+        park: &mut dyn FnMut() -> Reply,
+    ) -> Option<Vec<u8>>;
+
+    /// Whether `request` only reads: its tag (first byte) is one of the
+    /// scheme's reads (`scheme1::protocol::is_read`,
+    /// `scheme2::protocol::is_read`). An empty request is not a read.
+    fn is_read(&self, request: &[u8]) -> bool;
+
     /// Flush (DESIGN.md §4e): every mutation parked so far is made durable,
     /// applied and replied to — by this call, which writes every shard no
     /// other thread is writing, or by the writer of a shard it found busy,
@@ -477,8 +390,11 @@ pub trait IndexAdmin {
     fn tree_height(&self) -> usize;
 }
 
-/// See the module docs.
-pub(crate) struct IndexEngine<S: SchemeOps> {
+/// A scheme server: the index engine (see the module docs) and the state
+/// of the scheme `S` it serves — `Scheme1Server` and `Scheme2Server` are
+/// this type at their scheme. Derefs to [`IndexAdmin`], its scheme-erased
+/// surface, and is the [`Service`] a transport hosts.
+pub struct IndexEngine<S: SchemeOps> {
     /// The quiescence lock: read-held while staging and by a flush,
     /// write-held by checkpoint, repair and meta rewrites — a checkpoint
     /// must see every staged record applied before it may snapshot and
@@ -500,11 +416,29 @@ pub(crate) struct IndexEngine<S: SchemeOps> {
     home: Option<Home>,
     recovery: ServerRecovery,
     health: Arc<TenantHealth>,
+    /// The scheme's own state: its counters, and Scheme 2's config.
+    pub(crate) scheme: S,
+}
+
+impl<S: SchemeOps> std::ops::Deref for IndexEngine<S> {
+    type Target = dyn IndexAdmin;
+
+    fn deref(&self) -> &Self::Target {
+        self
+    }
 }
 
 impl<S: SchemeOps> IndexEngine<S> {
-    /// In-memory engine with `shards` independently locked index shards.
-    pub(crate) fn in_memory(meta: S::Meta, shards: usize) -> Self {
+    /// In-memory server with a single index shard.
+    #[must_use]
+    pub fn new_in_memory(config: S::Config) -> Self {
+        Self::new_in_memory_sharded(config, 1)
+    }
+
+    /// In-memory server with `shards` independently locked index shards.
+    #[must_use]
+    pub fn new_in_memory_sharded(config: S::Config, shards: usize) -> Self {
+        let (scheme, meta) = S::new(config);
         let shards = (0..shards.max(1))
             .map(|_| ShardSlot::new(ShardData::new(BpTree::new(), 0, None), &meta))
             .collect();
@@ -520,15 +454,27 @@ impl<S: SchemeOps> IndexEngine<S> {
             home: None,
             recovery: ServerRecovery::default(),
             health: Arc::new(TenantHealth::new()),
+            scheme,
         }
     }
 
-    /// Durable engine under `dir`. Recovery brings back everything
-    /// acknowledged before a crash: the document store replays its WAL,
-    /// each shard's index snapshot (btree) or keyword map (lsm) is loaded
-    /// and validated against `meta`, and index mutations journaled after
-    /// them are re-applied in order (incomplete cross-shard batches
-    /// excluded).
+    /// Durable server persisting under `dir` with the default
+    /// [`DurableOptions`]: real filesystem, one index shard, group commit,
+    /// btree backend.
+    ///
+    /// # Errors
+    /// As [`IndexEngine::open_durable_with`].
+    pub fn open_durable(config: S::Config, dir: &Path) -> Result<Self> {
+        Self::open_durable_with(config, dir, DurableOptions::default())
+    }
+
+    /// Durable server persisting under `dir`. Recovery brings back
+    /// everything acknowledged before a crash: the document store replays
+    /// its WAL, each shard's index snapshot (btree) or keyword map (lsm)
+    /// is loaded and validated against the scheme's meta (Scheme 1's
+    /// geometry: the snapshot must have been written at the same
+    /// capacity), and index mutations journaled after them are re-applied
+    /// in order (incomplete cross-shard batches excluded).
     ///
     /// Under [`BackendKind::Lsm`] the document store is an
     /// [`LsmDocStore`] and each shard's values persist in an
@@ -538,9 +484,10 @@ impl<S: SchemeOps> IndexEngine<S> {
     ///
     /// # Errors
     /// Storage errors while opening or recovering the document store, a
-    /// corrupt or mismatching index snapshot, a corrupt journal record, or
-    /// a backend mismatch.
-    pub(crate) fn open(mut meta: S::Meta, dir: &Path, opts: DurableOptions) -> Result<Self> {
+    /// corrupt or mismatching index snapshot, a corrupt journal record, a
+    /// backend mismatch, or injected faults.
+    pub fn open_durable_with(config: S::Config, dir: &Path, opts: DurableOptions) -> Result<Self> {
+        let (scheme, mut meta) = S::new(config);
         let DurableOptions {
             vfs,
             shards,
@@ -657,7 +604,26 @@ impl<S: SchemeOps> IndexEngine<S> {
                 store_torn_bytes: store_recovery.torn_bytes_truncated,
             },
             health: Arc::new(TenantHealth::new()),
+            scheme,
         })
+    }
+
+    /// [`IndexAdmin::handle_shared_with`] for a caller that does not wait
+    /// for a durable index mutation (the daemon's worker, DESIGN.md §4e):
+    /// the mutation is staged with the continuation `park` builds and left
+    /// parked for a flush, which calls it — [`IndexAdmin::flush`], or any
+    /// checkpoint or repair. `Some` is the reply to send now, and then
+    /// `park` was not called; `None` means the reply went, or will go, to
+    /// the continuation. Scheme 1's `ReplaceIndex` never parks: it runs to
+    /// completion under the quiescence write lock. An in-memory server
+    /// applies before returning and never leaves anything parked.
+    pub fn handle_parked(
+        &self,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        S::serve(self, request, scratch, park)
     }
 
     // ---- locks and snapshots ------------------------------------------------
@@ -1233,6 +1199,45 @@ impl<S: SchemeOps> IndexEngine<S> {
 }
 
 impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
+    fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
+        self.run_here(|slot| self.handle_parked(request, scratch, || slot.reply()))
+    }
+
+    fn handle_parked(
+        &self,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: &mut dyn FnMut() -> Reply,
+    ) -> Option<Vec<u8>> {
+        S::serve(self, request, scratch, park)
+    }
+
+    fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
+        self.run_here(|slot| self.apply_batch_parked(parts, &mut || slot.reply()))
+    }
+
+    fn apply_batch_parked(
+        &self,
+        parts: &[&[u8]],
+        park: &mut dyn FnMut() -> Reply,
+    ) -> Option<Vec<u8>> {
+        let mut docs = Vec::new();
+        let mut updates = Vec::new();
+        for part in parts {
+            match S::batch_part(part) {
+                Ok(Some(BatchPart::Docs(d))) => docs.extend(d),
+                Ok(Some(BatchPart::Index(u))) => updates.extend(u),
+                Ok(None) => return Some(proto_common::encode_error(S::BATCH_PARTS)),
+                Err(e) => return Some(proto_common::encode_error(&e.to_string())),
+            }
+        }
+        S::apply_batch(self, &docs, updates, park)
+    }
+
+    fn is_read(&self, request: &[u8]) -> bool {
+        request.first().is_some_and(|&tag| S::is_read(tag))
+    }
+
     fn flush(&self) {
         let Some(home) = &self.home else {
             return;
@@ -1402,6 +1407,36 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
     }
 }
 
+impl<S: SchemeOps> Service for IndexEngine<S> {
+    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
+        self.handle_shared(request)
+    }
+
+    fn on_shutdown(&mut self) {
+        // Collapse the WAL + journal into snapshots so a clean shutdown
+        // leaves nothing to replay. Best effort: a failing disk at
+        // shutdown must not abort the process, and recovery replays the
+        // logs anyway.
+        let _ = self.checkpoint();
+    }
+}
+
+/// The reply to a batch of searches: every item's documents, or the
+/// first error, after which no further item is searched.
+pub(crate) fn search_each<T>(
+    items: impl ExactSizeIterator<Item = T>,
+    mut search: impl FnMut(T) -> std::result::Result<Vec<(u64, Vec<u8>)>, String>,
+) -> Vec<u8> {
+    let mut results = Vec::with_capacity(items.len());
+    for item in items {
+        match search(item) {
+            Ok(docs) => results.push(docs),
+            Err(msg) => return proto_common::encode_error(&msg),
+        }
+    }
+    proto_common::encode_result_many(&results)
+}
+
 /// The body of [`IndexEngine::put_docs`], under the store lock.
 fn put_all(store: &mut dyn DocBlobStore, docs: &[(u64, Vec<u8>)]) -> Result<()> {
     for (id, blob) in docs {
@@ -1548,10 +1583,17 @@ mod tests {
         type Value = Vec<u8>;
         type Meta = ();
         type Sidecar = ();
+        type Config = ();
+        type Update = ();
 
         const STEM: &'static str = "toy";
         const MAGIC: &'static [u8; 8] = b"SSETOYI2";
         const MIN_VALUE_BYTES: usize = 8;
+        const BATCH_PARTS: &'static str = "no batches";
+
+        fn new((): ()) -> (Self, ()) {
+            (Toy, ())
+        }
 
         fn encode_meta((): &()) -> Vec<u8> {
             Vec::new()
@@ -1574,6 +1616,32 @@ mod tests {
             data.tree.insert([record[0]; 32], record.to_vec());
             Ok(1)
         }
+
+        fn is_read(_: u8) -> bool {
+            false
+        }
+
+        fn serve(
+            _: &IndexEngine<Self>,
+            _: &[u8],
+            _: Vec<u8>,
+            _: impl FnOnce() -> Reply,
+        ) -> Option<Vec<u8>> {
+            unreachable!("the engine's tests serve no requests")
+        }
+
+        fn batch_part(_: &[u8]) -> Result<Option<crate::ops::BatchPart<()>>> {
+            Ok(None)
+        }
+
+        fn apply_batch(
+            _: &IndexEngine<Self>,
+            _: &[(u64, Vec<u8>)],
+            _: Vec<()>,
+            _: impl FnOnce() -> Reply,
+        ) -> Option<Vec<u8>> {
+            unreachable!("the engine's tests serve no requests")
+        }
     }
 
     type Sink = Arc<Mutex<Vec<Vec<u8>>>>;
@@ -1582,10 +1650,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sse-engine-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        (
-            IndexEngine::open((), &dir, DurableOptions::default()).unwrap(),
-            dir,
-        )
+        (IndexEngine::open_durable((), &dir).unwrap(), dir)
     }
 
     /// Park `record` on shard 0, its reply going to `sink`.

@@ -54,6 +54,7 @@ pub mod error;
 pub mod health;
 pub mod journal;
 pub mod leakage;
+mod ops;
 pub mod proto_common;
 pub mod query;
 pub mod scheme;

@@ -6,31 +6,37 @@
 //! until a search reveals one — a PRG nonce. Every request is decoded
 //! defensively; malformed input produces an error response, never a panic.
 //!
-//! Sharding, journaling, group commit, snapshot reads, checkpointing and
-//! recovery are the [`crate::engine`]'s; this module is the scheme's
-//! request semantics. The engine's quiescence lock guards the index
-//! [`Geometry`]: mutations validate widths against it under the read
-//! lock, and `ReplaceIndex` rewrites it (and every shard) under the write
-//! lock.
+//! `Scheme1Server` is the [`crate::engine`]'s `IndexEngine` at Scheme 1:
+//! sharding, journaling, group commit, snapshot reads, checkpointing,
+//! recovery, the constructors, the library path, the `UPDATE_MANY` batch
+//! and the `Service` impl are written there once for both schemes. This
+//! module is what Scheme 1 plugs in — its `SchemeOps` impl (codecs,
+//! journal replay, request dispatch, batch parts) — and the paper's
+//! request semantics and counters behind it. The engine's quiescence lock
+//! guards the index [`Geometry`]: mutations validate widths against it
+//! under the read lock, and `ReplaceIndex` rewrites it (and every shard)
+//! under the write lock.
+//!
+//! The types `SchemeOps` names are `pub` in this private module: the
+//! sealed trait is nominally public, so its associated types must be.
 
 use super::protocol::{self, Request, UpdateEntry};
 use crate::commit::Reply;
-use crate::engine::{DurableOptions, IndexAdmin, IndexEngine, SchemeOps, ShardData};
+use crate::engine::{search_each, IndexEngine};
 use crate::error::{Result, SseError};
+use crate::ops::{BatchPart, SchemeOps, ShardData};
 use sse_index::bitset::DocBitSet;
 use sse_index::bptree::BpTree;
-use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_primitives::prg::Prg;
 use sse_storage::StorageError;
 use std::collections::HashSet;
-use std::path::Path;
 use std::result::Result as StdResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One searchable representation as stored by the server.
 #[derive(Clone)]
-struct Entry {
+pub struct Entry {
     /// `I(w) ⊕ G(r)`.
     masked_index: Vec<u8>,
     /// Serialized `F(r)`.
@@ -41,7 +47,7 @@ struct Entry {
 /// rewritten only under full quiescence (`ReplaceIndex`). Every search
 /// snapshot carries the geometry its tree was published under.
 #[derive(Clone, Copy)]
-struct Geometry {
+pub struct Geometry {
     capacity_docs: u64,
     index_bytes: usize,
 }
@@ -59,17 +65,36 @@ fn corrupt(what: &'static str, detail: String) -> SseError {
     SseError::Storage(StorageError::Corrupt { what, detail })
 }
 
-/// Scheme 1's plug into the [`IndexEngine`].
-struct Ops;
+/// Scheme 1's plug into the engine, and its state: its counters, in
+/// lock-free cells so concurrent requests can count without taking any
+/// index lock.
+#[derive(Default)]
+pub struct Scheme1 {
+    tree_lookups: AtomicU64,
+    tree_nodes_visited: AtomicU64,
+    searches: AtomicU64,
+    docs_stored: AtomicU64,
+}
 
-impl SchemeOps for Ops {
+/// The Scheme 1 server: the [`IndexEngine`] at Scheme 1, whose
+/// constructors take the database's document capacity.
+pub type Scheme1Server = IndexEngine<Scheme1>;
+
+impl SchemeOps for Scheme1 {
     type Value = Entry;
     type Meta = Geometry;
     type Sidecar = ();
+    type Config = u64;
+    type Update = UpdateEntry;
 
     const STEM: &'static str = "scheme1";
     const MAGIC: &'static [u8; 8] = b"SSE1IDX2";
     const MIN_VALUE_BYTES: usize = 16;
+    const BATCH_PARTS: &'static str = "batch parts must be mutations (PutDocs / ApplyUpdates)";
+
+    fn new(capacity_docs: u64) -> (Self, Geometry) {
+        (Scheme1::default(), Geometry::new(capacity_docs))
+    }
 
     fn encode_meta(geometry: &Geometry) -> Vec<u8> {
         geometry.capacity_docs.to_le_bytes().to_vec()
@@ -141,10 +166,75 @@ impl SchemeOps for Ops {
             )),
         }
     }
+
+    fn is_read(tag: u8) -> bool {
+        protocol::is_read(tag)
+    }
+
+    fn serve(
+        server: &Scheme1Server,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        let reply = match protocol::decode_request(request) {
+            Ok(Request::SearchReveal { tag, seed }) => match server.reveal_one(&tag, &seed) {
+                Ok(docs) => protocol::encode_result_with(&docs, scratch),
+                Err(msg) => protocol::encode_error(&msg),
+            },
+            Ok(Request::ApplyUpdates(entries)) => {
+                return server.apply_updates_sharded(entries, park)
+            }
+            Ok(Request::PutDocs(docs)) => match server.put_docs_checked(&docs) {
+                Ok(()) => protocol::encode_ack(),
+                Err(resp) => resp,
+            },
+            Ok(Request::GetNonces(tags)) => {
+                let items: Vec<Option<Vec<u8>>> = tags
+                    .iter()
+                    .map(|tag| server.find_nonce(tag, |f_r| f_r.map(<[u8]>::to_vec)))
+                    .collect();
+                protocol::encode_nonces(&items)
+            }
+            Ok(Request::SearchFind(tag)) => server.find_nonce(&tag, protocol::encode_found),
+            Ok(Request::SearchRevealMany(items)) => {
+                search_each(items.iter(), |(tag, seed)| server.reveal_one(tag, seed))
+            }
+            Ok(Request::Checkpoint) => server.handle_checkpoint(),
+            Ok(Request::ExportIndex) => {
+                protocol::encode_index_dump(&server.export_representations())
+            }
+            Ok(Request::ReplaceIndex { capacity, entries }) => {
+                server.handle_replace_index(capacity, entries)
+            }
+            Err(e) => protocol::encode_error(&e.to_string()),
+        };
+        Some(reply)
+    }
+
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<UpdateEntry>>> {
+        Ok(match protocol::decode_request(part)? {
+            Request::PutDocs(docs) => Some(BatchPart::Docs(docs)),
+            Request::ApplyUpdates(entries) => Some(BatchPart::Index(entries)),
+            _ => None,
+        })
+    }
+
+    fn apply_batch(
+        server: &Scheme1Server,
+        docs: &[(u64, Vec<u8>)],
+        updates: Vec<UpdateEntry>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        if let Err(resp) = server.put_docs_checked(docs) {
+            return Some(resp);
+        }
+        server.apply_updates_sharded(updates, park)
+    }
 }
 
 /// XOR-merge updates into the shard tree (or insert fresh keywords).
-fn apply_updates(data: &mut ShardData<Ops>, entries: impl IntoIterator<Item = UpdateEntry>) {
+fn apply_updates(data: &mut ShardData<Scheme1>, entries: impl IntoIterator<Item = UpdateEntry>) {
     for UpdateEntry { tag, delta, f_r } in entries {
         data.note_mutated(tag);
         match data.tree.get_mut(&tag) {
@@ -171,7 +261,7 @@ fn apply_updates(data: &mut ShardData<Ops>, entries: impl IntoIterator<Item = Up
 
 /// Replace the shard tree with `entries` (the delta field holds the
 /// complete new masked array).
-fn replace_index(data: &mut ShardData<Ops>, entries: impl IntoIterator<Item = UpdateEntry>) {
+fn replace_index(data: &mut ShardData<Scheme1>, entries: impl IntoIterator<Item = UpdateEntry>) {
     data.note_cleared();
     let mut tree = BpTree::new();
     for UpdateEntry { tag, delta, f_r } in entries {
@@ -203,102 +293,34 @@ pub struct Scheme1ServerStats {
     pub docs_stored: u64,
 }
 
-/// Lock-free cells behind [`Scheme1ServerStats`], so concurrent requests
-/// can count without taking any index lock.
-#[derive(Default)]
-struct StatsCells {
-    tree_lookups: AtomicU64,
-    tree_nodes_visited: AtomicU64,
-    searches: AtomicU64,
-    docs_stored: AtomicU64,
-}
-
-/// The Scheme 1 server. Derefs to [`IndexAdmin`] for everything that is
-/// not scheme-specific (checkpoint, repair, health, counters).
-pub struct Scheme1Server {
-    engine: IndexEngine<Ops>,
-    stats: StatsCells,
-}
-
-impl std::ops::Deref for Scheme1Server {
-    type Target = dyn IndexAdmin;
-
-    fn deref(&self) -> &Self::Target {
-        &self.engine
-    }
-}
-
 impl Scheme1Server {
-    /// In-memory server for a database of at most `capacity_docs`
-    /// documents, with a single index shard.
-    #[must_use]
-    pub fn new_in_memory(capacity_docs: u64) -> Self {
-        Self::new_in_memory_sharded(capacity_docs, 1)
-    }
-
-    /// In-memory server with `shards` independently locked index shards.
-    #[must_use]
-    pub fn new_in_memory_sharded(capacity_docs: u64, shards: usize) -> Self {
-        Scheme1Server {
-            engine: IndexEngine::in_memory(Geometry::new(capacity_docs), shards),
-            stats: StatsCells::default(),
-        }
-    }
-
-    /// Durable server persisting under `dir` with the default
-    /// [`DurableOptions`]: real filesystem, one index shard, group commit,
-    /// btree backend.
-    ///
-    /// # Errors
-    /// As [`Scheme1Server::open_durable_with`].
-    pub fn open_durable(capacity_docs: u64, dir: &Path) -> Result<Self> {
-        Self::open_durable_with(capacity_docs, dir, DurableOptions::default())
-    }
-
-    /// Durable server persisting under `dir`. Recovery brings back
-    /// everything acknowledged before a crash: the document store replays
-    /// its WAL, each shard's index snapshot (if any) is loaded, and index
-    /// mutations journaled after the snapshots are re-applied in order
-    /// (incomplete cross-shard batches excluded). The index geometry is
-    /// persisted with every checkpoint and validated against
-    /// `capacity_docs` on reopen.
-    ///
-    /// # Errors
-    /// Storage errors while opening or recovering the document store, a
-    /// corrupt index snapshot or one written at another capacity, a
-    /// corrupt journal record, a backend mismatch, or injected faults.
-    pub fn open_durable_with(capacity_docs: u64, dir: &Path, opts: DurableOptions) -> Result<Self> {
-        Ok(Scheme1Server {
-            engine: IndexEngine::open(Geometry::new(capacity_docs), dir, opts)?,
-            stats: StatsCells::default(),
-        })
-    }
-
     /// Observability counters.
     #[must_use]
     pub fn stats(&self) -> Scheme1ServerStats {
+        let cells = &self.scheme;
         Scheme1ServerStats {
-            tree_lookups: self.stats.tree_lookups.load(Ordering::Relaxed),
-            tree_nodes_visited: self.stats.tree_nodes_visited.load(Ordering::Relaxed),
-            searches: self.stats.searches.load(Ordering::Relaxed),
-            updates_applied: self.engine.entries_applied().load(Ordering::Relaxed),
-            docs_stored: self.stats.docs_stored.load(Ordering::Relaxed),
+            tree_lookups: cells.tree_lookups.load(Ordering::Relaxed),
+            tree_nodes_visited: cells.tree_nodes_visited.load(Ordering::Relaxed),
+            searches: cells.searches.load(Ordering::Relaxed),
+            updates_applied: self.entries_applied().load(Ordering::Relaxed),
+            docs_stored: cells.docs_stored.load(Ordering::Relaxed),
         }
     }
 
     /// Reset the observability counters.
     pub fn reset_stats(&self) {
-        self.stats.tree_lookups.store(0, Ordering::Relaxed);
-        self.stats.tree_nodes_visited.store(0, Ordering::Relaxed);
-        self.stats.searches.store(0, Ordering::Relaxed);
-        self.engine.entries_applied().store(0, Ordering::Relaxed);
-        self.stats.docs_stored.store(0, Ordering::Relaxed);
+        let cells = &self.scheme;
+        cells.tree_lookups.store(0, Ordering::Relaxed);
+        cells.tree_nodes_visited.store(0, Ordering::Relaxed);
+        cells.searches.store(0, Ordering::Relaxed);
+        self.entries_applied().store(0, Ordering::Relaxed);
+        cells.docs_stored.store(0, Ordering::Relaxed);
     }
 
     /// Byte size of every (masked) index array.
     #[must_use]
     pub fn index_bytes(&self) -> usize {
-        self.engine.pipeline().index_bytes
+        self.pipeline().index_bytes
     }
 
     /// Export the stored searchable representations
@@ -307,7 +329,7 @@ impl Scheme1Server {
     /// Used by the security harness.
     #[must_use]
     pub fn export_representations(&self) -> Vec<([u8; 32], Vec<u8>, Vec<u8>)> {
-        let guards = self.engine.lock_all_data();
+        let guards = self.lock_all_data();
         let mut out: Vec<([u8; 32], Vec<u8>, Vec<u8>)> = guards
             .iter()
             .flat_map(|s| {
@@ -324,111 +346,13 @@ impl Scheme1Server {
     /// (the other half of the adversary's view).
     #[must_use]
     pub fn export_blobs(&self) -> Vec<(u64, Vec<u8>)> {
-        self.engine.all_docs()
-    }
-
-    /// Serve one request without exclusive access, from any number of
-    /// threads at once. Searches run against immutable snapshots; a
-    /// durable index mutation is staged and then committed by a flush on
-    /// this thread (DESIGN.md §4e), so the reply is final either way.
-    pub fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared_with(request, Vec::new())
-    }
-
-    /// [`Self::handle_shared`] with a recycled response buffer: the hot
-    /// `SearchReveal` branch encodes its result into `scratch` (capacity
-    /// reused, contents discarded) so a steady-state reveal response
-    /// costs no allocation when the caller recycles buffers through a
-    /// pool. Every other request kind ignores the scratch.
-    pub fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
-        self.engine
-            .run_here(|slot| self.handle_parked(request, scratch, || slot.reply()))
-    }
-
-    /// [`Self::handle_shared_with`] for a caller that does not wait for a
-    /// durable index update (the daemon's worker, DESIGN.md §4e): the
-    /// update is staged with the continuation `park` builds and left
-    /// parked for a flush, which calls it. `Some` is the reply to
-    /// send now, and then `park` was not called; `None` means the reply
-    /// went, or will go, to the continuation. `ReplaceIndex` never parks:
-    /// it runs to completion under the quiescence write lock. An in-memory
-    /// server applies before returning and never leaves anything parked.
-    pub fn handle_parked(
-        &self,
-        request: &[u8],
-        scratch: Vec<u8>,
-        park: impl FnOnce() -> Reply,
-    ) -> Option<Vec<u8>> {
-        let reply = match protocol::decode_request(request) {
-            Ok(Request::SearchReveal { tag, seed }) => match self.reveal_one(&tag, &seed) {
-                Ok(docs) => protocol::encode_result_with(&docs, scratch),
-                Err(msg) => protocol::encode_error(&msg),
-            },
-            Ok(Request::ApplyUpdates(entries)) => return self.apply_updates_sharded(entries, park),
-            Ok(Request::PutDocs(docs)) => match self.put_docs_checked(&docs) {
-                Ok(()) => protocol::encode_ack(),
-                Err(resp) => resp,
-            },
-            Ok(Request::GetNonces(tags)) => {
-                let items: Vec<Option<Vec<u8>>> = tags
-                    .iter()
-                    .map(|tag| self.find_nonce(tag, |f_r| f_r.map(<[u8]>::to_vec)))
-                    .collect();
-                protocol::encode_nonces(&items)
-            }
-            Ok(Request::SearchFind(tag)) => self.find_nonce(&tag, protocol::encode_found),
-            Ok(Request::SearchRevealMany(items)) => self.reveal_many(&items),
-            Ok(Request::Checkpoint) => self.engine.handle_checkpoint(),
-            Ok(Request::ExportIndex) => protocol::encode_index_dump(&self.export_representations()),
-            Ok(Request::ReplaceIndex { capacity, entries }) => {
-                self.handle_replace_index(capacity, entries)
-            }
-            Err(e) => protocol::encode_error(&e.to_string()),
-        };
-        Some(reply)
-    }
-
-    /// Apply an `UPDATE_MANY` batch: every part must be a mutation
-    /// (`PutDocs` or `ApplyUpdates`). All parts are decoded and validated
-    /// first, then journaled as one cross-shard batch and applied
-    /// all-or-nothing with respect to racing searches (all touched
-    /// shards' snapshots swap inside one epoch window).
-    pub fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
-        self.engine
-            .run_here(|slot| self.apply_batch_parked(parts, || slot.reply()))
-    }
-
-    /// [`Self::apply_batch`] that leaves the batch's index update parked,
-    /// as [`Self::handle_parked`] does.
-    pub fn apply_batch_parked(
-        &self,
-        parts: &[&[u8]],
-        park: impl FnOnce() -> Reply,
-    ) -> Option<Vec<u8>> {
-        let mut docs: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut entries: Vec<UpdateEntry> = Vec::new();
-        for part in parts {
-            match protocol::decode_request(part) {
-                Ok(Request::PutDocs(d)) => docs.extend(d),
-                Ok(Request::ApplyUpdates(e)) => entries.extend(e),
-                Ok(_) => {
-                    return Some(protocol::encode_error(
-                        "batch parts must be mutations (PutDocs / ApplyUpdates)",
-                    ))
-                }
-                Err(e) => return Some(protocol::encode_error(&e.to_string())),
-            }
-        }
-        if let Err(resp) = self.put_docs_checked(&docs) {
-            return Some(resp);
-        }
-        self.apply_updates_sharded(entries, park)
+        self.all_docs()
     }
 
     /// Store `docs`, enforcing the capacity bound. The error is the
     /// response to send.
     fn put_docs_checked(&self, docs: &[(u64, Vec<u8>)]) -> StdResult<(), Vec<u8>> {
-        let geometry = self.engine.pipeline();
+        let geometry = self.pipeline();
         for (id, _) in docs {
             if *id >= geometry.capacity_docs {
                 return Err(protocol::encode_error(&format!(
@@ -437,10 +361,8 @@ impl Scheme1Server {
                 )));
             }
         }
-        self.engine
-            .put_docs(docs)
-            .map_err(|e| self.engine.mutation_failed(&e))?;
-        self.stats
+        self.put_docs(docs).map_err(|e| self.mutation_failed(&e))?;
+        self.scheme
             .docs_stored
             .fetch_add(docs.len() as u64, Ordering::Relaxed);
         Ok(())
@@ -455,7 +377,7 @@ impl Scheme1Server {
         entries: Vec<UpdateEntry>,
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
-        let geometry = self.engine.pipeline();
+        let geometry = self.pipeline();
         for entry in &entries {
             if entry.delta.len() != geometry.index_bytes {
                 return Some(protocol::encode_error(&format!(
@@ -468,9 +390,9 @@ impl Scheme1Server {
         if entries.is_empty() {
             return Some(protocol::encode_ack());
         }
-        let groups = self.engine.group_by_shard(entries, |e| &e.tag);
+        let groups = self.group_by_shard(entries, |e| &e.tag);
         let idxs: Vec<usize> = groups.keys().copied().collect();
-        self.engine.mutate(
+        self.mutate(
             &geometry,
             &idxs,
             |i| protocol::encode_apply_updates(&groups[&i]),
@@ -495,11 +417,11 @@ impl Scheme1Server {
         // staging and waits out every flush in progress; a flush of its own
         // applies everything parked, so the data trees are complete and
         // stable while we validate and replace.
-        let mut geometry = self.engine.quiesce();
-        self.engine.flush_with(&mut geometry);
+        let mut geometry = self.quiesce();
+        self.flush_with(&mut geometry);
         let new_tags: HashSet<[u8; 32]> = entries.iter().map(|e| e.tag).collect();
-        for i in 0..self.engine.num_shards() {
-            let data = self.engine.lock_data(i);
+        for i in 0..self.num_shards() {
+            let data = self.lock_data(i);
             for (tag, _) in data.tree.iter() {
                 if !new_tags.contains(tag) {
                     return protocol::encode_error(
@@ -510,14 +432,14 @@ impl Scheme1Server {
         }
         // ReplaceIndex rewrites every shard (a shard with no entries must
         // still clear), so the batch spans all N shards.
-        let mut groups = self.engine.group_by_shard(entries, |e| &e.tag);
-        let idxs: Vec<usize> = (0..self.engine.num_shards()).collect();
+        let mut groups = self.group_by_shard(entries, |e| &e.tag);
+        let idxs: Vec<usize> = (0..self.num_shards()).collect();
         for &i in &idxs {
             groups.entry(i).or_default();
         }
         // Applying the replacement also moves `geometry` to the new
         // capacity.
-        self.engine.mutate_quiesced(&mut geometry, &idxs, |i| {
+        self.mutate_quiesced(&mut geometry, &idxs, |i| {
             protocol::encode_replace_index(capacity, &groups[&i])
         })
     }
@@ -525,26 +447,13 @@ impl Scheme1Server {
     /// Look `tag` up in its shard's snapshot and hand the stored `F(r)`
     /// (if any) to `then`.
     fn find_nonce<R>(&self, tag: &[u8; 32], then: impl FnOnce(Option<&[u8]>) -> R) -> R {
-        let snap = self.engine.snap(self.engine.shard_of(tag));
+        let snap = self.snap(self.shard_of(tag));
         let (entry, s) = snap.tree.get_with_stats(tag);
-        self.stats.tree_lookups.fetch_add(1, Ordering::Relaxed);
-        self.stats
+        self.scheme.tree_lookups.fetch_add(1, Ordering::Relaxed);
+        self.scheme
             .tree_nodes_visited
             .fetch_add(s.nodes_visited as u64, Ordering::Relaxed);
         then(entry.map(|e| e.f_r.as_slice()))
-    }
-
-    /// Serve a `SearchRevealMany`: every part's documents, or the first
-    /// error.
-    fn reveal_many(&self, items: &[([u8; 32], [u8; 32])]) -> Vec<u8> {
-        let mut results: Vec<Vec<(u64, Vec<u8>)>> = Vec::with_capacity(items.len());
-        for (tag, seed) in items {
-            match self.reveal_one(tag, seed) {
-                Ok(docs) => results.push(docs),
-                Err(msg) => return protocol::encode_error(&msg),
-            }
-        }
-        crate::proto_common::encode_result_many(&results)
     }
 
     /// Unmask one posting array with the revealed seed and fetch matches.
@@ -561,8 +470,8 @@ impl Scheme1Server {
         tag: &[u8; 32],
         seed: &[u8; 32],
     ) -> StdResult<Vec<(u64, Vec<u8>)>, String> {
-        let snap = self.engine.snap(self.engine.shard_of(tag));
-        self.stats.searches.fetch_add(1, Ordering::Relaxed);
+        let snap = self.snap(self.shard_of(tag));
+        self.scheme.searches.fetch_add(1, Ordering::Relaxed);
         let Some(entry) = snap.tree.get(tag) else {
             return Ok(Vec::new());
         };
@@ -579,30 +488,16 @@ impl Scheme1Server {
             ));
         }
         let ids = DocBitSet::from_bytes(capacity_docs as usize, &plain).to_ids();
-        Ok(self.engine.get_many(&ids))
+        Ok(self.get_many(&ids))
     }
 
     /// One shard's stored entry, exposed for in-crate tests.
     #[cfg(test)]
     fn entry_for(&self, tag: &[u8; 32]) -> Option<(Vec<u8>, Vec<u8>)> {
-        let data = self.engine.lock_data(self.engine.shard_of(tag));
+        let data = self.lock_data(self.shard_of(tag));
         data.tree
             .get(tag)
             .map(|e| (e.masked_index.clone(), e.f_r.clone()))
-    }
-}
-
-impl Service for Scheme1Server {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared(request)
-    }
-
-    fn on_shutdown(&mut self) {
-        // Collapse the WAL + journal into snapshots so a clean shutdown
-        // leaves nothing to replay. Best effort: a failing disk at
-        // shutdown must not abort the process, and recovery replays the
-        // logs anyway.
-        let _ = self.checkpoint();
     }
 }
 
@@ -613,6 +508,7 @@ mod tests {
         decode_ack, decode_found, decode_nonces, decode_result, encode_apply_updates,
         encode_get_nonces, encode_put_docs, encode_search_find, encode_search_reveal,
     };
+    use sse_net::link::Service;
 
     fn server() -> Scheme1Server {
         Scheme1Server::new_in_memory(64)
@@ -737,8 +633,8 @@ mod tests {
             delta: vec![0u8; 3], // capacity 64 needs 8 bytes
             f_r: vec![],
         }];
-        let applied = s.engine.mutate(
-            &s.engine.pipeline(),
+        let applied = s.mutate(
+            &s.pipeline(),
             &[0],
             |_| encode_apply_updates(&bad),
             || unreachable!("in memory: applied at once"),

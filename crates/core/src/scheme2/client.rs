@@ -20,7 +20,7 @@ use sse_primitives::drbg::HmacDrbg;
 use sse_primitives::etm::EtmKey;
 use sse_primitives::hashchain::HashChain;
 use sse_primitives::prf::Prf;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Persistable client state (beyond the master key).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -260,16 +260,16 @@ impl<T: Transport> Scheme2Client<T> {
     }
 
     /// §5.7 *fake update*: append empty-id generations for the given
-    /// keywords — the same message, round and counter step as a real
-    /// update touching the same keyword count; posting sets are unchanged
-    /// (empty lists add nothing). Not length-indistinguishable: a sealed
+    /// keywords, one per keyword however often it is named — the same
+    /// message, round and counter step as a real update touching the same
+    /// keyword count; posting sets are unchanged (empty lists add nothing). Not length-indistinguishable: a sealed
     /// generation carries 8 bytes per id it adds or removes, so an empty
     /// one is shorter than a real one by 8 bytes per id.
     ///
     /// # Errors
     /// Same failure modes as [`Scheme2Client::store`].
     pub fn fake_update(&mut self, keywords: &[Keyword]) -> Result<()> {
-        self.update(None, &[fakes(keywords)], false)
+        self.update(None, &fakes([keywords]), false)
     }
 
     /// Batched [`Scheme2Client::fake_update`]: one `AppendGenerations`
@@ -283,7 +283,7 @@ impl<T: Transport> Scheme2Client<T> {
     /// # Errors
     /// Same failure modes as [`Scheme2Client::fake_update`].
     pub fn fake_update_many(&mut self, keyword_groups: &[Vec<Keyword>]) -> Result<()> {
-        let groups: Vec<Vec<Posting<'_>>> = keyword_groups.iter().map(|g| fakes(g)).collect();
+        let groups = fakes(keyword_groups.iter().map(Vec::as_slice));
         self.update(None, &groups, true)
     }
 
@@ -432,11 +432,21 @@ fn postings(docs: &[Document], delete: bool) -> Vec<Posting<'_>> {
     per_keyword.into_iter().map(item).collect()
 }
 
-/// Empty generations for a fake update.
-fn fakes(keywords: &[Keyword]) -> Vec<Posting<'_>> {
-    keywords
-        .iter()
-        .map(|w| (w, Vec::new(), Vec::new()))
+/// Empty generations for a fake update, one group per keyword group:
+/// one generation per keyword, where it is first named. A keyword named
+/// twice gets one generation — a second at the same counter would stay
+/// under its tag for good — and the input order is kept.
+fn fakes<'a>(groups: impl IntoIterator<Item = &'a [Keyword]>) -> Vec<Vec<Posting<'a>>> {
+    let mut named = BTreeSet::new();
+    groups
+        .into_iter()
+        .map(|group| {
+            group
+                .iter()
+                .filter(|w| named.insert(*w))
+                .map(|w| (w, Vec::new(), Vec::new()))
+                .collect()
+        })
         .collect()
 }
 

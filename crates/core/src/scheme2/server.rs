@@ -9,32 +9,39 @@
 //! measurable `l/2x`-style cost of Table 1 — exposed in
 //! [`Scheme2ServerStats::chain_steps`].
 //!
-//! Sharding, journaling, group commit, snapshot reads, checkpointing and
-//! recovery are the [`crate::engine`]'s; this module is the scheme's
-//! request semantics. A search resolves the tag — and walks the whole
-//! chain — against the shard's snapshot, never taking the shard mutex,
-//! never waiting on an fsync and never writing the index: what a search
-//! learned (§5.6 Optimization 1's decrypted ids, the chain key it walked
-//! from) is filed in one per-keyword cache in the engine's per-shard
-//! sidecar ([`SearchMemo`]), so only a mutation ever publishes a snapshot.
+//! `Scheme2Server` is the [`crate::engine`]'s `IndexEngine` at Scheme 2:
+//! sharding, journaling, group commit, snapshot reads, checkpointing,
+//! recovery, the constructors, the library path, the `UPDATE_MANY` batch
+//! and the `Service` impl are written there once for both schemes. This
+//! module is what Scheme 2 plugs in — its `SchemeOps` impl — the paper's
+//! request semantics and counters behind it, and the reactor's
+//! never-wait path (`try_handle_inline`). A search resolves the tag — and
+//! walks the whole chain — against the shard's snapshot, never taking the
+//! shard mutex, never waiting on an fsync and never writing the index:
+//! what a search learned (§5.6 Optimization 1's decrypted ids, the chain
+//! key it walked from) is filed in one per-keyword cache in the engine's
+//! per-shard sidecar ([`SearchMemo`]), so only a mutation ever publishes
+//! a snapshot.
+//!
+//! The types `SchemeOps` names are `pub` in this private module: the
+//! sealed trait is nominally public, so its associated types must be.
 
 use super::protocol::{self, GenerationEntry, GenerationEntryRef, Request};
 use super::Scheme2Config;
 use crate::commit::Reply;
-use crate::engine::{DurableOptions, IndexAdmin, IndexEngine, SchemeOps, ShardData};
+use crate::engine::{search_each, IndexEngine};
 use crate::error::{Result, SseError};
+use crate::ops::{BatchPart, SchemeOps, ShardData};
 use crate::proto_common;
 use parking_lot::Mutex;
 use sse_index::bptree::BpTree;
 use sse_index::postings::{GenerationList, GenerationRef};
-use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_primitives::etm::EtmKey;
 use sse_primitives::hashchain::ChainWalker;
 use sse_storage::StorageError;
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -126,7 +133,7 @@ impl SearchMemo {
 /// One shard's entries: only for tags found in its tree, and emptied by
 /// a `ResetIndex` — so bounded by the index they shadow.
 #[derive(Default)]
-struct ShardCache {
+pub struct ShardCache {
     entries: HashMap<[u8; 32], SearchMemo>,
     /// Seq of the shard's last `ResetIndex`. An answer computed from an
     /// older snapshot describes an index that is gone, and is never filed.
@@ -186,11 +193,19 @@ enum MemoMode {
     Inline,
 }
 
-/// Scheme 2's plug into the [`IndexEngine`]. Nothing but the quiescence
-/// lock itself needs guarding, so the meta is `()`.
-struct Ops;
+/// Scheme 2's plug into the engine, and its state: its config and
+/// counters. Nothing but the quiescence lock itself needs guarding, so
+/// the meta is `()`.
+pub struct Scheme2 {
+    config: Scheme2Config,
+    stats: StatsCells,
+}
 
-impl SchemeOps for Ops {
+/// The Scheme 2 server: the [`IndexEngine`] at Scheme 2, whose
+/// constructors take a [`Scheme2Config`].
+pub type Scheme2Server = IndexEngine<Scheme2>;
+
+impl SchemeOps for Scheme2 {
     type Value = GenerationList;
     type Meta = ();
     /// The per-keyword search cache (see [`SearchMemo`]). A short-critical-
@@ -199,10 +214,18 @@ impl SchemeOps for Ops {
     /// Lock order: a search takes it alone; applying a `ResetIndex` takes
     /// it under the shard's data lock.
     type Sidecar = Mutex<ShardCache>;
+    type Config = Scheme2Config;
+    type Update = GenerationEntry;
 
     const STEM: &'static str = "scheme2";
     const MAGIC: &'static [u8; 8] = b"SSE2IDX2";
     const MIN_VALUE_BYTES: usize = 8;
+    const BATCH_PARTS: &'static str = "batch parts must be mutations (PutDocs / AppendGenerations)";
+
+    fn new(config: Scheme2Config) -> (Self, ()) {
+        let stats = StatsCells::default();
+        (Scheme2 { config, stats }, ())
+    }
 
     fn encode_meta((): &()) -> Vec<u8> {
         Vec::new()
@@ -269,11 +292,66 @@ impl SchemeOps for Ops {
             })),
         }
     }
+
+    fn is_read(tag: u8) -> bool {
+        protocol::is_read(tag)
+    }
+
+    fn serve(
+        server: &Scheme2Server,
+        request: &[u8],
+        scratch: Vec<u8>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        let reply = match protocol::decode_request(request) {
+            Ok(Request::Search { tag, t_prime }) => match server.search_one(tag, t_prime) {
+                Ok(docs) => proto_common::encode_result_with(&docs, scratch),
+                Err(msg) => proto_common::encode_error(&msg),
+            },
+            Ok(Request::AppendGenerations(entries)) => {
+                return server.append_sharded(entries, Some(park))
+            }
+            Ok(Request::ResetIndex) => {
+                // ResetIndex rewrites every shard, so the batch spans all N.
+                let idxs: Vec<usize> = (0..server.num_shards()).collect();
+                let reset = |_| protocol::encode_reset_index();
+                return server.mutate(&server.pipeline(), &idxs, reset, park);
+            }
+            Ok(Request::PutDocs(docs)) => server.ack(server.put_docs(&docs)),
+            Ok(Request::SearchMany(trapdoors)) => {
+                search_each(trapdoors.into_iter(), |(tag, t)| server.search_one(tag, t))
+            }
+            Ok(Request::Checkpoint) => server.handle_checkpoint(),
+            Ok(Request::RemoveDocs(ids)) => server.ack(server.remove_docs(&ids)),
+            Err(e) => proto_common::encode_error(&e.to_string()),
+        };
+        Some(reply)
+    }
+
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<GenerationEntry>>> {
+        Ok(match protocol::decode_request(part)? {
+            Request::PutDocs(docs) => Some(BatchPart::Docs(docs)),
+            Request::AppendGenerations(entries) => Some(BatchPart::Index(entries)),
+            _ => None,
+        })
+    }
+
+    fn apply_batch(
+        server: &Scheme2Server,
+        docs: &[(u64, Vec<u8>)],
+        updates: Vec<GenerationEntry>,
+        park: impl FnOnce() -> Reply,
+    ) -> Option<Vec<u8>> {
+        if let Err(e) = server.put_docs(docs) {
+            return Some(server.mutation_failed(&e));
+        }
+        server.append_sharded(updates, Some(park))
+    }
 }
 
 /// Append generation entries to the shard tree, each copied from the
 /// record straight into its keyword's list.
-fn append_generations(data: &mut ShardData<Ops>, entries: &[GenerationEntryRef<'_>]) {
+fn append_generations(data: &mut ShardData<Scheme2>, entries: &[GenerationEntryRef<'_>]) {
     for entry in entries {
         data.note_mutated(entry.tag);
         match data.tree.get_mut(&entry.tag) {
@@ -288,175 +366,43 @@ fn append_generations(data: &mut ShardData<Ops>, entries: &[GenerationEntryRef<'
 }
 
 /// Drop the shard's keyword index.
-fn reset_index(data: &mut ShardData<Ops>) {
+fn reset_index(data: &mut ShardData<Scheme2>) {
     data.note_cleared();
     data.tree = BpTree::new();
 }
 
-/// The Scheme 2 server. Derefs to [`IndexAdmin`] for everything that is
-/// not scheme-specific (checkpoint, repair, health, counters).
-pub struct Scheme2Server {
-    engine: IndexEngine<Ops>,
-    config: Scheme2Config,
-    stats: StatsCells,
-}
-
-impl std::ops::Deref for Scheme2Server {
-    type Target = dyn IndexAdmin;
-
-    fn deref(&self) -> &Self::Target {
-        &self.engine
-    }
-}
-
 impl Scheme2Server {
-    /// In-memory server with a single index shard.
-    #[must_use]
-    pub fn new_in_memory(config: Scheme2Config) -> Self {
-        Self::new_in_memory_sharded(config, 1)
-    }
-
-    /// In-memory server with `shards` independently locked index shards.
-    #[must_use]
-    pub fn new_in_memory_sharded(config: Scheme2Config, shards: usize) -> Self {
-        Scheme2Server {
-            engine: IndexEngine::in_memory((), shards),
-            config,
-            stats: StatsCells::default(),
-        }
-    }
-
-    /// Durable server persisting under `dir` with the default
-    /// [`DurableOptions`]: real filesystem, one index shard, group commit,
-    /// btree backend.
-    ///
-    /// # Errors
-    /// As [`Scheme2Server::open_durable_with`].
-    pub fn open_durable(config: Scheme2Config, dir: &Path) -> Result<Self> {
-        Self::open_durable_with(config, dir, DurableOptions::default())
-    }
-
-    /// Durable server persisting under `dir`. Recovery brings back
-    /// everything acknowledged before a crash: the document store replays
-    /// its WAL, each shard's index snapshot (if any) is loaded, and index
-    /// mutations journaled after the snapshots are re-applied in order
-    /// (incomplete cross-shard batches excluded).
-    ///
-    /// # Errors
-    /// Storage errors while opening or recovering the document store, a
-    /// corrupt index snapshot, a corrupt journal record, a backend
-    /// mismatch, or injected faults.
-    pub fn open_durable_with(
-        config: Scheme2Config,
-        dir: &Path,
-        opts: DurableOptions,
-    ) -> Result<Self> {
-        Ok(Scheme2Server {
-            engine: IndexEngine::open((), dir, opts)?,
-            config,
-            stats: StatsCells::default(),
-        })
-    }
-
     /// Observability counters.
     #[must_use]
     pub fn stats(&self) -> Scheme2ServerStats {
         Scheme2ServerStats {
-            searches: self.stats.searches.load(Ordering::Relaxed),
-            chain_steps: self.stats.chain_steps.load(Ordering::Relaxed),
-            generations_decrypted: self.stats.generations_decrypted.load(Ordering::Relaxed),
-            generations_from_cache: self.stats.generations_from_cache.load(Ordering::Relaxed),
-            generations_appended: self.engine.entries_applied().load(Ordering::Relaxed),
-            tree_nodes_visited: self.stats.tree_nodes_visited.load(Ordering::Relaxed),
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
-            walk_steps_saved: self.stats.walk_steps_saved.load(Ordering::Relaxed),
+            searches: self.scheme.stats.searches.load(Ordering::Relaxed),
+            chain_steps: self.scheme.stats.chain_steps.load(Ordering::Relaxed),
+            generations_decrypted: self
+                .scheme
+                .stats
+                .generations_decrypted
+                .load(Ordering::Relaxed),
+            generations_from_cache: self
+                .scheme
+                .stats
+                .generations_from_cache
+                .load(Ordering::Relaxed),
+            generations_appended: self.entries_applied().load(Ordering::Relaxed),
+            tree_nodes_visited: self.scheme.stats.tree_nodes_visited.load(Ordering::Relaxed),
+            cache_hits: self.scheme.stats.cache_hits.load(Ordering::Relaxed),
+            cache_misses: self.scheme.stats.cache_misses.load(Ordering::Relaxed),
+            walk_steps_saved: self.scheme.stats.walk_steps_saved.load(Ordering::Relaxed),
         }
-    }
-
-    /// Reset the observability counters.
-    pub fn reset_stats(&self) {
-        self.stats.searches.store(0, Ordering::Relaxed);
-        self.stats.chain_steps.store(0, Ordering::Relaxed);
-        self.stats.generations_decrypted.store(0, Ordering::Relaxed);
-        self.stats
-            .generations_from_cache
-            .store(0, Ordering::Relaxed);
-        self.engine.entries_applied().store(0, Ordering::Relaxed);
-        self.stats.tree_nodes_visited.store(0, Ordering::Relaxed);
-        self.stats.cache_hits.store(0, Ordering::Relaxed);
-        self.stats.cache_misses.store(0, Ordering::Relaxed);
-        self.stats.walk_steps_saved.store(0, Ordering::Relaxed);
     }
 
     /// Total stored index bytes across all generation lists (diagnostic).
     #[must_use]
     pub fn index_bytes(&self) -> usize {
-        self.engine
-            .lock_all_data()
+        self.lock_all_data()
             .iter()
             .map(|s| s.tree.iter().map(|(_, l)| l.stored_bytes()).sum::<usize>())
             .sum()
-    }
-
-    /// Serve one request without exclusive access, from any number of
-    /// threads at once. Searches run against immutable snapshots; a
-    /// durable index mutation is staged and then committed by a flush on
-    /// this thread (DESIGN.md §4e), so the reply is final either way.
-    pub fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared_with(request, Vec::new())
-    }
-
-    /// [`Self::handle_shared`] with a recycled response buffer: the hot
-    /// `Search` branch encodes its result into `scratch` (capacity
-    /// reused, contents discarded) so a steady-state search response
-    /// costs no allocation when the caller recycles buffers through a
-    /// pool. Every other request kind ignores the scratch — mutations
-    /// and admin requests are not on the serving hot path.
-    pub fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
-        self.engine
-            .run_here(|slot| self.handle_parked(request, scratch, || slot.reply()))
-    }
-
-    /// [`Self::handle_shared_with`] for a caller that does not wait for a
-    /// durable index mutation (the daemon's worker, DESIGN.md §4e): the
-    /// mutation is staged with the continuation `park` builds and left
-    /// parked for a flush, which calls it — [`IndexAdmin::flush`], or any
-    /// checkpoint or repair. `Some` is the reply to send now, and then
-    /// `park` was not called; `None` means the reply went, or will go, to
-    /// the continuation. An in-memory server applies before returning and
-    /// never leaves anything parked.
-    pub fn handle_parked(
-        &self,
-        request: &[u8],
-        scratch: Vec<u8>,
-        park: impl FnOnce() -> Reply,
-    ) -> Option<Vec<u8>> {
-        let reply = match protocol::decode_request(request) {
-            Ok(Request::Search { tag, t_prime }) => match self.search_one(tag, t_prime) {
-                Ok(docs) => proto_common::encode_result_with(&docs, scratch),
-                Err(msg) => proto_common::encode_error(&msg),
-            },
-            Ok(Request::AppendGenerations(entries)) => {
-                return self.append_sharded(entries, Some(park))
-            }
-            Ok(Request::ResetIndex) => {
-                // ResetIndex rewrites every shard, so the batch spans all N.
-                let idxs: Vec<usize> = (0..self.engine.num_shards()).collect();
-                return self.engine.mutate(
-                    &self.engine.pipeline(),
-                    &idxs,
-                    |_| protocol::encode_reset_index(),
-                    park,
-                );
-            }
-            Ok(Request::PutDocs(docs)) => self.engine.ack(self.engine.put_docs(&docs)),
-            Ok(Request::SearchMany(trapdoors)) => self.search_many(trapdoors),
-            Ok(Request::Checkpoint) => self.engine.handle_checkpoint(),
-            Ok(Request::RemoveDocs(ids)) => self.engine.ack(self.engine.remove_docs(&ids)),
-            Err(e) => proto_common::encode_error(&e.to_string()),
-        };
-        Some(reply)
     }
 
     /// Answer `request` on the calling thread **only if that can neither
@@ -489,7 +435,7 @@ impl Scheme2Server {
     ///   cells — was free on the first `try_`, all taken before anything
     ///   is applied, and the epoch is even.
     ///
-    /// The reply is byte-identical to [`Self::handle_shared_with`]'s and
+    /// The reply is byte-identical to [`crate::engine::IndexAdmin::handle_shared_with`]'s and
     /// moves the same counters by the same amounts. `None` declines having
     /// changed nothing — no counter or seq moved, `scratch` not called —
     /// and the caller hands the untouched request to a worker.
@@ -513,72 +459,35 @@ impl Scheme2Server {
         request: &[u8],
         scratch: impl FnOnce() -> Vec<u8>,
     ) -> Option<Vec<u8>> {
-        if !self.config.server_cache {
+        if !self.scheme.config.server_cache {
             return None;
         }
         let Ok(Request::Search { tag, t_prime }) = protocol::decode_request(request) else {
             return None; // malformed: the worker path words the error
         };
-        let si = self.engine.shard_of(&tag);
-        let snap = self.engine.try_snap(si)?;
-        let sidecar = self.engine.sidecar(si);
+        let si = self.shard_of(&tag);
+        let snap = self.try_snap(si)?;
+        let sidecar = self.sidecar(si);
         let memo = sidecar.try_lock()?.entries.get(&tag).cloned()?;
         let docs = self.try_memo(snap.applied_seq, &tag, &t_prime, &memo, MemoMode::Inline)?;
         Some(proto_common::encode_result_with(&docs, scratch()))
     }
 
     /// The mutation half of [`Self::try_handle_inline`]: the worker path's
-    /// apply under `try_` locks ([`IndexEngine::try_mutate`]).
+    /// apply under `try_` locks (`IndexEngine::try_mutate`).
     fn try_mutate_inline(&self, request: &[u8]) -> Option<Vec<u8>> {
-        if self.engine.is_durable() || request.len() > INLINE_MAX_BYTES {
+        if self.is_durable() || request.len() > INLINE_MAX_BYTES {
             return None;
         }
         let outcome = match protocol::decode_request(request).ok()? {
-            Request::PutDocs(docs) => self.engine.try_put_docs(&docs)?,
-            Request::RemoveDocs(ids) => self.engine.try_remove_docs(&ids)?,
+            Request::PutDocs(docs) => self.try_put_docs(&docs)?,
+            Request::RemoveDocs(ids) => self.try_remove_docs(&ids)?,
             Request::AppendGenerations(entries) => {
                 return self.append_sharded(entries, None::<fn() -> Reply>)
             }
             _ => return None,
         };
-        Some(self.engine.ack(outcome))
-    }
-
-    /// Apply an `UPDATE_MANY` batch: every part must be a mutation
-    /// (`PutDocs` or `AppendGenerations`). All parts are decoded first,
-    /// then journaled as one cross-shard batch and applied all-or-nothing
-    /// with respect to racing searches (all touched shards' snapshots swap
-    /// inside one epoch window).
-    pub fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
-        self.engine
-            .run_here(|slot| self.apply_batch_parked(parts, || slot.reply()))
-    }
-
-    /// [`Self::apply_batch`] that leaves the batch's index mutation parked,
-    /// as [`Self::handle_parked`] does.
-    pub fn apply_batch_parked(
-        &self,
-        parts: &[&[u8]],
-        park: impl FnOnce() -> Reply,
-    ) -> Option<Vec<u8>> {
-        let mut docs: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut entries: Vec<GenerationEntry> = Vec::new();
-        for part in parts {
-            match protocol::decode_request(part) {
-                Ok(Request::PutDocs(d)) => docs.extend(d),
-                Ok(Request::AppendGenerations(e)) => entries.extend(e),
-                Ok(_) => {
-                    return Some(proto_common::encode_error(
-                        "batch parts must be mutations (PutDocs / AppendGenerations)",
-                    ))
-                }
-                Err(e) => return Some(proto_common::encode_error(&e.to_string())),
-            }
-        }
-        if let Err(e) = self.engine.put_docs(&docs) {
-            return Some(self.engine.mutation_failed(&e));
-        }
-        self.append_sharded(entries, Some(park))
+        Some(self.ack(outcome))
     }
 
     /// Append generation entries: group per shard (preserving input order
@@ -595,14 +504,14 @@ impl Scheme2Server {
         if entries.is_empty() {
             return Some(proto_common::encode_ack());
         }
-        let groups = self.engine.group_by_shard(entries, |e| &e.tag);
+        let groups = self.group_by_shard(entries, |e| &e.tag);
         let idxs: Vec<usize> = groups.keys().copied().collect();
         let encode_for = |i| protocol::encode_append_generations(&groups[&i]);
         let Some(park) = park else {
             // Charged against one budget as each shard's data lock is
             // taken; a tag named twice is charged twice.
             let budget = Cell::new(INLINE_MAX_COPY_BYTES);
-            let admits = |i: usize, data: &ShardData<Ops>| {
+            let admits = |i: usize, data: &ShardData<Scheme2>| {
                 groups[&i].iter().all(|e| {
                     let held = data
                         .tree
@@ -612,22 +521,9 @@ impl Scheme2Server {
                     left.inspect(|&left| budget.set(left)).is_some()
                 })
             };
-            return self.engine.try_mutate(&idxs, encode_for, &admits);
+            return self.try_mutate(&idxs, encode_for, &admits);
         };
-        self.engine
-            .mutate(&self.engine.pipeline(), &idxs, encode_for, park)
-    }
-
-    /// Serve a `SearchMany`: every part's documents, or the first error.
-    fn search_many(&self, trapdoors: Vec<([u8; 32], [u8; 32])>) -> Vec<u8> {
-        let mut results = Vec::with_capacity(trapdoors.len());
-        for (tag, t_prime) in trapdoors {
-            match self.search_one(tag, t_prime) {
-                Ok(docs) => results.push(docs),
-                Err(msg) => return proto_common::encode_error(&msg),
-            }
-        }
-        proto_common::encode_result_many(&results)
+        self.mutate(&self.pipeline(), &idxs, encode_for, park)
     }
 
     /// Execute one Fig. 4 search, returning the matching encrypted
@@ -640,13 +536,13 @@ impl Scheme2Server {
         tag: [u8; 32],
         t_prime: [u8; 32],
     ) -> std::result::Result<Vec<(u64, Vec<u8>)>, String> {
-        let max_walk = self.config.chain_length as usize + 1;
-        let si = self.engine.shard_of(&tag);
-        let snap = self.engine.snap(si);
+        let max_walk = self.scheme.config.chain_length as usize + 1;
+        let si = self.shard_of(&tag);
+        let snap = self.snap(si);
         // The search's one sidecar read, for both uses below (empty with the
         // cache off: nothing is ever filed). The clone is the id list's
         // reference plus 88 bytes; no crypto or blob copy under the mutex.
-        let memo = self.engine.sidecar(si).lock().entries.get(&tag).cloned();
+        let memo = self.sidecar(si).lock().entries.get(&tag).cloned();
 
         // Exact hit: if this keyword was searched before and the shard
         // has not changed since, answer without touching the tree or the
@@ -660,7 +556,8 @@ impl Scheme2Server {
         }
 
         let (found, tree_stats) = snap.tree.get_with_stats(&tag);
-        self.stats
+        self.scheme
+            .stats
             .tree_nodes_visited
             .fetch_add(tree_stats.nodes_visited as u64, Ordering::Relaxed);
         let mut walker = ChainWalker::new(&t_prime);
@@ -670,8 +567,11 @@ impl Scheme2Server {
                 // Optimization 1: with the ids of a prefix of the list on
                 // file, only what was appended since is walked and decrypted.
                 let prefix = memo.filter(|m| m.covers_prefix_of(list, snap.applied_seq));
-                if self.config.server_cache {
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+                if self.scheme.config.server_cache {
+                    self.scheme
+                        .stats
+                        .cache_misses
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 self.unlock(list, prefix.as_ref(), &mut walker).map(|ids| {
                     if let Some(newest) = list.last() {
@@ -685,15 +585,16 @@ impl Scheme2Server {
                         };
                         self.store_memo(si, tag, memo);
                     }
-                    self.engine.get_many(&ids)
+                    self.get_many(&ids)
                 })
             }
         };
         // The one exit of a search that missed the exact hit: it counts
         // whatever happened, and so do the steps it walked before a failure
         // — `chain_steps` must not read low exactly when something is wrong.
-        self.stats.searches.fetch_add(1, Ordering::Relaxed);
-        self.stats
+        self.scheme.stats.searches.fetch_add(1, Ordering::Relaxed);
+        self.scheme
+            .stats
             .chain_steps
             .fetch_add(walker.steps() as u64, Ordering::Relaxed);
         outcome
@@ -707,10 +608,11 @@ impl Scheme2Server {
         prefix: Option<&SearchMemo>,
         walker: &mut ChainWalker,
     ) -> std::result::Result<Arc<[u64]>, String> {
-        let max_walk = self.config.chain_length as usize + 1;
+        let max_walk = self.scheme.config.chain_length as usize + 1;
         let (known_ids, covered): (&[u64], usize) =
             prefix.map_or((&[], 0), |m| (&m.ids, m.gens as usize));
-        self.stats
+        self.scheme
+            .stats
             .generations_from_cache
             .fetch_add(covered as u64, Ordering::Relaxed);
 
@@ -741,7 +643,8 @@ impl Scheme2Server {
             })()
             .map_err(|e| format!("generation payload malformed: {e}"))?;
         }
-        self.stats
+        self.scheme
+            .stats
             .generations_decrypted
             .fetch_add(locked.len() as u64, Ordering::Relaxed);
 
@@ -786,29 +689,34 @@ impl Scheme2Server {
                 if !walker.seek_element(&memo.t_prime, max_walk) {
                     return None;
                 }
-                (walker.steps() as u64, self.engine.get_many(&memo.ids))
+                (walker.steps() as u64, self.get_many(&memo.ids))
             }
             MemoMode::Inline => {
                 if memo.t_prime != *t_prime || memo.ids.len() > INLINE_MAX_DOCS {
                     return None;
                 }
-                let docs = self.engine.try_get_many(&memo.ids, INLINE_MAX_BYTES)?;
+                let docs = self.try_get_many(&memo.ids, INLINE_MAX_BYTES)?;
                 (0, docs)
             }
         };
-        self.stats.searches.fetch_add(1, Ordering::Relaxed);
-        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.stats.chain_steps.fetch_add(delta, Ordering::Relaxed);
-        self.stats
+        self.scheme.stats.searches.fetch_add(1, Ordering::Relaxed);
+        self.scheme.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.scheme
+            .stats
+            .chain_steps
+            .fetch_add(delta, Ordering::Relaxed);
+        self.scheme
+            .stats
             .walk_steps_saved
             .fetch_add(memo.walk_cost, Ordering::Relaxed);
-        self.stats
+        self.scheme
+            .stats
             .generations_from_cache
             .fetch_add(memo.gens, Ordering::Relaxed);
         if delta > 0 {
             // Advance the entry to the newer trapdoor so the next repeat
             // of *this* trapdoor is a zero-walk hit.
-            let mut cache = self.engine.sidecar(self.engine.shard_of(tag)).lock();
+            let mut cache = self.sidecar(self.shard_of(tag)).lock();
             if let Some(live) = cache.entries.get_mut(tag) {
                 if live.applied_seq == memo.applied_seq && live.t_prime == memo.t_prime {
                     live.t_prime = *t_prime;
@@ -822,32 +730,20 @@ impl Scheme2Server {
     /// File a cold search's answer, unless the cache is off or the shard
     /// was reset since the snapshot it was computed from.
     fn store_memo(&self, si: usize, tag: [u8; 32], memo: SearchMemo) {
-        let mut cache = self.engine.sidecar(si).lock();
-        if self.config.server_cache && memo.applied_seq >= cache.reset_seq {
+        let mut cache = self.sidecar(si).lock();
+        if self.scheme.config.server_cache && memo.applied_seq >= cache.reset_seq {
             cache.entries.insert(tag, memo);
         }
-    }
-}
-
-impl Service for Scheme2Server {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared(request)
-    }
-
-    fn on_shutdown(&mut self) {
-        // Collapse the WAL + journal into snapshots so a clean shutdown
-        // leaves nothing to replay. Best effort: a failing disk at
-        // shutdown must not abort the process, and recovery replays the
-        // logs anyway.
-        let _ = self.checkpoint();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DurableOptions;
     use crate::proto_common::{decode_ack, decode_result, decode_result_owned};
     use crate::scheme2::key_commitment;
+    use sse_net::link::Service;
     use sse_net::wire::WireWriter;
     use sse_primitives::hashchain::{walk_forward, HashChain};
 
@@ -875,7 +771,7 @@ mod tests {
             list.push(masked_ids, &[c; 32]);
         }
         let mut w = WireWriter::new();
-        Ops::encode_value(&list, &mut w);
+        Scheme2::encode_value(&list, &mut w);
         let encoded = w.finish();
         let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
         let commitment = |c: &str| c.repeat(32);
@@ -892,13 +788,13 @@ mod tests {
         assert_eq!(hex, want);
 
         let mut r = WireReader::new(&encoded);
-        let decoded = Ops::decode_value(&mut r, &()).unwrap();
+        let decoded = Scheme2::decode_value(&mut r, &()).unwrap();
         r.finish().unwrap();
         assert_eq!(decoded, list);
         // Every truncation is an error, never a panic or a shorter list.
         for cut in 0..encoded.len() {
             let mut r = WireReader::new(&encoded[..cut]);
-            assert!(Ops::decode_value(&mut r, &()).is_err(), "cut at {cut}");
+            assert!(Scheme2::decode_value(&mut r, &()).is_err(), "cut at {cut}");
         }
     }
 
@@ -1189,7 +1085,7 @@ mod tests {
     /// the keywords and the contention counts.
     fn footprint(s: &Scheme2Server) -> impl PartialEq + std::fmt::Debug {
         let seqs: Vec<u64> = (0..s.num_shards())
-            .map(|i| s.engine.hold_snapshot_cell(i).applied_seq)
+            .map(|i| s.hold_snapshot_cell(i).applied_seq)
             .collect();
         (
             s.stats(),
@@ -1344,13 +1240,13 @@ mod tests {
     fn inline_declines_while_a_lock_it_needs_is_held() {
         let s = server();
         let request = warm(&s, [0x28u8; 32], 1);
-        let cache = || s.engine.sidecar(0).lock();
+        let cache = || s.sidecar(0).lock();
         assert_declines_under(&s, &request, "sidecar mutex held", cache);
-        let store = || s.engine.hold_store();
+        let store = || s.hold_store();
         assert_declines_under(&s, &request, "doc-store write lock held", store);
-        s.engine.toggle_swap_window();
+        s.toggle_swap_window();
         assert_declines(&s, &request, "odd epoch: a multi-shard swap is open");
-        s.engine.toggle_swap_window();
+        s.toggle_swap_window();
         assert!(s.try_handle_inline(&request, Vec::new).is_some());
     }
 
@@ -1406,7 +1302,7 @@ mod tests {
         let a = [0x31u8; 32];
         let b = (0x32..=0xFFu8)
             .map(|x| [x; 32])
-            .find(|b| s.engine.shard_of(b) != s.engine.shard_of(&a))
+            .find(|b| s.shard_of(b) != s.shard_of(&a))
             .expect("some tag routes elsewhere");
         (a, b)
     }
@@ -1487,7 +1383,7 @@ mod tests {
             sealed_ids: vec![g; STORED - 32],
             commitment: [g; 32],
         };
-        let stored = |tag| s.engine.snap(0).tree.get(&tag).unwrap().stored_bytes();
+        let stored = |tag| s.snap(0).tree.get(&tag).unwrap().stored_bytes();
         let both = |g| protocol::encode_append_generations(&[raw(x, g), raw(y, g)]);
         for g in 0..(INLINE_MAX_COPY_BYTES / 2 - INLINE_PATH_BYTES) / STORED {
             decode_ack(&s.handle_shared(&both(g as u8))).unwrap();
@@ -1555,27 +1451,27 @@ mod tests {
             4,
         );
         let (a, b) = tags_on_two_shards(&s);
-        let (sa, sb) = (s.engine.shard_of(&a), s.engine.shard_of(&b));
+        let (sa, sb) = (s.shard_of(&a), s.shard_of(&b));
         let put = protocol::encode_put_docs(&[(3, b"three".to_vec())]);
         let remove = protocol::encode_remove_docs(&[3]);
         let one = protocol::encode_append_generations(&[entry(a, 1, &[3])]);
         let two = protocol::encode_append_generations(&[entry(a, 2, &[3]), entry(b, 1, &[3])]);
-        let store = || s.engine.hold_store();
+        let store = || s.hold_store();
         assert_declines_under(&s, &put, "doc-store lock held", store);
         assert_declines_under(&s, &remove, "doc-store lock held", store);
-        let quiesced = || s.engine.quiesce();
+        let quiesced = || s.quiesce();
         assert_declines_under(&s, &one, "quiescence lock held", quiesced);
-        let data = || s.engine.lock_data(sb);
+        let data = || s.lock_data(sb);
         assert_declines_under(&s, &two, "second shard's data lock held", data);
-        let reader = || s.engine.hold_snapshot_cell(sa);
+        let reader = || s.hold_snapshot_cell(sa);
         assert_declines_under(&s, &one, "a reader holds the snapshot cell", reader);
         assert_declines_under(&s, &two, "a reader holds one snapshot cell", reader);
-        let window = || s.engine.hold_swap_window();
+        let window = || s.hold_swap_window();
         assert_declines_under(&s, &two, "the swap window is held", window);
-        s.engine.toggle_swap_window();
+        s.toggle_swap_window();
         assert_declines(&s, &one, "odd epoch: a multi-shard swap is open");
         assert_declines(&s, &two, "odd epoch: a multi-shard swap is open");
-        s.engine.toggle_swap_window();
+        s.toggle_swap_window();
         for request in [put, one, two, remove] {
             decode_ack(&s.try_handle_inline(&request, Vec::new).expect("all free")).unwrap();
         }
@@ -1898,7 +1794,7 @@ mod tests {
 
     fn cached_entries(s: &Scheme2Server) -> usize {
         (0..s.num_shards())
-            .map(|i| s.engine.sidecar(i).lock().entries.len())
+            .map(|i| s.sidecar(i).lock().entries.len())
             .sum()
     }
 
@@ -2010,7 +1906,7 @@ mod tests {
         let tag = [0x34u8; 32];
         append(&s, tag, 1, &[1, 2]);
         // The racing search took its snapshot here and found this answer ...
-        let old = s.engine.snap(0);
+        let old = s.snap(0);
         let stale = SearchMemo {
             applied_seq: old.applied_seq,
             t_prime: key(1),
@@ -2034,14 +1930,14 @@ mod tests {
         // The other way round: the post-reset entry now on file is no
         // prefix for a search still reading the old snapshot, although
         // tag, list length and commitment all agree.
-        let filed = s.engine.sidecar(0).lock().entries[&tag].clone();
+        let filed = s.sidecar(0).lock().entries[&tag].clone();
         let old_list = old.tree.get(&tag).unwrap();
         assert_eq!(
             filed.last_commitment,
             *old_list.get(0).unwrap().key_commitment
         );
         assert!(!filed.covers_prefix_of(old_list, old.applied_seq));
-        let now = s.engine.snap(0);
+        let now = s.snap(0);
         assert!(filed.covers_prefix_of(now.tree.get(&tag).unwrap(), now.applied_seq));
     }
 
@@ -2063,7 +1959,7 @@ mod tests {
         assert_eq!(cached_entries(&s), 8, "one entry per searched keyword");
         decode_ack(&s.handle_shared(&protocol::encode_reset_index())).unwrap();
         for i in 0..s.num_shards() {
-            assert!(s.engine.sidecar(i).lock().entries.is_empty());
+            assert!(s.sidecar(i).lock().entries.is_empty());
         }
         // DESIGN.md §4f's per-entry figure.
         assert_eq!(std::mem::size_of::<SearchMemo>(), 104);

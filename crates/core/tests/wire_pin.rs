@@ -404,19 +404,19 @@ fn scheme2_requests_are_pinned() {
             "ok",
             "e3b0c44298fc1c149afbf4c8996fb924",
         ),
-        ("fake_update", "ok", "a56df16454a241aa6ec895a225bf066f"),
+        ("fake_update", "ok", "8eed010b8919f7489d2b10496beed0d5"),
         (
             "fake_update/empty",
             "ok",
             "e3b0c44298fc1c149afbf4c8996fb924",
         ),
-        ("fake_update_many", "ok", "4eca3e500fd74476f34a1c693b929aa4"),
+        ("fake_update_many", "ok", "73e955c25cbcb33efa120982ef6aa0be"),
         (
             "fake_update_many/empty",
             "ok",
             "e3b0c44298fc1c149afbf4c8996fb924",
         ),
-        ("remove", "ok", "6d7ca5e3cabcdd2c8277f199f2e7b33c"),
+        ("remove", "ok", "fee3c665b131f6f9c8fb01756aa6a46c"),
         (
             "remove/no-keywords",
             "ok",
@@ -428,7 +428,7 @@ fn scheme2_requests_are_pinned() {
             "ok",
             "4649adf387c58bf54b0b871cf2ef46ce",
         ),
-        ("reinitialize", "ok", "f9a1cfa7459f1174e54cde0a5a7bede1"),
+        ("reinitialize", "ok", "c428c06cbdf9f950c0bd1136ec2c8127"),
         (
             "search_many/after-reinitialize",
             "ok",
@@ -478,4 +478,47 @@ fn scheme2_requests_are_pinned() {
             "08e46608afb959ebe44d8fb74c281579",
         ),
     ]);
+}
+
+/// A Scheme 2 client call, for comparing what two of them send.
+type Call = fn(&mut S2) -> Result<(), SseError>;
+
+/// A keyword named twice in one fake update gets one generation: the
+/// call sends what the call without the repeat sends, from equal client
+/// states, and the server appends as many generations, whether the
+/// repeat is in one group or across two (a group left empty sends
+/// nothing).
+#[test]
+fn scheme2_fake_updates_send_one_generation_per_keyword() {
+    let calls: [(&str, Call, Call); 2] = [
+        (
+            "fake_update",
+            |c| c.fake_update(&kws(&["fever", "cough", "fever"])),
+            |c| c.fake_update(&kws(&["fever", "cough"])),
+        ),
+        (
+            "fake_update_many",
+            |c| {
+                c.fake_update_many(&[
+                    kws(&["rash", "flu", "rash"]),
+                    kws(&["flu"]),
+                    kws(&["measles", "rash"]),
+                ])
+            },
+            |c| c.fake_update_many(&[kws(&["rash", "flu"]), kws(&["measles"])]),
+        ),
+    ];
+    for (name, repeated, once) in calls {
+        let mut sent = Vec::new();
+        for call in [repeated, once] {
+            let mut c = scheme2(Scheme2Config::standard().with_chain_length(64), 3);
+            c.store(&docs()).unwrap();
+            c.transport_mut().take();
+            call(&mut c).unwrap();
+            let link = c.transport_mut();
+            let appended = link.inner.service_mut().stats().generations_appended;
+            sent.push((link.take(), appended));
+        }
+        assert_eq!(sent[0], sent[1], "{name}: a repeat changed the requests");
+    }
 }

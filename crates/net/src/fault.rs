@@ -138,18 +138,6 @@ impl<T: Transport> FaultyLink<T> {
     pub fn stats(&self) -> Arc<NetFaultStats> {
         Arc::clone(&self.stats)
     }
-
-    /// The wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    /// The fault (if any) the schedule assigns to the *next* round. Tests
-    /// use this to predict which operations will fail.
-    #[must_use]
-    pub fn next_round_fault(&self) -> Option<NetFault> {
-        self.config.fault_for_round(self.round + 1)
-    }
 }
 
 impl<T: Transport> Transport for FaultyLink<T> {

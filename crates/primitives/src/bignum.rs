@@ -435,17 +435,6 @@ impl BigUint {
         self.div_rem(modulus).1
     }
 
-    /// `(self + other) mod modulus`; operands must already be reduced.
-    #[must_use]
-    pub fn mod_add(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
-        let s = self.add(other);
-        if s.cmp_big(modulus) == Ordering::Less {
-            s
-        } else {
-            s.sub(modulus)
-        }
-    }
-
     /// `(self * other) mod modulus`.
     #[must_use]
     pub fn mod_mul(&self, other: &BigUint, modulus: &BigUint) -> BigUint {

@@ -39,12 +39,6 @@ impl Prg {
     }
 }
 
-/// Sample a fresh random seed (nonce `r`) from OS entropy.
-#[must_use]
-pub fn random_seed() -> Seed {
-    crate::random_key()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -601,7 +601,7 @@ fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {
     let bytes_in = payload.len();
     // A parked mutation's reply: sent and counted by the flush that
     // commits it, its service time running until then.
-    let park = || -> Reply {
+    let mut park = || -> Reply {
         let (responder, stats) = (responder.clone(), Arc::clone(stats));
         Box::new(move |response: Vec<u8>| {
             let bytes_out = response.len();
@@ -622,7 +622,7 @@ fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {
         let now = |reply: Option<Vec<u8>>| reply.map_or(Served::Parked, Served::Reply);
         match kind {
             KIND_UPDATE_MANY => match proto::decode_batch(&payload) {
-                Some(parts) => now(tenant.apply_batch_parked(&parts, park)),
+                Some(parts) => now(tenant.apply_batch_parked(&parts, &mut park)),
                 None => Served::Malformed,
             },
             _ => {
@@ -630,7 +630,7 @@ fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {
                 // encode into a recycled buffer, which `send` seals so the
                 // reactor's gather write recycles it again.
                 let scratch = responder.pool.acquire(RESPONSE_SCRATCH_CAPACITY);
-                now(tenant.handle_parked(&payload, scratch, park))
+                now(tenant.handle_parked(&payload, scratch, &mut park))
             }
         }
     }));

@@ -17,24 +17,22 @@
 
 use crate::proto::{SchemeId, StatsSnapshot};
 use parking_lot::Mutex;
-use sse_core::commit::Reply;
 use sse_core::engine::{DurableOptions, IndexAdmin};
 use sse_core::error::SseError;
 use sse_core::health::HealthState;
 use sse_core::journal::ServerRecovery;
 use sse_core::scheme1::Scheme1Server;
 use sse_core::scheme2::{Scheme2Config, Scheme2Server};
-use sse_net::link::Service;
 use sse_storage::{BackendKind, RealVfs, Vfs};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One tenant's scheme server — the concrete state behind a handle, kept
-/// as an enum (not `Box<dyn Service>`) so requests dispatch statically
-/// and callers can reach scheme-specific state (the request-tag
-/// classifier, Scheme 2's search-memo counters).
+/// One tenant's scheme server. An enum, so callers can reach
+/// scheme-specific state (Scheme 2's inline path and search-memo
+/// counters); everything else — serving, batches, admin — goes through
+/// its one dispatch, the `Deref` to the scheme-erased [`IndexAdmin`].
 pub enum TenantDb {
     /// A Scheme 1 (XOR-masked bit-array index) server.
     S1(Scheme1Server),
@@ -43,15 +41,12 @@ pub enum TenantDb {
 }
 
 impl std::ops::Deref for TenantDb {
-    /// The scheme-independent admin surface — health, recovery evidence,
-    /// repair, scrub verification, commit / contention / backend counters
-    /// — is the index engine's, the same under both schemes.
     type Target = dyn IndexAdmin;
 
     fn deref(&self) -> &Self::Target {
         match self {
-            TenantDb::S1(s) => &**s,
-            TenantDb::S2(s) => &**s,
+            TenantDb::S1(s) => s,
+            TenantDb::S2(s) => s,
         }
     }
 }
@@ -69,74 +64,14 @@ impl TenantDb {
 
     /// Whether an envelope request would mutate this database — the
     /// routing predicate for degraded (read-only) serving. `UPDATE_MANY`
-    /// is always a mutation; for `DATA` the scheme's `is_read` on the
-    /// request tag (first payload byte) decides. Unknown kinds and empty
-    /// or unknown payloads classify as mutations: they are rejected
-    /// anyway, and a degraded tenant must fail closed, not execute a
-    /// request the classifier could not read.
+    /// is always a mutation; for `DATA` the scheme's [`IndexAdmin::is_read`]
+    /// on the request decides. Unknown kinds and empty or unknown
+    /// payloads classify as mutations: they are rejected anyway, and a
+    /// degraded tenant must fail closed, not execute a request the
+    /// classifier could not read.
     #[must_use]
     pub fn is_mutation(&self, kind: u8, payload: &[u8]) -> bool {
-        match kind {
-            crate::proto::KIND_UPDATE_MANY => true,
-            crate::proto::KIND_DATA => !self.is_read(payload),
-            _ => true,
-        }
-    }
-
-    /// Whether the scheme request `request` only reads: its tag (first
-    /// byte) is one of the scheme's reads (`scheme1::protocol::is_read`,
-    /// `scheme2::protocol::is_read`). An empty request is not a read.
-    fn is_read(&self, request: &[u8]) -> bool {
-        let Some(&tag) = request.first() else {
-            return false;
-        };
-        match self {
-            TenantDb::S1(_) => sse_core::scheme1::protocol::is_read(tag),
-            TenantDb::S2(_) => sse_core::scheme2::protocol::is_read(tag),
-        }
-    }
-
-    /// Serve one scheme request. Safe to call from many worker threads at
-    /// once: the scheme servers lock per index shard internally, so
-    /// requests touching distinct shards run in parallel — in-memory
-    /// mutations apply under their own shards' locks, and workers flushing
-    /// durable ones at once fsync different shards' journals.
-    #[must_use]
-    pub fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
-        match self {
-            TenantDb::S1(s) => s.handle_shared(request),
-            TenantDb::S2(s) => s.handle_shared(request),
-        }
-    }
-
-    /// [`Self::handle_shared`] with a recycled response buffer: the
-    /// scheme's hot search branch encodes into `scratch` (capacity
-    /// reused, contents discarded), so a pool-acquired buffer makes the
-    /// steady-state search response allocation-free.
-    #[must_use]
-    pub fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
-        match self {
-            TenantDb::S1(s) => s.handle_shared_with(request, scratch),
-            TenantDb::S2(s) => s.handle_shared_with(request, scratch),
-        }
-    }
-
-    /// [`Self::handle_shared_with`] for the daemon's worker (DESIGN.md
-    /// §4e): a durable index mutation is staged with the continuation
-    /// `park` builds and left parked for a flush
-    /// ([`IndexAdmin::flush`], a checkpoint or a repair), which calls it.
-    /// `Some` is the reply to send now, and then `park` was not called;
-    /// `None` means the reply went, or will go, to the continuation.
-    pub fn handle_parked(
-        &self,
-        request: &[u8],
-        scratch: Vec<u8>,
-        park: impl FnOnce() -> Reply,
-    ) -> Option<Vec<u8>> {
-        match self {
-            TenantDb::S1(s) => s.handle_parked(request, scratch, park),
-            TenantDb::S2(s) => s.handle_parked(request, scratch, park),
-        }
+        kind != crate::proto::KIND_DATA || !self.is_read(payload)
     }
 
     /// Answer a `KIND_DATA` request on the calling thread **only if that
@@ -163,44 +98,6 @@ impl TenantDb {
             HealthState::Degraded | HealthState::Quarantined => return None,
         }
         server.try_handle_inline(request, scratch)
-    }
-
-    /// Apply an `UPDATE_MANY` batch of mutation parts all-or-nothing (one
-    /// journal append per affected shard; racing searches see either none
-    /// or all of the batch). Returns a single scheme response valid for
-    /// every part.
-    #[must_use]
-    pub fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
-        match self {
-            TenantDb::S1(s) => s.apply_batch(parts),
-            TenantDb::S2(s) => s.apply_batch(parts),
-        }
-    }
-
-    /// [`Self::apply_batch`] with the batch's index mutation left parked,
-    /// as [`Self::handle_parked`] does.
-    pub fn apply_batch_parked(
-        &self,
-        parts: &[&[u8]],
-        park: impl FnOnce() -> Reply,
-    ) -> Option<Vec<u8>> {
-        match self {
-            TenantDb::S1(s) => s.apply_batch_parked(parts, park),
-            TenantDb::S2(s) => s.apply_batch_parked(parts, park),
-        }
-    }
-}
-
-impl Service for TenantDb {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared(request)
-    }
-
-    fn on_shutdown(&mut self) {
-        match self {
-            TenantDb::S1(s) => s.on_shutdown(),
-            TenantDb::S2(s) => s.on_shutdown(),
-        }
     }
 }
 
@@ -256,12 +153,8 @@ impl TenantRegistry {
     #[must_use]
     pub fn new(params: TenantParams) -> Self {
         TenantRegistry {
-            params,
             data_dir: None,
-            vfs: RealVfs::arc(),
-            tenants: Mutex::new(HashMap::new()),
-            wal_recoveries: AtomicU64::new(0),
-            torn_tails_truncated: AtomicU64::new(0),
+            ..Self::durable(params, PathBuf::new(), RealVfs::arc())
         }
     }
 
@@ -314,40 +207,33 @@ impl TenantRegistry {
 
     fn open_tenant(&self, tenant: &str, scheme: SchemeId) -> Result<TenantDb, SseError> {
         let shards = self.params.shards.max(1);
-        match &self.data_dir {
-            None => Ok(match scheme {
-                SchemeId::Scheme1 => TenantDb::S1(Scheme1Server::new_in_memory_sharded(
-                    self.params.scheme1_capacity,
-                    shards,
-                )),
-                SchemeId::Scheme2 => TenantDb::S2(Scheme2Server::new_in_memory_sharded(
-                    Scheme2Config::standard().with_chain_length(self.params.scheme2_chain_length),
-                    shards,
-                )),
-            }),
-            Some(root) => {
-                let dir = tenant_dir(root, tenant, scheme);
-                self.vfs.create_dir_all(&dir)?;
-                let opts = DurableOptions {
-                    vfs: Arc::clone(&self.vfs),
-                    shards,
-                    backend: self.params.backend,
-                };
-                Ok(match scheme {
-                    SchemeId::Scheme1 => TenantDb::S1(Scheme1Server::open_durable_with(
-                        self.params.scheme1_capacity,
-                        &dir,
-                        opts,
-                    )?),
-                    SchemeId::Scheme2 => TenantDb::S2(Scheme2Server::open_durable_with(
-                        Scheme2Config::standard()
-                            .with_chain_length(self.params.scheme2_chain_length),
-                        &dir,
-                        opts,
-                    )?),
-                })
+        let capacity = self.params.scheme1_capacity;
+        let config = Scheme2Config::standard().with_chain_length(self.params.scheme2_chain_length);
+        let Some(root) = &self.data_dir else {
+            return Ok(match scheme {
+                SchemeId::Scheme1 => {
+                    TenantDb::S1(Scheme1Server::new_in_memory_sharded(capacity, shards))
+                }
+                SchemeId::Scheme2 => {
+                    TenantDb::S2(Scheme2Server::new_in_memory_sharded(config, shards))
+                }
+            });
+        };
+        let dir = tenant_dir(root, tenant, scheme);
+        self.vfs.create_dir_all(&dir)?;
+        let opts = DurableOptions {
+            vfs: Arc::clone(&self.vfs),
+            shards,
+            backend: self.params.backend,
+        };
+        Ok(match scheme {
+            SchemeId::Scheme1 => {
+                TenantDb::S1(Scheme1Server::open_durable_with(capacity, &dir, opts)?)
             }
-        }
+            SchemeId::Scheme2 => {
+                TenantDb::S2(Scheme2Server::open_durable_with(config, &dir, opts)?)
+            }
+        })
     }
 
     fn note_recovery(&self, recovery: &ServerRecovery) {
@@ -498,20 +384,6 @@ impl TenantRegistry {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
-    }
-
-    /// On-disk directory of an open durable tenant (`None` in-memory).
-    #[must_use]
-    pub fn tenant_dir(&self, tenant: &str, scheme: SchemeId) -> Option<PathBuf> {
-        self.data_dir
-            .as_ref()
-            .map(|root| tenant_dir(root, tenant, scheme))
-    }
-
-    /// The VFS all tenant file I/O routes through.
-    #[must_use]
-    pub fn vfs(&self) -> Arc<dyn Vfs> {
-        Arc::clone(&self.vfs)
     }
 }
 

@@ -198,11 +198,10 @@ impl BackendCounters {
 ///
 /// Durability contract: every successful mutation is write-ahead logged
 /// before it returns, so it survives a *process* crash from then on.
-/// Against power loss it is durable only once fsynced: on every append
-/// with [`crate::store::StoreOptions::sync_on_append`], else at the next
-/// [`DocBlobStore::checkpoint`]. The index engine opens its store with
-/// the default (`sync_on_append: false`), so a served document is
-/// power-loss durable only after the next checkpoint (ROADMAP item 7).
+/// Against power loss it is durable only once fsynced, at the next
+/// [`DocBlobStore::checkpoint`]: both stores open their WAL unsynced, so
+/// a served document is power-loss durable only after the next
+/// checkpoint (ROADMAP item 7).
 pub trait DocBlobStore: Send + Sync {
     /// Store (or replace) the blob for `id`.
     ///

@@ -734,7 +734,7 @@ impl LsmDocStore {
     ///
     /// # Errors
     /// I/O errors, or [`StorageError::Corrupt`] for damaged files.
-    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: StoreOptions) -> Result<Self> {
+    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, _opts: StoreOptions) -> Result<Self> {
         vfs.create_dir_all(dir)?;
         let mut core = LsmCore::open(vfs.clone(), dir, "doc")?;
         let mut recovery = RecoveryReport {
@@ -750,7 +750,7 @@ impl LsmDocStore {
             })?;
             ids.insert(u64::from_be_bytes(id));
         }
-        let (wal, replay) = Wal::open_with_vfs(vfs, &dir.join("doc.wal"), opts.sync_on_append)?;
+        let (wal, replay) = Wal::open_with_vfs(vfs, &dir.join("doc.wal"), false)?;
         for record in replay.records() {
             match DocRecord::decode(record)? {
                 DocRecord::Put(id, blob) => {

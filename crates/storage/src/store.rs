@@ -9,10 +9,9 @@
 //! [`DocStore::checkpoint`] folds the log into a sealed `SSESNAP1` snapshot,
 //! committed by [`crate::durable::commit_by_rename`], and resets the log.
 //! [`DocStore::open`] recovers snapshot + log after a crash, reading the
-//! log once. The append is fsynced only with
-//! [`StoreOptions::sync_on_append`]; without it (the default, and what
-//! the index engine uses) a returned mutation survives a process crash,
-//! but power loss can take it until the next checkpoint (ROADMAP item 7).
+//! log once. The append is never fsynced: a returned mutation survives a
+//! process crash, but power loss can take it until the next checkpoint
+//! (ROADMAP item 7).
 
 use crate::crc32::Crc32;
 use crate::durable::{self, commit_by_rename, sealed_header, unseal, DocRecord};
@@ -27,12 +26,10 @@ use std::sync::Arc;
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SSESNAP1";
 const SNAPSHOT_FILE: &str = "store.snapshot";
 
-/// Configuration for a [`DocStore`].
+/// Configuration for a [`DocStore`] or an [`crate::LsmDocStore`]. It has
+/// no fields: both open their WAL unsynced.
 #[derive(Clone, Debug, Default)]
-pub struct StoreOptions {
-    /// fsync the WAL on every mutation (safest, slowest).
-    pub sync_on_append: bool,
-}
+pub struct StoreOptions {}
 
 /// What [`DocStore::open`] had to do to bring the store back: evidence of
 /// crash recovery, surfaced up to the serving layer's robustness counters.
@@ -92,7 +89,7 @@ impl DocStore {
     /// # Errors
     /// I/O errors (including injected faults), or [`StorageError::Corrupt`]
     /// for damaged files.
-    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: StoreOptions) -> Result<Self> {
+    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, _opts: StoreOptions) -> Result<Self> {
         vfs.create_dir_all(dir)?;
         let mut store = DocStore {
             heap: HeapFile::new(),
@@ -107,8 +104,7 @@ impl DocStore {
             store.recovery.snapshot_loaded = true;
         }
         // 2. Open the WAL (truncating any torn tail) and replay it on top.
-        let (wal, replay) =
-            Wal::open_with_vfs(vfs.clone(), &dir.join("store.wal"), opts.sync_on_append)?;
+        let (wal, replay) = Wal::open_with_vfs(vfs.clone(), &dir.join("store.wal"), false)?;
         for record in replay.records() {
             match DocRecord::decode(record)? {
                 DocRecord::Put(id, blob) => store.apply_put(id, blob)?,

@@ -2,11 +2,13 @@
 //! must work when the server lives on another thread behind framed
 //! channels (the shape of a real network deployment).
 
+use sse_repro::core::journal::ServerRecovery;
 use sse_repro::core::query::{execute_query, Query};
+use sse_repro::core::scheme::SseClientApi;
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2Config, Scheme2Server};
-use sse_repro::core::types::{Document, Keyword, MasterKey};
-use sse_repro::net::link::Duplex;
+use sse_repro::core::types::{Document, Keyword, MasterKey, SearchHits};
+use sse_repro::net::link::{Duplex, MeteredLink};
 use sse_repro::net::meter::Meter;
 
 fn docs() -> Vec<Document> {
@@ -96,4 +98,74 @@ fn concurrent_clients_one_server_each() {
     for h in handles {
         h.join().unwrap();
     }
+}
+
+/// The keywords [`store_update_search`] searches, one of them absent.
+const SEARCHED: [&str; 5] = ["alpha", "beta", "gamma", "delta", "absent"];
+
+fn search_all<C: SseClientApi>(client: &mut C) -> Vec<SearchHits> {
+    SEARCHED
+        .iter()
+        .map(|w| client.search(&Keyword::new(*w)).unwrap())
+        .collect()
+}
+
+/// Store, update, then every search's hits.
+fn store_update_search<C: SseClientApi>(client: &mut C) -> Vec<SearchHits> {
+    client.add_documents(&docs()).unwrap();
+    let nine = Document::new(9, b"nine".to_vec(), ["beta", "delta"]);
+    client.add_documents(&[nine]).unwrap();
+    let hits = search_all(client);
+    assert_eq!(hits[1].len(), 3, "beta: docs 0, 1 and 9");
+    hits
+}
+
+fn assert_nothing_replayed(recovery: ServerRecovery) {
+    assert_eq!(recovery.index_ops_replayed, 0, "{recovery:?}");
+    assert_eq!(recovery.store_wal_records_replayed, 0, "{recovery:?}");
+}
+
+/// A durable server behind a `Duplex` checkpoints when the link drops
+/// (`Service::on_shutdown`): reopening its directory replays nothing, and
+/// every search answers as before the drop.
+#[test]
+fn dropping_the_link_checkpoints_a_durable_server() {
+    let dir = std::env::temp_dir().join(format!("sse-duplex-shutdown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let key = || MasterKey::from_seed(3);
+
+    let (home, config) = (dir.join("s1"), Scheme1Config::fast_profile(64));
+    std::fs::create_dir_all(&home).unwrap();
+    let server = Scheme1Server::open_durable(64, &home).unwrap();
+    let (duplex, handle) = Duplex::spawn(server, Meter::new());
+    let mut client = Scheme1Client::new_seeded(duplex, key(), config.clone(), 7);
+    let before = store_update_search(&mut client);
+    drop(client);
+    handle.join();
+    let server = Scheme1Server::open_durable(64, &home).unwrap();
+    assert_nothing_replayed(server.recovery());
+    let link = MeteredLink::new(server, Meter::new());
+    let mut client = Scheme1Client::new_seeded(link, key(), config, 7);
+    assert_eq!(search_all(&mut client), before);
+
+    let (home, config) = (
+        dir.join("s2"),
+        Scheme2Config::standard().with_chain_length(64),
+    );
+    std::fs::create_dir_all(&home).unwrap();
+    let server = Scheme2Server::open_durable(config.clone(), &home).unwrap();
+    let (duplex, handle) = Duplex::spawn(server, Meter::new());
+    let mut client = Scheme2Client::new_seeded(duplex, key(), config.clone(), 8);
+    let before = store_update_search(&mut client);
+    // The client's counter outlives the link, as an application keeps it.
+    let state = client.state();
+    drop(client);
+    handle.join();
+    let server = Scheme2Server::open_durable(config.clone(), &home).unwrap();
+    assert_nothing_replayed(server.recovery());
+    let link = MeteredLink::new(server, Meter::new());
+    let mut client = Scheme2Client::new_seeded(link, key(), config, 8);
+    client.restore_state(state);
+    assert_eq!(search_all(&mut client), before);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
