@@ -1,26 +1,26 @@
 //! Length-prefixed message framing for the byte-stream transport.
 //!
-//! `[len: u32 LE][body]`. The decoder accepts bytes in arbitrary chunks
-//! (as a TCP stream would deliver them) and yields complete frames.
+//! `[len: u32 LE][body]`. Two readers, one per IO style: [`read_frame`]
+//! for a blocking stream (the clients), and [`StreamingDecoder`], which
+//! accepts bytes in arbitrary chunks (as a readiness-driven reactor gets
+//! them) and yields complete frames.
 
 use crate::pool::{BufPool, PooledBuf};
-use bytes::{Buf, BufMut, BytesMut};
+use std::io::{self, Read};
 
 /// Maximum frame body size (64 MiB) — matches the wire codec's field limit.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Encode one frame.
+///
+/// # Panics
+/// Panics if `body` exceeds [`MAX_FRAME_LEN`].
 #[must_use]
 pub fn encode_frame(body: &[u8]) -> Vec<u8> {
-    assert!(
-        body.len() <= MAX_FRAME_LEN as usize,
-        "frame body too large: {}",
-        body.len()
-    );
-    let mut out = BytesMut::with_capacity(4 + body.len());
-    out.put_u32_le(body.len() as u32);
-    out.put_slice(body);
-    out.to_vec()
+    let mut out = Vec::with_capacity(4 + body.len());
+    out.extend_from_slice(&frame_header(body.len()));
+    out.extend_from_slice(body);
+    out
 }
 
 /// The 4-byte length prefix for a body of `len` bytes — the first segment
@@ -35,32 +35,7 @@ pub fn frame_header(len: usize) -> [u8; 4] {
     (len as u32).to_le_bytes()
 }
 
-/// Append one encoded frame to an existing buffer (typically one recycled
-/// from a [`BufPool`]) instead of allocating a fresh `Vec` per frame.
-///
-/// # Panics
-/// Panics if `body` exceeds [`MAX_FRAME_LEN`].
-pub fn encode_frame_into(out: &mut Vec<u8>, body: &[u8]) {
-    out.extend_from_slice(&frame_header(body.len()));
-    out.extend_from_slice(body);
-}
-
-/// Incremental frame decoder.
-pub struct FrameDecoder {
-    buf: BytesMut,
-    max_len: u32,
-}
-
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        FrameDecoder {
-            buf: BytesMut::default(),
-            max_len: MAX_FRAME_LEN,
-        }
-    }
-}
-
-/// Decoder failure: a peer declared an oversized frame.
+/// A peer declared an oversized frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameTooLarge {
     /// The declared body length.
@@ -75,74 +50,36 @@ impl std::fmt::Display for FrameTooLarge {
 
 impl std::error::Error for FrameTooLarge {}
 
-impl FrameDecoder {
-    /// New empty decoder accepting bodies up to [`MAX_FRAME_LEN`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+/// Read one frame from a blocking stream: the 4-byte prefix, then exactly
+/// the body it declares, read straight into the returned buffer.
+///
+/// `max_len` (capped at [`MAX_FRAME_LEN`]) bounds what a peer can make
+/// this allocate: the prefix is checked before the body buffer exists.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidData`] carrying [`FrameTooLarge`] when the
+/// prefix declares more than `max_len`; [`io::ErrorKind::UnexpectedEof`]
+/// when the stream ends before the frame does; any other read error as
+/// the stream reports it.
+pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Vec<u8>> {
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let declared = u32::from_le_bytes(prefix);
+    if declared > max_len.min(MAX_FRAME_LEN) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            FrameTooLarge { declared },
+        ));
     }
-
-    /// New empty decoder accepting bodies up to `max_len` bytes. Servers
-    /// facing untrusted sockets should set this to the largest message the
-    /// protocol can legitimately produce: the length prefix is
-    /// attacker-controlled, and the limit is what stops a forged prefix
-    /// from driving an unbounded allocation (the TCP analogue of the wire
-    /// codec's `get_count` hardening). Capped at [`MAX_FRAME_LEN`].
-    #[must_use]
-    pub fn with_max_len(max_len: u32) -> Self {
-        FrameDecoder {
-            buf: BytesMut::default(),
-            max_len: max_len.min(MAX_FRAME_LEN),
-        }
-    }
-
-    /// The configured per-frame body limit.
-    #[must_use]
-    pub fn max_len(&self) -> u32 {
-        self.max_len
-    }
-
-    /// Feed received bytes into the decoder.
-    pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Pop the next complete frame, if one is buffered.
-    ///
-    /// # Errors
-    /// [`FrameTooLarge`] when the length prefix exceeds the configured
-    /// limit ([`MAX_FRAME_LEN`] by default); the decoder is then poisoned
-    /// and the connection should be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameTooLarge> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len > self.max_len {
-            return Err(FrameTooLarge { declared: len });
-        }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        self.buf.advance(4);
-        let body = self.buf.split_to(len as usize);
-        Ok(Some(body.to_vec()))
-    }
-
-    /// Bytes buffered but not yet consumed.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
+    let mut body = vec![0u8; declared as usize];
+    r.read_exact(&mut body)?;
+    Ok(body)
 }
 
 /// Resumable streaming decoder for readiness-driven IO.
 ///
-/// Where [`FrameDecoder`] copies every received byte into one growing
-/// buffer and carves frames out of it, `StreamingDecoder` consumes each
-/// chunk in place and buffers **only the partial frame** straddling a
-/// chunk boundary — a connection between frames holds zero bytes, which
+/// `StreamingDecoder` consumes each chunk in place and buffers **only
+/// the partial frame** straddling a chunk boundary — a connection between frames holds zero bytes, which
 /// is what keeps per-idle-connection memory flat with tens of thousands
 /// of sockets parked on a reactor.
 ///
@@ -179,7 +116,10 @@ impl StreamingDecoder {
     }
 
     /// New empty decoder accepting bodies up to `max_len` bytes (capped
-    /// at [`MAX_FRAME_LEN`]; see [`FrameDecoder::with_max_len`]).
+    /// at [`MAX_FRAME_LEN`]). Servers facing untrusted sockets should set
+    /// this to the largest message the protocol can legitimately produce:
+    /// the length prefix is attacker-controlled, and the limit is what
+    /// rejects a forged prefix before any body bytes are buffered.
     #[must_use]
     pub fn with_max_len(max_len: u32) -> Self {
         StreamingDecoder {
@@ -307,88 +247,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_frame_round_trip() {
-        let mut d = FrameDecoder::new();
-        d.push(&encode_frame(b"hello"));
-        assert_eq!(d.next_frame().unwrap(), Some(b"hello".to_vec()));
-        assert_eq!(d.next_frame().unwrap(), None);
-    }
-
-    #[test]
-    fn empty_frame() {
-        let mut d = FrameDecoder::new();
-        d.push(&encode_frame(b""));
-        assert_eq!(d.next_frame().unwrap(), Some(Vec::new()));
-    }
-
-    #[test]
-    fn fragmented_delivery() {
-        let frame = encode_frame(b"fragmented message body");
-        let mut d = FrameDecoder::new();
-        for chunk in frame.chunks(3) {
-            d.push(chunk);
-        }
-        assert_eq!(
-            d.next_frame().unwrap(),
-            Some(b"fragmented message body".to_vec())
-        );
-    }
-
-    #[test]
-    fn coalesced_frames() {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame(b"one"));
-        stream.extend_from_slice(&encode_frame(b"two"));
-        stream.extend_from_slice(&encode_frame(b"three"));
-        let mut d = FrameDecoder::new();
-        d.push(&stream);
-        assert_eq!(d.next_frame().unwrap(), Some(b"one".to_vec()));
-        assert_eq!(d.next_frame().unwrap(), Some(b"two".to_vec()));
-        assert_eq!(d.next_frame().unwrap(), Some(b"three".to_vec()));
-        assert_eq!(d.next_frame().unwrap(), None);
-        assert_eq!(d.buffered(), 0);
-    }
-
-    #[test]
-    fn partial_header_waits() {
-        let mut d = FrameDecoder::new();
-        d.push(&[5, 0]);
-        assert_eq!(d.next_frame().unwrap(), None);
-        d.push(&[0, 0]);
-        assert_eq!(d.next_frame().unwrap(), None); // header complete, body missing
-        d.push(b"abcde");
-        assert_eq!(d.next_frame().unwrap(), Some(b"abcde".to_vec()));
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let mut d = FrameDecoder::new();
-        d.push(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        assert!(d.next_frame().is_err());
-    }
-
-    #[test]
-    fn configured_limit_rejects_before_allocating() {
-        let mut d = FrameDecoder::with_max_len(1024);
-        assert_eq!(d.max_len(), 1024);
-        // A forged prefix above the limit errors with only 4 bytes on hand.
-        d.push(&2048u32.to_le_bytes());
-        assert_eq!(d.next_frame(), Err(FrameTooLarge { declared: 2048 }));
-    }
-
-    #[test]
-    fn configured_limit_still_accepts_small_frames() {
-        let mut d = FrameDecoder::with_max_len(16);
-        d.push(&encode_frame(b"ok"));
-        assert_eq!(d.next_frame().unwrap(), Some(b"ok".to_vec()));
-        d.push(&encode_frame(&[0u8; 17]));
-        assert!(d.next_frame().is_err());
-    }
-
-    #[test]
-    fn limit_is_capped_at_protocol_maximum() {
-        let d = FrameDecoder::with_max_len(u32::MAX);
-        assert_eq!(d.max_len(), MAX_FRAME_LEN);
+    fn read_frame_rejects_a_forged_prefix_before_reading_a_body() {
+        // Only the prefix is on hand: the error comes from it alone.
+        let forged = 2048u32.to_le_bytes();
+        let err = read_frame(&mut &forged[..], 1024).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let inner = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<FrameTooLarge>());
+        assert_eq!(inner, Some(&FrameTooLarge { declared: 2048 }));
+        // The limit is capped at the protocol maximum.
+        let huge = (MAX_FRAME_LEN + 1).to_le_bytes();
+        let err = read_frame(&mut &huge[..], u32::MAX).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     fn stream_all(decoder: &mut StreamingDecoder, chunks: &[&[u8]]) -> Vec<Vec<u8>> {
@@ -482,13 +353,6 @@ mod tests {
         let mut sg = frame_header(body.len()).to_vec();
         sg.extend_from_slice(body);
         assert_eq!(sg, encode_frame(body));
-
-        let mut reused = Vec::with_capacity(64);
-        encode_frame_into(&mut reused, b"one");
-        encode_frame_into(&mut reused, b"two");
-        let mut expect = encode_frame(b"one");
-        expect.extend_from_slice(&encode_frame(b"two"));
-        assert_eq!(reused, expect);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! * [`wire`] — a compact, dependency-free binary codec for protocol
 //!   messages;
-//! * [`frame`] — length-prefixed framing over [`bytes`] buffers, for the
-//!   threaded transport;
+//! * [`frame`] — length-prefixed framing: the blocking reader the TCP
+//!   clients use and the reactor's streaming decoder;
 //! * [`meter`] — round/byte accounting shared by all protocol runs — the
 //!   data source for experiments E3 and E4;
 //! * [`link`] — [`link::MeteredLink`], the synchronous request/response

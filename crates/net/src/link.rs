@@ -6,14 +6,13 @@
 //!   server's handler directly, with every exchange recorded on a
 //!   [`crate::meter::Meter`]. The SSE protocols run over this in tests and
 //!   experiments (deterministic, zero scheduling noise).
-//! * [`Duplex`] — a threaded channel-based transport using crossbeam and
-//!   the frame codec, demonstrating that the same `Service` runs unchanged
-//!   behind a real concurrent boundary.
+//! * [`Duplex`] — the same `Service` on its own thread, reached over a
+//!   pair of `std::sync::mpsc` channels that carry whole messages (no
+//!   framing: nothing in between splits or coalesces them), showing that
+//!   it runs unchanged behind a real concurrent boundary.
 
-use crate::frame::{encode_frame, FrameDecoder};
 use crate::meter::Meter;
-use crate::shutdown::ShutdownSignal;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -67,8 +66,8 @@ pub trait Service: Send {
     /// Handle one request message, producing the response message.
     fn handle(&mut self, request: &[u8]) -> Vec<u8>;
 
-    /// Called exactly once when the hosting transport shuts down (graceful
-    /// stop, client hang-up, poisoned stream). Durable servers override
+    /// Called exactly once when the hosting transport shuts down (for a
+    /// [`Duplex`], when the client hangs up). Durable servers override
     /// this to checkpoint so a clean shutdown leaves no WAL to replay.
     fn on_shutdown(&mut self) {}
 }
@@ -125,14 +124,14 @@ type JoinSlot = Arc<Mutex<Option<JoinHandle<()>>>>;
 
 /// Client handle to a service running on its own thread.
 ///
-/// Dropping the `Duplex` shuts the server thread down and **joins it**: no
-/// detached thread outlives the link (the original implementation leaked
-/// the thread unless [`ServerHandle::join`] was called explicitly).
+/// Dropping the `Duplex` hangs up the request channel, which ends the
+/// server loop (the service's [`Service::on_shutdown`] runs then), and
+/// **joins** the thread: no detached thread outlives the link.
 pub struct Duplex {
-    tx: Sender<Vec<u8>>,
+    /// `None` only inside `drop`, which hangs up before it joins.
+    tx: Option<Sender<Vec<u8>>>,
     rx: Receiver<Vec<u8>>,
     meter: Meter,
-    shutdown: ShutdownSignal,
     join: JoinSlot,
 }
 
@@ -164,31 +163,13 @@ impl ServerHandle {
 impl Duplex {
     /// Spawn `service` on a background thread and return the client link.
     pub fn spawn<S: Service + 'static>(mut service: S, meter: Meter) -> (Duplex, ServerHandle) {
-        let (req_tx, req_rx) = unbounded::<Vec<u8>>();
-        let (resp_tx, resp_rx) = unbounded::<Vec<u8>>();
-        let shutdown = ShutdownSignal::new();
-        let server_shutdown = shutdown.clone();
+        let (req_tx, req_rx) = channel::<Vec<u8>>();
+        let (resp_tx, resp_rx) = channel::<Vec<u8>>();
         let join = std::thread::spawn(move || {
-            let mut decoder = FrameDecoder::new();
-            'serve: loop {
-                if server_shutdown.is_requested() {
+            // Ends when the client hangs up (or stops listening).
+            for request in req_rx {
+                if resp_tx.send(service.handle(&request)).is_err() {
                     break;
-                }
-                let Ok(chunk) = req_rx.recv() else {
-                    break;
-                };
-                decoder.push(&chunk);
-                loop {
-                    match decoder.next_frame() {
-                        Ok(Some(request)) => {
-                            let response = service.handle(&request);
-                            if resp_tx.send(encode_frame(&response)).is_err() {
-                                break 'serve;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => break 'serve, // poisoned stream: drop connection
-                    }
                 }
             }
             // Every exit path lands here: give durable services their
@@ -198,10 +179,9 @@ impl Duplex {
         let join: JoinSlot = Arc::new(Mutex::new(Some(join)));
         (
             Duplex {
-                tx: req_tx,
+                tx: Some(req_tx),
                 rx: resp_rx,
                 meter,
-                shutdown,
                 join: join.clone(),
             },
             ServerHandle { join },
@@ -216,34 +196,20 @@ impl Duplex {
         self.try_call(request).expect("server thread alive")
     }
 
-    /// One metered round, surfacing a dead server thread or a corrupt
-    /// response stream as an error instead of panicking.
+    /// One metered round, surfacing a dead server thread as an error
+    /// instead of panicking.
     ///
     /// # Errors
-    /// [`std::io::ErrorKind::BrokenPipe`] if the server thread is gone;
-    /// [`std::io::ErrorKind::InvalidData`] for a corrupt response frame.
+    /// [`std::io::ErrorKind::BrokenPipe`] if the server thread is gone.
     pub fn try_call(&self, request: &[u8]) -> std::io::Result<Vec<u8>> {
-        use std::io::{Error, ErrorKind};
-        self.tx
-            .send(encode_frame(request))
-            .map_err(|_| Error::new(ErrorKind::BrokenPipe, "server thread exited"))?;
-        let mut decoder = FrameDecoder::new();
-        // Responses arrive frame-aligned from our server loop, but decode
-        // defensively anyway.
-        loop {
-            let chunk = self
-                .rx
-                .recv()
-                .map_err(|_| Error::new(ErrorKind::BrokenPipe, "server thread exited"))?;
-            decoder.push(&chunk);
-            if let Some(response) = decoder
-                .next_frame()
-                .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?
-            {
-                self.meter.record_round(request.len(), response.len());
-                return Ok(response);
-            }
+        fn gone<E>(_: E) -> std::io::Error {
+            std::io::Error::new(std::io::ErrorKind::BrokenPipe, "server thread exited")
         }
+        let tx = self.tx.as_ref().expect("the sender lives until drop");
+        tx.send(request.to_vec()).map_err(gone)?;
+        let response = self.rx.recv().map_err(gone)?;
+        self.meter.record_round(request.len(), response.len());
+        Ok(response)
     }
 
     /// The shared meter.
@@ -251,22 +217,12 @@ impl Duplex {
     pub fn meter(&self) -> &Meter {
         &self.meter
     }
-
-    /// The shutdown signal driving the server thread — the same primitive
-    /// the TCP daemon's drain logic uses.
-    #[must_use]
-    pub fn shutdown_signal(&self) -> ShutdownSignal {
-        self.shutdown.clone()
-    }
 }
 
 impl Drop for Duplex {
     fn drop(&mut self) {
-        self.shutdown.request();
-        // Wake the server loop if it is blocked on recv: an empty chunk is
-        // a no-op for the frame decoder. (Send can only fail if the thread
-        // already exited, which is fine.)
-        let _ = self.tx.send(Vec::new());
+        // Hang up first: the server loop's `recv` then fails and it exits.
+        drop(self.tx.take());
         let handle = self
             .join
             .lock()

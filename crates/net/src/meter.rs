@@ -62,15 +62,6 @@ impl Meter {
         m.bytes_down += response_bytes as u64;
     }
 
-    /// Record a one-way client→server message that expects no response
-    /// (still a round for Table-1 purposes — the paper counts message
-    /// exchanges initiated by the client).
-    pub fn record_oneway_up(&self, request_bytes: usize) {
-        let mut m = self.inner.lock();
-        m.rounds += 1;
-        m.bytes_up += request_bytes as u64;
-    }
-
     /// Current counter values.
     #[must_use]
     pub fn snapshot(&self) -> MeterSnapshot {
@@ -97,16 +88,6 @@ mod tests {
         assert_eq!(s.bytes_up, 150);
         assert_eq!(s.bytes_down, 2010);
         assert_eq!(s.bytes_total(), 2160);
-    }
-
-    #[test]
-    fn oneway_counts_as_round_without_downlink() {
-        let m = Meter::new();
-        m.record_oneway_up(64);
-        let s = m.snapshot();
-        assert_eq!(s.rounds, 1);
-        assert_eq!(s.bytes_up, 64);
-        assert_eq!(s.bytes_down, 0);
     }
 
     #[test]

@@ -225,18 +225,6 @@ impl BufPool {
             .map(|(_, free)| free.lock().expect("pool free list poisoned").len())
             .sum()
     }
-
-    /// Drop every parked buffer (memory-pressure valve; counted as trims).
-    pub fn trim(&self) {
-        for (_, free) in &self.inner.classes {
-            let drained: Vec<Vec<u8>> =
-                std::mem::take(&mut *free.lock().expect("pool free list poisoned"));
-            self.inner
-                .counters
-                .trimmed
-                .fetch_add(drained.len() as u64, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The backing storage of a [`PooledBuf`]: the bytes, a weak handle back
@@ -553,17 +541,5 @@ mod tests {
         assert_eq!(&shared[..], b"old vec");
         drop(buf);
         drop(shared); // no pool to return to; must simply free
-    }
-
-    #[test]
-    fn trim_empties_every_free_list() {
-        let pool = tiny_pool();
-        for size in [8, 40, 200] {
-            drop(pool.seal(pool.acquire(size)));
-        }
-        assert_eq!(pool.free_buffers(), 3);
-        pool.trim();
-        assert_eq!(pool.free_buffers(), 0);
-        assert_eq!(pool.counters().trimmed, 3);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! One [`ShutdownSignal`] is shared between a serving loop and whoever owns
 //! it. Requesting shutdown is idempotent and lock-free; serving loops poll
-//! [`ShutdownSignal::is_requested`] between units of work. The same
-//! primitive drives both the in-process [`crate::link::Duplex`] transport
-//! and the TCP daemon's connection-draining logic (crates/server), so every
-//! serving layer in the repo stops the same way.
+//! [`ShutdownSignal::is_requested`] between units of work. The TCP
+//! daemon (crates/server) drains with it: its reactor and scrubber poll
+//! the flag. The in-process [`crate::link::Duplex`] needs none: its server
+//! loop ends when the client hangs up the request channel.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,9 +1,9 @@
-//! Property-based tests for the transport layer: frame decoding under
-//! arbitrary chunking, and wire-codec round trips for arbitrary field
-//! sequences.
+//! Property-based tests for the transport layer: the streaming frame
+//! decoder checked against the blocking `read_frame` under arbitrary
+//! chunking, and wire-codec round trips for arbitrary field sequences.
 
 use proptest::prelude::*;
-use sse_net::frame::{encode_frame, FrameDecoder, StreamingDecoder, MAX_FRAME_LEN};
+use sse_net::frame::{encode_frame, read_frame, FrameTooLarge, StreamingDecoder, MAX_FRAME_LEN};
 use sse_net::pool::{BufPool, PooledBuf};
 use sse_net::wire::{WireReader, WireWriter};
 
@@ -25,6 +25,24 @@ fn segment(stream: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
 /// The decoded frames as owned bytes, comparable with the oracle's.
 fn owned(frames: &[PooledBuf]) -> Vec<Vec<u8>> {
     frames.iter().map(|f| f.to_vec()).collect()
+}
+
+/// The one-shot oracle: [`read_frame`] over the whole stream until it
+/// fails. Returns the frames read and the error that stopped it
+/// (`UnexpectedEof` once the bytes run out, on a boundary or not).
+fn read_all(mut stream: &[u8], max_len: u32) -> (Vec<Vec<u8>>, std::io::Error) {
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(&mut stream, max_len) {
+            Ok(frame) => frames.push(frame),
+            Err(e) => return (frames, e),
+        }
+    }
+}
+
+/// The bytes of `frames` as they sit on the wire, prefixes included.
+fn wire_len(frames: &[Vec<u8>]) -> usize {
+    frames.iter().map(|f| 4 + f.len()).sum()
 }
 
 /// A field in a synthetic wire message.
@@ -111,29 +129,8 @@ proptest! {
         }
     }
 
-    #[test]
-    fn frames_survive_arbitrary_chunking(
-        bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..10),
-        chunk_size in 1usize..64,
-    ) {
-        let mut stream = Vec::new();
-        for b in &bodies {
-            stream.extend_from_slice(&encode_frame(b));
-        }
-        let mut decoder = FrameDecoder::new();
-        let mut decoded = Vec::new();
-        for chunk in stream.chunks(chunk_size) {
-            decoder.push(chunk);
-            while let Some(frame) = decoder.next_frame().unwrap() {
-                decoded.push(frame);
-            }
-        }
-        prop_assert_eq!(decoded, bodies);
-        prop_assert_eq!(decoder.buffered(), 0);
-    }
-
     /// The streaming decoder is observationally identical to the one-shot
-    /// decoder under arbitrary segmentation: same frames out, in order,
+    /// `read_frame` under arbitrary segmentation: same frames out, in order,
     /// no partial bytes left when the stream ends on a boundary.
     #[test]
     fn streaming_decoder_matches_one_shot_under_any_segmentation(
@@ -145,12 +142,8 @@ proptest! {
             stream.extend_from_slice(&encode_frame(b));
         }
 
-        let mut oracle = FrameDecoder::new();
-        oracle.push(&stream);
-        let mut expected = Vec::new();
-        while let Some(frame) = oracle.next_frame().unwrap() {
-            expected.push(frame);
-        }
+        let (expected, end) = read_all(&stream, MAX_FRAME_LEN);
+        prop_assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
 
         let mut streaming = StreamingDecoder::new();
         let mut frames = Vec::new();
@@ -164,9 +157,10 @@ proptest! {
     }
 
     /// Truncating the byte stream at every possible offset leaves both
-    /// decoders agreeing: the same complete frames decoded, the same
-    /// count of leftover partial bytes, and no error from a merely
-    /// truncated (as opposed to forged) stream.
+    /// readers agreeing: the same complete frames decoded, the streaming
+    /// decoder holding exactly the bytes past them, and no error but the
+    /// end of the stream from a merely truncated (as opposed to forged)
+    /// stream.
     #[test]
     fn streaming_decoder_matches_one_shot_under_truncation(
         bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..120), 1..6),
@@ -180,12 +174,8 @@ proptest! {
         let cut = cut % (stream.len() + 1);
         let stream = &stream[..cut];
 
-        let mut oracle = FrameDecoder::new();
-        oracle.push(stream);
-        let mut expected = Vec::new();
-        while let Some(frame) = oracle.next_frame().unwrap() {
-            expected.push(frame);
-        }
+        let (expected, end) = read_all(stream, MAX_FRAME_LEN);
+        prop_assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
 
         let mut streaming = StreamingDecoder::new();
         let mut frames = Vec::new();
@@ -193,12 +183,12 @@ proptest! {
             streaming.feed_pooled(&chunk, &mut frames).unwrap();
         }
         let got = owned(&frames);
+        prop_assert_eq!(streaming.buffered(), stream.len() - wire_len(&expected));
         prop_assert_eq!(got, expected);
-        prop_assert_eq!(streaming.buffered(), oracle.buffered());
     }
 
     /// The pooled decoder is observationally identical to the one-shot
-    /// decoder for every segmentation **and** every pool shape: the same
+    /// `read_frame` for every segmentation **and** every pool shape: the same
     /// frame bytes come out whether bodies land in recycled class
     /// buffers, fresh ones, or oversize exact allocations — and when the
     /// views drop, the pool's books balance (nothing poisoned, free
@@ -224,12 +214,8 @@ proptest! {
         for b in &bodies {
             stream.extend_from_slice(&encode_frame(b));
         }
-        let mut oracle = FrameDecoder::new();
-        oracle.push(&stream);
-        let mut expected = Vec::new();
-        while let Some(frame) = oracle.next_frame().unwrap() {
-            expected.push(frame);
-        }
+        let (expected, end) = read_all(&stream, MAX_FRAME_LEN);
+        prop_assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
 
         let mut pooled = StreamingDecoder::with_pool(MAX_FRAME_LEN, pool.clone());
         let mut got: Vec<PooledBuf> = Vec::new();
@@ -251,7 +237,7 @@ proptest! {
     }
 
     /// A forged length prefix (beyond the configured limit) fails both
-    /// decoders with the same declared length, at the same frame
+    /// readers with the same declared length, at the same frame
     /// position, regardless of how the bytes were segmented — and any
     /// clean frames before it decode identically first.
     #[test]
@@ -269,17 +255,12 @@ proptest! {
         stream.extend_from_slice(&forged_len.to_le_bytes());
         stream.extend_from_slice(&tail);
 
-        let mut oracle = FrameDecoder::with_max_len(LIMIT);
-        oracle.push(&stream);
-        let mut expected = Vec::new();
-        let oracle_err = loop {
-            match oracle.next_frame() {
-                Ok(Some(frame)) => expected.push(frame),
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-        let oracle_err = oracle_err.expect("forged prefix must error the oracle");
+        let (expected, end) = read_all(&stream, LIMIT);
+        prop_assert_eq!(end.kind(), std::io::ErrorKind::InvalidData);
+        let oracle_err = *end
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<FrameTooLarge>())
+            .expect("forged prefix must error the oracle with FrameTooLarge");
 
         let mut streaming = StreamingDecoder::with_max_len(LIMIT);
         let mut frames = Vec::new();

@@ -42,6 +42,7 @@ use crate::stats::ServingStats;
 use crate::tenant::{TenantHandle, TenantParams, TenantRegistry};
 use sse_core::commit::Reply;
 use sse_core::health::{HealthState, DEGRADED_RETRY_AFTER_MS};
+use sse_net::frame::MAX_FRAME_LEN;
 use sse_net::pool::{BufPool, PooledBuf};
 use sse_net::shutdown::ShutdownSignal;
 use sse_storage::{FaultConfig, FaultStats, FaultVfs, RealVfs, Vfs};
@@ -168,6 +169,9 @@ impl Shared {
 /// on a worker and on the reactor's run-to-completion path.
 pub(crate) const HANDLER_PANICKED: &[u8] = b"internal error: request handler panicked";
 
+/// The ERR text sent instead of a reply too large for one frame.
+pub(crate) const RESPONSE_TOO_LARGE: &[u8] = b"response exceeds the frame limit";
+
 /// Where a worker sends its response: back to the reactor, which owns
 /// the socket and serializes all writes through the connection's bounded
 /// write queue.
@@ -188,10 +192,21 @@ impl Responder {
     /// into a scatter-gather [`OutMsg`] and goes to the kernel from where
     /// it sits. A connection that died meanwhile drops the completion by
     /// token mismatch.
-    pub(crate) fn send(&self, status: u8, seq: u32, payload: Vec<u8>) {
+    ///
+    /// A payload whose envelope would exceed [`MAX_FRAME_LEN`] is dropped
+    /// and answered with [`RESPONSE_TOO_LARGE`] as `STATUS_ERR`; `false`
+    /// then tells the caller to count an error, not the reply it meant.
+    pub(crate) fn send(&self, status: u8, seq: u32, payload: Vec<u8>) -> bool {
+        let fits = proto::REQUEST_HEADER_LEN + payload.len() <= MAX_FRAME_LEN as usize;
+        let (status, payload) = if fits {
+            (status, payload)
+        } else {
+            (STATUS_ERR, RESPONSE_TOO_LARGE.to_vec())
+        };
         let segment = Segment::Pooled(self.pool.seal(payload));
         self.completions
             .post(self.token, OutMsg::response(status, seq, segment));
+        fits
     }
 }
 
@@ -605,8 +620,11 @@ fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {
         let (responder, stats) = (responder.clone(), Arc::clone(stats));
         Box::new(move |response: Vec<u8>| {
             let bytes_out = response.len();
-            responder.send(STATUS_OK, seq, response);
-            stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
+            if responder.send(STATUS_OK, seq, response) {
+                stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
+            } else {
+                stats.record_err();
+            }
         })
     };
     // A panicking scheme handler must cost its request, not this worker
@@ -637,8 +655,11 @@ fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {
     match outcome {
         Ok(Served::Reply(response)) => {
             let bytes_out = response.len();
-            responder.send(STATUS_OK, seq, response);
-            stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
+            if responder.send(STATUS_OK, seq, response) {
+                stats.record_ok(bytes_in, bytes_out, queue_wait, service_start.elapsed());
+            } else {
+                stats.record_err();
+            }
         }
         Ok(Served::Parked) => parked.note(&tenant),
         Ok(Served::Malformed) => {

@@ -1967,6 +1967,30 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_over_the_frame_limit_is_an_err_and_the_connection_lives_on() {
+        let mut rig = rig();
+        let (mut io, written, _cap) = ScriptIo::new(7);
+        io.push_read(&hello_frame());
+        io.push_read(&encode_frame(&proto::encode_request(KIND_DATA, 1, b"q")));
+        let (idx, gen, token) = rig.add_conn(io);
+        rig.turn_with(vec![Event::readable(token)]);
+        let job = rig.sched.try_next(0).expect("job queued");
+        assert_eq!(rig.conn(idx, gen).in_flight, 1);
+        // The 5-byte envelope takes this payload past the frame limit.
+        // `vec![0; n]` is calloc'd: no 64 MiB of writes.
+        let too_big = vec![0u8; sse_net::frame::MAX_FRAME_LEN as usize];
+        job.responder.send(STATUS_OK, job.seq, too_big);
+        rig.turn_with(vec![Event::readable(WAKE_TOKEN)]);
+        let err = proto::encode_response(STATUS_ERR, 1, crate::daemon::RESPONSE_TOO_LARGE);
+        assert_eq!(
+            *written.lock().unwrap(),
+            [ok_response(HELLO_SEQ, &[]), encode_frame(&err)].concat()
+        );
+        assert!(rig.is_open(idx, gen));
+        assert_eq!(rig.conn(idx, gen).in_flight, 0, "the job is answered");
+    }
+
+    #[test]
     fn worker_wakeups_coalesce_into_one_pipe_drain() {
         let mut rig = rig();
         let (mut io, _written, _cap) = ScriptIo::new(7);

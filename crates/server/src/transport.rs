@@ -23,11 +23,11 @@
 
 use crate::proto::{
     self, Hello, SchemeId, StatsSnapshot, ADMIN_SHUTDOWN, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN,
-    KIND_DATA, KIND_UPDATE_MANY, STATUS_BUSY, STATUS_DEGRADED, STATUS_OK,
+    KIND_DATA, KIND_UPDATE_MANY, REQUEST_HEADER_LEN, STATUS_BUSY, STATUS_DEGRADED, STATUS_OK,
 };
-use sse_net::frame::{encode_frame, FrameDecoder};
+use sse_net::frame::{encode_frame, frame_header, read_frame, MAX_FRAME_LEN};
 use sse_net::link::Transport;
-use std::io::{Error, ErrorKind, Read, Result, Write};
+use std::io::{Error, ErrorKind, Result, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -55,7 +55,6 @@ const DEGRADED_BACKOFF_CAP: Duration = Duration::from_millis(500);
 /// A framed TCP connection to one tenant database on an `sse-serverd`.
 pub struct TcpTransport {
     stream: TcpStream,
-    decoder: FrameDecoder,
     /// Resolved peer address, kept for re-dialing after a broken pipe.
     peer: SocketAddr,
     /// Hello replayed on every (re)connection.
@@ -84,10 +83,9 @@ impl TcpTransport {
             tenant: tenant.to_string(),
             scheme,
         };
-        let (stream, decoder) = Self::establish(peer, &hello)?;
+        let stream = Self::establish(peer, &hello)?;
         Ok(TcpTransport {
             stream,
-            decoder,
             peer,
             hello,
             next_seq: HELLO_SEQ.wrapping_add(1),
@@ -107,23 +105,19 @@ impl TcpTransport {
         self
     }
 
-    /// Dial `peer` and run the hello handshake, returning a ready
-    /// stream + frame decoder pair.
-    fn establish(peer: SocketAddr, hello: &Hello) -> Result<(TcpStream, FrameDecoder)> {
+    /// Dial `peer` and run the hello handshake, returning a ready stream.
+    fn establish(peer: SocketAddr, hello: &Hello) -> Result<TcpStream> {
         let mut stream = TcpStream::connect(peer)?;
         stream.set_nodelay(true).ok(); // latency over batching
-        let mut decoder = FrameDecoder::new();
         stream.write_all(&encode_frame(&hello.encode()))?;
-        let frame = read_frame_from(&mut stream, &mut decoder)?;
-        let (status, seq, _payload) = proto::decode_response(&frame)
-            .ok_or_else(|| Error::new(ErrorKind::InvalidData, "malformed response frame"))?;
+        let (status, seq, _payload) = read_response(&mut stream)?;
         if status != STATUS_OK || seq != HELLO_SEQ {
             return Err(Error::new(
                 ErrorKind::ConnectionRefused,
                 "server rejected hello",
             ));
         }
-        Ok((stream, decoder))
+        Ok(stream)
     }
 
     /// Re-dial the daemon with bounded exponential backoff + deterministic
@@ -144,9 +138,8 @@ impl TcpTransport {
             std::thread::sleep(delay + Duration::from_micros(jitter));
             delay = (delay * 2).min(RECONNECT_BACKOFF_MAX);
             match Self::establish(self.peer, &self.hello) {
-                Ok((stream, decoder)) => {
+                Ok(stream) => {
                     self.stream = stream;
-                    self.decoder = decoder;
                     // Fresh connection, fresh sequence space.
                     self.next_seq = HELLO_SEQ.wrapping_add(1);
                     self.reconnects += 1;
@@ -186,19 +179,16 @@ impl TcpTransport {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
-    fn send_raw(&mut self, body: &[u8]) -> Result<()> {
-        self.stream.write_all(&encode_frame(body))
-    }
-
-    fn read_frame(&mut self) -> Result<Vec<u8>> {
-        read_frame_from(&mut self.stream, &mut self.decoder)
-    }
-
-    fn read_response(&mut self) -> Result<(u8, u32, Vec<u8>)> {
-        let frame = self.read_frame()?;
-        let (status, seq, payload) = proto::decode_response(&frame)
-            .ok_or_else(|| Error::new(ErrorKind::InvalidData, "malformed response frame"))?;
-        Ok((status, seq, payload.to_vec()))
+    /// Frame `kind ‖ seq ‖ payload` in one buffer and send it in one
+    /// write. The caller has checked the size against the frame limit.
+    fn send_request(&mut self, kind: u8, seq: u32, payload: &[u8]) -> Result<()> {
+        let body_len = REQUEST_HEADER_LEN + payload.len();
+        let mut frame = Vec::with_capacity(4 + body_len);
+        frame.extend_from_slice(&frame_header(body_len));
+        frame.push(kind);
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(payload);
+        self.stream.write_all(&frame)
     }
 
     /// One request/response exchange, transparently retrying `BUSY` up to
@@ -214,9 +204,17 @@ impl TcpTransport {
     ///
     /// # Errors
     /// I/O errors, a server-reported protocol error, a correlation
-    /// mismatch, or [`ErrorKind::TimedOut`] if the server stays `BUSY`
-    /// past the retry deadline.
+    /// mismatch, [`ErrorKind::TimedOut`] if the server stays `BUSY` past
+    /// the retry deadline, or [`ErrorKind::InvalidInput`] for a request
+    /// too large for one frame (nothing is sent, and the connection stays
+    /// usable).
     pub fn request(&mut self, kind: u8, payload: &[u8]) -> Result<Vec<u8>> {
+        if REQUEST_HEADER_LEN + payload.len() > MAX_FRAME_LEN as usize {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                "request exceeds the frame limit",
+            ));
+        }
         match self.request_once(kind, payload) {
             Ok(body) => Ok(body),
             Err(e) => {
@@ -244,8 +242,8 @@ impl TcpTransport {
                 HELLO_SEQ => HELLO_SEQ.wrapping_add(1),
                 next => next,
             };
-            self.send_raw(&proto::encode_request(kind, seq, payload))?;
-            let (status, echoed, body) = self.read_response()?;
+            self.send_request(kind, seq, payload)?;
+            let (status, echoed, body) = read_response(&mut self.stream)?;
             if echoed != seq {
                 return Err(Error::new(
                     ErrorKind::InvalidData,
@@ -346,27 +344,16 @@ fn is_connection_error(e: &Error) -> bool {
     )
 }
 
-/// Pull one complete frame off `stream`, buffering partial reads in
-/// `decoder`. Shared by the handshake path (no `self` yet) and the
-/// request path.
-fn read_frame_from(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Result<Vec<u8>> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if let Some(frame) = decoder
-            .next_frame()
-            .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?
-        {
-            return Ok(frame);
-        }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        decoder.push(&buf[..n]);
-    }
+/// Read one response frame as `(status, seq, payload)`. The body is read
+/// straight into its buffer, and the payload is that buffer with the
+/// envelope shifted out: one copy after the socket read. Shared by the
+/// handshake (no `self` yet) and the request path.
+fn read_response(stream: &mut TcpStream) -> Result<(u8, u32, Vec<u8>)> {
+    let mut frame = read_frame(stream, MAX_FRAME_LEN)?;
+    let (status, seq, _) = proto::decode_response(&frame)
+        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "malformed response frame"))?;
+    frame.drain(..REQUEST_HEADER_LEN);
+    Ok((status, seq, frame))
 }
 
 /// SplitMix64 — deterministic jitter source (no RNG dependency).

@@ -3,10 +3,10 @@
 //! reaps, cuts and refuses none of them, and still drains clean when told
 //! to shut down with every one of them open (DESIGN.md §4i).
 
-use sse_net::frame::encode_frame;
+use sse_net::frame::{encode_frame, read_frame, MAX_FRAME_LEN};
 use sse_server::proto::{self, Hello, SchemeId, HELLO_SEQ, STATUS_OK};
 use sse_server::transport::TcpTransport;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -64,10 +64,7 @@ fn open_idle_conn(addr: &str, hello: &[u8]) -> std::io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     stream.write_all(hello)?;
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut body)?;
+    let body = read_frame(&mut stream, MAX_FRAME_LEN)?;
     let (status, seq, _) = proto::decode_response(&body).expect("well-formed hello reply");
     assert_eq!((status, seq), (STATUS_OK, HELLO_SEQ));
     Ok(stream)

@@ -15,13 +15,13 @@ use sse_core::scheme2::protocol::{
 };
 use sse_core::scheme2::{Scheme2Client, Scheme2Config};
 use sse_core::types::{Document, Keyword, MasterKey};
-use sse_net::frame::encode_frame;
+use sse_net::frame::{encode_frame, read_frame, MAX_FRAME_LEN};
 use sse_net::link::Transport;
 use sse_server::daemon::{Daemon, ServerConfig};
 use sse_server::proto::{self, Hello, SchemeId, HELLO_SEQ, KIND_DATA, STATUS_OK};
 use sse_server::tenant::TenantParams;
 use sse_server::transport::TcpTransport;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -85,10 +85,7 @@ fn warm_search_request(addr: SocketAddr) -> Vec<u8> {
 
 /// The next reply's `(status, seq, payload)`.
 fn read_reply(stream: &mut TcpStream) -> (u8, u32, Vec<u8>) {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).unwrap();
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut body).unwrap();
+    let body = read_frame(stream, MAX_FRAME_LEN).unwrap();
     let (status, seq, payload) = proto::decode_response(&body).unwrap();
     (status, seq, payload.to_vec())
 }

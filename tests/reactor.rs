@@ -2,7 +2,7 @@
 //! slow-reader clients must be evicted with bounded memory, and a reactor
 //! thread that dies mid-load must trip a graceful, accounted shutdown.
 
-use sse_repro::net::frame::encode_frame;
+use sse_repro::net::frame::{encode_frame, read_frame, MAX_FRAME_LEN};
 use sse_repro::server::daemon::{Daemon, ServerConfig};
 use sse_repro::server::proto::{
     self, Hello, SchemeId, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN, STATUS_OK,
@@ -21,17 +21,8 @@ fn hello_bytes() -> Vec<u8> {
     )
 }
 
-/// Read exactly one `[len][body]` frame.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut body)?;
-    Ok(body)
-}
-
 fn expect_ok(stream: &mut TcpStream, seq: u32) {
-    let body = read_frame(stream).expect("response frame");
+    let body = read_frame(stream, MAX_FRAME_LEN).expect("response frame");
     let (status, got_seq, _) = proto::decode_response(&body).expect("response envelope");
     assert_eq!((status, got_seq), (STATUS_OK, seq));
 }
@@ -179,10 +170,12 @@ fn reactor_panic_mid_load_trips_shutdown_and_is_counted() {
                 if stream.write_all(&hello_bytes()).is_err() {
                     return;
                 }
-                let _ = read_frame(&mut stream);
+                let _ = read_frame(&mut stream, MAX_FRAME_LEN);
                 let request = encode_frame(&proto::encode_request(KIND_ADMIN, 2, &[ADMIN_STATS]));
                 for _ in 0..200 {
-                    if stream.write_all(&request).is_err() || read_frame(&mut stream).is_err() {
+                    if stream.write_all(&request).is_err()
+                        || read_frame(&mut stream, MAX_FRAME_LEN).is_err()
+                    {
                         return;
                     }
                 }

@@ -653,11 +653,11 @@ fn update_many_is_all_or_nothing_to_racing_searches() {
 /// monotonic `Instant` source is immune to by construction).
 #[test]
 fn busy_deadline_is_monotonic_and_bounded() {
-    use sse_repro::net::frame::{encode_frame, FrameDecoder};
+    use sse_repro::net::frame::{encode_frame, read_frame, MAX_FRAME_LEN};
     use sse_repro::net::link::Transport;
     use sse_repro::server::proto::{self, HELLO_SEQ, STATUS_BUSY, STATUS_OK};
     use sse_repro::server::transport::DEFAULT_BUSY_RETRY_DEADLINE;
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::time::Instant;
 
     // A minimal daemon impostor: accept one connection, ack the hello,
@@ -667,18 +667,10 @@ fn busy_deadline_is_monotonic_and_bounded() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        let mut decoder = FrameDecoder::new();
-        let mut buf = [0u8; 4096];
         let mut greeted = false;
         loop {
-            let frame = loop {
-                if let Some(f) = decoder.next_frame().unwrap() {
-                    break f;
-                }
-                match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => return, // client hung up: test over
-                    Ok(n) => decoder.push(&buf[..n]),
-                }
+            let Ok(frame) = read_frame(&mut stream, MAX_FRAME_LEN) else {
+                return; // client hung up: test over
             };
             let reply = if greeted {
                 let (_, seq, _) = proto::decode_request(&frame).unwrap();
@@ -723,6 +715,75 @@ fn busy_deadline_is_monotonic_and_bounded() {
     server.join().unwrap();
 }
 
+/// A daemon impostor: acks the hello, then answers every request OK with
+/// the request's own payload. Returns the payloads it was sent once the
+/// client hangs up.
+fn spawn_echo_impostor() -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<Vec<u8>>>) {
+    use sse_repro::net::frame::{encode_frame, read_frame, MAX_FRAME_LEN};
+    use sse_repro::server::proto::{self, HELLO_SEQ, STATUS_OK};
+    use std::io::Write;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        read_frame(&mut stream, MAX_FRAME_LEN).unwrap(); // the hello
+        let hello_ok = proto::encode_response(STATUS_OK, HELLO_SEQ, &[]);
+        stream.write_all(&encode_frame(&hello_ok)).unwrap();
+        let mut seen = Vec::new();
+        while let Ok(frame) = read_frame(&mut stream, MAX_FRAME_LEN) {
+            let (_, seq, payload) = proto::decode_request(&frame).unwrap();
+            let reply = proto::encode_response(STATUS_OK, seq, payload);
+            stream.write_all(&encode_frame(&reply)).unwrap();
+            seen.push(payload.to_vec());
+        }
+        seen
+    });
+    (addr, server)
+}
+
+#[test]
+fn multi_mib_and_empty_replies_round_trip_byte_identically() {
+    use sse_repro::net::link::Transport;
+
+    let (addr, server) = spawn_echo_impostor();
+    let mut transport = TcpTransport::connect(addr, "echo", SchemeId::Scheme2).unwrap();
+    // Far past a socket buffer: the reply arrives over many reads.
+    let big: Vec<u8> = (0..4u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    assert_eq!(transport.round_trip(&big).unwrap(), big);
+    assert_eq!(transport.round_trip(&[]).unwrap(), Vec::<u8>::new());
+    assert_eq!(transport.round_trip(b"small").unwrap(), b"small");
+    drop(transport);
+    assert_eq!(server.join().unwrap().len(), 3);
+}
+
+#[test]
+fn an_oversized_request_is_invalid_input_and_sends_nothing() {
+    use sse_repro::net::frame::MAX_FRAME_LEN;
+    use sse_repro::net::link::Transport;
+
+    let (addr, server) = spawn_echo_impostor();
+    let mut transport = TcpTransport::connect(addr, "echo", SchemeId::Scheme2).unwrap();
+    // The 5-byte envelope takes this payload past the frame limit.
+    // `vec![0; n]` is calloc'd: no 64 MiB of writes.
+    let too_big = vec![0u8; MAX_FRAME_LEN as usize];
+    let err = transport.round_trip(&too_big).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert_eq!(
+        transport.round_trip(b"still usable").unwrap(),
+        b"still usable"
+    );
+    assert_eq!(transport.reconnects(), 0);
+    drop(transport);
+    assert_eq!(
+        server.join().unwrap(),
+        vec![b"still usable".to_vec()],
+        "the oversized request sent nothing"
+    );
+}
+
 /// Regression test for BUSY semantics under the per-worker run queues
 /// (DESIGN.md §4k): when a connection pipelines more requests than the
 /// scheduler can hold, the overflow must come back as cleanly correlated
@@ -733,11 +794,11 @@ fn busy_deadline_is_monotonic_and_bounded() {
 #[test]
 fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
     use sse_repro::core::scheme2::protocol::{decode_request, encode_search_many, Request};
-    use sse_repro::net::frame::encode_frame;
+    use sse_repro::net::frame::{encode_frame, read_frame, MAX_FRAME_LEN};
     use sse_repro::net::link::Transport;
     use sse_repro::server::proto::{self, Hello, HELLO_SEQ, KIND_DATA, STATUS_BUSY, STATUS_OK};
     use std::collections::BTreeMap;
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     /// Remembers the bytes of the last single round trip, so the test can
     /// replay one warm (read-only) search verbatim over a bare socket.
@@ -753,10 +814,7 @@ fn pipelined_overflow_answers_busy_without_reordering_the_connection() {
     }
 
     fn read_response(stream: &mut TcpStream) -> (u8, u32) {
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len).unwrap();
-        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-        stream.read_exact(&mut body).unwrap();
+        let body = read_frame(stream, MAX_FRAME_LEN).unwrap();
         let (status, seq, _) = proto::decode_response(&body).unwrap();
         (status, seq)
     }
@@ -989,7 +1047,7 @@ mod parked {
     use sse_repro::core::proto_common::{decode_ack, decode_result};
     use sse_repro::core::scheme2::key_commitment;
     use sse_repro::core::scheme2::protocol::{self as s2, GenerationEntry};
-    use sse_repro::net::frame::encode_frame;
+    use sse_repro::net::frame::{encode_frame, read_frame, MAX_FRAME_LEN};
     use sse_repro::net::wire::WireWriter;
     use sse_repro::primitives::etm::EtmKey;
     use sse_repro::primitives::hashchain::HashChain;
@@ -998,7 +1056,7 @@ mod parked {
         self, Hello, SchemeId, ADMIN_SHUTDOWN, HELLO_SEQ, KIND_ADMIN, KIND_DATA, STATUS_OK,
     };
     use sse_repro::server::tenant::TenantParams;
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::net::{SocketAddr, TcpStream};
     use std::path::PathBuf;
     use std::time::Duration;
@@ -1067,10 +1125,7 @@ mod parked {
 
     /// One response frame: `(seq, payload)`.
     fn read_reply(stream: &mut TcpStream) -> (u32, Vec<u8>) {
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len).unwrap();
-        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-        stream.read_exact(&mut body).unwrap();
+        let body = read_frame(stream, MAX_FRAME_LEN).unwrap();
         let (status, seq, payload) = proto::decode_response(&body).unwrap();
         assert_eq!(status, STATUS_OK, "seq {seq}");
         (seq, payload.to_vec())
