@@ -87,13 +87,14 @@ use sse_index::bptree::BpTree;
 use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_storage::backend::read_backend_manifest;
-use sse_storage::crc32::crc32;
+use sse_storage::crc32::Crc32;
 use sse_storage::durable::{self, commit_by_rename, sealed_header, unseal};
 use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
 use sse_storage::store::{DocStore, StoreOptions};
 use sse_storage::wal::{self, WalVerdict};
 use sse_storage::{
     resolve_backend, BackendCounters, BackendKind, DocBlobStore, RealVfs, StorageError, Vfs,
+    VfsFile,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -1158,9 +1159,7 @@ impl<S: SchemeOps> IndexEngine<S> {
                 // the renames durable before any journal is reset.
                 let names: Vec<String> = (0..datas.len()).map(index_file::<S>).collect();
                 commit_by_rename(home.vfs.as_ref(), &home.dir, &names, |i, f| {
-                    let body = snapshot_body(&datas[i], meta);
-                    f.write_all(&sealed_header(S::MAGIC, crc32(&body)))?;
-                    Ok(f.write_all(&body)?)
+                    write_snapshot(&datas[i], meta, f)
                 })?;
             }
             BackendKind::Lsm => {
@@ -1501,20 +1500,44 @@ fn corrupt_snapshot(detail: String) -> SseError {
     })
 }
 
-/// The body of one shard's index snapshot: its `applied_seq` (the
-/// `last_op_seq` a reopen skips the journal to), the meta, then every
-/// entry in tree order. The index contains only what the server already
-/// sees, so persisting it leaks nothing new.
-fn snapshot_body<S: SchemeOps>(data: &ShardData<S>, meta: &S::Meta) -> Vec<u8> {
-    let mut body = WireWriter::new();
-    body.put_u64(data.applied_seq);
-    body.put_array(&S::encode_meta(meta));
-    body.put_u64(data.tree.len() as u64);
+/// Bytes of encoded entries a snapshot writer gathers before it CRCs and
+/// writes them.
+const SNAPSHOT_CHUNK: usize = 64 * 1024;
+
+/// Write one shard's index snapshot to `f`: the sealed header, then the
+/// body — its `applied_seq` (the `last_op_seq` a reopen skips the journal
+/// to), the meta, then every entry in tree order. The body goes out in
+/// chunks of about [`SNAPSHOT_CHUNK`] through one reused buffer, behind a
+/// placeholder header that is overwritten with the real one once the
+/// body's CRC is known, so the image is never whole in memory. The index
+/// contains only what the server already sees, so persisting it leaks
+/// nothing new.
+fn write_snapshot<S: SchemeOps>(
+    data: &ShardData<S>,
+    meta: &S::Meta,
+    f: &mut dyn VfsFile,
+) -> sse_storage::Result<()> {
+    f.write_all(&[0; 12])?;
+    let mut crc = Crc32::new();
+    let mut chunk = WireWriter::new();
+    chunk.put_u64(data.applied_seq);
+    chunk.put_array(&S::encode_meta(meta));
+    chunk.put_u64(data.tree.len() as u64);
     for (tag, value) in data.tree.iter() {
-        body.put_array(tag);
-        S::encode_value(value, &mut body);
+        chunk.put_array(tag);
+        S::encode_value(value, &mut chunk);
+        if chunk.len() >= SNAPSHOT_CHUNK {
+            let bytes = chunk.finish();
+            crc.update(&bytes);
+            f.write_all(&bytes)?;
+            chunk = WireWriter::with_buf(bytes);
+        }
     }
-    body.finish()
+    let tail = chunk.finish();
+    crc.update(&tail);
+    f.write_all(&tail)?;
+    f.seek_to(0)?;
+    Ok(f.write_all(&sealed_header(S::MAGIC, crc.finalize()))?)
 }
 
 /// Decode one shard snapshot, validating it against `meta`. A body that
@@ -1537,7 +1560,7 @@ fn decode_snapshot<S: SchemeOps>(body: &[u8], meta: &S::Meta, path: &Path) -> Re
     let mut prev: Option<[u8; 32]> = None;
     for _ in 0..n {
         let tag = r.get_array32()?;
-        // `snapshot_body` writes tags in tree order: a repeated or
+        // `write_snapshot` writes tags in tree order: a repeated or
         // out-of-order tag would silently replace an entry.
         if prev.is_some_and(|p| p >= tag) {
             return Err(corrupt_snapshot(format!(
@@ -1697,6 +1720,54 @@ mod tests {
         // The journal holds the panicking record, so the directory is not
         // reopened.
         drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The one-buffer snapshot encoder `write_snapshot` replaced: the
+    /// body it streams, built whole.
+    fn reference_body<S: SchemeOps>(data: &ShardData<S>, meta: &S::Meta) -> Vec<u8> {
+        let mut body = WireWriter::new();
+        body.put_u64(data.applied_seq);
+        body.put_array(&S::encode_meta(meta));
+        body.put_u64(data.tree.len() as u64);
+        for (tag, value) in data.tree.iter() {
+            body.put_array(tag);
+            S::encode_value(value, &mut body);
+        }
+        body.finish()
+    }
+
+    #[test]
+    fn a_streamed_snapshot_is_the_sealed_reference_body_and_loads_back() {
+        let mut tree = BpTree::new();
+        for i in 0u32..300 {
+            let mut tag = [0x5A; 32];
+            tag[..4].copy_from_slice(&i.to_be_bytes());
+            tree.insert(tag, vec![i as u8; 1000 + i as usize]);
+        }
+        let data = ShardData::<Toy>::new(tree, 42, None);
+        let body = reference_body(&data, &());
+        assert!(body.len() >= 4 * SNAPSHOT_CHUNK, "{} B", body.len());
+
+        let dir = std::env::temp_dir().join(format!("sse-engine-{}-stream", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("toy.index");
+        write_snapshot(&data, &(), RealVfs.create(&path).unwrap().as_mut()).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let mut expected = sealed_header(Toy::MAGIC, sse_storage::crc32::crc32(&body)).to_vec();
+        expected.extend_from_slice(&body);
+        assert!(
+            file == expected,
+            "the streamed file differs from the reference"
+        );
+
+        let loaded = load_snapshot::<Toy>(&file, &(), &path).unwrap();
+        assert_eq!(loaded.applied_seq, 42);
+        assert!(
+            loaded.tree.iter().eq(data.tree.iter()),
+            "a different tree read back"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

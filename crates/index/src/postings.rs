@@ -19,9 +19,6 @@ const COUNT: usize = 4;
 const LEN: usize = 4;
 /// Bytes of a key commitment.
 const COMMITMENT: usize = 32;
-/// A copy of a block past two of these rounds its capacity up to a
-/// multiple of one (see [`GenerationList`]).
-const COPY_GRANULE: usize = 512;
 
 /// One masked generation, borrowed from its list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,15 +37,14 @@ pub struct GenerationRef<'a> {
 /// The index holds one list per keyword, and each is copied on its own
 /// whenever an append finds it shared with a published snapshot (the
 /// B+-tree's `Arc::make_mut`). So a copy is one allocation and one
-/// `memcpy`, with room for one more generation the size of the newest —
-/// the one that append pushes. Past 1 KiB that room is rounded up to a
-/// multiple of 512 B: every copy outgrows its original by a generation,
-/// so exact sizes never fit a block another list's copy just freed, and
-/// under a durable server's checkpoints the heap's resident set then
-/// grew faster than the index (EXPERIMENTS.md E24). A push that does not
-/// fit (a first push, journal replay, a second append before the next
-/// publish) grows the block by exactly its generation. The struct itself
-/// is one `Vec`: a keyword costs no more than its bytes.
+/// `memcpy`, with room for exactly one more generation the size of the
+/// newest — the one that append pushes. Rounding that room up (to 512 B)
+/// pays only while a checkpoint builds its image in one large buffer that
+/// fragments the heap; checkpoints stream, and exact copies hold less
+/// (EXPERIMENTS.md E25). A push that does not fit (a first push, journal
+/// replay, a second append before the next publish) grows the block by
+/// exactly its generation. The struct itself is one `Vec`: a keyword
+/// costs no more than its bytes.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct GenerationList {
     block: Vec<u8>,
@@ -59,11 +55,7 @@ impl Clone for GenerationList {
         let spare = self
             .last()
             .map_or(0, |g| LEN + g.masked_ids.len() + COMMITMENT);
-        let mut capacity = self.block.len() + spare;
-        if capacity > 2 * COPY_GRANULE {
-            capacity = capacity.next_multiple_of(COPY_GRANULE);
-        }
-        let mut block = Vec::with_capacity(capacity);
+        let mut block = Vec::with_capacity(self.block.len() + spare);
         block.extend_from_slice(&self.block);
         GenerationList { block }
     }
@@ -237,19 +229,11 @@ mod tests {
             let copied = l.block.as_ptr();
             l.push(&[i; 40], &[i; 32]);
             assert_eq!(l.block.as_ptr(), copied, "the push fit the copy");
-            let spare = l.block.capacity() - l.block.len();
-            if l.block.len() <= 2 * COPY_GRANULE {
-                assert_eq!(spare, 0, "a small copy is exact");
-            } else {
-                assert_eq!(l.block.capacity() % COPY_GRANULE, 0);
-                assert!(spare < COPY_GRANULE);
-            }
-            // A second append before the next publish fills the spare
-            // room or grows by exactly one generation.
+            assert_eq!(l.block.capacity(), l.block.len(), "the copy is exact");
+            // A second append before the next publish grows the block by
+            // exactly one generation.
             l.push(&[i; 40], &[i; 32]);
-            if spare < LEN + 40 + COMMITMENT {
-                assert_eq!(l.block.capacity(), l.block.len());
-            }
+            assert_eq!(l.block.capacity(), l.block.len());
         }
         assert_eq!(l.len(), 79);
     }

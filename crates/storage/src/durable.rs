@@ -7,7 +7,7 @@
 //! anything depends on it. Integers are little-endian; the body decoders
 //! stay with their owners (DESIGN.md §4g lists the files).
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, Crc32};
 use crate::error::{Result, StorageError};
 use crate::vfs::{Vfs, VfsFile};
 use std::io::ErrorKind;
@@ -86,33 +86,55 @@ fn corrupt<T>(magic: &'static [u8; 8], reason: &str, path: &Path) -> Result<T> {
     })
 }
 
+/// Bytes of a sealed file the scrub reads at a time.
+const VERIFY_CHUNK: usize = 64 * 1024;
+
+/// Check a sealed file's `header` (its first 12 bytes, fewer when the file
+/// is shorter) against `magic` and the CRC-32 of its body.
+fn check_seal(header: &[u8], body_crc: u32, magic: &'static [u8; 8], path: &Path) -> Result<()> {
+    if header.len() < 12 {
+        return corrupt(magic, "truncated header", path);
+    }
+    if header[..8] != magic[..] {
+        return corrupt(magic, "bad magic", path);
+    }
+    if body_crc.to_le_bytes() != header[8..] {
+        return corrupt(magic, "checksum mismatch", path);
+    }
+    Ok(())
+}
+
 /// Check a sealed image's magic and body CRC and return its body.
 ///
 /// # Errors
 /// [`StorageError::Corrupt`] otherwise.
 pub fn unseal<'a>(image: &'a [u8], magic: &'static [u8; 8], path: &Path) -> Result<&'a [u8]> {
-    let Some((header, body)) = image.split_first_chunk::<12>() else {
-        return corrupt(magic, "truncated header", path);
-    };
-    if header[..8] != magic[..] {
-        return corrupt(magic, "bad magic", path);
-    }
-    if crc32(body).to_le_bytes() != header[8..] {
-        return corrupt(magic, "checksum mismatch", path);
-    }
+    let (header, body) = image.split_at(image.len().min(12));
+    check_seal(header, crc32(body), magic, path)?;
     Ok(body)
 }
 
 /// Scrub check of the sealed file at `path`: [`unseal`] it without
-/// decoding the body. `Ok(false)` when there is no such file.
+/// decoding the body, reading it in 64 KiB pieces through one handle
+/// ([`Vfs::read_chunks`]) rather than whole. `Ok(false)` when there
+/// is no such file.
 ///
 /// # Errors
 /// As [`unseal`], and I/O errors.
 pub fn verify_sealed(vfs: &dyn Vfs, path: &Path, magic: &'static [u8; 8]) -> Result<bool> {
-    let Some(image) = read_if_exists(vfs, path)? else {
-        return Ok(false);
-    };
-    unseal(&image, magic, path).map(|_| true)
+    let mut header = Vec::with_capacity(12);
+    let mut crc = Crc32::new();
+    let read = vfs.read_chunks(path, VERIFY_CHUNK, &mut |piece| {
+        let head = piece.len().min(12 - header.len());
+        header.extend_from_slice(&piece[..head]);
+        crc.update(&piece[head..]);
+    });
+    match read {
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(false),
+        read => read?,
+    }
+    check_seal(&header, crc.finalize(), magic, path)?;
+    Ok(true)
 }
 
 /// Commit the stamp of `n` as `dir/name`.
@@ -183,7 +205,7 @@ pub fn read_if_exists(vfs: &dyn Vfs, path: &Path) -> Result<Option<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::FaultVfs;
+    use crate::vfs::{FaultVfs, RealVfs};
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -195,6 +217,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn the_scrub_reads_a_sealed_file_in_chunks_and_finds_damage_in_the_last() {
+        const MAGIC: &[u8; 8] = b"SSETEST1";
+        let dir = temp_dir("verify");
+        let path = dir.join("image");
+        let body: Vec<u8> = (0..3 * VERIFY_CHUNK + 100)
+            .map(|i| (i % 253) as u8)
+            .collect();
+        let mut image = sealed_header(MAGIC, crc32(&body)).to_vec();
+        image.extend_from_slice(&body);
+        let corrupt = |vfs: &dyn Vfs| {
+            matches!(
+                verify_sealed(vfs, &path, MAGIC),
+                Err(StorageError::Corrupt { .. })
+            )
+        };
+        for vfs in [&RealVfs as &dyn Vfs, &FaultVfs::counting()] {
+            assert!(!verify_sealed(vfs, &path, MAGIC).unwrap(), "no file");
+            std::fs::write(&path, &image).unwrap();
+            assert!(verify_sealed(vfs, &path, MAGIC).unwrap());
+            let mut flipped = image.clone();
+            *flipped.last_mut().unwrap() ^= 1;
+            std::fs::write(&path, &flipped).unwrap();
+            assert!(corrupt(vfs), "a flipped byte in the last chunk");
+            std::fs::write(&path, &image[..image.len() - 1]).unwrap();
+            assert!(corrupt(vfs), "a truncated body");
+            std::fs::write(&path, &image[..7]).unwrap();
+            assert!(corrupt(vfs), "a truncated header");
+            std::fs::remove_file(&path).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

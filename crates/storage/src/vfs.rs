@@ -128,6 +128,24 @@ pub trait Vfs: Send + Sync {
         Ok(bytes[start..end].to_vec())
     }
 
+    /// Hand the whole file at `path` to `each`, in order, in pieces of at
+    /// most `chunk` (> 0) bytes, all read through one open handle, so a
+    /// concurrent rename over `path` cannot splice two files into one
+    /// read. The default reads the file whole and slices it; [`RealVfs`]
+    /// holds one `chunk`-sized buffer instead.
+    ///
+    /// # Errors
+    /// I/O errors ([`ErrorKind::NotFound`] when absent), or injected faults.
+    fn read_chunks(
+        &self,
+        path: &Path,
+        chunk: usize,
+        each: &mut dyn FnMut(&[u8]),
+    ) -> io::Result<()> {
+        self.read(path)?.chunks(chunk).for_each(each);
+        Ok(())
+    }
+
     /// Whether a file exists (false on any probe error).
     fn exists(&self, path: &Path) -> bool {
         matches!(self.file_len(path), Ok(Some(_)))
@@ -224,6 +242,25 @@ impl Vfs for RealVfs {
         let mut buf = vec![0u8; len];
         f.read_exact(&mut buf)?;
         Ok(buf)
+    }
+
+    fn read_chunks(
+        &self,
+        path: &Path,
+        chunk: usize,
+        each: &mut dyn FnMut(&[u8]),
+    ) -> io::Result<()> {
+        use std::io::Read;
+        let mut f = std::fs::File::open(path)?;
+        let mut buf = vec![0u8; chunk];
+        loop {
+            match f.read(&mut buf) {
+                Ok(0) => return Ok(()),
+                Ok(n) => each(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 
@@ -767,6 +804,16 @@ impl Vfs for FaultVfs {
         self.state.check_alive()?;
         self.inner.read_range(path, offset, len)
     }
+
+    fn read_chunks(
+        &self,
+        path: &Path,
+        chunk: usize,
+        each: &mut dyn FnMut(&[u8]),
+    ) -> io::Result<()> {
+        self.state.check_alive()?;
+        self.inner.read_chunks(path, chunk, each)
+    }
 }
 
 #[cfg(test)]
@@ -892,6 +939,7 @@ mod tests {
         assert!(f.sync_data().is_err());
         assert!(vfs.create(&temp_file("crash2")).is_err());
         assert!(vfs.read(&path).is_err());
+        assert!(vfs.read_chunks(&path, 4, &mut |_| ()).is_err());
         assert!(vfs.rename(&path, &temp_file("crash3")).is_err());
         std::fs::remove_file(&path).unwrap();
     }
@@ -938,6 +986,25 @@ mod tests {
         assert_eq!(vfs.read_range(&path, 3, 4).unwrap(), b"3456");
         assert!(vfs.read_range(&path, 8, 4).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn read_chunks_hands_over_the_whole_file_in_bounded_pieces() {
+        let path = temp_file("chunks");
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        for vfs in [&RealVfs as &dyn Vfs, &FaultVfs::counting()] {
+            let mut got = Vec::new();
+            vfs.read_chunks(&path, 64, &mut |piece| {
+                assert!(!piece.is_empty() && piece.len() <= 64);
+                got.extend_from_slice(piece);
+            })
+            .unwrap();
+            assert_eq!(got, bytes);
+        }
+        std::fs::remove_file(&path).unwrap();
+        let missing = RealVfs.read_chunks(&path, 64, &mut |_| ());
+        assert_eq!(missing.unwrap_err().kind(), ErrorKind::NotFound);
     }
 
     #[test]

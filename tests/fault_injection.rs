@@ -606,6 +606,163 @@ fn scheme2_sharded_batches_crash_op_atomically_across_shards() {
 }
 
 // ---------------------------------------------------------------------------
+// Multi-chunk checkpoint crash sweep
+// ---------------------------------------------------------------------------
+
+/// Bytes the index snapshot writer gathers before each write
+/// (`SNAPSHOT_CHUNK` in `crates/core/src/engine.rs`).
+const SNAPSHOT_CHUNK: u64 = 64 * 1024;
+/// Documents each phase of the multi-chunk tenant stores in one update.
+const PHASE_DOCS: u64 = 40;
+/// Keywords every document of a phase carries; phase `p` takes keywords
+/// `[p * PHASE_WINDOW / 2, p * PHASE_WINDOW / 2 + PHASE_WINDOW)`, so half
+/// of them hold two generations after both phases.
+const PHASE_WINDOW: usize = 400;
+
+fn phase_keywords(phase: usize) -> std::ops::Range<usize> {
+    let first = phase * PHASE_WINDOW / 2;
+    first..first + PHASE_WINDOW
+}
+
+fn phase_ids(phase: usize) -> std::ops::Range<u64> {
+    let first = phase as u64 * PHASE_DOCS;
+    first..first + PHASE_DOCS
+}
+
+fn wide_keyword(j: usize) -> Keyword {
+    Keyword::new(format!("kw{j:03}"))
+}
+
+fn phase_docs(phase: usize) -> Vec<Document> {
+    phase_ids(phase)
+        .map(|id| Document::new(id, doc_data(id), phase_keywords(phase).map(wide_keyword)))
+        .collect()
+}
+
+/// A durable Scheme 2 btree tenant whose one index image spans several
+/// snapshot chunks (40 ids sealed per generation, 600 keywords, about
+/// 360 KiB): store phase 0, checkpoint, store phase 1, then crash at each
+/// write point of the second checkpoint in turn — the document store's
+/// rewrite, the placeholder header, every chunk, the tail, the header
+/// back-patch and the journal reset. Both stores were acked before the
+/// checkpoint began, so every reopen must serve both.
+fn scheme2_multi_chunk_checkpoint_sweep(seed: u64) {
+    let config = Scheme2Config::base(16);
+    let key = MasterKey::from_seed(seed ^ 0xC4);
+    let options = |vfs| DurableOptions {
+        vfs,
+        shards: 1,
+        backend: BackendKind::Btree,
+    };
+    // Everything up to the checkpoint under test; its client, ready to
+    // send that checkpoint.
+    let prepare = |server: Scheme2Server| {
+        let mut client = Scheme2Client::new_seeded(
+            MeteredLink::new(server, Meter::new()),
+            key.clone(),
+            config.clone(),
+            1,
+        );
+        client.store(&phase_docs(0)).unwrap();
+        client.request_checkpoint().unwrap();
+        client.store(&phase_docs(1)).unwrap();
+        client
+    };
+
+    let count_dir = temp_dir("s2-chunks-count");
+    let counting = FaultVfs::counting();
+    let stats = counting.stats();
+    let (first, last) = {
+        let server = Scheme2Server::open_durable_with(
+            config.clone(),
+            &count_dir,
+            options(Arc::new(counting)),
+        )
+        .unwrap();
+        let mut client = prepare(server);
+        let first = stats.writes() + 1;
+        client.request_checkpoint().unwrap();
+        (first, stats.writes())
+    };
+    let image = std::fs::metadata(count_dir.join("scheme2.index"))
+        .unwrap()
+        .len();
+    let _ = std::fs::remove_dir_all(&count_dir);
+    assert!(
+        image >= 4 * SNAPSHOT_CHUNK,
+        "the image spans fewer than 4 chunks: {image} B"
+    );
+
+    let probes: BTreeSet<usize> = (0..phase_keywords(1).end)
+        .step_by(37)
+        .chain([199, 200, 399, 400, 599])
+        .collect();
+    let mut mid_body = 0;
+    for k in first..=last {
+        let dir = temp_dir("s2-chunks-crash");
+        let server = Scheme2Server::open_durable_with(
+            config.clone(),
+            &dir,
+            options(Arc::new(FaultVfs::crashing_at(seed, k))),
+        )
+        .unwrap();
+        let mut client = prepare(server);
+        assert!(
+            client.request_checkpoint().is_err(),
+            "the checkpoint survived a crash at write {k}"
+        );
+        drop(client);
+        // A crash after at least one chunk, before the back-patch: the
+        // temporary file still holds the zero placeholder header.
+        if let Ok(tmp) = std::fs::read(dir.join("scheme2.index.tmp")) {
+            if tmp.len() as u64 > 12 + SNAPSHOT_CHUNK && tmp[..12] == [0; 12] {
+                mid_body += 1;
+            }
+        }
+
+        let server =
+            Scheme2Server::open_durable_with(config.clone(), &dir, options(RealVfs::arc()))
+                .unwrap();
+        let mut probe = Scheme2Client::new_seeded(
+            MeteredLink::new(server, Meter::new()),
+            key.clone(),
+            config.clone(),
+            7,
+        );
+        probe.restore_state(Scheme2ClientState {
+            ctr: 2,
+            epoch: 0,
+            searched_since_update: true,
+        });
+        for &j in &probes {
+            let want: BTreeSet<u64> = (0..2)
+                .filter(|&p| phase_keywords(p).contains(&j))
+                .flat_map(phase_ids)
+                .collect();
+            let got = ids_checked(&probe.search(&wide_keyword(j)).unwrap());
+            assert_eq!(
+                got, want,
+                "crash at write {k} of {first}..={last}: keyword {j}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(
+        mid_body >= 3,
+        "only {mid_body} crash(es) in {first}..={last} landed between two chunks"
+    );
+}
+
+#[test]
+fn scheme2_checkpoint_crash_between_chunks_keeps_every_acked_update() {
+    // The chunked writer is the btree backend's; lsm flushes its keyword
+    // map instead.
+    if fault_backends().contains(&BackendKind::Btree) {
+        scheme2_multi_chunk_checkpoint_sweep(fault_seed());
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Network fault traces
 // ---------------------------------------------------------------------------
 
