@@ -248,26 +248,17 @@ pub trait IndexAdmin {
     /// threads at once. Searches run against immutable snapshots; a
     /// durable index mutation is staged and then committed by a flush on
     /// this thread (DESIGN.md §4e), so the reply is final either way.
-    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
-        self.handle_shared_with(request, Vec::new())
-    }
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8>;
 
-    /// [`IndexAdmin::handle_shared`] with a recycled response buffer: the
-    /// hot search branch (Scheme 1's `SearchReveal`, Scheme 2's `Search`)
-    /// encodes its result into `scratch` (capacity reused, contents
-    /// discarded), so a steady-state search response costs no allocation
-    /// when the caller recycles buffers through a pool. Every other
-    /// request kind ignores the scratch.
-    fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8>;
+    /// [`IndexAdmin::handle_shared`], its buffer dropped unused. Kept only
+    /// because `bench/src/layers.rs` calls it; ROADMAP 2A deletes it.
+    fn handle_shared_with(&self, request: &[u8], _unused: Vec<u8>) -> Vec<u8> {
+        self.handle_shared(request)
+    }
 
     /// [`IndexEngine::handle_parked`], its continuation borrowed rather
     /// than boxed.
-    fn handle_parked(
-        &self,
-        request: &[u8],
-        scratch: Vec<u8>,
-        park: &mut dyn FnMut() -> Reply,
-    ) -> Option<Vec<u8>>;
+    fn handle_parked(&self, request: &[u8], park: &mut dyn FnMut() -> Reply) -> Option<Vec<u8>>;
 
     /// Apply an `UPDATE_MANY` batch: every part must be a mutation
     /// (`PutDocs`, or the scheme's `ApplyUpdates` / `AppendGenerations`).
@@ -609,7 +600,7 @@ impl<S: SchemeOps> IndexEngine<S> {
         })
     }
 
-    /// [`IndexAdmin::handle_shared_with`] for a caller that does not wait
+    /// [`IndexAdmin::handle_shared`] for a caller that does not wait
     /// for a durable index mutation (the daemon's worker, DESIGN.md §4e):
     /// the mutation is staged with the continuation `park` builds and left
     /// parked for a flush, which calls it — [`IndexAdmin::flush`], or any
@@ -618,13 +609,8 @@ impl<S: SchemeOps> IndexEngine<S> {
     /// the continuation. Scheme 1's `ReplaceIndex` never parks: it runs to
     /// completion under the quiescence write lock. An in-memory server
     /// applies before returning and never leaves anything parked.
-    pub fn handle_parked(
-        &self,
-        request: &[u8],
-        scratch: Vec<u8>,
-        park: impl FnOnce() -> Reply,
-    ) -> Option<Vec<u8>> {
-        S::serve(self, request, scratch, park)
+    pub fn handle_parked(&self, request: &[u8], park: impl FnOnce() -> Reply) -> Option<Vec<u8>> {
+        S::serve(self, request, park)
     }
 
     // ---- locks and snapshots ------------------------------------------------
@@ -1198,17 +1184,12 @@ impl<S: SchemeOps> IndexEngine<S> {
 }
 
 impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
-    fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
-        self.run_here(|slot| self.handle_parked(request, scratch, || slot.reply()))
+    fn handle_shared(&self, request: &[u8]) -> Vec<u8> {
+        self.run_here(|slot| self.handle_parked(request, || slot.reply()))
     }
 
-    fn handle_parked(
-        &self,
-        request: &[u8],
-        scratch: Vec<u8>,
-        park: &mut dyn FnMut() -> Reply,
-    ) -> Option<Vec<u8>> {
-        S::serve(self, request, scratch, park)
+    fn handle_parked(&self, request: &[u8], park: &mut dyn FnMut() -> Reply) -> Option<Vec<u8>> {
+        S::serve(self, request, park)
     }
 
     fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
@@ -1644,12 +1625,7 @@ mod tests {
             false
         }
 
-        fn serve(
-            _: &IndexEngine<Self>,
-            _: &[u8],
-            _: Vec<u8>,
-            _: impl FnOnce() -> Reply,
-        ) -> Option<Vec<u8>> {
+        fn serve(_: &IndexEngine<Self>, _: &[u8], _: impl FnOnce() -> Reply) -> Option<Vec<u8>> {
             unreachable!("the engine's tests serve no requests")
         }
 

@@ -92,7 +92,6 @@ pub trait SchemeOps: Sized + Send + Sync + 'static {
     fn serve(
         engine: &IndexEngine<Self>,
         request: &[u8],
-        scratch: Vec<u8>,
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>>;
 

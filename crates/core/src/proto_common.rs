@@ -37,18 +37,13 @@ pub fn encode_error(msg: &str) -> Vec<u8> {
     w.finish()
 }
 
-/// Encode a search result.
+/// Encode a search result into one allocation of exactly its length: the
+/// tag and count (9 B), then each document's id and length prefix (16 B)
+/// and blob.
 #[must_use]
 pub fn encode_result(docs: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    encode_result_with(docs, Vec::new())
-}
-
-/// Encode a search result into a recycled buffer (capacity is reused;
-/// contents are discarded). The serving hot path hands a pool-acquired
-/// buffer here so a steady-state search response costs no allocation.
-#[must_use]
-pub fn encode_result_with(docs: &[(u64, Vec<u8>)], buf: Vec<u8>) -> Vec<u8> {
-    let mut w = WireWriter::with_buf(buf);
+    let len = 9 + docs.iter().map(|(_, blob)| 16 + blob.len()).sum::<usize>();
+    let mut w = WireWriter::with_capacity(len);
     w.put_u8(resp::RESULT).put_u64(docs.len() as u64);
     for (id, blob) in docs {
         w.put_u64(*id).put_bytes(blob);
@@ -236,7 +231,13 @@ mod tests {
     #[test]
     fn result_round_trip() {
         let docs = vec![(1u64, vec![1, 2]), (2, vec![])];
-        assert_eq!(decode_result_owned(&encode_result(&docs)).unwrap(), docs);
+        let encoded = encode_result(&docs);
+        assert_eq!(
+            encoded.len(),
+            encoded.capacity(),
+            "sized exactly, never grown"
+        );
+        assert_eq!(decode_result_owned(&encoded).unwrap(), docs);
     }
 
     #[test]

@@ -9,9 +9,7 @@ use crate::proto_common::expect_tag;
 use sse_net::wire::{WireReader, WireWriter};
 
 // `Ack`, `Result` and `Error` are the responses both schemes share.
-pub use crate::proto_common::{
-    decode_ack, decode_result, encode_ack, encode_error, encode_result, encode_result_with,
-};
+pub use crate::proto_common::{decode_ack, decode_result, encode_ack, encode_error, encode_result};
 
 /// Request tag bytes (client → server).
 pub mod REQ_TAGS {

@@ -174,12 +174,11 @@ impl SchemeOps for Scheme1 {
     fn serve(
         server: &Scheme1Server,
         request: &[u8],
-        scratch: Vec<u8>,
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
         let reply = match protocol::decode_request(request) {
             Ok(Request::SearchReveal { tag, seed }) => match server.reveal_one(&tag, &seed) {
-                Ok(docs) => protocol::encode_result_with(&docs, scratch),
+                Ok(docs) => protocol::encode_result(&docs),
                 Err(msg) => protocol::encode_error(&msg),
             },
             Ok(Request::ApplyUpdates(entries)) => {

@@ -154,8 +154,8 @@ const INLINE_MAX_DOCS: usize = 32;
 /// lengths before the copy. Ids bound the lookups, this bounds the memcpy
 /// and what the reply adds to the connection's write queue: blobs run to
 /// megabytes (frames to 64 MiB), and one tenant's large documents must not
-/// stall the others' connections. 4 KiB is the daemon's pooled
-/// reply-buffer class; unmeasured beyond that, as above.
+/// stall the others' connections. 4 KiB is an untuned placeholder
+/// (ROADMAP 2A), unmeasured as above.
 const INLINE_MAX_BYTES: usize = 4096;
 
 /// What an `AppendGenerations` may cost, in bytes copied, to be applied
@@ -300,12 +300,11 @@ impl SchemeOps for Scheme2 {
     fn serve(
         server: &Scheme2Server,
         request: &[u8],
-        scratch: Vec<u8>,
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
         let reply = match protocol::decode_request(request) {
             Ok(Request::Search { tag, t_prime }) => match server.search_one(tag, t_prime) {
-                Ok(docs) => proto_common::encode_result_with(&docs, scratch),
+                Ok(docs) => proto_common::encode_result(&docs),
                 Err(msg) => proto_common::encode_error(&msg),
             },
             Ok(Request::AppendGenerations(entries)) => {
@@ -435,17 +434,13 @@ impl Scheme2Server {
     ///   cells — was free on the first `try_`, all taken before anything
     ///   is applied, and the epoch is even.
     ///
-    /// The reply is byte-identical to [`crate::engine::IndexAdmin::handle_shared_with`]'s and
+    /// The reply is byte-identical to [`crate::engine::IndexAdmin::handle_shared`]'s and
     /// moves the same counters by the same amounts. `None` declines having
-    /// changed nothing — no counter or seq moved, `scratch` not called —
-    /// and the caller hands the untouched request to a worker.
-    pub fn try_handle_inline(
-        &self,
-        request: &[u8],
-        scratch: impl FnOnce() -> Vec<u8>,
-    ) -> Option<Vec<u8>> {
+    /// changed nothing — no counter or seq moved — and the caller hands
+    /// the untouched request to a worker.
+    pub fn try_handle_inline(&self, request: &[u8]) -> Option<Vec<u8>> {
         match *request.first()? {
-            protocol::req::SEARCH => self.try_search_inline(request, scratch),
+            protocol::req::SEARCH => self.try_search_inline(request),
             protocol::req::PUT_DOCS
             | protocol::req::REMOVE_DOCS
             | protocol::req::APPEND_GENERATIONS => self.try_mutate_inline(request),
@@ -454,11 +449,7 @@ impl Scheme2Server {
     }
 
     /// The `Search` half of [`Self::try_handle_inline`].
-    fn try_search_inline(
-        &self,
-        request: &[u8],
-        scratch: impl FnOnce() -> Vec<u8>,
-    ) -> Option<Vec<u8>> {
+    fn try_search_inline(&self, request: &[u8]) -> Option<Vec<u8>> {
         if !self.scheme.config.server_cache {
             return None;
         }
@@ -470,7 +461,7 @@ impl Scheme2Server {
         let sidecar = self.sidecar(si);
         let memo = sidecar.try_lock()?.entries.get(&tag).cloned()?;
         let docs = self.try_memo(snap.applied_seq, &tag, &t_prime, &memo, MemoMode::Inline)?;
-        Some(proto_common::encode_result_with(&docs, scratch()))
+        Some(proto_common::encode_result(&docs))
     }
 
     /// The mutation half of [`Self::try_handle_inline`]: the worker path's
@@ -1107,7 +1098,7 @@ mod tests {
     ) {
         let before = footprint(s);
         let held = hold();
-        let reply = s.try_handle_inline(request, || unreachable!("declines take no buffer"));
+        let reply = s.try_handle_inline(request);
         drop(held);
         assert!(reply.is_none(), "must decline: {why}");
         assert!(footprint(s) == before, "a decline changes nothing: {why}");
@@ -1128,7 +1119,7 @@ mod tests {
 
         let want = worker.handle_shared(&request);
         let got = inline
-            .try_handle_inline(&request, Vec::new)
+            .try_handle_inline(&request)
             .expect("a repeat of the memoized search is served inline");
         assert_eq!(got, want, "byte-identical reply");
         assert_eq!(decode_result(&got).unwrap().len(), 3);
@@ -1163,7 +1154,7 @@ mod tests {
         assert_declines(&s, &request, "stale applied_seq");
         // The worker path re-files the entry and the next repeat is inline.
         decode_result(&s.handle_shared(&request)).unwrap();
-        assert!(s.try_handle_inline(&request, Vec::new).is_some());
+        assert!(s.try_handle_inline(&request).is_some());
     }
 
     #[test]
@@ -1179,7 +1170,7 @@ mod tests {
         // The worker walks the delta and advances the entry: the newer
         // trapdoor is now the exact one, the older no longer is.
         decode_result(&s.handle_shared(&newer)).unwrap();
-        assert!(s.try_handle_inline(&newer, Vec::new).is_some());
+        assert!(s.try_handle_inline(&newer).is_some());
         assert_declines(&s, &request, "older than the memoized trapdoor");
     }
 
@@ -1187,7 +1178,7 @@ mod tests {
     fn inline_declines_more_than_inline_max_docs_ids() {
         let s = server();
         let at_bound = warm(&s, [0x25u8; 32], INLINE_MAX_DOCS as u64);
-        let reply = s.try_handle_inline(&at_bound, Vec::new).expect("at bound");
+        let reply = s.try_handle_inline(&at_bound).expect("at bound");
         assert_eq!(decode_result(&reply).unwrap().len(), INLINE_MAX_DOCS);
         let over = warm(&s, [0x26u8; 32], INLINE_MAX_DOCS as u64 + 1);
         assert_declines(&s, &over, "one id over INLINE_MAX_DOCS");
@@ -1197,9 +1188,7 @@ mod tests {
     fn inline_declines_more_than_inline_max_bytes_of_blobs() {
         let s = server();
         let at_budget = warm_sized(&s, [0x2Cu8; 32], 2, INLINE_MAX_BYTES / 2);
-        let reply = s
-            .try_handle_inline(&at_budget, Vec::new)
-            .expect("at budget");
+        let reply = s.try_handle_inline(&at_budget).expect("at budget");
         assert_eq!(decode_result(&reply).unwrap().len(), 2);
         // One id, well inside INLINE_MAX_DOCS, whose blob alone is a byte
         // over: copying it would hold the caller's thread, so a worker does.
@@ -1228,7 +1217,7 @@ mod tests {
             let s = Scheme2Server::open_durable_with(cfg, &home, opts).unwrap();
             let request = warm(&s, [0x27u8; 32], 2);
             if serves {
-                assert!(s.try_handle_inline(&request, Vec::new).is_some());
+                assert!(s.try_handle_inline(&request).is_some());
             } else {
                 assert_declines(&s, &request, "lsm blob reads go to files");
             }
@@ -1247,7 +1236,7 @@ mod tests {
         s.toggle_swap_window();
         assert_declines(&s, &request, "odd epoch: a multi-shard swap is open");
         s.toggle_swap_window();
-        assert!(s.try_handle_inline(&request, Vec::new).is_some());
+        assert!(s.try_handle_inline(&request).is_some());
     }
 
     #[test]
@@ -1326,7 +1315,7 @@ mod tests {
         for request in &requests {
             let want = worker.handle_shared(request);
             let got = inline
-                .try_handle_inline(request, || unreachable!("a mutation takes no buffer"))
+                .try_handle_inline(request)
                 .expect("a small in-memory mutation is applied inline");
             assert_eq!(got, want, "byte-identical reply");
             assert!(
@@ -1368,7 +1357,7 @@ mod tests {
         assert_declines(&s, &over, "a byte over INLINE_MAX_BYTES");
         let at_bound = sized(INLINE_MAX_BYTES);
         assert_eq!(at_bound.len(), INLINE_MAX_BYTES);
-        decode_ack(&s.try_handle_inline(&at_bound, Vec::new).expect("at bound")).unwrap();
+        decode_ack(&s.try_handle_inline(&at_bound).expect("at bound")).unwrap();
 
         // The budget: two keywords whose lists cost INLINE_MAX_COPY_BYTES
         // together are appended to, one generation more is not. The
@@ -1389,22 +1378,18 @@ mod tests {
             decode_ack(&s.handle_shared(&both(g as u8))).unwrap();
         }
         assert_eq!(2 * (stored(x) + INLINE_PATH_BYTES), INLINE_MAX_COPY_BYTES);
-        let at_budget = s.try_handle_inline(&both(0xA0), Vec::new);
+        let at_budget = s.try_handle_inline(&both(0xA0));
         decode_ack(&at_budget.expect("at budget")).unwrap();
         assert_declines(&s, &both(0xA1), "a generation over the budget");
         let one = |g| protocol::encode_append_generations(&[raw(x, g)]);
-        let alone = s.try_handle_inline(&one(0xA2), Vec::new);
+        let alone = s.try_handle_inline(&one(0xA2));
         decode_ack(&alone.expect("one list alone fits")).unwrap();
         // One list alone: at most INLINE_MAX_COPY_BYTES less its path.
         while stored(x) < INLINE_MAX_COPY_BYTES - INLINE_PATH_BYTES {
             decode_ack(&s.handle_shared(&one(0xB0))).unwrap();
         }
         assert_eq!(stored(x) + INLINE_PATH_BYTES, INLINE_MAX_COPY_BYTES);
-        decode_ack(
-            &s.try_handle_inline(&one(0xB1), Vec::new)
-                .expect("at budget"),
-        )
-        .unwrap();
+        decode_ack(&s.try_handle_inline(&one(0xB1)).expect("at budget")).unwrap();
         assert_declines(&s, &one(0xB2), "one list a generation over the budget");
         // Keywords cost their paths too: no more new ones in one append
         // than the budget allows, however short the request.
@@ -1418,11 +1403,7 @@ mod tests {
             "the budget declines, not the size"
         );
         assert_declines(&s, &fresh(most + 1), "one new keyword over the budget");
-        decode_ack(
-            &s.try_handle_inline(&fresh(most), Vec::new)
-                .expect("at budget"),
-        )
-        .unwrap();
+        decode_ack(&s.try_handle_inline(&fresh(most)).expect("at budget")).unwrap();
     }
 
     #[test]
@@ -1473,7 +1454,7 @@ mod tests {
         assert_declines(&s, &two, "odd epoch: a multi-shard swap is open");
         s.toggle_swap_window();
         for request in [put, one, two, remove] {
-            decode_ack(&s.try_handle_inline(&request, Vec::new).expect("all free")).unwrap();
+            decode_ack(&s.try_handle_inline(&request).expect("all free")).unwrap();
         }
         assert_eq!(s.stats().generations_appended, 3);
     }

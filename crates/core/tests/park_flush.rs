@@ -122,8 +122,8 @@ impl Server {
     /// that did not park.
     fn park(&self, request: &[u8], replies: &Replies) -> Option<Vec<u8>> {
         match self {
-            Server::S1(s) => s.handle_parked(request, Vec::new(), || replies.reply()),
-            Server::S2(s) => s.handle_parked(request, Vec::new(), || replies.reply()),
+            Server::S1(s) => s.handle_parked(request, || replies.reply()),
+            Server::S2(s) => s.handle_parked(request, || replies.reply()),
         }
     }
 

@@ -86,7 +86,9 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Vec<u8>> {
 /// It is also hardened differently: the body allocation grows with the
 /// bytes that actually arrive, so a forged length prefix costs the
 /// attacker bandwidth, not server memory (the prefix is still bounded by
-/// `max_len` and rejected up front when it exceeds it).
+/// `max_len` and rejected up front when it exceeds it). A decoder built
+/// with [`StreamingDecoder::with_pool`] gives that up: it sizes the body
+/// to the declared length as soon as the prefix completes.
 pub struct StreamingDecoder {
     max_len: u32,
     /// Partial length prefix (`header_filled` of 4 bytes present).
@@ -139,6 +141,11 @@ impl StreamingDecoder {
     /// recycled when their [`PooledBuf`] drops. Dropping the decoder
     /// mid-frame returns the partial body too — a half-received request on
     /// a dying connection must not leak its buffer.
+    ///
+    /// The body buffer is acquired at the **declared** length the moment
+    /// the prefix completes, before any body byte arrives: up to
+    /// `max_len` of memory for a 4-byte forged prefix. Only `bench/`'s
+    /// layer replay uses this constructor; the daemon does not.
     #[must_use]
     pub fn with_pool(max_len: u32, pool: BufPool) -> Self {
         let mut d = Self::with_max_len(max_len);

@@ -79,9 +79,9 @@ impl WireWriter {
         }
     }
 
-    /// Start from a recycled buffer, reusing its capacity — the hot-path
-    /// variant for callers that hold a [`crate::pool::BufPool`] buffer:
-    /// encoding into it keeps the steady state allocation-free.
+    /// Start from a reused buffer, keeping its capacity and discarding its
+    /// contents — for a writer that encodes many messages through one
+    /// buffer, such as the index checkpoint's fixed-size chunk.
     #[must_use]
     pub fn with_buf(mut buf: Vec<u8>) -> Self {
         buf.clear();

@@ -13,9 +13,10 @@
 //! at `--idle-timeout-ms`; see DESIGN.md §4i). `--max-conns` caps
 //! concurrent connections (accepts beyond it are dropped at the door)
 //! and `--write-queue-limit` bounds the bytes buffered for a client that
-//! stops reading before it is disconnected as a slow reader. Frames are
-//! assembled in pooled buffers (DESIGN.md §4j) and jobs are routed to
-//! per-worker run queues by tenant hash (DESIGN.md §4k).
+//! stops reading before it is disconnected as a slow reader. Each frame
+//! is one plain buffer, handed to its job without a copy (DESIGN.md §4j),
+//! and jobs are routed to per-worker run queues by tenant hash
+//! (DESIGN.md §4k).
 //!
 //! Serves until an `ADMIN_SHUTDOWN` frame arrives (e.g. `sse-load
 //! --shutdown`, or any `TcpTransport::admin_shutdown` call), then drains

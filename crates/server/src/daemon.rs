@@ -35,7 +35,7 @@
 //! the call.
 
 use crate::proto::{self, StatsSnapshot, KIND_UPDATE_MANY, STATUS_DEGRADED, STATUS_ERR, STATUS_OK};
-use crate::reactor::{CompletionQueue, OutMsg, Reactor, ReactorOptions, Segment, POISON_TOKEN};
+use crate::reactor::{CompletionQueue, OutMsg, Reactor, ReactorOptions, POISON_TOKEN};
 use crate::sched::{JobSender, SchedCounters, Scheduler};
 use crate::scrub::{scrub_loop, scrub_pass, ScrubCounters};
 use crate::stats::ServingStats;
@@ -43,7 +43,7 @@ use crate::tenant::{TenantHandle, TenantParams, TenantRegistry};
 use sse_core::commit::Reply;
 use sse_core::health::{HealthState, DEGRADED_RETRY_AFTER_MS};
 use sse_net::frame::MAX_FRAME_LEN;
-use sse_net::pool::{BufPool, PooledBuf};
+use sse_net::pool::PooledBuf;
 use sse_net::shutdown::ShutdownSignal;
 use sse_storage::{FaultConfig, FaultStats, FaultVfs, RealVfs, Vfs};
 use std::net::{SocketAddr, TcpListener};
@@ -64,12 +64,6 @@ pub const DEFAULT_MAX_CONNS: usize = 100_000;
 /// Default bound on a connection's queued-but-unwritten response bytes;
 /// past it the peer is declared a slow reader and disconnected.
 pub const DEFAULT_WRITE_QUEUE_LIMIT: usize = 64 * 1024 * 1024;
-
-/// Acquire size for a worker's pooled response scratch buffer. One pool
-/// class (4 KiB) covers typical search results; a bigger response grows
-/// the buffer once and the pool re-files it under its new class when the
-/// reactor retires it, so the high-water capacity is kept, not re-paid.
-pub(crate) const RESPONSE_SCRATCH_CAPACITY: usize = 4096;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -135,19 +129,16 @@ pub(crate) struct Shared {
     pub(crate) registry: Arc<TenantRegistry>,
     pub(crate) fault_stats: Option<Arc<FaultStats>>,
     pub(crate) scrub: Arc<ScrubCounters>,
-    /// The serving-path buffer pool. The reactor holds a clone; this one
-    /// lets `ADMIN_STATS` report the hit/miss/recycle counters.
-    pub(crate) pool: BufPool,
     /// Scheduler observability counters (routed / local hits / steals /
     /// spills / queue high-water), overlaid into
-    /// `ADMIN_STATS` like the pool and storage counters.
+    /// `ADMIN_STATS` like the storage counters.
     pub(crate) sched: Arc<SchedCounters>,
 }
 
 impl Shared {
     /// The serving counters plus everything kept elsewhere: the tenant
-    /// registry's, the scheduler's, the pool's, the fault VFS's and the
-    /// scrub thread's.
+    /// registry's, the scheduler's, the fault VFS's and the scrub
+    /// thread's.
     pub(crate) fn full_snapshot(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
         self.registry.add_counters(&mut snap);
@@ -157,10 +148,6 @@ impl Shared {
         }
         snap.scrub_passes = self.scrub.passes();
         snap.scrub_repairs = self.scrub.repairs();
-        let pool = self.pool.counters();
-        snap.pool_hits = pool.hits;
-        snap.pool_misses = pool.misses;
-        snap.pool_recycles = pool.recycles;
         snap
     }
 }
@@ -179,11 +166,6 @@ pub(crate) const RESPONSE_TOO_LARGE: &[u8] = b"response exceeds the frame limit"
 pub(crate) struct Responder {
     pub(crate) token: u64,
     pub(crate) completions: Arc<CompletionQueue>,
-    /// The response payload is sealed into the pool so its buffer
-    /// recycles once the reactor's gather write finishes — steady-state,
-    /// request-body acquires are served by retired response buffers
-    /// instead of fresh allocations.
-    pub(crate) pool: BufPool,
 }
 
 impl Responder {
@@ -203,9 +185,8 @@ impl Responder {
         } else {
             (STATUS_ERR, RESPONSE_TOO_LARGE.to_vec())
         };
-        let segment = Segment::Pooled(self.pool.seal(payload));
         self.completions
-            .post(self.token, OutMsg::response(status, seq, segment));
+            .post(self.token, OutMsg::response(status, seq, payload));
         fits
     }
 }
@@ -219,8 +200,8 @@ pub(crate) struct Job {
     /// Client sequence number, echoed in the response so a pipelining
     /// client can match responses that workers complete out of order.
     pub(crate) seq: u32,
-    /// The request payload: a sliced view of the frame's pool buffer
-    /// (zero-copy from the socket read). Dropping it recycles the buffer.
+    /// The request payload: the decoded frame's own buffer, advanced past
+    /// the envelope (zero-copy from the socket read).
     pub(crate) payload: PooledBuf,
     pub(crate) responder: Responder,
     pub(crate) accepted: Instant,
@@ -306,7 +287,6 @@ impl Daemon {
             registry,
             fault_stats,
             scrub: Arc::new(ScrubCounters::new()),
-            pool: BufPool::new(),
             sched: sched.counters(),
         });
 
@@ -316,7 +296,6 @@ impl Daemon {
             idle_timeout: config.idle_timeout,
             max_conns: config.max_conns,
             write_queue_limit: config.write_queue_limit,
-            pool: shared.pool.clone(),
         };
         let (mut reactor, completions) = Reactor::new_real(
             listener,
@@ -643,13 +622,7 @@ fn process_job(job: Job, stats: &Arc<ServingStats>, parked: &mut Parked) {
                 Some(parts) => now(tenant.apply_batch_parked(&parts, &mut park)),
                 None => Served::Malformed,
             },
-            _ => {
-                // The pool closes the loop on the response side too:
-                // encode into a recycled buffer, which `send` seals so the
-                // reactor's gather write recycles it again.
-                let scratch = responder.pool.acquire(RESPONSE_SCRATCH_CAPACITY);
-                now(tenant.handle_parked(&payload, scratch, &mut park))
-            }
+            _ => now(tenant.handle_parked(&payload, &mut park)),
         }
     }));
     match outcome {

@@ -407,12 +407,15 @@ stats_snapshot! {
     writes_deferred,
     /// Readiness events that produced no progress (spurious wakeups).
     reactor_spurious_polls,
-    /// Frame-buffer acquisitions served from the pool's free lists.
+    /// Frame-buffer acquisitions served from a buffer pool. Always 0:
+    /// the daemon has no pool, and a frame is a plain buffer freed when
+    /// its request is answered. The counter stays only because `bench/`
+    /// reads it for `net.pool_hit_ratio`, which therefore reads 0 until
+    /// ROADMAP 2A drops that metric.
     pool_hits,
-    /// Frame-buffer acquisitions that had to allocate fresh.
+    /// Frame-buffer acquisitions that missed a buffer pool. Always 0, and
+    /// kept for `bench/`, as `pool_hits` is.
     pool_misses,
-    /// Frame buffers returned to the pool's free lists.
-    pool_recycles,
     /// `writev` syscalls issued by the reactor's write path.
     writev_calls,
     /// Response frames fully flushed by those calls — `writev_frames /

@@ -51,7 +51,7 @@
 //! [`MockPoller`](epoll::MockPoller) — spurious wakeups, out-of-order
 //! readiness and stale tokens included — without opening a socket.
 
-use crate::daemon::{Job, Responder, Shared, HANDLER_PANICKED, RESPONSE_SCRATCH_CAPACITY};
+use crate::daemon::{Job, Responder, Shared, HANDLER_PANICKED};
 use crate::proto::{
     self, Hello, ADMIN_SHUTDOWN, ADMIN_STATS, HELLO_SEQ, KIND_ADMIN, KIND_DATA, KIND_UPDATE_MANY,
     STATUS_BUSY, STATUS_ERR, STATUS_OK,
@@ -61,7 +61,7 @@ use crate::stats::ServingStats;
 use crate::tenant::{TenantDb, TenantHandle};
 use epoll::{wake_pipe, Event, Interest, Poller, RealPoller, WakeReader, Waker};
 use sse_net::frame::StreamingDecoder;
-use sse_net::pool::{BufPool, PooledBuf};
+use sse_net::pool::PooledBuf;
 use sse_net::shutdown::ShutdownSignal;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -109,17 +109,13 @@ thread_local! {
 /// ([`TenantDb::try_handle_inline`]). `Ok(None)` declined and changed
 /// nothing. `Err` is a panicking handler, contained as `process_job`
 /// contains a worker's: it costs the request, not the thread.
-fn try_inline(
-    tenant: &TenantDb,
-    payload: &[u8],
-    pool: &BufPool,
-) -> std::thread::Result<Option<Vec<u8>>> {
+fn try_inline(tenant: &TenantDb, payload: &[u8]) -> std::thread::Result<Option<Vec<u8>>> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         if PANIC_NEXT_INLINE.with(|hook| hook.replace(false)) {
             panic!("test hook: inline handler panic");
         }
-        tenant.try_handle_inline(payload, || pool.acquire(RESPONSE_SCRATCH_CAPACITY))
+        tenant.try_handle_inline(payload)
     }))
 }
 
@@ -133,42 +129,20 @@ fn split_token(token: u64) -> (usize, u32) {
     ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
 }
 
-/// A response payload segment: plain owned bytes, or a pool-backed view
-/// whose drop recycles the buffer into the [`BufPool`] it came from. What
-/// a scheme handler produced is sealed into the pool, so its buffer
-/// recycles once the gather write that carries it finishes.
-pub(crate) enum Segment {
-    Owned(Vec<u8>),
-    Pooled(PooledBuf),
-}
-
-impl Segment {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Segment::Owned(v) => v,
-            Segment::Pooled(b) => b,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-}
-
 /// One outbound wire message held in scatter-gather form: the fixed
-/// response prefix (frame length ‖ status ‖ seq) inline, the payload as a
-/// borrowed-until-written segment. The two parts go to the kernel as
-/// separate iovecs — the payload bytes are never memcpy'd into a
-/// contiguous frame buffer.
+/// response prefix (frame length ‖ status ‖ seq) inline, the payload as
+/// the handler's own buffer, freed once written. The two parts go to the
+/// kernel as separate iovecs — the payload bytes are never memcpy'd into
+/// a contiguous frame buffer.
 pub(crate) struct OutMsg {
     head: [u8; 9],
     head_len: u8,
-    payload: Segment,
+    payload: Vec<u8>,
 }
 
 impl OutMsg {
     /// A response envelope around `payload`.
-    pub(crate) fn response(status: u8, seq: u32, payload: Segment) -> OutMsg {
+    pub(crate) fn response(status: u8, seq: u32, payload: Vec<u8>) -> OutMsg {
         OutMsg {
             head: proto::response_prefix(status, seq, payload.len()),
             head_len: 9,
@@ -181,7 +155,7 @@ impl OutMsg {
         OutMsg {
             head: [0; 9],
             head_len: 0,
-            payload: Segment::Owned(frame),
+            payload: frame,
         }
     }
 
@@ -326,11 +300,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(io: Box<dyn ConnIo>, max_frame_len: u32, pool: BufPool) -> Conn {
+    fn new(io: Box<dyn ConnIo>, max_frame_len: u32) -> Conn {
         Conn {
             io,
             state: ConnState::AwaitingHello,
-            decoder: StreamingDecoder::with_pool(max_frame_len, pool),
+            decoder: StreamingDecoder::with_max_len(max_frame_len),
             tenant: None,
             write_queue: VecDeque::new(),
             write_offset: 0,
@@ -356,7 +330,7 @@ impl Conn {
 
     /// Queue one response envelope around an owned payload.
     fn reply(&mut self, status: u8, seq: u32, payload: Vec<u8>) {
-        self.queue(OutMsg::response(status, seq, Segment::Owned(payload)));
+        self.queue(OutMsg::response(status, seq, payload));
     }
 
     /// Answer a fatal protocol error: count it, stop reading and queue the
@@ -453,9 +427,6 @@ pub(crate) struct ReactorOptions {
     pub(crate) idle_timeout: Duration,
     pub(crate) max_conns: usize,
     pub(crate) write_queue_limit: usize,
-    /// Frame bodies are assembled into buffers from this pool and job
-    /// payloads are sliced views of them.
-    pub(crate) pool: BufPool,
 }
 
 /// The event loop. Generic over the poller so tests substitute a
@@ -662,11 +633,9 @@ impl<P: Poller> Reactor<P> {
                     // first until the peer's (delayed) ACK.
                     stream.set_nodelay(true).ok();
                     let fd = stream.as_raw_fd();
-                    let (idx, gen) = self.conns.insert(Conn::new(
-                        Box::new(stream),
-                        self.opts.max_frame_len,
-                        self.opts.pool.clone(),
-                    ));
+                    let (idx, gen) = self
+                        .conns
+                        .insert(Conn::new(Box::new(stream), self.opts.max_frame_len));
                     let token = make_token(idx, gen);
                     if self.poller.register(fd, token, Interest::READABLE).is_err() {
                         self.conns.remove(idx, gen);
@@ -824,10 +793,8 @@ impl<P: Poller> Reactor<P> {
     /// and queue its reply. Returns whether to handle the chunk's next
     /// frame: `false` once the connection is draining or closed.
     ///
-    /// Takes the frame **by value**: the job payload is a sliced view of
-    /// the frame's pool buffer (no copy), and frames the protocol judged
-    /// malformed are poisoned so their buffer is never recycled into the
-    /// pool.
+    /// Takes the frame **by value**: the job payload is the frame's own
+    /// buffer, advanced past the envelope (no copy).
     fn handle_frame(
         &mut self,
         idx: usize,
@@ -860,22 +827,17 @@ impl<P: Poller> Reactor<P> {
                         Err(e) => conn.reject(stats, HELLO_SEQ, format!("tenant open failed: {e}")),
                     }
                 }
-                None => {
-                    frame.poison();
-                    conn.reject(stats, HELLO_SEQ, "malformed hello");
-                }
+                None => conn.reject(stats, HELLO_SEQ, "malformed hello"),
             },
             ConnState::Established => {
                 let Some((kind, seq, _)) = proto::decode_request(&frame) else {
-                    frame.poison();
                     conn.reject(stats, HELLO_SEQ, "malformed request");
                     return false;
                 };
                 match kind {
                     KIND_DATA | KIND_UPDATE_MANY => 'job: {
-                        let pool = &self.opts.pool;
                         if kind == KIND_DATA {
-                            if Self::answer_inline(conn, stats, pool, &frame, seq, inline_left) {
+                            if Self::answer_inline(conn, stats, &frame, seq, inline_left) {
                                 break 'job;
                             }
                             stats.record_inline_declined();
@@ -884,10 +846,10 @@ impl<P: Poller> Reactor<P> {
                             .tenant
                             .clone()
                             .expect("established connection has a tenant");
-                        // The worker gets a view into the frame's pool
-                        // buffer past the 5-byte envelope — the request
-                        // payload is never copied between the socket read
-                        // and the scheme handler.
+                        // The worker gets the frame's buffer past the
+                        // 5-byte envelope — the request payload is never
+                        // copied between the socket read and the scheme
+                        // handler.
                         let mut payload = frame;
                         payload.advance(proto::REQUEST_HEADER_LEN);
                         let job = Job {
@@ -898,7 +860,6 @@ impl<P: Poller> Reactor<P> {
                             responder: Responder {
                                 token: make_token(idx, gen),
                                 completions: self.completions.clone(),
-                                pool: pool.clone(),
                             },
                             accepted: Instant::now(),
                         };
@@ -926,15 +887,9 @@ impl<P: Poller> Reactor<P> {
                             conn.reply(STATUS_OK, seq, Vec::new());
                             shared.shutdown.request();
                         }
-                        _ => {
-                            frame.poison();
-                            conn.reject(stats, seq, "unknown admin command");
-                        }
+                        _ => conn.reject(stats, seq, "unknown admin command"),
                     },
-                    _ => {
-                        frame.poison();
-                        conn.reject(stats, seq, "unknown request kind");
-                    }
+                    _ => conn.reject(stats, seq, "unknown request kind"),
                 }
             }
             // Already draining: frames decoded after the fatal one are
@@ -956,7 +911,6 @@ impl<P: Poller> Reactor<P> {
     fn answer_inline(
         conn: &mut Conn,
         stats: &ServingStats,
-        pool: &BufPool,
         frame: &[u8],
         seq: u32,
         inline_left: &mut usize,
@@ -970,7 +924,7 @@ impl<P: Poller> Reactor<P> {
             .expect("established connection has a tenant");
         let payload = &frame[proto::REQUEST_HEADER_LEN..];
         let started = Instant::now();
-        match try_inline(tenant, payload, pool) {
+        match try_inline(tenant, payload) {
             Ok(None) => return false,
             Ok(Some(response)) => {
                 stats.record_ok(
@@ -981,8 +935,7 @@ impl<P: Poller> Reactor<P> {
                 );
                 stats.record_inline_served();
                 *inline_left -= 1;
-                let response = Segment::Pooled(pool.seal(response));
-                conn.queue(OutMsg::response(STATUS_OK, seq, response));
+                conn.reply(STATUS_OK, seq, response);
             }
             Err(_) => {
                 stats.record_err();
@@ -1318,7 +1271,6 @@ mod tests {
             registry: Arc::new(TenantRegistry::new(TenantParams::default())),
             fault_stats: None,
             scrub: Arc::new(ScrubCounters::new()),
-            pool: BufPool::new(),
             sched: Arc::new(SchedCounters::default()),
         })
     }
@@ -1342,7 +1294,6 @@ mod tests {
             idle_timeout,
             max_conns: 1024,
             write_queue_limit,
-            pool: BufPool::new(),
         };
         let reactor = Reactor::with_parts(
             MockPoller::new(),
@@ -1370,11 +1321,10 @@ mod tests {
     impl Rig {
         fn add_conn(&mut self, io: ScriptIo) -> (usize, u32, u64) {
             let fd = io.fd();
-            let (idx, gen) = self.reactor.conns.insert(Conn::new(
-                Box::new(io),
-                self.reactor.opts.max_frame_len,
-                self.reactor.opts.pool.clone(),
-            ));
+            let (idx, gen) = self
+                .reactor
+                .conns
+                .insert(Conn::new(Box::new(io), self.reactor.opts.max_frame_len));
             let token = make_token(idx, gen);
             self.reactor
                 .poller
@@ -1415,10 +1365,7 @@ mod tests {
     /// Post an OK completion the way a worker does: scatter-gather form,
     /// wire-identical to `ok_response(seq, payload)`.
     fn post_ok(completions: &CompletionQueue, token: u64, seq: u32, payload: &[u8]) {
-        completions.post(
-            token,
-            OutMsg::response(STATUS_OK, seq, Segment::Owned(payload.to_vec())),
-        );
+        completions.post(token, OutMsg::response(STATUS_OK, seq, payload.to_vec()));
     }
 
     #[test]
@@ -1864,11 +1811,11 @@ mod tests {
     fn conn_table_reuses_slots_with_fresh_generations() {
         let mut table = ConnTable::new();
         let (io_a, _, _) = ScriptIo::new(1);
-        let (idx_a, gen_a) = table.insert(Conn::new(Box::new(io_a), 1024, BufPool::new()));
+        let (idx_a, gen_a) = table.insert(Conn::new(Box::new(io_a), 1024));
         assert!(table.remove(idx_a, gen_a).is_some());
         assert!(table.remove(idx_a, gen_a).is_none(), "double remove");
         let (io_b, _, _) = ScriptIo::new(2);
-        let (idx_b, gen_b) = table.insert(Conn::new(Box::new(io_b), 1024, BufPool::new()));
+        let (idx_b, gen_b) = table.insert(Conn::new(Box::new(io_b), 1024));
         assert_eq!(idx_a, idx_b);
         assert_ne!(gen_a, gen_b);
         assert!(table.get_mut(idx_b, gen_a).is_none(), "stale gen rejected");
@@ -2010,34 +1957,26 @@ mod tests {
     }
 
     #[test]
-    fn pooled_request_payloads_are_zero_copy_and_recycled() {
+    fn request_payloads_are_zero_copy() {
         let mut rig = rig();
-        let pool = rig.reactor.opts.pool.clone();
-        // Park one buffer in the pool: the only one there, so the one the
-        // decoder assembles each frame of this connection in.
-        let parked = pool.acquire(64);
-        let frame_buffer = parked.as_ptr()..parked.as_ptr().wrapping_add(parked.capacity());
-        pool.release(parked);
         let (mut io, _written, _cap) = ScriptIo::new(7);
         io.push_read(&hello_frame());
-        io.push_read(&encode_frame(&proto::encode_request(
-            KIND_DATA, 1, b"needle",
-        )));
-        let (_idx, _gen, token) = rig.add_conn(io);
+        let (idx, gen, token) = rig.add_conn(io);
         rig.turn_with(vec![Event::readable(token)]);
+        // The frame as the decoder hands it over: its body in one buffer.
+        let body = proto::encode_request(KIND_DATA, 1, b"needle");
+        let body_start = body.as_ptr();
+        let mut inline_left = INLINE_BURST;
+        assert!(rig
+            .reactor
+            .handle_frame(idx, gen, PooledBuf::from_vec(body), &mut inline_left));
         let job = rig.sched.try_next(0).expect("job queued");
         assert_eq!(&job.payload[..], b"needle");
-        assert!(
-            frame_buffer.contains(&job.payload.as_ptr()),
-            "the payload is a view into the buffer the decoder filled — \
-             nothing was memcpy'd on the request path"
-        );
-        let before = pool.counters().recycles;
-        drop(job);
         assert_eq!(
-            pool.counters().recycles,
-            before + 1,
-            "dropping the job returns the frame buffer to the pool"
+            job.payload.as_ptr(),
+            body_start.wrapping_add(proto::REQUEST_HEADER_LEN),
+            "the payload is the frame's own buffer past the envelope — \
+             nothing was memcpy'd on the request path"
         );
     }
 

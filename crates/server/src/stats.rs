@@ -161,7 +161,7 @@ impl ServingStats {
 
     /// Point-in-time snapshot for the ADMIN protocol: the counters kept
     /// here, every other field 0. The daemon adds the rest — registry,
-    /// scheduler, pool, fault and scrub counters — before encoding the
+    /// scheduler, fault and scrub counters — before encoding the
     /// ADMIN response.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -201,8 +201,9 @@ impl ServingStats {
             service_p99_ns: service.quantile_ns(0.99),
             inline_served: load(&self.inline_served),
             inline_declined: load(&self.inline_declined),
-            // Nothing on the serving path copies a payload, so
-            // `bytes_copied` keeps its default 0.
+            // Nothing on the serving path copies a payload and there is
+            // no buffer pool, so `bytes_copied`, `pool_hits` and
+            // `pool_misses` keep their default 0.
             ..StatsSnapshot::default()
         }
     }

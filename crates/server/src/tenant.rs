@@ -84,11 +84,7 @@ impl TenantDb {
     /// tenant declines everything and a degraded one every mutation, so
     /// the worker words the refusal (`ERR`, `DEGRADED`); a degraded
     /// tenant still serves reads, here too.
-    pub fn try_handle_inline(
-        &self,
-        request: &[u8],
-        scratch: impl FnOnce() -> Vec<u8>,
-    ) -> Option<Vec<u8>> {
+    pub fn try_handle_inline(&self, request: &[u8]) -> Option<Vec<u8>> {
         let TenantDb::S2(server) = self else {
             return None;
         };
@@ -97,7 +93,7 @@ impl TenantDb {
             HealthState::Degraded if self.is_read(request) => {}
             HealthState::Degraded | HealthState::Quarantined => return None,
         }
-        server.try_handle_inline(request, scratch)
+        server.try_handle_inline(request)
     }
 }
 
