@@ -96,7 +96,7 @@ use sse_storage::{
     resolve_backend, BackendCounters, BackendKind, DocBlobStore, RealVfs, StorageError, Vfs,
     VfsFile,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -749,9 +749,9 @@ impl<S: SchemeOps> IndexEngine<S> {
 
     // ---- the commit pipeline: stage, park, flush -----------------------------
 
-    /// Run one index mutation: its shard-local records, one per shard in
-    /// `idxs` (ascending, non-empty), under the caller's quiescence lock,
-    /// whose `meta` they were validated against.
+    /// Run one index mutation: its shard-local records, `records[i]` for
+    /// each shard `i` in `idxs` (ascending, non-empty), under the caller's
+    /// quiescence lock, whose `meta` they were validated against.
     ///
     /// In memory the mutation is durable at once: it applies and publishes
     /// under its shards' data locks, and its reply is returned. Durable, it
@@ -764,12 +764,12 @@ impl<S: SchemeOps> IndexEngine<S> {
         &self,
         meta: &S::Meta,
         idxs: &[usize],
-        encode_for: impl Fn(usize) -> Vec<u8>,
+        records: &[Vec<u8>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
         debug_assert!(!idxs.is_empty() && idxs.windows(2).all(|w| w[0] < w[1]));
         let Some(home) = &self.home else {
-            let applied = self.apply_now(&mut meta.clone(), idxs, encode_for, ApplyMode::Worker);
+            let applied = self.apply_now(&mut meta.clone(), idxs, records, ApplyMode::Worker);
             return Some(applied.expect(WAITS));
         };
         let mut guards: Vec<StageGuard<'_>> =
@@ -785,12 +785,12 @@ impl<S: SchemeOps> IndexEngine<S> {
         };
         let mut reply = Some(park());
         if let [i] = *idxs {
-            guards[0].stage(&encode_for(i), 0, batch, None, reply);
+            guards[0].stage(&records[i], 0, batch, None, reply);
         } else {
             let shard_set: Arc<[u32]> = idxs.iter().map(|&i| i as u32).collect();
             let header = shard::slice_header_len(idxs.len());
             for (guard, &i) in guards.iter_mut().zip(idxs) {
-                let slice = shard::encode_slice(batch, &shard_set, &encode_for(i));
+                let slice = shard::encode_slice(batch, &shard_set, &records[i]);
                 guard.stage(
                     &slice,
                     header,
@@ -811,15 +811,15 @@ impl<S: SchemeOps> IndexEngine<S> {
         &self,
         meta: &mut S::Meta,
         idxs: &[usize],
-        encode_for: impl Fn(usize) -> Vec<u8>,
+        records: &[Vec<u8>],
     ) -> Vec<u8> {
         if self.home.is_none() {
             return self
-                .apply_now(meta, idxs, encode_for, ApplyMode::Worker)
+                .apply_now(meta, idxs, records, ApplyMode::Worker)
                 .expect(WAITS);
         }
         let mut slot = ReplySlot::default();
-        if let Some(refused) = self.mutate(meta, idxs, encode_for, || slot.reply()) {
+        if let Some(refused) = self.mutate(meta, idxs, records, || slot.reply()) {
             return refused;
         }
         self.flush_with(meta);
@@ -836,7 +836,7 @@ impl<S: SchemeOps> IndexEngine<S> {
     pub(crate) fn try_mutate(
         &self,
         idxs: &[usize],
-        encode_for: impl Fn(usize) -> Vec<u8>,
+        records: &[Vec<u8>],
         admits: &dyn Fn(usize, &ShardData<S>) -> bool,
     ) -> Option<Vec<u8>> {
         if self.home.is_some() {
@@ -844,7 +844,7 @@ impl<S: SchemeOps> IndexEngine<S> {
         }
         let meta = self.meta.try_read()?;
         let mode = ApplyMode::Inline { admits };
-        self.apply_now(&mut meta.clone(), idxs, encode_for, mode)
+        self.apply_now(&mut meta.clone(), idxs, records, mode)
     }
 
     /// An in-memory mutation, applied now: each record under its shard's
@@ -855,7 +855,7 @@ impl<S: SchemeOps> IndexEngine<S> {
         &self,
         meta: &mut S::Meta,
         idxs: &[usize],
-        encode_for: impl Fn(usize) -> Vec<u8>,
+        records: &[Vec<u8>],
         mode: ApplyMode<'_, S>,
     ) -> Option<Vec<u8>> {
         let mut datas: Vec<_> = match mode {
@@ -877,7 +877,7 @@ impl<S: SchemeOps> IndexEngine<S> {
         let mut outcome = Ok(());
         for (data, &i) in datas.iter_mut().zip(idxs) {
             if outcome.is_ok() {
-                outcome = self.apply_record(i, data, meta, &encode_for(i));
+                outcome = self.apply_record(i, data, meta, &records[i]);
             }
             data.applied_seq += 1;
         }
@@ -1021,21 +1021,36 @@ impl<S: SchemeOps> IndexEngine<S> {
         &self.entries_applied
     }
 
-    /// Partition `items` by the shard their tag routes to, preserving
-    /// input order within each shard.
-    pub(crate) fn group_by_shard<T>(
+    /// Cut an index update into shard-local records from the bytes its
+    /// entries (each its tag and wire bytes) arrived in: `records[i]` is
+    /// `head` (the request's tag byte and header) ‖ the `u64` count of the
+    /// entries routed to shard `i` ‖ their bytes in arrival order, sized
+    /// exactly. `idxs` (ascending, as [`Self::mutate`] takes them): every
+    /// shard an entry routes to, or all when `every_shard`; others stay empty.
+    pub(crate) fn shard_records<'e>(
         &self,
-        items: Vec<T>,
-        tag_of: impl Fn(&T) -> &[u8; 32],
-    ) -> BTreeMap<usize, Vec<T>> {
-        let mut groups: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-        for item in items {
-            groups
-                .entry(self.shard_of(tag_of(&item)))
-                .or_default()
-                .push(item);
+        head: &[u8],
+        entries: impl Iterator<Item = ([u8; 32], &'e [u8])> + Clone,
+        every_shard: bool,
+    ) -> (Vec<usize>, Vec<Vec<u8>>) {
+        let mut sizes = vec![(0u64, 0); self.shards.len()];
+        for (tag, wire) in entries.clone() {
+            let size = &mut sizes[self.shard_of(&tag)];
+            *size = (size.0 + 1, size.1 + wire.len());
         }
-        groups
+        let idxs: Vec<usize> = (0..sizes.len())
+            .filter(|&i| every_shard || sizes[i].0 > 0)
+            .collect();
+        let mut records = vec![Vec::new(); sizes.len()];
+        for &i in &idxs {
+            let (count, len) = sizes[i];
+            records[i] = Vec::with_capacity(head.len() + 8 + len);
+            records[i].extend(head.iter().chain(&count.to_le_bytes()));
+        }
+        for (tag, wire) in entries {
+            records[self.shard_of(&tag)].extend_from_slice(wire);
+        }
+        (idxs, records)
     }
 
     // ---- replies and health -------------------------------------------------
@@ -1202,16 +1217,16 @@ impl<S: SchemeOps> IndexAdmin for IndexEngine<S> {
         park: &mut dyn FnMut() -> Reply,
     ) -> Option<Vec<u8>> {
         let mut docs = Vec::new();
-        let mut updates = Vec::new();
+        let mut entries = Vec::new();
         for part in parts {
             match S::batch_part(part) {
                 Ok(Some(BatchPart::Docs(d))) => docs.extend(d),
-                Ok(Some(BatchPart::Index(u))) => updates.extend(u),
+                Ok(Some(BatchPart::Index(e))) => entries.extend(e),
                 Ok(None) => return Some(proto_common::encode_error(S::BATCH_PARTS)),
                 Err(e) => return Some(proto_common::encode_error(&e.to_string())),
             }
         }
-        S::apply_batch(self, &docs, updates, park)
+        S::apply_batch(self, &docs, &entries, park)
     }
 
     fn is_read(&self, request: &[u8]) -> bool {
@@ -1578,6 +1593,10 @@ mod tests {
     use super::*;
     use crate::health::HealthState;
     use crate::proto_common::decode_ack;
+    use crate::scheme1::protocol::{self as s1p, UpdateEntry};
+    use crate::scheme1::Scheme1Server;
+    use crate::scheme2::protocol::{self as s2p, GenerationEntry};
+    use crate::scheme2::{Scheme2Config, Scheme2Server};
 
     /// A scheme whose record `[b, ..]` stores itself under the tag
     /// `[b; 32]`, and whose record `panic` panics when applied.
@@ -1588,7 +1607,7 @@ mod tests {
         type Meta = ();
         type Sidecar = ();
         type Config = ();
-        type Update = ();
+        type EntryRef<'a> = ();
 
         const STEM: &'static str = "toy";
         const MAGIC: &'static [u8; 8] = b"SSETOYI2";
@@ -1636,7 +1655,7 @@ mod tests {
         fn apply_batch(
             _: &IndexEngine<Self>,
             _: &[(u64, Vec<u8>)],
-            _: Vec<()>,
+            _: &[()],
             _: impl FnOnce() -> Reply,
         ) -> Option<Vec<u8>> {
             unreachable!("the engine's tests serve no requests")
@@ -1655,12 +1674,9 @@ mod tests {
     /// Park `record` on shard 0, its reply going to `sink`.
     fn park(engine: &IndexEngine<Toy>, record: &[u8], sink: &Sink) {
         let sink = Arc::clone(sink);
-        let reply = engine.mutate(
-            &engine.pipeline(),
-            &[0],
-            |_| record.to_vec(),
-            || -> Reply { Box::new(move |r| sink.lock().push(r)) },
-        );
+        let reply = engine.mutate(&engine.pipeline(), &[0], &[record.to_vec()], || -> Reply {
+            Box::new(move |r| sink.lock().push(r))
+        });
         assert!(reply.is_none(), "a durable mutation parks");
     }
 
@@ -1758,5 +1774,247 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert!(got.iter().all(|r| decode_ack(r).is_err()));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh durable `shards`-shard server in a directory of its own.
+    fn durable<S: SchemeOps>(
+        config: S::Config,
+        name: &str,
+        shards: usize,
+    ) -> (IndexEngine<S>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!(
+            "sse-engine-{}-{name}-{}-{shards}",
+            std::process::id(),
+            S::STEM
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = DurableOptions {
+            shards,
+            ..DurableOptions::default()
+        };
+        (
+            IndexEngine::open_durable_with(config, &dir, opts).unwrap(),
+            dir,
+        )
+    }
+
+    /// Shard `i`'s journal records, each without its seq stamp and, for a
+    /// cross-shard mutation, its batch-slice header.
+    fn journaled<S: SchemeOps>(dir: &Path, i: usize) -> Vec<Vec<u8>> {
+        let records = wal::Wal::replay(&dir.join(journal_file::<S>(i))).unwrap();
+        let strip = |record: &Vec<u8>| match shard::decode_slice(&record[8..]).unwrap() {
+            Some(slice) => slice.inner.to_vec(),
+            None => record[8..].to_vec(),
+        };
+        records.iter().map(strip).collect()
+    }
+
+    /// A tag that routes to `shard` of 4 (and to shard 0 of 1).
+    fn tag_on(shard: u8, n: u8) -> [u8; 32] {
+        let mut tag = [n; 32];
+        tag[..2].copy_from_slice(&[0, shard]);
+        tag
+    }
+
+    fn generation(shard: u8, n: u8) -> GenerationEntry {
+        GenerationEntry {
+            tag: tag_on(shard, n % 4),
+            sealed_ids: vec![n; 40 + usize::from(n)],
+            commitment: [n; 32],
+        }
+    }
+
+    fn update(shard: u8, n: u8, width: usize) -> UpdateEntry {
+        UpdateEntry {
+            tag: tag_on(shard, n % 4),
+            delta: vec![n; width],
+            f_r: vec![!n; 3 + usize::from(n)],
+        }
+    }
+
+    /// Serve `send` on `server`, a fresh durable one, and check each
+    /// shard's journal against the client's encoder: one record, `encode`
+    /// over the entries that route to the shard in arrival order, or none
+    /// for a shard no entry routes to, unless `every_shard`.
+    fn assert_records_cut<S: SchemeOps, E: Clone>(
+        (server, dir): (IndexEngine<S>, PathBuf),
+        send: impl FnOnce(&IndexEngine<S>) -> Vec<u8>,
+        entries: &[E],
+        tag_of: impl Fn(&E) -> [u8; 32],
+        encode: impl Fn(&[E]) -> Vec<u8>,
+        every_shard: bool,
+    ) {
+        decode_ack(&send(&server)).unwrap();
+        let shards = server.num_shards();
+        for i in 0..shards {
+            let routed: Vec<E> = entries
+                .iter()
+                .filter(|e| shard_of(&tag_of(e), shards) == i)
+                .cloned()
+                .collect();
+            let want = match routed.is_empty() && !every_shard {
+                true => Vec::new(),
+                false => vec![encode(&routed)],
+            };
+            assert!(
+                journaled::<S>(&dir, i) == want,
+                "{} shard {i} of {shards}: the record is not the client's encoding",
+                S::STEM
+            );
+        }
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn each_shards_record_is_the_client_encoding_of_its_entries() {
+        let s2 = Scheme2Config::standard;
+        for shards in [1, 4] {
+            // Scheme 2: one request, then an UPDATE_MANY whose parts mix
+            // documents with appends and name tags again.
+            let single = [generation(0, 1), generation(3, 2), generation(0, 5)];
+            assert_records_cut(
+                durable(s2(), "cut-one", shards),
+                |s: &Scheme2Server| s.handle_shared(&s2p::encode_append_generations(&single)),
+                &single,
+                |e| e.tag,
+                s2p::encode_append_generations,
+                false,
+            );
+            let parts = [
+                &[generation(1, 1), generation(0, 2)][..],
+                &[generation(0, 6), generation(3, 7), generation(1, 5)],
+                &[generation(1, 9)],
+            ];
+            let docs = s2p::encode_put_docs(&[(7, vec![7; 9])]);
+            let [a, b, c] = parts.map(s2p::encode_append_generations);
+            assert_records_cut(
+                durable(s2(), "cut-many", shards),
+                |s: &Scheme2Server| s.apply_batch(&[&a, &docs, &b, &c]),
+                &parts.concat(),
+                |e| e.tag,
+                s2p::encode_append_generations,
+                false,
+            );
+
+            // Scheme 1: the same two shapes, then a ReplaceIndex, whose
+            // header every record repeats and which clears shard 2 of 4
+            // with no entries.
+            let single = [update(0, 1, 8), update(3, 2, 8), update(0, 5, 8)];
+            assert_records_cut(
+                durable(64, "cut-one", shards),
+                |s: &Scheme1Server| s.handle_shared(&s1p::encode_apply_updates(&single)),
+                &single,
+                |e| e.tag,
+                s1p::encode_apply_updates,
+                false,
+            );
+            let parts = [
+                &[update(1, 1, 8), update(0, 2, 8)][..],
+                &[update(0, 6, 8), update(3, 7, 8), update(1, 5, 8)],
+                &[update(1, 9, 8)],
+            ];
+            let docs = s1p::encode_put_docs(&[(7, vec![7; 9])]);
+            let [a, b, c] = parts.map(s1p::encode_apply_updates);
+            assert_records_cut(
+                durable(64, "cut-many", shards),
+                |s: &Scheme1Server| s.apply_batch(&[&a, &docs, &b, &c]),
+                &parts.concat(),
+                |e| e.tag,
+                s1p::encode_apply_updates,
+                false,
+            );
+            let replacement = [update(0, 1, 16), update(3, 2, 16), update(1, 3, 16)];
+            assert_records_cut(
+                durable(64, "cut-replace", shards),
+                |s: &Scheme1Server| s.handle_shared(&s1p::encode_replace_index(128, &replacement)),
+                &replacement,
+                |e| e.tag,
+                |routed| s1p::encode_replace_index(128, routed),
+                true,
+            );
+        }
+    }
+
+    /// Every shard's journal length and `applied_seq`, the tenant's health
+    /// and its document count: what a refused update must leave alone.
+    fn footprint<S: SchemeOps>(
+        server: &IndexEngine<S>,
+        dir: &Path,
+    ) -> impl PartialEq + std::fmt::Debug {
+        let shards = 0..server.num_shards();
+        let journals: Vec<u64> = shards
+            .clone()
+            .map(|i| std::fs::metadata(dir.join(journal_file::<S>(i))).map_or(0, |m| m.len()))
+            .collect();
+        let seqs: Vec<u64> = shards.map(|i| server.lock_data(i).applied_seq).collect();
+        let state = server.health().state();
+        (journals, seqs, state, server.stored_docs())
+    }
+
+    /// The text of an ERR reply.
+    fn err_text(reply: &[u8]) -> String {
+        let mut r = WireReader::new(reply);
+        assert_eq!(r.get_u8().unwrap(), proto_common::resp::ERROR, "not an ERR");
+        String::from_utf8(r.get_bytes().unwrap().to_vec()).unwrap()
+    }
+
+    /// Every proper prefix of `valid`, and `valid` with a trailing byte:
+    /// alone and as the last part of an UPDATE_MANY behind `good` parts,
+    /// each is an ERR worded as `decode` words it that changes nothing.
+    fn assert_malformed_change_nothing<S: SchemeOps>(
+        (server, dir): (IndexEngine<S>, PathBuf),
+        valid: &[u8],
+        good: &[&[u8]],
+        decode: impl Fn(&[u8]) -> Option<String>,
+    ) {
+        decode_ack(&server.handle_shared(good[0])).unwrap();
+        let before = footprint(&server, &dir);
+        let trailing = [valid, &[0]].concat();
+        for bad in (0..valid.len()).map(|n| &valid[..n]).chain([&trailing[..]]) {
+            let want = decode(bad).expect("malformed");
+            assert_eq!(err_text(&server.handle_shared(bad)), want, "{bad:?}");
+            let batch = [good, &[bad]].concat();
+            assert_eq!(err_text(&server.apply_batch(&batch)), want, "{bad:?}");
+            assert_eq!(footprint(&server, &dir), before, "{bad:?}");
+        }
+        decode_ack(&server.handle_shared(valid)).unwrap();
+        assert_ne!(footprint(&server, &dir), before, "the valid update applies");
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_malformed_index_update_is_an_err_that_changes_nothing() {
+        let append = s2p::encode_append_generations(&[generation(0, 1), generation(3, 2)]);
+        let docs = s2p::encode_put_docs(&[(3, vec![3; 5])]);
+        let good = [
+            &docs[..],
+            &s2p::encode_append_generations(&[generation(1, 3)]),
+        ];
+        let decode = |bad: &[u8]| s2p::decode_request(bad).err().map(|e| e.to_string());
+        let s2: (Scheme2Server, _) = durable(Scheme2Config::standard(), "malformed", 4);
+        assert_malformed_change_nothing(s2, &append, &good, decode);
+        // The reactor's never-wait path declines every one of them.
+        let inline = Scheme2Server::new_in_memory_sharded(Scheme2Config::standard(), 4);
+        let trailing = [&append[..], &[0]].concat();
+        for bad in (0..append.len())
+            .map(|n| &append[..n])
+            .chain([&trailing[..]])
+        {
+            assert!(inline.try_handle_inline(bad).is_none(), "{bad:?}");
+        }
+        assert_eq!(inline.commit_counters().snapshot_swaps, 0);
+
+        let apply = s1p::encode_apply_updates(&[update(0, 1, 8), update(3, 2, 8)]);
+        let replace = s1p::encode_replace_index(128, &[update(0, 1, 16), update(3, 2, 16)]);
+        let docs = s1p::encode_put_docs(&[(3, vec![3; 5])]);
+        let good = [&docs[..], &s1p::encode_apply_updates(&[update(1, 3, 8)])];
+        let decode = |bad: &[u8]| s1p::decode_request(bad).err().map(|e| e.to_string());
+        for (name, valid) in [("malformed-apply", &apply), ("malformed-replace", &replace)] {
+            let s1: (Scheme1Server, _) = durable(64, name, 4);
+            assert_malformed_change_nothing(s1, valid, &good, decode);
+        }
     }
 }

@@ -28,8 +28,8 @@ pub trait SchemeOps: Sized + Send + Sync + 'static {
     /// What the server's constructors take: Scheme 1's document capacity,
     /// Scheme 2's config.
     type Config;
-    /// One index update entry of the scheme's update request.
-    type Update;
+    /// One index update entry, borrowed from the request it arrived in.
+    type EntryRef<'a>;
 
     /// File stem: `<stem>.index`, `<stem>.{i}.wal`, `<stem>.kw{i}`,
     /// `<stem>.meta`.
@@ -71,9 +71,9 @@ pub trait SchemeOps: Sized + Send + Sync + 'static {
 
     /// Apply one shard-local mutation — the same bytes live (at once in
     /// memory; by a flush once the record is durable) and in recovery. No
-    /// re-journaling, no re-validation: the record was validated before it
-    /// was ever staged. Returns the entries it applied, for the scheme's
-    /// counters.
+    /// re-journaling, no re-validation: the record was cut from a request
+    /// that decoded and validated whole before it was staged. Returns the
+    /// entries it applied, for the scheme's counters.
     ///
     /// # Errors
     /// Wire errors, or [`sse_storage::StorageError::Corrupt`] if the
@@ -95,29 +95,29 @@ pub trait SchemeOps: Sized + Send + Sync + 'static {
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>>;
 
-    /// Decode one `UPDATE_MANY` part: `None` for a request that may not
-    /// be one.
+    /// Decode one `UPDATE_MANY` part, its index entries borrowed: `None`
+    /// for a request that may not be one.
     ///
     /// # Errors
     /// The part does not decode.
-    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<Self::Update>>>;
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<Self::EntryRef<'_>>>>;
 
-    /// Run a batch's parts, merged: store `docs`, then apply `updates` as
+    /// Run a batch's parts, merged: store `docs`, then apply `entries` as
     /// one index mutation, parked as [`SchemeOps::serve`] parks.
     fn apply_batch(
         engine: &IndexEngine<Self>,
         docs: &[(u64, Vec<u8>)],
-        updates: Vec<Self::Update>,
+        entries: &[Self::EntryRef<'_>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>>;
 }
 
 /// One decoded part of an `UPDATE_MANY` batch.
-pub enum BatchPart<U> {
+pub enum BatchPart<E> {
     /// A `PutDocs`.
     Docs(Vec<(u64, Vec<u8>)>),
-    /// The scheme's index update.
-    Index(Vec<U>),
+    /// The scheme's index update, its entries borrowed from the part.
+    Index(Vec<E>),
 }
 
 /// A shard's mutable state: the live tree plus the highest op-seq applied

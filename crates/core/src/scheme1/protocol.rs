@@ -5,7 +5,7 @@
 //! [`sse_net::wire`] codec; the server treats every field as untrusted.
 
 use crate::error::{Result, SseError};
-use crate::proto_common::expect_tag;
+use crate::proto_common::{self, expect_tag};
 use sse_net::wire::{WireReader, WireWriter};
 
 // `Ack`, `Result` and `Error` are the responses both schemes share.
@@ -74,16 +74,27 @@ pub struct UpdateEntry {
     pub f_r: Vec<u8>,
 }
 
+/// An [`UpdateEntry`] borrowed from the encoded request.
+#[derive(Clone, Copy)]
+pub struct UpdateEntryRef<'a> {
+    /// `f_kw(w)`.
+    pub tag: [u8; 32],
+    /// The XOR delta, in place in the request.
+    pub delta: &'a [u8],
+    /// Serialized `F(r')`, in place in the request.
+    pub f_r: &'a [u8],
+    /// The whole entry as it arrived, which a shard's record copies.
+    pub wire: &'a [u8],
+}
+
 // ---- client-side encoders -------------------------------------------------
 
 /// Encode `PutDocs`.
 #[must_use]
 pub fn encode_put_docs(docs: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_u8(REQ_TAGS::PUT_DOCS).put_u64(docs.len() as u64);
-    for (id, blob) in docs {
-        w.put_u64(*id).put_bytes(blob);
-    }
+    w.put_u8(REQ_TAGS::PUT_DOCS);
+    proto_common::put_docs_body(&mut w, docs);
     w.finish()
 }
 
@@ -102,12 +113,15 @@ pub fn encode_get_nonces(tags: &[[u8; 32]]) -> Vec<u8> {
 #[must_use]
 pub fn encode_apply_updates(entries: &[UpdateEntry]) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_u8(REQ_TAGS::APPLY_UPDATES)
-        .put_u64(entries.len() as u64);
+    w.put_u8(REQ_TAGS::APPLY_UPDATES);
+    put_entries(w, entries)
+}
+
+/// The entry list both index updates end with.
+fn put_entries(mut w: WireWriter, entries: &[UpdateEntry]) -> Vec<u8> {
+    w.put_u64(entries.len() as u64);
     for e in entries {
-        w.put_array(&e.tag);
-        w.put_bytes(&e.delta);
-        w.put_bytes(&e.f_r);
+        w.put_array(&e.tag).put_bytes(&e.delta).put_bytes(&e.f_r);
     }
     w.finish()
 }
@@ -162,15 +176,8 @@ pub fn encode_export_index() -> Vec<u8> {
 #[must_use]
 pub fn encode_replace_index(capacity: u64, entries: &[UpdateEntry]) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_u8(REQ_TAGS::REPLACE_INDEX)
-        .put_u64(capacity)
-        .put_u64(entries.len() as u64);
-    for e in entries {
-        w.put_array(&e.tag);
-        w.put_bytes(&e.delta);
-        w.put_bytes(&e.f_r);
-    }
-    w.finish()
+    w.put_u8(REQ_TAGS::REPLACE_INDEX).put_u64(capacity);
+    put_entries(w, entries)
 }
 
 // ---- server-side encoders -------------------------------------------------
@@ -313,21 +320,46 @@ pub enum Request {
     },
 }
 
-/// Decode any client request (server side).
+/// Decode an `ApplyUpdates` (capacity `None`) or a `ReplaceIndex` (its new
+/// capacity) without copying its entries: what the server validates,
+/// journals and applies. The whole request is checked before the entries
+/// are returned.
+///
+/// # Errors
+/// Wire errors on malformed input, or any other request.
+pub fn decode_index_update(buf: &[u8]) -> Result<(Option<u64>, Vec<UpdateEntryRef<'_>>)> {
+    let mut r = WireReader::new(buf);
+    let capacity = match r.get_u8()? {
+        REQ_TAGS::APPLY_UPDATES => None,
+        REQ_TAGS::REPLACE_INDEX => Some(r.get_u64()?),
+        other => return Err(SseError::Wire(sse_net::wire::WireError::UnknownTag(other))),
+    };
+    let n = r.get_count(48)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let at = buf.len() - r.remaining();
+        let (tag, delta, f_r) = (r.get_array32()?, r.get_bytes()?, r.get_bytes()?);
+        let wire = &buf[at..buf.len() - r.remaining()];
+        entries.push(UpdateEntryRef {
+            tag,
+            delta,
+            f_r,
+            wire,
+        });
+    }
+    r.finish()?;
+    Ok((capacity, entries))
+}
+
+/// Decode any client request (server side). The server reads the index
+/// updates through [`decode_index_update`] and everything else here; the
+/// owned `ApplyUpdates` and `ReplaceIndex` are kept for `bench/` until
+/// ROADMAP 2A.
 pub fn decode_request(buf: &[u8]) -> Result<Request> {
     let mut r = WireReader::new(buf);
     let tag = r.get_u8()?;
     let req = match tag {
-        REQ_TAGS::PUT_DOCS => {
-            let n = r.get_count(16)?;
-            let mut docs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = r.get_u64()?;
-                let blob = r.get_bytes()?.to_vec();
-                docs.push((id, blob));
-            }
-            Request::PutDocs(docs)
-        }
+        REQ_TAGS::PUT_DOCS => Request::PutDocs(proto_common::decode_put_docs_body(&mut r)?),
         REQ_TAGS::GET_NONCES => {
             let n = r.get_count(32)?;
             let mut tags = Vec::with_capacity(n);
@@ -336,16 +368,18 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
             }
             Request::GetNonces(tags)
         }
-        REQ_TAGS::APPLY_UPDATES => {
-            let n = r.get_count(48)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = r.get_array32()?;
-                let delta = r.get_bytes()?.to_vec();
-                let f_r = r.get_bytes()?.to_vec();
-                entries.push(UpdateEntry { tag, delta, f_r });
-            }
-            Request::ApplyUpdates(entries)
+        REQ_TAGS::APPLY_UPDATES | REQ_TAGS::REPLACE_INDEX => {
+            let (capacity, entries) = decode_index_update(buf)?;
+            let entries = entries.into_iter().map(|e| UpdateEntry {
+                tag: e.tag,
+                delta: e.delta.to_vec(),
+                f_r: e.f_r.to_vec(),
+            });
+            let entries = entries.collect();
+            return Ok(match capacity {
+                None => Request::ApplyUpdates(entries),
+                Some(capacity) => Request::ReplaceIndex { capacity, entries },
+            });
         }
         REQ_TAGS::SEARCH_FIND => Request::SearchFind(r.get_array32()?),
         REQ_TAGS::SEARCH_REVEAL => Request::SearchReveal {
@@ -364,18 +398,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
         }
         REQ_TAGS::CHECKPOINT => Request::Checkpoint,
         REQ_TAGS::EXPORT_INDEX => Request::ExportIndex,
-        REQ_TAGS::REPLACE_INDEX => {
-            let capacity = r.get_u64()?;
-            let n = r.get_count(48)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = r.get_array32()?;
-                let delta = r.get_bytes()?.to_vec();
-                let f_r = r.get_bytes()?.to_vec();
-                entries.push(UpdateEntry { tag, delta, f_r });
-            }
-            Request::ReplaceIndex { capacity, entries }
-        }
         other => {
             return Err(SseError::Wire(sse_net::wire::WireError::UnknownTag(other)));
         }
@@ -414,7 +436,8 @@ mod tests {
             delta: vec![0xAA; 16],
             f_r: vec![0xBB; 64],
         }];
-        match decode_request(&encode_apply_updates(&entries)).unwrap() {
+        let encoded = encode_apply_updates(&entries);
+        match decode_request(&encoded).unwrap() {
             Request::ApplyUpdates(e) => {
                 assert_eq!(e.len(), 1);
                 assert_eq!(e[0].tag, [7u8; 32]);
@@ -423,6 +446,17 @@ mod tests {
             }
             _ => panic!("wrong variant"),
         }
+        // The borrowed decode reads the same entries in place, each with
+        // its bytes as they arrived: after the tag and the count.
+        let (capacity, borrowed) = decode_index_update(&encoded).unwrap();
+        assert_eq!(capacity, None);
+        let e = &borrowed[0];
+        assert_eq!(
+            (e.tag, e.delta, e.f_r),
+            ([7u8; 32], &[0xAA; 16][..], &[0xBB; 64][..])
+        );
+        assert_eq!(e.wire, &encoded[9..]);
+        assert!(decode_index_update(&encode_export_index()).is_err());
     }
 
     #[test]
@@ -469,7 +503,10 @@ mod tests {
             delta: vec![1, 2, 3],
             f_r: vec![4, 5],
         }];
-        match decode_request(&encode_replace_index(512, &entries)).unwrap() {
+        let encoded = encode_replace_index(512, &entries);
+        let (capacity, borrowed) = decode_index_update(&encoded).unwrap();
+        assert_eq!((capacity, borrowed[0].wire), (Some(512), &encoded[17..]));
+        match decode_request(&encoded).unwrap() {
             Request::ReplaceIndex { capacity, entries } => {
                 assert_eq!(capacity, 512);
                 assert_eq!(entries.len(), 1);

@@ -20,7 +20,7 @@
 //! The types `SchemeOps` names are `pub` in this private module: the
 //! sealed trait is nominally public, so its associated types must be.
 
-use super::protocol::{self, Request, UpdateEntry};
+use super::protocol::{self, Request, UpdateEntryRef, REQ_TAGS};
 use crate::commit::Reply;
 use crate::engine::{search_each, IndexEngine};
 use crate::error::{Result, SseError};
@@ -85,7 +85,7 @@ impl SchemeOps for Scheme1 {
     type Meta = Geometry;
     type Sidecar = ();
     type Config = u64;
-    type Update = UpdateEntry;
+    type EntryRef<'a> = UpdateEntryRef<'a>;
 
     const STEM: &'static str = "scheme1";
     const MAGIC: &'static [u8; 8] = b"SSE1IDX2";
@@ -149,21 +149,22 @@ impl SchemeOps for Scheme1 {
         geometry: &mut Geometry,
         record: &[u8],
     ) -> Result<u64> {
-        match protocol::decode_request(record)? {
-            Request::ApplyUpdates(entries) => {
-                let n = entries.len() as u64;
-                apply_updates(data, entries);
-                Ok(n)
+        if !is_index_update(record) {
+            return Err(corrupt(
+                "scheme1 index journal",
+                "journal holds a non-mutating request".to_string(),
+            ));
+        }
+        match protocol::decode_index_update(record)? {
+            (None, entries) => {
+                apply_updates(data, &entries);
+                Ok(entries.len() as u64)
             }
-            Request::ReplaceIndex { capacity, entries } => {
-                replace_index(data, entries);
+            (Some(capacity), entries) => {
+                replace_index(data, &entries);
                 *geometry = Geometry::new(capacity);
                 Ok(0)
             }
-            _ => Err(corrupt(
-                "scheme1 index journal",
-                "journal holds a non-mutating request".to_string(),
-            )),
         }
     }
 
@@ -176,14 +177,20 @@ impl SchemeOps for Scheme1 {
         request: &[u8],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
+        if is_index_update(request) {
+            return match protocol::decode_index_update(request) {
+                Ok((None, entries)) => server.apply_updates_sharded(&entries, park),
+                Ok((Some(capacity), entries)) => {
+                    Some(server.handle_replace_index(capacity, &entries))
+                }
+                Err(e) => Some(protocol::encode_error(&e.to_string())),
+            };
+        }
         let reply = match protocol::decode_request(request) {
             Ok(Request::SearchReveal { tag, seed }) => match server.reveal_one(&tag, &seed) {
                 Ok(docs) => protocol::encode_result(&docs),
                 Err(msg) => protocol::encode_error(&msg),
             },
-            Ok(Request::ApplyUpdates(entries)) => {
-                return server.apply_updates_sharded(entries, park)
-            }
             Ok(Request::PutDocs(docs)) => match server.put_docs_checked(&docs) {
                 Ok(()) => protocol::encode_ack(),
                 Err(resp) => resp,
@@ -203,18 +210,22 @@ impl SchemeOps for Scheme1 {
             Ok(Request::ExportIndex) => {
                 protocol::encode_index_dump(&server.export_representations())
             }
-            Ok(Request::ReplaceIndex { capacity, entries }) => {
-                server.handle_replace_index(capacity, entries)
-            }
+            // An index update never gets here: it is read in place above.
+            Ok(_) => protocol::encode_error("index update served twice"),
             Err(e) => protocol::encode_error(&e.to_string()),
         };
         Some(reply)
     }
 
-    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<UpdateEntry>>> {
+    /// A `ReplaceIndex` part is decoded (so a malformed one gets its wire
+    /// error) and then refused.
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<UpdateEntryRef<'_>>>> {
+        if is_index_update(part) {
+            let (capacity, entries) = protocol::decode_index_update(part)?;
+            return Ok(capacity.is_none().then_some(BatchPart::Index(entries)));
+        }
         Ok(match protocol::decode_request(part)? {
             Request::PutDocs(docs) => Some(BatchPart::Docs(docs)),
-            Request::ApplyUpdates(entries) => Some(BatchPart::Index(entries)),
             _ => None,
         })
     }
@@ -222,37 +233,43 @@ impl SchemeOps for Scheme1 {
     fn apply_batch(
         server: &Scheme1Server,
         docs: &[(u64, Vec<u8>)],
-        updates: Vec<UpdateEntry>,
+        entries: &[UpdateEntryRef<'_>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
         if let Err(resp) = server.put_docs_checked(docs) {
             return Some(resp);
         }
-        server.apply_updates_sharded(updates, park)
+        server.apply_updates_sharded(entries, park)
     }
 }
 
-/// XOR-merge updates into the shard tree (or insert fresh keywords).
-fn apply_updates(data: &mut ShardData<Scheme1>, entries: impl IntoIterator<Item = UpdateEntry>) {
-    for UpdateEntry { tag, delta, f_r } in entries {
-        data.note_mutated(tag);
-        match data.tree.get_mut(&tag) {
+/// Whether `request` is an `ApplyUpdates` or a `ReplaceIndex`: what the
+/// server reads in place, through `protocol::decode_index_update`.
+fn is_index_update(request: &[u8]) -> bool {
+    matches!(
+        request.first(),
+        Some(&(REQ_TAGS::APPLY_UPDATES | REQ_TAGS::REPLACE_INDEX))
+    )
+}
+
+/// XOR-merge updates into the shard tree, each delta straight from the
+/// record (or insert fresh keywords).
+fn apply_updates(data: &mut ShardData<Scheme1>, entries: &[UpdateEntryRef<'_>]) {
+    for update in entries {
+        data.note_mutated(update.tag);
+        match data.tree.get_mut(&update.tag) {
             Some(entry) => {
                 // I(w)⊕G(r) ⊕ (U(w)⊕G(r)⊕G(r')) = I'(w)⊕G(r')
-                for (d, s) in entry.masked_index.iter_mut().zip(delta.iter()) {
+                for (d, s) in entry.masked_index.iter_mut().zip(update.delta) {
                     *d ^= s;
                 }
-                entry.f_r = f_r;
+                entry.f_r.clear();
+                entry.f_r.extend_from_slice(update.f_r);
             }
+            // Fresh keyword: I(w) = 0, so the delta *is* I'(w)⊕G(r').
             None => {
-                // Fresh keyword: I(w) = 0, so the delta *is* I'(w)⊕G(r').
-                data.tree.insert(
-                    tag,
-                    Entry {
-                        masked_index: delta,
-                        f_r,
-                    },
-                );
+                let (masked_index, f_r) = (update.delta.to_vec(), update.f_r.to_vec());
+                data.tree.insert(update.tag, Entry { masked_index, f_r });
             }
         }
     }
@@ -260,18 +277,13 @@ fn apply_updates(data: &mut ShardData<Scheme1>, entries: impl IntoIterator<Item 
 
 /// Replace the shard tree with `entries` (the delta field holds the
 /// complete new masked array).
-fn replace_index(data: &mut ShardData<Scheme1>, entries: impl IntoIterator<Item = UpdateEntry>) {
+fn replace_index(data: &mut ShardData<Scheme1>, entries: &[UpdateEntryRef<'_>]) {
     data.note_cleared();
     let mut tree = BpTree::new();
-    for UpdateEntry { tag, delta, f_r } in entries {
-        data.note_mutated(tag);
-        tree.insert(
-            tag,
-            Entry {
-                masked_index: delta,
-                f_r,
-            },
-        );
+    for update in entries {
+        data.note_mutated(update.tag);
+        let (masked_index, f_r) = (update.delta.to_vec(), update.f_r.to_vec());
+        tree.insert(update.tag, Entry { masked_index, f_r });
     }
     data.tree = tree;
 }
@@ -367,17 +379,17 @@ impl Scheme1Server {
         Ok(())
     }
 
-    /// Validate update entries against the geometry, group them per shard
-    /// and run them as one mutation (parked, when durable). The quiescence
-    /// read lock spans both, so no `ReplaceIndex` can change the widths in
-    /// between.
+    /// Validate update entries against the geometry, cut each shard's
+    /// record from their bytes and run the records as one mutation
+    /// (parked, when durable). The quiescence read lock spans both, so no
+    /// `ReplaceIndex` can change the widths in between.
     fn apply_updates_sharded(
         &self,
-        entries: Vec<UpdateEntry>,
+        entries: &[UpdateEntryRef<'_>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
         let geometry = self.pipeline();
-        for entry in &entries {
+        for entry in entries {
             if entry.delta.len() != geometry.index_bytes {
                 return Some(protocol::encode_error(&format!(
                     "delta length {} != index width {}",
@@ -389,17 +401,12 @@ impl Scheme1Server {
         if entries.is_empty() {
             return Some(protocol::encode_ack());
         }
-        let groups = self.group_by_shard(entries, |e| &e.tag);
-        let idxs: Vec<usize> = groups.keys().copied().collect();
-        self.mutate(
-            &geometry,
-            &idxs,
-            |i| protocol::encode_apply_updates(&groups[&i]),
-            park,
-        )
+        let wire = entries.iter().map(|e| (e.tag, e.wire));
+        let (idxs, records) = self.shard_records(&[REQ_TAGS::APPLY_UPDATES], wire, false);
+        self.mutate(&geometry, &idxs, &records, park)
     }
 
-    fn handle_replace_index(&self, capacity: u64, entries: Vec<UpdateEntry>) -> Vec<u8> {
+    fn handle_replace_index(&self, capacity: u64, entries: &[UpdateEntryRef<'_>]) -> Vec<u8> {
         let new_geometry = Geometry::new(capacity);
         if let Some(bad) = entries
             .iter()
@@ -430,17 +437,12 @@ impl Scheme1Server {
             }
         }
         // ReplaceIndex rewrites every shard (a shard with no entries must
-        // still clear), so the batch spans all N shards.
-        let mut groups = self.group_by_shard(entries, |e| &e.tag);
-        let idxs: Vec<usize> = (0..self.num_shards()).collect();
-        for &i in &idxs {
-            groups.entry(i).or_default();
-        }
-        // Applying the replacement also moves `geometry` to the new
-        // capacity.
-        self.mutate_quiesced(&mut geometry, &idxs, |i| {
-            protocol::encode_replace_index(capacity, &groups[&i])
-        })
+        // still clear), so the batch spans all N shards. Applying it also
+        // moves `geometry` to the new capacity.
+        let head = [&[REQ_TAGS::REPLACE_INDEX][..], &capacity.to_le_bytes()].concat();
+        let wire = entries.iter().map(|e| (e.tag, e.wire));
+        let (idxs, records) = self.shard_records(&head, wire, true);
+        self.mutate_quiesced(&mut geometry, &idxs, &records)
     }
 
     /// Look `tag` up in its shard's snapshot and hand the stored `F(r)`
@@ -505,7 +507,7 @@ mod tests {
     use super::*;
     use crate::scheme1::protocol::{
         decode_ack, decode_found, decode_nonces, decode_result, encode_apply_updates,
-        encode_get_nonces, encode_put_docs, encode_search_find, encode_search_reveal,
+        encode_get_nonces, encode_put_docs, encode_search_find, encode_search_reveal, UpdateEntry,
     };
     use sse_net::link::Service;
 
@@ -632,12 +634,9 @@ mod tests {
             delta: vec![0u8; 3], // capacity 64 needs 8 bytes
             f_r: vec![],
         }];
-        let applied = s.mutate(
-            &s.pipeline(),
-            &[0],
-            |_| encode_apply_updates(&bad),
-            || unreachable!("in memory: applied at once"),
-        );
+        let applied = s.mutate(&s.pipeline(), &[0], &[encode_apply_updates(&bad)], || {
+            unreachable!("in memory: applied at once")
+        });
         decode_ack(&applied.unwrap()).unwrap();
         let resp = s.handle(&encode_search_reveal(&tag, &[0u8; 32]));
         assert!(

@@ -53,6 +53,8 @@ pub struct GenerationEntryRef<'a> {
     pub sealed_ids: &'a [u8],
     /// `f'(k_{j+1}(w))`.
     pub commitment: [u8; 32],
+    /// The whole entry as it arrived, which a shard's record copies.
+    pub wire: &'a [u8],
 }
 
 /// Encode `PutDocs`.
@@ -122,7 +124,8 @@ pub fn encode_reset_index() -> Vec<u8> {
 }
 
 /// Decode an `AppendGenerations` without copying its sealed ids: what
-/// the server applies, so each generation goes from the record straight
+/// the server validates, journals and applies, so each generation goes
+/// from the request to its shard's record and from the record straight
 /// into its keyword's list. The whole request is checked before the
 /// entries are returned.
 ///
@@ -134,25 +137,20 @@ pub fn decode_append_generations(buf: &[u8]) -> Result<Vec<GenerationEntryRef<'_
         req::APPEND_GENERATIONS => {}
         other => return Err(SseError::Wire(sse_net::wire::WireError::UnknownTag(other))),
     }
-    let entries = decode_entries(&mut r, |e| e)?;
-    r.finish()?;
-    Ok(entries)
-}
-
-/// The entries of an `AppendGenerations` body, each mapped by `f`.
-fn decode_entries<'a, T>(
-    r: &mut WireReader<'a>,
-    f: impl Fn(GenerationEntryRef<'a>) -> T,
-) -> Result<Vec<T>> {
     let n = r.get_count(72)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push(f(GenerationEntryRef {
-            tag: r.get_array32()?,
-            sealed_ids: r.get_bytes()?,
-            commitment: r.get_array32()?,
-        }));
+        let at = buf.len() - r.remaining();
+        let (tag, sealed_ids, commitment) = (r.get_array32()?, r.get_bytes()?, r.get_array32()?);
+        let wire = &buf[at..buf.len() - r.remaining()];
+        entries.push(GenerationEntryRef {
+            tag,
+            sealed_ids,
+            commitment,
+            wire,
+        });
     }
+    r.finish()?;
     Ok(entries)
 }
 
@@ -189,11 +187,14 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
     let request = match tag {
         req::PUT_DOCS => Request::PutDocs(proto_common::decode_put_docs_body(&mut r)?),
         req::APPEND_GENERATIONS => {
-            Request::AppendGenerations(decode_entries(&mut r, |e| GenerationEntry {
-                tag: e.tag,
-                sealed_ids: e.sealed_ids.to_vec(),
-                commitment: e.commitment,
-            })?)
+            let entries = decode_append_generations(buf)?
+                .into_iter()
+                .map(|e| GenerationEntry {
+                    tag: e.tag,
+                    sealed_ids: e.sealed_ids.to_vec(),
+                    commitment: e.commitment,
+                });
+            return Ok(Request::AppendGenerations(entries.collect()));
         }
         req::SEARCH => Request::Search {
             tag: r.get_array32()?,
@@ -255,6 +256,10 @@ mod tests {
                 (e.tag, &e.sealed_ids[..], e.commitment)
             );
         }
+        // Each entry carries its bytes as they arrived, after the tag and
+        // the count,
+        let wires: Vec<u8> = borrowed.iter().flat_map(|b| b.wire.to_vec()).collect();
+        assert_eq!(wires, &encoded[9..]);
         // and refuses what `decode_request` refuses, or another request.
         let mut trailing = encoded.clone();
         trailing.push(0);

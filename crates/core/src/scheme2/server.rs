@@ -26,7 +26,7 @@
 //! The types `SchemeOps` names are `pub` in this private module: the
 //! sealed trait is nominally public, so its associated types must be.
 
-use super::protocol::{self, GenerationEntry, GenerationEntryRef, Request};
+use super::protocol::{self, GenerationEntryRef, Request};
 use super::Scheme2Config;
 use crate::commit::Reply;
 use crate::engine::{search_each, IndexEngine};
@@ -215,7 +215,7 @@ impl SchemeOps for Scheme2 {
     /// it under the shard's data lock.
     type Sidecar = Mutex<ShardCache>;
     type Config = Scheme2Config;
-    type Update = GenerationEntry;
+    type EntryRef<'a> = GenerationEntryRef<'a>;
 
     const STEM: &'static str = "scheme2";
     const MAGIC: &'static [u8; 8] = b"SSE2IDX2";
@@ -302,19 +302,22 @@ impl SchemeOps for Scheme2 {
         request: &[u8],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
+        if request.first() == Some(&protocol::req::APPEND_GENERATIONS) {
+            return match protocol::decode_append_generations(request) {
+                Ok(entries) => server.append_sharded(&entries, Some(park)),
+                Err(e) => Some(proto_common::encode_error(&e.to_string())),
+            };
+        }
         let reply = match protocol::decode_request(request) {
             Ok(Request::Search { tag, t_prime }) => match server.search_one(tag, t_prime) {
                 Ok(docs) => proto_common::encode_result(&docs),
                 Err(msg) => proto_common::encode_error(&msg),
             },
-            Ok(Request::AppendGenerations(entries)) => {
-                return server.append_sharded(entries, Some(park))
-            }
             Ok(Request::ResetIndex) => {
                 // ResetIndex rewrites every shard, so the batch spans all N.
                 let idxs: Vec<usize> = (0..server.num_shards()).collect();
-                let reset = |_| protocol::encode_reset_index();
-                return server.mutate(&server.pipeline(), &idxs, reset, park);
+                let resets = vec![protocol::encode_reset_index(); idxs.len()];
+                return server.mutate(&server.pipeline(), &idxs, &resets, park);
             }
             Ok(Request::PutDocs(docs)) => server.ack(server.put_docs(&docs)),
             Ok(Request::SearchMany(trapdoors)) => {
@@ -322,15 +325,20 @@ impl SchemeOps for Scheme2 {
             }
             Ok(Request::Checkpoint) => server.handle_checkpoint(),
             Ok(Request::RemoveDocs(ids)) => server.ack(server.remove_docs(&ids)),
+            // An append never gets here: it is read in place above.
+            Ok(_) => proto_common::encode_error("append served twice"),
             Err(e) => proto_common::encode_error(&e.to_string()),
         };
         Some(reply)
     }
 
-    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<GenerationEntry>>> {
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<GenerationEntryRef<'_>>>> {
+        if part.first() == Some(&protocol::req::APPEND_GENERATIONS) {
+            let entries = protocol::decode_append_generations(part)?;
+            return Ok(Some(BatchPart::Index(entries)));
+        }
         Ok(match protocol::decode_request(part)? {
             Request::PutDocs(docs) => Some(BatchPart::Docs(docs)),
-            Request::AppendGenerations(entries) => Some(BatchPart::Index(entries)),
             _ => None,
         })
     }
@@ -338,13 +346,13 @@ impl SchemeOps for Scheme2 {
     fn apply_batch(
         server: &Scheme2Server,
         docs: &[(u64, Vec<u8>)],
-        updates: Vec<GenerationEntry>,
+        entries: &[GenerationEntryRef<'_>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
         if let Err(e) = server.put_docs(docs) {
             return Some(server.mutation_failed(&e));
         }
-        server.append_sharded(updates, Some(park))
+        server.append_sharded(entries, Some(park))
     }
 }
 
@@ -470,51 +478,54 @@ impl Scheme2Server {
         if self.is_durable() || request.len() > INLINE_MAX_BYTES {
             return None;
         }
+        if request.first() == Some(&protocol::req::APPEND_GENERATIONS) {
+            let entries = protocol::decode_append_generations(request).ok()?;
+            return self.append_sharded(&entries, None::<fn() -> Reply>);
+        }
         let outcome = match protocol::decode_request(request).ok()? {
             Request::PutDocs(docs) => self.try_put_docs(&docs)?,
             Request::RemoveDocs(ids) => self.try_remove_docs(&ids)?,
-            Request::AppendGenerations(entries) => {
-                return self.append_sharded(entries, None::<fn() -> Reply>)
-            }
             _ => return None,
         };
         Some(self.ack(outcome))
     }
 
-    /// Append generation entries: group per shard (preserving input order
-    /// within each shard) and run them as one mutation. With a worker's
-    /// `park` it waits for its locks (and parks, when durable); `None` is
-    /// the inline path ([`Self::try_handle_inline`]), which applies under
-    /// `try_` locks only if the touched keywords fit the inline budget,
-    /// and otherwise declines with `None`.
+    /// Append generation entries: cut each shard's record from their bytes
+    /// and run the records as one mutation. With a worker's `park` it
+    /// waits for its locks (and parks, when durable); `None` is the inline
+    /// path ([`Self::try_handle_inline`]), which applies under `try_` locks
+    /// only if the touched keywords fit the inline budget, and otherwise
+    /// declines with `None`.
     fn append_sharded(
         &self,
-        entries: Vec<GenerationEntry>,
+        entries: &[GenerationEntryRef<'_>],
         park: Option<impl FnOnce() -> Reply>,
     ) -> Option<Vec<u8>> {
         if entries.is_empty() {
             return Some(proto_common::encode_ack());
         }
-        let groups = self.group_by_shard(entries, |e| &e.tag);
-        let idxs: Vec<usize> = groups.keys().copied().collect();
-        let encode_for = |i| protocol::encode_append_generations(&groups[&i]);
+        let wire = entries.iter().map(|e| (e.tag, e.wire));
+        let (idxs, records) = self.shard_records(&[protocol::req::APPEND_GENERATIONS], wire, false);
         let Some(park) = park else {
             // Charged against one budget as each shard's data lock is
             // taken; a tag named twice is charged twice.
             let budget = Cell::new(INLINE_MAX_COPY_BYTES);
             let admits = |i: usize, data: &ShardData<Scheme2>| {
-                groups[&i].iter().all(|e| {
-                    let held = data
-                        .tree
-                        .get(&e.tag)
-                        .map_or(0, GenerationList::stored_bytes);
-                    let left = budget.get().checked_sub(held + INLINE_PATH_BYTES);
-                    left.inspect(|&left| budget.set(left)).is_some()
-                })
+                entries
+                    .iter()
+                    .filter(|e| self.shard_of(&e.tag) == i)
+                    .all(|e| {
+                        let held = data
+                            .tree
+                            .get(&e.tag)
+                            .map_or(0, GenerationList::stored_bytes);
+                        let left = budget.get().checked_sub(held + INLINE_PATH_BYTES);
+                        left.inspect(|&left| budget.set(left)).is_some()
+                    })
             };
-            return self.try_mutate(&idxs, encode_for, &admits);
+            return self.try_mutate(&idxs, &records, &admits);
         };
-        self.mutate(&self.pipeline(), &idxs, encode_for, park)
+        self.mutate(&self.pipeline(), &idxs, &records, park)
     }
 
     /// Execute one Fig. 4 search, returning the matching encrypted
@@ -734,6 +745,7 @@ mod tests {
     use crate::engine::DurableOptions;
     use crate::proto_common::{decode_ack, decode_result, decode_result_owned};
     use crate::scheme2::key_commitment;
+    use crate::scheme2::protocol::GenerationEntry;
     use sse_net::link::Service;
     use sse_net::wire::WireWriter;
     use sse_primitives::hashchain::{walk_forward, HashChain};
