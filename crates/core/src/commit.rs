@@ -1,15 +1,16 @@
 //! Per-shard staging for the engine's flush: the shard journal, the
 //! records parked on it, its writer and the group-commit counters.
 //!
-//! A durable mutation **stages** its already-seq-stamped journal record
-//! into its shard's `GroupCommitter` together with its reply
+//! A durable mutation **stages** its shard-local record — moved in, not
+//! copied; the journal adds the seq stamp and slice header as it frames
+//! the group — into its shard's `GroupCommitter` together with its reply
 //! continuation ([`Reply`]) and returns: nothing is durable, applied or
 //! acknowledged yet, and the thread that staged it is free. A **flush**
 //! (`IndexEngine::flush_with`) later asks every shard's committer to
 //! `GroupCommitter::write_pending`: the first thread to ask becomes that
 //! shard's *writer*, cuts everything staged, writes it with one vectored
-//! [`crate::journal::IndexJournal::append_stamped_batch`] — one `write`
-//! syscall and one `sync_data` — and hands the group to the engine, which
+//! `IndexJournal::append_group` — one `write` syscall and one
+//! `sync_data` — and hands the group to the engine, which
 //! applies it in seq order and only then calls its replies. So every
 //! record staged while the previous fsync was in flight shares the next
 //! one, whichever thread staged it, and writers of different shards —
@@ -158,11 +159,8 @@ impl CommitStats {
 /// reply itself, so no client waits forever.
 pub(crate) struct Staged {
     pub(crate) seq: u64,
-    /// `[seq u64 LE][request bytes]` — what the journal gets.
-    record: Vec<u8>,
-    /// Where the shard-local mutation starts in `record`: after the seq
-    /// stamp and, in a batch slice, the slice header.
-    body: usize,
+    /// The shard-local mutation: the bytes recovery replays.
+    pub(crate) record: Vec<u8>,
     /// The mutation the record belongs to (for a single-shard mutation,
     /// its own shard and seq).
     pub(crate) batch: BatchId,
@@ -176,13 +174,6 @@ pub(crate) struct Staged {
     pub(crate) failed: Option<String>,
     /// The engine's count of records not yet dropped.
     parked: Arc<AtomicUsize>,
-}
-
-impl Staged {
-    /// The shard-local mutation: the bytes recovery replays for this record.
-    pub(crate) fn body(&self) -> &[u8] {
-        &self.record[self.body..]
-    }
 }
 
 impl Drop for Staged {
@@ -295,15 +286,12 @@ impl GroupCommitter {
     /// the journal — poisons the shard; records staged behind it fail at
     /// the next cut.
     fn write(&self, group: &[Staged]) -> std::result::Result<(), String> {
-        let records: Vec<&[u8]> = group.iter().map(|r| r.record.as_slice()).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.journal
-                .lock()
-                .append_stamped_batch(&records, group[0].seq)
+            self.journal.lock().append_group(group)
         }));
         let msg = match outcome {
             Ok(Ok(())) => {
-                self.stats.note_group(records.len() as u64);
+                self.stats.note_group(group.len() as u64);
                 return Ok(());
             }
             Ok(Err(err)) => err.to_string(),
@@ -395,13 +383,12 @@ impl StageGuard<'_> {
         self.state.poisoned.as_deref()
     }
 
-    /// Stage one request, assigning and returning its seq. `body` is where
-    /// the shard-local mutation starts in `request`; `shards` is the
-    /// batch's shard set (`None`: a single-shard mutation).
+    /// Stage one shard-local mutation, assigning and returning its seq.
+    /// `record` is moved in, not copied; `shards` is the batch's shard set
+    /// (`None`: a single-shard mutation).
     pub(crate) fn stage(
         &mut self,
-        request: &[u8],
-        body: usize,
+        record: Vec<u8>,
         batch: BatchId,
         shards: Option<Arc<[u32]>>,
         reply: Option<Reply>,
@@ -409,15 +396,11 @@ impl StageGuard<'_> {
         debug_assert!(self.state.poisoned.is_none(), "checked by the caller");
         let seq = self.state.next_seq;
         self.state.next_seq = seq + 1;
-        let mut record = Vec::with_capacity(8 + request.len());
-        record.extend_from_slice(&seq.to_le_bytes());
-        record.extend_from_slice(request);
         // Raised under the stage lock, before any writer can cut it.
         self.committer.parked.fetch_add(1, Ordering::AcqRel);
         self.state.pending.push(Staged {
             seq,
             record,
-            body: 8 + body,
             batch,
             shards,
             reply,
@@ -469,7 +452,7 @@ mod tests {
                     coordinator: 0,
                     seq: guard.next_seq(),
                 };
-                guard.stage(r, 0, batch, None, None)
+                guard.stage(r.to_vec(), batch, None, None)
             })
             .collect()
     }
@@ -490,7 +473,7 @@ mod tests {
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 3);
         assert!(groups[0].iter().all(|r| r.failed.is_none()));
-        assert_eq!(groups[0][1].body(), b"op-1");
+        assert_eq!(groups[0][1].record, b"op-1");
         assert_eq!(stage_all(&c, &[b"op-3"]), [4]);
         flush(&c);
         assert!(flush(&c).is_empty(), "nothing left to cut");
@@ -504,7 +487,54 @@ mod tests {
 
         let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
         let want: Vec<Vec<u8>> = (0..4).map(|i| format!("op-{i}").into_bytes()).collect();
-        assert_eq!(rec.replay, want);
+        assert_eq!(rec.replay().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn a_group_is_the_bytes_of_one_append_per_record() {
+        let path = temp_journal("bytes");
+        let c = durable_committer(&path);
+        let shards: Arc<[u32]> = Arc::from([0, 2]);
+        let slice_of = BatchId {
+            coordinator: 0,
+            seq: 2,
+        };
+        {
+            let mut guard = c.lock();
+            let own = BatchId {
+                coordinator: 0,
+                seq: 1,
+            };
+            guard.stage(b"plain".to_vec(), own, None, None);
+            guard.stage(b"slice".to_vec(), slice_of, Some(Arc::clone(&shards)), None);
+        }
+        assert_eq!(flush(&c).len(), 1, "one group");
+        drop(c);
+
+        let reference = temp_journal("bytes-reference");
+        let (mut j, _) = IndexJournal::open_with_vfs(RealVfs::arc(), &reference, true, 0).unwrap();
+        j.append(b"plain").unwrap();
+        let mut slice = Vec::new();
+        crate::shard::put_slice_header(&mut slice, slice_of, &shards);
+        slice.extend_from_slice(b"slice");
+        j.append(&slice).unwrap();
+        drop(j);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&reference).unwrap()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a group must start")]
+    fn a_group_must_start_at_the_journals_next_seq() {
+        let c = durable_committer(&temp_journal("first-seq"));
+        stage_all(&c, &[b"seq 1"]);
+        let groups = flush(&c);
+        let other = temp_journal("first-seq-other");
+        let (mut j, _) = IndexJournal::open_with_vfs(RealVfs::arc(), &other, true, 0).unwrap();
+        j.append(b"took seq 1").unwrap();
+        let _ = j.append_group(&groups[0]);
     }
 
     #[test]
@@ -657,7 +687,7 @@ mod tests {
         assert!(flush(&c)[0][0].failed.is_none());
         drop(c);
         let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        assert_eq!(rec.replay, vec![b"after repair".to_vec()]);
+        assert_eq!(rec.replay().collect::<Vec<_>>(), [b"after repair"]);
     }
 
     #[test]
@@ -686,7 +716,7 @@ mod tests {
         c.reset_journal().unwrap();
         drop(c);
         let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        assert!(rec.replay.is_empty(), "reset after the write");
+        assert_eq!(rec.replay().count(), 0, "reset after the write");
     }
 
     #[test]
@@ -699,7 +729,7 @@ mod tests {
                 coordinator: 0,
                 seq: guard.next_seq(),
             };
-            guard.stage(b"never flushed", 0, batch, None, Some(slot.reply()));
+            guard.stage(b"never flushed".to_vec(), batch, None, Some(slot.reply()));
         }
         assert_eq!(c.parked.load(Ordering::Acquire), 1);
         drop(c);

@@ -546,7 +546,7 @@ impl<S: SchemeOps> IndexEngine<S> {
         let sidecar = S::Sidecar::default();
         let mut replayed = 0u64;
         for (data, apply) in datas.iter_mut().zip(&plan.apply) {
-            for record in apply {
+            for &record in apply {
                 // Every journaled record was a valid mutation when it was
                 // staged, so one that no longer applies is a damaged record.
                 S::apply(data, &sidecar, &mut meta, record).map_err(|e| match e {
@@ -590,6 +590,7 @@ impl<S: SchemeOps> IndexEngine<S> {
             }),
             recovery: ServerRecovery {
                 index_ops_replayed: replayed,
+                index_slices_dropped: plan.incomplete_slices_dropped,
                 index_torn_bytes: recoveries.iter().map(|r| r.torn_bytes_truncated).sum(),
                 store_snapshot_loaded: store_recovery.snapshot_loaded,
                 store_wal_records_replayed: store_recovery.wal_records_replayed,
@@ -764,12 +765,12 @@ impl<S: SchemeOps> IndexEngine<S> {
         &self,
         meta: &S::Meta,
         idxs: &[usize],
-        records: &[Vec<u8>],
+        mut records: Vec<Vec<u8>>,
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
         debug_assert!(!idxs.is_empty() && idxs.windows(2).all(|w| w[0] < w[1]));
         let Some(home) = &self.home else {
-            let applied = self.apply_now(&mut meta.clone(), idxs, records, ApplyMode::Worker);
+            let applied = self.apply_now(&mut meta.clone(), idxs, &records, ApplyMode::Worker);
             return Some(applied.expect(WAITS));
         };
         let mut guards: Vec<StageGuard<'_>> =
@@ -783,22 +784,12 @@ impl<S: SchemeOps> IndexEngine<S> {
             coordinator: idxs[0] as u32,
             seq: guards[0].next_seq(),
         };
+        let shards: Option<Arc<[u32]>> =
+            (idxs.len() > 1).then(|| idxs.iter().map(|&i| i as u32).collect());
         let mut reply = Some(park());
-        if let [i] = *idxs {
-            guards[0].stage(&records[i], 0, batch, None, reply);
-        } else {
-            let shard_set: Arc<[u32]> = idxs.iter().map(|&i| i as u32).collect();
-            let header = shard::slice_header_len(idxs.len());
-            for (guard, &i) in guards.iter_mut().zip(idxs) {
-                let slice = shard::encode_slice(batch, &shard_set, &records[i]);
-                guard.stage(
-                    &slice,
-                    header,
-                    batch,
-                    Some(Arc::clone(&shard_set)),
-                    reply.take(),
-                );
-            }
+        for (guard, &i) in guards.iter_mut().zip(idxs) {
+            let record = std::mem::take(&mut records[i]);
+            guard.stage(record, batch, shards.clone(), reply.take());
         }
         None
     }
@@ -811,11 +802,11 @@ impl<S: SchemeOps> IndexEngine<S> {
         &self,
         meta: &mut S::Meta,
         idxs: &[usize],
-        records: &[Vec<u8>],
+        records: Vec<Vec<u8>>,
     ) -> Vec<u8> {
         if self.home.is_none() {
             return self
-                .apply_now(meta, idxs, records, ApplyMode::Worker)
+                .apply_now(meta, idxs, &records, ApplyMode::Worker)
                 .expect(WAITS);
         }
         let mut slot = ReplySlot::default();
@@ -991,7 +982,7 @@ impl<S: SchemeOps> IndexEngine<S> {
                     let data = &mut datas[k];
                     debug_assert_eq!(data.applied_seq + 1, rec.seq, "records apply in seq order");
                     if outcome.is_ok() {
-                        outcome = self.apply_record(*i, data, meta, rec.body());
+                        outcome = self.apply_record(*i, data, meta, &rec.record);
                         changed[k] = true;
                     }
                     data.applied_seq = rec.seq;
@@ -1674,9 +1665,12 @@ mod tests {
     /// Park `record` on shard 0, its reply going to `sink`.
     fn park(engine: &IndexEngine<Toy>, record: &[u8], sink: &Sink) {
         let sink = Arc::clone(sink);
-        let reply = engine.mutate(&engine.pipeline(), &[0], &[record.to_vec()], || -> Reply {
-            Box::new(move |r| sink.lock().push(r))
-        });
+        let reply = engine.mutate(
+            &engine.pipeline(),
+            &[0],
+            vec![record.to_vec()],
+            || -> Reply { Box::new(move |r| sink.lock().push(r)) },
+        );
         assert!(reply.is_none(), "a durable mutation parks");
     }
 
@@ -1935,6 +1929,96 @@ mod tests {
                 true,
             );
         }
+    }
+
+    /// Every shard's tree, `applied_seq` and meta, as a snapshot holds them.
+    fn index_image<S: SchemeOps>(server: &IndexEngine<S>) -> Vec<Vec<u8>> {
+        let meta = server.meta.read();
+        let shards = 0..server.num_shards();
+        shards
+            .map(|i| reference_body(&server.lock_data(i), &meta))
+            .collect()
+    }
+
+    /// Serve the `UPDATE_MANY` `parts` on `server`, a fresh durable one,
+    /// drop it without a checkpoint and reopen its directory under
+    /// `config`: each of the `slices` shard records replays, through the
+    /// cross-shard resolver, into the index the server held, so every
+    /// search answers as before.
+    fn assert_batch_replays<S: SchemeOps>(
+        (server, dir): (IndexEngine<S>, PathBuf),
+        config: S::Config,
+        parts: &[&[u8]],
+        slices: u64,
+    ) {
+        decode_ack(&server.apply_batch(parts)).unwrap();
+        let image = index_image(&server);
+        drop(server);
+        let reopened = IndexEngine::<S>::open_durable(config, &dir).unwrap();
+        let recovery = reopened.recovery();
+        assert_eq!(
+            (recovery.index_ops_replayed, recovery.index_slices_dropped),
+            (slices, 0),
+            "{}: {recovery:?}",
+            S::STEM
+        );
+        assert!(
+            index_image(&reopened) == image,
+            "{}: replay rebuilt a different index",
+            S::STEM
+        );
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_killed_three_shard_update_many_replays_every_slice() {
+        // Entries on shards 0, 1 and 3 of 4, as in the cut-many input above.
+        let parts = [
+            &[generation(1, 1), generation(0, 2)][..],
+            &[generation(0, 6), generation(3, 7), generation(1, 5)],
+            &[generation(1, 9)],
+        ];
+        let docs = s2p::encode_put_docs(&[(7, vec![7; 9])]);
+        let [a, b, c] = parts.map(s2p::encode_append_generations);
+        let s2: (Scheme2Server, _) = durable(Scheme2Config::standard(), "replay-many", 4);
+        assert_batch_replays(s2, Scheme2Config::standard(), &[&a, &docs, &b, &c], 3);
+        let parts = [
+            &[update(1, 1, 8), update(0, 2, 8)][..],
+            &[update(0, 6, 8), update(3, 7, 8), update(1, 5, 8)],
+            &[update(1, 9, 8)],
+        ];
+        let docs = s1p::encode_put_docs(&[(7, vec![7; 9])]);
+        let [a, b, c] = parts.map(s1p::encode_apply_updates);
+        let s1: (Scheme1Server, _) = durable(64, "replay-many", 4);
+        assert_batch_replays(s1, 64, &[&a, &docs, &b, &c], 3);
+    }
+
+    #[test]
+    fn a_rolled_back_batch_is_crash_evidence() {
+        let (server, dir) = durable::<Toy>((), "rolled-back", 2);
+        drop(server);
+        // Shard 0 journaled its slice of a batch over shards 0 and 1; the
+        // crash came before shard 1 journaled its own.
+        let path = dir.join(journal_file::<Toy>(0));
+        let (mut journal, _) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
+        let mut slice = Vec::new();
+        let batch = BatchId {
+            coordinator: 0,
+            seq: 1,
+        };
+        shard::put_slice_header(&mut slice, batch, &[0, 1]);
+        slice.push(b'a');
+        journal.append(&slice).unwrap();
+        drop(journal);
+
+        let reopened = IndexEngine::<Toy>::open_durable((), &dir).unwrap();
+        let recovery = reopened.recovery();
+        assert_eq!(reopened.unique_keywords(), 0, "the batch rolled back");
+        assert_eq!(recovery.index_slices_dropped, 1, "{recovery:?}");
+        assert!(recovery.recovered_anything(), "{recovery:?}");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Every shard's journal length and `applied_seq`, the tenant's health

@@ -9,6 +9,10 @@
 //! snapshot stores the last `op_seq` it covers, and recovery re-applies
 //! only records *newer* than the snapshot.
 //!
+//! This module alone writes and reads the stamp. A record is framed once,
+//! from segments its writer holds; recovery reads records in place from
+//! the journal image the open read ([`JournalRecovery`]).
+//!
 //! Protocol: the server appends to the journal **before** mutating the
 //! in-memory index, so an acknowledged mutation is always durable and a
 //! crash mid-append tears inside one CRC-framed record (truncated on
@@ -16,28 +20,41 @@
 //! and then resets the journal; a crash between those two steps is safe
 //! because replay skips everything the snapshot already covers.
 
+use crate::commit::Staged;
 use crate::error::Result;
-use sse_storage::wal::Wal;
+use crate::shard;
+use sse_storage::wal::{Replay, Wal};
 use sse_storage::Vfs;
 use std::path::Path;
 use std::sync::Arc;
 
-/// What [`IndexJournal::open_with_vfs`] found on disk.
-#[derive(Debug, Default)]
+/// What [`IndexJournal::open_with_vfs`] found on disk: the journal image
+/// it read, whose records are borrowed from it.
 pub struct JournalRecovery {
-    /// Request bytes with `op_seq` greater than the snapshot's, in log
-    /// order — exactly the mutations the caller must re-apply.
-    pub replay: Vec<Vec<u8>>,
-    /// Records skipped because the snapshot already covered them.
-    pub skipped: u64,
-    /// The request bytes of the skipped records, in log order. Cross-shard
-    /// batch recovery ([`crate::shard::resolve_shard_recoveries`]) needs
-    /// these: a batch slice replayed on one shard commits only if every
-    /// sibling shard *journaled* its slice — whether or not the sibling's
-    /// snapshot has since absorbed it.
-    pub skipped_raw: Vec<Vec<u8>>,
+    log: Replay,
+    snapshot_seq: u64,
     /// Bytes of torn tail truncated from the journal file.
     pub torn_bytes_truncated: u64,
+}
+
+impl JournalRecovery {
+    /// Every record on disk as `(op_seq, request bytes)`, in log order,
+    /// the snapshot's too: a batch slice commits only if every sibling
+    /// shard *journaled* its slice ([`crate::shard`]).
+    pub fn records(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        self.log.records().map(|record| {
+            let (seq, request) = record.split_first_chunk::<8>().expect("checked at open");
+            (u64::from_le_bytes(*seq), request)
+        })
+    }
+
+    /// The request bytes of the records newer than the snapshot, in log
+    /// order — exactly the mutations the caller must re-apply.
+    pub fn replay(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.records()
+            .filter(|&(seq, _)| seq > self.snapshot_seq)
+            .map(|(_, request)| request)
+    }
 }
 
 /// Combined recovery evidence from a durable scheme server's open —
@@ -46,6 +63,8 @@ pub struct JournalRecovery {
 pub struct ServerRecovery {
     /// Index mutations re-applied from the journal.
     pub index_ops_replayed: u64,
+    /// Batch slices rolled back: a sibling shard never journaled its own.
+    pub index_slices_dropped: u64,
     /// Torn bytes truncated from the index journal's tail.
     pub index_torn_bytes: u64,
     /// Whether the document store loaded a snapshot.
@@ -57,10 +76,12 @@ pub struct ServerRecovery {
 }
 
 impl ServerRecovery {
-    /// True when opening found crash evidence (replayed ops or torn tails).
+    /// True when opening found crash evidence (replayed ops, a rolled-back
+    /// batch or torn tails).
     #[must_use]
     pub fn recovered_anything(&self) -> bool {
         self.index_ops_replayed > 0
+            || self.index_slices_dropped > 0
             || self.store_wal_records_replayed > 0
             || self.index_torn_bytes > 0
             || self.store_torn_bytes > 0
@@ -95,28 +116,22 @@ impl IndexJournal {
         snapshot_seq: u64,
     ) -> Result<(Self, JournalRecovery)> {
         let (wal, log) = Wal::open_with_vfs(vfs, path, sync_on_append)?;
-        let mut recovery = JournalRecovery {
-            torn_bytes_truncated: wal.torn_bytes_truncated(),
-            ..JournalRecovery::default()
-        };
         let mut max_seq = snapshot_seq;
         for record in log.records() {
-            let Some((seq, request)) = record.split_first_chunk::<8>() else {
+            let Some((seq, _)) = record.split_first_chunk::<8>() else {
                 return Err(sse_storage::StorageError::Corrupt {
                     what: "index journal record",
                     detail: format!("record of {} bytes lacks op_seq header", record.len()),
                 }
                 .into());
             };
-            let seq = u64::from_le_bytes(*seq);
-            if seq > snapshot_seq {
-                recovery.replay.push(request.to_vec());
-            } else {
-                recovery.skipped += 1;
-                recovery.skipped_raw.push(request.to_vec());
-            }
-            max_seq = max_seq.max(seq);
+            max_seq = max_seq.max(u64::from_le_bytes(*seq));
         }
+        let recovery = JournalRecovery {
+            log,
+            snapshot_seq,
+            torn_bytes_truncated: wal.torn_bytes_truncated(),
+        };
         Ok((
             IndexJournal {
                 wal,
@@ -129,46 +144,57 @@ impl IndexJournal {
     /// Append one request, assigning and returning its sequence number.
     /// Durable on return (subject to the journal's sync policy).
     ///
-    /// The seq header and request bytes go through the WAL's scattered
-    /// (iovec) batch path, so the record is assembled once, directly in
-    /// the frame buffer — no intermediate `[seq][request]` copy.
+    /// The seq stamp and request bytes are the frame's two segments, so
+    /// the request is copied once, into the frame.
     ///
     /// # Errors
     /// I/O errors from the VFS (including injected faults). On error the
     /// sequence number is *not* consumed.
     pub fn append(&mut self, request: &[u8]) -> Result<u64> {
         let seq = self.next_seq;
-        let header = seq.to_le_bytes();
-        self.wal.append_batch(&[&[&header, request]])?;
+        let stamp = seq.to_le_bytes();
+        self.wal.append_batch(&[[&stamp[..], request]])?;
         self.next_seq = seq + 1;
         Ok(seq)
     }
 
-    /// Append a group of records that are **already stamped** with their
-    /// sequence numbers (`[op_seq: u64 LE][request bytes]` each), as one
-    /// write + one fsync. The group committer assigns seqs at stage time
-    /// (so cross-shard batch ids are known before the write); `first_seq`
-    /// is the seq stamped into `records[0]` and must equal this journal's
-    /// `next_seq` — group order and journal order are the same order.
+    /// Append a group of staged records as one write + one fsync, each
+    /// framed from its seq stamp and batch-slice header (one segment) and
+    /// its staged bytes. Seqs are assigned at stage time (so cross-shard
+    /// batch ids are known before the write); the group must start at
+    /// this journal's `next_seq` — group order and journal order are one.
     ///
     /// # Errors
     /// I/O errors from the VFS (including injected faults). On error no
     /// sequence number is consumed and nothing in the group is durable.
     ///
     /// # Panics
-    /// Panics if `first_seq` disagrees with the journal's `next_seq` —
-    /// that is a committer bug, not a runtime condition.
-    pub fn append_stamped_batch(&mut self, records: &[&[u8]], first_seq: u64) -> Result<()> {
+    /// Panics if the group is empty or does not start at the journal's
+    /// `next_seq` — that is a committer bug, not a runtime condition.
+    pub(crate) fn append_group(&mut self, group: &[Staged]) -> Result<()> {
         assert_eq!(
-            first_seq, self.next_seq,
-            "stamped group must start at the journal's next_seq"
+            group[0].seq, self.next_seq,
+            "a group must start at the journal's next_seq"
         );
-        if records.is_empty() {
-            return Ok(());
+        let head_len = |r: &Staged| 8 + r.shards.as_deref().map_or(0, shard::slice_header_len);
+        let mut heads = Vec::with_capacity(group.iter().map(head_len).sum());
+        for r in group {
+            heads.extend_from_slice(&r.seq.to_le_bytes());
+            if let Some(shards) = &r.shards {
+                shard::put_slice_header(&mut heads, r.batch, shards);
+            }
         }
-        let group: Vec<&[&[u8]]> = records.iter().map(std::slice::from_ref).collect();
-        self.wal.append_batch(&group)?;
-        self.next_seq += records.len() as u64;
+        let mut rest = heads.as_slice();
+        let frames: Vec<[&[u8]; 2]> = group
+            .iter()
+            .map(|r| {
+                let (head, tail) = rest.split_at(head_len(r));
+                rest = tail;
+                [head, r.record.as_slice()]
+            })
+            .collect();
+        self.wal.append_batch(&frames)?;
+        self.next_seq += group.len() as u64;
         Ok(())
     }
 
@@ -213,7 +239,7 @@ mod tests {
     fn seq_numbers_are_monotonic_and_replay_skips_snapshot() {
         let path = temp_path("monotonic");
         let (mut j, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        assert!(rec.replay.is_empty());
+        assert_eq!(rec.records().count(), 0);
         assert_eq!(j.append(b"op-a").unwrap(), 1);
         assert_eq!(j.append(b"op-b").unwrap(), 2);
         assert_eq!(j.append(b"op-c").unwrap(), 3);
@@ -221,8 +247,9 @@ mod tests {
 
         // Snapshot covered up to seq 2: only op-c replays.
         let (j2, rec2) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 2).unwrap();
-        assert_eq!(rec2.replay, vec![b"op-c".to_vec()]);
-        assert_eq!(rec2.skipped, 2);
+        assert_eq!(rec2.replay().collect::<Vec<_>>(), [b"op-c"]);
+        let seqs: Vec<u64> = rec2.records().map(|(seq, _)| seq).collect();
+        assert_eq!(seqs, [1, 2, 3], "the covered records stay readable");
         assert_eq!(j2.next_seq(), 4);
     }
 
@@ -238,48 +265,8 @@ mod tests {
 
         // Snapshot at seq 2 (taken just before the reset): only seq 3 replays.
         let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 2).unwrap();
-        assert_eq!(rec.replay, vec![b"three".to_vec()]);
-        assert_eq!(rec.skipped, 0);
-    }
-
-    #[test]
-    fn stamped_batch_replays_like_individual_appends() {
-        let path = temp_path("stamped");
-        let (mut j, _) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        let first = j.next_seq();
-        assert_eq!(first, 1);
-        let records: Vec<Vec<u8>> = (0..3u64)
-            .map(|i| {
-                let mut rec = (first + i).to_le_bytes().to_vec();
-                rec.extend_from_slice(format!("grouped-{i}").as_bytes());
-                rec
-            })
-            .collect();
-        let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
-        j.append_stamped_batch(&refs, first).unwrap();
-        assert_eq!(j.next_seq(), 4);
-        assert_eq!(j.append(b"solo").unwrap(), 4);
-        drop(j);
-
-        let (_, rec) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        assert_eq!(
-            rec.replay,
-            vec![
-                b"grouped-0".to_vec(),
-                b"grouped-1".to_vec(),
-                b"grouped-2".to_vec(),
-                b"solo".to_vec()
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "stamped group must start")]
-    fn stamped_batch_rejects_wrong_first_seq() {
-        let path = temp_path("stamped-wrong");
-        let (mut j, _) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
-        let rec = 7u64.to_le_bytes().to_vec();
-        let _ = j.append_stamped_batch(&[rec.as_slice()], 7);
+        assert_eq!(rec.replay().collect::<Vec<_>>(), [b"three"]);
+        assert_eq!(rec.records().count(), 1);
     }
 
     #[test]

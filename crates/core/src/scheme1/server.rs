@@ -403,7 +403,7 @@ impl Scheme1Server {
         }
         let wire = entries.iter().map(|e| (e.tag, e.wire));
         let (idxs, records) = self.shard_records(&[REQ_TAGS::APPLY_UPDATES], wire, false);
-        self.mutate(&geometry, &idxs, &records, park)
+        self.mutate(&geometry, &idxs, records, park)
     }
 
     fn handle_replace_index(&self, capacity: u64, entries: &[UpdateEntryRef<'_>]) -> Vec<u8> {
@@ -442,7 +442,7 @@ impl Scheme1Server {
         let head = [&[REQ_TAGS::REPLACE_INDEX][..], &capacity.to_le_bytes()].concat();
         let wire = entries.iter().map(|e| (e.tag, e.wire));
         let (idxs, records) = self.shard_records(&head, wire, true);
-        self.mutate_quiesced(&mut geometry, &idxs, &records)
+        self.mutate_quiesced(&mut geometry, &idxs, records)
     }
 
     /// Look `tag` up in its shard's snapshot and hand the stored `F(r)`
@@ -634,9 +634,12 @@ mod tests {
             delta: vec![0u8; 3], // capacity 64 needs 8 bytes
             f_r: vec![],
         }];
-        let applied = s.mutate(&s.pipeline(), &[0], &[encode_apply_updates(&bad)], || {
-            unreachable!("in memory: applied at once")
-        });
+        let applied = s.mutate(
+            &s.pipeline(),
+            &[0],
+            vec![encode_apply_updates(&bad)],
+            || unreachable!("in memory: applied at once"),
+        );
         decode_ack(&applied.unwrap()).unwrap();
         let resp = s.handle(&encode_search_reveal(&tag, &[0u8; 32]));
         assert!(

@@ -317,7 +317,7 @@ impl SchemeOps for Scheme2 {
                 // ResetIndex rewrites every shard, so the batch spans all N.
                 let idxs: Vec<usize> = (0..server.num_shards()).collect();
                 let resets = vec![protocol::encode_reset_index(); idxs.len()];
-                return server.mutate(&server.pipeline(), &idxs, &resets, park);
+                return server.mutate(&server.pipeline(), &idxs, resets, park);
             }
             Ok(Request::PutDocs(docs)) => server.ack(server.put_docs(&docs)),
             Ok(Request::SearchMany(trapdoors)) => {
@@ -525,7 +525,7 @@ impl Scheme2Server {
             };
             return self.try_mutate(&idxs, &records, &admits);
         };
-        self.mutate(&self.pipeline(), &idxs, &records, park)
+        self.mutate(&self.pipeline(), &idxs, records, park)
     }
 
     /// Execute one Fig. 4 search, returning the matching encrypted

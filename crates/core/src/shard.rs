@@ -15,11 +15,13 @@
 //! all-or-nothing across a crash even though each shard journals
 //! independently. The journal records for such a batch are **slices**: each
 //! affected shard journals `[SLICE_MAGIC][batch id][shard set][its own
-//! sub-mutation]`, appended in ascending shard order with every affected
-//! shard's lock held. On recovery a replayed slice applies only if *every*
-//! shard in its set journaled its slice (found in either the replay or the
-//! already-snapshotted portion of that shard's journal) — a crash mid-batch
-//! therefore rolls the whole batch back on every shard.
+//! sub-mutation]`, staged in ascending shard order with every affected
+//! shard's stage lock held; this module alone writes and reads the header,
+//! which the journal frames in front of the staged sub-mutation. On
+//! recovery a replayed slice applies only if *every* shard in its set
+//! journaled its slice (found in either the replay or the
+//! already-snapshotted portion of that shard's journal) — a crash
+//! mid-batch therefore rolls the whole batch back on every shard.
 //!
 //! `SLICE_MAGIC` (0x7E) is outside both schemes' request-tag ranges, so
 //! plain journaled requests can never be misread as slices.
@@ -69,18 +71,16 @@ pub struct SliceRecord<'a> {
     pub inner: &'a [u8],
 }
 
-/// Bytes [`encode_slice`] puts before the inner mutation of a batch that
-/// touches `shards` shards.
+/// Bytes [`put_slice_header`] writes for a batch over `shard_set`.
 #[must_use]
-pub const fn slice_header_len(shards: usize) -> usize {
-    17 + 4 * shards
+pub fn slice_header_len(shard_set: &[u32]) -> usize {
+    17 + 4 * shard_set.len()
 }
 
-/// Encode a batch slice: `[SLICE_MAGIC][coordinator u32][seq u64]
-/// [n_shards u32][shard u32 ...][inner bytes]`, all little-endian.
-#[must_use]
-pub fn encode_slice(batch: BatchId, shard_set: &[u32], inner: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(slice_header_len(shard_set.len()) + inner.len());
+/// Write a batch slice's header, which its inner mutation follows:
+/// `[SLICE_MAGIC][coordinator u32][seq u64][n_shards u32][shard u32 ...]`,
+/// all little-endian.
+pub fn put_slice_header(out: &mut Vec<u8>, batch: BatchId, shard_set: &[u32]) {
     out.push(SLICE_MAGIC);
     out.extend_from_slice(&batch.coordinator.to_le_bytes());
     out.extend_from_slice(&batch.seq.to_le_bytes());
@@ -88,8 +88,6 @@ pub fn encode_slice(batch: BatchId, shard_set: &[u32], inner: &[u8]) -> Vec<u8> 
     for s in shard_set {
         out.extend_from_slice(&s.to_le_bytes());
     }
-    out.extend_from_slice(inner);
-    out
 }
 
 /// Decode a journal record as a batch slice. Returns `Ok(None)` when the
@@ -129,12 +127,13 @@ pub fn decode_slice(record: &[u8]) -> Result<Option<SliceRecord<'_>>> {
     }))
 }
 
-/// Per-shard mutation replay lists after cross-shard batch resolution.
+/// Per-shard mutation replay lists after cross-shard batch resolution,
+/// borrowed from the journal images.
 #[derive(Debug, Default)]
-pub struct ShardReplayPlan {
+pub struct ShardReplayPlan<'a> {
     /// For each shard, the shard-local request bytes to re-apply in log
     /// order (slices already unwrapped to their inner mutation).
-    pub apply: Vec<Vec<Vec<u8>>>,
+    pub apply: Vec<Vec<&'a [u8]>>,
     /// Batch slices discarded because a sibling shard never journaled its
     /// slice — the crash landed mid-batch, so the whole batch rolls back.
     pub incomplete_slices_dropped: u64,
@@ -146,12 +145,12 @@ pub struct ShardReplayPlan {
 ///
 /// # Errors
 /// [`StorageError::Corrupt`] on a malformed slice record.
-pub fn resolve_shard_recoveries(recoveries: &[JournalRecovery]) -> Result<ShardReplayPlan> {
+pub fn resolve_shard_recoveries(recoveries: &[JournalRecovery]) -> Result<ShardReplayPlan<'_>> {
     // Which shards are known to have journaled each batch — from replayed
     // records and from records the snapshot already covered.
     let mut present: HashMap<BatchId, HashSet<u32>> = HashMap::new();
     for (shard, rec) in recoveries.iter().enumerate() {
-        for record in rec.replay.iter().chain(rec.skipped_raw.iter()) {
+        for (_, record) in rec.records() {
             if let Some(slice) = decode_slice(record)? {
                 present.entry(slice.batch).or_default().insert(shard as u32);
             }
@@ -159,10 +158,10 @@ pub fn resolve_shard_recoveries(recoveries: &[JournalRecovery]) -> Result<ShardR
     }
     let mut plan = ShardReplayPlan::default();
     for rec in recoveries {
-        let mut apply = Vec::with_capacity(rec.replay.len());
-        for record in &rec.replay {
+        let mut apply = Vec::new();
+        for record in rec.replay() {
             match decode_slice(record)? {
-                None => apply.push(record.clone()),
+                None => apply.push(record),
                 Some(slice) => {
                     let complete = slice.shards.iter().all(|s| {
                         present
@@ -170,7 +169,7 @@ pub fn resolve_shard_recoveries(recoveries: &[JournalRecovery]) -> Result<ShardR
                             .is_some_and(|seen| seen.contains(s))
                     });
                     if complete {
-                        apply.push(slice.inner.to_vec());
+                        apply.push(slice.inner);
                     } else {
                         plan.incomplete_slices_dropped += 1;
                     }
@@ -243,7 +242,17 @@ pub(crate) fn resolve_shard_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::IndexJournal;
     use sse_storage::RealVfs;
+
+    /// A batch slice record: its header, then `inner`.
+    fn encode_slice(batch: BatchId, shard_set: &[u32], inner: &[u8]) -> Vec<u8> {
+        let mut record = Vec::new();
+        put_slice_header(&mut record, batch, shard_set);
+        assert_eq!(record.len(), slice_header_len(shard_set));
+        record.extend_from_slice(inner);
+        record
+    }
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
@@ -279,7 +288,6 @@ mod tests {
             seq: 42,
         };
         let rec = encode_slice(batch, &[1, 3, 7], b"inner request");
-        assert_eq!(&rec[slice_header_len(3)..], b"inner request");
         let slice = decode_slice(&rec).unwrap().expect("is a slice");
         assert_eq!(slice.batch, batch);
         assert_eq!(slice.shards, vec![1, 3, 7]);
@@ -308,13 +316,21 @@ mod tests {
         assert!(decode_slice(&bad).is_err());
     }
 
-    fn recovery(replay: Vec<Vec<u8>>, skipped_raw: Vec<Vec<u8>>) -> JournalRecovery {
-        JournalRecovery {
-            skipped: skipped_raw.len() as u64,
-            replay,
-            skipped_raw,
-            torn_bytes_truncated: 0,
+    /// What reopening a shard journal that holds `records` (seqs 1..)
+    /// finds, under a snapshot that covers the first `covered`.
+    fn recovery(name: &str, records: &[Vec<u8>], covered: u64) -> JournalRecovery {
+        let dir = std::env::temp_dir().join(format!("sse-shard-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.wal");
+        let (mut journal, _) = IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, 0).unwrap();
+        for record in records {
+            journal.append(record).unwrap();
         }
+        drop(journal);
+        IndexJournal::open_with_vfs(RealVfs::arc(), &path, true, covered)
+            .unwrap()
+            .1
     }
 
     #[test]
@@ -328,22 +344,24 @@ mod tests {
             seq: 6,
         };
         let shard0 = recovery(
-            vec![
+            "complete-0",
+            &[
                 vec![0x01, 0xAA],
                 encode_slice(batch, &[0, 1], b"s0-part"),
                 // Orphan: shard 1 crashed before journaling its slice.
                 encode_slice(orphan, &[0, 1], b"s0-lost"),
             ],
-            vec![],
+            0,
         );
-        let shard1 = recovery(vec![encode_slice(batch, &[0, 1], b"s1-part")], vec![]);
-        let plan = resolve_shard_recoveries(&[shard0, shard1]).unwrap();
+        let shard1 = recovery("complete-1", &[encode_slice(batch, &[0, 1], b"s1-part")], 0);
+        let recoveries = [shard0, shard1];
+        let plan = resolve_shard_recoveries(&recoveries).unwrap();
         assert_eq!(
             plan.apply[0],
-            vec![vec![0x01, 0xAA], b"s0-part".to_vec()],
+            [&[0x01, 0xAA][..], b"s0-part"],
             "plain op applies, complete slice unwraps, orphan drops"
         );
-        assert_eq!(plan.apply[1], vec![b"s1-part".to_vec()]);
+        assert_eq!(plan.apply[1], [b"s1-part"]);
         assert_eq!(plan.incomplete_slices_dropped, 1);
     }
 
@@ -356,10 +374,19 @@ mod tests {
             coordinator: 0,
             seq: 9,
         };
-        let shard0 = recovery(vec![encode_slice(batch, &[0, 1], b"s0-part")], vec![]);
-        let shard1 = recovery(vec![], vec![encode_slice(batch, &[0, 1], b"s1-part")]);
-        let plan = resolve_shard_recoveries(&[shard0, shard1]).unwrap();
-        assert_eq!(plan.apply[0], vec![b"s0-part".to_vec()]);
+        let shard0 = recovery(
+            "snapshotted-0",
+            &[encode_slice(batch, &[0, 1], b"s0-part")],
+            0,
+        );
+        let shard1 = recovery(
+            "snapshotted-1",
+            &[encode_slice(batch, &[0, 1], b"s1-part")],
+            1,
+        );
+        let recoveries = [shard0, shard1];
+        let plan = resolve_shard_recoveries(&recoveries).unwrap();
+        assert_eq!(plan.apply[0], [b"s0-part"]);
         assert!(plan.apply[1].is_empty());
         assert_eq!(plan.incomplete_slices_dropped, 0);
     }

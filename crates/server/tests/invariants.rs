@@ -12,8 +12,8 @@
 
 use sse_core::proto_common::decode_result_many;
 use sse_core::scheme2::protocol::{
-    decode_request, encode_append_generations, encode_checkpoint, encode_search_many,
-    GenerationEntry, Request,
+    decode_request, encode_append_generations, encode_checkpoint, encode_put_docs,
+    encode_search_many, GenerationEntry, Request,
 };
 use sse_core::scheme2::{Scheme2Client, Scheme2Config};
 use sse_core::types::{Document, Keyword, MasterKey};
@@ -456,6 +456,74 @@ fn index_updates_copy_one_list_per_keyword() {
     daemon.shutdown();
 }
 
+/// The durable twin of `index_updates_copy_one_list_per_keyword`: one
+/// durable shard, and each update a `PutDocs` of one 256 B blob and an
+/// `AppendGenerations` of two keywords, each acked after its fsync. Each
+/// log record is framed once, from bytes the server already holds: the
+/// document WAL frames the blob straight from the request, and the journal
+/// frames the shard record the server cut, moved into the stage, behind
+/// its seq stamp. Server-thread allocations per update read 48, and 50
+/// while staging copied that record behind its stamp and the store built
+/// each blob's record whole before framing it (EXPERIMENTS.md E28). The
+/// bound is the reading plus one.
+fn durable_updates_frame_each_log_record_once() {
+    const KEYWORDS: u32 = 256;
+    const UPDATES: u32 = 256;
+    const ALLOCS_PER_UPDATE: u64 = 49;
+    let dir = std::env::temp_dir().join(format!("sse-invariants-frame-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let daemon = Daemon::spawn(ServerConfig {
+        tenant_params: TenantParams {
+            shards: 1,
+            ..TenantParams::default()
+        },
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut stream = raw_connection(daemon.local_addr());
+    let mut seq = 0u32;
+    let mut send = |stream: &mut TcpStream, payload: &[u8]| {
+        seq += 1;
+        let request = proto::encode_request(KIND_DATA, seq, payload);
+        stream.write_all(&encode_frame(&request)).unwrap();
+        assert_eq!(read_status(stream), (STATUS_OK, seq));
+    };
+    // The server appends without decrypting: any bytes make a generation.
+    let entry = |k: u32, g: u8| {
+        let mut tag = [0x3C; 32];
+        tag[..4].copy_from_slice(&(k % KEYWORDS).to_be_bytes());
+        GenerationEntry {
+            tag,
+            sealed_ids: vec![g; 48],
+            commitment: [g; 32],
+        }
+    };
+    let mut update = |stream: &mut TcpStream, n: u32| {
+        send(
+            stream,
+            &encode_put_docs(&[(u64::from(n), vec![n as u8; 256])]),
+        );
+        let entries = [entry(n * 37, n as u8), entry(n * 37 + 128, n as u8)];
+        send(stream, &encode_append_generations(&entries));
+    };
+    // Every keyword holds a generation, and the connection's buffers and
+    // the shard's tree are warm, before the measured updates.
+    (0..KEYWORDS).for_each(|n| update(&mut stream, UPDATES + n));
+    let moved = measured(&daemon, || {
+        (0..UPDATES).for_each(|n| update(&mut stream, n));
+    });
+    assert!(
+        moved.allocs <= ALLOCS_PER_UPDATE * u64::from(UPDATES),
+        "{UPDATES} durable updates of one blob and two keywords: \
+         {:.2} allocation(s) per update; {moved:?}",
+        moved.allocs as f64 / f64::from(UPDATES)
+    );
+    drop(stream);
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The length of the one file named `name` under `dir`, at any depth.
 fn file_len_under(dir: &std::path::Path, name: &str) -> u64 {
     let mut found = Vec::new();
@@ -564,6 +632,7 @@ fn serving_path_count_invariants() {
     warm_searches_allocate_little_share_writes_and_spawn_nothing();
     a_forged_length_prefix_costs_what_arrives();
     index_updates_copy_one_list_per_keyword();
+    durable_updates_frame_each_log_record_once();
     concurrent_updaters_share_fsyncs();
     pipelined_updates_on_one_worker_share_fsyncs();
     a_checkpoint_streams_the_index_image();

@@ -1,5 +1,6 @@
 //! Every on-disk framing decision besides the log frame ([`crate::wal`]):
-//! the `DocRecord` both document stores log; the sealed frame
+//! the `DocRecord` both document stores log, framed from its head and the
+//! caller's blob; the sealed frame
 //! `[magic 8][crc32(body)][body]` of `SSESNAP1`, `SSE{1,2}IDX2` and
 //! `SSELSMM1`; the 16-byte stamp `[magic 8][u32][crc32(first 12)]` of
 //! `SSEBKND1` and `SSESHRD1`; and [`commit_by_rename`], the one way a file
@@ -10,6 +11,7 @@
 use crate::crc32::{crc32, Crc32};
 use crate::error::{Result, StorageError};
 use crate::vfs::{Vfs, VfsFile};
+use crate::wal::Wal;
 use std::io::ErrorKind;
 use std::path::Path;
 
@@ -27,21 +29,22 @@ pub(crate) enum DocRecord<'a> {
 }
 
 impl<'a> DocRecord<'a> {
-    /// The record's bytes.
-    #[must_use]
-    pub(crate) fn encode(self) -> Vec<u8> {
+    /// Append the record to `wal`, copying the blob once: into the frame.
+    ///
+    /// # Errors
+    /// I/O errors from the log.
+    pub(crate) fn append_to(self, wal: &mut Wal) -> Result<()> {
         let (op, id, blob) = match self {
             DocRecord::Put(id, blob) => (OP_PUT, id, Some(blob)),
             DocRecord::Delete(id) => (OP_DELETE, id, None),
         };
-        let mut rec = Vec::with_capacity(13 + blob.map_or(0, <[u8]>::len));
-        rec.push(op);
-        rec.extend_from_slice(&id.to_le_bytes());
-        if let Some(blob) = blob {
-            rec.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-            rec.extend_from_slice(blob);
-        }
-        rec
+        let mut head = [op; 13];
+        head[1..9].copy_from_slice(&id.to_le_bytes());
+        let len = blob.map_or(9, |blob| {
+            head[9..].copy_from_slice(&(blob.len() as u32).to_le_bytes());
+            13
+        });
+        wal.append_batch(&[[&head[..len], blob.unwrap_or_default()]])
     }
 
     /// Decode one record.

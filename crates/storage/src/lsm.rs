@@ -780,7 +780,7 @@ impl LsmDocStore {
 
 impl crate::backend::DocBlobStore for LsmDocStore {
     fn put(&mut self, id: u64, blob: &[u8]) -> Result<()> {
-        self.wal.append(&DocRecord::Put(id, blob).encode())?;
+        DocRecord::Put(id, blob).append_to(&mut self.wal)?;
         self.core.put(Self::key(id), blob.to_vec());
         self.ids.insert(id);
         Ok(())
@@ -799,7 +799,7 @@ impl crate::backend::DocBlobStore for LsmDocStore {
         if !self.ids.contains(&id) {
             return Err(StorageError::RecordNotFound);
         }
-        self.wal.append(&DocRecord::Delete(id).encode())?;
+        DocRecord::Delete(id).append_to(&mut self.wal)?;
         self.core.delete(Self::key(id));
         self.ids.remove(&id);
         Ok(())

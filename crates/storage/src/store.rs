@@ -155,7 +155,7 @@ impl DocStore {
     /// I/O errors when durable.
     pub fn put(&mut self, id: u64, blob: &[u8]) -> Result<()> {
         if let Backing::Disk { wal, .. } = &mut self.backing {
-            wal.append(&DocRecord::Put(id, blob).encode())?;
+            DocRecord::Put(id, blob).append_to(wal)?;
         }
         self.apply_put(id, blob)
     }
@@ -184,7 +184,7 @@ impl DocStore {
             return Err(StorageError::RecordNotFound);
         }
         if let Backing::Disk { wal, .. } = &mut self.backing {
-            wal.append(&DocRecord::Delete(id).encode())?;
+            DocRecord::Delete(id).append_to(wal)?;
         }
         self.apply_delete(id)
     }

@@ -1,7 +1,8 @@
 //! Write-ahead log with CRC-framed records and torn-tail recovery.
 //!
-//! Record framing: `[len: u32][crc32(payload): u32][payload]`, parsed by
-//! one function, [`walk`]. The first record whose frame is incomplete or
+//! Record framing: `[len: u32][crc32(payload): u32][payload]`, written by
+//! one loop, [`Wal::append_batch`], and parsed by one function, [`walk`].
+//! The first record whose frame is incomplete or
 //! whose checksum mismatches ends the valid prefix: everything before it
 //! is durable, and [`Wal::open_with_vfs`] truncates the rest and replays
 //! the prefix from its one read. This is the standard redo-log contract:
@@ -85,33 +86,20 @@ impl Wal {
     }
 
     /// Append one record; durable on return when `sync_on_append` is set.
-    /// The whole frame is issued as a single write.
+    /// The one-record case of [`Wal::append_batch`]: a single write.
     ///
     /// # Errors
     /// I/O errors from the filesystem.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        let len = u32::try_from(payload.len()).map_err(|_| StorageError::RecordTooLarge {
-            size: payload.len(),
-            max: u32::MAX as usize,
-        })?;
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        if self.sync_on_append {
-            self.file.sync_data()?;
-        }
-        self.len += 8 + u64::from(len);
-        Ok(())
+        self.append_batch(&[[payload]])
     }
 
     /// Append a *group* of records as one write syscall (and, when
     /// `sync_on_append` is set, one `sync_data` for the whole group) — the
-    /// group-commit fast path. Each record is given as scattered segments
-    /// (an iovec): the frame header and payload are assembled directly
-    /// into the group buffer, so callers never concatenate per-record
-    /// `Vec`s first.
+    /// group-commit fast path and this log's one framing loop. Each record
+    /// is given as scattered segments (an iovec): the frame header and
+    /// payload are assembled directly into the group buffer, so callers
+    /// never concatenate per-record `Vec`s first.
     ///
     /// Every record keeps its own CRC frame, so a crash that tears the
     /// group write tears inside exactly one record and recovery truncates
@@ -121,19 +109,19 @@ impl Wal {
     /// # Errors
     /// I/O errors from the filesystem. On error nothing in the group is
     /// considered durable (`len` does not advance).
-    pub fn append_batch(&mut self, records: &[&[&[u8]]]) -> Result<()> {
+    pub fn append_batch<'s, R: AsRef<[&'s [u8]]>>(&mut self, records: &[R]) -> Result<()> {
         if records.is_empty() {
             return Ok(());
         }
         let mut total = 0usize;
         for segments in records {
-            total += 8 + segments.iter().map(|s| s.len()).sum::<usize>();
+            total += 8 + segments.as_ref().iter().map(|s| s.len()).sum::<usize>();
         }
         let mut buf = Vec::with_capacity(total);
         for segments in records {
             let header_at = buf.len();
             buf.extend_from_slice(&[0u8; 8]);
-            for segment in *segments {
+            for segment in segments.as_ref() {
                 buf.extend_from_slice(segment);
             }
             let payload = &buf[header_at + 8..];
@@ -470,12 +458,12 @@ mod tests {
         {
             let mut wal = Wal::open(&path, false).unwrap();
             // Records assembled from multiple segments (header + body).
-            wal.append_batch(&[
+            let group: [&[&[u8]]; 3] = [
                 &[b"alpha-".as_slice(), b"one".as_slice()],
                 &[b"beta".as_slice()],
                 &[b"".as_slice()],
-            ])
-            .unwrap();
+            ];
+            wal.append_batch(&group).unwrap();
             wal.append(b"tail").unwrap();
         }
         assert_eq!(
@@ -513,7 +501,7 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let path = temp_path("batch-empty");
         let mut wal = Wal::open(&path, true).unwrap();
-        wal.append_batch(&[]).unwrap();
+        wal.append_batch::<&[&[u8]]>(&[]).unwrap();
         assert_eq!(wal.len_bytes(), 0);
         drop(wal);
         assert_eq!(Wal::replay(&path).unwrap(), Vec::<Vec<u8>>::new());
