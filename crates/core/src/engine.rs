@@ -1078,7 +1078,7 @@ impl<S: SchemeOps> IndexEngine<S> {
     ///
     /// # Errors
     /// The first storage error; earlier blobs of the batch stay stored.
-    pub(crate) fn put_docs(&self, docs: &[(u64, Vec<u8>)]) -> Result<()> {
+    pub(crate) fn put_docs(&self, docs: &[(u64, &[u8])]) -> Result<()> {
         if docs.is_empty() {
             return Ok(());
         }
@@ -1087,7 +1087,7 @@ impl<S: SchemeOps> IndexEngine<S> {
 
     /// [`Self::put_docs`] only if the store's write lock is free now:
     /// `None` declines having stored nothing.
-    pub(crate) fn try_put_docs(&self, docs: &[(u64, Vec<u8>)]) -> Option<Result<()>> {
+    pub(crate) fn try_put_docs(&self, docs: &[(u64, &[u8])]) -> Option<Result<()>> {
         Some(put_all(&mut **self.store.try_write()?, docs))
     }
 
@@ -1424,7 +1424,7 @@ pub(crate) fn search_each<T>(
 }
 
 /// The body of [`IndexEngine::put_docs`], under the store lock.
-fn put_all(store: &mut dyn DocBlobStore, docs: &[(u64, Vec<u8>)]) -> Result<()> {
+fn put_all(store: &mut dyn DocBlobStore, docs: &[(u64, &[u8])]) -> Result<()> {
     for (id, blob) in docs {
         store.put(*id, blob)?;
     }
@@ -1456,23 +1456,21 @@ fn take_ready(ready: &mut [VecDeque<Staged>]) -> Vec<Vec<(usize, Staged)>> {
         progress = false;
         for i in 0..ready.len() {
             while let Some(head) = ready[i].front() {
-                let batch = head.batch;
-                let shards: Vec<usize> = match &head.shards {
-                    Some(set) => set.iter().map(|&s| s as usize).collect(),
-                    None => vec![i],
+                let mutation = match head.shards.clone() {
+                    // A single-shard record is whole on its own.
+                    None => vec![(i, ready[i].pop_front().expect("head checked"))],
+                    Some(set) => {
+                        let batch = head.batch;
+                        let shards = set.iter().map(|&s| s as usize);
+                        let heads = |s: usize| ready[s].front().is_some_and(|r| r.batch == batch);
+                        if !shards.clone().all(heads) {
+                            break;
+                        }
+                        let pop = |s: usize| (s, ready[s].pop_front().expect("heads checked"));
+                        shards.map(pop).collect()
+                    }
                 };
-                let whole = shards
-                    .iter()
-                    .all(|&s| ready[s].front().is_some_and(|rec| rec.batch == batch));
-                if !whole {
-                    break;
-                }
-                plan.push(
-                    shards
-                        .into_iter()
-                        .map(|s| (s, ready[s].pop_front().expect("heads checked")))
-                        .collect(),
-                );
+                plan.push(mutation);
                 progress = true;
             }
         }
@@ -1639,13 +1637,13 @@ mod tests {
             unreachable!("the engine's tests serve no requests")
         }
 
-        fn batch_part(_: &[u8]) -> Result<Option<crate::ops::BatchPart<()>>> {
+        fn batch_part(_: &[u8]) -> Result<Option<crate::ops::BatchPart<'_, ()>>> {
             Ok(None)
         }
 
         fn apply_batch(
             _: &IndexEngine<Self>,
-            _: &[(u64, Vec<u8>)],
+            _: &[(u64, &[u8])],
             _: &[()],
             _: impl FnOnce() -> Reply,
         ) -> Option<Vec<u8>> {
@@ -2021,20 +2019,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Every shard's journal length and `applied_seq`, the tenant's health
-    /// and its document count: what a refused update must leave alone.
+    /// The length of every file under `dir` (the index journals and the
+    /// document store's log among them), in path order.
+    fn file_lens(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut lens = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            match std::fs::metadata(&path).unwrap() {
+                m if m.is_dir() => lens.extend(file_lens(&path)),
+                m => lens.push((path, m.len())),
+            }
+        }
+        lens.sort();
+        lens
+    }
+
+    /// Every file's length, every shard's `applied_seq`, the tenant's
+    /// health and its document count: what a refused update must leave
+    /// alone.
     fn footprint<S: SchemeOps>(
         server: &IndexEngine<S>,
         dir: &Path,
     ) -> impl PartialEq + std::fmt::Debug {
-        let shards = 0..server.num_shards();
-        let journals: Vec<u64> = shards
-            .clone()
-            .map(|i| std::fs::metadata(dir.join(journal_file::<S>(i))).map_or(0, |m| m.len()))
+        let seqs: Vec<u64> = (0..server.num_shards())
+            .map(|i| server.lock_data(i).applied_seq)
             .collect();
-        let seqs: Vec<u64> = shards.map(|i| server.lock_data(i).applied_seq).collect();
         let state = server.health().state();
-        (journals, seqs, state, server.stored_docs())
+        (file_lens(dir), seqs, state, server.stored_docs())
     }
 
     /// The text of an ERR reply.
@@ -2044,19 +2055,33 @@ mod tests {
         String::from_utf8(r.get_bytes().unwrap().to_vec()).unwrap()
     }
 
-    /// Every proper prefix of `valid`, and `valid` with a trailing byte:
-    /// alone and as the last part of an UPDATE_MANY behind `good` parts,
-    /// each is an ERR worded as `decode` words it that changes nothing.
+    /// Every proper prefix of `valid`, `valid` with a trailing byte, and
+    /// `valid` with its `u64` count (at `count_at`) forged one too high and
+    /// to `u64::MAX`.
+    fn malformed(valid: &[u8], count_at: usize) -> Vec<Vec<u8>> {
+        let mut bad: Vec<Vec<u8>> = (0..valid.len()).map(|n| valid[..n].to_vec()).collect();
+        bad.push([valid, &[0]].concat());
+        let count = u64::from_le_bytes(valid[count_at..count_at + 8].try_into().unwrap());
+        for forged in [count + 1, u64::MAX] {
+            let mut bytes = valid.to_vec();
+            bytes[count_at..count_at + 8].copy_from_slice(&forged.to_le_bytes());
+            bad.push(bytes);
+        }
+        bad
+    }
+
+    /// Each of [`malformed`]'s inputs, alone and as the last part of an
+    /// UPDATE_MANY behind `good` parts, is an ERR worded as `decode` words
+    /// it that changes nothing; then `valid` applies.
     fn assert_malformed_change_nothing<S: SchemeOps>(
         (server, dir): (IndexEngine<S>, PathBuf),
-        valid: &[u8],
+        (valid, count_at): (&[u8], usize),
         good: &[&[u8]],
         decode: impl Fn(&[u8]) -> Option<String>,
     ) {
         decode_ack(&server.handle_shared(good[0])).unwrap();
         let before = footprint(&server, &dir);
-        let trailing = [valid, &[0]].concat();
-        for bad in (0..valid.len()).map(|n| &valid[..n]).chain([&trailing[..]]) {
+        for bad in &malformed(valid, count_at) {
             let want = decode(bad).expect("malformed");
             assert_eq!(err_text(&server.handle_shared(bad)), want, "{bad:?}");
             let batch = [good, &[bad]].concat();
@@ -2069,36 +2094,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A malformed index update or `PutDocs` (a truncated last blob, a
+    /// forged count) stores nothing: blobs and entries are borrowed from
+    /// the request, which is checked whole before anything is applied.
     #[test]
-    fn a_malformed_index_update_is_an_err_that_changes_nothing() {
+    fn a_malformed_update_is_an_err_that_changes_nothing() {
         let append = s2p::encode_append_generations(&[generation(0, 1), generation(3, 2)]);
+        let put = s2p::encode_put_docs(&[(4, vec![4; 5]), (5, vec![5; 7])]);
         let docs = s2p::encode_put_docs(&[(3, vec![3; 5])]);
         let good = [
             &docs[..],
             &s2p::encode_append_generations(&[generation(1, 3)]),
         ];
         let decode = |bad: &[u8]| s2p::decode_request(bad).err().map(|e| e.to_string());
-        let s2: (Scheme2Server, _) = durable(Scheme2Config::standard(), "malformed", 4);
-        assert_malformed_change_nothing(s2, &append, &good, decode);
-        // The reactor's never-wait path declines every one of them.
+        for (name, valid) in [("malformed-append", &append), ("malformed-put-2", &put)] {
+            let s2: (Scheme2Server, _) = durable(Scheme2Config::standard(), name, 4);
+            assert_malformed_change_nothing(s2, (valid, 1), &good, decode);
+        }
+        // The reactor's never-wait path declines every one of them, and
+        // the worker path then answers ERR.
         let inline = Scheme2Server::new_in_memory_sharded(Scheme2Config::standard(), 4);
-        let trailing = [&append[..], &[0]].concat();
-        for bad in (0..append.len())
-            .map(|n| &append[..n])
-            .chain([&trailing[..]])
-        {
+        for bad in malformed(&append, 1).iter().chain(&malformed(&put, 1)) {
             assert!(inline.try_handle_inline(bad).is_none(), "{bad:?}");
+            err_text(&inline.handle_shared(bad));
         }
         assert_eq!(inline.commit_counters().snapshot_swaps, 0);
+        assert_eq!(inline.stored_docs(), 0);
 
         let apply = s1p::encode_apply_updates(&[update(0, 1, 8), update(3, 2, 8)]);
         let replace = s1p::encode_replace_index(128, &[update(0, 1, 16), update(3, 2, 16)]);
+        let put = s1p::encode_put_docs(&[(4, vec![4; 5]), (5, vec![5; 7])]);
         let docs = s1p::encode_put_docs(&[(3, vec![3; 5])]);
         let good = [&docs[..], &s1p::encode_apply_updates(&[update(1, 3, 8)])];
         let decode = |bad: &[u8]| s1p::decode_request(bad).err().map(|e| e.to_string());
-        for (name, valid) in [("malformed-apply", &apply), ("malformed-replace", &replace)] {
+        for (name, valid, count_at) in [
+            ("malformed-apply", &apply, 1),
+            ("malformed-replace", &replace, 9),
+            ("malformed-put-1", &put, 1),
+        ] {
             let s1: (Scheme1Server, _) = durable(64, name, 4);
-            assert_malformed_change_nothing(s1, valid, &good, decode);
+            assert_malformed_change_nothing(s1, (valid, count_at), &good, decode);
         }
     }
 }

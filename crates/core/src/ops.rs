@@ -95,27 +95,27 @@ pub trait SchemeOps: Sized + Send + Sync + 'static {
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>>;
 
-    /// Decode one `UPDATE_MANY` part, its index entries borrowed: `None`
-    /// for a request that may not be one.
+    /// Decode one `UPDATE_MANY` part, its blobs and index entries
+    /// borrowed: `None` for a request that may not be one.
     ///
     /// # Errors
     /// The part does not decode.
-    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<Self::EntryRef<'_>>>>;
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<'_, Self::EntryRef<'_>>>>;
 
     /// Run a batch's parts, merged: store `docs`, then apply `entries` as
     /// one index mutation, parked as [`SchemeOps::serve`] parks.
     fn apply_batch(
         engine: &IndexEngine<Self>,
-        docs: &[(u64, Vec<u8>)],
+        docs: &[(u64, &[u8])],
         entries: &[Self::EntryRef<'_>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>>;
 }
 
-/// One decoded part of an `UPDATE_MANY` batch.
-pub enum BatchPart<E> {
-    /// A `PutDocs`.
-    Docs(Vec<(u64, Vec<u8>)>),
+/// One decoded part of an `UPDATE_MANY` batch, borrowed from the part.
+pub enum BatchPart<'a, E> {
+    /// A `PutDocs`, each blob in place in the part.
+    Docs(Vec<(u64, &'a [u8])>),
     /// The scheme's index update, its entries borrowed from the part.
     Index(Vec<E>),
 }

@@ -160,16 +160,18 @@ pub fn put_docs_body(w: &mut WireWriter, docs: &[(u64, Vec<u8>)]) {
     }
 }
 
-/// Decode a `PutDocs` body.
+/// Decode a `PutDocs` body. Each blob is a slice of the request: the
+/// server stores it from there, so the store's log frames it straight
+/// from the bytes that arrived.
 ///
 /// # Errors
 /// Wire errors.
-pub fn decode_put_docs_body(r: &mut WireReader<'_>) -> Result<Vec<(u64, Vec<u8>)>> {
+pub fn decode_put_docs_body<'a>(r: &mut WireReader<'a>) -> Result<Vec<(u64, &'a [u8])>> {
     let n = r.get_count(16)?;
     let mut docs = Vec::with_capacity(n);
     for _ in 0..n {
         let id = r.get_u64()?;
-        docs.push((id, r.get_bytes()?.to_vec()));
+        docs.push((id, r.get_bytes()?));
     }
     Ok(docs)
 }
@@ -180,18 +182,25 @@ pub(crate) fn send<T: Transport>(link: &mut T, request: &[u8]) -> Result<()> {
 }
 
 /// Client side: send update messages and check every `Ack` — through
-/// [`Transport::round_trip_batch`] when `batch` (no round for no parts),
-/// else one [`send`] each, stopping at the first failure.
+/// [`Transport::round_trip_batch`] when `batch` (no round for no parts;
+/// every reply the transport returns must be an `Ack`, and a non-empty
+/// batch must get at least one), else one [`send`] each, stopping at the
+/// first failure.
 pub(crate) fn send_all<T: Transport>(link: &mut T, parts: &[Vec<u8>], batch: bool) -> Result<()> {
     if !batch {
         return parts.iter().try_for_each(|p| send(link, p));
     }
-    if !parts.is_empty() {
-        for resp in &link.round_trip_batch(parts)? {
-            decode_ack(resp)?;
-        }
+    if parts.is_empty() {
+        return Ok(());
     }
-    Ok(())
+    let replies = link.round_trip_batch(parts)?;
+    if replies.is_empty() {
+        return Err(SseError::ProtocolViolation {
+            expected: "Ack",
+            got: format!("no reply to a batch of {}", parts.len()),
+        });
+    }
+    replies.iter().try_for_each(|reply| decode_ack(reply))
 }
 
 /// Client side: `(id, E_km(M_i))` for each document, each under a fresh
@@ -262,6 +271,34 @@ mod tests {
         assert_eq!(owned, results);
     }
 
+    /// A transport with a wire-level batch, whose every batch gets
+    /// `replies`.
+    struct Batching(Vec<Vec<u8>>);
+
+    impl Transport for Batching {
+        fn round_trip(&mut self, _: &[u8]) -> std::io::Result<Vec<u8>> {
+            Ok(encode_ack())
+        }
+
+        fn round_trip_batch(&mut self, _: &[Vec<u8>]) -> std::io::Result<Vec<Vec<u8>>> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn send_all_checks_every_reply_a_batch_gets() {
+        let parts = [vec![1], vec![2], vec![3]];
+        send_all(&mut Batching(vec![encode_ack()]), &parts, true).unwrap();
+        send_all(&mut Batching(vec![]), &[], true).unwrap();
+        let none = send_all(&mut Batching(vec![]), &parts, true).unwrap_err();
+        assert!(
+            none.to_string().contains("no reply to a batch of 3"),
+            "{none}"
+        );
+        let err = vec![encode_ack(), encode_error("nope")];
+        assert!(send_all(&mut Batching(err), &parts, true).is_err());
+    }
+
     #[test]
     fn put_docs_body_round_trip() {
         let docs = vec![(7u64, b"x".to_vec())];
@@ -269,7 +306,10 @@ mod tests {
         put_docs_body(&mut w, &docs);
         let buf = w.finish();
         let mut r = WireReader::new(&buf);
-        assert_eq!(decode_put_docs_body(&mut r).unwrap(), docs);
+        let decoded = decode_put_docs_body(&mut r).unwrap();
+        assert_eq!(decoded, [(7, &b"x"[..])]);
+        // The blob is read in place: the 1-byte blob ends the buffer.
+        assert!(std::ptr::eq(decoded[0].1, &buf[24..]));
         r.finish().unwrap();
     }
 }

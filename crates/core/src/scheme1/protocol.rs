@@ -62,8 +62,9 @@ mod RESP_TAGS {
     pub const INDEX_DUMP: u8 = 0x87;
 }
 
-/// One update entry of `ApplyUpdates`: the tag, the XOR delta to fold into
-/// the stored masked array, and the replacement `F(r')`.
+/// One update entry of `ApplyUpdates` as the client encodes it: the tag,
+/// the XOR delta to fold into the stored masked array, and the replacement
+/// `F(r')`. The server reads entries as [`UpdateEntryRef`]s.
 #[derive(Clone)]
 pub struct UpdateEntry {
     /// `f_kw(w)`.
@@ -74,7 +75,8 @@ pub struct UpdateEntry {
     pub f_r: Vec<u8>,
 }
 
-/// An [`UpdateEntry`] borrowed from the encoded request.
+/// An [`UpdateEntry`] as [`decode_request`] reads it, borrowed from the
+/// encoded request.
 #[derive(Clone, Copy)]
 pub struct UpdateEntryRef<'a> {
     /// `f_kw(w)`.
@@ -288,14 +290,15 @@ pub fn decode_found(buf: &[u8]) -> Result<Option<Vec<u8>>> {
 
 // ---- server-side decoders (defined here, used by server.rs) ----------------
 
-/// A decoded client request.
-pub enum Request {
-    /// `DataStorage` upload.
-    PutDocs(Vec<(u64, Vec<u8>)>),
+/// A decoded client request (server side), borrowed from the request it
+/// was decoded from.
+pub enum Request<'a> {
+    /// `DataStorage` upload, each blob in place in the request.
+    PutDocs(Vec<(u64, &'a [u8])>),
     /// Update round 1.
     GetNonces(Vec<[u8; 32]>),
     /// Update round 2.
-    ApplyUpdates(Vec<UpdateEntry>),
+    ApplyUpdates(Vec<UpdateEntryRef<'a>>),
     /// Search round 1.
     SearchFind([u8; 32]),
     /// Search round 2.
@@ -316,46 +319,18 @@ pub enum Request {
         /// New database capacity in documents.
         capacity: u64,
         /// Fresh entries (delta field holds the complete new masked array).
-        entries: Vec<UpdateEntry>,
+        entries: Vec<UpdateEntryRef<'a>>,
     },
 }
 
-/// Decode an `ApplyUpdates` (capacity `None`) or a `ReplaceIndex` (its new
-/// capacity) without copying its entries: what the server validates,
-/// journals and applies. The whole request is checked before the entries
-/// are returned.
+/// Decode any client request (server side) without copying it: blobs and
+/// update entries are slices of `buf`, so the server validates, journals,
+/// applies and stores them from the bytes that arrived. The whole request
+/// is checked before anything is returned.
 ///
 /// # Errors
-/// Wire errors on malformed input, or any other request.
-pub fn decode_index_update(buf: &[u8]) -> Result<(Option<u64>, Vec<UpdateEntryRef<'_>>)> {
-    let mut r = WireReader::new(buf);
-    let capacity = match r.get_u8()? {
-        REQ_TAGS::APPLY_UPDATES => None,
-        REQ_TAGS::REPLACE_INDEX => Some(r.get_u64()?),
-        other => return Err(SseError::Wire(sse_net::wire::WireError::UnknownTag(other))),
-    };
-    let n = r.get_count(48)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = buf.len() - r.remaining();
-        let (tag, delta, f_r) = (r.get_array32()?, r.get_bytes()?, r.get_bytes()?);
-        let wire = &buf[at..buf.len() - r.remaining()];
-        entries.push(UpdateEntryRef {
-            tag,
-            delta,
-            f_r,
-            wire,
-        });
-    }
-    r.finish()?;
-    Ok((capacity, entries))
-}
-
-/// Decode any client request (server side). The server reads the index
-/// updates through [`decode_index_update`] and everything else here; the
-/// owned `ApplyUpdates` and `ReplaceIndex` are kept for `bench/` until
-/// ROADMAP 2A.
-pub fn decode_request(buf: &[u8]) -> Result<Request> {
+/// Wire errors on malformed input.
+pub fn decode_request(buf: &[u8]) -> Result<Request<'_>> {
     let mut r = WireReader::new(buf);
     let tag = r.get_u8()?;
     let req = match tag {
@@ -368,19 +343,11 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
             }
             Request::GetNonces(tags)
         }
-        REQ_TAGS::APPLY_UPDATES | REQ_TAGS::REPLACE_INDEX => {
-            let (capacity, entries) = decode_index_update(buf)?;
-            let entries = entries.into_iter().map(|e| UpdateEntry {
-                tag: e.tag,
-                delta: e.delta.to_vec(),
-                f_r: e.f_r.to_vec(),
-            });
-            let entries = entries.collect();
-            return Ok(match capacity {
-                None => Request::ApplyUpdates(entries),
-                Some(capacity) => Request::ReplaceIndex { capacity, entries },
-            });
-        }
+        REQ_TAGS::APPLY_UPDATES => Request::ApplyUpdates(get_entries(buf, &mut r)?),
+        REQ_TAGS::REPLACE_INDEX => Request::ReplaceIndex {
+            capacity: r.get_u64()?,
+            entries: get_entries(buf, &mut r)?,
+        },
         REQ_TAGS::SEARCH_FIND => Request::SearchFind(r.get_array32()?),
         REQ_TAGS::SEARCH_REVEAL => Request::SearchReveal {
             tag: r.get_array32()?,
@@ -406,6 +373,25 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
     Ok(req)
 }
 
+/// The entry list both index updates end with, read from `r` (a reader
+/// over `buf`): each entry in place, with its bytes as they arrived.
+fn get_entries<'a>(buf: &'a [u8], r: &mut WireReader<'a>) -> Result<Vec<UpdateEntryRef<'a>>> {
+    let n = r.get_count(48)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let at = buf.len() - r.remaining();
+        let (tag, delta, f_r) = (r.get_array32()?, r.get_bytes()?, r.get_bytes()?);
+        let wire = &buf[at..buf.len() - r.remaining()];
+        entries.push(UpdateEntryRef {
+            tag,
+            delta,
+            f_r,
+            wire,
+        });
+    }
+    Ok(entries)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,7 +401,12 @@ mod tests {
         let docs = vec![(1u64, vec![1, 2, 3]), (9, vec![])];
         let msg = encode_put_docs(&docs);
         match decode_request(&msg).unwrap() {
-            Request::PutDocs(d) => assert_eq!(d, docs),
+            // Each blob is read in place: the first ends 3 bytes before
+            // the second's id and length prefix.
+            Request::PutDocs(d) => {
+                assert_eq!(d, [(1, &[1, 2, 3][..]), (9, &[][..])]);
+                assert!(std::ptr::eq(d[0].1, &msg[msg.len() - 19..msg.len() - 16]));
+            }
             _ => panic!("wrong variant"),
         }
     }
@@ -437,26 +428,17 @@ mod tests {
             f_r: vec![0xBB; 64],
         }];
         let encoded = encode_apply_updates(&entries);
-        match decode_request(&encoded).unwrap() {
-            Request::ApplyUpdates(e) => {
-                assert_eq!(e.len(), 1);
-                assert_eq!(e[0].tag, [7u8; 32]);
-                assert_eq!(e[0].delta, vec![0xAA; 16]);
-                assert_eq!(e[0].f_r, vec![0xBB; 64]);
-            }
-            _ => panic!("wrong variant"),
-        }
-        // The borrowed decode reads the same entries in place, each with
-        // its bytes as they arrived: after the tag and the count.
-        let (capacity, borrowed) = decode_index_update(&encoded).unwrap();
-        assert_eq!(capacity, None);
-        let e = &borrowed[0];
+        let Request::ApplyUpdates(e) = decode_request(&encoded).unwrap() else {
+            panic!("wrong variant");
+        };
+        // The entries are read in place, each with its bytes as they
+        // arrived: after the tag and the count.
+        assert_eq!(e.len(), 1);
         assert_eq!(
-            (e.tag, e.delta, e.f_r),
+            (e[0].tag, e[0].delta, e[0].f_r),
             ([7u8; 32], &[0xAA; 16][..], &[0xBB; 64][..])
         );
-        assert_eq!(e.wire, &encoded[9..]);
-        assert!(decode_index_update(&encode_export_index()).is_err());
+        assert_eq!(e[0].wire, &encoded[9..]);
     }
 
     #[test]
@@ -504,13 +486,12 @@ mod tests {
             f_r: vec![4, 5],
         }];
         let encoded = encode_replace_index(512, &entries);
-        let (capacity, borrowed) = decode_index_update(&encoded).unwrap();
-        assert_eq!((capacity, borrowed[0].wire), (Some(512), &encoded[17..]));
         match decode_request(&encoded).unwrap() {
             Request::ReplaceIndex { capacity, entries } => {
                 assert_eq!(capacity, 512);
                 assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].delta, vec![1, 2, 3]);
+                assert_eq!(entries[0].delta, [1, 2, 3]);
+                assert_eq!(entries[0].wire, &encoded[17..]);
             }
             _ => panic!("wrong variant"),
         }

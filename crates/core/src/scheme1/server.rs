@@ -149,22 +149,20 @@ impl SchemeOps for Scheme1 {
         geometry: &mut Geometry,
         record: &[u8],
     ) -> Result<u64> {
-        if !is_index_update(record) {
-            return Err(corrupt(
-                "scheme1 index journal",
-                "journal holds a non-mutating request".to_string(),
-            ));
-        }
-        match protocol::decode_index_update(record)? {
-            (None, entries) => {
+        match protocol::decode_request(record)? {
+            Request::ApplyUpdates(entries) => {
                 apply_updates(data, &entries);
                 Ok(entries.len() as u64)
             }
-            (Some(capacity), entries) => {
+            Request::ReplaceIndex { capacity, entries } => {
                 replace_index(data, &entries);
                 *geometry = Geometry::new(capacity);
                 Ok(0)
             }
+            _ => Err(corrupt(
+                "scheme1 index journal",
+                "journal holds a non-mutating request".to_string(),
+            )),
         }
     }
 
@@ -177,20 +175,14 @@ impl SchemeOps for Scheme1 {
         request: &[u8],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
-        if is_index_update(request) {
-            return match protocol::decode_index_update(request) {
-                Ok((None, entries)) => server.apply_updates_sharded(&entries, park),
-                Ok((Some(capacity), entries)) => {
-                    Some(server.handle_replace_index(capacity, &entries))
-                }
-                Err(e) => Some(protocol::encode_error(&e.to_string())),
-            };
-        }
         let reply = match protocol::decode_request(request) {
             Ok(Request::SearchReveal { tag, seed }) => match server.reveal_one(&tag, &seed) {
                 Ok(docs) => protocol::encode_result(&docs),
                 Err(msg) => protocol::encode_error(&msg),
             },
+            Ok(Request::ApplyUpdates(entries)) => {
+                return server.apply_updates_sharded(&entries, park);
+            }
             Ok(Request::PutDocs(docs)) => match server.put_docs_checked(&docs) {
                 Ok(()) => protocol::encode_ack(),
                 Err(resp) => resp,
@@ -210,29 +202,27 @@ impl SchemeOps for Scheme1 {
             Ok(Request::ExportIndex) => {
                 protocol::encode_index_dump(&server.export_representations())
             }
-            // An index update never gets here: it is read in place above.
-            Ok(_) => protocol::encode_error("index update served twice"),
+            Ok(Request::ReplaceIndex { capacity, entries }) => {
+                server.handle_replace_index(capacity, &entries)
+            }
             Err(e) => protocol::encode_error(&e.to_string()),
         };
         Some(reply)
     }
 
-    /// A `ReplaceIndex` part is decoded (so a malformed one gets its wire
-    /// error) and then refused.
-    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<UpdateEntryRef<'_>>>> {
-        if is_index_update(part) {
-            let (capacity, entries) = protocol::decode_index_update(part)?;
-            return Ok(capacity.is_none().then_some(BatchPart::Index(entries)));
-        }
+    /// Every part is decoded first, so a malformed one gets its wire
+    /// error; a `ReplaceIndex` is then refused.
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<'_, UpdateEntryRef<'_>>>> {
         Ok(match protocol::decode_request(part)? {
             Request::PutDocs(docs) => Some(BatchPart::Docs(docs)),
+            Request::ApplyUpdates(entries) => Some(BatchPart::Index(entries)),
             _ => None,
         })
     }
 
     fn apply_batch(
         server: &Scheme1Server,
-        docs: &[(u64, Vec<u8>)],
+        docs: &[(u64, &[u8])],
         entries: &[UpdateEntryRef<'_>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {
@@ -241,15 +231,6 @@ impl SchemeOps for Scheme1 {
         }
         server.apply_updates_sharded(entries, park)
     }
-}
-
-/// Whether `request` is an `ApplyUpdates` or a `ReplaceIndex`: what the
-/// server reads in place, through `protocol::decode_index_update`.
-fn is_index_update(request: &[u8]) -> bool {
-    matches!(
-        request.first(),
-        Some(&(REQ_TAGS::APPLY_UPDATES | REQ_TAGS::REPLACE_INDEX))
-    )
 }
 
 /// XOR-merge updates into the shard tree, each delta straight from the
@@ -362,7 +343,7 @@ impl Scheme1Server {
 
     /// Store `docs`, enforcing the capacity bound. The error is the
     /// response to send.
-    fn put_docs_checked(&self, docs: &[(u64, Vec<u8>)]) -> StdResult<(), Vec<u8>> {
+    fn put_docs_checked(&self, docs: &[(u64, &[u8])]) -> StdResult<(), Vec<u8>> {
         let geometry = self.pipeline();
         for (id, _) in docs {
             if *id >= geometry.capacity_docs {

@@ -154,10 +154,13 @@ pub fn decode_append_generations(buf: &[u8]) -> Result<Vec<GenerationEntryRef<'_
     Ok(entries)
 }
 
-/// A decoded client request (server side).
-pub enum Request {
-    /// `DataStorage` upload.
-    PutDocs(Vec<(u64, Vec<u8>)>),
+/// A decoded client request (server side), its blobs borrowed from the
+/// request. The server reads appends through [`decode_append_generations`]
+/// instead; the owned `AppendGenerations` is kept for `bench/` until
+/// ROADMAP 2A.
+pub enum Request<'a> {
+    /// `DataStorage` upload, each blob in place in the request.
+    PutDocs(Vec<(u64, &'a [u8])>),
     /// Fig. 3 append.
     AppendGenerations(Vec<GenerationEntry>),
     /// Fig. 4 search.
@@ -181,7 +184,7 @@ pub enum Request {
 ///
 /// # Errors
 /// Wire errors on malformed input.
-pub fn decode_request(buf: &[u8]) -> Result<Request> {
+pub fn decode_request(buf: &[u8]) -> Result<Request<'_>> {
     let mut r = WireReader::new(buf);
     let tag = r.get_u8()?;
     let request = match tag {
@@ -286,7 +289,7 @@ mod tests {
             Request::ResetIndex
         ));
         match decode_request(&encode_put_docs(&[(1, vec![2])])).unwrap() {
-            Request::PutDocs(d) => assert_eq!(d, vec![(1, vec![2])]),
+            Request::PutDocs(d) => assert_eq!(d, [(1, &[2][..])]),
             _ => panic!("wrong variant"),
         }
     }

@@ -332,7 +332,7 @@ impl SchemeOps for Scheme2 {
         Some(reply)
     }
 
-    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<GenerationEntryRef<'_>>>> {
+    fn batch_part(part: &[u8]) -> Result<Option<BatchPart<'_, GenerationEntryRef<'_>>>> {
         if part.first() == Some(&protocol::req::APPEND_GENERATIONS) {
             let entries = protocol::decode_append_generations(part)?;
             return Ok(Some(BatchPart::Index(entries)));
@@ -345,7 +345,7 @@ impl SchemeOps for Scheme2 {
 
     fn apply_batch(
         server: &Scheme2Server,
-        docs: &[(u64, Vec<u8>)],
+        docs: &[(u64, &[u8])],
         entries: &[GenerationEntryRef<'_>],
         park: impl FnOnce() -> Reply,
     ) -> Option<Vec<u8>> {

@@ -30,13 +30,16 @@ pub trait Transport {
     /// of the transport contract.
     fn round_trip(&mut self, request: &[u8]) -> std::io::Result<Vec<u8>>;
 
-    /// Execute a batch of mutation rounds, returning one response per
-    /// part. The default sends the parts as individual rounds, stopping at
-    /// the first transit failure — exactly the behaviour a caller looping
-    /// over [`Transport::round_trip`] would get, so links that cannot
-    /// coalesce lose nothing. Transports with a wire-level batch op (the
-    /// TCP transport's `UPDATE_MANY`) override this to ship all parts in a
-    /// single round and have the server journal them per index shard.
+    /// Execute a batch of mutation rounds, returning their responses. The
+    /// default sends the parts as individual rounds, one response per
+    /// part, stopping at the first transit failure — exactly the
+    /// behaviour a caller looping over [`Transport::round_trip`] would
+    /// get, so links that cannot coalesce lose nothing. Transports with a
+    /// wire-level batch op (the TCP transport's `UPDATE_MANY`) override
+    /// this to ship all parts in a single round and have the server
+    /// journal them per index shard; they may return the batch's one
+    /// response, which stands for every part (a non-empty batch always
+    /// gets at least one).
     /// Searches need no transport batch: each scheme batches its own
     /// (Scheme 2 `SearchMany`, Scheme 1 `GetNonces` + `SearchRevealMany`)
     /// inside one request sent through [`Transport::round_trip`].

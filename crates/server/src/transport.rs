@@ -319,14 +319,14 @@ impl Transport for TcpTransport {
     /// validates, and applies the whole batch all-or-nothing with one
     /// journal append per affected index shard, then sends back a single
     /// response body valid for every part (batched mutations acknowledge
-    /// identically); it is replicated here so callers see one response
-    /// per part, exactly like the sequential default.
+    /// identically), which is the one response returned.
     fn round_trip_batch(&mut self, parts: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
         if parts.is_empty() {
             return Ok(Vec::new());
         }
-        let body = self.request(KIND_UPDATE_MANY, &proto::encode_batch(parts))?;
-        Ok(vec![body; parts.len()])
+        Ok(vec![
+            self.request(KIND_UPDATE_MANY, &proto::encode_batch(parts))?
+        ])
     }
 }
 
