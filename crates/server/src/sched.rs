@@ -105,12 +105,6 @@ pub struct Scheduler<T> {
     /// Per-queue bound: `ceil(total_depth / workers)`, so the summed
     /// capacity matches the old single-queue daemon's `queue_depth`.
     per_queue: usize,
-    /// `false` routes round-robin instead of by tenant hash, through
-    /// this same code path. The daemon always passes `true`; the
-    /// argument stays because `bench/src/layers.rs` calls the
-    /// three-argument constructor (ROADMAP item 5).
-    affinity: bool,
-    rr: AtomicUsize,
     senders: AtomicUsize,
     /// Wakeup epoch: bumped (under the lock) on every submit and on
     /// close, so a worker that observed epoch `e` and found nothing
@@ -125,8 +119,11 @@ impl<T> Scheduler<T> {
     /// summed capacity. Returns the shared scheduler plus the first
     /// [`JobSender`]; workers hold the `Arc` and consume via
     /// [`Scheduler::try_next`], producers clone the sender.
+    ///
+    /// `_affinity` is ignored: every job routes to its tenant's home
+    /// queue. A facade for `bench/src/layers.rs`; ROADMAP 2A-0 retires it.
     #[must_use]
-    pub fn new(workers: usize, total_depth: usize, affinity: bool) -> (Arc<Self>, JobSender<T>) {
+    pub fn new(workers: usize, total_depth: usize, _affinity: bool) -> (Arc<Self>, JobSender<T>) {
         let workers = workers.max(1);
         let sched = Arc::new(Scheduler {
             shards: (0..workers)
@@ -136,8 +133,6 @@ impl<T> Scheduler<T> {
                 })
                 .collect(),
             per_queue: total_depth.div_ceil(workers).max(1),
-            affinity,
-            rr: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             epoch: Mutex::new(0),
             parked: Condvar::new(),
@@ -275,11 +270,7 @@ impl<T> Scheduler<T> {
     fn try_send(&self, route: u64, item: T) -> Result<(), T> {
         let n = self.shards.len();
         #[allow(clippy::cast_possible_truncation)]
-        let home = if self.affinity {
-            (route % n as u64) as usize
-        } else {
-            self.rr.fetch_add(1, Ordering::Relaxed) % n
-        };
+        let home = (route % n as u64) as usize;
         let mut item = match self.push_at(home, home, item) {
             Ok(()) => {
                 self.counters.routed.fetch_add(1, Ordering::Relaxed);
@@ -393,22 +384,6 @@ mod tests {
         assert_eq!(counts(&sched).sched_local_hits, 4);
         assert_eq!(counts(&sched).sched_stolen, 0);
         assert_eq!(counts(&sched).sched_routed, 4);
-    }
-
-    #[test]
-    fn no_affinity_round_robins_across_queues() {
-        let (sched, tx) = Scheduler::new(4, 64, false);
-        // Same route every time; round-robin spreads it anyway.
-        for seq in 0..8 {
-            send(&tx, 7, seq);
-        }
-        for me in 0..4usize {
-            assert_eq!(
-                sched.shards[me].depth.load(Ordering::Relaxed),
-                2,
-                "round-robin balanced the single-tenant stream"
-            );
-        }
     }
 
     #[test]

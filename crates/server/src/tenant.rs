@@ -53,8 +53,8 @@ impl std::ops::Deref for TenantDb {
 
 impl TenantDb {
     /// Checkpoint to the database's home directory (no-op for in-memory
-    /// tenants, which have no home): [`IndexAdmin::checkpoint`] under the
-    /// name `bench/` calls it by.
+    /// tenants, which have no home): [`IndexAdmin::checkpoint`]. A facade
+    /// for `bench/src/layers.rs`; ROADMAP 2A-0 retires it.
     ///
     /// # Errors
     /// Storage errors from the snapshot write.
